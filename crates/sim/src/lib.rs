@@ -50,7 +50,7 @@ pub mod perf;
 
 pub use cpu::{CpuExit, CpuState, FaultKind};
 pub use image::Image;
-pub use machine::{ExecRegion, Machine};
+pub use machine::{DecodeCacheStats, ExecRegion, Machine};
 pub use mem::Memory;
 pub use os::{
     deliver_fault, resume_pc_after, run_native, run_native_guarded, Os, RunResult,

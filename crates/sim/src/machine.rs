@@ -5,7 +5,23 @@
 //! decode/translate/encode/link path of the dynamic translator is exercised
 //! for real. A direct-mapped decoded-instruction cache makes interpretation
 //! fast; the RIO core invalidates it whenever it patches code (linking,
-//! fragment replacement), modelling self-modifying code correctly.
+//! fragment replacement), and every interpreted store invalidates the span
+//! it writes, modelling self-modifying code correctly.
+//!
+//! The decode cache is host infrastructure, not part of the modelled
+//! machine, and is built to cost little per step:
+//!
+//! * its 32K slot words are allocated zeroed, so a fresh [`Machine`] pays
+//!   only for the slots its code actually uses;
+//! * decoded entries live in a slab in which each slot owns at most one
+//!   entry and overwrites it in place, so memory tracks the executed code
+//!   footprint and stays bounded;
+//! * a step executes its decode by reference out of the slab;
+//! * a per-page bitmap of pages that may hold a cached decode lets stores to
+//!   data and stack pages (nearly all of them) skip the invalidation probe.
+//!
+//! [`Machine::decode_cache_stats`] reports hits, misses and invalidations
+//! for profiling; they never reach [`Counters`].
 
 use rio_ia32::{decode_instr, Instr, MemRef, OpSize, Opcode, Opnd, Reg};
 
@@ -100,27 +116,71 @@ const DCACHE_SIZE: usize = 1 << DCACHE_BITS;
 /// `pc + MAX_INSTR_BYTES - 1`, so a write at `addr` can stale any decode
 /// starting as far back as `addr - MAX_INSTR_BYTES + 1`.
 const MAX_INSTR_BYTES: u32 = 16;
+const PAGE_SHIFT: u32 = 12;
+const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
+/// Pages in the 32-bit address space, one bit each in the code-page bitmap.
+const PAGES: u32 = 1 << (32 - PAGE_SHIFT);
 
+/// Slot word layout: `pc << 32 | VALID | slab index + 1`. An all-zero word
+/// is a slot that has never been filled and owns no slab entry.
+const SLOT_VALID: u64 = 1 << 31;
+const SLOT_INDEX: u64 = SLOT_VALID - 1;
+
+/// One decoded instruction, owned by exactly one direct-mapped slot.
 struct DecodeCacheEntry {
-    pc: u32,
-    version: u64,
     /// Raw bytes the decode was made from (first `lowered.len` are live);
     /// kept so verification mode can prove a hit is not stale.
     bytes: [u8; 16],
     lowered: Lowered,
 }
 
+/// Host-side decode-cache activity, for profiling the interpreter. These
+/// counts are not part of the modelled machine: they never feed
+/// [`Counters`] or any simulated output.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeCacheStats {
+    /// Steps served from a cached decode.
+    pub hits: u64,
+    /// Steps that had to decode from memory.
+    pub misses: u64,
+    /// Cached decodes dropped by invalidation (store, range, or whole).
+    pub invalidated: u64,
+}
+
 /// Direct-mapped software decode cache keyed by pc.
+///
+/// * `slots` holds one word per direct-mapped slot: the pc tag, a valid
+///   bit, and the 1-based index of the slab entry the slot owns. It is
+///   allocated zeroed and only touched where code runs.
+/// * `slab` holds the decoded entries. A slot claims one entry the first
+///   time it is filled and overwrites that same entry on every later fill,
+///   so the slab grows with the executed code footprint and never beyond
+///   one entry per slot.
+/// * `code_pages` is a bitmap with one bit per 4 KiB page. Invariant: for
+///   every valid slot with tag `pc`, the pages holding `pc` and
+///   `pc + MAX_INSTR_BYTES - 1` are marked. A byte at `a` can only stale a
+///   decode whose `[pc, pc + 16)` window contains `a`, and that window lies
+///   on one of those two pages, so a write touching no marked page cannot
+///   stale anything and skips the probe. Bits are set by `put` and cleared
+///   only by `invalidate_all`, so the bitmap may over-approximate but
+///   never under-approximates.
+///
+/// Invalidation touches only `slots` (and `stats`), never `slab`, which is
+/// what lets the interpreter borrow a slab entry while it executes.
 struct DecodeCache {
-    entries: Vec<Option<DecodeCacheEntry>>,
-    version: u64,
+    slots: Vec<u64>,
+    slab: Vec<DecodeCacheEntry>,
+    code_pages: Vec<u64>,
+    stats: DecodeCacheStats,
 }
 
 impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
-            entries: (0..DCACHE_SIZE).map(|_| None).collect(),
-            version: 0,
+            slots: vec![0; DCACHE_SIZE],
+            slab: Vec::new(),
+            code_pages: vec![0; PAGES as usize / 64],
+            stats: DecodeCacheStats::default(),
         }
     }
 
@@ -128,39 +188,101 @@ impl DecodeCache {
         ((pc ^ (pc >> DCACHE_BITS as u32)) as usize) & (DCACHE_SIZE - 1)
     }
 
-    fn get(&self, pc: u32) -> Option<&DecodeCacheEntry> {
-        match &self.entries[Self::index(pc)] {
-            Some(e) if e.pc == pc && e.version == self.version => Some(e),
-            _ => None,
+    /// The tag and valid bits of a slot word holding a valid decode of `pc`.
+    fn valid_tag(pc: u32) -> u64 {
+        u64::from(pc) << 32 | SLOT_VALID
+    }
+
+    /// Slab index of the valid decode for `pc`, if cached.
+    #[inline]
+    fn get(&self, pc: u32) -> Option<usize> {
+        let word = self.slots[Self::index(pc)];
+        if word & !SLOT_INDEX == Self::valid_tag(pc) {
+            Some((word & SLOT_INDEX) as usize - 1)
+        } else {
+            None
         }
     }
 
-    fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) {
-        self.entries[Self::index(pc)] = Some(DecodeCacheEntry {
-            pc,
-            version: self.version,
-            bytes,
-            lowered,
-        });
+    /// Cache a decode for `pc` in its slot's own slab entry; returns the
+    /// slab index.
+    fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) -> usize {
+        let slot = Self::index(pc);
+        let entry = DecodeCacheEntry { bytes, lowered };
+        let i = match (self.slots[slot] & SLOT_INDEX) as usize {
+            0 => {
+                self.slab.push(entry);
+                self.slab.len() - 1
+            }
+            owned => {
+                self.slab[owned - 1] = entry;
+                owned - 1
+            }
+        };
+        self.slots[slot] = Self::valid_tag(pc) | (i as u64 + 1);
+        self.mark_page(pc);
+        self.mark_page(pc.wrapping_add(MAX_INSTR_BYTES - 1));
+        i
+    }
+
+    fn mark_page(&mut self, addr: u32) {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        self.code_pages[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Whether any page holding one of the `len` bytes at `start` (wrapping)
+    /// may hold part of a cached decode.
+    fn touches_code_page(&self, start: u32, len: u32) -> bool {
+        if len == 0 {
+            return false;
+        }
+        let first = start >> PAGE_SHIFT;
+        let last_offset = (u64::from(start & PAGE_MASK) + u64::from(len) - 1) >> PAGE_SHIFT;
+        (0..=last_offset as u32).any(|k| {
+            let page = (first.wrapping_add(k) % PAGES) as usize;
+            self.code_pages[page / 64] & (1 << (page % 64)) != 0
+        })
     }
 
     fn invalidate_all(&mut self) {
-        self.version += 1;
+        for word in &mut self.slots {
+            if *word & SLOT_VALID != 0 {
+                *word &= !SLOT_VALID;
+                self.stats.invalidated += 1;
+            }
+        }
+        self.code_pages.fill(0);
     }
 
-    /// Drop every cached decode whose bytes may overlap `[start, end)`.
-    /// A decode starting at `pc` covers at most `[pc, pc + 16)`, so only
-    /// pcs in `[start - 15, end)` can be affected; each lives at its own
-    /// direct-mapped slot, so the walk is bounded by `len + 15` probes.
-    fn invalidate_range(&mut self, start: u32, end: u32) {
-        let lo = start.saturating_sub(MAX_INSTR_BYTES - 1);
-        for pc in lo..end {
-            let slot = &mut self.entries[Self::index(pc)];
-            if matches!(slot, Some(e) if e.pc == pc) {
-                *slot = None;
+    /// Drop every cached decode whose bytes may overlap the `len` bytes at
+    /// `start`, wrapping past the top of the address space exactly as the
+    /// write did. A decode starting at `pc` covers at most `[pc, pc + 16)`,
+    /// so only pcs in `[start - 15, start + len)` can be affected; each
+    /// lives at its own direct-mapped slot, so the walk is bounded by
+    /// `len + 15` probes. Writes that touch no code page skip the walk.
+    fn invalidate_range(&mut self, start: u32, len: u32) {
+        if !self.touches_code_page(start, len) {
+            return;
+        }
+        let lo = start.wrapping_sub(MAX_INSTR_BYTES - 1);
+        for k in 0..u64::from(len) + u64::from(MAX_INSTR_BYTES - 1) {
+            let pc = lo.wrapping_add(k as u32);
+            let word = &mut self.slots[Self::index(pc)];
+            if *word & !SLOT_INDEX == Self::valid_tag(pc) {
+                *word &= !SLOT_VALID;
+                self.stats.invalidated += 1;
             }
         }
     }
+}
+
+/// Whether the `len` bytes at `addr`, wrapping past the top of the address
+/// space like the store that writes them, touch region `r`. The written
+/// bytes form one contiguous run modulo 2^32, so they meet the (non-empty)
+/// region iff the first byte lies inside it or the region's first byte lies
+/// within the run.
+fn touches(r: &ExecRegion, addr: u32, len: u32) -> bool {
+    r.contains(addr) || (r.start < r.end && r.start.wrapping_sub(addr) < len)
 }
 
 /// The simulated machine.
@@ -316,9 +438,12 @@ impl Machine {
                 mix(b);
             }
         }
+        let mut buf = Vec::new();
         for (base, bytes) in &image.data {
-            for off in 0..bytes.len() as u32 {
-                mix(self.mem.read_u8(base + off));
+            buf.resize(bytes.len(), 0);
+            self.mem.read_bytes(*base, &mut buf);
+            for &b in &buf {
+                mix(b);
             }
         }
         h
@@ -352,12 +477,21 @@ impl Machine {
         self.dcache.invalidate_all();
     }
 
-    /// Invalidate decoded instructions overlapping `[addr, addr + len)`.
+    /// Invalidate decoded instructions overlapping the `len` bytes at
+    /// `addr` (wrapping past the top of the address space, like the write).
     /// Must be called after any write to memory that may hold code; cost is
-    /// bounded by `len + 15` cache probes, so hot emit/patch paths no
-    /// longer wipe unrelated decodes.
+    /// bounded by `len + 15` cache probes, and is a bitmap test alone when
+    /// the written pages hold no cached decode, so hot emit/patch paths
+    /// never wipe unrelated decodes.
     pub fn invalidate_code_range(&mut self, addr: u32, len: u32) {
-        self.dcache.invalidate_range(addr, addr.saturating_add(len));
+        self.dcache.invalidate_range(addr, len);
+    }
+
+    /// Host-side decode-cache hit, miss and invalidation counts since the
+    /// machine was created. Purely a profiling aid: the simulated machine
+    /// and its [`Counters`] are identical whether or not anyone looks.
+    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
+        self.dcache.stats
     }
 
     fn in_region(&self, pc: u32) -> bool {
@@ -394,32 +528,23 @@ impl Machine {
             }
         }
         let cached = match self.dcache.get(pc) {
-            Some(e) if !self.verify_decodes => Some(e.lowered),
-            Some(e) => {
-                // Verification mode: prove the hit against live memory.
-                let len = e.lowered.len as usize;
-                let mut buf = [0u8; 16];
-                self.mem.read_bytes(pc, &mut buf[..len]);
-                if buf[..len] == e.bytes[..len] {
-                    Some(e.lowered)
-                } else {
-                    self.stale_decode_hits += 1;
-                    None
-                }
+            Some(i) if self.verify_decodes && !self.cached_bytes_match(pc, i) => {
+                self.stale_decode_hits += 1;
+                None
             }
-            None => None,
+            hit => hit,
         };
-        let lowered = match cached {
-            Some(l) => l,
+        let i = match cached {
+            Some(i) => {
+                self.dcache.stats.hits += 1;
+                i
+            }
             None => {
+                self.dcache.stats.misses += 1;
                 let mut buf = [0u8; 16];
                 self.mem.read_bytes(pc, &mut buf);
                 match decode_instr(&buf, pc) {
-                    Ok((instr, len)) => {
-                        let l = lower(&instr, len);
-                        self.dcache.put(pc, buf, l);
-                        l
-                    }
+                    Ok((instr, len)) => self.dcache.put(pc, buf, lower(&instr, len)),
                     Err(_) => {
                         return Some(CpuExit::Fault {
                             kind: FaultKind::InvalidOpcode,
@@ -430,7 +555,23 @@ impl Machine {
                 }
             }
         };
-        self.exec(pc, &lowered)
+        // Execute the decode in place. `exec` can invalidate slots (every
+        // store goes through `note_store`) but never touches the slab, so
+        // the slab is lent out for the duration of the instruction.
+        let slab = std::mem::take(&mut self.dcache.slab);
+        let exit = self.exec(pc, &slab[i].lowered);
+        self.dcache.slab = slab;
+        exit
+    }
+
+    /// Verification mode: whether cached decode `i` still matches the live
+    /// memory bytes at `pc`.
+    fn cached_bytes_match(&self, pc: u32, i: usize) -> bool {
+        let e = &self.dcache.slab[i];
+        let len = e.lowered.len as usize;
+        let mut buf = [0u8; 16];
+        self.mem.read_bytes(pc, &mut buf[..len]);
+        buf[..len] == e.bytes[..len]
     }
 
     fn addr_of(&self, m: &MemRef) -> u32 {
@@ -510,15 +651,15 @@ impl Machine {
     /// stores that land in a watched code region.
     fn note_store(&mut self, addr: u32, bytes: u32) {
         self.step_stores += 1;
-        let end = addr.saturating_add(bytes);
-        self.dcache.invalidate_range(addr, end);
-        if self.watches.iter().any(|w| addr < w.end && end > w.start) {
+        self.dcache.invalidate_range(addr, bytes);
+        if self.watches.iter().any(|w| touches(w, addr, bytes)) {
             self.step_code_write = Some(match self.step_code_write {
                 None => (addr, bytes),
                 Some((a0, l0)) => {
                     let lo = a0.min(addr);
-                    let hi = (a0.saturating_add(l0)).max(end);
-                    (lo, hi - lo)
+                    let hi =
+                        (u64::from(a0) + u64::from(l0)).max(u64::from(addr) + u64::from(bytes));
+                    (lo, (hi - u64::from(lo)).min(u64::from(u32::MAX)) as u32)
                 }
             });
         }
@@ -1323,6 +1464,224 @@ mod tests {
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 2);
+    }
+
+    fn load(code: Vec<u8>) -> Machine {
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.load_image(&Image::from_code(code));
+        m
+    }
+
+    fn stats(hits: u64, misses: u64, invalidated: u64) -> DecodeCacheStats {
+        DecodeCacheStats {
+            hits,
+            misses,
+            invalidated,
+        }
+    }
+
+    #[test]
+    fn decode_cache_hits_on_reexecution() {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
+        il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm32(2)));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0));
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(3, 3, 0));
+        // Host-only: the simulated counters never see the cache.
+        assert_eq!(m.counters.instructions, 6);
+    }
+
+    #[test]
+    fn decode_cache_misses_after_code_bytes_are_patched() {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        assert_eq!(m.run(), CpuExit::Halt);
+        m.mem.write_u32(Image::CODE_BASE + 1, 2);
+        m.invalidate_code_range(Image::CODE_BASE + 1, 4);
+        // The 4-byte write reaches back over the `mov` at CODE_BASE only;
+        // the `hlt` after it is untouched.
+        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Eax), 2);
+        assert_eq!(m.decode_cache_stats(), stats(1, 3, 1));
+        // The refill reused the slot's own slab entry.
+        assert_eq!(m.dcache.slab.len(), 2);
+    }
+
+    #[test]
+    fn stack_stores_skip_the_invalidation_probe() {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(7)));
+        il.push_back(create::push(Opnd::reg(Reg::Eax)));
+        il.push_back(create::push(Opnd::reg(Reg::Eax)));
+        il.push_back(create::pop(Opnd::reg(Reg::Ebx)));
+        il.push_back(create::pop(Opnd::reg(Reg::Ecx)));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats().invalidated, 0);
+        assert_eq!(m.counters.stores, 2);
+        // The gate: the stack page holds no decode, the code page does.
+        let esp = m.cpu.reg(Reg::Esp);
+        assert!(!m.dcache.touches_code_page(esp - 8, 8));
+        assert!(m.dcache.touches_code_page(Image::CODE_BASE, 1));
+    }
+
+    #[test]
+    fn store_to_second_page_invalidates_a_straddling_decode() {
+        // `int 0x20` sits at the last byte of the first code page, so its
+        // vector byte is the first byte of the second page, where nothing
+        // else ever executes. A guest store to that byte must still reach
+        // the decode, which starts on the first page.
+        let straddle = Image::CODE_BASE + 0xFFF;
+        let mut il = InstrList::new();
+        il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(straddle + 1, OpSize::S8)),
+            Opnd::imm8(0x21),
+        ));
+        il.push_back(create::jmp(Target::Pc(straddle)));
+        let mut code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
+        code.resize(0xFFF, 0x90);
+        let mut int = InstrList::new();
+        int.push_back(create::int(0x20));
+        code.extend(encode_list(&int, straddle).unwrap().bytes);
+        let mut m = load(code);
+        m.set_verify_decodes(true);
+        m.cpu.eip = straddle;
+        assert_eq!(m.run(), CpuExit::Syscall(0x20));
+        // The straddling decode is the only one so far, and it marked the
+        // second page.
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
+        assert!(m.dcache.touches_code_page(straddle + 1, 1));
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Syscall(0x21));
+        assert_eq!(m.decode_cache_stats(), stats(0, 4, 1));
+        assert_eq!(m.stale_decode_hits(), 0);
+
+        // Symmetrically, a store to the first page reaches a straddling
+        // decode when nothing else runs there.
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.mem.write_bytes(0x1FFF, &[0xCD, 0x20]); // int 0x20
+        m.cpu.eip = 0x1FFF;
+        assert_eq!(m.step(), Some(CpuExit::Syscall(0x20)));
+        m.note_store(0x1FFF, 1);
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
+    }
+
+    #[test]
+    fn invalidate_code_then_reuse_of_a_slot() {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(5)));
+        il.push_back(create::inc(Opnd::reg(Reg::Eax)));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        assert_eq!(m.run(), CpuExit::Halt);
+        m.invalidate_code();
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3));
+        assert!(!m.dcache.touches_code_page(Image::CODE_BASE, 1));
+        // Nothing is served stale, and every slot refills its own entry.
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Eax), 6);
+        assert_eq!(m.decode_cache_stats(), stats(0, 6, 3));
+        assert_eq!(m.dcache.slab.len(), 3);
+        assert!(m.dcache.touches_code_page(Image::CODE_BASE, 1));
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(3, 6, 3));
+    }
+
+    #[test]
+    fn aliasing_pcs_share_one_slab_entry() {
+        // Two pcs that map to the same direct-mapped slot evict each other
+        // in place: the slab never holds more than one entry per slot.
+        let a = Image::CODE_BASE;
+        let b = (1..u32::MAX)
+            .map(|k| a.wrapping_add(k))
+            .find(|&pc| DecodeCache::index(pc) == DecodeCache::index(a))
+            .unwrap();
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.mem.write_u8(a, 0xF4); // hlt
+        m.mem.write_u8(b, 0xF4);
+        for pc in [a, b, a, b] {
+            m.cpu.eip = pc;
+            assert_eq!(m.step(), Some(CpuExit::Halt));
+        }
+        assert_eq!(m.decode_cache_stats(), stats(0, 4, 0));
+        assert_eq!(m.dcache.slab.len(), 1);
+    }
+
+    #[test]
+    fn store_wrapping_past_the_top_invalidates_both_ends() {
+        // A 4-byte store at 0xFFFF_FFFE writes 0xFFFF_FFFE..=0xFFFF_FFFF
+        // and 0..=1; decodes at 0xFFFF_FFFF, 0 and 1 all read those bytes.
+        // (0xFFFF_FFFF and 0 share a slot, so they are probed in turn.)
+        let mut m = Machine::new(CpuKind::Pentium4);
+        for pcs in [&[0xFFFF_FFFF, 1][..], &[0]] {
+            for &pc in pcs {
+                m.mem.write_u8(pc, 0x90); // nop
+                m.cpu.eip = pc;
+                assert_eq!(m.step(), None);
+                assert!(m.dcache.get(pc).is_some());
+            }
+            let before = m.decode_cache_stats().invalidated;
+            m.note_store(0xFFFF_FFFE, 4);
+            assert_eq!(
+                m.decode_cache_stats().invalidated - before,
+                pcs.len() as u64
+            );
+            assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
+        }
+        // The public range entry point wraps the same way.
+        m.cpu.eip = 1;
+        assert_eq!(m.step(), None);
+        m.invalidate_code_range(0xFFFF_FFFE, 4);
+        assert_eq!(m.dcache.get(1), None);
+    }
+
+    #[test]
+    fn watch_check_wraps_like_the_store() {
+        let low = ExecRegion::new(0, 0x10);
+        let top = ExecRegion::new(0xFFFF_FF00, 0xFFFF_FFFF);
+        assert!(touches(&low, 0xFFFF_FFFE, 4));
+        assert!(touches(&top, 0xFFFF_FFFE, 4));
+        assert!(!touches(&low, 0xFFFF_FFFE, 2));
+        assert!(!touches(&ExecRegion::new(0x10, 0x20), 0xFFFF_FFFE, 4));
+        assert!(!touches(&ExecRegion::new(8, 8), 6, 4)); // empty region
+        assert!(touches(&ExecRegion::new(8, 9), 6, 4));
+        assert!(!touches(&ExecRegion::new(8, 9), 9, 4));
+
+        // End to end: a guest store wrapping into a watched low page exits.
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(-1)));
+        il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(0xFFFF_FFFE, OpSize::S32)),
+            Opnd::reg(Reg::Eax),
+        ));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        m.set_watch_regions(vec![low]);
+        let exit = m.run();
+        assert!(
+            matches!(
+                exit,
+                CpuExit::CodeWrite {
+                    addr: 0xFFFF_FFFE,
+                    len: 4,
+                    ..
+                }
+            ),
+            "{exit:?}"
+        );
+        assert_eq!(m.mem.read_u16(0), 0xFFFF);
     }
 
     #[test]
