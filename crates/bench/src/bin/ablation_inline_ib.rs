@@ -5,7 +5,8 @@
 //! Both sweeps run on the worker pool (`--jobs N` / `RIO_JOBS`); output is
 //! identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel, ClientKind};
+use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_sim::CpuKind;
 use rio_workloads::{compiled, suite_scaled, Category};

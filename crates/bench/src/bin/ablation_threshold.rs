@@ -6,7 +6,8 @@
 //! The threshold × benchmark sweep is distributed over the worker pool
 //! (`--jobs N` / `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel, ClientKind};
+use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_sim::CpuKind;
 use rio_workloads::{compiled, suite_scaled, Category};

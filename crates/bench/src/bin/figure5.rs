@@ -13,7 +13,8 @@
 //! count because simulated cycles are host-independent and results are
 //! collected in item order.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel, ClientKind};
+use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_sim::CpuKind;
 use rio_workloads::{compiled_suite, Category};

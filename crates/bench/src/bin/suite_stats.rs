@@ -6,7 +6,8 @@
 //! the report is printed in suite order regardless of job count, and a
 //! suite-wide aggregate row is derived with [`Stats::aggregate`].
 
-use rio_bench::{jobs, run_config, run_parallel, ClientKind};
+use rio_bench::{jobs, run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::{Options, Stats};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::compiled_suite;

@@ -9,7 +9,8 @@
 //! All ten configuration runs are distributed over the worker pool
 //! (`--jobs N` / `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel, ClientKind};
+use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_sim::CpuKind;
 use rio_workloads::{benchmark, compiled};

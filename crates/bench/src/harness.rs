@@ -9,50 +9,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use rio_clients::{CTrace, Combined, IbDispatch, Inc2Add, Rlr};
-use rio_core::{NullClient, Options, Rio, RioRunResult, Stats};
+use rio_clients::ClientKind;
+use rio_core::{Options, Rio, RioRunResult, Stats};
 use rio_sim::{run_native, CpuKind, Image};
-
-/// Which client to couple with the engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClientKind {
-    /// Base RIO, no client transformation.
-    Null,
-    /// Redundant load removal (§4.1).
-    Rlr,
-    /// Strength reduction (§4.2).
-    Inc2Add,
-    /// Adaptive indirect branch dispatch (§4.3).
-    IbDispatch,
-    /// Custom call-inlining traces (§4.4).
-    CTrace,
-    /// All four in combination.
-    Combined,
-}
-
-impl ClientKind {
-    /// Display label matching Figure 5's legend.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClientKind::Null => "base",
-            ClientKind::Rlr => "rlr",
-            ClientKind::Inc2Add => "inc2add",
-            ClientKind::IbDispatch => "ibdispatch",
-            ClientKind::CTrace => "ctraces",
-            ClientKind::Combined => "combined",
-        }
-    }
-
-    /// All six Figure 5 bars, in order.
-    pub const FIGURE5: [ClientKind; 6] = [
-        ClientKind::Null,
-        ClientKind::Rlr,
-        ClientKind::Inc2Add,
-        ClientKind::IbDispatch,
-        ClientKind::CTrace,
-        ClientKind::Combined,
-    ];
-}
 
 /// Result of one engine run.
 #[derive(Clone, Debug)]
@@ -99,41 +58,23 @@ pub fn run_config(
     kind: CpuKind,
     client: ClientKind,
 ) -> ConfigResult {
-    match client {
-        ClientKind::Null => Rio::new(image, options, kind, NullClient).run().into(),
-        ClientKind::Rlr => Rio::new(image, options, kind, Rlr::new()).run().into(),
-        ClientKind::Inc2Add => Rio::new(image, options, kind, Inc2Add::new()).run().into(),
-        ClientKind::IbDispatch => Rio::new(image, options, kind, IbDispatch::new())
-            .run()
-            .into(),
-        ClientKind::CTrace => Rio::new(image, options, kind, CTrace::new()).run().into(),
-        ClientKind::Combined => Rio::new(image, options, kind, Combined::new()).run().into(),
-    }
-}
-
-/// Convenience: cycles of a full-system run with a client.
-pub fn rio_cycles(image: &Image, kind: CpuKind, client: ClientKind) -> u64 {
-    run_config(image, Options::full(), kind, client).cycles
+    Rio::new(image, options, kind, client.build()).run().into()
 }
 
 // ----- parallel suite runner ----------------------------------------------
 
-/// Worker count for the experiment binaries: an explicit `--jobs N`
-/// (also `-j N` / `--jobs=N`) on the command line wins, then the
-/// `RIO_JOBS` environment variable, then the host's available parallelism.
+/// Worker count for the experiment binaries: `--jobs N` (also `-j N` /
+/// `--jobs=N`) through the shared [`Args`](crate::Args) parser, else
+/// [`default_jobs`].
 pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(rest) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = rest.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let jobs = crate::Args::parse(&args, &["--jobs"], &[], 0).and_then(|a| a.jobs());
+    jobs.unwrap_or_else(|_| default_jobs())
+}
+
+/// Worker count when no `--jobs` is given: the `RIO_JOBS` environment
+/// variable, then the host's available parallelism.
+pub fn default_jobs() -> usize {
     if let Some(n) = std::env::var("RIO_JOBS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

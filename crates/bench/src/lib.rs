@@ -21,7 +21,5 @@
 pub mod harness;
 pub mod suite_cli;
 
-pub use harness::{
-    jobs, native_cycles, rio_cycles, run_config, run_parallel, ClientKind, ConfigResult,
-};
-pub use suite_cli::{parse_suite_args, parse_suite_args_with, print_suite_rows, SuiteArgs};
+pub use harness::{jobs, native_cycles, run_config, run_parallel, ConfigResult};
+pub use suite_cli::{print_rows, print_suite_rows, Args};

@@ -2,21 +2,26 @@
 //! system.
 //!
 //! ```text
-//! rio run <prog.dyna | bench:NAME> [options]   run a program under RIO
-//! rio native <prog.dyna | bench:NAME>          run natively (baseline)
-//! rio disasm <prog.dyna | bench:NAME>          disassemble the compiled image
-//! rio fragments <prog.dyna | bench:NAME> [options]  run, then dump the code cache
-//! rio suite [--client NAME] [--jobs N]         run the whole benchmark suite
-//! rio faults [--cpu p3|p4] [--jobs N]          fault-injection robustness suite
-//! rio smc [--cpu p3|p4] [--jobs N]             self-modifying-code consistency suite
-//! rio verify [--cpu p3|p4] [--jobs N]          run everything under the cache verifier
+//! rio run <prog.dyna | bench:NAME> [options]        run a program under RIO
+//! rio native <prog.dyna | bench:NAME> [--cpu p3|p4] run natively (baseline)
+//! rio disasm <prog.dyna | bench:NAME>               disassemble the compiled image
+//! rio fragments <prog.dyna | bench:NAME> [options]  run, then dump that run's code cache
+//! rio suite [--client NAME] [--cpu p3|p4] [--jobs N] run the whole benchmark suite
+//! rio faults [--cpu p3|p4] [--jobs N]               fault-injection robustness suite
+//! rio smc [--cpu p3|p4] [--jobs N]                  self-modifying-code consistency suite
+//! rio verify [--cpu p3|p4] [--jobs N]               run everything under the cache verifier
 //! rio fuzz [--seeds N] [--seed-base HEX] [--cpu p3|p4] [--jobs N]
-//!          [--corpus DIR] [--replay]           differential conformance fuzzing
-//! rio bench-list                               list the benchmark suite
+//!          [--corpus DIR] [--replay]                differential conformance fuzzing
+//! rio bench-list                                    list the benchmark suite
 //!
-//! run options:
-//!   --client NAME     null (default) | rlr | inc2add | ibdispatch |
-//!                     ctrace | combined | shepherd | inscount | opstats
+//! clients (--client of run, fragments, and suite; default null):
+//!   null | rlr | inc2add | ibdispatch | ctrace | combined | shepherd |
+//!   inscount | opstats, plus the Figure 5 legend names base (= null) and
+//!   ctraces (= ctrace). verify runs the suite under null, combined, and
+//!   shepherd.
+//!
+//! run / fragments options:
+//!   --client NAME     see above
 //!   --cpu p3|p4       processor model (default p4)
 //!   --emulate         Table 1 row 1 configuration
 //!   --no-links        disable direct-branch linking
@@ -31,16 +36,16 @@
 //!                     (also honors RIO_VERIFY=1; never charged to the run)
 //!   --stats           print engine statistics
 //!
-//! suite options: --client as above (the six measured kinds), --cpu,
-//! --jobs N (worker threads; also honors RIO_JOBS, defaults to the
-//! host's available parallelism).
+//! Every flag is also accepted as --flag=value. --jobs N (or -j N) sets the
+//! worker threads; it also honors RIO_JOBS and defaults to the host's
+//! available parallelism. Suite, scenario, and fuzz output is
+//! byte-identical for any --jobs value.
 //!
 //! fuzz options: --seeds N generated programs (default 64), starting at
 //! --seed-base HEX (default 0x5eed0000); every program runs natively and
 //! through the full engine-configuration matrix, any divergence is
 //! minimized and saved into --corpus DIR (default tests/corpus).
 //! --replay instead re-runs every saved corpus entry through the matrix.
-//! Campaign output is byte-identical for any --jobs value.
 //!
 //! exit codes: the program's own status; 124 when a --max-instructions /
 //! --timeout-cycles budget runs out; on an unhandled guest fault,
@@ -53,21 +58,33 @@
 
 use std::process::ExitCode;
 
-use rio_bench::{
-    native_cycles, parse_suite_args, parse_suite_args_with, print_suite_rows, run_config,
-    run_parallel, ClientKind, SuiteArgs,
-};
-use rio_clients::{CTrace, Combined, IbDispatch, Inc2Add, InsCount, OpStats, Rlr, Shepherd};
-use rio_core::{
-    Client, Fault, FaultInjector, FaultKind, InjectionPlan, NullClient, Options, Rio, RioRunResult,
-    Stats, StepBudget, StepOutcome,
-};
-use rio_sim::{run_native, run_native_guarded, CpuKind, Image};
-use rio_workloads::{benchmark, compile, compiled_suite, faulting, smc, suite};
+use rio_bench::{native_cycles, print_rows, print_suite_rows, run_config, run_parallel, Args};
+use rio_core::{Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
+use rio_fuzz::scenario::{self, check, Scenario};
+use rio_sim::{run_native, CpuKind, Image};
+use rio_workloads::{benchmark, compile, compiled_suite, suite};
 
 /// Exit code when a `--max-instructions` / `--timeout-cycles` budget runs
 /// out before the program exits (matches the `timeout(1)` convention).
 const EXIT_BUDGET_EXHAUSTED: u8 = 124;
+
+/// Value flags and switches of `rio run` and `rio fragments`.
+const RUN_VALUES: &[&str] = &[
+    "--client",
+    "--cpu",
+    "--threshold",
+    "--cache-limit",
+    "--max-instructions",
+    "--timeout-cycles",
+];
+const RUN_SWITCHES: &[&str] = &[
+    "--emulate",
+    "--no-links",
+    "--no-ib-links",
+    "--no-traces",
+    "--verify",
+    "--stats",
+];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -76,7 +93,18 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_image(spec: &str) -> Result<Image, String> {
+/// Parse a subcommand that takes one program (`prog.dyna` or
+/// `bench:NAME`) plus the given flags, and compile the program.
+fn parse_program(
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(Args, Image), String> {
+    let a = Args::parse(args, values, switches, 1)?;
+    let spec = a
+        .positional
+        .first()
+        .ok_or("missing program (a .dyna file or bench:NAME)")?;
     let source = if let Some(name) = spec.strip_prefix("bench:") {
         benchmark(name)
             .ok_or_else(|| format!("unknown benchmark `{name}` (try `rio bench-list`)"))?
@@ -84,203 +112,94 @@ fn load_image(spec: &str) -> Result<Image, String> {
     } else {
         std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?
     };
-    compile(&source).map_err(|e| format!("compile error: {e}"))
+    let image = compile(&source).map_err(|e| format!("compile error: {e}"))?;
+    Ok((a, image))
 }
 
-struct RunArgs {
-    spec: String,
-    client: String,
-    cpu: CpuKind,
-    options: Options,
-    stats: bool,
-    max_instructions: Option<u64>,
-    timeout_cycles: Option<u64>,
-}
-
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut out = RunArgs {
-        spec: String::new(),
-        client: "null".into(),
-        cpu: CpuKind::Pentium4,
-        options: Options::default(),
-        stats: false,
-        max_instructions: None,
-        timeout_cycles: None,
+/// Engine options from the run flags, then the environment.
+fn run_options(a: &Args) -> Result<Options, String> {
+    let mut o = if a.has("--emulate") {
+        Options::emulation()
+    } else {
+        Options::default()
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--client" => {
-                out.client = it.next().ok_or("--client needs a value")?.clone();
-            }
-            "--cpu" => {
-                out.cpu = match it.next().ok_or("--cpu needs a value")?.as_str() {
-                    "p3" => CpuKind::Pentium3,
-                    "p4" => CpuKind::Pentium4,
-                    other => return Err(format!("unknown cpu `{other}` (p3|p4)")),
-                };
-            }
-            "--emulate" => out.options = Options::emulation(),
-            "--no-links" => {
-                out.options.link_direct = false;
-                out.options.link_indirect = false;
-                out.options.enable_traces = false;
-            }
-            "--no-ib-links" => {
-                out.options.link_indirect = false;
-                out.options.enable_traces = false;
-            }
-            "--no-traces" => out.options.enable_traces = false,
-            "--threshold" => {
-                out.options.trace_threshold = it
-                    .next()
-                    .ok_or("--threshold needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad threshold: {e}"))?;
-            }
-            "--cache-limit" => {
-                out.options.cache_limit = Some(
-                    it.next()
-                        .ok_or("--cache-limit needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad cache limit: {e}"))?,
-                );
-            }
-            "--max-instructions" => {
-                out.max_instructions = Some(
-                    it.next()
-                        .ok_or("--max-instructions needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad instruction budget: {e}"))?,
-                );
-            }
-            "--timeout-cycles" => {
-                out.timeout_cycles = Some(
-                    it.next()
-                        .ok_or("--timeout-cycles needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad cycle budget: {e}"))?,
-                );
-            }
-            "--stats" => out.stats = true,
-            "--verify" => out.options.verify = true,
-            other if !other.starts_with('-') && out.spec.is_empty() => {
-                out.spec = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+    if a.has("--no-links") {
+        o.link_direct = false;
+        o.link_indirect = false;
+        o.enable_traces = false;
     }
-    if out.spec.is_empty() {
-        return Err("missing program (a .dyna file or bench:NAME)".into());
+    if a.has("--no-ib-links") {
+        o.link_indirect = false;
+        o.enable_traces = false;
     }
-    // `--cache-limit` wins; otherwise honor the environment.
-    apply_cache_limit_env(&mut out.options)?;
-    apply_verify_env(&mut out.options);
-    Ok(out)
+    if a.has("--no-traces") {
+        o.enable_traces = false;
+    }
+    if let Some(t) = a.parsed("--threshold")? {
+        o.trace_threshold = t;
+    }
+    o.cache_limit = a.parsed("--cache-limit")?;
+    o.verify = a.has("--verify");
+    apply_env(&mut o)?;
+    Ok(o)
 }
 
-/// Turn on incremental verification when `RIO_VERIFY=1` is set (unless the
-/// explicit `--verify` flag already did).
-fn apply_verify_env(options: &mut Options) {
-    if !options.verify {
-        options.verify = verify_env();
-    }
-}
-
-/// Whether `RIO_VERIFY` asks for verification (any value except `0`/empty).
-fn verify_env() -> bool {
-    std::env::var("RIO_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Fill `Options::cache_limit` from `RIO_CACHE_LIMIT` when no explicit
-/// `--cache-limit` was given.
-fn apply_cache_limit_env(options: &mut Options) -> Result<(), String> {
-    if options.cache_limit.is_none() {
+/// Honor `RIO_CACHE_LIMIT` when no `--cache-limit` was given, and
+/// `RIO_VERIFY` (any value except `0`/empty) unless `--verify` already
+/// turned verification on.
+fn apply_env(o: &mut Options) -> Result<(), String> {
+    if o.cache_limit.is_none() {
         if let Ok(v) = std::env::var("RIO_CACHE_LIMIT") {
-            options.cache_limit = Some(
+            o.cache_limit = Some(
                 v.parse()
                     .map_err(|e| format!("bad RIO_CACHE_LIMIT `{v}`: {e}"))?,
             );
         }
     }
+    o.verify |= verify_env();
     Ok(())
 }
 
-/// Outcome of a budgeted CLI run.
-struct DrivenRun {
-    result: RioRunResult,
-    /// Set when a `--max-instructions` / `--timeout-cycles` budget ran out
-    /// before the program exited.
-    exhausted: Option<&'static str>,
-}
-
-fn run_with_client(image: &Image, a: &RunArgs) -> Result<DrivenRun, String> {
-    fn go<C: Client>(image: &Image, a: &RunArgs, client: C) -> Result<DrivenRun, String> {
-        let mut rio = Rio::new(image, a.options, a.cpu, client);
-        if a.max_instructions.is_none() && a.timeout_cycles.is_none() {
-            return Ok(DrivenRun {
-                result: rio.run(),
-                exhausted: None,
-            });
-        }
-        // A budgeted session: take a single step carrying the whole budget
-        // and report exhaustion instead of running to completion.
-        let budget = StepBudget {
-            max_instructions: a.max_instructions,
-            max_cycles: a.timeout_cycles,
-            timeout: None,
-        };
-        match rio.step(budget) {
-            StepOutcome::Exited(code) => Ok(DrivenRun {
-                result: rio.result_snapshot(code),
-                exhausted: None,
-            }),
-            StepOutcome::Running(reason) => Ok(DrivenRun {
-                result: rio.result_snapshot(i32::from(EXIT_BUDGET_EXHAUSTED)),
-                exhausted: Some(match reason {
-                    rio_core::StopReason::InstructionBudget => "instruction budget",
-                    rio_core::StopReason::CycleBudget => "cycle budget",
-                    rio_core::StopReason::Timeout => "timeout",
-                }),
-            }),
-            StepOutcome::Faulted(f) => {
-                let mut result = rio.result_snapshot(f.exit_code());
-                result.fault = Some(f);
-                Ok(DrivenRun {
-                    result,
-                    exhausted: None,
-                })
-            }
-        }
-    }
-    match a.client.as_str() {
-        "null" => go(image, a, NullClient),
-        "rlr" => go(image, a, Rlr::new()),
-        "inc2add" => go(image, a, Inc2Add::new()),
-        "ibdispatch" => go(image, a, IbDispatch::new()),
-        "ctrace" => go(image, a, CTrace::new()),
-        "combined" => go(image, a, Combined::new()),
-        "shepherd" => go(image, a, Shepherd::new()),
-        "inscount" => go(image, a, InsCount::new()),
-        "opstats" => go(image, a, OpStats::new()),
-        other => Err(format!("unknown client `{other}`")),
-    }
+/// Whether `RIO_VERIFY` asks for verification.
+fn verify_env() -> bool {
+    std::env::var("RIO_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_run_args(args)?;
-    let image = load_image(&a.spec)?;
-    let native = run_native(&image, a.cpu);
-    let run = run_with_client(&image, &a)?;
-    let r = &run.result;
+    let (a, image) = parse_program(args, RUN_VALUES, RUN_SWITCHES)?;
+    let cpu = a.cpu()?;
+    let native = run_native(&image, cpu);
+    let mut rio = Rio::new(&image, run_options(&a)?, cpu, a.client()?.build());
+    // One step carrying the whole budget; with no budget flags it is
+    // unlimited and runs to exit or fault, exactly like `Rio::run`.
+    let budget = StepBudget {
+        max_instructions: a.parsed("--max-instructions")?,
+        max_cycles: a.parsed("--timeout-cycles")?,
+        timeout: None,
+    };
+    let (r, exhausted) = match rio.step(budget) {
+        StepOutcome::Exited(code) => (rio.result_snapshot(code), None),
+        StepOutcome::Faulted(f) => {
+            let mut r = rio.result_snapshot(f.exit_code());
+            r.fault = Some(f);
+            (r, None)
+        }
+        StepOutcome::Running(reason) => (
+            rio.result_snapshot(i32::from(EXIT_BUDGET_EXHAUSTED)),
+            Some(match reason {
+                StopReason::InstructionBudget => "instruction budget",
+                StopReason::CycleBudget => "cycle budget",
+                StopReason::Timeout => "timeout",
+            }),
+        ),
+    };
     print!("{}", r.app_output);
     if let Some(f) = &r.fault {
         // One faithful line carrying both address spaces; the exit status
         // below follows the 128+kind convention documented in the header.
         eprintln!("rio: {}", f.message);
     }
-    if run.exhausted.is_none() && (r.app_output != native.output || r.exit_code != native.exit_code)
-    {
+    if exhausted.is_none() && (r.app_output != native.output || r.exit_code != native.exit_code) {
         eprintln!(
             "!! DIVERGENCE from native execution (native exit {})",
             native.exit_code
@@ -300,13 +219,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         r.stats.checks_run,
         r.stats.violations
     );
-    if a.stats {
+    if a.has("--stats") {
         eprintln!("{}", r.stats);
         if r.sideline_cycles > 0 {
             eprintln!("sideline cycles: {}", r.sideline_cycles);
         }
     }
-    if let Some(what) = run.exhausted {
+    if let Some(what) = exhausted {
         eprintln!(
             "rio: {what} exhausted after {} instructions / {} cycles; program did not finish",
             r.counters.instructions, r.counters.cycles
@@ -316,26 +235,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from((r.exit_code & 0xFF) as u8))
 }
 
+/// `rio fragments`: run once under the requested client, then dump that
+/// run's code cache and disassemble the entry fragment.
 fn cmd_fragments(args: &[String]) -> Result<ExitCode, String> {
-    let a = parse_run_args(args)?;
-    let image = load_image(&a.spec)?;
-    // Run with the null client (or the requested one) and dump the cache.
-    fn go<C: rio_core::Client>(image: &Image, a: &RunArgs, client: C) -> Rio<C> {
-        let mut rio = Rio::new(image, a.options, a.cpu, client);
-        rio.run();
-        rio
-    }
-    // Fragment dumps only need the engine state; use the null client to
-    // keep the cache contents canonical unless another client was asked
-    // for explicitly.
-    if a.client != "null" {
-        let r = run_with_client(&image, &a)?;
-        let _ = r;
-        eprintln!("note: per-client fragment dumps use the null client's run");
-    }
-    let rio = go(&image, &a, NullClient);
+    let (a, image) = parse_program(args, RUN_VALUES, RUN_SWITCHES)?;
+    let mut rio = Rio::new(&image, run_options(&a)?, a.cpu()?, a.client()?.build());
+    rio.run();
     print!("{}", rio.core.fragment_report());
-    // Also disassemble the hottest-looking fragment (the entry).
     if let Some(disasm) = rio.core.disassemble_fragment(Image::CODE_BASE) {
         println!("--- entry fragment ---");
         print!("{disasm}");
@@ -344,17 +250,15 @@ fn cmd_fragments(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_native(args: &[String]) -> Result<ExitCode, String> {
-    let spec = args.first().ok_or("missing program")?;
-    let image = load_image(spec)?;
-    let r = run_native(&image, CpuKind::Pentium4);
+    let (a, image) = parse_program(args, &["--cpu"], &[])?;
+    let r = run_native(&image, a.cpu()?);
     print!("{}", r.output);
     eprintln!("--- {} ---", r.counters);
     Ok(ExitCode::from((r.exit_code & 0xFF) as u8))
 }
 
 fn cmd_disasm(args: &[String]) -> Result<ExitCode, String> {
-    let spec = args.first().ok_or("missing program")?;
-    let image = load_image(spec)?;
+    let (_, image) = parse_program(args, &[], &[])?;
     let lines = rio_ia32::disasm::disassemble(&image.code, Image::CODE_BASE)
         .map_err(|e| format!("disassembly failed: {e}"))?;
     for l in lines {
@@ -367,49 +271,10 @@ fn cmd_disasm(args: &[String]) -> Result<ExitCode, String> {
 /// worker pool, validate each against native execution, and print the
 /// normalized-time table plus aggregate statistics.
 fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
-    let mut client = ClientKind::Null;
-    let mut cpu = CpuKind::Pentium4;
-    let mut njobs = rio_bench::jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--client" => {
-                client = match it.next().ok_or("--client needs a value")?.as_str() {
-                    "null" | "base" => ClientKind::Null,
-                    "rlr" => ClientKind::Rlr,
-                    "inc2add" => ClientKind::Inc2Add,
-                    "ibdispatch" => ClientKind::IbDispatch,
-                    "ctrace" | "ctraces" => ClientKind::CTrace,
-                    "combined" => ClientKind::Combined,
-                    other => {
-                        return Err(format!(
-                            "unknown suite client `{other}` (null|rlr|inc2add|ibdispatch|ctrace|combined)"
-                        ))
-                    }
-                };
-            }
-            "--cpu" => {
-                cpu = match it.next().ok_or("--cpu needs a value")?.as_str() {
-                    "p3" => CpuKind::Pentium3,
-                    "p4" => CpuKind::Pentium4,
-                    other => return Err(format!("unknown cpu `{other}` (p3|p4)")),
-                };
-            }
-            "--jobs" | "-j" => {
-                njobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad job count: {e}"))?
-                    .max(1);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-
+    let a = Args::parse(args, &["--client", "--cpu", "--jobs"], &[], 0)?;
+    let (client, cpu, njobs) = (a.client()?, a.cpu()?, a.jobs()?);
     let mut opts = Options::full();
-    apply_cache_limit_env(&mut opts)?;
-    apply_verify_env(&mut opts);
+    apply_env(&mut opts)?;
     let benches = compiled_suite();
     let rows = run_parallel(&benches, njobs, |_, (b, image)| {
         let (native, exit, out) = native_cycles(image, cpu);
@@ -457,614 +322,48 @@ fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-// ----- fault-injection robustness suite -----------------------------------
-
-/// A fixed, fault-free workload the injection scenarios perturb.
-const INJECT_SOURCE: &str = "fn main() {
-    var i = 0;
-    var s = 0;
-    while (i < 4000) { s = s + i * 3 % 97; i++; }
-    return s % 100;
-}";
-
-/// One scenario of the `rio faults` matrix.
-#[derive(Clone, Copy, Debug)]
-enum FaultScenario {
-    /// Inject an architectural fault at a fixed instruction count into a
-    /// fault-free workload; expect exactly one `Faulted` outcome of that
-    /// kind, then a resumed run identical to native.
-    Inject { kind: FaultKind, emulate: bool },
-    /// Corrupt every warm fragment's cache copy; expect invalid-opcode
-    /// faults, eviction, quarantine emulation, and a self-healed run
-    /// identical to native.
-    CorruptAll,
-    /// Genuine divide-by-zero in a hot loop, recovered by a guest handler.
-    DivRecover { emulate: bool },
-    /// Genuine wild load into a guarded region, recovered by a handler.
-    WildLoad { emulate: bool },
-    /// Unhandled divide error: exit 129 in every mode.
-    DivUnhandled { emulate: bool },
-    /// Unhandled memory fault: exit 131 in every mode.
-    WildUnhandled { emulate: bool },
+/// Parse a command line of only `--cpu` and `--jobs`.
+fn cpu_and_jobs(args: &[String]) -> Result<(CpuKind, usize), String> {
+    let a = Args::parse(args, &["--cpu", "--jobs"], &[], 0)?;
+    Ok((a.cpu()?, a.jobs()?))
 }
 
-impl FaultScenario {
-    fn name(self) -> String {
-        let mode = |e: bool| if e { "emulate" } else { "cache" };
-        match self {
-            FaultScenario::Inject { kind, emulate } => {
-                format!("inject-{kind}-{}", mode(emulate)).replace(' ', "-")
-            }
-            FaultScenario::CorruptAll => "corrupt-cache-copies".into(),
-            FaultScenario::DivRecover { emulate } => format!("div-recover-{}", mode(emulate)),
-            FaultScenario::WildLoad { emulate } => format!("wild-load-{}", mode(emulate)),
-            FaultScenario::DivUnhandled { emulate } => format!("div-unhandled-{}", mode(emulate)),
-            FaultScenario::WildUnhandled { emulate } => {
-                format!("wild-unhandled-{}", mode(emulate))
-            }
-        }
-    }
-
-    const ALL: [FaultScenario; 15] = [
-        FaultScenario::Inject {
-            kind: FaultKind::DivideError,
-            emulate: false,
-        },
-        FaultScenario::Inject {
-            kind: FaultKind::DivideError,
-            emulate: true,
-        },
-        FaultScenario::Inject {
-            kind: FaultKind::InvalidOpcode,
-            emulate: false,
-        },
-        FaultScenario::Inject {
-            kind: FaultKind::InvalidOpcode,
-            emulate: true,
-        },
-        FaultScenario::Inject {
-            kind: FaultKind::MemFault,
-            emulate: false,
-        },
-        FaultScenario::Inject {
-            kind: FaultKind::MemFault,
-            emulate: true,
-        },
-        FaultScenario::CorruptAll,
-        FaultScenario::DivRecover { emulate: false },
-        FaultScenario::DivRecover { emulate: true },
-        FaultScenario::WildLoad { emulate: false },
-        FaultScenario::WildLoad { emulate: true },
-        FaultScenario::DivUnhandled { emulate: false },
-        FaultScenario::DivUnhandled { emulate: true },
-        FaultScenario::WildUnhandled { emulate: false },
-        FaultScenario::WildUnhandled { emulate: true },
-    ];
-}
-
-/// Step a session in small budget slices (so injection plans get applied
-/// mid-run and fault delivery interleaves with suspension), collecting
-/// every `Faulted` outcome. Stops after `max_faults` terminal faults —
-/// sessions stay resumable after a fault, so a genuinely faulting program
-/// would otherwise re-report forever.
-fn drive_faulty<C: Client>(
-    mut rio: Rio<C>,
-    mut injector: Option<FaultInjector>,
-    max_faults: usize,
-) -> (RioRunResult, Vec<Fault>) {
-    let mut faults: Vec<Fault> = Vec::new();
-    loop {
-        if let Some(inj) = injector.as_mut() {
-            inj.poll(&mut rio);
-        }
-        match rio.step(StepBudget::instructions(200)) {
-            StepOutcome::Running(_) => {}
-            StepOutcome::Exited(code) => return (rio.result_snapshot(code), faults),
-            StepOutcome::Faulted(f) => {
-                let done = faults.len() + 1 >= max_faults;
-                faults.push(f);
-                if done {
-                    let last = faults.last().expect("just pushed").clone();
-                    let mut r = rio.result_snapshot(last.exit_code());
-                    r.fault = Some(last);
-                    return (r, faults);
-                }
-            }
-        }
-    }
-}
-
-fn scenario_options(emulate: bool, verify: bool) -> Options {
-    let mut opts = if emulate {
-        Options::emulation()
-    } else {
-        Options::full()
-    };
-    opts.verify = verify;
-    opts
-}
-
-/// Suffix a scenario report line with the verification tally, and enforce
-/// zero violations, when the matrix runs under `RIO_VERIFY`.
-fn verify_suffix(verify: bool, stats: &Stats) -> Result<String, String> {
-    if !verify {
-        return Ok(String::new());
-    }
-    if stats.violations != 0 {
-        return Err(format!(
-            "{} verifier violation(s) across {} checks",
-            stats.violations, stats.checks_run
-        ));
-    }
-    Ok(format!(", {} checks verified", stats.checks_run))
-}
-
-/// Run one scenario; `Ok` is the deterministic report line.
-fn run_fault_scenario(s: FaultScenario, cpu: CpuKind, verify: bool) -> Result<String, String> {
-    let name = s.name();
-    let fail = |why: String| Err(format!("{name}: {why}"));
-    match s {
-        FaultScenario::Inject { kind, emulate } => {
-            let image = compile(INJECT_SOURCE).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native(&image, cpu);
-            let rio = Rio::new(&image, scenario_options(emulate, verify), cpu, NullClient);
-            let injector = FaultInjector::new(InjectionPlan::AtInstruction { at: 400, kind });
-            let (r, faults) = drive_faulty(rio, Some(injector), 8);
-            if faults.len() != 1 || faults[0].kind != Some(kind) {
-                return fail(format!(
-                    "expected exactly one injected {kind}, got {:?}",
-                    faults.iter().map(|f| f.kind).collect::<Vec<_>>()
-                ));
-            }
-            if r.exit_code != native.exit_code || r.app_output != native.output {
-                return fail(format!(
-                    "resumed run diverged from native (exit {} vs {})",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-            Ok(format!(
-                "ok {name}: faulted at eip {:#x} (app pc {:?}), resumed to native-identical exit {}{suffix}",
-                faults[0].cache_eip,
-                faults[0].app_pc.map(|p| format!("{p:#x}")),
-                r.exit_code
-            ))
-        }
-        FaultScenario::CorruptAll => {
-            let image = compile(INJECT_SOURCE).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native(&image, cpu);
-            let rio = Rio::new(&image, scenario_options(false, verify), cpu, NullClient);
-            let injector = FaultInjector::new(InjectionPlan::CorruptAll { min_frags: 4 });
-            let (r, faults) = drive_faulty(rio, Some(injector), 64);
-            if faults.is_empty() {
-                return fail("corruption never raised a fault".into());
-            }
-            if let Some(bad) = faults
-                .iter()
-                .find(|f| f.kind != Some(FaultKind::InvalidOpcode))
-            {
-                return fail(format!("unexpected fault kind: {}", bad.message));
-            }
-            if r.exit_code != native.exit_code || r.app_output != native.output {
-                return fail(format!(
-                    "self-healed run diverged from native (exit {} vs {})",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            if r.stats.fault_evictions == 0 {
-                return fail("no fragment was evicted".into());
-            }
-            // This scenario deliberately corrupts cache bytes, so the
-            // verifier reporting violations here is detection, not a bug —
-            // the report carries the tally instead of enforcing zero.
-            let suffix = if verify {
-                format!(
-                    ", verifier flagged {} violation(s) across {} checks",
-                    r.stats.violations, r.stats.checks_run
-                )
-            } else {
-                String::new()
-            };
-            Ok(format!(
-                "ok {name}: {} faults, {} evictions, self-healed to native-identical exit {}{suffix}",
-                faults.len(),
-                r.stats.fault_evictions,
-                r.exit_code
-            ))
-        }
-        FaultScenario::DivRecover { emulate } => {
-            let image = compile(&faulting::div_recover()).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native(&image, cpu);
-            let rio = Rio::new(&image, scenario_options(emulate, verify), cpu, NullClient);
-            let (r, faults) = drive_faulty(rio, None, 1);
-            if !faults.is_empty() {
-                return fail(format!("unexpected terminal fault: {}", faults[0].message));
-            }
-            if r.exit_code != 0 || native.exit_code != 0 || r.app_output != native.output {
-                return fail(format!(
-                    "diverged from native (exit {} vs {})",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            if r.stats.faults_delivered != faulting::DIV_RECOVER_FAULTS as u64 {
-                return fail(format!(
-                    "expected {} deliveries, got {}",
-                    faulting::DIV_RECOVER_FAULTS,
-                    r.stats.faults_delivered
-                ));
-            }
-            let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-            Ok(format!(
-                "ok {name}: {} faults delivered in a hot loop, output native-identical{suffix}",
-                r.stats.faults_delivered
-            ))
-        }
-        FaultScenario::WildLoad { emulate } => {
-            let image = compile(&faulting::wild_load()).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native_guarded(&image, cpu, faulting::guard_regions());
-            let mut rio = Rio::new(&image, scenario_options(emulate, verify), cpu, NullClient);
-            rio.core
-                .machine
-                .set_guard_regions(faulting::guard_regions());
-            let (r, faults) = drive_faulty(rio, None, 1);
-            if !faults.is_empty() {
-                return fail(format!("unexpected terminal fault: {}", faults[0].message));
-            }
-            if r.exit_code != 0 || native.exit_code != 0 || r.app_output != native.output {
-                return fail(format!(
-                    "diverged from native (exit {} vs {})",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-            Ok(format!(
-                "ok {name}: guarded load delivered and recovered, output native-identical{suffix}"
-            ))
-        }
-        FaultScenario::DivUnhandled { emulate } => {
-            let image = compile(&faulting::div_unhandled()).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native(&image, cpu);
-            let rio = Rio::new(&image, scenario_options(emulate, verify), cpu, NullClient);
-            let (r, faults) = drive_faulty(rio, None, 1);
-            if faults.len() != 1 || faults[0].kind != Some(FaultKind::DivideError) {
-                return fail("expected one unhandled divide error".into());
-            }
-            if r.exit_code != 129 || native.exit_code != 129 {
-                return fail(format!(
-                    "expected exit 129 everywhere, got rio {} native {}",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-            Ok(format!(
-                "ok {name}: unhandled divide error, exit 129 in every mode{suffix}"
-            ))
-        }
-        FaultScenario::WildUnhandled { emulate } => {
-            let image = compile(&faulting::wild_unhandled()).map_err(|e| format!("{name}: {e}"))?;
-            let native = run_native_guarded(&image, cpu, faulting::guard_regions());
-            let mut rio = Rio::new(&image, scenario_options(emulate, verify), cpu, NullClient);
-            rio.core
-                .machine
-                .set_guard_regions(faulting::guard_regions());
-            let (r, faults) = drive_faulty(rio, None, 1);
-            if faults.len() != 1 || faults[0].kind != Some(FaultKind::MemFault) {
-                return fail("expected one unhandled memory fault".into());
-            }
-            if r.exit_code != 131 || native.exit_code != 131 {
-                return fail(format!(
-                    "expected exit 131 everywhere, got rio {} native {}",
-                    r.exit_code, native.exit_code
-                ));
-            }
-            let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-            Ok(format!(
-                "ok {name}: unhandled memory fault, exit 131 in every mode{suffix}"
-            ))
-        }
-    }
-}
-
-/// `rio faults`: the deterministic fault-injection robustness matrix —
-/// three fault kinds across cache and emulation modes, cache-copy
-/// corruption with self-healing, and the genuine faulting workloads, all
-/// driven through budgeted (suspendable) sessions. Output is byte-identical
-/// for any `--jobs` value.
-fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
-    let SuiteArgs { cpu, jobs: njobs } = parse_suite_args(args)?;
-    let verify = verify_env();
-    let rows = run_parallel(&FaultScenario::ALL, njobs, |_, &s| {
-        run_fault_scenario(s, cpu, verify)
-    });
-    print_suite_rows(&rows, "fault")
-}
-
-// ----- self-modifying-code consistency suite ------------------------------
-
-/// One scenario of the `rio smc` matrix: a self-modifying workload crossed
-/// with an execution mode.
-#[derive(Clone, Copy, Debug)]
-struct SmcScenario {
-    workload: SmcWorkload,
-    mode: SmcMode,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum SmcWorkload {
-    /// A fragment stores into its *own* source range (forward-progress probe).
-    SelfWrite,
-    /// Repeatedly re-patches a callee, invalidating it 16 times.
-    PatchLoop,
-    /// Writes fresh code, then jumps to it through an indirect call.
-    WriteThenIcall,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum SmcMode {
-    /// Pure emulation: consistency comes from the interpreter's own
-    /// decode-cache invalidation; no engine watches are installed.
-    Emulate,
-    /// Code cache with write monitoring and precise invalidation.
-    Cache,
-    /// Code cache bounded to a tiny capacity, forcing FIFO eviction to
-    /// interleave with invalidation on nearly every dispatch.
-    Bounded,
-}
-
-impl SmcScenario {
-    fn name(self) -> String {
-        let w = match self.workload {
-            SmcWorkload::SelfWrite => "self-write",
-            SmcWorkload::PatchLoop => "patch-loop",
-            SmcWorkload::WriteThenIcall => "write-then-icall",
-        };
-        let m = match self.mode {
-            SmcMode::Emulate => "emulate",
-            SmcMode::Cache => "cache",
-            SmcMode::Bounded => "bounded",
-        };
-        format!("{w}-{m}")
-    }
-
-    const ALL: [SmcScenario; 9] = {
-        const W: [SmcWorkload; 3] = [
-            SmcWorkload::SelfWrite,
-            SmcWorkload::PatchLoop,
-            SmcWorkload::WriteThenIcall,
-        ];
-        [
-            SmcScenario {
-                workload: W[0],
-                mode: SmcMode::Emulate,
-            },
-            SmcScenario {
-                workload: W[0],
-                mode: SmcMode::Cache,
-            },
-            SmcScenario {
-                workload: W[0],
-                mode: SmcMode::Bounded,
-            },
-            SmcScenario {
-                workload: W[1],
-                mode: SmcMode::Emulate,
-            },
-            SmcScenario {
-                workload: W[1],
-                mode: SmcMode::Cache,
-            },
-            SmcScenario {
-                workload: W[1],
-                mode: SmcMode::Bounded,
-            },
-            SmcScenario {
-                workload: W[2],
-                mode: SmcMode::Emulate,
-            },
-            SmcScenario {
-                workload: W[2],
-                mode: SmcMode::Cache,
-            },
-            SmcScenario {
-                workload: W[2],
-                mode: SmcMode::Bounded,
-            },
-        ]
-    };
-}
-
-/// Run one SMC scenario; `Ok` is the deterministic report line. Every run
-/// is differential against native execution, driven through budgeted
-/// (suspendable) steps, with decode verification on so any stale copy that
-/// executes is counted.
-fn run_smc_scenario(s: SmcScenario, cpu: CpuKind, verify: bool) -> Result<String, String> {
-    let name = s.name();
-    let fail = |why: String| Err(format!("{name}: {why}"));
-    let src = match s.workload {
-        SmcWorkload::SelfWrite => smc::self_write(),
-        SmcWorkload::PatchLoop => smc::patch_loop(),
-        SmcWorkload::WriteThenIcall => smc::write_then_icall(),
-    };
-    let image = compile(&src).map_err(|e| format!("{name}: {e}"))?;
-    let native = run_native(&image, cpu);
-    let mut opts = match s.mode {
-        SmcMode::Emulate => Options::emulation(),
-        SmcMode::Cache | SmcMode::Bounded => Options::full(),
-    };
-    opts.verify = verify;
-    if matches!(s.mode, SmcMode::Bounded) {
-        opts.cache_limit = Some(64);
-    }
-    let mut rio = Rio::new(&image, opts, cpu, NullClient);
-    rio.core.machine.set_verify_decodes(true);
-    let r = loop {
-        match rio.step(StepBudget::instructions(200)) {
-            StepOutcome::Running(_) => {}
-            StepOutcome::Exited(code) => break rio.result_snapshot(code),
-            StepOutcome::Faulted(f) => return fail(format!("unexpected fault: {}", f.message)),
-        }
-    };
-    if r.exit_code != native.exit_code || r.app_output != native.output {
-        return fail(format!(
-            "diverged from native (exit {} vs {})",
-            r.exit_code, native.exit_code
-        ));
-    }
-    let stale = rio.core.machine.stale_decode_hits();
-    if stale != 0 {
-        return fail(format!("{stale} stale decode(s) executed"));
-    }
-    match s.mode {
-        SmcMode::Emulate => {
-            if r.stats.code_writes != 0 {
-                return fail("code-write watches active under emulation".into());
-            }
-        }
-        SmcMode::Cache | SmcMode::Bounded => {
-            if r.stats.code_writes == 0 {
-                return fail("no code write observed".into());
-            }
-            // Under a tiny bound the written fragment may already be
-            // FIFO-evicted when the store lands, so only the unbounded
-            // cache is guaranteed a precise invalidation.
-            if matches!(s.mode, SmcMode::Cache) && r.stats.invalidations == 0 {
-                return fail("nothing invalidated".into());
-            }
-        }
-    }
-    if matches!(s.mode, SmcMode::Bounded) {
-        if r.stats.evictions == 0 {
-            return fail("tiny cache limit never forced an eviction".into());
-        }
-        if r.stats.cache_flushes != 0 {
-            return fail(format!(
-                "{} whole-sub-cache flushes under capacity pressure",
-                r.stats.cache_flushes
-            ));
-        }
-    }
-    let suffix = verify_suffix(verify, &r.stats).map_err(|e| format!("{name}: {e}"))?;
-    Ok(format!(
-        "ok {name}: output native-identical, {} code writes, {} invalidations, {} evictions, 0 stale decodes{suffix}",
-        r.stats.code_writes, r.stats.invalidations, r.stats.evictions
-    ))
-}
-
-/// `rio smc`: the self-modifying-code consistency matrix — three SMC
-/// workloads across emulation, unbounded cache, and a tiny bounded cache,
-/// all differential against native and driven through budgeted sessions
-/// with decode verification. Output is byte-identical for any `--jobs`
-/// value.
-fn cmd_smc(args: &[String]) -> Result<ExitCode, String> {
-    let SuiteArgs { cpu, jobs: njobs } = parse_suite_args(args)?;
-    let verify = verify_env();
-    let rows = run_parallel(&SmcScenario::ALL, njobs, |_, &s| {
-        run_smc_scenario(s, cpu, verify)
-    });
-    print_suite_rows(&rows, "smc")
-}
-
-// ----- whole-system verification ------------------------------------------
-
-/// Run one suite benchmark under a given client with incremental
-/// verification at every safe point, then a final whole-cache sweep.
-/// `Ok` carries the report line plus the (checks, violations) tally.
-fn run_verified_bench(
-    image: &Image,
-    cpu: CpuKind,
-    bench: &str,
-    client: &str,
-) -> Result<(String, u64, u64), String> {
-    fn go<C: Client>(image: &Image, cpu: CpuKind, client: C) -> (RioRunResult, Stats, Vec<String>) {
-        let mut opts = Options::full();
-        opts.verify = true;
-        let mut rio = Rio::new(image, opts, cpu, client);
-        let r = rio.run();
-        let sweep = rio.core.verify_cache();
-        let details: Vec<String> = rio
-            .core
-            .verify_findings()
-            .iter()
-            .map(|v| v.to_string())
-            .chain(sweep.iter().map(|v| v.to_string()))
-            .take(5)
-            .collect();
-        let stats = rio.core.stats;
-        (r, stats, details)
-    }
-    let name = format!("{bench}/{client}");
-    let (r, stats, details) = match client {
-        "null" => go(image, cpu, NullClient),
-        "combined" => go(image, cpu, Combined::new()),
-        "shepherd" => go(image, cpu, Shepherd::new()),
-        other => return Err(format!("{name}: unknown verify client `{other}`")),
-    };
-    if let Some(f) = &r.fault {
-        return Err(format!("{name}: faulted: {}", f.message));
-    }
-    if stats.violations != 0 {
-        return Err(format!(
-            "{name}: {} violation(s) across {} checks: {}",
-            stats.violations,
-            stats.checks_run,
-            details.join("; ")
-        ));
-    }
-    Ok((
-        format!("ok {name}: {} checks, 0 violations", stats.checks_run),
-        stats.checks_run,
-        stats.violations,
-    ))
+/// `rio faults` / `rio smc`: check every scenario of a table on the worker
+/// pool (under verification when `RIO_VERIFY` is set) and print one line
+/// each.
+fn cmd_scenarios(
+    args: &[String],
+    table: fn(bool) -> Vec<Scenario>,
+    what: &str,
+) -> Result<ExitCode, String> {
+    let (cpu, jobs) = cpu_and_jobs(args)?;
+    let rows = run_parallel(&table(verify_env()), jobs, |_, s| check(s, cpu));
+    print_suite_rows(&rows, what)
 }
 
 /// `rio verify`: the full verification gauntlet — every suite benchmark
 /// under the null, combined, and shepherd clients with incremental
 /// verification plus a final whole-cache sweep, then the fault and SMC
-/// matrices re-run under verification. Fails (exit 1) on any violation
+/// tables re-run under verification. Fails (exit 1) on any violation
 /// outside the deliberate cache-corruption scenario, where verifier
-/// findings are detection rather than defects. Output is byte-identical
-/// for any `--jobs` value.
+/// findings are detection rather than defects.
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
-    let SuiteArgs { cpu, jobs: njobs } = parse_suite_args(args)?;
-    let benches = compiled_suite();
-    const CLIENTS: [&str; 3] = ["null", "combined", "shepherd"];
-    let mut items = Vec::new();
-    for (b, image) in &benches {
-        for client in CLIENTS {
-            items.push((b.name, image, client));
-        }
-    }
-    let rows = run_parallel(&items, njobs, |_, &(bench, image, client)| {
-        run_verified_bench(image, cpu, bench, client)
-    });
-    let mut failures = 0usize;
-    let (mut checks, mut violations) = (0u64, 0u64);
-    for row in &rows {
-        match row {
-            Ok((line, c, v)) => {
-                println!("{line}");
-                checks += c;
-                violations += v;
-            }
-            Err(line) => {
-                println!("FAIL {line}");
-                failures += 1;
-            }
-        }
-    }
+    let (cpu, jobs) = cpu_and_jobs(args)?;
+    let run = |table: Vec<Scenario>| run_parallel(&table, jobs, |_, s| check(s, cpu));
+    let rows = run(scenario::verify());
+    let failures = print_rows(&rows);
     println!();
-    let fault_rows = run_parallel(&FaultScenario::ALL, njobs, |_, &s| {
-        run_fault_scenario(s, cpu, true)
-    });
+    let fault_rows = run(scenario::faults(true));
     let faults_ok = print_suite_rows(&fault_rows, "fault");
     println!();
-    let smc_rows = run_parallel(&SmcScenario::ALL, njobs, |_, &s| {
-        run_smc_scenario(s, cpu, true)
-    });
+    let smc_rows = run(scenario::smc(true));
     let smc_ok = print_suite_rows(&smc_rows, "smc");
     println!();
+    let passed = || rows.iter().flatten().map(|p| p.stats);
     println!(
-        "verify: {checks} checks ({violations} violations) across {} suite runs, plus {} fault and {} smc scenarios under verification",
+        "verify: {} checks ({} violations) across {} suite runs, plus {} fault and {} smc scenarios under verification",
+        passed().map(|s| s.checks_run).sum::<u64>(),
+        passed().map(|s| s.violations).sum::<u64>(),
         rows.len(),
         fault_rows.len(),
         smc_rows.len()
@@ -1073,19 +372,13 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     if failures > 0 {
         problems.push(format!("{failures} verified suite run(s) failed"));
     }
-    if let Err(e) = faults_ok {
-        problems.push(e);
-    }
-    if let Err(e) = smc_ok {
-        problems.push(e);
-    }
+    problems.extend(faults_ok.err());
+    problems.extend(smc_ok.err());
     if !problems.is_empty() {
         return Err(problems.join("; "));
     }
     Ok(ExitCode::SUCCESS)
 }
-
-// ----- differential conformance fuzzing -----------------------------------
 
 /// `rio fuzz`: differential conformance fuzzing. Generates deterministic
 /// programs from sequential seeds and checks that every engine
@@ -1095,61 +388,40 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
 /// delta-debugged to a minimal program and the simplest failing
 /// configuration, then persisted into the corpus as regression tests.
 /// With `--replay`, re-runs every corpus entry through the whole matrix
-/// instead. Output is byte-identical for any `--jobs` value.
+/// instead.
 fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
-    let mut seeds: u64 = 64;
-    let mut base_seed = rio_fuzz::DEFAULT_BASE_SEED;
-    let mut corpus = std::path::PathBuf::from("tests/corpus");
-    let mut replay = false;
-    let suite = parse_suite_args_with(args, |flag, it| match flag {
-        "--seeds" => {
-            seeds = it
-                .next()
-                .ok_or("--seeds needs a value")?
-                .parse()
-                .map_err(|e| format!("bad seed count: {e}"))?;
-            Ok(true)
-        }
-        "--seed-base" => {
-            let v = it.next().ok_or("--seed-base needs a value")?;
-            base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
-                .map_err(|e| format!("bad seed base `{v}`: {e}"))?;
-            Ok(true)
-        }
-        "--corpus" => {
-            corpus = it.next().ok_or("--corpus needs a value")?.into();
-            Ok(true)
-        }
-        "--replay" => {
-            replay = true;
-            Ok(true)
-        }
-        _ => Ok(false),
-    })?;
-    if replay {
+    let values = ["--cpu", "--jobs", "--seeds", "--seed-base", "--corpus"];
+    let a = Args::parse(args, &values, &["--replay"], 0)?;
+    let (cpu, jobs) = (a.cpu()?, a.jobs()?);
+    let corpus = std::path::PathBuf::from(a.value("--corpus").unwrap_or("tests/corpus"));
+    if a.has("--replay") {
         let entries = rio_fuzz::load_dir(&corpus)?;
         if entries.is_empty() {
             println!("corpus {} is empty; nothing to replay", corpus.display());
             return Ok(ExitCode::SUCCESS);
         }
-        let rows = run_parallel(&entries, suite.jobs, |_, (path, entry)| {
+        let rows = run_parallel(&entries, jobs, |_, (path, entry)| {
             let name = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| path.display().to_string());
-            rio_fuzz::replay_entry(&name, entry, suite.cpu)
+            rio_fuzz::replay_entry(&name, entry, cpu)
         });
         return print_suite_rows(&rows, "corpus");
     }
+    let base_seed = match a.value("--seed-base") {
+        None => rio_fuzz::DEFAULT_BASE_SEED,
+        Some(v) => u64::from_str_radix(v.trim_start_matches("0x"), 16)
+            .map_err(|e| format!("bad seed base `{v}`: {e}"))?,
+    };
     let opts = rio_fuzz::CampaignOptions {
-        seeds,
+        seeds: a.parsed("--seeds")?.unwrap_or(64),
         base_seed,
-        cpu: suite.cpu,
-        jobs: suite.jobs,
+        cpu,
+        jobs,
         corpus_dir: Some(corpus),
     };
-    let rows = rio_fuzz::run_campaign(&opts);
-    print_suite_rows(&rows, "fuzz")
+    print_suite_rows(&rio_fuzz::run_campaign(&opts), "fuzz")
 }
 
 fn cmd_bench_list() -> ExitCode {
@@ -1180,8 +452,8 @@ fn main() -> ExitCode {
         "fragments" => cmd_fragments(rest),
         "disasm" => cmd_disasm(rest),
         "suite" => cmd_suite(rest),
-        "faults" => cmd_faults(rest),
-        "smc" => cmd_smc(rest),
+        "faults" => cmd_scenarios(rest, scenario::faults, "fault"),
+        "smc" => cmd_scenarios(rest, scenario::smc, "smc"),
         "verify" => cmd_verify(rest),
         "fuzz" => cmd_fuzz(rest),
         "bench-list" => Ok(cmd_bench_list()),

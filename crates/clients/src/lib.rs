@@ -14,6 +14,10 @@
 //! | [`InsCount`], [`BbProfile`], [`OpStats`] | abstract | instrumentation / profiling |
 //! | [`Shepherd`] | conclusion / ref \[23\] | program shepherding: shadow-stack return-address checking |
 //!
+//! [`ClientKind`] names each of them (one `parse`/`label` for every command
+//! line and table), and [`ClientKind::build`] returns an [`AnyClient`] that
+//! forwards every hook to the chosen client.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -34,6 +38,7 @@ pub mod ctrace;
 pub mod ibdispatch;
 pub mod inc2add;
 pub mod instrument;
+pub mod kind;
 pub mod rlr;
 pub mod shepherd;
 
@@ -42,5 +47,6 @@ pub use ctrace::CTrace;
 pub use ibdispatch::IbDispatch;
 pub use inc2add::Inc2Add;
 pub use instrument::{BbProfile, InsCount, OpStats};
+pub use kind::{AnyClient, ClientKind};
 pub use rlr::Rlr;
 pub use shepherd::Shepherd;

@@ -2,96 +2,115 @@
 
 use std::fmt;
 
-/// Counts of engine events over a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Basic blocks built.
-    pub bbs_built: u64,
-    /// Application instructions decoded while building basic blocks.
-    pub bb_instrs: u64,
-    /// Traces built.
-    pub traces_built: u64,
-    /// Application instructions stitched into traces.
-    pub trace_instrs: u64,
-    /// Dispatcher invocations.
-    pub dispatches: u64,
-    /// Context switches from the code cache back to the engine.
-    pub context_switches: u64,
-    /// Indirect-branch lookups performed (in-cache or in dispatch).
-    pub ib_lookups: u64,
-    /// Indirect-branch lookups that hit and stayed in the cache.
-    pub ib_lookup_hits: u64,
-    /// Exits linked.
-    pub links: u64,
-    /// Exits unlinked.
-    pub unlinks: u64,
-    /// Fragments replaced via the adaptive interface.
-    pub replacements: u64,
-    /// Fragments deleted.
-    pub deletions: u64,
-    /// Clean calls into client code.
-    pub clean_calls: u64,
-    /// Instructions executed under pure emulation.
-    pub emulated_instrs: u64,
-    /// Trace heads marked.
-    pub trace_heads: u64,
-    /// Sub-cache flushes triggered by the capacity limit.
-    pub cache_flushes: u64,
-    /// Application threads spawned (beyond the initial thread).
-    pub threads_spawned: u64,
-    /// Guest faults raised (handled or not).
-    pub faults_raised: u64,
-    /// Guest faults delivered to a registered handler.
-    pub faults_delivered: u64,
-    /// Fragments evicted for repeated faulting.
-    pub fault_evictions: u64,
-    /// Guest stores that landed in monitored code regions (self-modifying
-    /// code events).
-    pub code_writes: u64,
-    /// Fragments precisely invalidated because a code write overlapped
-    /// their source ranges.
-    pub invalidations: u64,
-    /// Fragments evicted FIFO by capacity pressure (distinct from
-    /// `cache_flushes`, which counts whole-sub-cache flushes).
-    pub evictions: u64,
-    /// Static-verification passes run over individual fragments (the cache
-    /// verifier plus the client-safety lints).
-    pub checks_run: u64,
-    /// Verifier and lint violations detected.
-    pub violations: u64,
+/// Declares [`Stats`] from one field table: the struct itself, field-wise
+/// [`Stats::merge`], and the `(name, value)` listing that reports and
+/// scenario expectations name fields through. `Display` stays hand-written
+/// because its layout is part of the `rio suite` output.
+macro_rules! stats_fields {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[doc = $doc:literal])* $field:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[doc = $doc])* pub $field: u64, )*
+        }
+
+        impl $name {
+            /// Number of counters.
+            pub const COUNT: usize = [$(stringify!($field)),*].len();
+
+            /// Accumulate another run's statistics into this one, field-wise
+            /// — the aggregation primitive behind suite-level reporting (sum
+            /// the stats of every benchmark run, however the runs were
+            /// distributed over worker threads).
+            pub fn merge(&mut self, other: &$name) {
+                $( self.$field += other.$field; )*
+            }
+
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn fields(&self) -> [(&'static str, u64); Self::COUNT] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            #[cfg(test)]
+            fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::COUNT] {
+                [$((stringify!($field), &mut self.$field)),*]
+            }
+        }
+    };
+}
+
+stats_fields! {
+    /// Counts of engine events over a run.
+    pub struct Stats {
+        /// Basic blocks built.
+        bbs_built,
+        /// Application instructions decoded while building basic blocks.
+        bb_instrs,
+        /// Traces built.
+        traces_built,
+        /// Application instructions stitched into traces.
+        trace_instrs,
+        /// Dispatcher invocations.
+        dispatches,
+        /// Context switches from the code cache back to the engine.
+        context_switches,
+        /// Indirect-branch lookups performed (in-cache or in dispatch).
+        ib_lookups,
+        /// Indirect-branch lookups that hit and stayed in the cache.
+        ib_lookup_hits,
+        /// Exits linked.
+        links,
+        /// Exits unlinked.
+        unlinks,
+        /// Fragments replaced via the adaptive interface.
+        replacements,
+        /// Fragments deleted.
+        deletions,
+        /// Clean calls into client code.
+        clean_calls,
+        /// Instructions executed under pure emulation.
+        emulated_instrs,
+        /// Trace heads marked.
+        trace_heads,
+        /// Sub-cache flushes triggered by the capacity limit.
+        cache_flushes,
+        /// Application threads spawned (beyond the initial thread).
+        threads_spawned,
+        /// Guest faults raised (handled or not).
+        faults_raised,
+        /// Guest faults delivered to a registered handler.
+        faults_delivered,
+        /// Fragments evicted for repeated faulting.
+        fault_evictions,
+        /// Guest stores that landed in monitored code regions (self-modifying
+        /// code events).
+        code_writes,
+        /// Fragments precisely invalidated because a code write overlapped
+        /// their source ranges.
+        invalidations,
+        /// Fragments evicted FIFO by capacity pressure (distinct from
+        /// `cache_flushes`, which counts whole-sub-cache flushes).
+        evictions,
+        /// Static-verification passes run over individual fragments (the cache
+        /// verifier plus the client-safety lints).
+        checks_run,
+        /// Verifier and lint violations detected.
+        violations,
+    }
 }
 
 impl Stats {
-    /// Accumulate another run's statistics into this one, field-wise — the
-    /// aggregation primitive behind suite-level reporting (sum the stats of
-    /// every benchmark run, however the runs were distributed over worker
-    /// threads).
-    pub fn merge(&mut self, other: &Stats) {
-        self.bbs_built += other.bbs_built;
-        self.bb_instrs += other.bb_instrs;
-        self.traces_built += other.traces_built;
-        self.trace_instrs += other.trace_instrs;
-        self.dispatches += other.dispatches;
-        self.context_switches += other.context_switches;
-        self.ib_lookups += other.ib_lookups;
-        self.ib_lookup_hits += other.ib_lookup_hits;
-        self.links += other.links;
-        self.unlinks += other.unlinks;
-        self.replacements += other.replacements;
-        self.deletions += other.deletions;
-        self.clean_calls += other.clean_calls;
-        self.emulated_instrs += other.emulated_instrs;
-        self.trace_heads += other.trace_heads;
-        self.cache_flushes += other.cache_flushes;
-        self.threads_spawned += other.threads_spawned;
-        self.faults_raised += other.faults_raised;
-        self.faults_delivered += other.faults_delivered;
-        self.fault_evictions += other.fault_evictions;
-        self.code_writes += other.code_writes;
-        self.invalidations += other.invalidations;
-        self.evictions += other.evictions;
-        self.checks_run += other.checks_run;
-        self.violations += other.violations;
+    /// The counter named `name` (a field name from [`Stats::fields`]).
+    pub fn field(&self, name: &str) -> Option<u64> {
+        self.fields()
+            .into_iter()
+            .find(|&(n, _)| n == name)
+            .map(|(_, v)| v)
     }
 
     /// Sum a collection of per-run statistics into one aggregate.
@@ -144,84 +163,48 @@ impl fmt::Display for Stats {
 mod tests {
     use super::*;
 
+    /// A `Stats` whose every field is a distinct value derived from `k`
+    /// and the field's position in the table.
+    fn varied(k: u64) -> Stats {
+        let mut s = Stats::default();
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = (2 * i as u64 + 1) * k + i as u64;
+        }
+        s
+    }
+
     #[test]
     fn display_is_nonempty() {
-        let s = Stats::default();
-        assert!(!s.to_string().is_empty());
+        assert!(!Stats::default().to_string().is_empty());
+    }
+
+    #[test]
+    fn the_field_table_lists_every_counter_once() {
+        let names: std::collections::BTreeSet<&str> =
+            Stats::default().fields().iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), Stats::COUNT);
+        assert_eq!(Stats::COUNT, 25);
+        let s = varied(3);
+        for (name, value) in s.fields() {
+            assert_eq!(s.field(name), Some(value), "{name}");
+        }
+        assert_eq!(s.field("no_such_counter"), None);
+        assert_eq!(s.field("code_writes"), Some(s.code_writes));
     }
 
     #[test]
     fn merge_sums_every_field() {
-        let a = Stats {
-            bbs_built: 1,
-            bb_instrs: 2,
-            traces_built: 3,
-            trace_instrs: 4,
-            dispatches: 5,
-            context_switches: 6,
-            ib_lookups: 7,
-            ib_lookup_hits: 8,
-            links: 9,
-            unlinks: 10,
-            replacements: 11,
-            deletions: 12,
-            clean_calls: 13,
-            emulated_instrs: 14,
-            trace_heads: 15,
-            cache_flushes: 16,
-            threads_spawned: 17,
-            faults_raised: 18,
-            faults_delivered: 19,
-            fault_evictions: 20,
-            code_writes: 21,
-            invalidations: 22,
-            evictions: 23,
-            checks_run: 24,
-            violations: 25,
-        };
+        let a = varied(5);
         let mut b = a;
         b.merge(&a);
-        assert_eq!(b.bbs_built, 2);
-        assert_eq!(b.threads_spawned, 34);
-        assert_eq!(b.fault_evictions, 40);
-        assert_eq!(b.code_writes, 42);
-        assert_eq!(b.invalidations, 44);
-        assert_eq!(b.evictions, 46);
-        assert_eq!(b.checks_run, 48);
-        assert_eq!(b.violations, 50);
-        assert_eq!(Stats::aggregate([&a, &a, &a]).dispatches, 15);
-        assert_eq!(Stats::aggregate([]), Stats::default());
-    }
-
-    /// A `Stats` whose every field is a distinct value derived from `k`.
-    fn varied(k: u64) -> Stats {
-        Stats {
-            bbs_built: k,
-            bb_instrs: 2 * k + 1,
-            traces_built: 3 * k + 2,
-            trace_instrs: 5 * k + 3,
-            dispatches: 7 * k + 4,
-            context_switches: 11 * k + 5,
-            ib_lookups: 13 * k + 6,
-            ib_lookup_hits: 17 * k + 7,
-            links: 19 * k + 8,
-            unlinks: 23 * k + 9,
-            replacements: 29 * k + 10,
-            deletions: 31 * k + 11,
-            clean_calls: 37 * k + 12,
-            emulated_instrs: 41 * k + 13,
-            trace_heads: 43 * k + 14,
-            cache_flushes: 47 * k + 15,
-            threads_spawned: 53 * k + 16,
-            faults_raised: 59 * k + 17,
-            faults_delivered: 61 * k + 18,
-            fault_evictions: 67 * k + 19,
-            code_writes: 71 * k + 20,
-            invalidations: 73 * k + 21,
-            evictions: 79 * k + 22,
-            checks_run: 83 * k + 23,
-            violations: 89 * k + 24,
+        for ((name, x), (_, y)) in a.fields().into_iter().zip(b.fields()) {
+            assert_eq!(y, 2 * x, "{name}");
         }
+        let three = Stats::aggregate([&a, &a, &a]);
+        for ((name, x), (_, y)) in a.fields().into_iter().zip(three.fields()) {
+            assert_eq!(y, 3 * x, "{name}");
+        }
+        assert_eq!(Stats::aggregate([]), Stats::default());
     }
 
     #[test]
@@ -241,43 +224,13 @@ mod tests {
         // Distinct 4-digit values, so a substring match identifies exactly
         // one field.
         let mut s = Stats::default();
-        let fields: [(&str, &mut u64); 25] = [
-            ("bbs_built", &mut s.bbs_built),
-            ("bb_instrs", &mut s.bb_instrs),
-            ("traces_built", &mut s.traces_built),
-            ("trace_instrs", &mut s.trace_instrs),
-            ("dispatches", &mut s.dispatches),
-            ("context_switches", &mut s.context_switches),
-            ("ib_lookups", &mut s.ib_lookups),
-            ("ib_lookup_hits", &mut s.ib_lookup_hits),
-            ("links", &mut s.links),
-            ("unlinks", &mut s.unlinks),
-            ("replacements", &mut s.replacements),
-            ("deletions", &mut s.deletions),
-            ("clean_calls", &mut s.clean_calls),
-            ("emulated_instrs", &mut s.emulated_instrs),
-            ("trace_heads", &mut s.trace_heads),
-            ("cache_flushes", &mut s.cache_flushes),
-            ("threads_spawned", &mut s.threads_spawned),
-            ("faults_raised", &mut s.faults_raised),
-            ("faults_delivered", &mut s.faults_delivered),
-            ("fault_evictions", &mut s.fault_evictions),
-            ("code_writes", &mut s.code_writes),
-            ("invalidations", &mut s.invalidations),
-            ("evictions", &mut s.evictions),
-            ("checks_run", &mut s.checks_run),
-            ("violations", &mut s.violations),
-        ];
-        let mut names = Vec::new();
-        for (i, (name, field)) in fields.into_iter().enumerate() {
-            *field = 1001 + i as u64;
-            names.push(name);
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = 1001 + i as u64;
         }
         let shown = s.to_string();
-        for (i, name) in names.iter().enumerate() {
-            let value = (1001 + i as u64).to_string();
+        for (name, value) in s.fields() {
             assert!(
-                shown.contains(&value),
+                shown.contains(&value.to_string()),
                 "Display drops `{name}` (value {value}):\n{shown}"
             );
         }

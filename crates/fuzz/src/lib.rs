@@ -19,6 +19,9 @@
 //!   the simplest configuration that still diverges.
 //! * [`corpus`] — persists minimized findings as `tests/corpus/*.dyna`
 //!   regression tests that replay through the whole matrix.
+//! * [`scenario`] — the declarative scenario tables behind `rio faults`,
+//!   `rio smc`, and `rio verify`, and the one [`scenario::drive`] every
+//!   engine run here goes through (the oracle's included).
 //! * [`campaign`] — ties it together over [`rio_bench::run_parallel`],
 //!   so campaign output is byte-identical at any `--jobs N`.
 
@@ -29,14 +32,15 @@ pub mod corpus;
 pub mod gen;
 pub mod oracle;
 pub mod rng;
+pub mod scenario;
 pub mod shrink;
 
 pub use campaign::{run_campaign, run_seed, CampaignOptions, DEFAULT_BASE_SEED};
 pub use corpus::{load_dir, replay_entry, CorpusEntry};
 pub use gen::{render, Program, E, S};
 pub use oracle::{
-    check_image, diverges, run_engine, run_native_baseline, CheckSummary, ClientChoice,
-    EngineConfig, FuzzConfig, Mismatch, Outcome,
+    check_image, diverges, run_engine, run_native_baseline, CheckSummary, EngineConfig, FuzzConfig,
+    Mismatch, Outcome,
 };
 pub use rng::Rng;
 pub use shrink::{shrink_config, shrink_program};

@@ -15,9 +15,11 @@
 
 use std::fmt;
 
-use rio_clients::Combined;
-use rio_core::{Client, NullClient, Options, Rio, StepBudget, StepOutcome};
+use rio_clients::ClientKind;
+use rio_core::Options;
 use rio_sim::{run_native, CpuKind, Image};
+
+use crate::scenario::{drive, Run};
 
 /// The engine-side axis of the configuration lattice, ordered simplest
 /// first (the order the config shrinker prefers).
@@ -69,40 +71,16 @@ impl EngineConfig {
     }
 }
 
-/// The client axis of the lattice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ClientChoice {
-    /// Base engine, no transformation.
-    Null,
-    /// All four sample optimizations in combination.
-    Combined,
-}
-
-impl ClientChoice {
-    /// Both client choices, simplest first.
-    pub const ALL: [ClientChoice; 2] = [ClientChoice::Null, ClientChoice::Combined];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClientChoice::Null => "null",
-            ClientChoice::Combined => "combined",
-        }
-    }
-
-    /// Parse a [`ClientChoice::label`] back.
-    pub fn parse(s: &str) -> Option<ClientChoice> {
-        ClientChoice::ALL.into_iter().find(|c| c.label() == s)
-    }
-}
+/// The client axis of the lattice, simplest first.
+pub const CLIENTS: [ClientKind; 2] = [ClientKind::Null, ClientKind::Combined];
 
 /// One point of the configuration lattice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FuzzConfig {
     /// Engine configuration.
     pub engine: EngineConfig,
-    /// Coupled client.
-    pub client: ClientChoice,
+    /// Coupled client (one of [`CLIENTS`]).
+    pub client: ClientKind,
 }
 
 impl FuzzConfig {
@@ -111,7 +89,7 @@ impl FuzzConfig {
     pub fn matrix() -> Vec<FuzzConfig> {
         let mut out = Vec::new();
         for engine in EngineConfig::ALL {
-            for client in ClientChoice::ALL {
+            for client in CLIENTS {
                 out.push(FuzzConfig { engine, client });
             }
         }
@@ -123,9 +101,9 @@ impl FuzzConfig {
     /// engine axis down).
     pub fn simpler(self) -> Vec<FuzzConfig> {
         let mut out = Vec::new();
-        if self.client == ClientChoice::Combined {
+        if self.client == ClientKind::Combined {
             out.push(FuzzConfig {
-                client: ClientChoice::Null,
+                client: ClientKind::Null,
                 ..self
             });
         }
@@ -143,10 +121,10 @@ impl FuzzConfig {
         };
         for &engine in downgrades {
             out.push(FuzzConfig { engine, ..self });
-            if self.client == ClientChoice::Combined {
+            if self.client == ClientKind::Combined {
                 out.push(FuzzConfig {
                     engine,
-                    client: ClientChoice::Null,
+                    client: ClientKind::Null,
                 });
             }
         }
@@ -158,8 +136,31 @@ impl FuzzConfig {
         let (e, c) = s.split_once('+')?;
         Some(FuzzConfig {
             engine: EngineConfig::parse(e)?,
-            client: ClientChoice::parse(c)?,
+            client: ClientKind::parse(c).filter(|k| CLIENTS.contains(k))?,
         })
+    }
+
+    /// The engine run this lattice point stands for.
+    pub fn run(self) -> Run {
+        let full = Options::full();
+        let options = match self.engine {
+            EngineConfig::Emulate => Options::emulation(),
+            EngineConfig::CacheNoTraces => Options::with_indirect_links(),
+            EngineConfig::Full | EngineConfig::Stepped => full,
+            EngineConfig::Bounded => Options {
+                cache_limit: Some(2048),
+                ..full
+            },
+            EngineConfig::Verified => Options {
+                verify: true,
+                ..full
+            },
+        };
+        Run {
+            step: (self.engine == EngineConfig::Stepped).then_some(1),
+            sweep: self.engine == EngineConfig::Verified,
+            ..Run::new(options, self.client)
+        }
     }
 }
 
@@ -224,61 +225,13 @@ pub fn run_native_baseline(image: &Image, cpu: CpuKind) -> Outcome {
 
 /// Run one engine configuration to completion.
 pub fn run_engine(image: &Image, cfg: FuzzConfig, cpu: CpuKind) -> Outcome {
-    fn drive<C: Client>(
-        image: &Image,
-        opts: Options,
-        cpu: CpuKind,
-        stepped: bool,
-        sweep: bool,
-        client: C,
-    ) -> Outcome {
-        let mut rio = Rio::new(image, opts, cpu, client);
-        let result = if stepped {
-            loop {
-                match rio.step(StepBudget::instructions(1)) {
-                    StepOutcome::Running(_) => {}
-                    StepOutcome::Exited(code) => break rio.result_snapshot(code),
-                    StepOutcome::Faulted(f) => {
-                        let mut r = rio.result_snapshot(f.exit_code());
-                        r.fault = Some(f);
-                        break r;
-                    }
-                }
-            }
-        } else {
-            rio.run()
-        };
-        let mut violations = result.stats.violations;
-        if sweep {
-            violations += rio.core.verify_cache().len() as u64;
-        }
-        Outcome {
-            exit_code: result.exit_code,
-            output: result.app_output,
-            state_digest: rio.core.machine.app_state_digest(image),
-            violations,
-            fault: result.fault.map(|f| f.message),
-        }
-    }
-    let mut opts = match cfg.engine {
-        EngineConfig::Emulate => Options::emulation(),
-        EngineConfig::CacheNoTraces => Options::with_indirect_links(),
-        EngineConfig::Full
-        | EngineConfig::Bounded
-        | EngineConfig::Stepped
-        | EngineConfig::Verified => Options::full(),
-    };
-    if cfg.engine == EngineConfig::Bounded {
-        opts.cache_limit = Some(2048);
-    }
-    if cfg.engine == EngineConfig::Verified {
-        opts.verify = true;
-    }
-    let stepped = cfg.engine == EngineConfig::Stepped;
-    let sweep = cfg.engine == EngineConfig::Verified;
-    match cfg.client {
-        ClientChoice::Null => drive(image, opts, cpu, stepped, sweep, NullClient),
-        ClientChoice::Combined => drive(image, opts, cpu, stepped, sweep, Combined::new()),
+    let o = drive(image, &cfg.run(), cpu);
+    Outcome {
+        exit_code: o.result.exit_code,
+        output: o.result.app_output,
+        state_digest: o.state_digest,
+        violations: o.result.stats.violations,
+        fault: o.result.fault.map(|f| f.message),
     }
 }
 
@@ -393,7 +346,7 @@ mod tests {
         // The simplest point has nowhere to go.
         assert!(FuzzConfig {
             engine: EngineConfig::Emulate,
-            client: ClientChoice::Null
+            client: ClientKind::Null
         }
         .simpler()
         .is_empty());

@@ -249,7 +249,8 @@ fn expr_variants(e: &E) -> Vec<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{ClientChoice, EngineConfig};
+    use crate::oracle::EngineConfig;
+    use rio_clients::ClientKind;
 
     /// Whether any `Print` statement survives anywhere in the tree.
     fn has_print(stmts: &[S]) -> bool {
@@ -299,7 +300,7 @@ mod tests {
     fn config_shrinks_down_the_lattice() {
         let from = FuzzConfig {
             engine: EngineConfig::Verified,
-            client: ClientChoice::Combined,
+            client: ClientKind::Combined,
         };
         // Divergence reproduces everywhere: ends at the global minimum.
         let all = shrink_config(from, |_| true);
@@ -307,20 +308,20 @@ mod tests {
             all,
             FuzzConfig {
                 engine: EngineConfig::Emulate,
-                client: ClientChoice::Null
+                client: ClientKind::Null
             }
         );
         // Divergence needs the bounded cache: client drops, engine stays.
         let bounded = FuzzConfig {
             engine: EngineConfig::Bounded,
-            client: ClientChoice::Combined,
+            client: ClientKind::Combined,
         };
         let kept = shrink_config(bounded, |c| c.engine == EngineConfig::Bounded);
         assert_eq!(
             kept,
             FuzzConfig {
                 engine: EngineConfig::Bounded,
-                client: ClientChoice::Null
+                client: ClientKind::Null
             }
         );
     }

@@ -4,8 +4,8 @@
 //! targets with flag-free compares before falling back to the hashtable
 //! lookup.
 
-use rio_bench::{run_config, ClientKind};
-use rio_clients::IbDispatch;
+use rio_bench::run_config;
+use rio_clients::{ClientKind, IbDispatch};
 use rio_core::{Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compile};

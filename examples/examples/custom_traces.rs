@@ -2,8 +2,8 @@
 //! traces end one block after a return, and inlined return checks are
 //! removed entirely under the calling-convention assumption.
 
-use rio_bench::{run_config, ClientKind};
-use rio_clients::CTrace;
+use rio_bench::run_config;
+use rio_clients::{CTrace, ClientKind};
 use rio_core::{Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compile};

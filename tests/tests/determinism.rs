@@ -4,7 +4,8 @@
 //! suite over any number of worker threads must yield identical
 //! [`Counters`](rio_sim::perf::Counters) and [`Stats`](rio_core::Stats).
 
-use rio_bench::{run_config, run_parallel, ClientKind};
+use rio_bench::{run_config, run_parallel};
+use rio_clients::ClientKind;
 use rio_core::{NullClient, Options, Rio, StepBudget, StepOutcome};
 use rio_sim::CpuKind;
 use rio_workloads::{compiled, suite_scaled};

@@ -2,23 +2,17 @@
 //! whether the application runs natively, under pure emulation, or out of
 //! the code cache — same handler-observed state, same exit codes, same
 //! output — and the engine must never panic, stay resumable after every
-//! fault, and self-heal corrupted cache copies.
+//! fault, and self-heal corrupted cache copies. The injection, corruption,
+//! and unhandled-fault matrix is the `rio faults` scenario table
+//! (`tests/scenarios.rs`); these tests cover what a table row cannot
+//! express: handler-observed state and flushes requested mid-delivery.
 
-use rio_core::{
-    Client, Core, FaultInjector, FaultKind, InjectionPlan, NullClient, Options, Rio, StepBudget,
-    StepOutcome,
-};
+use rio_clients::ClientKind;
+use rio_core::{Client, Core, FaultKind, NullClient, Options, Rio, StepBudget, StepOutcome};
+use rio_fuzz::scenario::{drive, Run};
 use rio_ia32::Reg;
-use rio_sim::{run_native, run_native_guarded, CpuKind};
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compile, faulting};
-
-/// A small fault-free loop the injection tests perturb.
-const LOOP_SOURCE: &str = "fn main() {
-    var i = 0;
-    var s = 0;
-    while (i < 4000) { s = s + i * 3 % 97; i++; }
-    return s % 100;
-}";
 
 /// Registers compared at each fault event. `%ecx` is included: the faulting
 /// instructions in these workloads sit outside mangled indirect-branch
@@ -58,32 +52,6 @@ impl Client for FaultTrace {
             *slot = core.machine.cpu.reg(r);
         }
         self.events.push((kind, app_pc, regs));
-    }
-}
-
-/// Drive a session to completion with a fixed step budget, collecting any
-/// terminal faults (the session stays resumable, so a fault does not end
-/// the drive until `max_faults` have been seen).
-fn drive<C: Client>(
-    rio: &mut Rio<C>,
-    budget: u64,
-    max_faults: usize,
-) -> (i32, String, Vec<rio_core::Fault>) {
-    let mut faults = Vec::new();
-    loop {
-        match rio.step(StepBudget::instructions(budget)) {
-            StepOutcome::Running(_) => {}
-            StepOutcome::Exited(code) => {
-                return (code, rio.result_snapshot(code).app_output, faults)
-            }
-            StepOutcome::Faulted(f) => {
-                let code = f.exit_code();
-                faults.push(f);
-                if faults.len() >= max_faults {
-                    return (code, rio.result_snapshot(code).app_output, faults);
-                }
-            }
-        }
     }
 }
 
@@ -133,13 +101,20 @@ fn fault_delivery_works_under_single_instruction_budgets() {
     let image = compile(&faulting::div_recover()).unwrap();
     let native = run_native(&image, CpuKind::Pentium4);
     for opts in [Options::emulation(), Options::full()] {
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        let (code, output, faults) = drive(&mut rio, 1, 1);
-        assert!(faults.is_empty(), "unexpected terminal fault: {faults:?}");
-        assert_eq!(code, native.exit_code);
-        assert_eq!(output, native.output);
+        let run = Run {
+            step: Some(1),
+            ..Run::new(opts, ClientKind::Null)
+        };
+        let o = drive(&image, &run, CpuKind::Pentium4);
+        assert!(
+            o.faults.is_empty(),
+            "unexpected terminal fault: {:?}",
+            o.faults
+        );
+        assert_eq!(o.result.exit_code, native.exit_code);
+        assert_eq!(o.result.app_output, native.output);
         assert_eq!(
-            rio.core.stats.faults_delivered,
+            o.result.stats.faults_delivered,
             faulting::DIV_RECOVER_FAULTS as u64
         );
     }
@@ -174,135 +149,4 @@ fn handler_delivery_survives_a_pending_cache_flush() {
         rio.core.stats.faults_delivered,
         faulting::DIV_RECOVER_FAULTS as u64
     );
-}
-
-#[test]
-fn injected_faults_are_terminal_but_resumable_for_every_kind_and_mode() {
-    // Inject each architectural fault kind mid-run with no handler
-    // registered: the engine must surface a clean `Faulted` outcome (never
-    // panic), and the *same session* must be resumable afterwards — the
-    // injection is one-shot, so the retried instruction completes and the
-    // run finishes native-identically.
-    let image = compile(LOOP_SOURCE).unwrap();
-    let native = run_native(&image, CpuKind::Pentium4);
-    for kind in [
-        FaultKind::DivideError,
-        FaultKind::InvalidOpcode,
-        FaultKind::MemFault,
-    ] {
-        for opts in [Options::emulation(), Options::full()] {
-            let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-            let mut injector = FaultInjector::new(InjectionPlan::AtInstruction { at: 400, kind });
-            let mut fault = None;
-            let (code, output) = loop {
-                injector.poll(&mut rio);
-                match rio.step(StepBudget::instructions(200)) {
-                    StepOutcome::Running(_) => {}
-                    StepOutcome::Exited(code) => {
-                        break (code, rio.result_snapshot(code).app_output)
-                    }
-                    StepOutcome::Faulted(f) => {
-                        assert!(fault.is_none(), "fault reported twice: {}", f.message);
-                        fault = Some(f);
-                        // Resume the same session past the one-shot fault.
-                    }
-                }
-            };
-            let f = fault.expect("injected fault was never raised");
-            assert_eq!(f.kind, Some(kind), "{}", f.message);
-            assert_eq!(f.exit_code(), 128 + kind.code() as i32);
-            assert!(f.message.contains("unhandled"), "{}", f.message);
-            assert_eq!(code, native.exit_code, "kind {kind:?} opts {opts:?}");
-            assert_eq!(output, native.output, "kind {kind:?} opts {opts:?}");
-        }
-    }
-}
-
-#[test]
-fn corrupted_cache_copies_self_heal_to_native_output() {
-    // Overwrite every warm fragment with undecodable bytes: execution hits
-    // invalid-opcode faults inside the cache, repeatedly-faulting fragments
-    // are evicted and their blocks quarantined through one emulated pass,
-    // and the rebuilt cache finishes the run native-identically.
-    let image = compile(LOOP_SOURCE).unwrap();
-    let native = run_native(&image, CpuKind::Pentium4);
-    let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
-    let mut injector = FaultInjector::new(InjectionPlan::CorruptAll { min_frags: 4 });
-    let mut faults = Vec::new();
-    let (code, output) = loop {
-        injector.poll(&mut rio);
-        match rio.step(StepBudget::instructions(200)) {
-            StepOutcome::Running(_) => {}
-            StepOutcome::Exited(code) => break (code, rio.result_snapshot(code).app_output),
-            StepOutcome::Faulted(f) => {
-                faults.push(f);
-                assert!(faults.len() < 64, "fault storm: engine is not healing");
-            }
-        }
-    };
-    assert!(injector.applied(), "cache never warmed up");
-    assert!(!faults.is_empty(), "corruption raised no faults");
-    for f in &faults {
-        assert_eq!(f.kind, Some(FaultKind::InvalidOpcode), "{}", f.message);
-        assert!(f.app_pc.is_some(), "untranslated fault: {}", f.message);
-    }
-    assert_eq!(code, native.exit_code);
-    assert_eq!(output, native.output);
-    assert!(rio.core.stats.fault_evictions >= 1);
-}
-
-#[test]
-fn unhandled_faults_exit_with_128_plus_kind_in_every_mode() {
-    // Division by zero with no handler: exit 129 natively, under emulation,
-    // and under the cache.
-    let image = compile(&faulting::div_unhandled()).unwrap();
-    assert_eq!(run_native(&image, CpuKind::Pentium4).exit_code, 129);
-    for opts in [Options::emulation(), Options::full()] {
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        let (code, _, faults) = drive(&mut rio, 500, 1);
-        assert_eq!(code, 129);
-        assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].kind, Some(FaultKind::DivideError));
-    }
-
-    // Wild load into a guarded region: exit 131 everywhere.
-    let image = compile(&faulting::wild_unhandled()).unwrap();
-    let native = run_native_guarded(&image, CpuKind::Pentium4, faulting::guard_regions());
-    assert_eq!(native.exit_code, 131);
-    for opts in [Options::emulation(), Options::full()] {
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        rio.core
-            .machine
-            .set_guard_regions(faulting::guard_regions());
-        let (code, _, faults) = drive(&mut rio, 500, 1);
-        assert_eq!(code, 131);
-        assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].kind, Some(FaultKind::MemFault));
-        // The report names both coordinate systems.
-        assert!(
-            faults[0].message.contains("app pc"),
-            "{}",
-            faults[0].message
-        );
-    }
-}
-
-#[test]
-fn recovered_wild_load_is_equivalent_across_modes() {
-    // A handler recovering from a guarded load: output and exit must match
-    // the guarded native run in both engine modes.
-    let image = compile(&faulting::wild_load()).unwrap();
-    let native = run_native_guarded(&image, CpuKind::Pentium4, faulting::guard_regions());
-    assert_eq!(native.exit_code, 0);
-    for opts in [Options::emulation(), Options::full()] {
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        rio.core
-            .machine
-            .set_guard_regions(faulting::guard_regions());
-        let (code, output, faults) = drive(&mut rio, 200, 1);
-        assert!(faults.is_empty(), "unexpected terminal fault: {faults:?}");
-        assert_eq!(code, 0);
-        assert_eq!(output, native.output);
-        assert_eq!(rio.core.stats.faults_delivered, 1);
-    }
 }

@@ -2,7 +2,8 @@
 //!
 //! * Generated programs pass the whole 12-point configuration matrix
 //!   (native vs emulation/cache/traces/bounded/stepped/verified, each ×
-//!   null/combined clients) — the same oracle `rio fuzz` runs.
+//!   null/combined clients) — the same oracle `rio fuzz` runs — and the
+//!   generator actually reaches the fault and SMC machinery.
 //! * The shrinker demonstrably works: a known divergence (a fault injected
 //!   into the engine run only, recovered by the program's own handler, so
 //!   the printed fault count differs from native) is minimized to a
@@ -11,24 +12,72 @@
 
 use std::path::Path;
 
-use rio_core::{
-    FaultInjector, FaultKind, InjectionPlan, NullClient, Options, Rio, StepBudget, StepOutcome,
-};
+use rio_clients::ClientKind;
+use rio_core::{FaultKind, InjectionPlan, Options};
+use rio_fuzz::scenario::{drive, Run};
 use rio_fuzz::{check_image, load_dir, render, replay_entry, shrink_program, Program, E, S};
 use rio_sim::{run_native, CpuKind, Image};
 use rio_workloads::compile;
+
+/// Compile a generated program, panicking with its source on failure.
+fn compile_generated(p: &Program) -> (String, Image) {
+    let src = p.source();
+    let image = compile(&src)
+        .unwrap_or_else(|e| panic!("seed {:#x} failed to compile: {e}\n{src}", p.seed));
+    (src, image)
+}
 
 #[test]
 fn generated_programs_pass_the_configuration_matrix() {
     for case in 0..12u64 {
         let p = Program::generate(0x00C0_FFEE + case);
-        let src = p.source();
-        let image = compile(&src)
-            .unwrap_or_else(|e| panic!("seed {:#x} failed to compile: {e}\n{src}", p.seed));
+        let (src, image) = compile_generated(&p);
         let summary = check_image(&image, CpuKind::Pentium4)
             .unwrap_or_else(|m| panic!("seed {:#x} diverged: {m}\n{src}", p.seed));
         assert_eq!(summary.configs, 12, "matrix shrank");
     }
+}
+
+#[test]
+fn random_programs_behave_identically_under_the_full_stack() {
+    // Loops, branches, switches, calls, arrays, indirect calls, guarded and
+    // unguarded division, self-modifying patches, and recursion, through
+    // every point of the matrix (full and bounded-cache churn included).
+    for case in 0..40u64 {
+        let p = Program::generate(0xF022_0001 + case);
+        let (src, image) = compile_generated(&p);
+        check_image(&image, CpuKind::Pentium4)
+            .unwrap_or_else(|m| panic!("case {case} diverged: {m}\n{src}"));
+    }
+}
+
+#[test]
+fn fault_and_smc_constructs_reach_the_engine() {
+    // The generator must actually exercise the transparency machinery:
+    // across a seed range, some programs take recoverable faults (the
+    // `fcnt` line is printed by every program; nonzero means the
+    // in-program handler ran) and some patch code at run time.
+    let mut faulted = 0usize;
+    let mut patched = 0usize;
+    for case in 0..200u64 {
+        if faulted > 0 && patched > 0 {
+            break;
+        }
+        let p = Program::generate(0xF022_0001 + case);
+        let (src, image) = compile_generated(&p);
+        if src.contains("poke(pp") {
+            patched += 1;
+        }
+        let native = run_native(&image, CpuKind::Pentium4);
+        // Output ends with: chk, fcnt, facc (three final prints).
+        let lines: Vec<&str> = native.output.lines().collect();
+        let fcnt: i64 = lines[lines.len() - 2].parse().expect("fcnt line");
+        if fcnt > 0 {
+            faulted += 1;
+        }
+    }
+    assert!(faulted > 0, "no generated program took a recoverable fault");
+    assert!(patched > 0, "no generated program patched code");
 }
 
 /// Run under the full engine configuration with a one-shot divide fault
@@ -37,24 +86,19 @@ fn generated_programs_pass_the_configuration_matrix() {
 /// in-program and the run completes — with a different `fcnt` line than
 /// the (injection-free) native run.
 fn run_with_injected_fault(image: &Image, at: u64) -> (i32, String) {
-    let mut rio = Rio::new(image, Options::full(), CpuKind::Pentium4, NullClient);
-    let mut injector = FaultInjector::new(InjectionPlan::AtInstruction {
+    let mut run = Run::new(Options::full(), ClientKind::Null);
+    run.step = Some(200);
+    run.inject = Some(InjectionPlan::AtInstruction {
         at,
         kind: FaultKind::DivideError,
     });
-    loop {
-        injector.poll(&mut rio);
-        match rio.step(StepBudget::instructions(200)) {
-            StepOutcome::Running(_) => {}
-            StepOutcome::Exited(code) => return (code, rio.result_snapshot(code).app_output),
-            StepOutcome::Faulted(f) => {
-                panic!(
-                    "injected fault escaped the program's handler: {}",
-                    f.message
-                )
-            }
-        }
-    }
+    let o = drive(image, &run, CpuKind::Pentium4);
+    let escaped = o.faults.first().map(|f| &f.message);
+    assert!(
+        escaped.is_none(),
+        "injected fault escaped the handler: {escaped:?}"
+    );
+    (o.result.exit_code, o.result.app_output)
 }
 
 #[test]

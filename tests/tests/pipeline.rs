@@ -2,7 +2,8 @@
 //! ways — a Rust-side reference evaluator, the native simulator, and the
 //! full RIO engine with all optimizations — must agree exactly.
 
-use rio_bench::{run_config, ClientKind};
+use rio_bench::run_config;
+use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_sim::{run_native, CpuKind};
 use rio_tests::Rng;

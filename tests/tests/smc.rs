@@ -3,10 +3,14 @@
 //! or out of the code cache. Every guest store into application code must
 //! surface as a code-write event, invalidate exactly the overlapping
 //! fragments, and never let a stale copy execute — proven by the decode
-//! verifier's stale-hit counter staying at zero.
+//! verifier's stale-hit counter staying at zero. The workload × mode
+//! equivalence matrix is the `rio smc` scenario table
+//! (`tests/scenarios.rs`); these tests pin exact counts and stepping.
 
-use rio_core::{Client, Core, NullClient, Options, Rio, StepBudget, StepOutcome};
-use rio_sim::{run_native, CpuKind};
+use rio_clients::ClientKind;
+use rio_core::{Client, Core, NullClient, Options, Rio};
+use rio_fuzz::scenario::{drive, Run};
+use rio_sim::CpuKind;
 use rio_workloads::{compile, smc};
 
 /// Records every `fragment_deleted` callback.
@@ -18,46 +22,6 @@ struct DeletionWatcher {
 impl Client for DeletionWatcher {
     fn fragment_deleted(&mut self, _core: &mut Core, tag: u32) {
         self.deleted_tags.push(tag);
-    }
-}
-
-#[test]
-fn smc_workloads_are_equivalent_in_every_mode() {
-    for (name, src) in [
-        ("self_write", smc::self_write()),
-        ("patch_loop", smc::patch_loop()),
-        ("write_then_icall", smc::write_then_icall()),
-    ] {
-        let image = compile(&src).unwrap();
-        let native = run_native(&image, CpuKind::Pentium4);
-        assert_eq!(native.exit_code, 0, "{name}");
-
-        for (mode, opts) in [
-            ("emulate", Options::emulation()),
-            ("cache", Options::full()),
-        ] {
-            let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-            // Verification mode: every decode-cache hit is compared against
-            // the live bytes; a nonzero counter means stale code executed.
-            rio.core.machine.set_verify_decodes(true);
-            let r = rio.run();
-            assert_eq!(r.exit_code, native.exit_code, "{name} {mode}");
-            assert_eq!(r.app_output, native.output, "{name} {mode}");
-            assert_eq!(
-                rio.core.machine.stale_decode_hits(),
-                0,
-                "{name} {mode}: stale decode executed"
-            );
-            if mode == "cache" {
-                assert!(r.stats.code_writes > 0, "{name}: no code write observed");
-                assert!(r.stats.invalidations > 0, "{name}: nothing invalidated");
-            } else {
-                assert_eq!(
-                    r.stats.code_writes, 0,
-                    "{name}: watches active in emulation"
-                );
-            }
-        }
     }
 }
 
@@ -108,15 +72,12 @@ fn stepped_smc_runs_match_uninterrupted_runs() {
     // must be invisible: counters, stats, and output bit-identical.
     for src in [smc::patch_loop(), smc::write_then_icall()] {
         let image = compile(&src).unwrap();
-        let uninterrupted = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient).run();
-        let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
-        let stepped = loop {
-            match rio.step(StepBudget::instructions(97)) {
-                StepOutcome::Running(_) => {}
-                StepOutcome::Exited(code) => break rio.result_snapshot(code),
-                StepOutcome::Faulted(f) => panic!("fault: {}", f.message),
-            }
-        };
+        let mut run = Run::new(Options::full(), ClientKind::Null);
+        let uninterrupted = drive(&image, &run, CpuKind::Pentium4).result;
+        run.step = Some(97);
+        let stepped = drive(&image, &run, CpuKind::Pentium4);
+        assert!(stepped.faults.is_empty(), "fault: {:?}", stepped.faults);
+        let stepped = stepped.result;
         assert_eq!(stepped.exit_code, uninterrupted.exit_code);
         assert_eq!(stepped.counters, uninterrupted.counters);
         assert_eq!(stepped.stats, uninterrupted.stats);
@@ -136,18 +97,18 @@ fn tiny_cache_limit_output_is_byte_identical_to_unlimited() {
         ("write_then_icall", smc::write_then_icall()),
     ] {
         let image = compile(&src).unwrap();
-        let unlimited = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient).run();
-        let mut opts = Options::full();
-        opts.cache_limit = Some(64);
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        rio.core.machine.set_verify_decodes(true);
-        let bounded = rio.run();
+        let mut run = Run::new(Options::full(), ClientKind::Null);
+        let unlimited = drive(&image, &run, CpuKind::Pentium4).result;
+        run.options.cache_limit = Some(64);
+        run.verify_decodes = true;
+        let o = drive(&image, &run, CpuKind::Pentium4);
+        let bounded = &o.result;
         assert_eq!(bounded.exit_code, unlimited.exit_code, "{name}");
         assert_eq!(bounded.app_output, unlimited.app_output, "{name}");
         assert!(bounded.stats.evictions > 0, "{name}: {}", bounded.stats);
         // Capacity pressure evicts per-fragment; whole-sub-cache flushes
         // only happen on explicit request.
         assert_eq!(bounded.stats.cache_flushes, 0, "{name}");
-        assert_eq!(rio.core.machine.stale_decode_hits(), 0, "{name}");
+        assert_eq!(o.stale_decodes, 0, "{name}");
     }
 }

@@ -2,26 +2,22 @@
 //! every client and every engine configuration, must produce *exactly* the
 //! exit code and output of native execution.
 
-use rio_bench::{run_config, ClientKind};
+use rio_clients::ClientKind;
 use rio_core::Options;
-use rio_sim::{run_native, CpuKind};
+use rio_fuzz::scenario::{self, Exit, Expect, Faults, Run, Scenario};
+use rio_sim::CpuKind;
 use rio_workloads::{suite_scaled, Benchmark};
 
+fn check_on(cpu: CpuKind, b: &Benchmark, options: Options, client: ClientKind) {
+    let expect = Expect::new(Exit::Native, Faults::None, &[]);
+    let s = Scenario::new(b.name, &b.source, Run::new(options, client), expect);
+    if let Err(e) = scenario::check(&s, cpu) {
+        panic!("{e} under {client:?} / {options:?}");
+    }
+}
+
 fn check(b: &Benchmark, options: Options, client: ClientKind) {
-    let image = rio_workloads::compile(&b.source)
-        .unwrap_or_else(|e| panic!("{} failed to compile: {e}", b.name));
-    let native = run_native(&image, CpuKind::Pentium4);
-    let r = run_config(&image, options, CpuKind::Pentium4, client);
-    assert_eq!(
-        r.exit_code, native.exit_code,
-        "{} exit code diverged under {client:?} / {options:?}",
-        b.name
-    );
-    assert_eq!(
-        r.output, native.output,
-        "{} output diverged under {client:?} / {options:?}",
-        b.name
-    );
+    check_on(CpuKind::Pentium4, b, options, client);
 }
 
 #[test]
@@ -83,15 +79,6 @@ fn tiny_trace_capacity_preserves_correctness() {
 #[test]
 fn pentium3_model_preserves_correctness() {
     for b in suite_scaled(1).into_iter().take(6) {
-        let image = rio_workloads::compile(&b.source).unwrap();
-        let native = run_native(&image, CpuKind::Pentium3);
-        let r = run_config(
-            &image,
-            Options::full(),
-            CpuKind::Pentium3,
-            ClientKind::Combined,
-        );
-        assert_eq!(r.exit_code, native.exit_code, "{}", b.name);
-        assert_eq!(r.output, native.output, "{}", b.name);
+        check_on(CpuKind::Pentium3, &b, Options::full(), ClientKind::Combined);
     }
 }
