@@ -5,10 +5,10 @@
 //! Both sweeps run on the worker pool (`--jobs N` / `RIO_JOBS`); output is
 //! identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::ClientKind;
-use rio_core::Options;
-use rio_sim::CpuKind;
+use rio_core::{Options, Rio};
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compiled, suite_scaled, Category};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         })
         .collect();
     let natives = run_parallel(&benches, njobs, |_, (_, image)| {
-        native_cycles(image, kind).0
+        run_native(image, kind).counters.cycles
     });
 
     let cells: Vec<(bool, usize)> = [false, true]
@@ -33,8 +33,8 @@ fn main() {
     let norms = run_parallel(&cells, njobs, |_, &(inline, bi)| {
         let mut opts = Options::full();
         opts.inline_ib_target = inline;
-        let r = run_config(&benches[bi].1, opts, kind, ClientKind::Null);
-        r.cycles as f64 / natives[bi] as f64
+        let r = Rio::new(&benches[bi].1, opts, kind, ClientKind::Null.build()).run();
+        r.counters.cycles as f64 / natives[bi] as f64
     });
 
     println!("Inline IB target check: normalized execution time (geomean, full system)");

@@ -6,10 +6,10 @@
 //! The threshold × benchmark sweep is distributed over the worker pool
 //! (`--jobs N` / `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::ClientKind;
-use rio_core::Options;
-use rio_sim::CpuKind;
+use rio_core::{Options, Rio};
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compiled, suite_scaled, Category};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         })
         .collect();
     let natives = run_parallel(&benches, njobs, |_, (_, image)| {
-        native_cycles(image, kind).0
+        run_native(image, kind).counters.cycles
     });
 
     let cells: Vec<(usize, usize)> = (0..thresholds.len())
@@ -34,8 +34,8 @@ fn main() {
     let norms = run_parallel(&cells, njobs, |_, &(t, bi)| {
         let mut opts = Options::full();
         opts.trace_threshold = thresholds[t];
-        let r = run_config(&benches[bi].1, opts, kind, ClientKind::Null);
-        r.cycles as f64 / natives[bi] as f64
+        let r = Rio::new(&benches[bi].1, opts, kind, ClientKind::Null.build()).run();
+        r.counters.cycles as f64 / natives[bi] as f64
     });
 
     println!("Trace-threshold sweep: normalized execution time (geomean, full system)");

@@ -6,10 +6,10 @@
 //! The size × benchmark sweep runs on the worker pool (`--jobs N` /
 //! `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::CTrace;
 use rio_core::{Options, Rio};
-use rio_sim::CpuKind;
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compiled, suite_scaled, Category};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         })
         .collect();
     let natives = run_parallel(&benches, njobs, |_, (_, image)| {
-        native_cycles(image, kind).0
+        run_native(image, kind).counters.cycles
     });
 
     let cells: Vec<(usize, usize)> = (0..sizes.len())

@@ -13,10 +13,10 @@
 //! count because simulated cycles are host-independent and results are
 //! collected in item order.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::ClientKind;
-use rio_core::Options;
-use rio_sim::CpuKind;
+use rio_core::{Options, Rio};
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compiled_suite, Category};
 
 fn geomean(xs: &[f64]) -> f64 {
@@ -29,7 +29,7 @@ fn main() {
     let benches = compiled_suite();
 
     // Native baselines, one per benchmark.
-    let natives = run_parallel(&benches, njobs, |_, (_, image)| native_cycles(image, kind));
+    let natives = run_parallel(&benches, njobs, |_, (_, image)| run_native(image, kind));
 
     // One work item per (benchmark, client) bar.
     let bars: Vec<(usize, ClientKind)> = (0..benches.len())
@@ -37,16 +37,16 @@ fn main() {
         .collect();
     let norms = run_parallel(&bars, njobs, |_, &(bi, client)| {
         let (b, image) = &benches[bi];
-        let (native, exit, out) = &natives[bi];
-        let r = run_config(image, Options::full(), kind, client);
+        let native = &natives[bi];
+        let r = Rio::new(image, Options::full(), kind, client.build()).run();
         assert_eq!(
-            (r.exit_code, r.output.as_str()),
-            (*exit, out.as_str()),
+            (r.exit_code, r.app_output.as_str()),
+            (native.exit_code, native.output.as_str()),
             "{} under {:?} diverged from native execution",
             b.name,
             client
         );
-        r.cycles as f64 / *native as f64
+        r.counters.cycles as f64 / native.counters.cycles as f64
     });
 
     println!("Figure 5: normalized execution time (RIO / native; smaller is better)");

@@ -6,9 +6,9 @@
 //! the report is printed in suite order regardless of job count, and a
 //! suite-wide aggregate row is derived with [`Stats::aggregate`].
 
-use rio_bench::{jobs, run_config, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::ClientKind;
-use rio_core::{Options, Stats};
+use rio_core::{Options, Rio, Stats};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::compiled_suite;
 
@@ -16,7 +16,13 @@ fn main() {
     let benches = compiled_suite();
     let rows = run_parallel(&benches, jobs(), |_, (_, image)| {
         let native = run_native(image, CpuKind::Pentium4);
-        let r = run_config(image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
+        let r = Rio::new(
+            image,
+            Options::full(),
+            CpuKind::Pentium4,
+            ClientKind::Null.build(),
+        )
+        .run();
         (native.counters, r)
     });
 
@@ -34,7 +40,7 @@ fn main() {
             r.stats.traces_built,
             r.stats.links,
             r.stats.ib_lookups,
-            r.cycles as f64 / native.cycles as f64,
+            r.counters.cycles as f64 / native.cycles as f64,
         );
     }
 

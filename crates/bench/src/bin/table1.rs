@@ -9,10 +9,10 @@
 //! All ten configuration runs are distributed over the worker pool
 //! (`--jobs N` / `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, native_cycles, run_config, run_parallel};
+use rio_bench::{jobs, run_parallel};
 use rio_clients::ClientKind;
-use rio_core::Options;
-use rio_sim::CpuKind;
+use rio_core::{Options, Rio};
+use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compiled};
 
 fn main() {
@@ -30,8 +30,8 @@ fn main() {
         .map(|name| {
             let b = benchmark(name).expect("benchmark exists");
             let image = compiled(&b);
-            let (native, exit, out) = native_cycles(&image, kind);
-            (b, image, native, exit, out)
+            let native = run_native(&image, kind);
+            (b, image, native)
         })
         .collect();
 
@@ -40,16 +40,16 @@ fn main() {
         .flat_map(|c| (0..rows.len()).map(move |r| (c, r)))
         .collect();
     let results = run_parallel(&cells, jobs(), |_, &(c, r)| {
-        let (b, image, native, exit, out) = &benches[c];
-        let res = run_config(image, rows[r].1, kind, ClientKind::Null);
+        let (b, image, native) = &benches[c];
+        let res = Rio::new(image, rows[r].1, kind, ClientKind::Null.build()).run();
         assert_eq!(
-            (res.exit_code, res.output.as_str()),
-            (*exit, out.as_str()),
+            (res.exit_code, res.app_output.as_str()),
+            (native.exit_code, native.output.as_str()),
             "{} diverged under {:?}",
             b.name,
             rows[r].1
         );
-        res.cycles as f64 / *native as f64
+        res.counters.cycles as f64 / native.counters.cycles as f64
     });
 
     println!("Table 1: normalized execution time (vs native)");

@@ -1,67 +1,11 @@
-//! Shared measurement harness for the experiment binaries.
-//!
-//! Besides the single-run helpers, this module provides the worker-pool
-//! [`run_parallel`] runner every experiment binary is built on: the engine
+//! Shared measurement harness for the experiment binaries: the worker-pool
+//! [`run_parallel`] runner every experiment binary is built on. The engine
 //! is `Send`, simulated cycle counts are independent of host scheduling,
 //! and results are returned in item order — so any `--jobs N` produces
 //! byte-identical tables, just faster.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use rio_clients::ClientKind;
-use rio_core::{Options, Rio, RioRunResult, Stats};
-use rio_sim::{run_native, CpuKind, Image};
-
-/// Result of one engine run.
-#[derive(Clone, Debug)]
-pub struct ConfigResult {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Application instructions executed in cache/emulation.
-    pub instructions: u64,
-    /// Engine statistics.
-    pub stats: Stats,
-    /// Exit code (for output validation).
-    pub exit_code: i32,
-    /// Application output (for validation).
-    pub output: String,
-    /// Unhandled guest fault that ended the run, if any (the exit code is
-    /// then `128 + fault kind`). Suites report these as failures rather
-    /// than aborting the whole table.
-    pub fault: Option<String>,
-}
-
-impl From<RioRunResult> for ConfigResult {
-    fn from(r: RioRunResult) -> ConfigResult {
-        ConfigResult {
-            cycles: r.counters.cycles,
-            instructions: r.counters.instructions,
-            stats: r.stats,
-            exit_code: r.exit_code,
-            output: r.app_output,
-            fault: r.fault.map(|f| f.message),
-        }
-    }
-}
-
-/// Simulated cycles of a native run.
-pub fn native_cycles(image: &Image, kind: CpuKind) -> (u64, i32, String) {
-    let r = run_native(image, kind);
-    (r.counters.cycles, r.exit_code, r.output)
-}
-
-/// Run an image under the engine with the given options and client.
-pub fn run_config(
-    image: &Image,
-    options: Options,
-    kind: CpuKind,
-    client: ClientKind,
-) -> ConfigResult {
-    Rio::new(image, options, kind, client.build()).run().into()
-}
-
-// ----- parallel suite runner ----------------------------------------------
 
 /// Worker count for the experiment binaries: `--jobs N` (also `-j N` /
 /// `--jobs=N`) through the shared [`Args`](crate::Args) parser, else

@@ -14,12 +14,12 @@
 //! Because the simulation is deterministic and results are collected in
 //! item order, output is byte-identical for any job count.
 //!
-//! Micro-benchmarks live under `benches/`.
+//! Host-time measurements live in the separate `perfbench/` package.
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod suite_cli;
 
-pub use harness::{jobs, native_cycles, run_config, run_parallel, ConfigResult};
+pub use harness::{jobs, run_parallel};
 pub use suite_cli::{print_rows, print_suite_rows, Args};

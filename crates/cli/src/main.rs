@@ -47,18 +47,21 @@
 //! minimized and saved into --corpus DIR (default tests/corpus).
 //! --replay instead re-runs every saved corpus entry through the matrix.
 //!
-//! exit codes: the program's own status; 124 when a --max-instructions /
-//! --timeout-cycles budget runs out; on an unhandled guest fault,
-//! 128 + fault kind (129 divide error, 130 invalid opcode, 131 memory
-//! fault, 128 engine-level failure) with a one-line report on stderr —
-//! the same convention the simulated OS uses for native runs.
+//! exit codes: the program's status, low 8 bits; 124 when a
+//! --max-instructions / --timeout-cycles budget runs out. The simulated OS
+//! sets the status the same way natively and in every engine mode: the
+//! `exit` argument, or 0 once every thread has retired; 128 + fault kind
+//! for an unhandled guest fault (129 divide error, 130 invalid opcode, 131
+//! memory fault), reported in one line on stderr; 0x1000 + n for an
+//! unknown system call n; 0x2000 for a stray trap (int3, or int n with
+//! n != 0x80). An engine-level failure exits 128.
 //! ```
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-use rio_bench::{native_cycles, print_rows, print_suite_rows, run_config, run_parallel, Args};
+use rio_bench::{print_rows, print_suite_rows, run_parallel, Args};
 use rio_core::{Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
 use rio_fuzz::scenario::{self, check, Scenario};
 use rio_sim::{run_native, CpuKind, Image};
@@ -277,10 +280,10 @@ fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
     apply_env(&mut opts)?;
     let benches = compiled_suite();
     let rows = run_parallel(&benches, njobs, |_, (b, image)| {
-        let (native, exit, out) = native_cycles(image, cpu);
-        let r = run_config(image, opts, cpu, client);
-        let diverged = (r.exit_code, r.output.as_str()) != (exit, out.as_str());
-        (b.name, native, r, diverged)
+        let native = run_native(image, cpu);
+        let r = Rio::new(image, opts, cpu, client.build()).run();
+        let diverged = (r.exit_code, &r.app_output) != (native.exit_code, &native.output);
+        (b.name, native.counters.cycles, r, diverged)
     });
 
     println!(
@@ -297,7 +300,7 @@ fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
         // A benchmark that faulted is recorded as a failed row (with the
         // faithful fault report) rather than aborting the whole table.
         let marker = match (&r.fault, diverged) {
-            (Some(msg), _) => format!("  !! FAULTED: {msg}"),
+            (Some(f), _) => format!("  !! FAULTED: {}", f.message),
             (None, true) => "  !! DIVERGED".to_string(),
             (None, false) => String::new(),
         };
@@ -305,8 +308,8 @@ fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
             "{:<10} {:>12} {:>12} {:>8.3}{}",
             name,
             native,
-            r.cycles,
-            r.cycles as f64 / *native as f64,
+            r.counters.cycles,
+            r.counters.cycles as f64 / *native as f64,
             marker
         );
         failed += usize::from(*diverged || r.fault.is_some());

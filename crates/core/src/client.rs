@@ -53,7 +53,11 @@ pub trait Client {
         let _ = core;
     }
 
-    /// `dynamorio_thread_exit` — per-thread finalization.
+    /// `dynamorio_thread_exit` — per-thread finalization. Fires once for
+    /// each thread that retires (`hlt` or `thread_exit`) and, at program
+    /// exit, once for the thread on the CPU, with
+    /// [`Core::current_thread`] naming that thread. Threads still waiting
+    /// for their turn when the program exits get no call.
     fn thread_exit(&mut self, core: &mut Core) {
         let _ = core;
     }

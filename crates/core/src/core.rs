@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use rio_ia32::{create, decode_instr, Instr, InstrId, InstrList, MemRef, OpSize, Reg, Target};
-use rio_sim::{CpuKind, Image, Machine, Os};
+use rio_sim::{CpuKind, ExecRegion, Image, Machine, Os};
 
 use crate::cache::{CodeCache, ExitKind, FragmentId, FragmentKind};
 use crate::config::{layout, Options, RioCosts};
@@ -43,6 +43,10 @@ pub(crate) struct ThreadCore {
     /// outside the cache (so `handle_leave` treats application addresses
     /// as ordinary dispatch targets).
     pub quarantine_exec: bool,
+    /// Where the thread resumes when it is next switched in: the cache, at
+    /// its saved `eip`, with these execution regions; or, before its first
+    /// turn, a dispatch at its entry `eip`.
+    pub resume: Option<Vec<ExecRegion>>,
 }
 
 impl ThreadCore {
@@ -53,6 +57,7 @@ impl ThreadCore {
             last_exit_was_return: false,
             fault_quarantine: HashSet::new(),
             quarantine_exec: false,
+            resume: None,
         }
     }
 }

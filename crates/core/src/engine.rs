@@ -19,22 +19,17 @@
 //! [`Rio::run`] is a thin wrapper that steps with an unlimited budget.
 
 use rio_ia32::InstrList;
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use rio_ia32::Reg;
-use rio_sim::cpu::CpuState;
-use rio_sim::os::{SyscallAction, THREAD_STACK_SIZE};
-use rio_sim::{
-    deliver_fault, resume_pc_after, Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image,
-    SYSCALL_VECTOR,
-};
+use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent};
 
 use crate::build::decode_bb;
-use crate::cache::{ExitKind, FragmentId, FragmentKind, IndKind};
+use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
 use crate::client::{Client, EndTraceDecision};
 use crate::config::{layout, ExecMode, Options};
-use crate::core::{Core, Recording};
+use crate::core::{Core, Recording, ThreadCore};
 use crate::emit::emit_fragment;
 use crate::link::link_exit;
 use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
@@ -57,7 +52,7 @@ pub struct RioRunResult {
     /// Cycles spent in sideline optimization (not charged to the run).
     pub sideline_cycles: u64,
     /// The unhandled guest fault that ended the run, if any (`exit_code` is
-    /// then `128 + fault kind`).
+    /// then [`Fault::exit_code`]).
     pub fault: Option<Fault>,
 }
 
@@ -179,10 +174,10 @@ impl Fault {
     }
 
     /// Process exit status conventionally reported for this fault:
-    /// `128 + kind` (129 divide error, 130 invalid opcode, 131 memory
-    /// fault), or 128 for engine-level failures.
+    /// [`FaultKind::exit_code`] for guest faults (129 divide error, 130
+    /// invalid opcode, 131 memory fault), or 128 for engine-level failures.
     pub fn exit_code(&self) -> i32 {
-        128 + self.kind.map_or(0, |k| k.code() as i32)
+        self.kind.map_or(ENGINE_FAILURE_EXIT, FaultKind::exit_code)
     }
 }
 
@@ -311,20 +306,12 @@ enum Phase {
     Unstarted,
     /// Pure-emulation session (Table 1, row 1).
     Emulating,
-    /// Code-cache session with its scheduler state.
-    InCache(CacheSession),
+    /// Code-cache session, with the engine action to perform before
+    /// re-entering the cache; `None` while the machine is mid-execution
+    /// (suspended by fuel, not by the engine).
+    InCache(Option<Resume>),
     /// The application exited with this status.
     Finished(i32),
-}
-
-/// Suspendable state of a code-cache session: everything `run_cache` used
-/// to keep in locals.
-struct CacheSession {
-    /// Threads waiting for their turn on the (single) simulated CPU.
-    parked: VecDeque<Parked>,
-    /// Engine action to perform before re-entering the cache; `None` while
-    /// the machine is mid-execution (suspended by fuel, not by the engine).
-    pending: Option<Resume>,
 }
 
 enum Leave {
@@ -334,24 +321,21 @@ enum Leave {
     Dispatch(u32),
 }
 
-/// How a parked thread resumes.
+/// How execution re-enters the cache.
 enum Resume {
     /// Dispatch to an application tag.
     Dispatch(u32),
-    /// Continue in the cache at the saved `eip`, with the saved execution
-    /// regions (preserves mid-recording restrictions across switches).
+    /// Continue in the cache at the current `eip`, with these execution
+    /// regions (preserves mid-recording restrictions across thread
+    /// switches).
     InCache(Vec<ExecRegion>),
 }
 
-/// A thread waiting for its turn on the (single) simulated CPU.
-struct Parked {
-    tid: usize,
-    cpu: CpuState,
-    resume: Resume,
-}
+/// Exit status of a run ended by an engine-level failure.
+const ENGINE_FAILURE_EXIT: i32 = 128;
 
-/// Cycle cost of an engine-level thread switch.
-const THREAD_SWITCH_COST: u64 = 400;
+// Every thread the simulated OS can create gets a private cache slice.
+const _: () = assert!(cache::MAX_THREADS >= rio_sim::os::MAX_THREADS);
 
 /// Faults observed in one fragment before it is evicted and its tag
 /// quarantined (self-healing for corrupted cache copies).
@@ -375,9 +359,9 @@ impl<C: Client> Rio<C> {
     /// sliced into steps.
     ///
     /// An unhandled guest fault ends the run cleanly (never a panic): the
-    /// result carries the [`Fault`] in [`RioRunResult::fault`] and an exit
-    /// status of `128 + fault kind`, mirroring what the simulated OS
-    /// reports for an unhandled fault under native execution.
+    /// result carries the [`Fault`] in [`RioRunResult::fault`] and the exit
+    /// status [`FaultKind::exit_code`], the one the simulated OS reports
+    /// for an unhandled fault under native execution.
     pub fn run(&mut self) -> RioRunResult {
         loop {
             match self.step(StepBudget::unlimited()) {
@@ -423,10 +407,7 @@ impl<C: Client> Rio<C> {
                     self.core
                         .machine
                         .set_watch_regions(vec![ExecRegion::new(s, e)]);
-                    Phase::InCache(CacheSession {
-                        parked: VecDeque::new(),
-                        pending: Some(Resume::Dispatch(self.core.app_entry)),
-                    })
+                    Phase::InCache(Some(Resume::Dispatch(self.core.app_entry)))
                 }
             };
         }
@@ -442,9 +423,9 @@ impl<C: Client> Rio<C> {
                 let outcome = self.step_emulate(&meter);
                 self.settle(Phase::Emulating, outcome)
             }
-            Phase::InCache(mut session) => {
-                let outcome = self.step_cache(&mut session, &meter);
-                self.settle(Phase::InCache(session), outcome)
+            Phase::InCache(mut pending) => {
+                let outcome = self.step_cache(&mut pending, &meter);
+                self.settle(Phase::InCache(pending), outcome)
             }
         }
     }
@@ -505,36 +486,30 @@ impl<C: Client> Rio<C> {
             let per_instr = self.core.costs.emulate_per_instr;
             self.core.machine.charge(per_instr);
             self.core.stats.emulated_instrs += 1;
-            match self.core.machine.run_steps(1) {
-                CpuExit::FuelExhausted => {}
-                CpuExit::Halt => return StepOutcome::Exited(self.core.os.exit_code.unwrap_or(0)),
-                CpuExit::Syscall(SYSCALL_VECTOR) => {
-                    let (machine, os) = (&mut self.core.machine, &mut self.core.os);
-                    if !os.handle_syscall(machine) {
-                        return StepOutcome::Exited(self.core.os.exit_code.unwrap_or(0));
-                    }
+            let exit = self.core.machine.run_steps(1);
+            if let Some(event) = self.core.os.handle(&mut self.core.machine, exit) {
+                // Emulation continues at the incoming thread's `eip`; the
+                // cache resume point is irrelevant here.
+                if let ControlFlow::Break(code) = self.os_event(event) {
+                    return StepOutcome::Exited(code);
                 }
+                continue;
+            }
+            match exit {
                 CpuExit::Fault { kind, pc, addr } => {
                     // Under emulation the faulting pc *is* the app pc.
                     self.core.stats.faults_raised += 1;
                     self.client.fault_event(&mut self.core, kind, pc, Some(pc));
-                    match self.core.os.take_delivery_target() {
-                        Some(handler) => {
-                            let resume = resume_pc_after(&self.core.machine, pc);
-                            deliver_fault(&mut self.core.machine, handler, kind, pc, resume);
-                            self.core.stats.faults_delivered += 1;
-                        }
-                        None => {
-                            return StepOutcome::Faulted(Fault::guest(kind, pc, Some(pc), addr))
-                        }
+                    if !self.core.os.deliver_fault(&mut self.core.machine, kind, pc) {
+                        return StepOutcome::Faulted(Fault::guest(kind, pc, Some(pc), addr));
                     }
+                    self.core.stats.faults_delivered += 1;
                 }
-                CpuExit::CodeWrite { .. } => {
-                    // Watches are only installed in cache mode; if one is
-                    // somehow active, the store has committed and the
-                    // interpreter's decode cache already invalidated
-                    // itself, so emulation just continues.
-                }
+                // Watches are only installed in cache mode; if one is
+                // somehow active, the store has committed and the
+                // interpreter's decode cache already invalidated itself, so
+                // emulation just continues.
+                CpuExit::FuelExhausted | CpuExit::CodeWrite { .. } => {}
                 other => {
                     let eip = self.core.machine.cpu.eip;
                     return StepOutcome::Faulted(Fault::engine(
@@ -546,16 +521,56 @@ impl<C: Client> Rio<C> {
         }
     }
 
+    // ----- threads ---------------------------------------------------------
+
+    /// Mirror a simulated-OS decision in the engine's per-thread state.
+    /// Returns where the incoming thread resumes after a switch, or the
+    /// exit status once the program has exited.
+    ///
+    /// A spawned thread gets its private cache and fires `thread_init`; a
+    /// retired one fires `thread_exit` (the thread on the CPU at program
+    /// exit fires it in [`Rio::step`]). A yielding thread keeps its
+    /// execution regions so it resumes mid-fragment; a thread's first turn
+    /// dispatches at its entry `eip`.
+    fn os_event(&mut self, event: OsEvent) -> ControlFlow<i32, Option<Resume>> {
+        match event {
+            OsEvent::Continue => {}
+            OsEvent::Exited(code) => return ControlFlow::Break(code),
+            OsEvent::Spawned(tid) => {
+                debug_assert_eq!(tid, self.core.threads.len());
+                self.core.threads.push(ThreadCore::new(tid as u32));
+                let prev = std::mem::replace(&mut self.core.cur, tid);
+                self.client.thread_init(&mut self.core);
+                self.core.cur = prev;
+                self.core.stats.threads_spawned += 1;
+            }
+            OsEvent::Switched { from, to, retired } => {
+                if retired {
+                    self.client.thread_exit(&mut self.core);
+                } else {
+                    let regions = self.core.machine.exec_regions().to_vec();
+                    self.core.threads[from].resume = Some(regions);
+                }
+                self.core.cur = to;
+                return ControlFlow::Continue(Some(match self.core.threads[to].resume.take() {
+                    Some(regions) => Resume::InCache(regions),
+                    None => Resume::Dispatch(self.core.machine.cpu.eip),
+                }));
+            }
+        }
+        ControlFlow::Continue(None)
+    }
+
     // ----- code-cache mode -------------------------------------------------
 
-    fn step_cache(&mut self, session: &mut CacheSession, meter: &BudgetMeter) -> StepOutcome {
+    fn step_cache(&mut self, pending: &mut Option<Resume>, meter: &BudgetMeter) -> StepOutcome {
         loop {
             // Safe point: either the engine is about to act (control is out
             // of the cache) or the machine is suspended between fuel chunks.
             if let Some(reason) = meter.exhausted(&self.core.machine.counters) {
                 return StepOutcome::Running(reason);
             }
-            if let Some(action) = session.pending.take() {
+            if let Some(action) = pending.take() {
                 match action {
                     Resume::Dispatch(t) => {
                         if self.core.take_fault_quarantine(t) {
@@ -564,9 +579,11 @@ impl<C: Client> Rio<C> {
                             match self.dispatch(t) {
                                 Ok(frag) => self.enter(frag),
                                 Err(fault) => {
-                                    if let Some(outcome) = self.failed_dispatch(session, t, fault) {
+                                    if let Some(outcome) = self.failed_dispatch(pending, t, fault) {
                                         return outcome;
                                     }
+                                    // Delivered: dispatch the handler next.
+                                    continue;
                                 }
                             }
                         }
@@ -577,61 +594,29 @@ impl<C: Client> Rio<C> {
                 }
             }
             let fuel = meter.fuel(&self.core.machine.counters);
-            match self.core.machine.run_steps(fuel) {
+            let exit = self.core.machine.run_steps(fuel);
+            if let Some(event) = self.core.os.handle(&mut self.core.machine, exit) {
+                match self.os_event(event) {
+                    ControlFlow::Continue(next) => *pending = next,
+                    ControlFlow::Break(code) => return StepOutcome::Exited(code),
+                }
+                continue;
+            }
+            match exit {
                 // Out of fuel, not out of work: loop to the budget check.
                 CpuExit::FuelExhausted => {}
-                CpuExit::Halt => match self.retire_thread(&mut session.parked) {
-                    Some(next) => session.pending = Some(next),
-                    None => return StepOutcome::Exited(self.core.os.exit_code.unwrap_or(0)),
-                },
-                CpuExit::Syscall(SYSCALL_VECTOR) => {
-                    let next_tid = self.spawnable_tid();
-                    let act = {
-                        let (machine, os) = (&mut self.core.machine, &mut self.core.os);
-                        os.handle_syscall_threaded(machine, next_tid)
-                    };
-                    match act {
-                        SyscallAction::Continue => {}
-                        SyscallAction::ExitProgram => {
-                            return StepOutcome::Exited(self.core.os.exit_code.unwrap_or(0));
-                        }
-                        SyscallAction::Spawn { entry } => {
-                            self.spawn_thread(&mut session.parked, entry);
-                        }
-                        SyscallAction::Yield => {
-                            if let Some(next) = session.parked.pop_front() {
-                                let regions = self.core.machine.exec_regions().to_vec();
-                                let prev = Parked {
-                                    tid: self.core.cur,
-                                    cpu: self.core.machine.cpu.clone(),
-                                    resume: Resume::InCache(regions),
-                                };
-                                session.parked.push_back(prev);
-                                session.pending = Some(self.switch_to(next));
-                            }
-                        }
-                        SyscallAction::ThreadExit => {
-                            match self.retire_thread(&mut session.parked) {
-                                Some(next) => session.pending = Some(next),
-                                None => {
-                                    return StepOutcome::Exited(self.core.os.exit_code.unwrap_or(0))
-                                }
-                            }
-                        }
-                    }
-                }
                 CpuExit::OutOfRegion(addr) => match self.handle_leave(addr) {
                     Ok(Leave::Resume) => {}
-                    Ok(Leave::Dispatch(t)) => session.pending = Some(Resume::Dispatch(t)),
+                    Ok(Leave::Dispatch(t)) => *pending = Some(Resume::Dispatch(t)),
                     Err(fault) => return StepOutcome::Faulted(fault),
                 },
                 CpuExit::Fault { kind, pc, addr } => {
-                    if let Some(outcome) = self.handle_guest_fault(session, kind, pc, addr) {
+                    if let Some(outcome) = self.handle_guest_fault(pending, kind, pc, addr) {
                         return outcome;
                     }
                 }
                 CpuExit::CodeWrite { pc, addr, len } => {
-                    self.handle_code_write(session, pc, addr, len);
+                    self.handle_code_write(pending, pc, addr, len);
                 }
                 other => {
                     let eip = self.core.machine.cpu.eip;
@@ -655,7 +640,7 @@ impl<C: Client> Rio<C> {
     /// can continue (fault delivered).
     fn handle_guest_fault(
         &mut self,
-        session: &mut CacheSession,
+        pending: &mut Option<Resume>,
         kind: FaultKind,
         pc: u32,
         addr: u32,
@@ -690,8 +675,12 @@ impl<C: Client> Rio<C> {
             }
         }
         self.client.fault_event(&mut self.core, kind, pc, app_pc);
-        let handler = self.core.os.take_delivery_target();
-        if ecx_spilled && (handler.is_some() || evicted.is_some()) {
+        let target = app_pc.unwrap_or(pc);
+        let delivered = self
+            .core
+            .os
+            .deliver_fault(&mut self.core.machine, kind, target);
+        if ecx_spilled && (delivered || evicted.is_some()) {
             // Control will not resume inside the mangled region, so roll
             // back the mangling side effect: between the spill and its
             // restore, the application's %ecx lives in the thread-local
@@ -701,37 +690,29 @@ impl<C: Client> Rio<C> {
             let saved = self.core.machine.mem.read_u32(layout::ECX_SLOT);
             self.core.machine.cpu.set_reg(Reg::Ecx, saved);
         }
-        match handler {
-            Some(handler) => {
-                // A delivery detours control through the handler, so any
-                // in-progress trace recording no longer describes a real
-                // crossing sequence; abandon it rather than stitch a trace
-                // whose connectors assume the uninterrupted path.
-                self.core.threads[self.core.cur].recording = None;
-                let target = app_pc.unwrap_or(pc);
-                let resume = resume_pc_after(&self.core.machine, target);
-                deliver_fault(&mut self.core.machine, handler, kind, target, resume);
-                self.core.stats.faults_delivered += 1;
-                // The handler is application code: enter it through
-                // dispatch, exactly like any other control transfer out of
-                // the cache.
-                let cs = self.core.costs.context_switch;
-                self.core.machine.charge(cs);
-                self.core.stats.context_switches += 1;
-                session.pending = Some(Resume::Dispatch(handler));
-                None
-            }
-            None => {
-                if let Some(tag) = evicted {
-                    // The faulting cache copy is gone; a resumed session
-                    // re-enters through dispatch at the faulting app pc
-                    // (quarantine emulation when that is the block's tag)
-                    // instead of the dead cache address.
-                    session.pending = Some(Resume::Dispatch(app_pc.unwrap_or(tag)));
-                }
-                Some(StepOutcome::Faulted(Fault::guest(kind, pc, app_pc, addr)))
-            }
+        if delivered {
+            // A delivery detours control through the handler, so any
+            // in-progress trace recording no longer describes a real
+            // crossing sequence; abandon it rather than stitch a trace
+            // whose connectors assume the uninterrupted path.
+            self.core.threads[self.core.cur].recording = None;
+            self.core.stats.faults_delivered += 1;
+            // The handler is application code: enter it through dispatch,
+            // exactly like any other control transfer out of the cache.
+            let cs = self.core.costs.context_switch;
+            self.core.machine.charge(cs);
+            self.core.stats.context_switches += 1;
+            *pending = Some(Resume::Dispatch(self.core.machine.cpu.eip));
+            return None;
         }
+        if let Some(tag) = evicted {
+            // The faulting cache copy is gone; a resumed session re-enters
+            // through dispatch at the faulting app pc (quarantine emulation
+            // when that is the block's tag) instead of the dead cache
+            // address.
+            *pending = Some(Resume::Dispatch(app_pc.unwrap_or(tag)));
+        }
+        Some(StepOutcome::Faulted(Fault::guest(kind, pc, app_pc, addr)))
     }
 
     /// A guest store landed in the monitored application code region while
@@ -744,7 +725,7 @@ impl<C: Client> Rio<C> {
     /// Invalidates exactly the fragments whose source ranges the write
     /// overlapped, then re-enters through dispatch — rebuilding from the
     /// freshly written bytes.
-    fn handle_code_write(&mut self, session: &mut CacheSession, pc: u32, addr: u32, len: u32) {
+    fn handle_code_write(&mut self, pending: &mut Option<Resume>, pc: u32, addr: u32, len: u32) {
         self.core.stats.code_writes += 1;
         let eip = self.core.machine.cpu.eip;
         let resume = if pc < Image::CACHE_BASE {
@@ -787,7 +768,7 @@ impl<C: Client> Rio<C> {
         let cs = self.core.costs.context_switch;
         self.core.machine.charge(cs);
         self.core.stats.context_switches += 1;
-        session.pending = Some(Resume::Dispatch(resume));
+        *pending = Some(Resume::Dispatch(resume));
     }
 
     /// Dispatch to `t` failed. Undecodable application code is a guest
@@ -797,21 +778,21 @@ impl<C: Client> Rio<C> {
     /// re-reports) cleanly instead of running stale cache code.
     fn failed_dispatch(
         &mut self,
-        session: &mut CacheSession,
+        pending: &mut Option<Resume>,
         t: u32,
         fault: Fault,
     ) -> Option<StepOutcome> {
         match fault.kind {
             Some(kind) => {
                 let pc = fault.app_pc.unwrap_or(t);
-                let outcome = self.handle_guest_fault(session, kind, pc, pc);
+                let outcome = self.handle_guest_fault(pending, kind, pc, pc);
                 if outcome.is_some() {
-                    session.pending = Some(Resume::Dispatch(t));
+                    *pending = Some(Resume::Dispatch(t));
                 }
                 outcome
             }
             None => {
-                session.pending = Some(Resume::Dispatch(t));
+                *pending = Some(Resume::Dispatch(t));
                 Some(StepOutcome::Faulted(fault))
             }
         }
@@ -842,60 +823,6 @@ impl<C: Client> Rio<C> {
         self.core
             .machine
             .set_exec_regions(vec![ExecRegion::new(tag, end)]);
-    }
-
-    /// The tid a spawn would get (0 = limit reached, spawn fails).
-    fn spawnable_tid(&self) -> u32 {
-        let next = self.core.threads.len() as u32;
-        let cap = crate::cache::MAX_THREADS.min(rio_sim::os::MAX_THREADS);
-        if next < cap {
-            next
-        } else {
-            0
-        }
-    }
-
-    /// Create a new thread: thread-private cache, fresh CPU with its own
-    /// stack, parked until its first turn. Fires `thread_init`.
-    fn spawn_thread(&mut self, parked: &mut VecDeque<Parked>, entry: u32) {
-        let tid = self.core.threads.len();
-        self.core
-            .threads
-            .push(crate::core::ThreadCore::new(tid as u32));
-        let prev = self.core.cur;
-        self.core.cur = tid;
-        self.client.thread_init(&mut self.core);
-        self.core.cur = prev;
-        let mut cpu = CpuState::new();
-        cpu.set_reg(
-            Reg::Esp,
-            Image::STACK_TOP - tid as u32 * THREAD_STACK_SIZE - 16,
-        );
-        parked.push_back(Parked {
-            tid,
-            cpu,
-            resume: Resume::Dispatch(entry),
-        });
-        self.core.stats.threads_spawned += 1;
-    }
-
-    /// The current thread is done: fire `thread_exit` (for spawned threads;
-    /// the main thread's hook fires in `run`) and switch to the next
-    /// runnable thread if any.
-    fn retire_thread(&mut self, parked: &mut VecDeque<Parked>) -> Option<Resume> {
-        if self.core.cur != 0 {
-            self.client.thread_exit(&mut self.core);
-        }
-        let next = parked.pop_front()?;
-        Some(self.switch_to(next))
-    }
-
-    /// Install a parked thread on the CPU.
-    fn switch_to(&mut self, next: Parked) -> Resume {
-        self.core.machine.charge(THREAD_SWITCH_COST);
-        self.core.cur = next.tid;
-        self.core.machine.cpu = next.cpu;
-        next.resume
     }
 
     /// Point the machine at a fragment and set the execution region: the

@@ -248,7 +248,7 @@ pub fn check(s: &Scenario, cpu: CpuKind) -> Result<Pass, String> {
     };
     let messages: Vec<&str> = o.faults.iter().map(|f| f.message.as_str()).collect();
     let guest_fault = |f: &Fault| {
-        kind.is_some_and(|k| f.kind == Some(k) && f.exit_code() == 128 + k.code() as i32)
+        kind.is_some_and(|k| f.kind == Some(k) && f.exit_code() == k.exit_code())
             && f.app_pc.is_some()
             && f.message.contains("unhandled")
             && f.message.contains("app pc")

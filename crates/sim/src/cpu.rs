@@ -99,8 +99,8 @@ fn is_high8(r: Reg) -> bool {
 }
 
 /// The architectural class of a guest fault (the x86 exceptions the subset
-/// can raise). `code()` gives the value pushed to guest fault handlers and
-/// used to derive process exit codes (`128 + code`).
+/// can raise). `code()` gives the value pushed to guest fault handlers;
+/// `exit_code()` the status of a process the fault ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// `div`/`idiv` by zero or quotient overflow (x86 #DE).
@@ -121,6 +121,13 @@ impl FaultKind {
             FaultKind::InvalidOpcode => 2,
             FaultKind::MemFault => 3,
         }
+    }
+
+    /// Exit status of a process ended by an unhandled fault of this kind:
+    /// `128 + code`, the fatal-signal shell convention (129 divide error,
+    /// 130 invalid opcode, 131 memory fault).
+    pub fn exit_code(self) -> i32 {
+        128 + self.code() as i32
     }
 }
 

@@ -53,8 +53,8 @@ pub use image::Image;
 pub use machine::{DecodeCacheStats, ExecRegion, Machine};
 pub use mem::Memory;
 pub use os::{
-    deliver_fault, resume_pc_after, run_native, run_native_guarded, Os, RunResult,
-    FAULT_DELIVERY_COST, MAX_FAULT_DELIVERIES, SET_FAULT_HANDLER_SYSCALL, SYSCALL_VECTOR,
+    run_native, run_native_guarded, Os, OsEvent, RunResult, FAULT_DELIVERY_COST,
+    MAX_FAULT_DELIVERIES, SET_FAULT_HANDLER_SYSCALL, SYSCALL_VECTOR, TRAP_EXIT_CODE,
 };
 pub use perf::{CostModel, Counters, CpuKind};
 

@@ -1,4 +1,12 @@
-//! Minimal simulated OS: the `int 0x80` system-call gate and a native runner.
+//! The simulated OS: the `int 0x80` system-call table, the cooperative
+//! thread scheduler, trap semantics, and guest fault delivery.
+//!
+//! [`Os`] is the single owner of every OS decision. The native runner
+//! ([`run_native`]) and both engine modes (emulation and the code cache)
+//! hand each machine exit to [`Os::handle`] and each guest fault to
+//! [`Os::deliver_fault`], so the application sees the same OS however it
+//! runs. The engine only mirrors thread changes ([`OsEvent`]) in its own
+//! per-thread state.
 //!
 //! The workload programs use these calls, selected by `%eax`:
 //!
@@ -7,21 +15,34 @@
 //! | 1      | `exit`        | `%ebx` = status (ends the whole program)    |
 //! | 2      | `print_int`   | `%ebx` = value (decimal)                    |
 //! | 3      | `print_chr`   | `%bl` = byte                                |
-//! | 10     | `spawn`       | `%ebx` = entry pc → `%eax` = thread id      |
+//! | 10     | `spawn`       | `%ebx` = entry pc → `%eax` = thread id (0 = failure) |
 //! | 11     | `yield`       | cooperative switch to the next thread       |
 //! | 12     | `thread_exit` | ends the calling thread                     |
 //! | 20     | `set_fault_handler` | `%ebx` = handler pc (0 clears) → `%eax` = previous handler |
 //!
-//! Threads are cooperative: a thread runs until it yields or exits. Each
-//! thread gets its own stack carved out below [`Image::STACK_TOP`].
+//! Any other `%eax` ends the program with status `0x1000 + %eax`, so a bad
+//! call surfaces in tests.
+//!
+//! Threads are cooperative and scheduled round robin: a thread runs until
+//! it yields or retires. Thread `t` gets its own stack below
+//! `Image::STACK_TOP - t * THREAD_STACK_SIZE`, and at most [`MAX_THREADS`]
+//! threads (the initial one included) are ever created. `hlt` and
+//! `thread_exit` retire the current thread; the program exits with status 0
+//! when the last one retires. `exit` ends every thread at once.
+//!
+//! `int3` and `int n` with `n != 0x80` are stray traps: they end the
+//! program with [`TRAP_EXIT_CODE`]. An unhandled fault ends it with
+//! [`FaultKind::exit_code`] (`128 + kind`).
 //!
 //! Output is buffered in [`Os::output`] — never written to the host's
 //! stdout — which is also how the RIO engine keeps *its* I/O transparent
 //! with respect to the application's.
 
+use std::collections::VecDeque;
+
 use rio_ia32::Reg;
 
-use crate::cpu::{CpuExit, FaultKind};
+use crate::cpu::{CpuExit, CpuState, FaultKind};
 use crate::image::Image;
 use crate::machine::{ExecRegion, Machine};
 
@@ -31,8 +52,16 @@ pub const SYSCALL_VECTOR: u8 = 0x80;
 /// Cycle cost of the (simulated) kernel round trip.
 pub const SYSCALL_COST: u64 = 200;
 
+/// Cycle cost of a thread switch.
+pub const THREAD_SWITCH_COST: u64 = 400;
+
 /// `%eax` selector of the `set_fault_handler` system call.
 pub const SET_FAULT_HANDLER_SYSCALL: u32 = 20;
+
+/// Exit status of a program that executes a stray trap (`int3`, or `int n`
+/// with `n != 0x80`). The native runner also uses it when control escapes
+/// the machine's execution regions.
+pub const TRAP_EXIT_CODE: i32 = 0x2000;
 
 /// Cycle cost of delivering a fault to a guest handler (kernel entry +
 /// frame push + redirect). Charged identically in native, emulate, and
@@ -49,42 +78,49 @@ pub const MAX_FAULT_DELIVERIES: u32 = 1024;
 /// `STACK_TOP - tid * THREAD_STACK_SIZE`).
 pub const THREAD_STACK_SIZE: u32 = 0x0010_0000;
 
-/// Maximum threads per program (matching the RIO engine's thread-private
-/// cache partitioning, so native and translated runs agree on `spawn`
-/// failures).
+/// Maximum threads per program, the initial one included (the RIO engine's
+/// thread-private cache partitioning holds at least this many).
 pub const MAX_THREADS: u32 = 8;
 
-/// What a system call asks the scheduler to do next.
+/// What the OS decided about a machine exit it owns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyscallAction {
+pub enum OsEvent {
     /// Keep running the current thread.
     Continue,
-    /// The program has exited (all threads stop).
-    ExitProgram,
-    /// Spawn a new thread at the given entry pc; `%eax` of the caller has
-    /// been set to the new thread id.
-    Spawn {
-        /// Application entry point of the new thread.
-        entry: u32,
+    /// The program exited with this status (all threads stop).
+    Exited(i32),
+    /// A thread with this id was created and queued; it starts at its entry
+    /// pc on its first turn. The caller's `%eax` holds the id.
+    Spawned(usize),
+    /// The CPU now holds thread `to`'s state. Thread `from` was queued
+    /// behind the others (`yield`) or `retired` for good (`hlt`,
+    /// `thread_exit`). [`THREAD_SWITCH_COST`] has been charged.
+    Switched {
+        /// The thread that left the CPU.
+        from: usize,
+        /// The thread now on the CPU.
+        to: usize,
+        /// Whether `from` is done.
+        retired: bool,
     },
-    /// Cooperatively yield to the next runnable thread.
-    Yield,
-    /// The calling thread is done.
-    ThreadExit,
 }
 
-/// Simulated OS state: program output, exit status, and the registered
-/// guest fault handler.
+/// Simulated OS state: program output, the registered guest fault handler,
+/// and the cooperative run queue.
 #[derive(Clone, Debug, Default)]
 pub struct Os {
     /// Bytes written by the program (via `print_int` / `print_chr`).
     pub output: String,
-    /// Exit status once the program has called `exit` or halted.
-    pub exit_code: Option<i32>,
     /// Guest fault handler registered via `set_fault_handler` (syscall 20).
     pub fault_handler: Option<u32>,
     /// Faults delivered so far (bounded by [`MAX_FAULT_DELIVERIES`]).
     pub fault_deliveries: u32,
+    /// Id of the thread on the CPU.
+    cur: usize,
+    /// Threads spawned so far (the initial thread is id 0).
+    spawned: usize,
+    /// Threads waiting for their turn, in round-robin order.
+    run_queue: VecDeque<(usize, CpuState)>,
 }
 
 impl Os {
@@ -93,49 +129,35 @@ impl Os {
         Os::default()
     }
 
-    /// Handle the system call the machine just raised. Returns `true` if
-    /// execution should continue, `false` if the program exited.
-    ///
-    /// Thread calls report [`SyscallAction::ThreadExit`]-class actions via
-    /// [`Os::handle_syscall_threaded`]; through this single-threaded entry
-    /// point they are no-ops (`spawn` returns thread id 0 = failure).
-    pub fn handle_syscall(&mut self, m: &mut Machine) -> bool {
-        !matches!(
-            self.handle_syscall_threaded(m, 0),
-            SyscallAction::ExitProgram
-        )
+    /// Act on a machine exit. Returns `None` for exits the OS does not own
+    /// (faults, out-of-region control, code writes, fuel exhaustion).
+    #[inline]
+    pub fn handle(&mut self, m: &mut Machine, exit: CpuExit) -> Option<OsEvent> {
+        Some(match exit {
+            CpuExit::Halt => self.switch(m, true),
+            CpuExit::Syscall(SYSCALL_VECTOR) => self.syscall(m),
+            CpuExit::Syscall(_) | CpuExit::Breakpoint => OsEvent::Exited(TRAP_EXIT_CODE),
+            _ => return None,
+        })
     }
 
-    /// Handle the system call with thread semantics. `next_tid` is the id a
-    /// successful `spawn` will assign (0 reports failure to the caller).
-    pub fn handle_syscall_threaded(&mut self, m: &mut Machine, next_tid: u32) -> SyscallAction {
+    fn syscall(&mut self, m: &mut Machine) -> OsEvent {
         m.charge(SYSCALL_COST);
         match m.cpu.reg(Reg::Eax) {
-            1 => {
-                self.exit_code = Some(m.cpu.reg(Reg::Ebx) as i32);
-                SyscallAction::ExitProgram
-            }
+            1 => OsEvent::Exited(m.cpu.reg(Reg::Ebx) as i32),
             2 => {
                 use std::fmt::Write;
                 let v = m.cpu.reg(Reg::Ebx) as i32;
                 let _ = writeln!(self.output, "{v}");
-                SyscallAction::Continue
+                OsEvent::Continue
             }
             3 => {
                 self.output.push(m.cpu.reg(Reg::Bl) as u8 as char);
-                SyscallAction::Continue
+                OsEvent::Continue
             }
-            10 => {
-                let entry = m.cpu.reg(Reg::Ebx);
-                m.cpu.set_reg(Reg::Eax, next_tid);
-                if next_tid == 0 {
-                    SyscallAction::Continue
-                } else {
-                    SyscallAction::Spawn { entry }
-                }
-            }
-            11 => SyscallAction::Yield,
-            12 => SyscallAction::ThreadExit,
+            10 => self.spawn(m),
+            11 => self.switch(m, false),
+            12 => self.switch(m, true),
             SET_FAULT_HANDLER_SYSCALL => {
                 let new = m.cpu.reg(Reg::Ebx);
                 let old = self.fault_handler.take().unwrap_or(0);
@@ -143,73 +165,98 @@ impl Os {
                     self.fault_handler = Some(new);
                 }
                 m.cpu.set_reg(Reg::Eax, old);
-                SyscallAction::Continue
+                OsEvent::Continue
             }
-            other => {
-                // Unknown call: treat as exit with a distinctive status so
-                // bugs surface in tests.
-                self.exit_code = Some(0x1000 + other as i32);
-                SyscallAction::ExitProgram
-            }
+            other => OsEvent::Exited(0x1000 + other as i32),
         }
     }
 
-    /// Decide whether the next fault can be delivered to a guest handler,
-    /// consuming one delivery slot on success. Both the native runner and
-    /// the RIO engine route their decision through here so degradation
-    /// behavior (the [`MAX_FAULT_DELIVERIES`] cap) is identical.
-    pub fn take_delivery_target(&mut self) -> Option<u32> {
-        let handler = self.fault_handler?;
+    /// Create a thread at the entry pc in `%ebx` and queue it; `%eax`
+    /// receives its id, or 0 once [`MAX_THREADS`] exist.
+    fn spawn(&mut self, m: &mut Machine) -> OsEvent {
+        let tid = self.spawned + 1;
+        if tid >= MAX_THREADS as usize {
+            m.cpu.set_reg(Reg::Eax, 0);
+            return OsEvent::Continue;
+        }
+        self.spawned = tid;
+        let mut cpu = CpuState::new();
+        cpu.eip = m.cpu.reg(Reg::Ebx);
+        cpu.set_reg(
+            Reg::Esp,
+            Image::STACK_TOP - tid as u32 * THREAD_STACK_SIZE - 16,
+        );
+        self.run_queue.push_back((tid, cpu));
+        m.cpu.set_reg(Reg::Eax, tid as u32);
+        OsEvent::Spawned(tid)
+    }
+
+    /// Put the next queued thread on the CPU, queueing the current one
+    /// behind it or, if `retire`, dropping it. With no other thread, a
+    /// yield continues and a retirement ends the program with status 0.
+    fn switch(&mut self, m: &mut Machine, retire: bool) -> OsEvent {
+        let Some((to, cpu)) = self.run_queue.pop_front() else {
+            return if retire {
+                OsEvent::Exited(0)
+            } else {
+                OsEvent::Continue
+            };
+        };
+        let prev = std::mem::replace(&mut m.cpu, cpu);
+        let from = std::mem::replace(&mut self.cur, to);
+        if !retire {
+            self.run_queue.push_back((from, prev));
+        }
+        m.charge(THREAD_SWITCH_COST);
+        OsEvent::Switched {
+            from,
+            to,
+            retired: retire,
+        }
+    }
+
+    /// Deliver a fault at application pc `app_pc` to the registered guest
+    /// handler. Returns `false`, changing nothing, when no handler is
+    /// registered or [`MAX_FAULT_DELIVERIES`] have already been made.
+    ///
+    /// The frame, from deepest to top of stack, is `app_pc`, the fault code
+    /// ([`FaultKind::code`]), then the resume pc: the address after the
+    /// faulting instruction, or `app_pc` itself if it does not decode. After
+    /// a standard handler prologue (`push %ebp; mov %ebp, %esp`) the code
+    /// is at `8(%ebp)` and the faulting pc at `12(%ebp)`, and the handler's
+    /// `ret` skips the faulting instruction. All register state other than
+    /// `%esp`/`%eip` is the faulting instruction's (transparency: the
+    /// handler observes original state). [`FAULT_DELIVERY_COST`] is charged.
+    pub fn deliver_fault(&mut self, m: &mut Machine, kind: FaultKind, app_pc: u32) -> bool {
+        let Some(handler) = self.fault_handler else {
+            return false;
+        };
         if self.fault_deliveries >= MAX_FAULT_DELIVERIES {
-            return None;
+            return false;
         }
         self.fault_deliveries += 1;
-        Some(handler)
+        let mut buf = [0u8; 16];
+        m.mem.read_bytes(app_pc, &mut buf);
+        let resume_pc = match rio_ia32::decode_instr(&buf, app_pc) {
+            Ok((_, len)) => app_pc.wrapping_add(len),
+            Err(_) => app_pc,
+        };
+        let mut esp = m.cpu.reg(Reg::Esp);
+        for v in [app_pc, kind.code(), resume_pc] {
+            esp = esp.wrapping_sub(4);
+            m.mem.write_u32(esp, v);
+        }
+        m.cpu.set_reg(Reg::Esp, esp);
+        m.cpu.eip = handler;
+        m.charge(FAULT_DELIVERY_COST);
+        true
     }
-
-    /// Exit status for an unhandled fault of the given kind
-    /// (`128 + code`, mirroring the fatal-signal shell convention:
-    /// 129 divide error, 130 invalid opcode, 131 memory fault).
-    pub fn fault_exit_code(kind: FaultKind) -> i32 {
-        128 + kind.code() as i32
-    }
-}
-
-/// The pc at which a handler's `ret` resumes execution: the address after
-/// the faulting application instruction (skip-the-instruction semantics),
-/// or the faulting pc itself if it does not decode.
-pub fn resume_pc_after(m: &Machine, app_pc: u32) -> u32 {
-    let mut buf = [0u8; 16];
-    m.mem.read_bytes(app_pc, &mut buf);
-    match rio_ia32::decode_instr(&buf, app_pc) {
-        Ok((_, len)) => app_pc.wrapping_add(len),
-        Err(_) => app_pc,
-    }
-}
-
-/// Deliver a fault to a guest handler: push the fault frame and redirect.
-///
-/// The frame, from deepest to top of stack, is `app_pc`, the fault code
-/// ([`FaultKind::code`]), then `resume_pc` — so after a standard handler
-/// prologue (`push %ebp; mov %ebp, %esp`) the code is at `8(%ebp)` and the
-/// faulting pc at `12(%ebp)`, and the handler's `ret` resumes at
-/// `resume_pc`. All register state other than `%esp`/`%eip` is the faulting
-/// instruction's (transparency: the handler observes original state).
-pub fn deliver_fault(m: &mut Machine, handler: u32, kind: FaultKind, app_pc: u32, resume_pc: u32) {
-    let mut esp = m.cpu.reg(Reg::Esp);
-    for v in [app_pc, kind.code(), resume_pc] {
-        esp = esp.wrapping_sub(4);
-        m.mem.write_u32(esp, v);
-    }
-    m.cpu.set_reg(Reg::Esp, esp);
-    m.cpu.eip = handler;
-    m.charge(FAULT_DELIVERY_COST);
 }
 
 /// Result of running a program to completion.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Exit status (`exit` argument, or 0 for `hlt`).
+    /// Exit status (`exit` argument, or 0 once every thread has retired).
     pub exit_code: i32,
     /// Buffered program output.
     pub output: String,
@@ -254,86 +301,27 @@ pub fn run_native_guarded(
     kind: crate::perf::CpuKind,
     guards: Vec<ExecRegion>,
 ) -> RunResult {
-    use crate::cpu::CpuState;
-    use rio_ia32::Reg as R;
-
     let mut m = Machine::new(kind);
     m.load_image(image);
     m.set_guard_regions(guards);
     let mut os = Os::new();
-    // Cooperative threads: parked CPU states waiting for their turn.
-    let mut parked: std::collections::VecDeque<CpuState> = std::collections::VecDeque::new();
-    let mut next_tid: u32 = 1;
-    let spawn_tid = |next: u32| if next < MAX_THREADS { next } else { 0 };
-    /// Cost of an OS-level thread switch.
-    const THREAD_SWITCH_COST: u64 = 400;
-
-    'run: loop {
-        match m.run() {
-            CpuExit::Halt => {
-                // The current thread is done; resume another or finish.
-                match parked.pop_front() {
-                    Some(cpu) => {
-                        m.cpu = cpu;
-                        m.charge(THREAD_SWITCH_COST);
-                    }
-                    None => {
-                        os.exit_code.get_or_insert(0);
-                        break 'run;
-                    }
+    let exit_code = loop {
+        let exit = m.run();
+        match (os.handle(&mut m, exit), exit) {
+            (Some(OsEvent::Exited(code)), _) => break code,
+            (Some(_), _) => {}
+            (None, CpuExit::Fault { kind, pc, .. }) => {
+                if !os.deliver_fault(&mut m, kind, pc) {
+                    break kind.exit_code();
                 }
             }
-            CpuExit::Syscall(SYSCALL_VECTOR) => {
-                match os.handle_syscall_threaded(&mut m, spawn_tid(next_tid)) {
-                    SyscallAction::Continue => {}
-                    SyscallAction::ExitProgram => break 'run,
-                    SyscallAction::Spawn { entry } => {
-                        let mut cpu = CpuState::new();
-                        cpu.eip = entry;
-                        cpu.set_reg(R::Esp, Image::STACK_TOP - next_tid * THREAD_STACK_SIZE - 16);
-                        parked.push_back(cpu);
-                        next_tid += 1;
-                    }
-                    SyscallAction::Yield => {
-                        if let Some(next) = parked.pop_front() {
-                            let prev = std::mem::replace(&mut m.cpu, next);
-                            parked.push_back(prev);
-                            m.charge(THREAD_SWITCH_COST);
-                        }
-                    }
-                    SyscallAction::ThreadExit => match parked.pop_front() {
-                        Some(cpu) => {
-                            m.cpu = cpu;
-                            m.charge(THREAD_SWITCH_COST);
-                        }
-                        None => {
-                            os.exit_code.get_or_insert(0);
-                            break 'run;
-                        }
-                    },
-                }
-            }
-            CpuExit::Fault { kind, pc, addr: _ } => match os.take_delivery_target() {
-                Some(handler) => {
-                    let resume = resume_pc_after(&m, pc);
-                    deliver_fault(&mut m, handler, kind, pc, resume);
-                }
-                None => {
-                    os.exit_code = Some(Os::fault_exit_code(kind));
-                    break 'run;
-                }
-            },
-            other => {
-                // Breakpoint / runaway control flow in a workload program:
-                // finish with a distinctive status instead of panicking.
-                let _ = other;
-                os.exit_code = Some(0x2000);
-                break 'run;
-            }
+            // Control escaped the machine: finish with a distinctive
+            // status instead of panicking.
+            (None, _) => break TRAP_EXIT_CODE,
         }
-    }
+    };
     RunResult {
-        exit_code: os.exit_code.unwrap_or(0),
+        exit_code,
         output: os.output,
         counters: m.counters,
         state_digest: m.app_state_digest(image),
@@ -399,6 +387,18 @@ mod tests {
         });
         let r = run_native(&img, CpuKind::Pentium4);
         assert_eq!(r.exit_code, 0x1000 + 99);
+    }
+
+    #[test]
+    fn stray_traps_end_the_program() {
+        for trap in [create::int3(), create::int(0x21)] {
+            let img = program(|il| {
+                il.push_back(trap);
+                il.push_back(create::hlt());
+            });
+            let r = run_native(&img, CpuKind::Pentium4);
+            assert_eq!(r.exit_code, TRAP_EXIT_CODE);
+        }
     }
 
     #[test]

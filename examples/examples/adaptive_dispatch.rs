@@ -4,7 +4,6 @@
 //! targets with flag-free compares before falling back to the hashtable
 //! lookup.
 
-use rio_bench::run_config;
 use rio_clients::{ClientKind, IbDispatch};
 use rio_core::{Options, Rio};
 use rio_sim::{run_native, CpuKind};
@@ -16,10 +15,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = compile(&b.source)?;
     let native = run_native(&image, CpuKind::Pentium4);
 
-    let base = run_config(&image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
+    let base = Rio::new(
+        &image,
+        Options::full(),
+        CpuKind::Pentium4,
+        ClientKind::Null.build(),
+    )
+    .run();
     println!(
         "base RIO:       {:.3}x native, {} hashtable lookups",
-        base.cycles as f64 / native.counters.cycles as f64,
+        base.counters.cycles as f64 / native.counters.cycles as f64,
         base.stats.ib_lookups
     );
 

@@ -2,7 +2,6 @@
 //! traces end one block after a return, and inlined return checks are
 //! removed entirely under the calling-convention assumption.
 
-use rio_bench::run_config;
 use rio_clients::{CTrace, ClientKind};
 use rio_core::{Options, Rio};
 use rio_sim::{run_native, CpuKind};
@@ -14,10 +13,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = compile(&b.source)?;
     let native = run_native(&image, CpuKind::Pentium4);
 
-    let base = run_config(&image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
+    let base = Rio::new(
+        &image,
+        Options::full(),
+        CpuKind::Pentium4,
+        ClientKind::Null.build(),
+    )
+    .run();
     println!(
         "standard traces: {:.3}x native, {} ib lookups",
-        base.cycles as f64 / native.counters.cycles as f64,
+        base.counters.cycles as f64 / native.counters.cycles as f64,
         base.stats.ib_lookups
     );
 

@@ -39,6 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let native = run_native(&image, CpuKind::Pentium4);
+    // Emulation schedules threads through the same simulated OS.
+    let emulated = Rio::new(&image, Options::emulation(), CpuKind::Pentium4, NullClient).run();
+    assert_eq!(emulated.exit_code, native.exit_code);
+    assert_eq!(emulated.app_output, native.output);
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
     let r = rio.run();
     assert_eq!(r.exit_code, native.exit_code);

@@ -4,7 +4,7 @@
 //! suite over any number of worker threads must yield identical
 //! [`Counters`](rio_sim::perf::Counters) and [`Stats`](rio_core::Stats).
 
-use rio_bench::{run_config, run_parallel};
+use rio_bench::run_parallel;
 use rio_clients::ClientKind;
 use rio_core::{NullClient, Options, Rio, StepBudget, StepOutcome};
 use rio_sim::CpuKind;
@@ -58,13 +58,14 @@ fn parallel_runner_is_job_count_invariant() {
         .collect();
     let run = |jobs: usize| {
         run_parallel(&benches, jobs, |_, (_, image)| {
-            let r = run_config(
+            let r = Rio::new(
                 image,
                 Options::full(),
                 CpuKind::Pentium4,
-                ClientKind::Combined,
-            );
-            (r.cycles, r.instructions, r.exit_code, r.stats)
+                ClientKind::Combined.build(),
+            )
+            .run();
+            (r.counters, r.exit_code, r.stats)
         })
     };
     let serial = run(1);
@@ -90,16 +91,16 @@ fn bounded_cache_fifo_eviction_is_job_count_invariant() {
     opts.cache_limit = Some(4096);
     let run = |jobs: usize| {
         run_parallel(&benches, jobs, |_, (_, image)| {
-            let r = run_config(image, opts, CpuKind::Pentium4, ClientKind::Combined);
-            (r.cycles, r.instructions, r.exit_code, r.stats)
+            let r = Rio::new(image, opts, CpuKind::Pentium4, ClientKind::Combined.build()).run();
+            (r.counters, r.exit_code, r.stats)
         })
     };
     let serial = run(1);
     assert!(
-        serial.iter().any(|(_, _, _, s)| s.evictions > 0),
+        serial.iter().any(|(_, _, s)| s.evictions > 0),
         "limit never forced an eviction"
     );
-    assert!(serial.iter().all(|(_, _, _, s)| s.cache_flushes == 0));
+    assert!(serial.iter().all(|(_, _, s)| s.cache_flushes == 0));
     for jobs in [2, 4] {
         assert_eq!(run(jobs), serial, "jobs={jobs} changed eviction behavior");
     }

@@ -5,7 +5,7 @@
 use rio_core::{NullClient, Options, Rio};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opnd, Reg, Target};
-use rio_sim::{run_native, CpuKind, Image};
+use rio_sim::{run_native, CpuKind, Image, TRAP_EXIT_CODE};
 
 fn image(build: impl FnOnce(&mut InstrList)) -> Image {
     let mut il = InstrList::new();
@@ -23,7 +23,7 @@ fn exit_with(il: &mut InstrList, reg: Reg) {
 
 fn assert_equivalent(img: &Image) {
     let native = run_native(img, CpuKind::Pentium4);
-    for opts in [Options::cache_only(), Options::full()] {
+    for opts in [Options::emulation(), Options::cache_only(), Options::full()] {
         let mut rio = Rio::new(img, opts, CpuKind::Pentium4, NullClient);
         let r = rio.run();
         assert_eq!(r.exit_code, native.exit_code, "opts {opts:?}");
@@ -202,5 +202,66 @@ fn indirect_jump_with_changing_targets_in_traces() {
          }",
     )
     .unwrap();
+    assert_equivalent(&img);
+}
+
+/// Print `!`, then execute `trap`: a stray trap ends the program with the
+/// same status natively and in every engine mode.
+fn trap_image(trap: rio_ia32::Instr) -> Image {
+    image(|il| {
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(3)));
+        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(b'!' as i32)));
+        il.push_back(create::int(0x80));
+        il.push_back(trap);
+        exit_with(il, Reg::Ebx);
+    })
+}
+
+#[test]
+fn int3_exits_like_native() {
+    let img = trap_image(create::int3());
+    let native = run_native(&img, CpuKind::Pentium4);
+    assert_eq!(native.exit_code, TRAP_EXIT_CODE);
+    assert_eq!(native.output, "!");
+    assert_equivalent(&img);
+}
+
+#[test]
+fn stray_interrupt_vector_exits_like_native() {
+    let img = trap_image(create::int(0x21));
+    let native = run_native(&img, CpuKind::Pentium4);
+    assert_eq!(native.exit_code, TRAP_EXIT_CODE);
+    assert_equivalent(&img);
+}
+
+#[test]
+fn undecodable_jump_target_is_delivered_to_the_handler() {
+    // The block at the jump target cannot be built, so the engine raises
+    // the invalid-opcode fault at dispatch; the handler must run next, as
+    // it does natively.
+    let build = |handler: u32| {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(
+            Opnd::reg(Reg::Ebx),
+            Opnd::imm32(handler as i32),
+        ));
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(20)));
+        il.push_back(create::int(0x80));
+        let jmp = il.push_back(create::jmp(Target::Pc(0)));
+        let entry = il.push_back(create::label());
+        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(77)));
+        exit_with(&mut il, Reg::Ebx);
+        let garbage = il.push_back(create::label());
+        il.get_mut(jmp).set_target(Target::Instr(garbage));
+        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
+        let handler = Image::CODE_BASE + enc.offset_of(entry).unwrap();
+        let mut code = enc.bytes;
+        code.extend_from_slice(&[0xFF; 8]);
+        (handler, Image::from_code(code))
+    };
+    let (handler, _) = build(0);
+    let (_, img) = build(handler);
+    let native = run_native(&img, CpuKind::Pentium4);
+    assert_eq!(native.exit_code, 77);
     assert_equivalent(&img);
 }

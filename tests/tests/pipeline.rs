@@ -2,9 +2,8 @@
 //! ways — a Rust-side reference evaluator, the native simulator, and the
 //! full RIO engine with all optimizations — must agree exactly.
 
-use rio_bench::run_config;
 use rio_clients::ClientKind;
-use rio_core::Options;
+use rio_core::{Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_tests::Rng;
 use rio_workloads::compile;
@@ -157,17 +156,18 @@ fn random_programs_agree_three_ways() {
             "case {case}: native vs reference\n{src}"
         );
 
-        let r = run_config(
+        let r = Rio::new(
             &image,
             Options::full(),
             CpuKind::Pentium4,
-            ClientKind::Combined,
-        );
+            ClientKind::Combined.build(),
+        )
+        .run();
         assert_eq!(
             r.exit_code, expected,
             "case {case}: RIO vs reference\n{src}"
         );
-        assert_eq!(r.output, native.output, "case {case}");
+        assert_eq!(r.app_output, native.output, "case {case}");
     }
 }
 
@@ -189,7 +189,13 @@ fn final_machine_state_matches() {
         );
         let image = compile(&src).expect("compiles");
         let native = run_native(&image, CpuKind::Pentium4);
-        let r = run_config(&image, Options::full(), CpuKind::Pentium4, ClientKind::Null);
+        let r = Rio::new(
+            &image,
+            Options::full(),
+            CpuKind::Pentium4,
+            ClientKind::Null.build(),
+        )
+        .run();
         assert_eq!(r.exit_code, native.exit_code, "seed {seed}");
     }
 }

@@ -1,10 +1,51 @@
 //! Multi-threaded applications: thread-private code caches (paper §2),
 //! per-thread hooks, and native/RIO equivalence under cooperative threads.
 
-use rio_core::{Client, Core, NullClient, Options, Rio};
+use rio_core::{Client, Core, NullClient, Options, Rio, RioRunResult, StepBudget, StepOutcome};
 use rio_ia32::InstrList;
-use rio_sim::{run_native, CpuKind};
+use rio_sim::{run_native, CpuKind, Image};
 use rio_workloads::compile;
+
+/// The five Table 1 configurations, emulation first.
+fn table1_rows() -> [Options; 5] {
+    [
+        Options::emulation(),
+        Options::cache_only(),
+        Options::with_direct_links(),
+        Options::with_indirect_links(),
+        Options::full(),
+    ]
+}
+
+/// Run `image` under the engine with an instruction budget far above what
+/// the test programs need, so a scheduling bug fails instead of hanging.
+fn run_bounded<C: Client>(image: &Image, opts: Options, client: C) -> (Rio<C>, RioRunResult) {
+    let mut rio = Rio::new(image, opts, CpuKind::Pentium4, client);
+    match rio.step(StepBudget::instructions(1_000_000)) {
+        StepOutcome::Exited(code) => {
+            let r = rio.result_snapshot(code);
+            (rio, r)
+        }
+        other => panic!("{opts:?}: program did not exit: {other:?}"),
+    }
+}
+
+/// Records the thread each `thread_init` / `thread_exit` hook fired for.
+#[derive(Default)]
+struct Hooks {
+    inits: Vec<usize>,
+    exits: Vec<usize>,
+}
+
+impl Client for Hooks {
+    fn thread_init(&mut self, core: &mut Core) {
+        self.inits.push(core.current_thread());
+    }
+    fn thread_exit(&mut self, core: &mut Core) {
+        self.exits.push(core.current_thread());
+    }
+    fn basic_block(&mut self, _c: &mut Core, _t: u32, _bb: &mut InstrList) {}
+}
 
 /// Two workers and the main thread cooperatively appending to the output.
 const THREADED_SRC: &str = "
@@ -43,12 +84,14 @@ fn threads_run_identically_native_and_under_rio() {
     assert!(native.output.starts_with("MABMAB"), "{:?}", native.output);
     assert!(native.output.contains("12\n")); // spawn returned tids 1 and 2
 
-    for opts in [Options::with_indirect_links(), Options::full()] {
-        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
-        assert_eq!(r.app_output, native.output, "interleaving must match");
-        assert_eq!(r.stats.threads_spawned, 2);
+    for opts in table1_rows() {
+        let (_, r) = run_bounded(&image, opts, NullClient);
+        assert_eq!(r.exit_code, native.exit_code, "{opts:?}");
+        assert_eq!(
+            r.app_output, native.output,
+            "interleaving must match: {opts:?}"
+        );
+        assert_eq!(r.stats.threads_spawned, 2, "{opts:?}");
     }
 }
 
@@ -112,26 +155,32 @@ fn caches_are_thread_private() {
 
 #[test]
 fn thread_hooks_fire_per_thread() {
-    #[derive(Default)]
-    struct Hooks {
-        inits: u32,
-        exits: u32,
-    }
-    impl Client for Hooks {
-        fn thread_init(&mut self, _core: &mut Core) {
-            self.inits += 1;
-        }
-        fn thread_exit(&mut self, _core: &mut Core) {
-            self.exits += 1;
-        }
-        fn basic_block(&mut self, _c: &mut Core, _t: u32, _bb: &mut InstrList) {}
-    }
     let image = compile(THREADED_SRC).expect("compiles");
-    let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, Hooks::default());
-    let r = rio.run();
-    assert_eq!(r.exit_code, 2);
-    assert_eq!(rio.client.inits, 3, "main + two spawned threads");
-    assert_eq!(rio.client.exits, 3);
+    for opts in [Options::emulation(), Options::full()] {
+        let (rio, r) = run_bounded(&image, opts, Hooks::default());
+        assert_eq!(r.exit_code, 2, "{opts:?}");
+        assert_eq!(rio.client.inits, [0, 1, 2], "main + two spawned threads");
+        // The workers retire first; main's hook fires at program exit.
+        assert_eq!(rio.client.exits, [1, 2, 0], "{opts:?}");
+    }
+}
+
+#[test]
+fn thread_exit_fires_once_for_a_retired_main_thread() {
+    // main retires before its worker, which then ends the program.
+    let src = "
+        fn w() { printc(87); texit(); return 0; }
+        fn main() { spawn(&w); printc(77); texit(); return 9; }
+    ";
+    let image = compile(src).expect("compiles");
+    let native = run_native(&image, CpuKind::Pentium4);
+    assert_eq!((native.exit_code, native.output.as_str()), (0, "MW"));
+    for opts in table1_rows() {
+        let (rio, r) = run_bounded(&image, opts, Hooks::default());
+        assert_eq!(r.exit_code, native.exit_code, "{opts:?}");
+        assert_eq!(r.app_output, native.output, "{opts:?}");
+        assert_eq!(rio.client.exits, [0, 1], "{opts:?}");
+    }
 }
 
 #[test]
