@@ -33,7 +33,9 @@ const FETCH: usize = 16;
 /// Decode the basic block starting at `tag` from application memory.
 ///
 /// The block extends to (and includes) the first control-transfer
-/// instruction or `hlt`, or is split after `max_instrs` instructions.
+/// instruction or `hlt`, or is split after `max_instrs` instructions, or
+/// ends just before the first undecodable instruction after at least one
+/// valid one (control then falls through to it, where it faults).
 ///
 /// With `full_decode` every instruction is decoded to Level 3 (a client will
 /// inspect the block); otherwise the non-CTI prefix is kept as a Level 0
@@ -41,8 +43,8 @@ const FETCH: usize = 16;
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] if invalid code is reached — the application
-/// jumped somewhere bogus.
+/// Returns [`DecodeError`] if the instruction at `tag` itself is invalid —
+/// the application jumped somewhere bogus.
 pub fn decode_bb(
     mem: &Memory,
     tag: u32,
@@ -67,53 +69,64 @@ pub fn decode_bb(
 
     loop {
         mem.read_bytes(pc, &mut buf);
-        let (opcode, len) = decode_opcode(&buf)?;
-        // System calls end blocks (as in real DynamoRIO): the program may
-        // exit mid-syscall, so nothing after one is guaranteed to execute.
-        let is_terminator = opcode.is_cti()
-            || opcode.is_halt()
-            || matches!(opcode, rio_ia32::Opcode::Int | rio_ia32::Opcode::Int3);
+        let decoded = decode_opcode(&buf).and_then(|(opcode, len)| {
+            // System calls end blocks (as in real DynamoRIO): the program
+            // may exit mid-syscall, so nothing after one is guaranteed to
+            // execute.
+            let is_terminator = opcode.is_cti()
+                || opcode.is_halt()
+                || matches!(opcode, rio_ia32::Opcode::Int | rio_ia32::Opcode::Int3);
+            // The block-ending instruction is always fully decoded (Level 3).
+            let instr = if is_terminator || full_decode {
+                let (instr, ilen) = decode_instr(&buf, pc)?;
+                debug_assert_eq!(ilen, len);
+                Some(instr)
+            } else {
+                None
+            };
+            Ok((len, is_terminator, instr))
+        });
+        let (len, is_terminator, instr) = match decoded {
+            Ok(d) => d,
+            // Undecodable bytes after a valid prefix end the block before
+            // them, like a `max_instrs` split: the prefix runs, and the
+            // fault is raised when control falls through to those bytes.
+            Err(_) if count > 0 => break,
+            Err(e) => return Err(e),
+        };
         count += 1;
-
-        if is_terminator {
-            // Fully decode the block-ending instruction (Level 3).
-            flush_bundle(
-                &mut il,
-                &mut bundle,
-                bundle_start,
-                bundle_last_off,
-                bundle_count,
-            );
-            let (instr, ilen) = decode_instr(&buf, pc)?;
-            debug_assert_eq!(ilen, len);
-            il.push_back(instr);
-            pc = pc.wrapping_add(len);
-            break;
-        }
-
-        if full_decode {
-            let (instr, _) = decode_instr(&buf, pc)?;
-            il.push_back(instr);
-        } else {
-            if bundle.is_empty() {
-                bundle_start = pc;
+        match instr {
+            Some(instr) => {
+                flush_bundle(
+                    &mut il,
+                    &mut bundle,
+                    bundle_start,
+                    bundle_last_off,
+                    bundle_count,
+                );
+                il.push_back(instr);
             }
-            bundle_last_off = bundle.len() as u32;
-            bundle.extend_from_slice(&buf[..len as usize]);
-            bundle_count += 1;
+            None => {
+                if bundle.is_empty() {
+                    bundle_start = pc;
+                }
+                bundle_last_off = bundle.len() as u32;
+                bundle.extend_from_slice(&buf[..len as usize]);
+                bundle_count += 1;
+            }
         }
         pc = pc.wrapping_add(len);
-        if count >= max_instrs {
-            flush_bundle(
-                &mut il,
-                &mut bundle,
-                bundle_start,
-                bundle_last_off,
-                bundle_count,
-            );
+        if is_terminator || count >= max_instrs {
             break;
         }
     }
+    flush_bundle(
+        &mut il,
+        &mut bundle,
+        bundle_start,
+        bundle_last_off,
+        bundle_count,
+    );
 
     let terminator = crate::mangle::classify_terminator(&il);
     Ok(BuiltBlock {
@@ -218,5 +231,19 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_bytes(Image::CODE_BASE, &[0xD7]); // unsupported xlat
         assert!(decode_bb(&mem, Image::CODE_BASE, true, 64).is_err());
+    }
+
+    #[test]
+    fn invalid_code_after_a_valid_prefix_ends_the_block_before_it() {
+        // `inc %eax; inc %ecx; <xlat>; ret`: both decode strategies stop
+        // before the bad byte and fall through to it.
+        let mut mem = Memory::new();
+        mem.write_bytes(Image::CODE_BASE, &[0x40, 0x41, 0xD7, 0xC3]);
+        for full in [true, false] {
+            let bb = decode_bb(&mem, Image::CODE_BASE, full, 64).unwrap();
+            assert_eq!(bb.num_instrs, 2);
+            assert_eq!(bb.end_pc, Image::CODE_BASE + 2);
+            assert_eq!(bb.terminator, Terminator::FallThrough);
+        }
     }
 }

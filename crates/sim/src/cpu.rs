@@ -65,6 +65,19 @@ impl CpuState {
         }
     }
 
+    /// The 32-bit register with register-file index `i` (`Reg::number`
+    /// order); the index is taken modulo 8.
+    #[inline]
+    pub(crate) fn gpr(&self, i: u8) -> u32 {
+        self.regs[usize::from(i & 7)]
+    }
+
+    /// Write the whole 32-bit register with register-file index `i`.
+    #[inline]
+    pub(crate) fn set_gpr(&mut self, i: u8, v: u32) {
+        self.regs[usize::from(i & 7)] = v;
+    }
+
     /// Whether a condition code holds under the current flags.
     pub fn cc_holds(&self, cc: Cc) -> bool {
         let f = |m: Eflags| self.eflags & m.0 != 0;

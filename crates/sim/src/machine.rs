@@ -22,8 +22,29 @@
 //!
 //! [`Machine::decode_cache_stats`] reports hits, misses and invalidations
 //! for profiling; they never reach [`Counters`].
+//!
+//! A cached decode is ready to execute, so a step re-derives nothing that is
+//! fixed once the bytes are decoded:
+//!
+//! * operands are bound at decode time: a register operand is a
+//!   register-file index plus a view (32-bit, 16-bit, low or high byte), and
+//!   a memory operand is `{base, index, scale, disp, size}` with register
+//!   indices;
+//! * the instruction shapes that dominate the dynamic mix (`mov` between
+//!   registers, memory and immediates, `push`/`pop` of a register, `add`,
+//!   `sub`, `and`, `xor`, `cmp`, `test` on registers, `movzx` and `setcc`
+//!   on registers, `inc` of memory, and the transfers `jcc`, `jmp`,
+//!   `call`, `call *r32` and `ret`) each get one executor, chosen
+//!   once at decode time; every other shape runs the generic operand-list
+//!   interpreter. All executors share the generic order of effects (guards
+//!   before any change, each store noted before it is written, the step
+//!   accounted before a watched-store exit), so the simulated counters do
+//!   not depend on which executor ran;
+//! * [`Machine::run_steps`] lends the exec regions and the decode slab out
+//!   of the machine for the whole call, since no step can change the
+//!   regions or move a slab entry.
 
-use rio_ia32::{decode_instr, Instr, MemRef, OpSize, Opcode, Opnd, Reg};
+use rio_ia32::{decode_instr, Cc, Eflags, Instr, MemRef, OpSize, Opcode, Opnd, Reg};
 
 use crate::cpu::{
     alu_add, alu_logic, alu_sar, alu_shl, alu_shr, alu_sub, CpuExit, CpuState, FaultKind,
@@ -53,12 +74,98 @@ impl ExecRegion {
     }
 }
 
+/// Register-file index of the registers the interpreter names implicitly.
+const EAX: u8 = 0;
+const ECX: u8 = 1;
+const EDX: u8 = 2;
+const ESP: u8 = 4;
+/// `MemOp` base or index slot that holds no register.
+const NO_REG: u8 = 8;
+
+/// The part of a 32-bit register a register operand names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum View {
+    R32,
+    R16,
+    Low8,
+    High8,
+}
+
+/// A register operand bound at decode time: the register-file index of the
+/// backing 32-bit register and the view of it the operand names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RegOp {
+    idx: u8,
+    view: View,
+}
+
+/// `%ah`, which `lahf`/`sahf` name implicitly.
+const AH: RegOp = RegOp {
+    idx: EAX,
+    view: View::High8,
+};
+
+impl RegOp {
+    fn bind(r: Reg) -> RegOp {
+        let view = match r.size() {
+            OpSize::S32 => View::R32,
+            OpSize::S16 => View::R16,
+            // 8-bit numbers 4..7 are %ah..%bh.
+            OpSize::S8 if r.number() >= 4 => View::High8,
+            OpSize::S8 => View::Low8,
+        };
+        RegOp {
+            idx: r.parent32().number(),
+            view,
+        }
+    }
+
+    /// The register-file index, if the operand names a whole 32-bit register.
+    fn r32(self) -> Option<u8> {
+        (self.view == View::R32).then_some(self.idx)
+    }
+
+    fn size(self) -> OpSize {
+        match self.view {
+            View::R32 => OpSize::S32,
+            View::R16 => OpSize::S16,
+            View::Low8 | View::High8 => OpSize::S8,
+        }
+    }
+}
+
+/// A memory operand bound at decode time: `disp(base, index, scale)` with
+/// register-file indices ([`NO_REG`] when absent). The decoder only forms
+/// addresses from 32-bit registers.
+#[derive(Clone, Copy, Debug)]
+struct MemOp {
+    base: u8,
+    index: u8,
+    scale: u8,
+    size: OpSize,
+    disp: i32,
+}
+
+impl MemOp {
+    fn bind(m: &MemRef) -> MemOp {
+        let idx = |r: Option<Reg>| r.map_or(NO_REG, |r| r.parent32().number());
+        MemOp {
+            base: idx(m.base),
+            index: idx(m.index),
+            scale: m.scale,
+            size: m.size,
+            disp: m.disp,
+        }
+    }
+}
+
 /// Compact executable form of one decoded instruction.
 #[derive(Clone, Copy, Debug)]
 struct Lowered {
     op: Opcode,
-    len: u32,
+    len: u8,
     ndst: u8,
+    shape: Shape,
     srcs: [LOpnd; 4],
     dsts: [LOpnd; 4],
 }
@@ -66,18 +173,18 @@ struct Lowered {
 #[derive(Clone, Copy, Debug)]
 enum LOpnd {
     None,
-    Reg(Reg),
+    Reg(RegOp),
     Imm(i32, OpSize),
-    Mem(MemRef),
+    Mem(MemOp),
     Pc(u32),
 }
 
 impl LOpnd {
     fn from_opnd(op: &Opnd) -> LOpnd {
         match op {
-            Opnd::Reg(r) => LOpnd::Reg(*r),
+            Opnd::Reg(r) => LOpnd::Reg(RegOp::bind(*r)),
             Opnd::Imm(v, s) => LOpnd::Imm(*v, *s),
-            Opnd::Mem(m) => LOpnd::Mem(*m),
+            Opnd::Mem(m) => LOpnd::Mem(MemOp::bind(m)),
             Opnd::Pc(pc) => LOpnd::Pc(*pc),
             Opnd::Instr(_) => LOpnd::None, // labels never reach execution
         }
@@ -91,23 +198,156 @@ impl LOpnd {
             _ => OpSize::S32,
         }
     }
+
+    /// The register-file index, if the operand is a whole 32-bit register.
+    fn r32(&self) -> Option<u8> {
+        match self {
+            LOpnd::Reg(r) => r.r32(),
+            _ => None,
+        }
+    }
+
+    /// The bound memory operand, if it is a 32-bit access.
+    fn m32(&self) -> Option<MemOp> {
+        match self {
+            LOpnd::Mem(m) if m.size == OpSize::S32 => Some(*m),
+            _ => None,
+        }
+    }
+}
+
+/// The executor of one instruction, chosen once at decode time. Each
+/// variant is one (opcode, operand shape) pair that is hot in the suite's
+/// dynamic mix, with its operands already bound; every other instruction
+/// runs the generic operand-list interpreter. Register fields are
+/// register-file indices of whole 32-bit registers.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Generic,
+    /// `mov r32, r32` (dst, src).
+    MovRR(u8, u8),
+    /// `mov r32, imm`.
+    MovRI(u8, u32),
+    /// `mov r32, m32`.
+    MovRM(u8, MemOp),
+    /// `mov m32, r32`.
+    MovMR(MemOp, u8),
+    /// `push r32`.
+    Push(u8),
+    /// `pop r32`.
+    Pop(u8),
+    /// `add r32, r32` (dst, src).
+    AddRR(u8, u8),
+    /// `add r32, imm`.
+    AddRI(u8, u32),
+    /// `sub r32, r32` (dst, src).
+    SubRR(u8, u8),
+    /// `sub r32, imm`.
+    SubRI(u8, u32),
+    /// `and r32, r32` (dst, src).
+    AndRR(u8, u8),
+    /// `and r32, imm`.
+    AndRI(u8, u32),
+    /// `xor r32, r32` (dst, src).
+    XorRR(u8, u8),
+    /// `xor r32, imm`.
+    XorRI(u8, u32),
+    /// `cmp r32, r32`.
+    CmpRR(u8, u8),
+    /// `test r32, r32`.
+    TestRR(u8, u8),
+    /// `j<cc> target`.
+    Jcc(Cc, u32),
+    /// `jmp target`.
+    Jmp(u32),
+    /// `call target`.
+    Call(u32),
+    /// `call *r32`.
+    CallIndR(u8),
+    /// `ret` without an immediate.
+    Ret,
+    /// `movzx r32, r8/r16`.
+    MovzxR(u8, RegOp),
+    /// `set<cc> r8`.
+    SetR(Cc, RegOp),
+    /// `inc m32`.
+    IncM(MemOp),
+}
+
+impl Shape {
+    fn of(op: Opcode, srcs: &[LOpnd; 4], dsts: &[LOpnd; 4]) -> Shape {
+        let (s0, s1, d0) = (&srcs[0], &srcs[1], &dsts[0]);
+        let (imm, pc) = match *s0 {
+            LOpnd::Imm(v, _) => (Some(v as u32), None),
+            LOpnd::Pc(t) => (None, Some(t)),
+            _ => (None, None),
+        };
+        // (src, dst) register pairs and (imm, dst) pairs of whole registers.
+        let rr = s0.r32().zip(d0.r32());
+        let ri = imm.zip(d0.r32());
+        match op {
+            Opcode::Mov => match (rr, ri, s0.m32().zip(d0.r32()), s0.r32().zip(d0.m32())) {
+                (Some((s, d)), ..) => Shape::MovRR(d, s),
+                (_, Some((v, d)), ..) => Shape::MovRI(d, v),
+                (_, _, Some((m, d)), _) => Shape::MovRM(d, m),
+                (.., Some((s, m))) => Shape::MovMR(m, s),
+                _ => Shape::Generic,
+            },
+            Opcode::Push => s0.r32().map_or(Shape::Generic, Shape::Push),
+            Opcode::Pop => d0.r32().map_or(Shape::Generic, Shape::Pop),
+            Opcode::Add | Opcode::Sub | Opcode::And | Opcode::Xor => match (op, rr, ri) {
+                (Opcode::Add, Some((s, d)), _) => Shape::AddRR(d, s),
+                (Opcode::Add, _, Some((v, d))) => Shape::AddRI(d, v),
+                (Opcode::Sub, Some((s, d)), _) => Shape::SubRR(d, s),
+                (Opcode::Sub, _, Some((v, d))) => Shape::SubRI(d, v),
+                (Opcode::And, Some((s, d)), _) => Shape::AndRR(d, s),
+                (Opcode::And, _, Some((v, d))) => Shape::AndRI(d, v),
+                (Opcode::Xor, Some((s, d)), _) => Shape::XorRR(d, s),
+                (Opcode::Xor, _, Some((v, d))) => Shape::XorRI(d, v),
+                _ => Shape::Generic,
+            },
+            Opcode::Cmp | Opcode::Test => match (op, s0.r32().zip(s1.r32())) {
+                (Opcode::Cmp, Some((a, b))) => Shape::CmpRR(a, b),
+                (_, Some((a, b))) => Shape::TestRR(a, b),
+                _ => Shape::Generic,
+            },
+            Opcode::Jcc(cc) => pc.map_or(Shape::Generic, |t| Shape::Jcc(cc, t)),
+            Opcode::Jmp => pc.map_or(Shape::Generic, Shape::Jmp),
+            Opcode::Call => pc.map_or(Shape::Generic, Shape::Call),
+            Opcode::CallInd => s0.r32().map_or(Shape::Generic, Shape::CallIndR),
+            Opcode::Ret if imm.is_none() => Shape::Ret,
+            Opcode::Movzx => match (*s0, d0.r32()) {
+                (LOpnd::Reg(s), Some(d)) => Shape::MovzxR(d, s),
+                _ => Shape::Generic,
+            },
+            Opcode::Set(cc) => match *d0 {
+                LOpnd::Reg(d) => Shape::SetR(cc, d),
+                _ => Shape::Generic,
+            },
+            Opcode::Inc => d0.m32().map_or(Shape::Generic, Shape::IncM),
+            _ => Shape::Generic,
+        }
+    }
 }
 
 fn lower(instr: &Instr, len: u32) -> Lowered {
-    let mut l = Lowered {
-        op: instr.opcode().expect("lower requires decoded instr"),
-        len,
+    let mut srcs = [LOpnd::None; 4];
+    let mut dsts = [LOpnd::None; 4];
+    for (slot, s) in srcs.iter_mut().zip(instr.srcs()) {
+        *slot = LOpnd::from_opnd(s);
+    }
+    for (slot, d) in dsts.iter_mut().zip(instr.dsts()) {
+        *slot = LOpnd::from_opnd(d);
+    }
+    let op = instr.opcode().expect("lower requires decoded instr");
+    Lowered {
+        op,
+        len: len as u8, // at most MAX_INSTR_BYTES
         ndst: instr.dsts().len().min(4) as u8,
-        srcs: [LOpnd::None; 4],
-        dsts: [LOpnd::None; 4],
-    };
-    for (i, s) in instr.srcs().iter().take(4).enumerate() {
-        l.srcs[i] = LOpnd::from_opnd(s);
+        shape: Shape::of(op, &srcs, &dsts),
+        srcs,
+        dsts,
     }
-    for (i, d) in instr.dsts().iter().take(4).enumerate() {
-        l.dsts[i] = LOpnd::from_opnd(d);
-    }
-    l
 }
 
 const DCACHE_BITS: usize = 15;
@@ -494,10 +734,6 @@ impl Machine {
         self.dcache.stats
     }
 
-    fn in_region(&self, pc: u32) -> bool {
-        self.regions.iter().any(|r| r.contains(pc))
-    }
-
     /// Run until an exit condition with a default fuel of 2^44 steps.
     pub fn run(&mut self) -> CpuExit {
         self.run_steps(1 << 44)
@@ -505,21 +741,43 @@ impl Machine {
 
     /// Run at most `max_steps` instructions.
     pub fn run_steps(&mut self, max_steps: u64) -> CpuExit {
+        // Nothing a step does can change the exec regions, so they are lent
+        // out for the whole call. The decode slab is lent out the same way
+        // (see `step_in`).
+        let regions = std::mem::take(&mut self.regions);
+        let mut slab = std::mem::take(&mut self.dcache.slab);
+        let mut exit = CpuExit::FuelExhausted;
         for _ in 0..max_steps {
-            if !self.in_region(self.cpu.eip) {
-                return CpuExit::OutOfRegion(self.cpu.eip);
+            let pc = self.cpu.eip;
+            if !regions.iter().any(|r| r.contains(pc)) {
+                exit = CpuExit::OutOfRegion(pc);
+                break;
             }
-            if let Some(exit) = self.step() {
-                return exit;
+            if let Some(e) = self.step_in(&mut slab) {
+                exit = e;
+                break;
             }
         }
-        CpuExit::FuelExhausted
+        self.dcache.slab = slab;
+        self.regions = regions;
+        exit
     }
 
     /// Execute exactly one instruction (region checks are the caller's
     /// responsibility). Returns `Some(exit)` if the instruction stops
     /// execution.
     pub fn step(&mut self) -> Option<CpuExit> {
+        let mut slab = std::mem::take(&mut self.dcache.slab);
+        let exit = self.step_in(&mut slab);
+        self.dcache.slab = slab;
+        exit
+    }
+
+    /// One step with the decode slab lent out of the cache. `exec` can
+    /// invalidate slots (every store goes through `note_store`) but never
+    /// touches the slab, so the step executes its decode in place; only a
+    /// miss hands the slab back to the cache to fill a slot.
+    fn step_in(&mut self, slab: &mut Vec<DecodeCacheEntry>) -> Option<CpuExit> {
         let pc = self.cpu.eip;
         if let Some((at, kind)) = self.inject {
             if self.counters.instructions >= at {
@@ -528,7 +786,7 @@ impl Machine {
             }
         }
         let cached = match self.dcache.get(pc) {
-            Some(i) if self.verify_decodes && !self.cached_bytes_match(pc, i) => {
+            Some(i) if self.verify_decodes && !self.cached_bytes_match(pc, &slab[i]) => {
                 self.stale_decode_hits += 1;
                 None
             }
@@ -543,42 +801,40 @@ impl Machine {
                 self.dcache.stats.misses += 1;
                 let mut buf = [0u8; 16];
                 self.mem.read_bytes(pc, &mut buf);
-                match decode_instr(&buf, pc) {
-                    Ok((instr, len)) => self.dcache.put(pc, buf, lower(&instr, len)),
-                    Err(_) => {
-                        return Some(CpuExit::Fault {
-                            kind: FaultKind::InvalidOpcode,
-                            pc,
-                            addr: pc,
-                        });
-                    }
-                }
+                let Ok((instr, len)) = decode_instr(&buf, pc) else {
+                    return Some(CpuExit::Fault {
+                        kind: FaultKind::InvalidOpcode,
+                        pc,
+                        addr: pc,
+                    });
+                };
+                self.dcache.slab = std::mem::take(slab);
+                let i = self.dcache.put(pc, buf, lower(&instr, len));
+                *slab = std::mem::take(&mut self.dcache.slab);
+                i
             }
         };
-        // Execute the decode in place. `exec` can invalidate slots (every
-        // store goes through `note_store`) but never touches the slab, so
-        // the slab is lent out for the duration of the instruction.
-        let slab = std::mem::take(&mut self.dcache.slab);
-        let exit = self.exec(pc, &slab[i].lowered);
-        self.dcache.slab = slab;
-        exit
+        self.exec(pc, &slab[i].lowered)
     }
 
-    /// Verification mode: whether cached decode `i` still matches the live
-    /// memory bytes at `pc`.
-    fn cached_bytes_match(&self, pc: u32, i: usize) -> bool {
-        let e = &self.dcache.slab[i];
+    /// Verification mode: whether cached decode `e` of `pc` still matches
+    /// the live memory bytes.
+    fn cached_bytes_match(&self, pc: u32, e: &DecodeCacheEntry) -> bool {
         let len = e.lowered.len as usize;
         let mut buf = [0u8; 16];
         self.mem.read_bytes(pc, &mut buf[..len]);
         buf[..len] == e.bytes[..len]
     }
 
-    fn addr_of(&self, m: &MemRef) -> u32 {
-        let base = m.base.map_or(0, |r| self.cpu.reg(r));
-        let index = m.index.map_or(0, |r| self.cpu.reg(r));
-        base.wrapping_add(index.wrapping_mul(m.scale as u32))
-            .wrapping_add(m.disp as u32)
+    fn addr_of(&self, m: &MemOp) -> u32 {
+        let mut a = m.disp as u32;
+        if m.base != NO_REG {
+            a = a.wrapping_add(self.cpu.gpr(m.base));
+        }
+        if m.index != NO_REG {
+            a = a.wrapping_add(self.cpu.gpr(m.index).wrapping_mul(u32::from(m.scale)));
+        }
+        a
     }
 
     /// First guarded byte of `[addr, addr + bytes)`, if any.
@@ -610,7 +866,7 @@ impl Machine {
             }
         }
         // Implicit stack accesses.
-        let esp = self.cpu.reg(Reg::Esp);
+        let esp = self.cpu.gpr(ESP);
         match l.op {
             Opcode::Push | Opcode::Pushfd | Opcode::Call | Opcode::CallInd => {
                 if let Some(bad) = self.guarded(esp.wrapping_sub(4), 4) {
@@ -627,20 +883,54 @@ impl Machine {
         None
     }
 
+    fn read_reg(&self, r: RegOp) -> u32 {
+        let full = self.cpu.gpr(r.idx);
+        match r.view {
+            View::R32 => full,
+            View::R16 => full & 0xFFFF,
+            View::Low8 => full & 0xFF,
+            View::High8 => (full >> 8) & 0xFF,
+        }
+    }
+
+    /// Write a register view, preserving the unaffected bits of its parent.
+    fn write_reg(&mut self, r: RegOp, v: u32) {
+        let full = self.cpu.gpr(r.idx);
+        let merged = match r.view {
+            View::R32 => v,
+            View::R16 => (full & 0xFFFF_0000) | (v & 0xFFFF),
+            View::Low8 => (full & 0xFFFF_FF00) | (v & 0xFF),
+            View::High8 => (full & 0xFFFF_00FF) | ((v & 0xFF) << 8),
+        };
+        self.cpu.set_gpr(r.idx, merged);
+    }
+
+    fn load(&mut self, m: &MemOp) -> u32 {
+        self.step_loads += 1;
+        let a = self.addr_of(m);
+        match m.size {
+            OpSize::S8 => self.mem.read_u8(a) as u32,
+            OpSize::S16 => self.mem.read_u16(a) as u32,
+            OpSize::S32 => self.mem.read_u32(a),
+        }
+    }
+
+    fn store(&mut self, m: &MemOp, v: u32) {
+        let a = self.addr_of(m);
+        self.note_store(a, m.size.bytes());
+        match m.size {
+            OpSize::S8 => self.mem.write_u8(a, v as u8),
+            OpSize::S16 => self.mem.write_u16(a, v as u16),
+            OpSize::S32 => self.mem.write_u32(a, v),
+        }
+    }
+
     fn read(&mut self, op: &LOpnd) -> u32 {
         match op {
-            LOpnd::Reg(r) => self.cpu.reg(*r),
+            LOpnd::Reg(r) => self.read_reg(*r),
             LOpnd::Imm(v, _) => *v as u32,
             LOpnd::Pc(pc) => *pc,
-            LOpnd::Mem(m) => {
-                self.step_loads += 1;
-                let a = self.addr_of(m);
-                match m.size {
-                    OpSize::S8 => self.mem.read_u8(a) as u32,
-                    OpSize::S16 => self.mem.read_u16(a) as u32,
-                    OpSize::S32 => self.mem.read_u32(a),
-                }
-            }
+            LOpnd::Mem(m) => self.load(m),
             LOpnd::None => 0,
         }
     }
@@ -667,38 +957,41 @@ impl Machine {
 
     fn write(&mut self, op: &LOpnd, v: u32) {
         match op {
-            LOpnd::Reg(r) => self.cpu.set_reg(*r, v),
-            LOpnd::Mem(m) => {
-                let a = self.addr_of(m);
-                self.note_store(a, m.size.bytes());
-                match m.size {
-                    OpSize::S8 => self.mem.write_u8(a, v as u8),
-                    OpSize::S16 => self.mem.write_u16(a, v as u16),
-                    OpSize::S32 => self.mem.write_u32(a, v),
-                }
-            }
+            LOpnd::Reg(r) => self.write_reg(*r, v),
+            LOpnd::Mem(m) => self.store(m, v),
             _ => {}
         }
     }
 
     fn push32(&mut self, v: u32) {
-        let esp = self.cpu.reg(Reg::Esp).wrapping_sub(4);
-        self.cpu.set_reg(Reg::Esp, esp);
+        let esp = self.cpu.gpr(ESP).wrapping_sub(4);
+        self.cpu.set_gpr(ESP, esp);
         self.note_store(esp, 4);
         self.mem.write_u32(esp, v);
     }
 
     fn pop32(&mut self) -> u32 {
-        let esp = self.cpu.reg(Reg::Esp);
+        let esp = self.cpu.gpr(ESP);
         self.step_loads += 1;
         let v = self.mem.read_u32(esp);
-        self.cpu.set_reg(Reg::Esp, esp.wrapping_add(4));
+        self.cpu.set_gpr(ESP, esp.wrapping_add(4));
         v
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// `dst op= src` on whole 32-bit registers, setting the six arithmetic
+    /// flags from `alu`.
+    fn alu_r32(&mut self, dst: u8, src: u32, alu: impl FnOnce(u32, u32) -> (u32, u32)) {
+        let (res, f) = alu(self.cpu.gpr(dst), src);
+        self.cpu.set_gpr(dst, res);
+        self.cpu.set_flags(Eflags::ALL6, f);
+    }
+
+    /// Execute one decoded instruction through its executor. The order of
+    /// effects is the same for every shape: guards are checked before any
+    /// state changes, each store is noted before it is written, the step
+    /// is accounted, and only then does a store into a watched region stop
+    /// execution.
     fn exec(&mut self, pc: u32, l: &Lowered) -> Option<CpuExit> {
-        use rio_ia32::Eflags;
         self.step_loads = 0;
         self.step_stores = 0;
         self.step_code_write = None;
@@ -707,10 +1000,107 @@ impl Machine {
                 return Some(exit);
             }
         }
-        let next_pc = pc.wrapping_add(l.len);
+        let next_pc = pc.wrapping_add(u32::from(l.len));
         let mut new_eip = next_pc;
         let mut branch_penalty = 0u64;
-        let mut exit: Option<CpuExit> = None;
+        let add = |a, b| alu_add(a, b, 0, OpSize::S32);
+        let sub = |a, b| alu_sub(a, b, 0, OpSize::S32);
+        let and = |a: u32, b| alu_logic(a & b, OpSize::S32);
+        let xor = |a: u32, b| alu_logic(a ^ b, OpSize::S32);
+        match l.shape {
+            Shape::Generic => match self.exec_generic(pc, next_pc, l) {
+                Ok((eip, penalty)) => (new_eip, branch_penalty) = (eip, penalty),
+                Err(exit) => return Some(exit),
+            },
+            Shape::MovRR(d, s) => self.cpu.set_gpr(d, self.cpu.gpr(s)),
+            Shape::MovRI(d, v) => self.cpu.set_gpr(d, v),
+            Shape::MovRM(d, m) => {
+                let v = self.load(&m);
+                self.cpu.set_gpr(d, v);
+            }
+            Shape::MovMR(m, s) => self.store(&m, self.cpu.gpr(s)),
+            Shape::Push(s) => self.push32(self.cpu.gpr(s)),
+            Shape::Pop(d) => {
+                let v = self.pop32();
+                self.cpu.set_gpr(d, v);
+            }
+            Shape::AddRR(d, s) => self.alu_r32(d, self.cpu.gpr(s), add),
+            Shape::AddRI(d, v) => self.alu_r32(d, v, add),
+            Shape::SubRR(d, s) => self.alu_r32(d, self.cpu.gpr(s), sub),
+            Shape::SubRI(d, v) => self.alu_r32(d, v, sub),
+            Shape::AndRR(d, s) => self.alu_r32(d, self.cpu.gpr(s), and),
+            Shape::AndRI(d, v) => self.alu_r32(d, v, and),
+            Shape::XorRR(d, s) => self.alu_r32(d, self.cpu.gpr(s), xor),
+            Shape::XorRI(d, v) => self.alu_r32(d, v, xor),
+            Shape::CmpRR(a, b) => {
+                let (_, f) = sub(self.cpu.gpr(a), self.cpu.gpr(b));
+                self.cpu.set_flags(Eflags::ALL6, f);
+            }
+            Shape::TestRR(a, b) => {
+                let (_, f) = and(self.cpu.gpr(a), self.cpu.gpr(b));
+                self.cpu.set_flags(Eflags::ALL6, f);
+            }
+            Shape::Jcc(cc, target) => {
+                let taken = self.cpu.cc_holds(cc);
+                if taken {
+                    new_eip = target;
+                }
+                branch_penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
+            }
+            Shape::Jmp(target) => {
+                new_eip = target;
+                branch_penalty = self.cost.direct_branch(&mut self.counters);
+            }
+            Shape::Call(target) => {
+                self.push32(next_pc);
+                self.cost.ras_push(next_pc);
+                new_eip = target;
+                branch_penalty = self.cost.direct_branch(&mut self.counters);
+            }
+            Shape::CallIndR(r) => {
+                let target = self.cpu.gpr(r);
+                self.push32(next_pc);
+                self.cost.ras_push(next_pc);
+                new_eip = target;
+                branch_penalty = self
+                    .cost
+                    .indirect_branch(pc, target, false, &mut self.counters);
+            }
+            Shape::Ret => {
+                let target = self.pop32();
+                new_eip = target;
+                branch_penalty = self
+                    .cost
+                    .indirect_branch(pc, target, true, &mut self.counters);
+            }
+            Shape::MovzxR(d, s) => self.cpu.set_gpr(d, self.read_reg(s)),
+            Shape::SetR(cc, d) => self.write_reg(d, u32::from(self.cpu.cc_holds(cc))),
+            Shape::IncM(m) => {
+                let (res, f) = add(self.load(&m), 1);
+                self.store(&m, res);
+                // inc leaves CF unchanged.
+                self.cpu.set_flags(Eflags::NOT_CF, f);
+            }
+        }
+        self.cpu.eip = new_eip;
+        self.finish_step(l, branch_penalty);
+        // A committed store into a watched code region stops execution
+        // *after* the instruction: state is architecturally complete and
+        // `eip` is past the writer, so resumption cannot livelock.
+        self.step_code_write
+            .take()
+            .map(|(addr, len)| CpuExit::CodeWrite { pc, addr, len })
+    }
+
+    /// The generic operand-list interpreter, for every instruction shape
+    /// without its own executor. Returns the next `eip` and the branch
+    /// penalty, or the exit that ends the step early: a fault (nothing
+    /// committed), or a trap or `hlt` (already accounted).
+    #[allow(clippy::too_many_lines)]
+    fn exec_generic(&mut self, pc: u32, next_pc: u32, l: &Lowered) -> Result<(u32, u64), CpuExit> {
+        let mut new_eip = next_pc;
+        let mut branch_penalty = 0u64;
+        let fault = |kind| Err(CpuExit::Fault { kind, pc, addr: pc });
 
         match l.op {
             Opcode::Mov => {
@@ -834,11 +1224,11 @@ impl Machine {
             Opcode::Imul => {
                 if l.ndst == 2 {
                     // One-operand form: edx:eax = eax * rm (signed).
-                    let a = self.cpu.reg(Reg::Eax) as i32 as i64;
+                    let a = self.cpu.gpr(EAX) as i32 as i64;
                     let b = self.read(&l.srcs[0]) as i32 as i64;
                     let wide = a * b;
-                    self.cpu.set_reg(Reg::Eax, wide as u32);
-                    self.cpu.set_reg(Reg::Edx, (wide >> 32) as u32);
+                    self.cpu.set_gpr(EAX, wide as u32);
+                    self.cpu.set_gpr(EDX, (wide >> 32) as u32);
                     let overflow = wide != (wide as i32 as i64);
                     self.set_mul_flags(overflow);
                 } else {
@@ -851,61 +1241,47 @@ impl Machine {
                 }
             }
             Opcode::Mul => {
-                let a = self.cpu.reg(Reg::Eax) as u64;
+                let a = self.cpu.gpr(EAX) as u64;
                 let b = self.read(&l.srcs[0]) as u64;
                 let wide = a * b;
-                self.cpu.set_reg(Reg::Eax, wide as u32);
-                self.cpu.set_reg(Reg::Edx, (wide >> 32) as u32);
+                self.cpu.set_gpr(EAX, wide as u32);
+                self.cpu.set_gpr(EDX, (wide >> 32) as u32);
                 self.set_mul_flags(wide >> 32 != 0);
             }
             Opcode::Div => {
                 let divisor = self.read(&l.srcs[0]) as u64;
-                let dividend =
-                    ((self.cpu.reg(Reg::Edx) as u64) << 32) | self.cpu.reg(Reg::Eax) as u64;
+                let dividend = ((self.cpu.gpr(EDX) as u64) << 32) | self.cpu.gpr(EAX) as u64;
                 if divisor == 0 || dividend / divisor > u32::MAX as u64 {
-                    return Some(CpuExit::Fault {
-                        kind: FaultKind::DivideError,
-                        pc,
-                        addr: pc,
-                    });
+                    return fault(FaultKind::DivideError);
                 }
-                self.cpu.set_reg(Reg::Eax, (dividend / divisor) as u32);
-                self.cpu.set_reg(Reg::Edx, (dividend % divisor) as u32);
+                self.cpu.set_gpr(EAX, (dividend / divisor) as u32);
+                self.cpu.set_gpr(EDX, (dividend % divisor) as u32);
             }
             Opcode::Idiv => {
                 let divisor = self.read(&l.srcs[0]) as i32 as i64;
-                let dividend = (((self.cpu.reg(Reg::Edx) as u64) << 32)
-                    | self.cpu.reg(Reg::Eax) as u64) as i64;
+                let dividend =
+                    (((self.cpu.gpr(EDX) as u64) << 32) | self.cpu.gpr(EAX) as u64) as i64;
                 if divisor == 0 {
-                    return Some(CpuExit::Fault {
-                        kind: FaultKind::DivideError,
-                        pc,
-                        addr: pc,
-                    });
+                    return fault(FaultKind::DivideError);
                 }
                 let q = dividend.wrapping_div(divisor);
                 if q != (q as i32 as i64) {
-                    return Some(CpuExit::Fault {
-                        kind: FaultKind::DivideError,
-                        pc,
-                        addr: pc,
-                    });
+                    return fault(FaultKind::DivideError);
                 }
-                self.cpu.set_reg(Reg::Eax, q as u32);
-                self.cpu
-                    .set_reg(Reg::Edx, dividend.wrapping_rem(divisor) as u32);
+                self.cpu.set_gpr(EAX, q as u32);
+                self.cpu.set_gpr(EDX, dividend.wrapping_rem(divisor) as u32);
             }
             Opcode::Cdq => {
-                let v = if self.cpu.reg(Reg::Eax) & 0x8000_0000 != 0 {
+                let v = if self.cpu.gpr(EAX) & 0x8000_0000 != 0 {
                     0xFFFF_FFFF
                 } else {
                     0
                 };
-                self.cpu.set_reg(Reg::Edx, v);
+                self.cpu.set_gpr(EDX, v);
             }
             Opcode::Cwde => {
-                let v = self.cpu.reg(Reg::Ax) as u16 as i16 as i32 as u32;
-                self.cpu.set_reg(Reg::Eax, v);
+                let v = self.cpu.gpr(EAX) as u16 as i16 as i32 as u32;
+                self.cpu.set_gpr(EAX, v);
             }
             Opcode::Push => {
                 let v = self.read(&l.srcs[0]);
@@ -927,10 +1303,10 @@ impl Machine {
                 // AH = SF:ZF:0:AF:0:PF:1:CF.
                 let f = self.cpu.eflags;
                 let ah = (f & 0xFF) | 0x2;
-                self.cpu.set_reg(Reg::Ah, ah);
+                self.write_reg(AH, ah);
             }
             Opcode::Sahf => {
-                let ah = self.cpu.reg(Reg::Ah);
+                let ah = self.read_reg(AH);
                 let mask = Eflags(
                     Eflags::CF.0 | Eflags::PF.0 | Eflags::AF.0 | Eflags::ZF.0 | Eflags::SF.0,
                 );
@@ -949,7 +1325,6 @@ impl Machine {
                 }
             }
             Opcode::Rol | Opcode::Ror => {
-                use rio_ia32::Eflags;
                 let dst = l.dsts[0];
                 let count = self.read(&l.srcs[0]) & 31;
                 if count != 0 {
@@ -977,7 +1352,6 @@ impl Machine {
                 }
             }
             Opcode::Bt => {
-                use rio_ia32::Eflags;
                 let base = self.read(&l.srcs[0]);
                 let bit = self.read(&l.srcs[1]) & 31;
                 let cf = (base >> bit) & 1;
@@ -990,18 +1364,20 @@ impl Machine {
             }
             Opcode::Nop => {}
             Opcode::Int3 => {
-                exit = Some(CpuExit::Breakpoint);
+                self.cpu.eip = next_pc;
+                self.finish_step(l, 0);
+                return Err(CpuExit::Breakpoint);
             }
             Opcode::Int => {
                 let n = self.read(&l.srcs[0]) as u8;
                 self.cpu.eip = next_pc;
                 // Account the instruction before returning.
                 self.finish_step(l, 0);
-                return Some(CpuExit::Syscall(n));
+                return Err(CpuExit::Syscall(n));
             }
             Opcode::Hlt => {
                 self.finish_step(l, 0);
-                return Some(CpuExit::Halt);
+                return Err(CpuExit::Halt);
             }
             Opcode::Jmp => {
                 new_eip = self.read(&l.srcs[0]);
@@ -1015,7 +1391,7 @@ impl Machine {
                 branch_penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
             }
             Opcode::Jecxz => {
-                let taken = self.cpu.reg(Reg::Ecx) == 0;
+                let taken = self.cpu.gpr(ECX) == 0;
                 if taken {
                     new_eip = self.read(&l.srcs[0]);
                 }
@@ -1047,8 +1423,8 @@ impl Machine {
             Opcode::Ret => {
                 let target = self.pop32();
                 if let LOpnd::Imm(extra, _) = l.srcs[0] {
-                    let esp = self.cpu.reg(Reg::Esp).wrapping_add(extra as u32);
-                    self.cpu.set_reg(Reg::Esp, esp);
+                    let esp = self.cpu.gpr(ESP).wrapping_add(extra as u32);
+                    self.cpu.set_gpr(ESP, esp);
                 }
                 new_eip = target;
                 branch_penalty = self
@@ -1058,29 +1434,13 @@ impl Machine {
             Opcode::Label => {
                 // A label pseudo-instruction reached the interpreter:
                 // report it as the guest-visible invalid-opcode fault.
-                return Some(CpuExit::Fault {
-                    kind: FaultKind::InvalidOpcode,
-                    pc,
-                    addr: pc,
-                });
+                return fault(FaultKind::InvalidOpcode);
             }
         }
-
-        self.cpu.eip = new_eip;
-        self.finish_step(l, branch_penalty);
-        if exit.is_none() {
-            // A committed store into a watched code region stops execution
-            // *after* the instruction: state is architecturally complete
-            // and `eip` is past the writer, so resumption cannot livelock.
-            if let Some((addr, len)) = self.step_code_write.take() {
-                return Some(CpuExit::CodeWrite { pc, addr, len });
-            }
-        }
-        exit
+        Ok((new_eip, branch_penalty))
     }
 
     fn set_mul_flags(&mut self, overflow: bool) {
-        use rio_ia32::Eflags;
         let v = if overflow {
             Eflags::CF.0 | Eflags::OF.0
         } else {
@@ -1104,7 +1464,7 @@ impl Machine {
 mod tests {
     use super::*;
     use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, Cc, InstrList, Target};
+    use rio_ia32::{create, InstrList, Target};
 
     fn run_program(il: &InstrList) -> (Machine, CpuExit) {
         let code = encode_list(il, Image::CODE_BASE).unwrap().bytes;
@@ -1690,6 +2050,556 @@ mod tests {
         m.charge(100);
         assert_eq!(m.counters.cycles, 100);
         assert_eq!(m.counters.charged_overhead, 100);
+    }
+
+    /// One specialised executor, run for a single step from a fresh
+    /// Pentium 4 machine with the instruction at `CODE_BASE`.
+    struct ShapeCase {
+        name: &'static str,
+        instr: Instr,
+        /// Debug name of the executor `lower` must choose.
+        shape: &'static str,
+        /// Registers, flags, memory and regions before the step.
+        setup: fn(&mut Machine),
+        exit: Option<CpuExit>,
+        /// `eip` after the step; `None` for the next instruction.
+        eip: Option<u32>,
+        regs: &'static [(Reg, u32)],
+        eflags: u32,
+        mem: &'static [(u32, &'static [u8])],
+        counters: Counters,
+        /// Further checks on the machine after the step.
+        check: fn(&Machine),
+    }
+
+    /// `Counters` of one step: P4 costs are base 1, `inc` 4, +3 per load,
+    /// +2 per store, +1 per taken branch, +20 per mispredict.
+    fn step_counters(cycles: u64, loads: u64, stores: u64) -> Counters {
+        Counters {
+            instructions: 1,
+            cycles,
+            loads,
+            stores,
+            ..Counters::default()
+        }
+    }
+
+    #[test]
+    fn specialised_executors_match_hand_computed_state() {
+        use rio_ia32::Eflags as F;
+        const CODE: u32 = Image::CODE_BASE;
+        const STACK: u32 = 0x6000_1000;
+        let (cf, pf, af, zf, sf, of) = (F::CF.0, F::PF.0, F::AF.0, F::ZF.0, F::SF.0, F::OF.0);
+        let r = Opnd::reg;
+        let abs = |addr: u32| Opnd::Mem(MemRef::absolute(addr, OpSize::S32));
+        let nothing = |_: &Machine| {};
+        let cases = [
+            ShapeCase {
+                name: "push %esp pushes the old esp",
+                instr: create::push(r(Reg::Esp)),
+                shape: "Push",
+                setup: |m| m.cpu.set_reg(Reg::Esp, STACK),
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Esp, STACK - 4)],
+                eflags: 0,
+                mem: &[(STACK - 4, &[0x00, 0x10, 0x00, 0x60])],
+                counters: step_counters(3, 0, 1),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "pop %esp loads esp last",
+                instr: create::pop(r(Reg::Esp)),
+                shape: "Pop",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Esp, STACK);
+                    m.mem.write_u32(STACK, 0x1234_5678);
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Esp, 0x1234_5678)],
+                eflags: 0,
+                mem: &[],
+                counters: step_counters(4, 1, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "call pushes the return address",
+                instr: create::call(Target::Pc(CODE + 0x100)),
+                shape: "Call",
+                setup: |m| m.cpu.set_reg(Reg::Esp, STACK),
+                exit: None,
+                eip: Some(CODE + 0x100),
+                regs: &[(Reg::Esp, STACK - 4)],
+                eflags: 0,
+                mem: &[(STACK - 4, &[0x05, 0x00, 0x40, 0x00])],
+                counters: Counters {
+                    taken_branches: 1,
+                    ..step_counters(4, 0, 1)
+                },
+                check: nothing,
+            },
+            ShapeCase {
+                name: "ret predicted by the return stack",
+                instr: create::ret(),
+                shape: "Ret",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Esp, STACK);
+                    m.mem.write_u32(STACK, CODE + 0x1234);
+                    m.cost.ras_push(CODE + 0x1234);
+                },
+                exit: None,
+                eip: Some(CODE + 0x1234),
+                regs: &[(Reg::Esp, STACK + 4)],
+                eflags: 0,
+                mem: &[],
+                counters: Counters {
+                    taken_branches: 1,
+                    ..step_counters(5, 1, 0)
+                },
+                check: nothing,
+            },
+            ShapeCase {
+                name: "ret with an empty return stack mispredicts",
+                instr: create::ret(),
+                shape: "Ret",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Esp, STACK);
+                    m.mem.write_u32(STACK, CODE + 0x1234);
+                },
+                exit: None,
+                eip: Some(CODE + 0x1234),
+                regs: &[(Reg::Esp, STACK + 4)],
+                eflags: 0,
+                mem: &[],
+                counters: Counters {
+                    taken_branches: 1,
+                    ind_mispredicts: 1,
+                    ..step_counters(25, 1, 0)
+                },
+                check: nothing,
+            },
+            ShapeCase {
+                name: "setz %ah writes bits 8..16 only",
+                instr: create::setcc(Cc::Z, r(Reg::Ah)),
+                shape: "SetR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0x1122_3344);
+                    m.cpu.eflags = F::ZF.0;
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0x1122_0144)],
+                eflags: zf,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "setnz %bh clears bits 8..16 only",
+                instr: create::setcc(Cc::Nz, r(Reg::Bh)),
+                shape: "SetR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Ebx, 0xAABB_CCDD);
+                    m.cpu.eflags = F::ZF.0;
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Ebx, 0xAABB_00DD)],
+                eflags: zf,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "movzx %bh zero-extends bits 8..16",
+                instr: create::movzx(Reg::Eax, r(Reg::Bh)),
+                shape: "MovzxR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
+                    m.cpu.set_reg(Reg::Ebx, 0xAABB_CCDD);
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0xCC), (Reg::Ebx, 0xAABB_CCDD)],
+                eflags: 0,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "movzx %ah into its own parent",
+                instr: create::movzx(Reg::Eax, r(Reg::Ah)),
+                shape: "MovzxR",
+                setup: |m| m.cpu.set_reg(Reg::Eax, 0x1122_3344),
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0x33)],
+                eflags: 0,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "add 0x7fffffff + 1 overflows without carry",
+                instr: create::add(r(Reg::Eax), Opnd::imm32(1)),
+                shape: "AddRI",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0x7FFF_FFFF);
+                    m.cpu.eflags = F::CF.0 | F::ZF.0;
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0x8000_0000)],
+                eflags: of | sf | af | pf,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "add 0xffffffff + 1 carries to zero",
+                instr: create::add(r(Reg::Eax), r(Reg::Ebx)),
+                shape: "AddRR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
+                    m.cpu.set_reg(Reg::Ebx, 1);
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0), (Reg::Ebx, 1)],
+                eflags: cf | zf | pf | af,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "sub 0 - 1 borrows",
+                instr: create::sub(r(Reg::Eax), r(Reg::Ecx)),
+                shape: "SubRR",
+                setup: |m| m.cpu.set_reg(Reg::Ecx, 1),
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0xFFFF_FFFF), (Reg::Ecx, 1)],
+                eflags: cf | pf | af | sf,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "sub 0x80000000 - 1 overflows",
+                instr: create::sub(r(Reg::Edx), Opnd::imm32(1)),
+                shape: "SubRI",
+                setup: |m| m.cpu.set_reg(Reg::Edx, 0x8000_0000),
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Edx, 0x7FFF_FFFF)],
+                eflags: of | af | pf,
+                mem: &[],
+                counters: step_counters(1, 0, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "inc m32 wrapping to zero leaves CF clear",
+                instr: create::inc(abs(Image::DATA_BASE)),
+                shape: "IncM",
+                setup: |m| {
+                    m.mem.write_u32(Image::DATA_BASE, 0xFFFF_FFFF);
+                    m.cpu.eflags = F::SF.0;
+                },
+                exit: None,
+                eip: None,
+                regs: &[],
+                eflags: zf | pf | af,
+                mem: &[(Image::DATA_BASE, &[0, 0, 0, 0])],
+                counters: step_counters(9, 1, 1),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "inc m32 keeps a set CF",
+                instr: create::inc(abs(Image::DATA_BASE)),
+                shape: "IncM",
+                setup: |m| {
+                    m.mem.write_u32(Image::DATA_BASE, 0x7FFF_FFFF);
+                    m.cpu.eflags = F::CF.0 | F::ZF.0;
+                },
+                exit: None,
+                eip: None,
+                regs: &[],
+                eflags: cf | of | sf | af | pf,
+                mem: &[(Image::DATA_BASE, &[0, 0, 0, 0x80])],
+                counters: step_counters(9, 1, 1),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "32-bit load straddling a page, base + index * 4 - 2",
+                instr: create::mov(
+                    r(Reg::Eax),
+                    Opnd::Mem(MemRef::base_index(Reg::Esi, Reg::Edi, 4, -2, OpSize::S32)),
+                ),
+                shape: "MovRM",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Esi, 0x1000_0000);
+                    m.cpu.set_reg(Reg::Edi, 0x400);
+                    m.mem.write_bytes(0x1000_0FFE, &[0x11, 0x22, 0x33, 0x44]);
+                },
+                exit: None,
+                eip: None,
+                regs: &[(Reg::Eax, 0x4433_2211)],
+                eflags: 0,
+                mem: &[],
+                counters: step_counters(4, 1, 0),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "32-bit store straddling a page",
+                instr: create::mov(abs(0x1000_1FFE), r(Reg::Ebx)),
+                shape: "MovMR",
+                setup: |m| m.cpu.set_reg(Reg::Ebx, 0x4433_2211),
+                exit: None,
+                eip: None,
+                regs: &[],
+                eflags: 0,
+                mem: &[(0x1000_1FFE, &[0x11, 0x22, 0x33, 0x44])],
+                counters: step_counters(3, 0, 1),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "store into a code page invalidates its decode",
+                instr: create::mov(abs(CODE + 0x40), r(Reg::Eax)),
+                shape: "MovMR",
+                setup: |m| {
+                    m.mem.write_u8(CODE + 0x40, 0x90); // nop, decoded once
+                    m.cpu.eip = CODE + 0x40;
+                    assert_eq!(m.step(), None);
+                    m.cpu.eip = CODE;
+                    m.counters = Counters::default();
+                    m.cpu.set_reg(Reg::Eax, 0xCCCC_CCCC);
+                },
+                exit: None,
+                eip: None,
+                regs: &[],
+                eflags: 0,
+                mem: &[(CODE + 0x40, &[0xCC; 4])],
+                counters: step_counters(3, 0, 1),
+                check: |m| {
+                    assert_eq!(m.dcache.get(CODE + 0x40), None);
+                    assert_eq!(m.decode_cache_stats().invalidated, 1);
+                },
+            },
+            ShapeCase {
+                name: "store into a watched region exits after commit",
+                instr: create::mov(abs(CODE + 0x100), r(Reg::Eax)),
+                shape: "MovMR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0x0102_0304);
+                    m.set_watch_regions(vec![ExecRegion::new(CODE + 0x100, CODE + 0x200)]);
+                },
+                exit: Some(CpuExit::CodeWrite {
+                    pc: CODE,
+                    addr: CODE + 0x100,
+                    len: 4,
+                }),
+                eip: None,
+                regs: &[],
+                eflags: 0,
+                mem: &[(CODE + 0x100, &[0x04, 0x03, 0x02, 0x01])],
+                counters: step_counters(3, 0, 1),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "guarded push faults before esp moves",
+                instr: create::push(r(Reg::Eax)),
+                shape: "Push",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Esp, STACK);
+                    m.cpu.set_reg(Reg::Eax, 7);
+                    m.set_guard_regions(vec![ExecRegion::new(STACK - 0x1000, STACK)]);
+                },
+                exit: Some(CpuExit::Fault {
+                    kind: FaultKind::MemFault,
+                    pc: CODE,
+                    addr: STACK - 4,
+                }),
+                eip: Some(CODE),
+                regs: &[(Reg::Esp, STACK)],
+                eflags: 0,
+                mem: &[(STACK - 4, &[0; 4])],
+                counters: Counters::default(),
+                check: nothing,
+            },
+            ShapeCase {
+                name: "guarded store faults before writing",
+                instr: create::mov(abs(0x2000_0FFE), r(Reg::Eax)),
+                shape: "MovMR",
+                setup: |m| {
+                    m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
+                    m.set_guard_regions(vec![ExecRegion::new(0x2000_1000, 0x2000_2000)]);
+                },
+                exit: Some(CpuExit::Fault {
+                    kind: FaultKind::MemFault,
+                    pc: CODE,
+                    addr: 0x2000_1000,
+                }),
+                eip: Some(CODE),
+                regs: &[],
+                eflags: 0,
+                mem: &[(0x2000_0FFE, &[0; 4])],
+                counters: Counters::default(),
+                check: nothing,
+            },
+        ];
+        for case in cases {
+            let mut il = InstrList::new();
+            il.push_back(case.instr);
+            let code = encode_list(&il, CODE).unwrap().bytes;
+            let (decoded, len) = decode_instr(&code, CODE).unwrap();
+            let shape = format!("{:?}", lower(&decoded, len).shape);
+            assert!(shape.starts_with(case.shape), "{}: {shape}", case.name);
+
+            let mut m = Machine::new(CpuKind::Pentium4);
+            m.mem.write_bytes(CODE, &code);
+            m.cpu.eip = CODE;
+            (case.setup)(&mut m);
+            assert_eq!(m.step(), case.exit, "{}", case.name);
+            let eip = case.eip.unwrap_or(CODE + len);
+            assert_eq!(m.cpu.eip, eip, "{}", case.name);
+            for &(reg, v) in case.regs {
+                assert_eq!(m.cpu.reg(reg), v, "{}: {reg}", case.name);
+            }
+            assert_eq!(m.cpu.eflags, case.eflags, "{}: eflags", case.name);
+            for &(addr, bytes) in case.mem {
+                let mut got = vec![0; bytes.len()];
+                m.mem.read_bytes(addr, &mut got);
+                assert_eq!(got, bytes, "{}: memory at {addr:#x}", case.name);
+            }
+            assert_eq!(m.counters, case.counters, "{}", case.name);
+            (case.check)(&m);
+        }
+    }
+
+    #[test]
+    fn specialised_executors_agree_with_the_generic_interpreter() {
+        // Every specialised shape, run on pseudo-random registers, flags
+        // and memory, with and without a guard or watch on the bytes it
+        // touches, must leave exactly the state the generic interpreter
+        // leaves for the same decode.
+        let r = Opnd::reg;
+        let mem = |base, index: Option<Reg>, disp| {
+            Opnd::Mem(MemRef {
+                base: Some(base),
+                index,
+                scale: 4,
+                disp,
+                size: OpSize::S32,
+            })
+        };
+        let mut instrs = vec![
+            create::mov(r(Reg::Eax), r(Reg::Ebx)),
+            create::mov(r(Reg::Esp), r(Reg::Ecx)),
+            create::mov(r(Reg::Edx), Opnd::imm32(0x1234_5678)),
+            create::mov(r(Reg::Eax), mem(Reg::Esi, Some(Reg::Edi), 8)),
+            create::mov(r(Reg::Ecx), mem(Reg::Ebp, None, -4)),
+            create::mov(mem(Reg::Ebx, None, 12), r(Reg::Eax)),
+            create::mov(mem(Reg::Esp, None, 0), r(Reg::Esp)),
+            create::push(r(Reg::Eax)),
+            create::push(r(Reg::Esp)),
+            create::pop(r(Reg::Ecx)),
+            create::pop(r(Reg::Esp)),
+            create::cmp(r(Reg::Eax), r(Reg::Ebx)),
+            create::test(r(Reg::Ecx), r(Reg::Edx)),
+            create::movzx(Reg::Eax, r(Reg::Bh)),
+            create::movzx(Reg::Ecx, r(Reg::Al)),
+            create::movzx(Reg::Edx, r(Reg::Bx)),
+            create::inc(mem(Reg::Esi, None, 4)),
+            create::jmp(Target::Pc(Image::CODE_BASE + 0x100)),
+            create::call(Target::Pc(Image::CODE_BASE + 0x100)),
+            create::call_ind(r(Reg::Eax)),
+            create::call_ind(r(Reg::Esp)),
+            create::ret(),
+        ];
+        for alu in [create::add, create::sub, create::and, create::xor] {
+            instrs.push(alu(r(Reg::Ebx), r(Reg::Ecx)));
+            instrs.push(alu(r(Reg::Eax), Opnd::imm32(1)));
+            instrs.push(alu(r(Reg::Edi), Opnd::imm32(0x7FFF_FFFF)));
+        }
+        for cc in Cc::ALL {
+            instrs.push(create::jcc(cc, Target::Pc(Image::CODE_BASE + 0x100)));
+            instrs.push(create::setcc(cc, r(Reg::Ah)));
+            instrs.push(create::setcc(cc, r(Reg::Dl)));
+        }
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        const EDGES: [u32; 6] = [0, 1, 0x7F, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF];
+        for instr in instrs {
+            let mut il = InstrList::new();
+            il.push_back(instr);
+            let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
+            let (decoded, len) = decode_instr(&code, Image::CODE_BASE).unwrap();
+            let special = lower(&decoded, len);
+            assert!(!matches!(special.shape, Shape::Generic), "{decoded}");
+            let generic = Lowered {
+                shape: Shape::Generic,
+                ..special
+            };
+            for trial in 0..48 {
+                let regs: Vec<u32> = (0..8)
+                    .map(|_| match next() % 3 {
+                        0 => EDGES[next() as usize % EDGES.len()],
+                        _ => next(),
+                    })
+                    .collect();
+                let eflags = next() & Eflags::ALL6.0;
+                let mut machines = [special, generic].map(|_| Machine::new(CpuKind::Pentium4));
+                for m in &mut machines {
+                    for (i, &v) in regs.iter().enumerate() {
+                        m.cpu.set_gpr(i as u8, v);
+                    }
+                    m.cpu.eflags = eflags;
+                }
+                // The bytes the instruction may touch: its memory operands
+                // and the stack slots on either side of esp.
+                let esp = regs[usize::from(ESP)];
+                let mut probes = vec![esp.wrapping_sub(4), esp];
+                for op in special.srcs.iter().chain(&special.dsts) {
+                    if let LOpnd::Mem(m) = op {
+                        probes.insert(0, machines[0].addr_of(m));
+                    }
+                }
+                let words: Vec<u32> = probes.iter().map(|_| next()).collect();
+                for m in &mut machines {
+                    for (&a, &w) in probes.iter().zip(&words) {
+                        m.mem.write_u32(a, w);
+                    }
+                    let touched = vec![ExecRegion::new(probes[0], probes[0].wrapping_add(1))];
+                    match trial % 3 {
+                        1 => m.set_guard_regions(touched),
+                        2 => m.set_watch_regions(touched),
+                        _ => {}
+                    }
+                }
+                let [a, b] = &mut machines;
+                let exits = (
+                    a.exec(Image::CODE_BASE, &special),
+                    b.exec(Image::CODE_BASE, &generic),
+                );
+                let what = format!("{decoded} trial {trial}");
+                assert_eq!(exits.0, exits.1, "{what}");
+                assert_eq!(a.cpu, b.cpu, "{what}");
+                assert_eq!(a.counters, b.counters, "{what}");
+                assert_eq!(a.decode_cache_stats(), b.decode_cache_stats(), "{what}");
+                for &p in &probes {
+                    for addr in (0..8).map(|k| p.wrapping_sub(4).wrapping_add(k)) {
+                        assert_eq!(a.mem.read_u8(addr), b.mem.read_u8(addr), "{what}");
+                    }
+                }
+            }
+        }
     }
 }
 

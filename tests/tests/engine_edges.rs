@@ -28,6 +28,8 @@ fn assert_equivalent(img: &Image) {
         let r = rio.run();
         assert_eq!(r.exit_code, native.exit_code, "opts {opts:?}");
         assert_eq!(r.app_output, native.output, "opts {opts:?}");
+        let digest = rio.core.machine.app_state_digest(img);
+        assert_eq!(digest, native.state_digest, "opts {opts:?}");
     }
 }
 
@@ -263,5 +265,39 @@ fn undecodable_jump_target_is_delivered_to_the_handler() {
     let (_, img) = build(handler);
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 77);
+    assert_equivalent(&img);
+}
+
+#[test]
+fn undecodable_bytes_mid_block_fault_after_the_valid_prefix() {
+    // `L: add $10,%ebx` is followed by bytes that do not decode. Natively
+    // the `add` runs before the fault reaches the handler, so the block at
+    // `L` must end before the bad bytes instead of failing as a whole.
+    let build = |handler: u32| {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(
+            Opnd::reg(Reg::Ebx),
+            Opnd::imm32(handler as i32),
+        ));
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(20)));
+        il.push_back(create::int(0x80));
+        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(5)));
+        il.push_back(create::inc(Opnd::reg(Reg::Ebx)));
+        let jmp = il.push_back(create::jmp(Target::Pc(0)));
+        let entry = il.push_back(create::label());
+        exit_with(&mut il, Reg::Ebx);
+        let l = il.push_back(create::label());
+        il.push_back(create::add(Opnd::reg(Reg::Ebx), Opnd::imm32(10)));
+        il.get_mut(jmp).set_target(Target::Instr(l));
+        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
+        let handler = Image::CODE_BASE + enc.offset_of(entry).unwrap();
+        let mut code = enc.bytes;
+        code.extend_from_slice(&[0xFF; 8]);
+        (handler, Image::from_code(code))
+    };
+    let (handler, _) = build(0);
+    let (_, img) = build(handler);
+    let native = run_native(&img, CpuKind::Pentium4);
+    assert_eq!(native.exit_code, 16);
     assert_equivalent(&img);
 }
