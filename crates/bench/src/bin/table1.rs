@@ -9,11 +9,11 @@
 //! All ten configuration runs are distributed over the worker pool
 //! (`--jobs N` / `RIO_JOBS`); output is identical for every job count.
 
-use rio_bench::{jobs, run_parallel};
+use rio_bench::{jobs, Sweep};
 use rio_clients::ClientKind;
 use rio_core::{Options, Rio};
-use rio_sim::{run_native, CpuKind};
-use rio_workloads::{benchmark, compiled};
+use rio_sim::CpuKind;
+use rio_workloads::benchmark;
 
 fn main() {
     let kind = CpuKind::Pentium4;
@@ -24,42 +24,15 @@ fn main() {
         ("+ Link indirect branches", Options::with_indirect_links()),
         ("+ Traces", Options::full()),
     ];
-
-    let benches: Vec<_> = ["crafty", "vpr"]
-        .iter()
-        .map(|name| {
-            let b = benchmark(name).expect("benchmark exists");
-            let image = compiled(&b);
-            let native = run_native(&image, kind);
-            (b, image, native)
-        })
-        .collect();
-
-    // One work item per (benchmark, configuration) cell.
-    let cells: Vec<(usize, usize)> = (0..benches.len())
-        .flat_map(|c| (0..rows.len()).map(move |r| (c, r)))
-        .collect();
-    let results = run_parallel(&cells, jobs(), |_, &(c, r)| {
-        let (b, image, native) = &benches[c];
-        let res = Rio::new(image, rows[r].1, kind, ClientKind::Null.build()).run();
-        assert_eq!(
-            (res.exit_code, res.app_output.as_str()),
-            (native.exit_code, native.output.as_str()),
-            "{} diverged under {:?}",
-            b.name,
-            rows[r].1
-        );
-        res.counters.cycles as f64 / native.counters.cycles as f64
+    let benches = ["crafty", "vpr"].map(|name| benchmark(name).expect("benchmark exists"));
+    let sweep = Sweep::new(benches.into(), kind, jobs());
+    let results = sweep.grid(&rows, |&(_, opts), image| {
+        Rio::new(image, opts, kind, ClientKind::Null.build()).run()
     });
 
     println!("Table 1: normalized execution time (vs native)");
     println!("{:<26} {:>8} {:>8}", "System Type", "crafty", "vpr");
-    for (i, (name, _)) in rows.iter().enumerate() {
-        println!(
-            "{:<26} {:>8.1} {:>8.1}",
-            name,
-            results[i],
-            results[rows.len() + i]
-        );
+    for ((name, _), norms) in rows.iter().zip(&results) {
+        println!("{:<26} {:>8.1} {:>8.1}", name, norms[0], norms[1]);
     }
 }

@@ -26,6 +26,11 @@
 //! counters and recursion depth is masked, so every program terminates; the
 //! only faults are divide errors, which the preamble's handler recovers in
 //! native and engine runs alike.
+//!
+//! [`gen_instr`] draws single IA-32 instructions from the same kind of
+//! stream, for the codec and liveness round-trip properties.
+
+use rio_ia32::{create, Cc, Instr, MemRef, OpSize, Opnd, Reg};
 
 use crate::rng::Rng;
 
@@ -422,6 +427,104 @@ pub fn render(stmts: &[S]) -> String {
              return chk % 251;
          }}"
     )
+}
+
+// ----- single instructions ------------------------------------------------
+
+/// A random 32-bit general register.
+fn gen_reg32(rng: &mut Rng) -> Reg {
+    *rng.pick(&Reg::GPR32)
+}
+
+/// A random 32-bit memory operand: optional base, optional index (never
+/// `%esp`, which IA-32 cannot encode as one), any scale, any displacement.
+fn gen_memref(rng: &mut Rng) -> MemRef {
+    let base = rng.flip().then(|| gen_reg32(rng));
+    let index = if rng.flip() {
+        Some(gen_reg32(rng)).filter(|&r| r != Reg::Esp)
+    } else {
+        None
+    };
+    let scale = *rng.pick(&[1u8, 2, 4, 8]);
+    MemRef {
+        base,
+        index,
+        // Scale is meaningless without an index; IA-32 cannot encode it.
+        scale: if index.is_some() { scale } else { 1 },
+        disp: rng.next_u32() as i32,
+        size: OpSize::S32,
+    }
+}
+
+/// A register or memory operand.
+fn gen_rm(rng: &mut Rng) -> Opnd {
+    if rng.flip() {
+        Opnd::Reg(gen_reg32(rng))
+    } else {
+        Opnd::Mem(gen_memref(rng))
+    }
+}
+
+/// Two-operand forms, each drawn as `r/m, reg`, `reg, r/m` or `r/m, imm32`.
+const BINARY: [fn(Opnd, Opnd) -> Instr; 7] = [
+    create::mov,
+    create::add,
+    create::sub,
+    create::adc,
+    create::and,
+    create::xor,
+    create::cmp,
+];
+
+/// One-operand `r/m` forms.
+const UNARY: [fn(Opnd) -> Instr; 5] = [
+    create::inc,
+    create::dec,
+    create::neg,
+    create::not,
+    create::idiv,
+];
+
+/// Shifts and rotates by an immediate count.
+const SHIFTS: [fn(Opnd, Opnd) -> Instr; 4] = [create::shl, create::sar, create::rol, create::ror];
+
+/// One random instruction over 32-bit operands: moves and ALU operations
+/// in every operand shape, unary operations, shifts and rotates,
+/// multiplies, division, stack operations, `setcc`, `lea`, `cmov`, `bt`,
+/// `bswap`, `nop`, `cdq` and `ret` — the only control transfer, so a
+/// caller wanting straight-line code drops it.
+pub fn gen_instr(rng: &mut Rng) -> Instr {
+    let reg = |rng: &mut Rng| Opnd::Reg(gen_reg32(rng));
+    let imm32 = |rng: &mut Rng| Opnd::imm32(rng.next_u32() as i32);
+    let cc = |rng: &mut Rng| Cc::from_code(rng.below(16) as u8);
+    match rng.below(20) {
+        0..=8 => {
+            let op = rng.pick(&BINARY);
+            match rng.below(3) {
+                0 => op(gen_rm(rng), reg(rng)),
+                1 => op(reg(rng), gen_rm(rng)),
+                _ => op(gen_rm(rng), imm32(rng)),
+            }
+        }
+        9 => create::test(gen_rm(rng), reg(rng)),
+        10 => rng.pick(&UNARY)(gen_rm(rng)),
+        11 => rng.pick(&SHIFTS)(gen_rm(rng), Opnd::imm8(1 + rng.below(31) as i8)),
+        12 => create::imul(gen_reg32(rng), gen_rm(rng)),
+        13 => create::imul3(gen_reg32(rng), gen_rm(rng), imm32(rng)),
+        14 => match rng.below(3) {
+            0 => create::push(reg(rng)),
+            1 => create::pop(reg(rng)),
+            _ => create::push(imm32(rng)),
+        },
+        15 => create::setcc(cc(rng), Opnd::reg(Reg::Al)),
+        16 => create::lea(gen_reg32(rng), gen_memref(rng)),
+        17 => create::cmov(cc(rng), gen_reg32(rng), gen_rm(rng)),
+        18 if rng.flip() => create::bt(gen_rm(rng), reg(rng)),
+        18 => create::bswap(gen_reg32(rng)),
+        _ => rng
+            .pick(&[create::nop(), create::cdq(), create::ret()])
+            .clone(),
+    }
 }
 
 #[cfg(test)]

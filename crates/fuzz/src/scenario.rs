@@ -158,8 +158,8 @@ pub enum Want {
 /// A `Stats` field name (from [`Stats::fields`]) and what it must hold.
 pub type FieldWant = (&'static str, Want);
 
-/// What a scenario must observe, besides native-identical output and zero
-/// stale decodes, which every scenario requires.
+/// What a scenario must observe, besides native-identical output and final
+/// app state and zero stale decodes, which every scenario requires.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Expect {
     /// Exit status.
@@ -271,6 +271,10 @@ pub fn check(s: &Scenario, cpu: CpuKind) -> Result<Pass, String> {
     require(
         r.app_output == native.output,
         "output diverged from native".into(),
+    );
+    require(
+        o.state_digest == native.state_digest,
+        "final app state diverged from native".into(),
     );
     let mut parts = vec![format!("exit {exit}, output native-identical")];
     if let Some(first) = o.faults.first() {

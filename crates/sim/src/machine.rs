@@ -2601,21 +2601,6 @@ mod tests {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod extended_isa_exec_tests {
-    use super::*;
-    use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, Cc, InstrList};
-
-    fn run_program(il: &InstrList) -> Machine {
-        let code = encode_list(il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
-        assert_eq!(m.run(), crate::cpu::CpuExit::Halt);
-        m
-    }
 
     #[test]
     fn cmov_moves_only_when_condition_holds() {
@@ -2626,7 +2611,8 @@ mod extended_isa_exec_tests {
         il.push_back(create::cmov(Cc::Z, Reg::Ecx, Opnd::reg(Reg::Ebx))); // taken
         il.push_back(create::cmov(Cc::Nz, Reg::Edx, Opnd::reg(Reg::Ebx))); // not taken
         il.push_back(create::hlt());
-        let m = run_program(&il);
+        let (m, exit) = run_program(&il);
+        assert_eq!(exit, CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Ecx), 99);
         assert_eq!(m.cpu.reg(Reg::Edx), 0);
     }
@@ -2642,7 +2628,8 @@ mod extended_isa_exec_tests {
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(0x1)));
         il.push_back(create::ror(Opnd::reg(Reg::Ebx), Opnd::imm8(4)));
         il.push_back(create::hlt());
-        let m = run_program(&il);
+        let (m, exit) = run_program(&il);
+        assert_eq!(exit, CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 0x3);
         assert_eq!(m.cpu.reg(Reg::Ebx), 0x1000_0000);
     }
@@ -2656,7 +2643,8 @@ mod extended_isa_exec_tests {
         il.push_back(create::bt(Opnd::reg(Reg::Eax), Opnd::imm8(2)));
         il.push_back(create::sbb(Opnd::reg(Reg::Edx), Opnd::reg(Reg::Edx)));
         il.push_back(create::hlt());
-        let m = run_program(&il);
+        let (m, exit) = run_program(&il);
+        assert_eq!(exit, CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Ecx), 0xFFFF_FFFF); // bit 3 was set
         assert_eq!(m.cpu.reg(Reg::Edx), 0); // bit 2 clear
     }
@@ -2667,7 +2655,8 @@ mod extended_isa_exec_tests {
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0x1234_5678)));
         il.push_back(create::bswap(Reg::Eax));
         il.push_back(create::hlt());
-        let m = run_program(&il);
+        let (m, exit) = run_program(&il);
+        assert_eq!(exit, CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 0x7856_3412);
     }
 }

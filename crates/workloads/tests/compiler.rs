@@ -1,5 +1,6 @@
 //! Compiler correctness: Dyna programs produce the right results when run
-//! natively, and identical results under the RIO engine.
+//! natively. That they run identically under the engine is checked in
+//! `tests/tests/pipeline.rs`.
 
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{compile, CompileError};
@@ -248,45 +249,6 @@ fn compile_errors_are_reported() {
         compile("fn main() { return 1 + ; }"),
         Err(CompileError::Parse(_))
     ));
-}
-
-#[test]
-fn compiled_programs_run_identically_under_rio() {
-    use rio_core::{NullClient, Options, Rio};
-    let srcs = [
-        "fn main() { var s = 0; var i = 1; while (i <= 200) { s = s + i * i; i++; } return s % 100000; }",
-        "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
-         fn main() { print(fib(12)); return 0; }",
-        "global t[8];
-         fn h(x) { return x * 17 + 3; }
-         fn main() {
-             var i = 0;
-             while (i < 8) { t[i] = h(i); i++; }
-             var s = 0;
-             i = 0;
-             while (i < 8) {
-                 switch (t[i] % 4) {
-                     case 0 { s = s + 1; }
-                     case 1 { s = s + 10; }
-                     case 2 { s = s + 100; }
-                     case 3 { s = s + 1000; }
-                 }
-                 i++;
-             }
-             print(s);
-             return s % 251;
-         }",
-    ];
-    for src in srcs {
-        let image = compile(src).unwrap();
-        let native = run_native(&image, CpuKind::Pentium4);
-        for opts in [Options::cache_only(), Options::full()] {
-            let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-            let r = rio.run();
-            assert_eq!(r.exit_code, native.exit_code, "src: {src}");
-            assert_eq!(r.app_output, native.output, "src: {src}");
-        }
-    }
 }
 
 #[test]

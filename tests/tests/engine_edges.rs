@@ -2,42 +2,17 @@
 //! taken translation paths (jecxz exits, `ret n`, 8-bit/carry arithmetic,
 //! flag save/restore, deep recursion, tiny block splits).
 
-use rio_core::{NullClient, Options, Rio};
+use rio_core::Options;
 use rio_ia32::encode::encode_list;
-use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opnd, Reg, Target};
+use rio_ia32::{create, Cc, InstrId, InstrList, MemRef, OpSize, Opnd, Reg, Target};
 use rio_sim::{run_native, CpuKind, Image, TRAP_EXIT_CODE};
-
-fn image(build: impl FnOnce(&mut InstrList)) -> Image {
-    let mut il = InstrList::new();
-    build(&mut il);
-    Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
-}
-
-fn exit_with(il: &mut InstrList, reg: Reg) {
-    if reg != Reg::Ebx {
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(reg)));
-    }
-    il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-    il.push_back(create::int(0x80));
-}
-
-fn assert_equivalent(img: &Image) {
-    let native = run_native(img, CpuKind::Pentium4);
-    for opts in [Options::emulation(), Options::cache_only(), Options::full()] {
-        let mut rio = Rio::new(img, opts, CpuKind::Pentium4, NullClient);
-        let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code, "opts {opts:?}");
-        assert_eq!(r.app_output, native.output, "opts {opts:?}");
-        let digest = rio.core.machine.app_state_digest(img);
-        assert_eq!(digest, native.state_digest, "opts {opts:?}");
-    }
-}
+use rio_tests::{assert_native_identical, assert_transparent, exit_with, program};
 
 #[test]
 fn jecxz_terminated_blocks_translate_via_trampolines() {
     // Application code whose loop exit is a jecxz — the exit cannot encode
     // a rel32 target, so emission must route it through a trampoline.
-    let img = image(|il| {
+    let img = program(|il| {
         il.push_back(create::mov(Opnd::reg(Reg::Ecx), Opnd::imm32(500)));
         il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
         let top = il.push_back(create::label());
@@ -53,13 +28,13 @@ fn jecxz_terminated_blocks_translate_via_trampolines() {
     });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 1500);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
 fn ret_n_calling_convention() {
     // Callee pops its own argument with `ret 4` (stdcall-style).
-    let img = image(|il| {
+    let img = program(|il| {
         il.push_back(create::push(Opnd::imm32(20)));
         let c = il.push_back(create::call(Target::Pc(0)));
         // No caller cleanup: ret 4 already popped the arg.
@@ -75,12 +50,12 @@ fn ret_n_calling_convention() {
     });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 40);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
 fn carry_chains_and_eight_bit_arithmetic_survive_translation() {
-    let img = image(|il| {
+    let img = program(|il| {
         // 64-bit-ish addition via adc, then 8-bit register juggling.
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(-1)));
         il.push_back(create::mov(Opnd::reg(Reg::Edx), Opnd::imm32(0)));
@@ -100,12 +75,12 @@ fn carry_chains_and_eight_bit_arithmetic_survive_translation() {
     });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 1000 + ((200 + 100) & 0xFF));
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
 fn pushfd_popfd_lahf_sahf_through_the_cache() {
-    let img = image(|il| {
+    let img = program(|il| {
         il.push_back(create::cmp(Opnd::reg(Reg::Eax), Opnd::reg(Reg::Eax))); // ZF=1
         il.push_back(create::pushfd());
         il.push_back(create::add(Opnd::reg(Reg::Ebx), Opnd::imm32(1))); // ZF=0
@@ -118,7 +93,7 @@ fn pushfd_popfd_lahf_sahf_through_the_cache() {
     });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 1);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
@@ -133,7 +108,7 @@ fn deep_recursion_under_translation() {
     .unwrap();
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, (800 * 801 / 2) % 251);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
@@ -149,19 +124,20 @@ fn tiny_block_splits_are_correct() {
          }",
     )
     .unwrap();
-    let native = run_native(&img, CpuKind::Pentium4);
-    for max in [1usize, 2, 3] {
-        let mut opts = Options::full();
-        opts.max_bb_instrs = max;
-        let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, NullClient);
-        let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code, "max_bb_instrs {max}");
+    for max_bb_instrs in [1, 2, 3] {
+        assert_native_identical(
+            &img,
+            Options {
+                max_bb_instrs,
+                ..Options::full()
+            },
+        );
     }
 }
 
 #[test]
 fn new_isa_instructions_translate_correctly() {
-    let img = image(|il| {
+    let img = program(|il| {
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0x0102_0304)));
         il.push_back(create::bswap(Reg::Eax));
         il.push_back(create::rol(Opnd::reg(Reg::Eax), Opnd::imm8(8)));
@@ -174,7 +150,7 @@ fn new_isa_instructions_translate_correctly() {
     let native = run_native(&img, CpuKind::Pentium4);
     // bswap(0x01020304)=0x04030201, rol 8 -> 0x03020104, bit1 = 0 -> cmov not taken
     assert_eq!(native.exit_code, 0);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
@@ -204,13 +180,13 @@ fn indirect_jump_with_changing_targets_in_traces() {
          }",
     )
     .unwrap();
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 /// Print `!`, then execute `trap`: a stray trap ends the program with the
 /// same status natively and in every engine mode.
 fn trap_image(trap: rio_ia32::Instr) -> Image {
-    image(|il| {
+    program(|il| {
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(3)));
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(b'!' as i32)));
         il.push_back(create::int(0x80));
@@ -225,7 +201,7 @@ fn int3_exits_like_native() {
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, TRAP_EXIT_CODE);
     assert_eq!(native.output, "!");
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
@@ -233,7 +209,29 @@ fn stray_interrupt_vector_exits_like_native() {
     let img = trap_image(create::int(0x21));
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, TRAP_EXIT_CODE);
-    assert_equivalent(&img);
+    assert_transparent(&img);
+}
+
+/// Register the label `body` returns as the fault handler, run `body`'s
+/// code, and follow it with bytes that do not decode. Assembled twice: the
+/// first pass learns the handler's address.
+fn with_handler(body: impl Fn(&mut InstrList) -> InstrId) -> Image {
+    let build = |handler: u32| {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(
+            Opnd::reg(Reg::Ebx),
+            Opnd::imm32(handler as i32),
+        ));
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(20)));
+        il.push_back(create::int(0x80));
+        let entry = body(&mut il);
+        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
+        let handler = Image::CODE_BASE + enc.offset_of(entry).unwrap();
+        let mut code = enc.bytes;
+        code.extend_from_slice(&[0xFF; 8]);
+        (handler, Image::from_code(code))
+    };
+    build(build(0).0).1
 }
 
 #[test]
@@ -241,31 +239,18 @@ fn undecodable_jump_target_is_delivered_to_the_handler() {
     // The block at the jump target cannot be built, so the engine raises
     // the invalid-opcode fault at dispatch; the handler must run next, as
     // it does natively.
-    let build = |handler: u32| {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(
-            Opnd::reg(Reg::Ebx),
-            Opnd::imm32(handler as i32),
-        ));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(20)));
-        il.push_back(create::int(0x80));
+    let img = with_handler(|il| {
         let jmp = il.push_back(create::jmp(Target::Pc(0)));
         let entry = il.push_back(create::label());
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(77)));
-        exit_with(&mut il, Reg::Ebx);
+        exit_with(il, Reg::Ebx);
         let garbage = il.push_back(create::label());
         il.get_mut(jmp).set_target(Target::Instr(garbage));
-        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
-        let handler = Image::CODE_BASE + enc.offset_of(entry).unwrap();
-        let mut code = enc.bytes;
-        code.extend_from_slice(&[0xFF; 8]);
-        (handler, Image::from_code(code))
-    };
-    let (handler, _) = build(0);
-    let (_, img) = build(handler);
+        entry
+    });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 77);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }
 
 #[test]
@@ -273,31 +258,18 @@ fn undecodable_bytes_mid_block_fault_after_the_valid_prefix() {
     // `L: add $10,%ebx` is followed by bytes that do not decode. Natively
     // the `add` runs before the fault reaches the handler, so the block at
     // `L` must end before the bad bytes instead of failing as a whole.
-    let build = |handler: u32| {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(
-            Opnd::reg(Reg::Ebx),
-            Opnd::imm32(handler as i32),
-        ));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(20)));
-        il.push_back(create::int(0x80));
+    let img = with_handler(|il| {
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(5)));
         il.push_back(create::inc(Opnd::reg(Reg::Ebx)));
         let jmp = il.push_back(create::jmp(Target::Pc(0)));
         let entry = il.push_back(create::label());
-        exit_with(&mut il, Reg::Ebx);
+        exit_with(il, Reg::Ebx);
         let l = il.push_back(create::label());
         il.push_back(create::add(Opnd::reg(Reg::Ebx), Opnd::imm32(10)));
         il.get_mut(jmp).set_target(Target::Instr(l));
-        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
-        let handler = Image::CODE_BASE + enc.offset_of(entry).unwrap();
-        let mut code = enc.bytes;
-        code.extend_from_slice(&[0xFF; 8]);
-        (handler, Image::from_code(code))
-    };
-    let (handler, _) = build(0);
-    let (_, img) = build(handler);
+        entry
+    });
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 16);
-    assert_equivalent(&img);
+    assert_transparent(&img);
 }

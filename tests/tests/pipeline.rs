@@ -1,12 +1,44 @@
-//! End-to-end pipeline properties: random Dyna programs evaluated three
-//! ways — a Rust-side reference evaluator, the native simulator, and the
-//! full RIO engine with all optimizations — must agree exactly.
+//! End-to-end pipeline properties: compiled Dyna programs must agree with
+//! a Rust-side reference evaluator and run identically natively and in
+//! every engine configuration of the fuzz oracle.
 
-use rio_clients::ClientKind;
-use rio_core::{Options, Rio};
-use rio_sim::{run_native, CpuKind};
-use rio_tests::Rng;
+use rio_tests::{assert_transparent, Rng};
 use rio_workloads::compile;
+
+/// A binary operator of the reference expressions.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Add,
+    Sub,
+    Mul,
+    And,
+    Xor,
+    Lt,
+}
+
+impl Op {
+    fn apply(self, x: i32, y: i32) -> i32 {
+        match self {
+            Op::Add => x.wrapping_add(y),
+            Op::Sub => x.wrapping_sub(y),
+            Op::Mul => x.wrapping_mul(y),
+            Op::And => x & y,
+            Op::Xor => x ^ y,
+            Op::Lt => (x < y) as i32,
+        }
+    }
+
+    fn symbol(self) -> &'static str {
+        match self {
+            Op::Add => "+",
+            Op::Sub => "-",
+            Op::Mul => "*",
+            Op::And => "&",
+            Op::Xor => "^",
+            Op::Lt => "<",
+        }
+    }
+}
 
 /// A random arithmetic expression over variables `a`, `b`, `c` that avoids
 /// division (no trap risk) and is cheap to evaluate in Rust.
@@ -16,13 +48,8 @@ enum E {
     B,
     C,
     K(i32),
-    Add(Box<E>, Box<E>),
-    Sub(Box<E>, Box<E>),
-    Mul(Box<E>, Box<E>),
-    And(Box<E>, Box<E>),
-    Xor(Box<E>, Box<E>),
+    Bin(Op, Box<E>, Box<E>),
     Shl(Box<E>),
-    Lt(Box<E>, Box<E>),
 }
 
 impl E {
@@ -32,13 +59,8 @@ impl E {
             E::B => b,
             E::C => c,
             E::K(k) => *k,
-            E::Add(x, y) => x.eval(a, b, c).wrapping_add(y.eval(a, b, c)),
-            E::Sub(x, y) => x.eval(a, b, c).wrapping_sub(y.eval(a, b, c)),
-            E::Mul(x, y) => x.eval(a, b, c).wrapping_mul(y.eval(a, b, c)),
-            E::And(x, y) => x.eval(a, b, c) & y.eval(a, b, c),
-            E::Xor(x, y) => x.eval(a, b, c) ^ y.eval(a, b, c),
+            E::Bin(op, x, y) => op.apply(x.eval(a, b, c), y.eval(a, b, c)),
             E::Shl(x) => x.eval(a, b, c).wrapping_shl(3),
-            E::Lt(x, y) => (x.eval(a, b, c) < y.eval(a, b, c)) as i32,
         }
     }
 
@@ -54,13 +76,8 @@ impl E {
                     format!("{k}")
                 }
             }
-            E::Add(x, y) => format!("({} + {})", x.to_src(), y.to_src()),
-            E::Sub(x, y) => format!("({} - {})", x.to_src(), y.to_src()),
-            E::Mul(x, y) => format!("({} * {})", x.to_src(), y.to_src()),
-            E::And(x, y) => format!("({} & {})", x.to_src(), y.to_src()),
-            E::Xor(x, y) => format!("({} ^ {})", x.to_src(), y.to_src()),
+            E::Bin(op, x, y) => format!("({} {} {})", x.to_src(), op.symbol(), y.to_src()),
             E::Shl(x) => format!("({} << 3)", x.to_src()),
-            E::Lt(x, y) => format!("({} < {})", x.to_src(), y.to_src()),
         }
     }
 }
@@ -77,42 +94,17 @@ fn gen_expr(rng: &mut Rng, depth: u32) -> E {
     }
     let sub = |rng: &mut Rng| Box::new(gen_expr(rng, depth - 1));
     match rng.below(7) {
-        0 => {
-            let x = sub(rng);
-            let y = sub(rng);
-            E::Add(x, y)
-        }
-        1 => {
-            let x = sub(rng);
-            let y = sub(rng);
-            E::Sub(x, y)
-        }
-        2 => {
-            let x = sub(rng);
-            let y = sub(rng);
-            E::Mul(x, y)
-        }
-        3 => {
-            let x = sub(rng);
-            let y = sub(rng);
-            E::And(x, y)
-        }
-        4 => {
-            let x = sub(rng);
-            let y = sub(rng);
-            E::Xor(x, y)
-        }
         5 => E::Shl(sub(rng)),
-        _ => {
+        k => {
+            let op = [Op::Add, Op::Sub, Op::Mul, Op::And, Op::Xor, Op::Lt][k.min(5)];
             let x = sub(rng);
-            let y = sub(rng);
-            E::Lt(x, y)
+            E::Bin(op, x, sub(rng))
         }
     }
 }
 
-/// Reference evaluator == native simulation == full RIO with the combined
-/// client, for a loop accumulating a random expression.
+/// Reference evaluator == native simulation == every engine configuration,
+/// for a loop accumulating a random expression.
 #[test]
 fn random_programs_agree_three_ways() {
     for case in 0..48u64 {
@@ -149,30 +141,17 @@ fn random_programs_agree_three_ways() {
             expr = e.to_src()
         );
         let image = compile(&src).expect("random program compiles");
-
-        let native = run_native(&image, CpuKind::Pentium4);
+        let summary = assert_transparent(&image);
         assert_eq!(
-            native.exit_code, expected,
-            "case {case}: native vs reference\n{src}"
+            summary.exit_code, expected,
+            "case {case}: vs reference\n{src}"
         );
-
-        let r = Rio::new(
-            &image,
-            Options::full(),
-            CpuKind::Pentium4,
-            ClientKind::Combined.build(),
-        )
-        .run();
-        assert_eq!(
-            r.exit_code, expected,
-            "case {case}: RIO vs reference\n{src}"
-        );
-        assert_eq!(r.app_output, native.output, "case {case}");
     }
 }
 
-/// Final architectural register state matches between native and cached
-/// execution (beyond just exit codes).
+/// Final architectural state — registers and globals, through the oracle's
+/// state digest — matches between native and engine execution, not just
+/// the exit code.
 #[test]
 fn final_machine_state_matches() {
     for case in 0..32u64 {
@@ -187,15 +166,39 @@ fn final_machine_state_matches() {
                  return s % 251;
              }}"
         );
-        let image = compile(&src).expect("compiles");
-        let native = run_native(&image, CpuKind::Pentium4);
-        let r = Rio::new(
-            &image,
-            Options::full(),
-            CpuKind::Pentium4,
-            ClientKind::Null.build(),
-        )
-        .run();
-        assert_eq!(r.exit_code, native.exit_code, "seed {seed}");
+        assert_transparent(&compile(&src).expect("compiles"));
+    }
+}
+
+/// Loops, recursion, output, global arrays and a dense switch compile to
+/// code that runs identically natively and under the engine.
+#[test]
+fn compiled_programs_run_identically_under_rio() {
+    let srcs = [
+        "fn main() { var s = 0; var i = 1; while (i <= 200) { s = s + i * i; i++; } return s % 100000; }",
+        "fn fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
+         fn main() { print(fib(12)); return 0; }",
+        "global t[8];
+         fn h(x) { return x * 17 + 3; }
+         fn main() {
+             var i = 0;
+             while (i < 8) { t[i] = h(i); i++; }
+             var s = 0;
+             i = 0;
+             while (i < 8) {
+                 switch (t[i] % 4) {
+                     case 0 { s = s + 1; }
+                     case 1 { s = s + 10; }
+                     case 2 { s = s + 100; }
+                     case 3 { s = s + 1000; }
+                 }
+                 i++;
+             }
+             print(s);
+             return s % 251;
+         }",
+    ];
+    for src in srcs {
+        assert_transparent(&compile(src).unwrap());
     }
 }

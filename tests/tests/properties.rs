@@ -1,153 +1,10 @@
 //! Randomized tests over the instruction-representation core and the
 //! full compile-and-execute pipeline (deterministic in-tree RNG).
 
+use rio_fuzz::gen::gen_instr;
 use rio_ia32::encode::encode_list;
-use rio_ia32::{
-    create, decode_instr, decode_sizeof, encode_instr, Cc, Instr, InstrList, Level, MemRef, OpSize,
-    Opnd, Reg,
-};
+use rio_ia32::{create, decode_instr, decode_sizeof, encode_instr, InstrList, Level, Opnd, Reg};
 use rio_tests::Rng;
-
-fn gen_reg32(rng: &mut Rng) -> Reg {
-    *rng.pick(&Reg::GPR32)
-}
-
-fn gen_memref(rng: &mut Rng) -> MemRef {
-    let base = rng.flip().then(|| gen_reg32(rng));
-    let index = if rng.flip() {
-        // %esp cannot be an index register.
-        let r = gen_reg32(rng);
-        (r != Reg::Esp).then_some(r)
-    } else {
-        None
-    };
-    let scale = *rng.pick(&[1u8, 2, 4, 8]);
-    MemRef {
-        base,
-        index,
-        // Scale is meaningless without an index; IA-32 cannot encode it.
-        scale: if index.is_some() { scale } else { 1 },
-        disp: rng.next_u32() as i32,
-        size: OpSize::S32,
-    }
-}
-
-fn gen_rm(rng: &mut Rng) -> Opnd {
-    if rng.flip() {
-        Opnd::Reg(gen_reg32(rng))
-    } else {
-        Opnd::Mem(gen_memref(rng))
-    }
-}
-
-/// A synthesized instruction whose encoding must round-trip.
-fn gen_instr(rng: &mut Rng) -> Instr {
-    match rng.below(28) {
-        // mov r/m <- reg, reg <- r/m, r/m <- imm
-        0 => {
-            let d = gen_rm(rng);
-            create::mov(d, Opnd::Reg(gen_reg32(rng)))
-        }
-        1 => {
-            let d = gen_reg32(rng);
-            let s = gen_rm(rng);
-            create::mov(Opnd::Reg(d), s)
-        }
-        2 => {
-            let d = gen_rm(rng);
-            let v = rng.next_u32() as i32;
-            create::mov(d, Opnd::imm32(v))
-        }
-        // group-1 arithmetic, all operand shapes
-        3 => {
-            let d = gen_rm(rng);
-            create::add(d, Opnd::Reg(gen_reg32(rng)))
-        }
-        4 => {
-            let d = gen_reg32(rng);
-            let s = gen_rm(rng);
-            create::sub(Opnd::Reg(d), s)
-        }
-        5 => {
-            let d = gen_rm(rng);
-            let v = rng.next_u32() as i32;
-            create::and(d, Opnd::imm32(v))
-        }
-        6 => {
-            let a = gen_rm(rng);
-            let v = rng.next_u32() as i32;
-            create::cmp(a, Opnd::imm32(v))
-        }
-        7 => {
-            let a = gen_rm(rng);
-            create::test(a, Opnd::Reg(gen_reg32(rng)))
-        }
-        // inc/dec/neg/not
-        8 => create::inc(gen_rm(rng)),
-        9 => create::dec(gen_rm(rng)),
-        10 => create::neg(gen_rm(rng)),
-        11 => create::not(gen_rm(rng)),
-        // shifts
-        12 => {
-            let d = gen_rm(rng);
-            let c = rng.below(32) as i8;
-            create::shl(d, Opnd::imm8(c))
-        }
-        13 => {
-            let d = gen_reg32(rng);
-            let c = rng.below(32) as i8;
-            create::sar(Opnd::Reg(d), Opnd::imm8(c))
-        }
-        // multiplies
-        14 => {
-            let d = gen_reg32(rng);
-            let s = gen_rm(rng);
-            create::imul(d, s)
-        }
-        15 => {
-            let d = gen_reg32(rng);
-            let s = gen_rm(rng);
-            let v = rng.next_u32() as i32;
-            create::imul3(d, s, Opnd::imm32(v))
-        }
-        16 => create::idiv(gen_rm(rng)),
-        // stack
-        17 => create::push(Opnd::Reg(gen_reg32(rng))),
-        18 => create::pop(Opnd::Reg(gen_reg32(rng))),
-        19 => create::push(Opnd::imm32(rng.next_u32() as i32)),
-        // misc
-        20 => create::setcc(Cc::from_code(rng.below(16) as u8), Opnd::reg(Reg::Al)),
-        21 => {
-            let d = gen_reg32(rng);
-            let m = gen_memref(rng);
-            create::lea(d, m)
-        }
-        22 => {
-            let cc = Cc::from_code(rng.below(16) as u8);
-            let d = gen_reg32(rng);
-            let s = gen_rm(rng);
-            create::cmov(cc, d, s)
-        }
-        23 => {
-            let d = gen_rm(rng);
-            let c = (rng.below(31) + 1) as i8;
-            create::rol(d, Opnd::imm8(c))
-        }
-        24 => {
-            let d = gen_rm(rng);
-            let c = (rng.below(31) + 1) as i8;
-            create::ror(d, Opnd::imm8(c))
-        }
-        25 => {
-            let a = gen_rm(rng);
-            create::bt(a, Opnd::Reg(gen_reg32(rng)))
-        }
-        26 => create::bswap(gen_reg32(rng)),
-        _ => rng
-            .pick(&[create::nop(), create::cdq(), create::ret()])
-            .clone(),
-    }
-}
 
 /// Synthesized instruction -> encode -> decode yields identical opcode and
 /// operands.

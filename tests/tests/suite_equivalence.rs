@@ -6,6 +6,7 @@ use rio_clients::ClientKind;
 use rio_core::Options;
 use rio_fuzz::scenario::{self, Exit, Expect, Faults, Run, Scenario};
 use rio_sim::CpuKind;
+use rio_tests::table1_rows;
 use rio_workloads::{suite_scaled, Benchmark};
 
 fn check_on(cpu: CpuKind, b: &Benchmark, options: Options, client: ClientKind) {
@@ -32,13 +33,9 @@ fn all_benchmarks_match_native_under_every_client() {
 #[test]
 fn all_benchmarks_match_native_under_every_engine_configuration() {
     for b in suite_scaled(1) {
-        for options in [
-            Options::cache_only(),
-            Options::with_direct_links(),
-            Options::with_indirect_links(),
-            Options::full(),
-        ] {
-            check(&b, options, ClientKind::Null);
+        // Every cache configuration; emulation is spot-checked below.
+        for options in &table1_rows()[1..] {
+            check(&b, *options, ClientKind::Null);
         }
     }
 }
@@ -46,13 +43,10 @@ fn all_benchmarks_match_native_under_every_engine_configuration() {
 #[test]
 fn emulation_matches_native_on_representative_benchmarks() {
     // Emulation is slow on the host too; spot-check the Table 1 pair.
-    for name in ["crafty", "vpr"] {
-        let b = rio_workloads::benchmark(name).unwrap();
-        let small = rio_workloads::suite_scaled(1)
-            .into_iter()
-            .find(|x| x.name == b.name)
-            .unwrap();
-        check(&small, Options::emulation(), ClientKind::Null);
+    for b in suite_scaled(1) {
+        if ["crafty", "vpr"].contains(&b.name) {
+            check(&b, Options::emulation(), ClientKind::Null);
+        }
     }
 }
 

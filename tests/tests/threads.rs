@@ -1,51 +1,10 @@
 //! Multi-threaded applications: thread-private code caches (paper §2),
 //! per-thread hooks, and native/RIO equivalence under cooperative threads.
 
-use rio_core::{Client, Core, NullClient, Options, Rio, RioRunResult, StepBudget, StepOutcome};
-use rio_ia32::InstrList;
-use rio_sim::{run_native, CpuKind, Image};
+use rio_core::{NullClient, Options, Rio, StepBudget};
+use rio_sim::{run_native, CpuKind};
+use rio_tests::{assert_transparent, run_in_steps, table1_rows, HookLog};
 use rio_workloads::compile;
-
-/// The five Table 1 configurations, emulation first.
-fn table1_rows() -> [Options; 5] {
-    [
-        Options::emulation(),
-        Options::cache_only(),
-        Options::with_direct_links(),
-        Options::with_indirect_links(),
-        Options::full(),
-    ]
-}
-
-/// Run `image` under the engine with an instruction budget far above what
-/// the test programs need, so a scheduling bug fails instead of hanging.
-fn run_bounded<C: Client>(image: &Image, opts: Options, client: C) -> (Rio<C>, RioRunResult) {
-    let mut rio = Rio::new(image, opts, CpuKind::Pentium4, client);
-    match rio.step(StepBudget::instructions(1_000_000)) {
-        StepOutcome::Exited(code) => {
-            let r = rio.result_snapshot(code);
-            (rio, r)
-        }
-        other => panic!("{opts:?}: program did not exit: {other:?}"),
-    }
-}
-
-/// Records the thread each `thread_init` / `thread_exit` hook fired for.
-#[derive(Default)]
-struct Hooks {
-    inits: Vec<usize>,
-    exits: Vec<usize>,
-}
-
-impl Client for Hooks {
-    fn thread_init(&mut self, core: &mut Core) {
-        self.inits.push(core.current_thread());
-    }
-    fn thread_exit(&mut self, core: &mut Core) {
-        self.exits.push(core.current_thread());
-    }
-    fn basic_block(&mut self, _c: &mut Core, _t: u32, _bb: &mut InstrList) {}
-}
 
 /// Two workers and the main thread cooperatively appending to the output.
 const THREADED_SRC: &str = "
@@ -85,14 +44,12 @@ fn threads_run_identically_native_and_under_rio() {
     assert!(native.output.contains("12\n")); // spawn returned tids 1 and 2
 
     for opts in table1_rows() {
-        let (_, r) = run_bounded(&image, opts, NullClient);
-        assert_eq!(r.exit_code, native.exit_code, "{opts:?}");
-        assert_eq!(
-            r.app_output, native.output,
-            "interleaving must match: {opts:?}"
-        );
+        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
+        let (r, _) = run_in_steps(&mut rio, StepBudget::instructions(1_000_000), Some(1));
         assert_eq!(r.stats.threads_spawned, 2, "{opts:?}");
     }
+    // Interleaving, output and final state match in every configuration.
+    assert_transparent(&image);
 }
 
 #[test]
@@ -121,11 +78,9 @@ fn caches_are_thread_private() {
         }
     ";
     let image = compile(src).expect("compiles");
-    let native = run_native(&image, CpuKind::Pentium4);
+    assert_transparent(&image);
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
-    let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
-    assert_eq!(r.app_output, native.output);
+    rio.run();
     assert_eq!(rio.core.thread_count(), 3);
     // Each private cache holds fragments; `bump`'s blocks were built at
     // least once per thread that ran them.
@@ -157,11 +112,16 @@ fn caches_are_thread_private() {
 fn thread_hooks_fire_per_thread() {
     let image = compile(THREADED_SRC).expect("compiles");
     for opts in [Options::emulation(), Options::full()] {
-        let (rio, r) = run_bounded(&image, opts, Hooks::default());
+        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, HookLog::default());
+        let (r, _) = run_in_steps(&mut rio, StepBudget::instructions(1_000_000), Some(1));
         assert_eq!(r.exit_code, 2, "{opts:?}");
-        assert_eq!(rio.client.inits, [0, 1, 2], "main + two spawned threads");
+        assert_eq!(
+            rio.client.thread_inits,
+            [0, 1, 2],
+            "main + two spawned threads"
+        );
         // The workers retire first; main's hook fires at program exit.
-        assert_eq!(rio.client.exits, [1, 2, 0], "{opts:?}");
+        assert_eq!(rio.client.thread_exits, [1, 2, 0], "{opts:?}");
     }
 }
 
@@ -176,11 +136,11 @@ fn thread_exit_fires_once_for_a_retired_main_thread() {
     let native = run_native(&image, CpuKind::Pentium4);
     assert_eq!((native.exit_code, native.output.as_str()), (0, "MW"));
     for opts in table1_rows() {
-        let (rio, r) = run_bounded(&image, opts, Hooks::default());
-        assert_eq!(r.exit_code, native.exit_code, "{opts:?}");
-        assert_eq!(r.app_output, native.output, "{opts:?}");
-        assert_eq!(rio.client.exits, [0, 1], "{opts:?}");
+        let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, HookLog::default());
+        run_in_steps(&mut rio, StepBudget::instructions(1_000_000), Some(1));
+        assert_eq!(rio.client.thread_exits, [0, 1], "{opts:?}");
     }
+    assert_transparent(&image);
 }
 
 #[test]
@@ -201,10 +161,6 @@ fn spawn_failure_after_thread_limit() {
         }
     ";
     let image = compile(src).expect("compiles");
-    let native = run_native(&image, CpuKind::Pentium4);
-    let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
-    let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
     // 12 spawns, 7 slots beyond main under RIO's 8-thread cache partition.
-    assert_eq!(r.exit_code, 5);
+    assert_eq!(assert_transparent(&image).exit_code, 5);
 }
