@@ -1,12 +1,13 @@
 //! Fragments, exit stubs, and the code cache.
 //!
 //! A *fragment* is "either a basic block or a trace in the code cache"
-//! (paper §2). The cache is split into a basic-block cache and a trace cache
-//! (thread-private in the original; one simulated thread here), each a bump
-//! allocator over its region of the simulated address space. The paper's
-//! evaluation runs with unlimited cache space, and so does this
-//! implementation — deleted fragments are unlinked and dropped from the
-//! lookup tables but their bytes are not reused.
+//! (paper §2). Every simulated thread owns a private cache, split into a
+//! basic-block and a trace sub-cache, each a bump allocator over its 16 MiB
+//! slice of the simulated address space. The paper's evaluation runs with
+//! unlimited cache space, and so does this implementation by default.
+//! Deleted fragments are unlinked, dropped from the lookup tables and
+//! tombstoned, but their bytes are not reused: only a whole sub-cache flush
+//! resets its allocator.
 
 use std::collections::HashMap;
 
@@ -212,6 +213,10 @@ pub struct CodeCache {
     /// deleted, so capacity policies can count what is actually resident.
     bb_live: u32,
     trace_live: u32,
+    /// Per-sub-cache FIFO heads: every fragment below a head is deleted or
+    /// of the other kind, so the eviction walk never revisits tombstones.
+    bb_fifo: u32,
+    trace_fifo: u32,
 }
 
 /// Address-space slice per thread-private cache (16 MiB bb + 16 MiB trace).
@@ -254,24 +259,23 @@ impl CodeCache {
         (self.bb_base, self.trace_limit)
     }
 
-    /// Reserve `len` bytes in the basic-block or trace cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sub-cache region is exhausted (128 MiB of fragments —
-    /// far beyond any workload here; the paper's runs also used unlimited
-    /// cache space).
-    pub fn alloc(&mut self, kind: FragmentKind, len: u32) -> u32 {
+    /// Reserve `len` bytes in the basic-block or trace cache. Returns
+    /// `None` once the sub-cache's 16 MiB slice is used up: eviction frees
+    /// capacity accounting, not address space, so a long run under a small
+    /// [`Options::cache_limit`](crate::Options::cache_limit) can get there.
+    pub fn alloc(&mut self, kind: FragmentKind, len: u32) -> Option<u32> {
         let (next, limit) = match kind {
             FragmentKind::BasicBlock => (&mut self.bb_next, self.bb_limit),
             FragmentKind::Trace => (&mut self.trace_next, self.trace_limit),
         };
         let start = *next;
-        assert!(start + len < limit, "code cache exhausted");
+        if start.checked_add(len)? >= limit {
+            return None;
+        }
         // Align fragments to 16 bytes like the original (cache-line
         // friendliness of fragment entries).
         *next = (start + len + 15) & !15;
-        start
+        Some(start)
     }
 
     /// Bytes currently allocated in a sub-cache.
@@ -284,7 +288,7 @@ impl CodeCache {
 
     /// Bytes occupied by live (non-deleted) fragments of `kind` — the
     /// quantity capacity policies bound. Maintained by
-    /// [`CodeCache::insert`] and [`CodeCache::mark_deleted`].
+    /// [`CodeCache::insert`] and by fragment deletion.
     pub fn live_bytes(&self, kind: FragmentKind) -> u32 {
         match kind {
             FragmentKind::BasicBlock => self.bb_live,
@@ -292,54 +296,83 @@ impl CodeCache {
         }
     }
 
-    /// Tombstone a fragment, updating the live-byte accounting exactly
-    /// once however many times it is called. All deletion paths (safe
-    /// deletions, capacity eviction, flushes, fault eviction, precise
-    /// invalidation) must go through here rather than setting
-    /// [`Fragment::deleted`] directly.
-    pub fn mark_deleted(&mut self, id: FragmentId) {
+    /// Delete a fragment: drop it from the lookup tables and tombstone it,
+    /// updating the live-byte accounting and the FIFO head exactly once
+    /// however many times it is called. Its bytes stay resident. Every
+    /// deletion path (safe deletion, capacity eviction, flush, precise
+    /// invalidation, fault eviction) ends here, through
+    /// [`Core`](crate::Core)'s one removal routine, which unlinks first.
+    pub(crate) fn remove(&mut self, id: FragmentId) {
+        self.remove_from_maps(id);
         let f = &mut self.frags[id.0 as usize];
         if f.deleted {
             return;
         }
         f.deleted = true;
-        match f.kind {
-            FragmentKind::BasicBlock => self.bb_live -= f.total_len,
-            FragmentKind::Trace => self.trace_live -= f.total_len,
+        let kind = f.kind;
+        let head = match kind {
+            FragmentKind::BasicBlock => {
+                self.bb_live -= f.total_len;
+                &mut self.bb_fifo
+            }
+            FragmentKind::Trace => {
+                self.trace_live -= f.total_len;
+                &mut self.trace_fifo
+            }
+        };
+        while let Some(f) = self.frags.get(*head as usize) {
+            if !f.deleted && f.kind == kind {
+                break;
+            }
+            *head += 1;
         }
     }
 
     /// The oldest (lowest-id, i.e. first-emitted) live fragment of `kind`
-    /// whose id is at least `from` — the FIFO eviction candidate.
+    /// whose id is at least `from` — the FIFO eviction candidate. The walk
+    /// starts no earlier than the sub-cache's FIFO head.
     pub fn oldest_live(&self, kind: FragmentKind, from: FragmentId) -> Option<FragmentId> {
-        self.frags[from.0 as usize..]
+        let head = match kind {
+            FragmentKind::BasicBlock => self.bb_fifo,
+            FragmentKind::Trace => self.trace_fifo,
+        };
+        self.frags[from.0.max(head) as usize..]
             .iter()
             .find(|f| f.kind == kind && !f.deleted)
             .map(|f| f.id)
     }
 
-    /// Flush a sub-cache: remove every live fragment of `kind` from the
-    /// lookup tables and reset its allocator. Returns the flushed fragment
-    /// ids (callers must unlink them and fire `fragment_deleted` hooks).
-    ///
-    /// Fragment *bytes* stay valid until new fragments overwrite them, so a
-    /// flush is safe to perform at any engine safe point (control out of
-    /// the cache).
-    pub fn flush(&mut self, kind: FragmentKind) -> Vec<FragmentId> {
-        let ids: Vec<FragmentId> = self
-            .frags
+    /// The live fragments that satisfy `pred`, oldest first.
+    pub(crate) fn live_ids(&self, pred: impl Fn(&Fragment) -> bool) -> Vec<FragmentId> {
+        self.frags
             .iter()
-            .filter(|f| f.kind == kind && !f.deleted)
+            .filter(|f| !f.deleted && pred(f))
             .map(|f| f.id)
-            .collect();
-        for id in &ids {
-            self.remove_from_maps(*id);
-        }
+            .collect()
+    }
+
+    /// Reset a sub-cache's allocator once every fragment in it has been
+    /// removed (a whole-sub-cache flush). Old bytes stay valid until new
+    /// fragments overwrite them, so this is safe at any engine safe point.
+    pub(crate) fn reset_alloc(&mut self, kind: FragmentKind) {
+        debug_assert_eq!(self.live_bytes(kind), 0, "reset of a live sub-cache");
         match kind {
             FragmentKind::BasicBlock => self.bb_next = self.bb_base,
             FragmentKind::Trace => self.trace_next = self.trace_base,
         }
-        ids
+    }
+
+    /// The fragment executing for `tag` if control may enter it without
+    /// going through dispatch — the one rule for direct links and in-cache
+    /// indirect-branch hits: it is live, and it is not a basic block that
+    /// is a trace head (those are reached through dispatch so their
+    /// counters tick; traces are freely linkable).
+    pub(crate) fn link_target(&self, tag: u32) -> Option<FragmentId> {
+        self.lookup(tag).filter(|&id| {
+            let f = self.frag(id);
+            let counted_head = f.kind == FragmentKind::BasicBlock && f.is_trace_head;
+            !f.deleted && !counted_head
+        })
     }
 
     /// Register a fragment built by the emitter. Returns its id.
@@ -500,12 +533,12 @@ mod tests {
     #[test]
     fn alloc_is_aligned_and_disjoint() {
         let mut c = CodeCache::new();
-        let a = c.alloc(FragmentKind::BasicBlock, 33);
-        let b = c.alloc(FragmentKind::BasicBlock, 7);
+        let a = c.alloc(FragmentKind::BasicBlock, 33).unwrap();
+        let b = c.alloc(FragmentKind::BasicBlock, 7).unwrap();
         assert_eq!(a % 16, 0);
         assert_eq!(b % 16, 0);
         assert!(b >= a + 33);
-        let t = c.alloc(FragmentKind::Trace, 100);
+        let t = c.alloc(FragmentKind::Trace, 100).unwrap();
         assert!(t >= Image::CACHE_BASE + THREAD_SLICE / 2);
     }
 
@@ -516,8 +549,8 @@ mod tests {
         let (s0, e0) = c0.region();
         let (s1, e1) = c1.region();
         assert!(e0 <= s1 || e1 <= s0, "regions overlap");
-        let a0 = c0.alloc(FragmentKind::BasicBlock, 64);
-        let a1 = c1.alloc(FragmentKind::BasicBlock, 64);
+        let a0 = c0.alloc(FragmentKind::BasicBlock, 64).unwrap();
+        let a1 = c1.alloc(FragmentKind::BasicBlock, 64).unwrap();
         assert!(a0 < e0 && a0 >= s0);
         assert!(a1 < e1 && a1 >= s1);
         // Stub index spaces are disjoint and self-resolving.
@@ -540,10 +573,10 @@ mod tests {
     #[test]
     fn trace_shadows_basic_block() {
         let mut c = CodeCache::new();
-        let bb_start = c.alloc(FragmentKind::BasicBlock, 16);
+        let bb_start = c.alloc(FragmentKind::BasicBlock, 16).unwrap();
         let bb = c.insert(dummy_frag(0x1000, FragmentKind::BasicBlock, bb_start));
         assert_eq!(c.lookup(0x1000), Some(bb));
-        let tr_start = c.alloc(FragmentKind::Trace, 16);
+        let tr_start = c.alloc(FragmentKind::Trace, 16).unwrap();
         let tr = c.insert(dummy_frag(0x1000, FragmentKind::Trace, tr_start));
         assert_eq!(c.lookup(0x1000), Some(tr));
         assert_eq!(c.lookup_bb(0x1000), Some(bb));
@@ -566,13 +599,33 @@ mod tests {
     #[test]
     fn remove_from_maps_hides_fragment() {
         let mut c = CodeCache::new();
-        let start = c.alloc(FragmentKind::BasicBlock, 16);
+        let start = c.alloc(FragmentKind::BasicBlock, 16).unwrap();
         let id = c.insert(dummy_frag(0x2000, FragmentKind::BasicBlock, start));
         c.remove_from_maps(id);
         assert_eq!(c.lookup(0x2000), None);
         assert_eq!(c.by_entry(start), None);
         // Fragment data still accessible by id (bytes stay resident).
         assert_eq!(c.frag(id).tag, 0x2000);
+        assert!(!c.frag(id).deleted);
+        c.remove(id);
+        assert!(c.frag(id).deleted);
+    }
+
+    #[test]
+    fn link_target_excludes_trace_head_blocks_but_not_traces() {
+        let mut c = CodeCache::new();
+        let s = c.alloc(FragmentKind::BasicBlock, 16).unwrap();
+        let bb = c.insert(dummy_frag(0x1000, FragmentKind::BasicBlock, s));
+        assert_eq!(c.link_target(0x1000), Some(bb));
+        c.frag_mut(bb).is_trace_head = true;
+        assert_eq!(c.link_target(0x1000), None);
+        let s = c.alloc(FragmentKind::Trace, 16).unwrap();
+        let tr = c.insert(dummy_frag(0x1000, FragmentKind::Trace, s));
+        c.frag_mut(tr).is_trace_head = true;
+        assert_eq!(c.link_target(0x1000), Some(tr));
+        c.remove(tr);
+        assert_eq!(c.link_target(0x1000), None);
+        assert_eq!(c.link_target(0x2000), None);
     }
 
     #[test]
@@ -580,9 +633,9 @@ mod tests {
         // After a replacement installs a new fragment for the same tag,
         // removing the old one must not hide the new one.
         let mut c = CodeCache::new();
-        let s1 = c.alloc(FragmentKind::Trace, 16);
+        let s1 = c.alloc(FragmentKind::Trace, 16).unwrap();
         let old = c.insert(dummy_frag(0x3000, FragmentKind::Trace, s1));
-        let s2 = c.alloc(FragmentKind::Trace, 16);
+        let s2 = c.alloc(FragmentKind::Trace, 16).unwrap();
         let new = c.insert(dummy_frag(0x3000, FragmentKind::Trace, s2));
         assert_eq!(c.lookup(0x3000), Some(new));
         c.remove_from_maps(old);
@@ -592,7 +645,7 @@ mod tests {
     #[test]
     fn frag_by_addr_finds_mid_body_addresses_and_prefers_live() {
         let mut c = CodeCache::new();
-        let s1 = c.alloc(FragmentKind::BasicBlock, 32);
+        let s1 = c.alloc(FragmentKind::BasicBlock, 32).unwrap();
         let a = c.insert(dummy_frag(0x4000, FragmentKind::BasicBlock, s1));
         assert_eq!(c.frag_by_addr(s1 + 5), Some(a));
         assert_eq!(c.frag_by_addr(s1 + 19), Some(a));
@@ -604,22 +657,42 @@ mod tests {
     }
 
     #[test]
+    fn alloc_reports_an_exhausted_sub_cache() {
+        let mut c = CodeCache::new();
+        // Each 4095-byte fragment takes a 16-byte-aligned 4 KiB chunk, so
+        // exactly 16 MiB / 4 KiB of them fit in the trace slice.
+        let mut n = 0;
+        while c.alloc(FragmentKind::Trace, 4095).is_some() {
+            n += 1;
+        }
+        assert_eq!(n, THREAD_SLICE / 2 / 4096);
+        assert_eq!(c.alloc(FragmentKind::Trace, 1), None);
+        assert_eq!(c.alloc(FragmentKind::BasicBlock, u32::MAX), None);
+        // The bb slice is separate and untouched; a flush's allocator
+        // reset makes the trace slice usable again.
+        assert!(c.alloc(FragmentKind::BasicBlock, 16).is_some());
+        c.reset_alloc(FragmentKind::Trace);
+        let trace_base = Image::CACHE_BASE + THREAD_SLICE / 2;
+        assert_eq!(c.alloc(FragmentKind::Trace, 16), Some(trace_base));
+    }
+
+    #[test]
     fn live_bytes_shrink_on_deletion_exactly_once() {
         let mut c = CodeCache::new();
-        let s1 = c.alloc(FragmentKind::BasicBlock, 20);
+        let s1 = c.alloc(FragmentKind::BasicBlock, 20).unwrap();
         let a = c.insert(dummy_frag(0x1000, FragmentKind::BasicBlock, s1));
-        let s2 = c.alloc(FragmentKind::BasicBlock, 20);
+        let s2 = c.alloc(FragmentKind::BasicBlock, 20).unwrap();
         let b = c.insert(dummy_frag(0x2000, FragmentKind::BasicBlock, s2));
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 40);
         // The bump allocator's high-water mark never shrinks...
         assert!(c.used(FragmentKind::BasicBlock) >= 40);
-        c.mark_deleted(a);
+        c.remove(a);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 20);
         // ...and double-deletion must not double-count.
-        c.mark_deleted(a);
+        c.remove(a);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 20);
         assert!(c.used(FragmentKind::BasicBlock) >= 40);
-        c.mark_deleted(b);
+        c.remove(b);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 0);
     }
 
@@ -628,14 +701,14 @@ mod tests {
         let mut c = CodeCache::new();
         let mut ids = Vec::new();
         for i in 0..3 {
-            let s = c.alloc(FragmentKind::BasicBlock, 16);
+            let s = c.alloc(FragmentKind::BasicBlock, 16).unwrap();
             ids.push(c.insert(dummy_frag(0x1000 + i * 0x100, FragmentKind::BasicBlock, s)));
         }
         assert_eq!(
             c.oldest_live(FragmentKind::BasicBlock, FragmentId(0)),
             Some(ids[0])
         );
-        c.mark_deleted(ids[0]);
+        c.remove(ids[0]);
         assert_eq!(
             c.oldest_live(FragmentKind::BasicBlock, FragmentId(0)),
             Some(ids[1])
@@ -645,8 +718,10 @@ mod tests {
             c.oldest_live(FragmentKind::BasicBlock, ids[2]),
             Some(ids[2])
         );
-        c.mark_deleted(ids[1]);
-        c.mark_deleted(ids[2]);
+        // The FIFO head has moved past the tombstone.
+        assert_eq!(c.bb_fifo, ids[1].0);
+        c.remove(ids[1]);
+        c.remove(ids[2]);
         assert_eq!(c.oldest_live(FragmentKind::BasicBlock, FragmentId(0)), None);
     }
 

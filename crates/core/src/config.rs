@@ -38,9 +38,9 @@ pub struct Options {
     pub inline_ib_target: bool,
     /// Maximum instructions per basic block before an artificial split.
     pub max_bb_instrs: usize,
-    /// Capacity of each sub-cache in bytes; `None` = unlimited (the paper's
-    /// evaluation configuration). When exceeded, the sub-cache is flushed at
-    /// the next safe point.
+    /// Capacity of each sub-cache in live bytes; `None` = unlimited (the
+    /// paper's evaluation configuration). When exceeded, single fragments
+    /// are evicted in FIFO order at the next safe point.
     pub cache_limit: Option<u32>,
     /// Re-verify affected fragments' structural invariants after every
     /// emit, link, unlink, invalidation, and eviction (set by `RIO_VERIFY=1`;

@@ -13,7 +13,7 @@ use rio_sim::{CpuKind, ExecRegion, Image, Machine, Os};
 
 use crate::cache::{CodeCache, ExitKind, FragmentId, FragmentKind};
 use crate::config::{layout, Options, RioCosts};
-use crate::emit::{emit_fragment, CustomStub};
+use crate::emit::{emit_fragment, CustomStub, EmitError};
 use crate::link::{redirect_incoming, unlink_incoming, unlink_outgoing};
 use crate::mangle::Note;
 use crate::stats::Stats;
@@ -26,6 +26,25 @@ pub(crate) struct Recording {
     pub trace_tag: u32,
     /// Tags of the blocks recorded so far, in execution order.
     pub tags: Vec<u32>,
+}
+
+/// Why a fragment leaves the cache. Every cause counts in
+/// [`Stats::deletions`]; evictions, invalidations and fault evictions also
+/// have a counter of their own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Removal {
+    /// The safe deletion of a copy [`Core::replace_fragment`] displaced
+    /// (counted in `replacements` when it was replaced).
+    Replaced,
+    /// FIFO eviction under capacity pressure.
+    Evicted,
+    /// A requested whole-cache flush (counted once per sub-cache in
+    /// `cache_flushes`).
+    Flushed,
+    /// Precise invalidation by a write to the fragment's source code.
+    Invalidated,
+    /// Eviction of a repeatedly faulting fragment.
+    Faulted,
 }
 
 /// Per-thread engine state: the thread-private cache plus trace-recording
@@ -76,6 +95,9 @@ pub struct Core {
     pub(crate) cur: usize,
     pub(crate) os: Os,
     pub(crate) pending_deletions: Vec<FragmentId>,
+    /// Tags of fragments removed since the engine last fired the
+    /// `fragment_deleted` hook, in removal order.
+    pub(crate) deleted_tags: Vec<u32>,
     pub(crate) pending_custom_stubs: Vec<CustomStub>,
     pub(crate) marked_heads: HashSet<u32>,
     pub(crate) app_entry: u32,
@@ -107,6 +129,7 @@ impl Core {
             cur: 0,
             os: Os::new(),
             pending_deletions: Vec::new(),
+            deleted_tags: Vec::new(),
             pending_custom_stubs: Vec::new(),
             marked_heads: HashSet::new(),
             app_entry: image.entry,
@@ -156,6 +179,20 @@ impl Core {
     /// clients call this to model theirs.
     pub fn charge(&mut self, cycles: u64) {
         self.machine.charge(cycles);
+    }
+
+    /// Charge and count one context switch from the cache to the engine.
+    pub(crate) fn context_switch(&mut self) {
+        self.charge(self.costs.context_switch);
+        self.stats.context_switches += 1;
+    }
+
+    /// Roll back a mangling `%ecx` spill: between the spill and its
+    /// restore the application's `%ecx` lives in the thread-local slot, so
+    /// copy it back when control will not resume inside the mangled region.
+    pub(crate) fn restore_spilled_ecx(&mut self) {
+        let saved = self.machine.mem.read_u32(layout::ECX_SLOT);
+        self.machine.cpu.set_reg(Reg::Ecx, saved);
     }
 
     // ----- spill slots and client TLS (§3.2) ------------------------------
@@ -432,16 +469,7 @@ impl Core {
             self.lint_client_edit(&snapshot, &il, tag);
         }
         self.charge(self.costs.replace_fragment);
-        let custom = std::mem::take(&mut self.pending_custom_stubs);
-        let Ok(new) = emit_fragment(
-            &mut self.machine,
-            &mut self.threads[self.cur].cache,
-            kind,
-            tag,
-            il,
-            custom,
-            src_ranges,
-        ) else {
+        let Ok(new) = self.emit(kind, tag, il, src_ranges) else {
             return false;
         };
         // Preserve trace-head status and counter.
@@ -454,7 +482,6 @@ impl Core {
             f.is_trace_head = head;
             f.counter = counter;
         }
-        self.note_verify(self.cur, new);
         self.note_verify_neighbors(self.cur, old);
         let moved = self.threads[self.cur].cache.frag(old).incoming.len() as u64;
         redirect_incoming(
@@ -472,36 +499,66 @@ impl Core {
         true
     }
 
-    /// Drain fragments awaiting deletion (engine-internal; called at safe
-    /// points). Returns their tags for the `fragment_deleted` client hook.
-    pub(crate) fn take_safe_deletions(&mut self) -> Vec<u32> {
-        let mut tags = Vec::new();
+    /// Emit `il` as a `kind` fragment for `tag` into the current thread's
+    /// cache — the one emission path for blocks, traces and replacements.
+    /// It takes the custom exit stubs requested since the last emission
+    /// (consumed even when emission fails) and queues the new fragment for
+    /// verification.
+    pub(crate) fn emit(
+        &mut self,
+        kind: FragmentKind,
+        tag: u32,
+        il: InstrList,
+        src_ranges: Vec<(u32, u32)>,
+    ) -> Result<FragmentId, EmitError> {
+        let custom = std::mem::take(&mut self.pending_custom_stubs);
+        let cache = &mut self.threads[self.cur].cache;
+        let id = emit_fragment(&mut self.machine, cache, kind, tag, il, custom, src_ranges)?;
+        self.note_verify(self.cur, id);
+        Ok(id)
+    }
+
+    /// Remove fragment `id` from thread `thread`'s cache — the one deletion
+    /// routine behind every [`Removal`] cause. It queues the link
+    /// neighbours for re-verification, unlinks the fragment both ways,
+    /// unmaps and tombstones it, counts it, and queues its tag for the
+    /// `fragment_deleted` hook. The bytes stay resident, so this is safe
+    /// while `eip` is still inside the fragment.
+    pub(crate) fn remove_fragment(&mut self, thread: usize, id: FragmentId, cause: Removal) {
+        self.note_verify_neighbors(thread, id);
+        let cache = &mut self.threads[thread].cache;
+        unlink_incoming(&mut self.machine, cache, id);
+        unlink_outgoing(&mut self.machine, cache, id);
+        cache.remove(id);
+        self.deleted_tags.push(cache.frag(id).tag);
+        self.stats.deletions += 1;
+        match cause {
+            Removal::Evicted => self.stats.evictions += 1,
+            Removal::Invalidated => self.stats.invalidations += 1,
+            Removal::Faulted => self.stats.fault_evictions += 1,
+            Removal::Replaced | Removal::Flushed => {}
+        }
+    }
+
+    /// Delete the replaced fragments that control has left (engine-internal;
+    /// called at safe points). A replaced fragment may have re-acquired
+    /// links: it keeps executing until control leaves it, and traversing an
+    /// exit re-links lazily, so the removal unlinks it again.
+    pub(crate) fn take_safe_deletions(&mut self) {
         let eip = self.machine.cpu.eip;
-        let mut still_pending = Vec::new();
         for id in std::mem::take(&mut self.pending_deletions) {
-            if self.threads[self.cur].cache.frag(id).deleted {
-                // Already tombstoned by eviction or invalidation; the hook
-                // fired there, so just drop the pending entry.
+            let f = self.threads[self.cur].cache.frag(id);
+            // A fragment already removed by another cause had its hook
+            // fire there.
+            if f.deleted {
                 continue;
             }
-            let inside = self.threads[self.cur].cache.frag(id).contains(eip);
-            if inside {
-                still_pending.push(id);
+            if f.contains(eip) {
+                self.pending_deletions.push(id);
             } else {
-                // The fragment may have re-acquired links after replacement
-                // stripped them: it keeps executing until control leaves it,
-                // and traversing an exit re-links lazily. Strip them again
-                // so the tombstone leaves no dangling link records.
-                self.note_verify_neighbors(self.cur, id);
-                unlink_incoming(&mut self.machine, &mut self.threads[self.cur].cache, id);
-                unlink_outgoing(&mut self.machine, &mut self.threads[self.cur].cache, id);
-                self.threads[self.cur].cache.mark_deleted(id);
-                self.stats.deletions += 1;
-                tags.push(self.threads[self.cur].cache.frag(id).tag);
+                self.remove_fragment(self.cur, id, Removal::Replaced);
             }
         }
-        self.pending_deletions = still_pending;
-        tags
     }
 
     // ----- sideline optimization (§3.4's future-work extension) ------------
@@ -544,13 +601,11 @@ impl Core {
     /// cache). Called at dispatch (a safe point — control is out of the
     /// cache), but a fragment that `eip` is suspended inside (a session
     /// stopped mid-[`Rio::step`](crate::Rio::step)) is skipped and becomes
-    /// the first candidate at a later dispatch. Returns the tags of evicted
-    /// fragments for `fragment_deleted` hooks.
-    pub(crate) fn process_cache_pressure(&mut self) -> Vec<u32> {
+    /// the first candidate at a later dispatch.
+    pub(crate) fn process_cache_pressure(&mut self) {
         let Some(limit) = self.options.cache_limit else {
-            return Vec::new();
+            return;
         };
-        let mut tags = Vec::new();
         let eip = self.machine.cpu.eip;
         for kind in [FragmentKind::BasicBlock, FragmentKind::Trace] {
             let mut cursor = FragmentId(0);
@@ -559,26 +614,17 @@ impl Core {
                     break;
                 };
                 cursor = FragmentId(id.0 + 1);
-                if self.threads[self.cur].cache.frag(id).contains(eip) {
-                    continue;
+                if !self.threads[self.cur].cache.frag(id).contains(eip) {
+                    self.remove_fragment(self.cur, id, Removal::Evicted);
                 }
-                self.note_verify_neighbors(self.cur, id);
-                unlink_incoming(&mut self.machine, &mut self.threads[self.cur].cache, id);
-                unlink_outgoing(&mut self.machine, &mut self.threads[self.cur].cache, id);
-                self.threads[self.cur].cache.remove_from_maps(id);
-                self.threads[self.cur].cache.mark_deleted(id);
-                tags.push(self.threads[self.cur].cache.frag(id).tag);
-                self.stats.evictions += 1;
-                self.stats.deletions += 1;
             }
         }
-        tags
     }
 
     /// Request that the current thread's entire code cache be flushed at
     /// the next safe point (the next dispatch). Each flushed fragment's tag
     /// is reported through the `fragment_deleted` client hook, exactly as
-    /// for capacity-triggered flushes. Safe to call while a session is
+    /// for capacity evictions. Safe to call while a session is
     /// suspended by [`Rio::step`](crate::Rio::step) — the flush happens
     /// before any further cache execution.
     pub fn request_cache_flush(&mut self) {
@@ -586,34 +632,22 @@ impl Core {
     }
 
     /// Perform a requested whole-cache flush (engine-internal; called at
-    /// dispatch, a safe point). Returns the tags of flushed fragments for
-    /// the `fragment_deleted` client hook.
-    pub(crate) fn take_requested_flush(&mut self) -> Vec<u32> {
+    /// dispatch, a safe point): remove every live fragment, one sub-cache
+    /// at a time, and reset the sub-cache's allocator.
+    pub(crate) fn take_requested_flush(&mut self) {
         if !std::mem::take(&mut self.pending_flush) {
-            return Vec::new();
+            return;
         }
-        let mut tags = Vec::new();
         for kind in [FragmentKind::BasicBlock, FragmentKind::Trace] {
-            let flushed = self.threads[self.cur].cache.flush(kind);
-            if flushed.is_empty() {
-                continue;
+            let ids = self.threads[self.cur].cache.live_ids(|f| f.kind == kind);
+            if !ids.is_empty() {
+                self.stats.cache_flushes += 1;
             }
-            self.stats.cache_flushes += 1;
-            for id in &flushed {
-                unlink_incoming(&mut self.machine, &mut self.threads[self.cur].cache, *id);
-                crate::link::unlink_outgoing(
-                    &mut self.machine,
-                    &mut self.threads[self.cur].cache,
-                    *id,
-                );
+            for id in ids {
+                self.remove_fragment(self.cur, id, Removal::Flushed);
             }
-            for id in flushed {
-                self.threads[self.cur].cache.mark_deleted(id);
-                tags.push(self.threads[self.cur].cache.frag(id).tag);
-                self.stats.deletions += 1;
-            }
+            self.threads[self.cur].cache.reset_alloc(kind);
         }
-        tags
     }
 
     // ----- cache consistency (paper §6) -------------------------------------
@@ -621,59 +655,30 @@ impl Core {
     /// Precisely invalidate every fragment whose source ranges overlap the
     /// written span `[addr, addr + len)` — the response to a
     /// `CpuExit::CodeWrite`. Overlapping fragments in *every* thread's
-    /// cache (the writer may invalidate another thread's copy) are unlinked
-    /// in both directions, dropped from the lookup tables, and tombstoned;
-    /// their bytes stay resident, so this is safe even while `eip` is
-    /// still inside the writing fragment. The next dispatch of an
-    /// invalidated tag rebuilds from the freshly written application bytes.
-    /// Returns the invalidated tags for `fragment_deleted` hooks.
-    pub(crate) fn invalidate_code_write(&mut self, addr: u32, len: u32) -> Vec<u32> {
-        let lo = addr;
-        let hi = addr.saturating_add(len);
-        let mut tags = Vec::new();
+    /// cache (the writer may invalidate another thread's copy) are removed,
+    /// which is safe even while `eip` is still inside the writing fragment.
+    /// The next dispatch of an invalidated tag rebuilds from the freshly
+    /// written application bytes.
+    pub(crate) fn invalidate_code_write(&mut self, addr: u32, len: u32) {
+        let (lo, hi) = (addr, addr.saturating_add(len));
         for t in 0..self.threads.len() {
-            let ids: Vec<FragmentId> = self.threads[t]
-                .cache
-                .iter()
-                .filter(|f| !f.deleted && f.overlaps_src(lo, hi))
-                .map(|f| f.id)
-                .collect();
-            for id in ids {
-                self.note_verify_neighbors(t, id);
-                unlink_incoming(&mut self.machine, &mut self.threads[t].cache, id);
-                unlink_outgoing(&mut self.machine, &mut self.threads[t].cache, id);
-                self.threads[t].cache.remove_from_maps(id);
-                self.threads[t].cache.mark_deleted(id);
-                tags.push(self.threads[t].cache.frag(id).tag);
-                self.stats.invalidations += 1;
-                self.stats.deletions += 1;
+            for id in self.threads[t].cache.live_ids(|f| f.overlaps_src(lo, hi)) {
+                self.remove_fragment(t, id, Removal::Invalidated);
             }
         }
-        tags
     }
 
     // ----- fault recovery ---------------------------------------------------
 
-    /// Evict a repeatedly-faulting fragment through the flush machinery
-    /// (unlink both directions, drop from the lookup tables, tombstone) and
-    /// quarantine its tag so the next dispatch re-executes the application
-    /// code by emulation instead of rebuilding a corrupt copy. Returns the
-    /// fragment's tag for the `fragment_deleted` client hook.
-    ///
-    /// Safe while `eip` is still inside the fragment: the bytes stay
-    /// resident (tombstoned, not reused), and delivery redirects control
-    /// out of the fragment before it could re-enter.
-    pub(crate) fn fault_evict(&mut self, id: FragmentId) -> u32 {
+    /// Evict a repeatedly-faulting fragment and quarantine its tag, so the
+    /// next dispatch re-executes the application code by emulation instead
+    /// of rebuilding a corrupt copy. Safe while `eip` is still inside the
+    /// fragment: delivery redirects control out of it before it could
+    /// re-enter.
+    pub(crate) fn fault_evict(&mut self, id: FragmentId) {
         let tag = self.threads[self.cur].cache.frag(id).tag;
-        self.note_verify_neighbors(self.cur, id);
-        unlink_incoming(&mut self.machine, &mut self.threads[self.cur].cache, id);
-        unlink_outgoing(&mut self.machine, &mut self.threads[self.cur].cache, id);
-        self.threads[self.cur].cache.remove_from_maps(id);
-        self.threads[self.cur].cache.mark_deleted(id);
+        self.remove_fragment(self.cur, id, Removal::Faulted);
         self.threads[self.cur].fault_quarantine.insert(tag);
-        self.stats.deletions += 1;
-        self.stats.fault_evictions += 1;
-        tag
     }
 
     /// Consume the quarantine marker for `tag`, if present. The dispatch
@@ -694,30 +699,30 @@ impl Core {
     /// deterministic (thread, fragment) order and counted in
     /// [`Stats::violations`].
     pub fn verify_cache(&mut self) -> Vec<Violation> {
-        let clean_calls = self.clean_call_count();
         let mut all = Vec::new();
         for t in 0..self.threads.len() {
-            let ids: Vec<FragmentId> = self.threads[t]
-                .cache
-                .iter()
-                .filter(|f| !f.deleted)
-                .map(|f| f.id)
-                .collect();
-            for id in ids {
-                self.stats.checks_run += 1;
-                let v = verify_fragment(
-                    &self.machine,
-                    &self.threads[t].cache,
-                    t,
-                    id,
-                    self.app_code_range,
-                    clean_calls,
-                );
-                self.stats.violations += v.len() as u64;
-                all.extend(v);
+            for id in self.threads[t].cache.live_ids(|_| true) {
+                all.extend(self.verify_one(t, id));
             }
         }
         all
+    }
+
+    /// Verify one fragment, counting the check and its violations.
+    fn verify_one(&mut self, t: usize, id: FragmentId) -> Vec<Violation> {
+        self.stats.checks_run += 1;
+        let cache = &self.threads[t].cache;
+        let clean_calls = self.clean_call_count();
+        let v = verify_fragment(
+            &self.machine,
+            cache,
+            t,
+            id,
+            self.app_code_range,
+            clean_calls,
+        );
+        self.stats.violations += v.len() as u64;
+        v
     }
 
     /// Violations recorded so far by incremental (`RIO_VERIFY`)
@@ -762,23 +767,13 @@ impl Core {
         let mut queue = std::mem::take(&mut self.verify_queue);
         queue.sort_unstable_by_key(|(t, id)| (*t, id.0));
         queue.dedup();
-        let clean_calls = self.clean_call_count();
         let mut found = 0;
         for (t, id) in queue {
             if self.threads[t].cache.frag(id).deleted {
                 continue;
             }
-            self.stats.checks_run += 1;
-            let v = verify_fragment(
-                &self.machine,
-                &self.threads[t].cache,
-                t,
-                id,
-                self.app_code_range,
-                clean_calls,
-            );
+            let v = self.verify_one(t, id);
             found += v.len();
-            self.stats.violations += v.len() as u64;
             self.verify_findings.extend(v);
         }
         found

@@ -25,12 +25,15 @@ use crate::mangle::Note;
 pub enum EmitError {
     /// The list failed to encode.
     Encode(EncodeError),
+    /// The fragment's sub-cache has no address space left.
+    CacheExhausted,
 }
 
 impl fmt::Display for EmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EmitError::Encode(e) => write!(f, "fragment encoding failed: {e}"),
+            EmitError::CacheExhausted => write!(f, "code cache exhausted"),
         }
     }
 }
@@ -90,7 +93,8 @@ fn exit_kind_of(instr: &Instr) -> Option<ExitKind> {
 ///
 /// # Errors
 ///
-/// Returns [`EmitError`] if the list cannot be encoded.
+/// Returns [`EmitError`] if the list cannot be encoded or its sub-cache
+/// has no room left.
 pub fn emit_fragment(
     machine: &mut Machine,
     cache: &mut CodeCache,
@@ -193,7 +197,9 @@ pub fn emit_fragment(
     // Size, allocate, encode at the final address.
     let sized = encode_list(&il, 0)?;
     let total_len = sized.bytes.len() as u32;
-    let start = cache.alloc(kind, total_len);
+    let start = cache
+        .alloc(kind, total_len)
+        .ok_or(EmitError::CacheExhausted)?;
     let encoded = encode_list(&il, start)?;
     debug_assert_eq!(encoded.bytes.len() as u32, total_len);
     machine.mem.write_bytes(start, &encoded.bytes);

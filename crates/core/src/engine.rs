@@ -30,7 +30,6 @@ use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
 use crate::client::{Client, EndTraceDecision};
 use crate::config::{layout, ExecMode, Options};
 use crate::core::{Core, Recording, ThreadCore};
-use crate::emit::emit_fragment;
 use crate::link::link_exit;
 use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
 use crate::stats::Stats;
@@ -668,8 +667,8 @@ impl<C: Client> Rio<C> {
                     // Self-healing: a fragment that keeps faulting (e.g. a
                     // corrupted cache copy) is evicted; its block runs by
                     // emulation once, then is rebuilt fresh.
-                    let tag = self.core.fault_evict(id);
-                    self.client.fragment_deleted(&mut self.core, tag);
+                    self.core.fault_evict(id);
+                    self.fire_deleted();
                     evicted = Some(tag);
                 }
             }
@@ -681,14 +680,11 @@ impl<C: Client> Rio<C> {
             .os
             .deliver_fault(&mut self.core.machine, kind, target);
         if ecx_spilled && (delivered || evicted.is_some()) {
-            // Control will not resume inside the mangled region, so roll
-            // back the mangling side effect: between the spill and its
-            // restore, the application's %ecx lives in the thread-local
-            // slot. (On a plain unhandled fault the session may be resumed
-            // at the faulting cache address, which still needs the scratch
-            // %ecx — leave it alone there.)
-            let saved = self.core.machine.mem.read_u32(layout::ECX_SLOT);
-            self.core.machine.cpu.set_reg(Reg::Ecx, saved);
+            // Control will not resume inside the mangled region. (On a
+            // plain unhandled fault the session may be resumed at the
+            // faulting cache address, which still needs the scratch %ecx —
+            // leave it alone there.)
+            self.core.restore_spilled_ecx();
         }
         if delivered {
             // A delivery detours control through the handler, so any
@@ -699,9 +695,7 @@ impl<C: Client> Rio<C> {
             self.core.stats.faults_delivered += 1;
             // The handler is application code: enter it through dispatch,
             // exactly like any other control transfer out of the cache.
-            let cs = self.core.costs.context_switch;
-            self.core.machine.charge(cs);
-            self.core.stats.context_switches += 1;
+            self.core.context_switch();
             *pending = Some(Resume::Dispatch(self.core.machine.cpu.eip));
             return None;
         }
@@ -745,11 +739,8 @@ impl<C: Client> Rio<C> {
             match translation {
                 Some(t) => {
                     if t.ecx_spilled {
-                        // Control will not resume inside the mangled
-                        // region, so roll back the spill (the app's %ecx
-                        // lives in the thread-local slot there).
-                        let saved = self.core.machine.mem.read_u32(layout::ECX_SLOT);
-                        self.core.machine.cpu.set_reg(Reg::Ecx, saved);
+                        // Control will not resume inside the mangled region.
+                        self.core.restore_spilled_ecx();
                     }
                     t.app_pc.wrapping_add(eip.wrapping_sub(pc))
                 }
@@ -762,12 +753,9 @@ impl<C: Client> Rio<C> {
         // A recording in progress may include a block the write just
         // invalidated; abandon it rather than stitch stale code.
         self.core.threads[self.core.cur].recording = None;
-        for tag in self.core.invalidate_code_write(addr, len) {
-            self.client.fragment_deleted(&mut self.core, tag);
-        }
-        let cs = self.core.costs.context_switch;
-        self.core.machine.charge(cs);
-        self.core.stats.context_switches += 1;
+        self.core.invalidate_code_write(addr, len);
+        self.fire_deleted();
+        self.core.context_switch();
         *pending = Some(Resume::Dispatch(resume));
     }
 
@@ -825,6 +813,14 @@ impl<C: Client> Rio<C> {
             .set_exec_regions(vec![ExecRegion::new(tag, end)]);
     }
 
+    /// Fire the `fragment_deleted` hook for every fragment removed since the
+    /// last call, in removal order.
+    fn fire_deleted(&mut self) {
+        for tag in std::mem::take(&mut self.core.deleted_tags) {
+            self.client.fragment_deleted(&mut self.core, tag);
+        }
+    }
+
     /// Point the machine at a fragment and set the execution region: the
     /// whole cache normally, or just this fragment while recording a trace
     /// (so every crossing is observed).
@@ -849,15 +845,12 @@ impl<C: Client> Rio<C> {
         self.core.machine.charge(dispatch_cost);
         self.core.stats.dispatches += 1;
         self.core.last_dispatched = Some(tag);
-        for deleted_tag in self.core.take_safe_deletions() {
-            self.client.fragment_deleted(&mut self.core, deleted_tag);
-        }
-        for flushed_tag in self.core.process_cache_pressure() {
-            self.client.fragment_deleted(&mut self.core, flushed_tag);
-        }
-        for flushed_tag in self.core.take_requested_flush() {
-            self.client.fragment_deleted(&mut self.core, flushed_tag);
-        }
+        self.core.take_safe_deletions();
+        self.fire_deleted();
+        self.core.process_cache_pressure();
+        self.fire_deleted();
+        self.core.take_requested_flush();
+        self.fire_deleted();
         for (s_tag, arg) in self.core.take_sideline_requests() {
             self.client.sideline_optimize(&mut self.core, s_tag, arg);
         }
@@ -950,29 +943,21 @@ impl<C: Client> Rio<C> {
         self.client.basic_block(&mut self.core, tag, &mut il);
         self.core.lint_client_edit(&snapshot, &il, tag);
         mangle_bb(&mut il, bb.end_pc);
-        let custom = std::mem::take(&mut self.core.pending_custom_stubs);
-        let id = emit_fragment(
-            &mut self.core.machine,
-            &mut self.core.threads[self.core.cur].cache,
-            FragmentKind::BasicBlock,
-            tag,
-            il,
-            custom,
-            vec![(tag, bb.end_pc)],
-        )
-        .map_err(|e| {
-            Fault::engine(
-                self.core.machine.cpu.eip,
-                format!("failed to emit block {tag:#x}: {e}"),
-            )
-        })?;
+        let id = self
+            .core
+            .emit(FragmentKind::BasicBlock, tag, il, vec![(tag, bb.end_pc)])
+            .map_err(|e| {
+                Fault::engine(
+                    self.core.machine.cpu.eip,
+                    format!("failed to emit block {tag:#x}: {e}"),
+                )
+            })?;
         if self.core.marked_heads.contains(&tag) {
             self.core.threads[self.core.cur]
                 .cache
                 .frag_mut(id)
                 .is_trace_head = true;
         }
-        self.core.note_verify(self.core.cur, id);
         Ok(id)
     }
 
@@ -991,9 +976,7 @@ impl<C: Client> Rio<C> {
         // fresh cache copy — the self-healing step).
         if self.core.threads[self.core.cur].quarantine_exec && addr < Image::CACHE_BASE {
             self.core.threads[self.core.cur].quarantine_exec = false;
-            let cs = self.core.costs.context_switch;
-            self.core.machine.charge(cs);
-            self.core.stats.context_switches += 1;
+            self.core.context_switch();
             return Ok(Leave::Dispatch(addr));
         }
         // During recording, a linked exit jumps straight to another
@@ -1012,7 +995,10 @@ impl<C: Client> Rio<C> {
                     // crossings. Re-dispatch so the block copy runs instead.
                     return Ok(self.record_crossing_dispatch(tag));
                 }
-                return Ok(self.record_crossing(tag, addr));
+                // Continue in the cache at the entered block.
+                self.record_step(tag);
+                self.enter(frag);
+                return Ok(Leave::Resume);
             }
         }
         let last = match self.core.last_dispatched {
@@ -1056,9 +1042,7 @@ impl<C: Client> Rio<C> {
         match exit_kind {
             ExitKind::Direct { target } => {
                 self.core.threads[self.core.cur].last_exit_was_return = false;
-                let cs = self.core.costs.context_switch;
-                self.core.machine.charge(cs);
-                self.core.stats.context_switches += 1;
+                self.core.context_switch();
                 // Backward direct branches identify loop heads (Dynamo's
                 // trace-head heuristic).
                 let src_tag = self.core.threads[self.core.cur].cache.frag(rec.frag).tag;
@@ -1077,28 +1061,17 @@ impl<C: Client> Rio<C> {
 
     /// Link a direct exit lazily, on first traversal.
     fn maybe_link(&mut self, src: FragmentId, exit_idx: usize, target: u32) {
-        if !self.core.options.link_direct {
-            return;
-        }
-        if self.core.threads[self.core.cur].cache.frag(src).deleted
-            || self.core.threads[self.core.cur].cache.frag(src).exits[exit_idx]
-                .linked_to
-                .is_some()
+        let cache = &self.core.threads[self.core.cur].cache;
+        let srcf = cache.frag(src);
+        if !self.core.options.link_direct
+            || srcf.deleted
+            || srcf.exits[exit_idx].linked_to.is_some()
         {
             return;
         }
-        let Some(dst) = self.core.threads[self.core.cur].cache.lookup(target) else {
+        let Some(dst) = cache.link_target(target) else {
             return;
         };
-        let dstf = self.core.threads[self.core.cur].cache.frag(dst);
-        // Trace heads must be reached through dispatch so their counters
-        // tick (blocks only; traces are freely linkable).
-        if dstf.kind == FragmentKind::BasicBlock && dstf.is_trace_head {
-            return;
-        }
-        if dstf.deleted {
-            return;
-        }
         link_exit(
             &mut self.core.machine,
             &mut self.core.threads[self.core.cur].cache,
@@ -1117,8 +1090,7 @@ impl<C: Client> Rio<C> {
     /// `%ecx`.
     fn handle_indirect(&mut self, kind: IndKind) -> Leave {
         let target = self.core.machine.cpu.reg(Reg::Ecx);
-        let saved = self.core.machine.mem.read_u32(layout::ECX_SLOT);
-        self.core.machine.cpu.set_reg(Reg::Ecx, saved);
+        self.core.restore_spilled_ecx();
         self.core.threads[self.core.cur].last_exit_was_return = kind == IndKind::Ret;
         self.core.stats.ib_lookups += 1;
 
@@ -1140,20 +1112,15 @@ impl<C: Client> Rio<C> {
         if self.core.options.link_indirect {
             let hash = self.core.costs.hash_lookup;
             self.core.machine.charge(hash);
-            // In-cache lookup: traces, then non-trace-head blocks.
-            if let Some(id) = self.core.threads[self.core.cur].cache.lookup(target) {
-                let f = self.core.threads[self.core.cur].cache.frag(id);
-                let countable_head = f.kind == FragmentKind::BasicBlock && f.is_trace_head;
-                if !countable_head && !f.deleted {
-                    self.core.stats.ib_lookup_hits += 1;
-                    self.core.machine.cpu.eip = f.start;
-                    return Leave::Resume;
-                }
+            // In-cache lookup: the same fragments a direct link may enter.
+            let cache = &self.core.threads[self.core.cur].cache;
+            if let Some(id) = cache.link_target(target) {
+                self.core.stats.ib_lookup_hits += 1;
+                self.core.machine.cpu.eip = cache.frag(id).start;
+                return Leave::Resume;
             }
         }
-        let cs = self.core.costs.context_switch;
-        self.core.machine.charge(cs);
-        self.core.stats.context_switches += 1;
+        self.core.context_switch();
         Leave::Dispatch(target)
     }
 
@@ -1162,29 +1129,6 @@ impl<C: Client> Rio<C> {
     fn record_crossing_dispatch(&mut self, tag: u32) -> Leave {
         self.record_step(tag);
         Leave::Dispatch(tag)
-    }
-
-    /// While recording: a linked jump crossed into the fragment whose entry
-    /// is `addr` (tag `tag`). Continue in the cache either way.
-    fn record_crossing(&mut self, tag: u32, addr: u32) -> Leave {
-        self.record_step(tag);
-        self.core.machine.cpu.eip = addr;
-        // Region: restricted to the entered fragment if still recording,
-        // else the whole cache.
-        if self.core.threads[self.core.cur].recording.is_some() {
-            if let Some(f) = self.core.threads[self.core.cur].cache.by_entry(addr) {
-                let (s, e) = self.core.threads[self.core.cur].cache.frag(f).range();
-                self.core
-                    .machine
-                    .set_exec_regions(vec![ExecRegion::new(s, e)]);
-            }
-        } else {
-            let (s, e) = self.core.threads[self.core.cur].cache.region();
-            self.core
-                .machine
-                .set_exec_regions(vec![ExecRegion::new(s, e)]);
-        }
-        Leave::Resume
     }
 
     /// Record one crossing; returns `true` if recording continues.
@@ -1291,22 +1235,14 @@ impl<C: Client> Rio<C> {
         self.core
             .lint_client_edit(&snapshot, &trace_il, rec.trace_tag);
 
-        let custom = std::mem::take(&mut self.core.pending_custom_stubs);
         // An emit failure abandons the trace (blocks keep executing); it is
         // not worth killing the session over an optimization.
-        let Ok(id) = emit_fragment(
-            &mut self.core.machine,
-            &mut self.core.threads[self.core.cur].cache,
-            FragmentKind::Trace,
-            rec.trace_tag,
-            trace_il,
-            custom,
-            src_ranges,
-        ) else {
+        let Ok(id) = self
+            .core
+            .emit(FragmentKind::Trace, rec.trace_tag, trace_il, src_ranges)
+        else {
             return;
         };
-
-        self.core.note_verify(self.core.cur, id);
 
         // Exits of traces are trace heads (Dynamo's rule).
         let exit_targets: Vec<u32> = self.core.threads[self.core.cur]
@@ -1322,5 +1258,72 @@ impl<C: Client> Rio<C> {
         for t in exit_targets {
             self.core.mark_trace_head(t);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NullClient;
+
+    /// `mov ecx, 1000; L: dec ecx; jnz L; hlt` — hot enough for a trace.
+    fn counted_loop() -> Image {
+        Image::from_code(vec![0xB9, 0xE8, 0x03, 0, 0, 0x49, 0x75, 0xFD, 0xF4])
+    }
+
+    /// Use up the current thread's `kind` sub-cache without emitting.
+    fn exhaust(core: &mut Core, kind: FragmentKind) {
+        let cache = &mut core.threads[core.cur].cache;
+        for len in [0xFFFF, 1] {
+            while cache.alloc(kind, len).is_some() {}
+        }
+    }
+
+    #[test]
+    fn an_exhausted_block_cache_ends_the_run_as_an_engine_failure() {
+        let mut rio = Rio::new(
+            &counted_loop(),
+            Options::default(),
+            CpuKind::Pentium4,
+            NullClient,
+        );
+        exhaust(&mut rio.core, FragmentKind::BasicBlock);
+        let r = rio.run();
+        assert_eq!(r.exit_code, ENGINE_FAILURE_EXIT);
+        let fault = r.fault.expect("the run ends in a fault");
+        assert_eq!(fault.kind, None);
+        assert!(
+            fault.message.contains("code cache exhausted"),
+            "{}",
+            fault.message
+        );
+    }
+
+    #[test]
+    fn an_exhausted_trace_cache_abandons_traces_and_replacements() {
+        let mut rio = Rio::new(
+            &counted_loop(),
+            Options::default(),
+            CpuKind::Pentium4,
+            NullClient,
+        );
+        exhaust(&mut rio.core, FragmentKind::Trace);
+        let r = rio.run();
+        assert_eq!((r.exit_code, r.fault.is_none()), (0, true));
+        assert!(r.stats.traces_built > 0, "{}", r.stats);
+        assert!(rio
+            .core
+            .cache()
+            .iter()
+            .all(|f| f.kind == FragmentKind::BasicBlock));
+
+        // A replacement that cannot be emitted leaves the old copy in place.
+        let tag = Image::CODE_BASE;
+        exhaust(&mut rio.core, FragmentKind::BasicBlock);
+        let il = rio.core.decode_fragment(tag).expect("entry block decodes");
+        let old = rio.core.cache().lookup(tag);
+        assert!(!rio.core.replace_fragment(tag, il));
+        assert_eq!(rio.core.cache().lookup(tag), old);
+        assert_eq!(rio.core.stats.replacements, 0);
     }
 }

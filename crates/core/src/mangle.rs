@@ -154,11 +154,6 @@ pub enum Terminator {
     CallInd,
 }
 
-/// Extract the value operand of an indirect CTI (`srcs[0]`).
-fn ind_target_opnd(instr: &Instr) -> Opnd {
-    *instr.src(0)
-}
-
 /// Classify the final instruction of a decoded block.
 pub fn classify_terminator(il: &InstrList) -> Terminator {
     let Some(last_id) = il.last_id() else {
@@ -211,51 +206,11 @@ pub fn mangle_bb(il: &mut InstrList, fall_through: u32) {
             il.push_back(create::jmp(Target::Pc(fall_through)));
         }
         Terminator::Call { target } => {
-            let id = last_id.expect("call block has instrs");
-            let pc = il.get(id).app_pc();
-            let mut push = create::push(Opnd::Pc(fall_through));
-            push.set_app_pc(pc);
-            il.replace(id, push);
+            push_return_address(il, last_id.expect("call block has instrs"), fall_through);
             il.push_back(create::jmp(Target::Pc(target)));
         }
-        Terminator::Ret { extra } => {
-            let id = last_id.expect("ret block has instrs");
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::Spill.pack();
-            il.replace(id, spill);
-            il.push_back(create::pop(Opnd::reg(Reg::Ecx)));
-            if extra != 0 {
-                il.push_back(create::lea(
-                    Reg::Esp,
-                    MemRef::base_disp(Reg::Esp, extra as i32, OpSize::S32),
-                ));
-            }
-            il.push_back(ib_exit_jmp(IndKind::Ret));
-        }
-        Terminator::JmpInd => {
-            let id = last_id.expect("jmp* block has instrs");
-            let rm = ind_target_opnd(il.get(id));
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::Spill.pack();
-            il.replace(id, spill);
-            il.push_back(create::mov(Opnd::reg(Reg::Ecx), rm));
-            il.push_back(ib_exit_jmp(IndKind::Jmp));
-        }
-        Terminator::CallInd => {
-            let id = last_id.expect("call* block has instrs");
-            let rm = ind_target_opnd(il.get(id));
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::Spill.pack();
-            il.replace(id, spill);
-            il.push_back(create::mov(Opnd::reg(Reg::Ecx), rm));
-            il.push_back(create::push(Opnd::Pc(fall_through)));
-            il.push_back(ib_exit_jmp(IndKind::Call));
+        Terminator::Ret { .. } | Terminator::JmpInd | Terminator::CallInd => {
+            mangle_indirect(il, term, fall_through, None);
         }
     }
 }
@@ -319,24 +274,61 @@ pub fn mangle_trace_connector(
         }
         Terminator::Call { target } => {
             debug_assert_eq!(target, next_tag);
-            let id = last_id.expect("call block has instrs");
-            let pc = il.get(id).app_pc();
-            let mut push = create::push(Opnd::Pc(fall_through));
-            push.set_app_pc(pc);
-            il.replace(id, push);
+            push_return_address(il, last_id.expect("call block has instrs"), fall_through);
         }
-        Terminator::Ret { extra } => {
-            let id = last_id.expect("ret block has instrs");
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::IbCheckBegin {
-                kind: IndKind::Ret,
-                extra,
-                expected: next_tag,
-            }
-            .pack();
-            il.replace(id, spill);
+        Terminator::Ret { .. } | Terminator::JmpInd | Terminator::CallInd => {
+            mangle_indirect(il, term, fall_through, Some((next_tag, inline_check)));
+        }
+    }
+}
+
+/// Replace the direct call `id` with a push of its application return
+/// address, `fall_through`.
+fn push_return_address(il: &mut InstrList, id: InstrId, fall_through: u32) {
+    let mut push = create::push(Opnd::Pc(fall_through));
+    push.set_app_pc(il.get(id).app_pc());
+    il.replace(id, push);
+}
+
+/// Translate the indirect terminator `term` (`ret`, `ret n`, `jmp*` or
+/// `call*`) that ends `il`: spill `%ecx` in its place, load the target into
+/// `%ecx` (popping it for a return, then dropping any `ret n` bytes), push
+/// the application return address for `call*`, and exit to the lookup.
+/// In a trace connector, `check` holds the expected next tag and whether
+/// to test for it inline (see [`emit_check_tail`]); the spill then opens
+/// the check region.
+fn mangle_indirect(
+    il: &mut InstrList,
+    term: Terminator,
+    fall_through: u32,
+    check: Option<(u32, bool)>,
+) {
+    let id = il.last_id().expect("indirect branch block has instrs");
+    let (kind, extra) = match term {
+        Terminator::Ret { extra } => (IndKind::Ret, extra),
+        Terminator::JmpInd => (IndKind::Jmp, 0),
+        Terminator::CallInd => (IndKind::Call, 0),
+        _ => unreachable!("not an indirect terminator: {term:?}"),
+    };
+    // `jmp*` and `call*` read their target from their value operand.
+    let rm = (kind != IndKind::Ret).then(|| *il.get(id).src(0));
+    let mut spill = spill_ecx();
+    spill.set_app_pc(il.get(id).app_pc());
+    spill.note = match check {
+        None => Note::Spill,
+        Some((expected, _)) => Note::IbCheckBegin {
+            kind,
+            extra,
+            expected,
+        },
+    }
+    .pack();
+    il.replace(id, spill);
+    match rm {
+        Some(rm) => {
+            il.push_back(create::mov(Opnd::reg(Reg::Ecx), rm));
+        }
+        None => {
             il.push_back(create::pop(Opnd::reg(Reg::Ecx)));
             if extra != 0 {
                 il.push_back(create::lea(
@@ -344,40 +336,15 @@ pub fn mangle_trace_connector(
                     MemRef::base_disp(Reg::Esp, extra as i32, OpSize::S32),
                 ));
             }
-            emit_check_tail(il, IndKind::Ret, next_tag, inline_check);
         }
-        Terminator::JmpInd => {
-            let id = last_id.expect("jmp* block has instrs");
-            let rm = ind_target_opnd(il.get(id));
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::IbCheckBegin {
-                kind: IndKind::Jmp,
-                extra: 0,
-                expected: next_tag,
-            }
-            .pack();
-            il.replace(id, spill);
-            il.push_back(create::mov(Opnd::reg(Reg::Ecx), rm));
-            emit_check_tail(il, IndKind::Jmp, next_tag, inline_check);
-        }
-        Terminator::CallInd => {
-            let id = last_id.expect("call* block has instrs");
-            let rm = ind_target_opnd(il.get(id));
-            let pc = il.get(id).app_pc();
-            let mut spill = spill_ecx();
-            spill.set_app_pc(pc);
-            spill.note = Note::IbCheckBegin {
-                kind: IndKind::Call,
-                extra: 0,
-                expected: next_tag,
-            }
-            .pack();
-            il.replace(id, spill);
-            il.push_back(create::mov(Opnd::reg(Reg::Ecx), rm));
-            il.push_back(create::push(Opnd::Pc(fall_through)));
-            emit_check_tail(il, IndKind::Call, next_tag, inline_check);
+    }
+    if kind == IndKind::Call {
+        il.push_back(create::push(Opnd::Pc(fall_through)));
+    }
+    match check {
+        Some((expected, true)) => emit_check_tail(il, kind, expected),
+        _ => {
+            il.push_back(ib_exit_jmp(kind));
         }
     }
 }
@@ -393,12 +360,7 @@ pub fn mangle_trace_connector(
 /// match:
 ///   mov  ECX_SLOT -> %ecx          ; restore application %ecx
 /// ```
-fn emit_check_tail(il: &mut InstrList, kind: IndKind, expected: u32, inline_check: bool) {
-    if !inline_check {
-        // No inlining: always exit to the lookup.
-        il.push_back(ib_exit_jmp(kind));
-        return;
-    }
+fn emit_check_tail(il: &mut InstrList, kind: IndKind, expected: u32) {
     il.push_back(create::lea(
         Reg::Ecx,
         MemRef::base_disp(Reg::Ecx, -(expected as i32), OpSize::S32),
@@ -664,6 +626,197 @@ mod tests {
         assert_eq!(m.base, Some(Reg::Esp));
         assert_eq!(m.disp, 4);
     }
+
+    /// One line per instruction: app pc, opcode and operands (label targets
+    /// as list positions), and the parsed core note.
+    fn render(il: &InstrList) -> String {
+        let ids: Vec<InstrId> = il.ids().collect();
+        let pos = |id: InstrId| ids.iter().position(|&i| i == id).expect("target in list");
+        let opnd = |o: &Opnd| match o {
+            Opnd::Instr(id) => format!("@{}", pos(*id)),
+            other => other.to_string(),
+        };
+        let mut out = String::new();
+        for (i, &id) in ids.iter().enumerate() {
+            let instr = il.get(id);
+            let mut text = match instr.opcode() {
+                _ if instr.is_label() => "<label>".to_string(),
+                Some(op) => op.to_string(),
+                None => instr.to_string(),
+            };
+            for s in instr.srcs() {
+                text += &format!(" {}", opnd(s));
+            }
+            if !instr.dsts().is_empty() {
+                text += " ->";
+                for d in instr.dsts() {
+                    text += &format!(" {}", opnd(d));
+                }
+            }
+            let note = Note::parse(instr.note).map_or(String::new(), |n| format!("  {n:?}"));
+            out += &format!("  {i}: {:#x} {text}{note}\n", instr.app_pc());
+        }
+        out
+    }
+
+    /// The exact mangled form of every terminator, as a block and as a trace
+    /// connector with the inline check on and off. Each block sits at
+    /// 0x1000; the connector's next tag is listed per row.
+    #[test]
+    fn mangled_forms_of_every_terminator() {
+        let rows: [(&str, &[u8], u32); 11] = [
+            ("fall-through", &[0xB8, 1, 0, 0, 0], 0x1005),
+            ("hlt", &[0xF4], 0x1001),
+            ("jmp", &[0xE9, 0x10, 0, 0, 0], 0x1015),
+            ("jcc taken", &[0x74, 0x05], 0x1007),
+            ("jcc fall-through", &[0x74, 0x05], 0x1002),
+            ("jecxz taken", &[0xE3, 0x05], 0x1007),
+            ("call", &[0xE8, 0x00, 0x01, 0, 0], 0x1105),
+            ("ret", &[0xC3], 0x2000),
+            ("ret n", &[0xC2, 0x08, 0x00], 0x2000),
+            ("jmp*", &[0xFF, 0xE0], 0x2000),
+            ("call*", &[0xFF, 0x54, 0x24, 0x04], 0x2000),
+        ];
+        let mut got = String::new();
+        for (name, bytes, next) in rows {
+            let end = 0x1000 + bytes.len() as u32;
+            let mut bb = decoded_block(bytes, 0x1000);
+            mangle_bb(&mut bb, end);
+            got += &format!("{name} / block\n{}", render(&bb));
+            for inline in [true, false] {
+                let mut il = decoded_block(bytes, 0x1000);
+                mangle_trace_connector(&mut il, next, end, inline);
+                got += &format!("{name} / connector, inline {inline}\n{}", render(&il));
+            }
+        }
+        assert_eq!(got, MANGLED_FORMS, "actual:\n{got}");
+    }
+
+    const MANGLED_FORMS: &str = "\
+fall-through / block
+  0: 0x1000 mov $0x1 -> %eax
+  1: 0x0 jmp $0x00001005
+fall-through / connector, inline true
+  0: 0x1000 mov $0x1 -> %eax
+fall-through / connector, inline false
+  0: 0x1000 mov $0x1 -> %eax
+hlt / block
+  0: 0x1000 hlt
+hlt / connector, inline true
+  0: 0x1000 hlt
+hlt / connector, inline false
+  0: 0x1000 hlt
+jmp / block
+  0: 0x1000 jmp $0x00001015
+jmp / connector, inline true
+jmp / connector, inline false
+jcc taken / block
+  0: 0x1000 jz $0x00001007
+  1: 0x0 jmp $0x00001002
+jcc taken / connector, inline true
+  0: 0x1000 jnz $0x00001002
+jcc taken / connector, inline false
+  0: 0x1000 jnz $0x00001002
+jcc fall-through / block
+  0: 0x1000 jz $0x00001007
+  1: 0x0 jmp $0x00001002
+jcc fall-through / connector, inline true
+  0: 0x1000 jz $0x00001007
+jcc fall-through / connector, inline false
+  0: 0x1000 jz $0x00001007
+jecxz taken / block
+  0: 0x1000 jecxz $0x00001007 %ecx
+  1: 0x0 jmp $0x00001002
+jecxz taken / connector, inline true
+  0: 0x0 jecxz @2 %ecx
+  1: 0x0 jmp $0x00001002
+  2: 0x0 <label>
+jecxz taken / connector, inline false
+  0: 0x0 jecxz @2 %ecx
+  1: 0x0 jmp $0x00001002
+  2: 0x0 <label>
+call / block
+  0: 0x1000 push $0x00001005 %esp -> %esp -0x4(%esp)
+  1: 0x0 jmp $0x00001105
+call / connector, inline true
+  0: 0x1000 push $0x00001005 %esp -> %esp -0x4(%esp)
+call / connector, inline false
+  0: 0x1000 push $0x00001005 %esp -> %esp -0x4(%esp)
+ret / block
+  0: 0x1000 mov %ecx -> -0x20000000  Spill
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 jmp $0xf0000010  IbExit(Ret)
+ret / connector, inline true
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Ret, extra: 0, expected: 8192 }
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 lea -0x2000(%ecx) -> %ecx
+  3: 0x0 jecxz @6 %ecx
+  4: 0x0 lea 0x2000(%ecx) -> %ecx
+  5: 0x0 jmp $0xf0000010  IbExit(Ret)
+  6: 0x0 <label>
+  7: 0x0 mov -0x20000000 -> %ecx  IbCheckEnd
+ret / connector, inline false
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Ret, extra: 0, expected: 8192 }
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 jmp $0xf0000010  IbExit(Ret)
+ret n / block
+  0: 0x1000 mov %ecx -> -0x20000000  Spill
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 lea 0x8(%esp) -> %esp
+  3: 0x0 jmp $0xf0000010  IbExit(Ret)
+ret n / connector, inline true
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Ret, extra: 8, expected: 8192 }
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 lea 0x8(%esp) -> %esp
+  3: 0x0 lea -0x2000(%ecx) -> %ecx
+  4: 0x0 jecxz @7 %ecx
+  5: 0x0 lea 0x2000(%ecx) -> %ecx
+  6: 0x0 jmp $0xf0000010  IbExit(Ret)
+  7: 0x0 <label>
+  8: 0x0 mov -0x20000000 -> %ecx  IbCheckEnd
+ret n / connector, inline false
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Ret, extra: 8, expected: 8192 }
+  1: 0x0 pop %esp (%esp) -> %ecx %esp
+  2: 0x0 lea 0x8(%esp) -> %esp
+  3: 0x0 jmp $0xf0000010  IbExit(Ret)
+jmp* / block
+  0: 0x1000 mov %ecx -> -0x20000000  Spill
+  1: 0x0 mov %eax -> %ecx
+  2: 0x0 jmp $0xf0000010  IbExit(Jmp)
+jmp* / connector, inline true
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Jmp, extra: 0, expected: 8192 }
+  1: 0x0 mov %eax -> %ecx
+  2: 0x0 lea -0x2000(%ecx) -> %ecx
+  3: 0x0 jecxz @6 %ecx
+  4: 0x0 lea 0x2000(%ecx) -> %ecx
+  5: 0x0 jmp $0xf0000010  IbExit(Jmp)
+  6: 0x0 <label>
+  7: 0x0 mov -0x20000000 -> %ecx  IbCheckEnd
+jmp* / connector, inline false
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Jmp, extra: 0, expected: 8192 }
+  1: 0x0 mov %eax -> %ecx
+  2: 0x0 jmp $0xf0000010  IbExit(Jmp)
+call* / block
+  0: 0x1000 mov %ecx -> -0x20000000  Spill
+  1: 0x0 mov 0x4(%esp) -> %ecx
+  2: 0x0 push $0x00001004 %esp -> %esp -0x4(%esp)
+  3: 0x0 jmp $0xf0000010  IbExit(Call)
+call* / connector, inline true
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Call, extra: 0, expected: 8192 }
+  1: 0x0 mov 0x4(%esp) -> %ecx
+  2: 0x0 push $0x00001004 %esp -> %esp -0x4(%esp)
+  3: 0x0 lea -0x2000(%ecx) -> %ecx
+  4: 0x0 jecxz @7 %ecx
+  5: 0x0 lea 0x2000(%ecx) -> %ecx
+  6: 0x0 jmp $0xf0000010  IbExit(Call)
+  7: 0x0 <label>
+  8: 0x0 mov -0x20000000 -> %ecx  IbCheckEnd
+call* / connector, inline false
+  0: 0x1000 mov %ecx -> -0x20000000  IbCheckBegin { kind: Call, extra: 0, expected: 8192 }
+  1: 0x0 mov 0x4(%esp) -> %ecx
+  2: 0x0 push $0x00001004 %esp -> %esp -0x4(%esp)
+  3: 0x0 jmp $0xf0000010  IbExit(Call)
+";
 
     #[test]
     fn classify_covers_all_terminators() {

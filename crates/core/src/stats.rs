@@ -77,7 +77,7 @@ stats_fields! {
         emulated_instrs,
         /// Trace heads marked.
         trace_heads,
-        /// Sub-cache flushes triggered by the capacity limit.
+        /// Sub-cache flushes requested through `Core::request_cache_flush`.
         cache_flushes,
         /// Application threads spawned (beyond the initial thread).
         threads_spawned,

@@ -2,7 +2,9 @@
 //! architectural results of native execution, across every engine
 //! configuration, while building the expected cache structures.
 
-use rio_core::{Client, EndTraceDecision, FragmentKind, NullClient, Options, Rio};
+use rio_core::{
+    Client, EndTraceDecision, FragmentKind, NullClient, Options, Rio, StepBudget, StepOutcome,
+};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opnd, Reg, Target};
 use rio_sim::{run_native, CpuKind, Image};
@@ -10,6 +12,7 @@ use rio_tests::{
     assert_transparent, call_program, exit_with, loop_program, program, run, DeletionLog, HookLog,
     SelfRewriter,
 };
+use rio_workloads::{compile, faulting, smc};
 
 /// Indirect jumps through a two-entry table, alternating targets.
 fn indirect_program(iters: i32) -> Image {
@@ -337,18 +340,84 @@ fn cache_limit_triggers_evictions_and_preserves_correctness() {
     assert_eq!(r2.stats.cache_flushes, 0);
 }
 
-#[test]
-fn fragment_deleted_fires_for_evicted_fragments() {
-    let img = loop_program(5_000);
-    let mut opts = Options::full();
-    opts.cache_limit = Some(32);
-    let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, DeletionLog::default());
-    let r = rio.run();
-    assert!(r.stats.evictions > 0);
-    assert!(
-        !rio.client.0.is_empty(),
-        "hooks must fire for evicted fragments"
+/// Run `image` under `options` with [`DeletionLog`] in 500-instruction
+/// slices, calling `act` at each suspension, and check the removal
+/// bookkeeping: the run ends as natively, `fragment_deleted` fired exactly
+/// once per counted deletion, the cause's own `counter` moved, and at no
+/// safe point does a tag lookup in any thread's cache reach a tombstone.
+fn assert_removals(
+    counter: &str,
+    image: &Image,
+    options: Options,
+    mut act: impl FnMut(&mut Rio<DeletionLog>),
+) {
+    let mut rio = Rio::new(image, options, CpuKind::Pentium4, DeletionLog::default());
+    let code = loop {
+        let outcome = rio.step(StepBudget::instructions(500));
+        for t in 0..rio.core.thread_count() {
+            let cache = rio.core.thread_cache(t);
+            for f in cache.iter() {
+                if let Some(id) = cache.lookup(f.tag) {
+                    assert!(
+                        !cache.frag(id).deleted,
+                        "{counter}: lookup({:#x}) is a tombstone",
+                        f.tag
+                    );
+                }
+            }
+        }
+        match outcome {
+            StepOutcome::Running(_) => act(&mut rio),
+            StepOutcome::Exited(code) => break code,
+            StepOutcome::Faulted(f) => panic!("{counter}: unexpected fault: {}", f.message),
+        }
+    };
+    let stats = rio.core.stats;
+    assert_eq!(
+        code,
+        run_native(image, CpuKind::Pentium4).exit_code,
+        "{counter}: {stats}"
     );
+    assert!(stats.deletions > 0, "{counter}: nothing deleted: {stats}");
+    assert_eq!(
+        rio.client.0.len() as u64,
+        stats.deletions,
+        "{counter}: {stats}"
+    );
+    assert!(
+        stats.field(counter).unwrap() > 0,
+        "{counter} did not move: {stats}"
+    );
+}
+
+#[test]
+fn every_removal_cause_fires_one_hook_per_deletion() {
+    let looped = loop_program(5_000);
+    // A safe deletion of the copy `replace_fragment` displaced.
+    let mut replaced = false;
+    assert_removals("replacements", &looped, Options::full(), |rio| {
+        let cache = rio.core.cache();
+        let trace = cache
+            .iter()
+            .find(|f| !f.deleted && f.kind == FragmentKind::Trace);
+        if let (false, Some(tag)) = (replaced, trace.map(|f| f.tag)) {
+            let il = rio.core.decode_fragment(tag).unwrap();
+            replaced = rio.core.replace_fragment(tag, il);
+        }
+    });
+    let mut bounded = Options::full();
+    bounded.cache_limit = Some(32);
+    assert_removals("evictions", &looped, bounded, |_| {});
+    let mut flushed = false;
+    assert_removals("cache_flushes", &looped, Options::full(), |rio| {
+        if !std::mem::replace(&mut flushed, true) {
+            rio.core.request_cache_flush();
+        }
+    });
+    let smc_image = compile(&smc::patch_loop()).unwrap();
+    assert_removals("invalidations", &smc_image, Options::full(), |_| {});
+    let fault_image = compile(&faulting::div_recover()).unwrap();
+    assert_removals("fault_evictions", &fault_image, Options::full(), |_| {});
 }
 
 #[test]
