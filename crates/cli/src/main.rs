@@ -34,7 +34,8 @@
 //!   --timeout-cycles N    stop after N simulated cycles (exit 124)
 //!   --verify          re-verify affected fragments at every safe point
 //!                     (also honors RIO_VERIFY=1; never charged to the run)
-//!   --stats           print engine statistics
+//!   --stats           print engine statistics and the simulator's
+//!                     decode-cache hits, misses and invalidations
 //!
 //! Every flag is also accepted as --flag=value. --jobs N (or -j N) sets the
 //! worker threads; it also honors RIO_JOBS and defaults to the host's
@@ -224,6 +225,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     );
     if a.has("--stats") {
         eprintln!("{}", r.stats);
+        let d = rio.core.machine.decode_cache_stats();
+        eprintln!(
+            "decode cache: {} hits, {} misses, {} invalidated",
+            d.hits, d.misses, d.invalidated
+        );
         if r.sideline_cycles > 0 {
             eprintln!("sideline cycles: {}", r.sideline_cycles);
         }

@@ -55,3 +55,21 @@ fn every_client_label_and_legend_alias_runs() {
     let o = rio(&["run", "bench:gzip", "--client", "nope"]);
     assert_eq!(o.status.code(), Some(2));
 }
+
+#[test]
+fn run_stats_print_deterministic_decode_cache_counts() {
+    let line = || {
+        let o = rio(&["run", "bench:gzip", "--stats"]);
+        let err = String::from_utf8_lossy(&o.stderr).into_owned();
+        err.lines()
+            .find(|l| l.starts_with("decode cache: "))
+            .unwrap_or_else(|| panic!("no decode-cache line in:\n{err}"))
+            .to_owned()
+    };
+    let first = line();
+    assert!(
+        first.contains(" hits, ") && first.contains(" misses, ") && first.ends_with(" invalidated"),
+        "{first}"
+    );
+    assert_eq!(first, line());
+}

@@ -13,6 +13,12 @@
 //!
 //! * its 32K slot words are allocated zeroed, so a fresh [`Machine`] pays
 //!   only for the slots its code actually uses;
+//! * it is direct-mapped, and its index keeps apart code in different
+//!   16 MiB regions: bit 24 of the pc is folded into the top index bit, so
+//!   two copies of hot code 16 MiB apart (a basic block and its trace,
+//!   say) fill opposite halves of the cache and both stay cached. A pc
+//!   with a zero top byte, which is all application code and so every
+//!   native run, keeps the plain `pc ^ (pc >> 15)` slot;
 //! * decoded entries live in a slab in which each slot owns at most one
 //!   entry and overwrites it in place, so memory tracks the executed code
 //!   footprint and stays bounded;
@@ -389,6 +395,12 @@ pub struct DecodeCacheStats {
 
 /// Direct-mapped software decode cache keyed by pc.
 ///
+/// * [`DecodeCache::index`] is `pc ^ (pc >> 15)` with bit 24, the lowest
+///   bit of the top address byte, also folded into the top index bit.
+///   Pcs with a zero top byte keep the plain `pc ^ (pc >> 15)` slot. Bits
+///   24–29 reach the index in independent patterns, so pcs that differ
+///   only there never share a slot, and the first 16 KiB of two regions
+///   16 MiB apart fill opposite halves of the slots.
 /// * `slots` holds one word per direct-mapped slot: the pc tag, a valid
 ///   bit, and the 1-based index of the slab entry the slot owns. It is
 ///   allocated zeroed and only touched where code runs.
@@ -424,8 +436,10 @@ impl DecodeCache {
         }
     }
 
+    /// The slot of `pc` (see the type docs).
     fn index(pc: u32) -> usize {
-        ((pc ^ (pc >> DCACHE_BITS as u32)) as usize) & (DCACHE_SIZE - 1)
+        let fold = pc ^ (pc >> DCACHE_BITS) ^ ((pc >> 24) << (DCACHE_BITS - 1));
+        fold as usize & (DCACHE_SIZE - 1)
     }
 
     /// The tag and valid bits of a slot word holding a valid decode of `pc`.
@@ -1980,26 +1994,82 @@ mod tests {
     }
 
     #[test]
+    fn index_keeps_native_slots_and_separates_the_top_byte() {
+        for pc in (0..1u32 << 24).step_by(4099).chain([0x00FF_FFFF]) {
+            let plain = (pc ^ (pc >> DCACHE_BITS)) as usize & (DCACHE_SIZE - 1);
+            assert_eq!(DecodeCache::index(pc), plain, "{pc:#x}");
+            // Top bytes that differ only in bits 24-29 (here 0xC0..=0xFF)
+            // give the same low 24 bits a slot each.
+            let mut slots: Vec<usize> = (0xC0..=0xFF)
+                .map(|top: u32| DecodeCache::index(top << 24 | pc))
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), 64, "{pc:#x}");
+        }
+    }
+
+    #[test]
+    fn code_16_mib_apart_keeps_both_decodes() {
+        // Two 4 KiB straight-line runs 16 MiB apart, laid out like a block
+        // and its trace copy, each ending in a `jmp` to the other. Executed
+        // alternately, both stay cached: after the first round every step
+        // hits.
+        let (block, trace) = (0xC000_0000u32, 0xC100_0000u32);
+        let mut m = Machine::new(CpuKind::Pentium4);
+        for (at, to) in [(block, trace), (trace, block)] {
+            let mut il = InstrList::new();
+            for _ in 0..4091 {
+                il.push_back(create::inc(Opnd::reg(Reg::Eax)));
+            }
+            il.push_back(create::jmp(Target::Pc(to)));
+            let code = encode_list(&il, at).unwrap().bytes;
+            assert_eq!(code.len(), 4096);
+            m.mem.write_bytes(at, &code);
+        }
+        m.set_exec_regions(vec![
+            ExecRegion::new(block, block + 4096),
+            ExecRegion::new(trace, trace + 4096),
+        ]);
+        m.cpu.eip = block;
+        let round = 2 * 4092;
+        assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
+        assert_eq!(m.decode_cache_stats(), stats(0, round, 0));
+        for rounds in 2..=3 {
+            assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
+            assert_eq!(
+                m.decode_cache_stats(),
+                stats((rounds - 1) * round, round, 0)
+            );
+        }
+        assert_eq!(m.cpu.eip, block);
+        assert_eq!(m.cpu.reg(Reg::Eax), 3 * 2 * 4091);
+
+        // One store into the trace copy drops only that decode: the block
+        // copy still hits, and the trace refills its first instruction.
+        m.mem.write_u8(trace, 0x43); // inc ebx
+        m.invalidate_code_range(trace, 1);
+        assert_eq!(m.decode_cache_stats(), stats(2 * round, round, 1));
+        assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
+        assert_eq!(m.decode_cache_stats(), stats(3 * round - 1, round + 1, 1));
+        assert_eq!(m.cpu.reg(Reg::Ebx), 1);
+    }
+
+    #[test]
     fn store_wrapping_past_the_top_invalidates_both_ends() {
         // A 4-byte store at 0xFFFF_FFFE writes 0xFFFF_FFFE..=0xFFFF_FFFF
         // and 0..=1; decodes at 0xFFFF_FFFF, 0 and 1 all read those bytes.
-        // (0xFFFF_FFFF and 0 share a slot, so they are probed in turn.)
         let mut m = Machine::new(CpuKind::Pentium4);
-        for pcs in [&[0xFFFF_FFFF, 1][..], &[0]] {
-            for &pc in pcs {
-                m.mem.write_u8(pc, 0x90); // nop
-                m.cpu.eip = pc;
-                assert_eq!(m.step(), None);
-                assert!(m.dcache.get(pc).is_some());
-            }
-            let before = m.decode_cache_stats().invalidated;
-            m.note_store(0xFFFF_FFFE, 4);
-            assert_eq!(
-                m.decode_cache_stats().invalidated - before,
-                pcs.len() as u64
-            );
-            assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
+        let pcs = [0xFFFF_FFFF, 0, 1];
+        for pc in pcs {
+            m.mem.write_u8(pc, 0x90); // nop
+            m.cpu.eip = pc;
+            assert_eq!(m.step(), None);
+            assert!(m.dcache.get(pc).is_some());
         }
+        m.note_store(0xFFFF_FFFE, 4);
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3));
+        assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
         // The public range entry point wraps the same way.
         m.cpu.eip = 1;
         assert_eq!(m.step(), None);

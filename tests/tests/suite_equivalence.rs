@@ -1,20 +1,28 @@
 //! The correctness capstone: every benchmark in the suite, executed under
 //! every client and every engine configuration, must produce *exactly* the
-//! exit code and output of native execution.
+//! exit code and output of native execution, and under the engine the
+//! simulator's decode cache must neither execute a stale decode nor keep
+//! missing as the iteration count grows.
 
 use rio_clients::ClientKind;
-use rio_core::Options;
+use rio_core::{NullClient, Options, Rio};
 use rio_fuzz::scenario::{self, Exit, Expect, Faults, Run, Scenario};
 use rio_sim::CpuKind;
 use rio_tests::table1_rows;
-use rio_workloads::{suite_scaled, Benchmark};
+use rio_workloads::{compile, suite_scaled, Benchmark};
+
+/// Check one run of `b` against native execution: exit code, output,
+/// final state digest, and no stale decode executed.
+fn check_run(cpu: CpuKind, b: &Benchmark, run: Run) {
+    let expect = Expect::new(Exit::Native, Faults::None, &[]);
+    let s = Scenario::new(b.name, &b.source, run, expect);
+    if let Err(e) = scenario::check(&s, cpu) {
+        panic!("{e} under {:?} / {:?}", s.run.client, s.run.options);
+    }
+}
 
 fn check_on(cpu: CpuKind, b: &Benchmark, options: Options, client: ClientKind) {
-    let expect = Expect::new(Exit::Native, Faults::None, &[]);
-    let s = Scenario::new(b.name, &b.source, Run::new(options, client), expect);
-    if let Err(e) = scenario::check(&s, cpu) {
-        panic!("{e} under {client:?} / {options:?}");
-    }
+    check_run(cpu, b, Run::new(options, client));
 }
 
 fn check(b: &Benchmark, options: Options, client: ClientKind) {
@@ -74,5 +82,42 @@ fn tiny_trace_capacity_preserves_correctness() {
 fn pentium3_model_preserves_correctness() {
     for b in suite_scaled(1).into_iter().take(6) {
         check_on(CpuKind::Pentium3, &b, Options::full(), ClientKind::Combined);
+    }
+}
+
+#[test]
+fn all_benchmarks_execute_no_stale_decode_under_the_engine() {
+    // Every decode-cache hit is checked against the live bytes, with the
+    // cache unbounded and under FIFO eviction.
+    for b in suite_scaled(1) {
+        for cache_limit in [None, Some(4096)] {
+            let mut run = Run::new(Options::full(), ClientKind::Null);
+            run.options.cache_limit = cache_limit;
+            run.verify_decodes = true;
+            check_run(CpuKind::Pentium4, &b, run);
+        }
+    }
+}
+
+#[test]
+fn decode_misses_do_not_grow_with_the_iteration_count() {
+    // Host-only but deterministic counts. Once the hot code is decoded, a
+    // second pass over it must hit: doubling the iterations may add the
+    // decodes of code built later (gcc rebuilds code as it runs) but must
+    // not double the misses, as it does when two copies of the hot code
+    // keep evicting each other.
+    let misses = |scale| {
+        suite_scaled(scale).into_iter().map(|b| {
+            let image = compile(&b.source).unwrap();
+            let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
+            rio.run();
+            (b.name, rio.core.machine.decode_cache_stats().misses)
+        })
+    };
+    for ((name, one), (_, two)) in misses(1).zip(misses(2)) {
+        assert!(
+            two * 10 <= one * 16,
+            "{name}: {two} decode misses at scale 2 against {one} at scale 1"
+        );
     }
 }
