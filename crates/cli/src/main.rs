@@ -35,7 +35,10 @@
 //!   --verify          re-verify affected fragments at every safe point
 //!                     (also honors RIO_VERIFY=1; never charged to the run)
 //!   --stats           print engine statistics and the simulator's
-//!                     decode-cache hits, misses and invalidations
+//!                     decode-cache counts, in basic blocks: lookups served
+//!                     from the cache (hits), lookups that decoded a new or
+//!                     longer block (misses), and blocks dropped
+//!                     (invalidated); host-only but deterministic
 //!
 //! Every flag is also accepted as --flag=value. --jobs N (or -j N) sets the
 //! worker threads; it also honors RIO_JOBS and defaults to the host's

@@ -3,34 +3,51 @@
 //! The interpreter executes machine code *from memory bytes* — the same
 //! bytes the RIO encoder emits into the code cache — so the entire
 //! decode/translate/encode/link path of the dynamic translator is exercised
-//! for real. A direct-mapped decoded-instruction cache makes interpretation
-//! fast; the RIO core invalidates it whenever it patches code (linking,
-//! fragment replacement), and every interpreted store invalidates the span
-//! it writes, modelling self-modifying code correctly.
+//! for real. A direct-mapped cache of decoded basic blocks makes
+//! interpretation fast; the RIO core invalidates it whenever it patches
+//! code (linking, fragment replacement), and every interpreted store
+//! invalidates the span it writes, modelling self-modifying code correctly.
 //!
 //! The decode cache is host infrastructure, not part of the modelled
-//! machine, and is built to cost little per step:
+//! machine, and is built to cost little per instruction:
 //!
+//! * it caches straight-line blocks, not single instructions: a block runs
+//!   from its start pc to the first control transfer, `int`, `int3` or
+//!   `hlt` (or stops earlier before an undecodable instruction, or at a cap
+//!   of 32 instructions and 128 bytes). [`Machine::run_steps`] looks up,
+//!   tests the exec region, the armed injection and the fuel once per
+//!   block, then runs the block's instructions back to back. It cuts a
+//!   block where the region ends, where the injection fires and where the
+//!   fuel runs out, so every budget stays instruction-precise, and running
+//!   a block leaves exactly the state stepping its instructions one at a
+//!   time does. [`Machine::step`] and `run_steps(1)` run a block of at most
+//!   one instruction;
+//! * a block is decoded only as far as execution needs it and extended when
+//!   execution reaches its end, so a pc that is only ever single-stepped
+//!   costs one decode;
 //! * its 32K slot words are allocated zeroed, so a fresh [`Machine`] pays
 //!   only for the slots its code actually uses;
-//! * it is direct-mapped, and its index keeps apart code in different
-//!   16 MiB regions: bit 24 of the pc is folded into the top index bit, so
-//!   two copies of hot code 16 MiB apart (a basic block and its trace,
-//!   say) fill opposite halves of the cache and both stay cached. A pc
-//!   with a zero top byte, which is all application code and so every
-//!   native run, keeps the plain `pc ^ (pc >> 15)` slot;
-//! * decoded entries live in a slab in which each slot owns at most one
-//!   entry and overwrites it in place, so memory tracks the executed code
-//!   footprint and stays bounded;
-//! * a step executes its decode by reference out of the slab;
-//! * a per-page bitmap of pages that may hold a cached decode lets stores to
+//! * it is direct-mapped by start pc, and its index keeps apart code in
+//!   different 16 MiB regions: bit 24 of the pc is folded into the top
+//!   index bit, so two copies of hot code 16 MiB apart (a basic block and
+//!   its trace, say) fill opposite halves of the cache and both stay
+//!   cached. A pc with a zero top byte, which is all application code and
+//!   so every native run, keeps the plain `pc ^ (pc >> 15)` slot;
+//! * decoded instructions live in one arena per machine, reserved on the
+//!   first miss and never reallocated; when it is full the whole cache is
+//!   reset, so memory stays bounded;
+//! * a block executes by reference out of the arena;
+//! * a per-page bitmap of pages that may hold a cached block lets stores to
 //!   data and stack pages (nearly all of them) skip the invalidation probe.
+//!   A store that does reach a cached block drops it, and any invalidation
+//!   ends the running block after the current instruction, so a store into
+//!   the block that is executing runs the new bytes next.
 //!
-//! [`Machine::decode_cache_stats`] reports hits, misses and invalidations
-//! for profiling; they never reach [`Counters`].
+//! [`Machine::decode_cache_stats`] reports block hits, misses and
+//! invalidations for profiling; they never reach [`Counters`].
 //!
-//! A cached decode is ready to execute, so a step re-derives nothing that is
-//! fixed once the bytes are decoded:
+//! A cached decode is ready to execute, so an instruction re-derives nothing
+//! that is fixed once the bytes are decoded:
 //!
 //! * operands are bound at decode time: a register operand is a
 //!   register-file index plus a view (32-bit, 16-bit, low or high byte), and
@@ -46,9 +63,9 @@
 //!   before any change, each store noted before it is written, the step
 //!   accounted before a watched-store exit), so the simulated counters do
 //!   not depend on which executor ran;
-//! * [`Machine::run_steps`] lends the exec regions and the decode slab out
-//!   of the machine for the whole call, since no step can change the
-//!   regions or move a slab entry.
+//! * [`Machine::run_steps`] lends the exec regions and the decode arena out
+//!   of the machine for the whole call, since no instruction can change the
+//!   regions or move an arena entry.
 
 use rio_ia32::{decode_instr, Cc, Eflags, Instr, MemRef, OpSize, Opcode, Opnd, Reg};
 
@@ -358,26 +375,102 @@ fn lower(instr: &Instr, len: u32) -> Lowered {
 
 const DCACHE_BITS: usize = 15;
 const DCACHE_SIZE: usize = 1 << DCACHE_BITS;
-/// Longest instruction fetch: a decode at `pc` can consume bytes up to
-/// `pc + MAX_INSTR_BYTES - 1`, so a write at `addr` can stale any decode
-/// starting as far back as `addr - MAX_INSTR_BYTES + 1`.
+/// Longest instruction fetch: a decode at `pc` reads at most the bytes up to
+/// `pc + MAX_INSTR_BYTES - 1`.
 const MAX_INSTR_BYTES: u32 = 16;
+/// Most instructions in one cached block.
+const MAX_BLOCK_INSTRS: u32 = 32;
+/// Most bytes one cached block spans. A block takes no further instruction
+/// once it spans more than `MAX_BLOCK_BYTES - MAX_INSTR_BYTES`, so a write
+/// at `addr` can stale only blocks starting at `addr - MAX_BLOCK_BYTES + 1`
+/// or later.
+const MAX_BLOCK_BYTES: u32 = 128;
+/// Decoded instructions the arena holds. The arena is reserved at this size
+/// on a machine's first miss and never grows: when it cannot take one more
+/// whole block, the whole cache is reset.
+const ARENA_INSTRS: usize = 1 << 15;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
 /// Pages in the 32-bit address space, one bit each in the code-page bitmap.
 const PAGES: u32 = 1 << (32 - PAGE_SHIFT);
 
-/// Slot word layout: `pc << 32 | VALID | slab index + 1`. An all-zero word
-/// is a slot that has never been filled and owns no slab entry.
+/// Slot word layout, high bit to low: the start pc (32 bits), `VALID`,
+/// `LAST` (the block is complete and is never extended), the byte span
+/// (8 bits), the instruction count (6 bits) and the arena index of the
+/// first instruction (16 bits). An all-zero word is an empty slot.
 const SLOT_VALID: u64 = 1 << 31;
-const SLOT_INDEX: u64 = SLOT_VALID - 1;
+const SLOT_LAST: u64 = 1 << 30;
+const SLOT_SPAN_SHIFT: u32 = 22;
+const SLOT_LEN_SHIFT: u32 = 16;
+/// The bits a lookup compares: the pc tag and `VALID`.
+const SLOT_TAG: u64 = !(SLOT_VALID - 1);
 
-/// One decoded instruction, owned by exactly one direct-mapped slot.
-struct DecodeCacheEntry {
+/// Whether `op` ends a block: every control transfer, and the instructions
+/// that always stop the machine.
+fn ends_block(op: Opcode) -> bool {
+    op.is_cti() || matches!(op, Opcode::Int | Opcode::Int3 | Opcode::Hlt)
+}
+
+/// One decoded instruction of a cached block.
+#[derive(Clone, Copy)]
+struct Decoded {
+    lowered: Lowered,
     /// Raw bytes the decode was made from (first `lowered.len` are live);
     /// kept so verification mode can prove a hit is not stale.
     bytes: [u8; 16],
-    lowered: Lowered,
+}
+
+/// A cached block: its slot word, which says where its `len` decoded
+/// instructions lie in the arena and how many bytes from its start pc they
+/// span. It stays packed, so a hit unpacks only the fields it reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Block(u64);
+
+impl Block {
+    fn new(pc: u32, start: usize, len: u32, span: u32, last: bool) -> Block {
+        let last = if last { SLOT_LAST } else { 0 };
+        Block(
+            DecodeCache::valid_tag(pc)
+                | last
+                | u64::from(span) << SLOT_SPAN_SHIFT
+                | u64::from(len) << SLOT_LEN_SHIFT
+                | start as u64,
+        )
+    }
+
+    /// Arena index of the first instruction.
+    fn start(self) -> usize {
+        (self.0 & 0xFFFF) as usize
+    }
+
+    /// Number of instructions.
+    fn len(self) -> u32 {
+        (self.0 >> SLOT_LEN_SHIFT) as u32 & 0x3F
+    }
+
+    /// Bytes covered from the start pc.
+    fn span(self) -> u32 {
+        (self.0 >> SLOT_SPAN_SHIFT) as u32 & 0xFF
+    }
+
+    /// Whether the block is complete: it ends at a block-ending
+    /// instruction, before an undecodable one, or at a cap, so it is never
+    /// extended.
+    fn last(self) -> bool {
+        self.0 & SLOT_LAST != 0
+    }
+
+    /// Whether the block can run as it is: it holds the `want`
+    /// instructions asked for, or can take no more (it is complete, or it
+    /// reaches the end of the region, `room` bytes from its start).
+    fn serves(self, want: u64, room: u32) -> bool {
+        u64::from(self.len()) >= want || self.last() || self.span() >= room
+    }
+
+    /// The arena range of its instructions.
+    fn instrs(self) -> std::ops::Range<usize> {
+        self.start()..self.start() + self.len() as usize
+    }
 }
 
 /// Host-side decode-cache activity, for profiling the interpreter. These
@@ -385,43 +478,54 @@ struct DecodeCacheEntry {
 /// [`Counters`] or any simulated output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
-    /// Steps served from a cached decode.
+    /// Block lookups served from the cache without decoding.
     pub hits: u64,
-    /// Steps that had to decode from memory.
+    /// Block lookups that decoded: a new block, or a cached one extended.
     pub misses: u64,
-    /// Cached decodes dropped by invalidation (store, range, or whole).
+    /// Cached blocks dropped by invalidation (store, range, or whole) or
+    /// by a reset when the arena is full.
     pub invalidated: u64,
 }
 
-/// Direct-mapped software decode cache keyed by pc.
+/// Direct-mapped software cache of decoded straight-line blocks, keyed by
+/// start pc.
 ///
+/// * A block is the run of instructions from its start pc up to and
+///   including the first control transfer, `int`, `int3` or `hlt`. It ends
+///   earlier before an undecodable instruction, or at a cap of
+///   [`MAX_BLOCK_INSTRS`] instructions and [`MAX_BLOCK_BYTES`] bytes. A
+///   block is decoded only as far as execution needs it and extended when
+///   execution reaches its end, so a pc that is only ever single-stepped
+///   costs one decode.
 /// * [`DecodeCache::index`] is `pc ^ (pc >> 15)` with bit 24, the lowest
 ///   bit of the top address byte, also folded into the top index bit.
 ///   Pcs with a zero top byte keep the plain `pc ^ (pc >> 15)` slot. Bits
 ///   24–29 reach the index in independent patterns, so pcs that differ
 ///   only there never share a slot, and the first 16 KiB of two regions
 ///   16 MiB apart fill opposite halves of the slots.
-/// * `slots` holds one word per direct-mapped slot: the pc tag, a valid
-///   bit, and the 1-based index of the slab entry the slot owns. It is
-///   allocated zeroed and only touched where code runs.
-/// * `slab` holds the decoded entries. A slot claims one entry the first
-///   time it is filled and overwrites that same entry on every later fill,
-///   so the slab grows with the executed code footprint and never beyond
-///   one entry per slot.
+/// * `slots` holds one word per direct-mapped slot: the start pc, a valid
+///   bit, and where the block lies (see `SLOT_VALID`). It is allocated
+///   zeroed and only touched where code runs.
+/// * `arena` holds every block's decoded instructions back to back. It is
+///   reserved once, on the first miss, and never reallocated. A new block
+///   is appended; a block grows in place while it is the newest and is
+///   copied to the end otherwise; a replaced or invalidated block's
+///   instructions stay behind until the arena fills, and then the whole
+///   cache is reset. Memory is bounded by [`ARENA_INSTRS`] decodes.
 /// * `code_pages` is a bitmap with one bit per 4 KiB page. Invariant: for
-///   every valid slot with tag `pc`, the pages holding `pc` and
-///   `pc + MAX_INSTR_BYTES - 1` are marked. A byte at `a` can only stale a
-///   decode whose `[pc, pc + 16)` window contains `a`, and that window lies
-///   on one of those two pages, so a write touching no marked page cannot
-///   stale anything and skips the probe. Bits are set by `put` and cleared
+///   every valid slot with start `pc` and span `s`, the pages holding `pc`
+///   and `pc + s - 1` are marked. A byte at `a` can only stale a block
+///   whose `[pc, pc + s)` contains `a`, and that range lies on one of those
+///   two pages, so a write touching no marked page cannot stale anything
+///   and skips the probe. Bits are set when a block is filled and cleared
 ///   only by `invalidate_all`, so the bitmap may over-approximate but
 ///   never under-approximates.
 ///
-/// Invalidation touches only `slots` (and `stats`), never `slab`, which is
-/// what lets the interpreter borrow a slab entry while it executes.
+/// Invalidation touches only `slots` (and `stats`), never `arena`, which is
+/// what lets the interpreter borrow the arena while it executes a block.
 struct DecodeCache {
     slots: Vec<u64>,
-    slab: Vec<DecodeCacheEntry>,
+    arena: Vec<Decoded>,
     code_pages: Vec<u64>,
     stats: DecodeCacheStats,
 }
@@ -430,7 +534,7 @@ impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
             slots: vec![0; DCACHE_SIZE],
-            slab: Vec::new(),
+            arena: Vec::new(),
             code_pages: vec![0; PAGES as usize / 64],
             stats: DecodeCacheStats::default(),
         }
@@ -442,41 +546,77 @@ impl DecodeCache {
         fold as usize & (DCACHE_SIZE - 1)
     }
 
-    /// The tag and valid bits of a slot word holding a valid decode of `pc`.
+    /// The tag and valid bits of a slot word holding a valid block at `pc`.
     fn valid_tag(pc: u32) -> u64 {
         u64::from(pc) << 32 | SLOT_VALID
     }
 
-    /// Slab index of the valid decode for `pc`, if cached.
+    /// The valid block starting at `pc`, if cached.
     #[inline]
-    fn get(&self, pc: u32) -> Option<usize> {
+    fn get(&self, pc: u32) -> Option<Block> {
         let word = self.slots[Self::index(pc)];
-        if word & !SLOT_INDEX == Self::valid_tag(pc) {
-            Some((word & SLOT_INDEX) as usize - 1)
-        } else {
-            None
-        }
+        (word & SLOT_TAG == Self::valid_tag(pc)).then_some(Block(word))
     }
 
-    /// Cache a decode for `pc` in its slot's own slab entry; returns the
-    /// slab index.
-    fn put(&mut self, pc: u32, bytes: [u8; 16], lowered: Lowered) -> usize {
-        let slot = Self::index(pc);
-        let entry = DecodeCacheEntry { bytes, lowered };
-        let i = match (self.slots[slot] & SLOT_INDEX) as usize {
-            0 => {
-                self.slab.push(entry);
-                self.slab.len() - 1
+    /// Decode into the block at `pc`, the arena lent out as `arena`:
+    /// extend `found`, or start a new block when there is none. The block
+    /// takes instructions until it holds `want` of them, is complete, or
+    /// reaches `room` bytes from `pc` (the end of the exec region). Returns
+    /// `None` when a new block's first instruction is undecodable.
+    fn fill(
+        &mut self,
+        mem: &Memory,
+        arena: &mut Vec<Decoded>,
+        pc: u32,
+        mut found: Option<Block>,
+        want: u32,
+        room: u32,
+    ) -> Option<Block> {
+        if arena.capacity() == 0 {
+            arena.reserve_exact(ARENA_INSTRS);
+        }
+        if arena.capacity() - arena.len() < MAX_BLOCK_INSTRS as usize {
+            self.invalidate_all();
+            arena.clear();
+            found = None;
+        }
+        // Blocks passed in for extension are never complete.
+        let (start, mut len, mut span) = match found {
+            Some(b) if b.start() + b.len() as usize == arena.len() => {
+                (b.start(), b.len(), b.span())
             }
-            owned => {
-                self.slab[owned - 1] = entry;
-                owned - 1
+            Some(b) => {
+                let start = arena.len();
+                arena.extend_from_within(b.instrs());
+                (start, b.len(), b.span())
             }
+            None => (arena.len(), 0, 0),
         };
-        self.slots[slot] = Self::valid_tag(pc) | (i as u64 + 1);
+        let mut last = false;
+        while len < want && !last && (len == 0 || span < room) {
+            let at = pc.wrapping_add(span);
+            let mut bytes = [0u8; 16];
+            mem.read_bytes(at, &mut bytes);
+            let Ok((instr, n)) = decode_instr(&bytes, at) else {
+                if len == 0 {
+                    return None;
+                }
+                last = true;
+                break;
+            };
+            let lowered = lower(&instr, n);
+            arena.push(Decoded { lowered, bytes });
+            len += 1;
+            span += n;
+            last = ends_block(lowered.op)
+                || len == MAX_BLOCK_INSTRS
+                || span > MAX_BLOCK_BYTES - MAX_INSTR_BYTES;
+        }
+        let b = Block::new(pc, start, len, span, last);
+        self.slots[Self::index(pc)] = b.0;
         self.mark_page(pc);
-        self.mark_page(pc.wrapping_add(MAX_INSTR_BYTES - 1));
-        i
+        self.mark_page(pc.wrapping_add(span - 1));
+        Some(b)
     }
 
     fn mark_page(&mut self, addr: u32) {
@@ -485,7 +625,7 @@ impl DecodeCache {
     }
 
     /// Whether any page holding one of the `len` bytes at `start` (wrapping)
-    /// may hold part of a cached decode.
+    /// may hold part of a cached block.
     fn touches_code_page(&self, start: u32, len: u32) -> bool {
         if len == 0 {
             return false;
@@ -498,6 +638,8 @@ impl DecodeCache {
         })
     }
 
+    /// Drop every block. The arena's contents become garbage; the caller
+    /// that holds the arena clears it.
     fn invalidate_all(&mut self) {
         for word in &mut self.slots {
             if *word & SLOT_VALID != 0 {
@@ -508,21 +650,24 @@ impl DecodeCache {
         self.code_pages.fill(0);
     }
 
-    /// Drop every cached decode whose bytes may overlap the `len` bytes at
+    /// Drop every cached block whose bytes overlap the `len` bytes at
     /// `start`, wrapping past the top of the address space exactly as the
-    /// write did. A decode starting at `pc` covers at most `[pc, pc + 16)`,
-    /// so only pcs in `[start - 15, start + len)` can be affected; each
-    /// lives at its own direct-mapped slot, so the walk is bounded by
-    /// `len + 15` probes. Writes that touch no code page skip the walk.
+    /// write did. A block spans at most [`MAX_BLOCK_BYTES`], so only start
+    /// pcs in `[start - 127, start + len)` can be affected; each lives at
+    /// its own direct-mapped slot, so the walk is bounded by `len + 127`
+    /// probes, and the span in the slot word decides the overlap. Writes
+    /// that touch no code page skip the walk.
     fn invalidate_range(&mut self, start: u32, len: u32) {
         if !self.touches_code_page(start, len) {
             return;
         }
-        let lo = start.wrapping_sub(MAX_INSTR_BYTES - 1);
-        for k in 0..u64::from(len) + u64::from(MAX_INSTR_BYTES - 1) {
+        let lo = start.wrapping_sub(MAX_BLOCK_BYTES - 1);
+        for k in 0..u64::from(len) + u64::from(MAX_BLOCK_BYTES - 1) {
             let pc = lo.wrapping_add(k as u32);
             let word = &mut self.slots[Self::index(pc)];
-            if *word & !SLOT_INDEX == Self::valid_tag(pc) {
+            if *word & SLOT_TAG == Self::valid_tag(pc)
+                && (start.wrapping_sub(pc) < Block(*word).span() || pc.wrapping_sub(start) < len)
+            {
                 *word &= !SLOT_VALID;
                 self.stats.invalidated += 1;
             }
@@ -723,27 +868,29 @@ impl Machine {
         self.counters.charged_overhead += cycles;
     }
 
-    /// Invalidate the *entire* decoded-instruction cache. Needed only when
-    /// code changed at unknown addresses; prefer
+    /// Invalidate the *entire* decode cache and free its arena for reuse.
+    /// Needed only when code changed at unknown addresses; prefer
     /// [`Machine::invalidate_code_range`], which the engine uses on every
     /// fragment emission and link patch.
     pub fn invalidate_code(&mut self) {
         self.dcache.invalidate_all();
+        self.dcache.arena.clear();
     }
 
-    /// Invalidate decoded instructions overlapping the `len` bytes at
-    /// `addr` (wrapping past the top of the address space, like the write).
-    /// Must be called after any write to memory that may hold code; cost is
-    /// bounded by `len + 15` cache probes, and is a bitmap test alone when
-    /// the written pages hold no cached decode, so hot emit/patch paths
-    /// never wipe unrelated decodes.
+    /// Invalidate cached blocks overlapping the `len` bytes at `addr`
+    /// (wrapping past the top of the address space, like the write). Must
+    /// be called after any write to memory that may hold code; cost is
+    /// bounded by `len + 127` cache probes, and is a bitmap test alone when
+    /// the written pages hold no cached block, so hot emit/patch paths
+    /// never wipe unrelated blocks.
     pub fn invalidate_code_range(&mut self, addr: u32, len: u32) {
         self.dcache.invalidate_range(addr, len);
     }
 
     /// Host-side decode-cache hit, miss and invalidation counts since the
-    /// machine was created. Purely a profiling aid: the simulated machine
-    /// and its [`Counters`] are identical whether or not anyone looks.
+    /// machine was created, in blocks. Purely a profiling aid: the
+    /// simulated machine and its [`Counters`] are identical whether or not
+    /// anyone looks.
     pub fn decode_cache_stats(&self) -> DecodeCacheStats {
         self.dcache.stats
     }
@@ -753,26 +900,18 @@ impl Machine {
         self.run_steps(1 << 44)
     }
 
-    /// Run at most `max_steps` instructions.
+    /// Run at most `max_steps` instructions, a cached block at a time.
+    /// Inlined so that a caller stepping one instruction at a time reaches
+    /// `run_blocks` in one call.
+    #[inline]
     pub fn run_steps(&mut self, max_steps: u64) -> CpuExit {
         // Nothing a step does can change the exec regions, so they are lent
-        // out for the whole call. The decode slab is lent out the same way
-        // (see `step_in`).
+        // out for the whole call. The decode arena is lent out the same way
+        // (see `run_blocks`).
         let regions = std::mem::take(&mut self.regions);
-        let mut slab = std::mem::take(&mut self.dcache.slab);
-        let mut exit = CpuExit::FuelExhausted;
-        for _ in 0..max_steps {
-            let pc = self.cpu.eip;
-            if !regions.iter().any(|r| r.contains(pc)) {
-                exit = CpuExit::OutOfRegion(pc);
-                break;
-            }
-            if let Some(e) = self.step_in(&mut slab) {
-                exit = e;
-                break;
-            }
-        }
-        self.dcache.slab = slab;
+        let mut arena = std::mem::take(&mut self.dcache.arena);
+        let exit = self.run_blocks(&mut arena, Some(&regions), max_steps);
+        self.dcache.arena = arena;
         self.regions = regions;
         exit
     }
@@ -781,63 +920,145 @@ impl Machine {
     /// responsibility). Returns `Some(exit)` if the instruction stops
     /// execution.
     pub fn step(&mut self) -> Option<CpuExit> {
-        let mut slab = std::mem::take(&mut self.dcache.slab);
-        let exit = self.step_in(&mut slab);
-        self.dcache.slab = slab;
-        exit
+        let mut arena = std::mem::take(&mut self.dcache.arena);
+        let exit = self.run_blocks(&mut arena, None, 1);
+        self.dcache.arena = arena;
+        (exit != CpuExit::FuelExhausted).then_some(exit)
     }
 
-    /// One step with the decode slab lent out of the cache. `exec` can
-    /// invalidate slots (every store goes through `note_store`) but never
-    /// touches the slab, so the step executes its decode in place; only a
-    /// miss hands the slab back to the cache to fill a slot.
-    fn step_in(&mut self, slab: &mut Vec<DecodeCacheEntry>) -> Option<CpuExit> {
-        let pc = self.cpu.eip;
-        if let Some((at, kind)) = self.inject {
-            if self.counters.instructions >= at {
-                self.inject = None; // one-shot: resuming runs past it
-                return Some(CpuExit::Fault { kind, pc, addr: pc });
+    /// Run cached blocks with the decode arena lent out of the cache, until
+    /// `fuel` instructions have run or one stops execution. With `regions`,
+    /// control must stay inside them; without, nothing is checked.
+    ///
+    /// The region, the armed injection and the fuel are tested once per
+    /// block, and the block is cut where the region ends, where the
+    /// injection fires and where the fuel runs out, so every budget stays
+    /// instruction-precise. `exec` can invalidate slots (every store goes
+    /// through `note_store`) but never touches the arena, so a block
+    /// executes in place. Any invalidation ends the block after the current
+    /// instruction, so a store into the executing block runs the new bytes
+    /// next.
+    fn run_blocks(
+        &mut self,
+        arena: &mut Vec<Decoded>,
+        regions: Option<&[ExecRegion]>,
+        mut fuel: u64,
+    ) -> CpuExit {
+        // The rest of the current block: arena entries `next..end`, the
+        // first of them at `pc`, all valid while no invalidation has
+        // happened since the block began (`generation`).
+        let (mut next, mut end, mut pc, mut generation) = (0, 0, 0, 0);
+        loop {
+            if next == end {
+                if fuel == 0 {
+                    return CpuExit::FuelExhausted;
+                }
+                pc = self.cpu.eip;
+                // The bytes from `pc` to the end of its region.
+                let room = match regions.map(|rs| rs.iter().find(|r| r.contains(pc))) {
+                    None => u32::MAX,
+                    Some(Some(r)) => r.end - pc,
+                    Some(None) => return CpuExit::OutOfRegion(pc),
+                };
+                let mut want = fuel;
+                if let Some((at, kind)) = self.inject {
+                    let done = self.counters.instructions;
+                    if done >= at {
+                        self.inject = None; // one-shot: resuming runs past it
+                        return CpuExit::Fault { kind, pc, addr: pc };
+                    }
+                    want = want.min(at - done);
+                }
+                let b = match self.dcache.get(pc) {
+                    Some(b) if !self.verify_decodes && b.serves(want, room) => {
+                        self.dcache.stats.hits += 1;
+                        b
+                    }
+                    found => match self.refill(arena, pc, found, want, room) {
+                        Some(b) => b,
+                        None => {
+                            return CpuExit::Fault {
+                                kind: FaultKind::InvalidOpcode,
+                                pc,
+                                addr: pc,
+                            }
+                        }
+                    },
+                };
+                next = b.start();
+                end = next + want.min(u64::from(b.len())) as usize;
+                if b.span() > room {
+                    end = next + Self::instrs_before(&arena[next..end], room);
+                }
+                generation = self.dcache.stats.invalidated;
+            }
+            let l = &arena[next].lowered;
+            if let Some(exit) = self.exec(pc, l) {
+                return exit;
+            }
+            next += 1;
+            fuel -= 1;
+            pc = pc.wrapping_add(u32::from(l.len));
+            if self.dcache.stats.invalidated != generation {
+                end = next;
             }
         }
-        let cached = match self.dcache.get(pc) {
-            Some(i) if self.verify_decodes && !self.cached_bytes_match(pc, &slab[i]) => {
-                self.stale_decode_hits += 1;
-                None
-            }
-            hit => hit,
-        };
-        let i = match cached {
-            Some(i) => {
-                self.dcache.stats.hits += 1;
-                i
-            }
-            None => {
-                self.dcache.stats.misses += 1;
-                let mut buf = [0u8; 16];
-                self.mem.read_bytes(pc, &mut buf);
-                let Ok((instr, len)) = decode_instr(&buf, pc) else {
-                    return Some(CpuExit::Fault {
-                        kind: FaultKind::InvalidOpcode,
-                        pc,
-                        addr: pc,
-                    });
-                };
-                self.dcache.slab = std::mem::take(slab);
-                let i = self.dcache.put(pc, buf, lower(&instr, len));
-                *slab = std::mem::take(&mut self.dcache.slab);
-                i
-            }
-        };
-        self.exec(pc, &slab[i].lowered)
     }
 
-    /// Verification mode: whether cached decode `e` of `pc` still matches
-    /// the live memory bytes.
-    fn cached_bytes_match(&self, pc: u32, e: &DecodeCacheEntry) -> bool {
-        let len = e.lowered.len as usize;
-        let mut buf = [0u8; 16];
-        self.mem.read_bytes(pc, &mut buf[..len]);
-        buf[..len] == e.bytes[..len]
+    /// The block at `pc` when the fast lookup did not serve it: `found` is
+    /// missing, too short for `want` instructions, or unverified. Verifies
+    /// a found block when verification is on, counts the hit or miss, and
+    /// decodes what is missing. `None` if `pc` holds no decodable
+    /// instruction.
+    #[cold]
+    #[inline(never)]
+    fn refill(
+        &mut self,
+        arena: &mut Vec<Decoded>,
+        pc: u32,
+        mut found: Option<Block>,
+        want: u64,
+        room: u32,
+    ) -> Option<Block> {
+        if let Some(b) = found {
+            if self.verify_decodes && !self.block_matches(arena, pc, b) {
+                self.stale_decode_hits += 1;
+                found = None;
+            } else if b.serves(want, room) {
+                self.dcache.stats.hits += 1;
+                return found;
+            }
+        }
+        self.dcache.stats.misses += 1;
+        let want = want.min(u64::from(MAX_BLOCK_INSTRS)) as u32;
+        self.dcache.fill(&self.mem, arena, pc, found, want, room)
+    }
+
+    /// How many of `instrs` start fewer than `room` bytes into the block.
+    #[cold]
+    fn instrs_before(instrs: &[Decoded], room: u32) -> usize {
+        let mut offset = 0;
+        instrs
+            .iter()
+            .take_while(|d| {
+                let inside = offset < room;
+                offset += u32::from(d.lowered.len);
+                inside
+            })
+            .count()
+    }
+
+    /// Verification mode: whether every instruction of block `b` at `pc`
+    /// still matches the live memory bytes.
+    fn block_matches(&self, arena: &[Decoded], pc: u32, b: Block) -> bool {
+        let mut at = pc;
+        arena[b.instrs()].iter().all(|d| {
+            let len = usize::from(d.lowered.len);
+            let mut buf = [0u8; 16];
+            self.mem.read_bytes(at, &mut buf[..len]);
+            at = at.wrapping_add(len as u32);
+            buf[..len] == d.bytes[..len]
+        })
     }
 
     fn addr_of(&self, m: &MemOp) -> u32 {
@@ -1861,11 +2082,12 @@ mod tests {
         il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm32(2)));
         il.push_back(create::hlt());
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        // The three instructions are one block, ended by the `hlt`.
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(3, 3, 0));
+        assert_eq!(m.decode_cache_stats(), stats(1, 1, 0));
         // Host-only: the simulated counters never see the cache.
         assert_eq!(m.counters.instructions, 6);
     }
@@ -1877,17 +2099,18 @@ mod tests {
         il.push_back(create::hlt());
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
         m.mem.write_u32(Image::CODE_BASE + 1, 2);
         m.invalidate_code_range(Image::CODE_BASE + 1, 4);
-        // The 4-byte write reaches back over the `mov` at CODE_BASE only;
-        // the `hlt` after it is untouched.
-        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        // The 4-byte write lands inside the one `mov; hlt` block.
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 2);
-        assert_eq!(m.decode_cache_stats(), stats(1, 3, 1));
-        // The refill reused the slot's own slab entry.
-        assert_eq!(m.dcache.slab.len(), 2);
+        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        // The refill was appended; the dropped block stays in the arena
+        // until it fills.
+        assert_eq!(m.dcache.arena.len(), 4);
     }
 
     #[test]
@@ -1959,24 +2182,27 @@ mod tests {
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         assert_eq!(m.run(), CpuExit::Halt);
         m.invalidate_code();
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3));
+        // One block of three instructions was dropped, and the arena freed.
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
         assert!(!m.dcache.touches_code_page(Image::CODE_BASE, 1));
-        // Nothing is served stale, and every slot refills its own entry.
+        assert!(m.dcache.arena.is_empty());
+        // Nothing is served stale, and the block refills from the start of
+        // the arena.
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 6);
-        assert_eq!(m.decode_cache_stats(), stats(0, 6, 3));
-        assert_eq!(m.dcache.slab.len(), 3);
+        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        assert_eq!(m.dcache.arena.len(), 3);
         assert!(m.dcache.touches_code_page(Image::CODE_BASE, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(3, 6, 3));
+        assert_eq!(m.decode_cache_stats(), stats(1, 2, 1));
     }
 
     #[test]
-    fn aliasing_pcs_share_one_slab_entry() {
-        // Two pcs that map to the same direct-mapped slot evict each other
-        // in place: the slab never holds more than one entry per slot.
+    fn aliasing_pcs_share_one_slot_and_a_full_arena_resets() {
+        // Two pcs that map to the same direct-mapped slot evict each other:
+        // each refill appends a block, and the evicted one is garbage.
         let a = Image::CODE_BASE;
         let b = (1..u32::MAX)
             .map(|k| a.wrapping_add(k))
@@ -1990,7 +2216,21 @@ mod tests {
             assert_eq!(m.step(), Some(CpuExit::Halt));
         }
         assert_eq!(m.decode_cache_stats(), stats(0, 4, 0));
-        assert_eq!(m.dcache.slab.len(), 1);
+        assert_eq!(m.dcache.arena.len(), 4);
+        assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
+        // The arena never grows: once it cannot take a whole block, the
+        // next miss drops the one live block and starts over.
+        let fills = ARENA_INSTRS - MAX_BLOCK_INSTRS as usize + 1;
+        for k in 4..fills {
+            m.cpu.eip = [a, b][k % 2];
+            assert_eq!(m.step(), Some(CpuExit::Halt));
+        }
+        assert_eq!(m.decode_cache_stats(), stats(0, fills as u64, 0));
+        m.cpu.eip = b;
+        assert_eq!(m.step(), Some(CpuExit::Halt));
+        assert_eq!(m.decode_cache_stats(), stats(0, fills as u64 + 1, 1));
+        assert_eq!(m.dcache.arena.len(), 1);
+        assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
     }
 
     #[test]
@@ -2012,9 +2252,10 @@ mod tests {
     #[test]
     fn code_16_mib_apart_keeps_both_decodes() {
         // Two 4 KiB straight-line runs 16 MiB apart, laid out like a block
-        // and its trace copy, each ending in a `jmp` to the other. Executed
-        // alternately, both stay cached: after the first round every step
-        // hits.
+        // and its trace copy, each ending in a `jmp` to the other. Each run
+        // is 128 blocks: 127 of 32 `inc`s and one of 27 `inc`s and the
+        // `jmp`. Executed alternately, both stay cached: after the first
+        // round every block hits.
         let (block, trace) = (0xC000_0000u32, 0xC100_0000u32);
         let mut m = Machine::new(CpuKind::Pentium4);
         for (at, to) in [(block, trace), (trace, block)] {
@@ -2032,26 +2273,27 @@ mod tests {
             ExecRegion::new(trace, trace + 4096),
         ]);
         m.cpu.eip = block;
-        let round = 2 * 4092;
+        let (round, blocks) = (2 * 4092, 2 * 128);
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
-        assert_eq!(m.decode_cache_stats(), stats(0, round, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, blocks, 0));
         for rounds in 2..=3 {
             assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
             assert_eq!(
                 m.decode_cache_stats(),
-                stats((rounds - 1) * round, round, 0)
+                stats((rounds - 1) * blocks, blocks, 0)
             );
         }
         assert_eq!(m.cpu.eip, block);
         assert_eq!(m.cpu.reg(Reg::Eax), 3 * 2 * 4091);
 
-        // One store into the trace copy drops only that decode: the block
-        // copy still hits, and the trace refills its first instruction.
+        // One store into the trace copy drops only the block holding that
+        // byte: the block copy still hits, and the trace refills its first
+        // block.
         m.mem.write_u8(trace, 0x43); // inc ebx
         m.invalidate_code_range(trace, 1);
-        assert_eq!(m.decode_cache_stats(), stats(2 * round, round, 1));
+        assert_eq!(m.decode_cache_stats(), stats(2 * blocks, blocks, 1));
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
-        assert_eq!(m.decode_cache_stats(), stats(3 * round - 1, round + 1, 1));
+        assert_eq!(m.decode_cache_stats(), stats(3 * blocks - 1, blocks + 1, 1));
         assert_eq!(m.cpu.reg(Reg::Ebx), 1);
     }
 
@@ -2670,6 +2912,337 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One block-versus-step case: a program at `CODE_BASE`, its machine
+    /// set-up, and the fix-up both runs apply after each exit.
+    struct BlockCase {
+        name: &'static str,
+        code: fn() -> Vec<u8>,
+        setup: fn(&mut Machine),
+        /// Applied after every exit but `FuelExhausted`; returns whether to
+        /// run on.
+        resume: fn(&mut Machine, CpuExit) -> bool,
+        /// An exit the run must take.
+        expect: fn(CpuExit) -> bool,
+        /// Checks on the final machine.
+        check: fn(&Machine),
+    }
+
+    fn encode(il: &InstrList) -> Vec<u8> {
+        encode_list(il, Image::CODE_BASE).unwrap().bytes
+    }
+
+    /// `count` copies of `instr` followed by `hlt`.
+    fn repeated(instr: fn() -> Instr, count: usize) -> Vec<u8> {
+        let mut il = InstrList::new();
+        for _ in 0..count {
+            il.push_back(instr());
+        }
+        il.push_back(create::hlt());
+        encode(&il)
+    }
+
+    fn inc_eax() -> Instr {
+        create::inc(Opnd::reg(Reg::Eax))
+    }
+
+    fn add_eax_imm32() -> Instr {
+        create::add(Opnd::reg(Reg::Eax), Opnd::imm32(0x100))
+    }
+
+    /// Run the program once so its blocks are cached whole, then restart
+    /// it: later runs find blocks longer than their budget or region.
+    fn warm(m: &mut Machine) {
+        assert_eq!(m.run(), CpuExit::Halt);
+        m.cpu.eip = Image::CODE_BASE;
+        m.cpu.set_reg(Reg::Eax, 0);
+        m.counters = Counters::default();
+    }
+
+    /// Whether a run goes on after `exit`: every exit but `hlt` resumes.
+    fn runs_on(exit: CpuExit) -> bool {
+        exit != CpuExit::Halt
+    }
+
+    /// One `run_steps(fuel)` call, or the same budget spent one
+    /// `run_steps(1)` call at a time up to the first exit that is not
+    /// `FuelExhausted`.
+    fn slice(m: &mut Machine, fuel: u64, stepped: bool) -> CpuExit {
+        if !stepped {
+            return m.run_steps(fuel);
+        }
+        for _ in 0..fuel {
+            match m.run_steps(1) {
+                CpuExit::FuelExhausted => {}
+                exit => return exit,
+            }
+        }
+        CpuExit::FuelExhausted
+    }
+
+    /// Run `case` in slices of `fuel` instructions to the end; the machine
+    /// and every exit it took.
+    fn run_case(case: &BlockCase, fuel: u64, stepped: bool) -> (Machine, Vec<CpuExit>) {
+        let mut m = load((case.code)());
+        m.set_verify_decodes(true);
+        (case.setup)(&mut m);
+        let mut exits = Vec::new();
+        for _ in 0..1000 {
+            let exit = slice(&mut m, fuel, stepped);
+            exits.push(exit);
+            if exit != CpuExit::FuelExhausted && !(case.resume)(&mut m, exit) {
+                return (m, exits);
+            }
+        }
+        panic!("{}: no end after 1000 slices", case.name);
+    }
+
+    #[test]
+    fn running_a_block_equals_stepping_its_instructions() {
+        let cases = [
+            BlockCase {
+                name: "guard fault mid-block",
+                code: || {
+                    let mut il = InstrList::new();
+                    il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(7)));
+                    il.push_back(create::inc(Opnd::reg(Reg::Ecx)));
+                    il.push_back(create::mov(
+                        Opnd::Mem(MemRef::absolute(0x2000_0000, OpSize::S32)),
+                        Opnd::reg(Reg::Eax),
+                    ));
+                    il.push_back(create::inc(Opnd::reg(Reg::Ecx)));
+                    il.push_back(create::hlt());
+                    encode(&il)
+                },
+                setup: |m| m.set_guard_regions(vec![ExecRegion::new(0x2000_0000, 0x2000_1000)]),
+                resume: |m, exit| {
+                    m.set_guard_regions(Vec::new());
+                    runs_on(exit)
+                },
+                expect: |exit| {
+                    matches!(exit, CpuExit::Fault { kind: FaultKind::MemFault, pc, .. }
+                        if pc == Image::CODE_BASE + 6)
+                },
+                check: |m| assert_eq!(m.mem.read_u32(0x2000_0000), 7),
+            },
+            BlockCase {
+                name: "watched store mid-block",
+                code: || {
+                    let mut il = InstrList::new();
+                    il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0x90)));
+                    il.push_back(create::mov(
+                        Opnd::Mem(MemRef::absolute(Image::CODE_BASE + 0x100, OpSize::S32)),
+                        Opnd::reg(Reg::Eax),
+                    ));
+                    il.push_back(create::inc(Opnd::reg(Reg::Ecx)));
+                    il.push_back(create::hlt());
+                    encode(&il)
+                },
+                setup: |m| {
+                    let base = Image::CODE_BASE;
+                    m.set_watch_regions(vec![ExecRegion::new(base + 0x100, base + 0x200)]);
+                },
+                resume: |m, exit| {
+                    if let CpuExit::CodeWrite { pc, .. } = exit {
+                        assert!(m.cpu.eip > pc, "eip advanced past the writer");
+                    }
+                    runs_on(exit)
+                },
+                expect: |exit| matches!(exit, CpuExit::CodeWrite { len: 4, .. }),
+                check: |m| assert_eq!(m.cpu.reg(Reg::Ecx), 1),
+            },
+            BlockCase {
+                name: "store into a later instruction of the running block",
+                code: || {
+                    // `mov [imm], ebx` rewrites the immediate of an `add`
+                    // 20 bytes further on, in the same block.
+                    let mut il = InstrList::new();
+                    il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(2000)));
+                    let patch = il.push_back(create::mov(
+                        Opnd::Mem(MemRef::absolute(0, OpSize::S32)),
+                        Opnd::reg(Reg::Ebx),
+                    ));
+                    for _ in 0..16 {
+                        il.push_back(create::inc(Opnd::reg(Reg::Ecx)));
+                    }
+                    il.push_back(create::add(Opnd::reg(Reg::Eax), Opnd::imm32(1000)));
+                    let after = il.push_back(create::hlt());
+                    let imm = Image::CODE_BASE
+                        + encode_list(&il, Image::CODE_BASE)
+                            .unwrap()
+                            .offset_of(after)
+                            .unwrap()
+                        - 4;
+                    il.get_mut(patch)
+                        .set_dst(0, Opnd::Mem(MemRef::absolute(imm, OpSize::S32)));
+                    encode(&il)
+                },
+                setup: |_| {},
+                resume: |_, exit| runs_on(exit),
+                expect: |exit| exit == CpuExit::Halt,
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 2000),
+            },
+            BlockCase {
+                name: "fuel running out mid-block",
+                code: || repeated(inc_eax, 20),
+                setup: warm,
+                resume: |_, exit| runs_on(exit),
+                expect: |exit| exit == CpuExit::Halt,
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 20),
+            },
+            BlockCase {
+                name: "injected fault mid-block",
+                code: || repeated(inc_eax, 6),
+                setup: |m| {
+                    warm(m);
+                    m.inject_fault_at(3, FaultKind::InvalidOpcode);
+                },
+                resume: |_, exit| runs_on(exit),
+                expect: |exit| {
+                    exit == CpuExit::Fault {
+                        kind: FaultKind::InvalidOpcode,
+                        pc: Image::CODE_BASE + 3,
+                        addr: Image::CODE_BASE + 3,
+                    }
+                },
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 6),
+            },
+            BlockCase {
+                name: "exec region ending mid-block",
+                code: || repeated(inc_eax, 10),
+                setup: |m| {
+                    warm(m);
+                    let base = Image::CODE_BASE;
+                    m.set_exec_regions(vec![ExecRegion::new(base, base + 4)]);
+                },
+                resume: |m, exit| {
+                    let end = Image::CODE_BASE + 0x100;
+                    m.set_exec_regions(vec![ExecRegion::new(Image::CODE_BASE, end)]);
+                    runs_on(exit)
+                },
+                expect: |exit| exit == CpuExit::OutOfRegion(Image::CODE_BASE + 4),
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 10),
+            },
+            BlockCase {
+                name: "undecodable bytes after a valid prefix",
+                code: || {
+                    let mut code = repeated(inc_eax, 3);
+                    code.pop(); // the hlt
+                    code.extend([0x0F, 0xFF, 0xFF, 0xFF]);
+                    code
+                },
+                setup: |_| {},
+                resume: |m, exit| {
+                    // Patch a `hlt` over the bad bytes, as a handler might.
+                    if let CpuExit::Fault { pc, .. } = exit {
+                        m.mem.write_u8(pc, 0xF4);
+                        m.invalidate_code_range(pc, 1);
+                    }
+                    runs_on(exit)
+                },
+                expect: |exit| {
+                    exit == CpuExit::Fault {
+                        kind: FaultKind::InvalidOpcode,
+                        pc: Image::CODE_BASE + 3,
+                        addr: Image::CODE_BASE + 3,
+                    }
+                },
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 3),
+            },
+            BlockCase {
+                name: "blocks hitting the instruction and byte caps",
+                code: || {
+                    let mut code = repeated(inc_eax, 40);
+                    code.pop();
+                    code.extend(repeated(add_eax_imm32, 30));
+                    code
+                },
+                setup: |_| {},
+                resume: |_, exit| runs_on(exit),
+                expect: |exit| exit == CpuExit::Halt,
+                check: |m| assert_eq!(m.cpu.reg(Reg::Eax), 40 + 30 * 0x100),
+            },
+        ];
+        let memory = |m: &Machine| {
+            let mut bytes = vec![0; 3 * 0x200];
+            let spans = [Image::CODE_BASE, Image::DATA_BASE, Image::STACK_TOP - 0x200];
+            for (chunk, base) in bytes.chunks_mut(0x200).zip(spans) {
+                m.mem.read_bytes(base, chunk);
+            }
+            bytes
+        };
+        for case in &cases {
+            let (stepped, stepped_exits) = run_case(case, 1, true);
+            (case.check)(&stepped);
+            assert!(
+                stepped_exits.iter().any(|&e| (case.expect)(e)),
+                "{}: {stepped_exits:?}",
+                case.name
+            );
+            for fuel in [1, 2, 5, 7, 32, 1000] {
+                let what = format!("{} at fuel {fuel}", case.name);
+                let (block, block_exits) = run_case(case, fuel, false);
+                let (m, exits) = run_case(case, fuel, true);
+                assert_eq!(block_exits, exits, "{what}");
+                assert_eq!(block.cpu, m.cpu, "{what}");
+                assert_eq!(block.counters, m.counters, "{what}");
+                assert_eq!(memory(&block), memory(&m), "{what}");
+                assert_eq!(block.stale_decode_hits(), 0, "{what}");
+                assert_eq!(m.stale_decode_hits(), 0, "{what}");
+                (case.check)(&block);
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_end_at_their_caps() {
+        // 40 one-byte `inc`s, 30 five-byte `add`s and a `hlt`: the first
+        // block stops at 32 instructions; the second takes the last 8
+        // `inc`s and 21 `add`s, ending once it spans more than 112 bytes;
+        // the third is the other 9 `add`s and the `hlt`.
+        let mut code = repeated(inc_eax, 40);
+        code.pop();
+        code.extend(repeated(add_eax_imm32, 30));
+        let mut m = load(code);
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0));
+        let spans: Vec<_> = [0, 32, 32 + 113]
+            .map(|off| m.dcache.get(Image::CODE_BASE + off).unwrap())
+            .iter()
+            .map(|b| (b.len(), b.span(), b.last()))
+            .collect();
+        assert_eq!(spans, [(32, 32, true), (29, 113, true), (10, 46, true)]);
+        assert_eq!(m.dcache.arena.len(), 71);
+    }
+
+    #[test]
+    fn single_steps_decode_once_and_a_run_extends_the_block() {
+        // Stepped one at a time, each pc holds a block of one instruction;
+        // a later run from the first pc extends that block in place while
+        // it is the arena's newest, and copies it to the end otherwise.
+        let mut m = load(repeated(inc_eax, 4));
+        for _ in 0..4 {
+            assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
+        }
+        assert_eq!(m.run_steps(1), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(0, 5, 0));
+        assert_eq!(m.dcache.arena.len(), 5);
+        m.cpu.eip = Image::CODE_BASE;
+        assert_eq!(m.run(), CpuExit::Halt);
+        // One miss: the one-instruction block at CODE_BASE was copied to
+        // the end and extended to all five instructions.
+        assert_eq!(m.decode_cache_stats(), stats(0, 6, 0));
+        assert_eq!(m.dcache.arena.len(), 10);
+        let b = m.dcache.get(Image::CODE_BASE).unwrap();
+        assert_eq!((b.start(), b.len(), b.span(), b.last()), (5, 5, 5, true));
+        // The newest block grows in place.
+        m.cpu.eip = Image::CODE_BASE + 1;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats(), stats(0, 7, 0));
+        let b = m.dcache.get(Image::CODE_BASE + 1).unwrap();
+        assert_eq!((b.start(), b.len()), (10, 4));
+        assert_eq!(m.dcache.arena.len(), 14);
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //!   the printed fault count differs from native) is minimized to a
 //!   strictly smaller program that still reproduces it.
 //! * Every persisted corpus entry in `tests/corpus/` replays green.
+//! * No configuration of the matrix ever executes a stale decode.
 
 use std::path::Path;
 
 use rio_clients::ClientKind;
 use rio_core::{FaultKind, InjectionPlan, Options};
 use rio_fuzz::scenario::{drive, Run};
-use rio_fuzz::{check_image, load_dir, render, replay_entry, shrink_program, Program, E, S};
+use rio_fuzz::{
+    check_image, load_dir, render, replay_entry, shrink_program, FuzzConfig, Program,
+    DEFAULT_BASE_SEED, E, S,
+};
 use rio_sim::{run_native, CpuKind, Image};
 use rio_workloads::compile;
 
@@ -78,6 +82,40 @@ fn fault_and_smc_constructs_reach_the_engine() {
     }
     assert!(faulted > 0, "no generated program took a recoverable fault");
     assert!(patched > 0, "no generated program patched code");
+}
+
+/// Drive `programs` generated programs, from campaign seed `first` on,
+/// through every configuration of the matrix with each decode-cache hit
+/// checked against the live bytes; none may be stale.
+fn assert_no_stale_decodes(first: u64, programs: u64) {
+    for case in first..first + programs {
+        let p = Program::generate(DEFAULT_BASE_SEED + case);
+        let (_, image) = compile_generated(&p);
+        for cfg in FuzzConfig::matrix() {
+            let run = Run {
+                verify_decodes: true,
+                ..cfg.run()
+            };
+            let o = drive(&image, &run, CpuKind::Pentium4);
+            assert_eq!(o.stale_decodes, 0, "seed {:#x} under {cfg}", p.seed);
+        }
+    }
+}
+
+// 300 programs in three tests, so they run side by side.
+#[test]
+fn generated_programs_execute_no_stale_decode_seeds_0_to_99() {
+    assert_no_stale_decodes(0, 100);
+}
+
+#[test]
+fn generated_programs_execute_no_stale_decode_seeds_100_to_199() {
+    assert_no_stale_decodes(100, 100);
+}
+
+#[test]
+fn generated_programs_execute_no_stale_decode_seeds_200_to_299() {
+    assert_no_stale_decodes(200, 100);
 }
 
 /// Run under the full engine configuration with a one-shot divide fault
