@@ -93,18 +93,6 @@ impl StepBudget {
         }
     }
 
-    /// Add an instruction limit to this budget.
-    pub fn with_max_instructions(mut self, n: u64) -> StepBudget {
-        self.max_instructions = Some(n);
-        self
-    }
-
-    /// Add a cycle limit to this budget.
-    pub fn with_max_cycles(mut self, n: u64) -> StepBudget {
-        self.max_cycles = Some(n);
-        self
-    }
-
     /// Add a host wall-clock timeout to this budget.
     pub fn with_timeout(mut self, d: Duration) -> StepBudget {
         self.timeout = Some(d);

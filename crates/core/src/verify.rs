@@ -10,7 +10,7 @@
 //!
 //! Two halves:
 //!
-//! * **Cache verifier** ([`verify_fragment`], surfaced as
+//! * **Cache verifier** (`verify_fragment`, surfaced as
 //!   `Core::verify_cache`): every byte decodes cleanly; every control-flow
 //!   target is within-fragment, a registered exit stub, a linked fragment
 //!   entry recorded in the link maps, or an engine entry point; the
@@ -20,7 +20,7 @@
 //!   from the bytes agree with the rows and are balanced at every exit; and
 //!   `src_ranges` lie inside the watched application code.
 //!
-//! * **Client-safety lints** ([`LintSnapshot`]): around every client hook
+//! * **Client-safety lints** (`LintSnapshot`): around every client hook
 //!   that may edit an [`InstrList`], a snapshot of per-instruction write
 //!   effects is diffed against the post-hook list under a backward liveness
 //!   analysis. Client-*inserted* code must not clobber live application

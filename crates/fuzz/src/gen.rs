@@ -20,7 +20,7 @@
 //!   pointer table indexed by a random expression, exercising the
 //!   indirect-branch lookup and trace inline checks.
 //!
-//! Everything derives from the workspace's xorshift64* [`Rng`](crate::Rng):
+//! Everything derives from the workspace's xorshift64* [`Rng`]:
 //! a seed *is* a program, and rendering is pure, so a persisted seed
 //! reproduces its source bit-identically forever. All loops are bounded
 //! counters and recursion depth is masked, so every program terminates; the

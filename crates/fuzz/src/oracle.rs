@@ -34,7 +34,7 @@ pub enum EngineConfig {
     /// Full system under a tiny `cache_limit` (2 KB), forcing FIFO
     /// eviction to interleave with everything else.
     Bounded,
-    /// Full system driven through one-instruction [`Rio::step`] budgets, so
+    /// Full system driven through one-instruction [`Rio::step`](rio_core::Rio::step) budgets, so
     /// every engine safe point is crossed suspended.
     Stepped,
     /// Full system with incremental verification at every safe point plus

@@ -144,15 +144,6 @@ pub fn imul3(dst: Reg, src: Opnd, imm: Opnd) -> Instr {
     Instr::new(Opcode::Imul, vec![src, imm], vec![Opnd::reg(dst)])
 }
 
-/// One-operand `imul rm` (`edx:eax = eax * rm`).
-pub fn imul1(rm: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Imul,
-        vec![rm, Opnd::reg(Reg::Eax)],
-        vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-    )
-}
-
 /// `mul rm` (`edx:eax = eax * rm`, unsigned).
 pub fn mul(rm: Opnd) -> Instr {
     Instr::new(

@@ -1,19 +1,29 @@
-//! Multi-strategy IA-32 decoder.
+//! Table-driven IA-32 decoder.
 //!
 //! "To support the multiple `Instr` levels, multiple decoding strategies are
-//! employed" (paper §3.1):
+//! employed" (paper §3.1). The strategies share one decode table: a single
+//! `match` over the opcode bytes (`classify`) yields a form holding the
+//! opcode, with any group digit and condition code already resolved, the
+//! opcode length, whether a ModRM byte follows, the immediate width, the
+//! operand size, and templates for the source and destination operands.
+//! Each strategy classifies an instruction once and reads only what its
+//! level needs:
 //!
-//! * [`decode_sizeof`] — the Level 0/1 strategy: find the instruction
-//!   boundary only ("even this is non-trivial for IA-32").
-//! * [`decode_opcode`] — the Level 2 strategy: decode "just enough to
-//!   determine the opcode and the instruction's effect on the eflags".
-//! * [`decode_instr`] — the Level 3/4 strategy: a full decode determining
-//!   all operands, including implicit ones.
+//! * [`decode_sizeof`] — Levels 0/1: the instruction boundary ("even this is
+//!   non-trivial for IA-32"), from the opcode length, the ModRM cluster and
+//!   the immediate width.
+//! * [`decode_opcode`] — Level 2: the boundary plus the opcode, which fixes
+//!   the instruction's effect on the eflags.
+//! * [`decode_instr`] — Levels 3/4: the operand templates filled in from the
+//!   ModRM cluster, the immediate and the pc, implicit operands included.
+//!
+//! [`InstrList::decode_block`](crate::InstrList::decode_block) decodes whole
+//! blocks through the same path, at any level.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::instr::Instr;
+use crate::instr::{Instr, Level};
 use crate::opcode::{Cc, Opcode};
 use crate::opnd::{MemRef, OpSize, Opnd};
 use crate::reg::Reg;
@@ -31,8 +41,6 @@ pub enum DecodeError {
     },
     /// The byte stream ended in the middle of an instruction.
     Truncated,
-    /// A ModRM/SIB combination that cannot be expressed (e.g. `%esp` index).
-    InvalidModRm,
 }
 
 impl fmt::Display for DecodeError {
@@ -46,7 +54,6 @@ impl fmt::Display for DecodeError {
                 }
             }
             DecodeError::Truncated => write!(f, "instruction truncated"),
-            DecodeError::InvalidModRm => write!(f, "invalid modrm/sib encoding"),
         }
     }
 }
@@ -57,144 +64,84 @@ fn get(bytes: &[u8], i: usize) -> Result<u8, DecodeError> {
     bytes.get(i).copied().ok_or(DecodeError::Truncated)
 }
 
-fn read_i8(bytes: &[u8], i: usize) -> Result<i32, DecodeError> {
-    Ok(get(bytes, i)? as i8 as i32)
+/// A little-endian value of 0, 1, 2 or 4 bytes, sign- or zero-extended.
+fn le_value(raw: &[u8], signed: bool) -> i32 {
+    match *raw {
+        [] => 0,
+        [b] if signed => b as i8 as i32,
+        [b] => b as i32,
+        [lo, hi] if signed => i16::from_le_bytes([lo, hi]) as i32,
+        [lo, hi] => u16::from_le_bytes([lo, hi]) as i32,
+        [a, b, c, d] => i32::from_le_bytes([a, b, c, d]),
+        _ => unreachable!("values are 0, 1, 2 or 4 bytes"),
+    }
 }
 
-fn read_u16(bytes: &[u8], i: usize) -> Result<i32, DecodeError> {
-    Ok(u16::from_le_bytes([get(bytes, i)?, get(bytes, i + 1)?]) as i32)
-}
-
-fn read_i32(bytes: &[u8], i: usize) -> Result<i32, DecodeError> {
-    Ok(i32::from_le_bytes([
-        get(bytes, i)?,
-        get(bytes, i + 1)?,
-        get(bytes, i + 2)?,
-        get(bytes, i + 3)?,
-    ]))
-}
-
-/// Parsed ModRM (+ SIB + displacement) information.
-#[derive(Debug)]
+/// A parsed ModRM cluster: the ModRM byte, any SIB byte and displacement.
+#[derive(Clone, Copy, Debug)]
 struct ModRm {
     /// Total bytes consumed starting at the ModRM byte.
     len: u32,
-    /// The `reg` field (register operand or group digit).
-    reg: u8,
-    /// The r/m operand at the requested access size.
-    opnd: Opnd,
+    modrm: u8,
+    /// The SIB byte, or 0 when there is none.
+    sib: u8,
+    disp: i32,
 }
 
-/// Length in bytes of a ModRM + SIB + displacement cluster.
-fn modrm_len(bytes: &[u8]) -> Result<u32, DecodeError> {
-    let m = get(bytes, 0)?;
-    let mod_ = m >> 6;
-    let rm = m & 7;
-    if mod_ == 3 {
-        return Ok(1);
-    }
-    let mut len = 1u32;
-    let mut disp32_base = mod_ == 0 && rm == 5;
-    if rm == 4 {
-        let sib = get(bytes, 1)?;
-        len += 1;
-        if mod_ == 0 && (sib & 7) == 5 {
-            disp32_base = true;
-        }
-    }
-    len += match mod_ {
-        0 => {
-            if disp32_base {
-                4
-            } else {
-                0
-            }
-        }
-        1 => 1,
-        2 => 4,
-        _ => unreachable!(),
-    };
-    // Validate there are enough bytes for the displacement.
-    if bytes.len() < len as usize {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(len)
-}
-
-/// Parse a full ModRM cluster; `size` is the data size of the r/m operand.
-fn parse_modrm(bytes: &[u8], size: OpSize) -> Result<ModRm, DecodeError> {
-    let m = get(bytes, 0)?;
-    let mod_ = m >> 6;
-    let reg = (m >> 3) & 7;
-    let rm = m & 7;
-
-    if mod_ == 3 {
-        return Ok(ModRm {
-            len: 1,
-            reg,
-            opnd: Opnd::Reg(Reg::from_number(rm, size)),
-        });
-    }
-
-    let mut off = 1usize;
-    let mut base: Option<Reg> = Some(Reg::from_number(rm, OpSize::S32));
-    let mut index: Option<Reg> = None;
-    let mut scale = 1u8;
-
-    if rm == 4 {
-        let sib = get(bytes, off)?;
-        off += 1;
-        scale = 1 << (sib >> 6);
-        let idx = (sib >> 3) & 7;
-        let b = sib & 7;
-        index = if idx == 4 {
-            None // %esp cannot be an index
-        } else {
-            Some(Reg::from_number(idx, OpSize::S32))
+impl ModRm {
+    #[inline]
+    fn parse(bytes: &[u8]) -> Result<ModRm, DecodeError> {
+        let modrm = get(bytes, 0)?;
+        let (mod_, rm) = (modrm >> 6, modrm & 7);
+        let has_sib = mod_ != 3 && rm == 4;
+        let sib = if has_sib { get(bytes, 1)? } else { 0 };
+        let at = 1 + has_sib as usize;
+        let disp_len = match mod_ {
+            // disp32 with no base: absolute, or a SIB byte with base 5.
+            0 if rm == 5 || (has_sib && sib & 7 == 5) => 4,
+            1 => 1,
+            2 => 4,
+            _ => 0,
         };
-        base = if b == 5 && mod_ == 0 {
-            None // disp32 with no base
-        } else {
-            Some(Reg::from_number(b, OpSize::S32))
-        };
-    } else if rm == 5 && mod_ == 0 {
-        base = None; // absolute disp32
+        let disp = bytes.get(at..at + disp_len).ok_or(DecodeError::Truncated)?;
+        Ok(ModRm {
+            len: (at + disp_len) as u32,
+            modrm,
+            sib,
+            disp: le_value(disp, true),
+        })
     }
 
-    let disp = match mod_ {
-        0 => {
-            if base.is_none() && (rm == 5 || rm == 4) {
-                let d = read_i32(bytes, off)?;
-                off += 4;
-                d
-            } else {
-                0
-            }
-        }
-        1 => {
-            let d = read_i8(bytes, off)?;
-            off += 1;
-            d
-        }
-        2 => {
-            let d = read_i32(bytes, off)?;
-            off += 4;
-            d
-        }
-        _ => unreachable!(),
-    };
+    /// The `reg` field: a register operand or a group digit.
+    fn reg(&self) -> u8 {
+        (self.modrm >> 3) & 7
+    }
 
-    Ok(ModRm {
-        len: off as u32,
-        reg,
-        opnd: Opnd::Mem(MemRef {
+    /// The r/m operand; `size` is its data size.
+    fn opnd(&self, size: OpSize) -> Opnd {
+        let (mod_, rm) = (self.modrm >> 6, self.modrm & 7);
+        if mod_ == 3 {
+            return Opnd::Reg(Reg::from_number(rm, size));
+        }
+        let r32 = |n| Reg::from_number(n, OpSize::S32);
+        let (base, index, scale) = if rm == 4 {
+            let (index, base) = ((self.sib >> 3) & 7, self.sib & 7);
+            (
+                (base != 5 || mod_ != 0).then(|| r32(base)),
+                (index != 4).then(|| r32(index)), // %esp cannot be an index
+                1 << (self.sib >> 6),
+            )
+        } else {
+            ((rm != 5 || mod_ != 0).then(|| r32(rm)), None, 1)
+        };
+        Opnd::Mem(MemRef {
             base,
             index,
             scale,
-            disp,
+            disp: self.disp,
             size,
-        }),
-    })
+        })
+    }
 }
 
 /// The eight "group 1" arithmetic opcodes in encoding order.
@@ -209,219 +156,337 @@ const GRP1: [Opcode; 8] = [
     Opcode::Cmp,
 ];
 
-fn grp2_opcode(digit: u8) -> Result<Opcode, DecodeError> {
-    match digit {
-        0 => Ok(Opcode::Rol),
-        1 => Ok(Opcode::Ror),
-        4 => Ok(Opcode::Shl),
-        5 => Ok(Opcode::Shr),
-        7 => Ok(Opcode::Sar),
-        _ => Err(DecodeError::InvalidOpcode {
-            byte: 0xC1,
-            two_byte: false,
-        }),
-    }
-}
+/// The "group 2" shifts and rotates by ModRM digit; the others are not in
+/// the subset.
+const GRP2: [Option<Opcode>; 8] = [
+    Some(Opcode::Rol),
+    Some(Opcode::Ror),
+    None,
+    None,
+    Some(Opcode::Shl),
+    Some(Opcode::Shr),
+    None,
+    Some(Opcode::Sar),
+];
 
-fn grp3_opcode(digit: u8) -> Result<Opcode, DecodeError> {
-    match digit {
-        0 => Ok(Opcode::Test),
-        2 => Ok(Opcode::Not),
-        3 => Ok(Opcode::Neg),
-        4 => Ok(Opcode::Mul),
-        5 => Ok(Opcode::Imul),
-        6 => Ok(Opcode::Div),
-        7 => Ok(Opcode::Idiv),
-        _ => Err(DecodeError::InvalidOpcode {
-            byte: 0xF7,
-            two_byte: false,
-        }),
-    }
-}
-
-/// Shape of the bytes following the opcode, for the boundary-scan strategy.
+/// Where one operand of a [`Form`] comes from.
 #[derive(Clone, Copy, Debug)]
-struct Shape {
-    opcode_len: u32,
-    has_modrm: bool,
-    imm: u32,
+enum Tmpl {
+    /// The ModRM r/m operand, at the form's size.
+    Rm,
+    /// The register in the ModRM `reg` field, at the form's size.
+    ModReg,
+    /// The ModRM `reg` register at 32 bits (the movzx/movsx destination).
+    ModReg32,
+    /// The register in the low three bits of the last opcode byte, at the
+    /// form's size.
+    OpReg,
+    /// The accumulator (`%al` or `%eax`) at the form's size.
+    Acc,
+    /// The immediate, sign-extended.
+    Imm,
+    /// The immediate, zero-extended.
+    UImm,
+    /// The immediate as a displacement from the next instruction's address.
+    Rel,
+    /// A fixed register.
+    Fixed(Reg),
+    /// Implicit stack memory at `disp(%esp)`.
+    Stack(i8),
+    /// The constant 1 (shift by one).
+    One,
 }
 
-/// Classify the first byte(s) just enough to compute the instruction length.
-fn shape_of(bytes: &[u8]) -> Result<Shape, DecodeError> {
-    let b = get(bytes, 0)?;
-    let s = |has_modrm: bool, imm: u32| {
-        Ok(Shape {
+use Tmpl::*;
+
+const EAX: Tmpl = Fixed(Reg::Eax);
+const EDX: Tmpl = Fixed(Reg::Edx);
+const ESP: Tmpl = Fixed(Reg::Esp);
+/// Destinations of every push: `%esp` and the new top of stack.
+const PUSHED: [Tmpl; 2] = [ESP, Stack(-4)];
+/// Sources of every pop: `%esp` and the old top of stack.
+const POPPED: [Tmpl; 2] = [ESP, Stack(0)];
+
+/// One row of the decode table: what every strategy needs to know about an
+/// instruction once its opcode bytes (and group digit) are known.
+#[derive(Clone, Copy, Debug)]
+struct Form {
+    op: Opcode,
+    /// Opcode bytes: 1, or 2 after the `0x0F` escape.
+    opcode_len: u8,
+    /// Whether a ModRM byte (with any SIB byte and displacement) follows.
+    modrm: bool,
+    /// Immediate bytes after the ModRM cluster: 0, 1, 2 or 4.
+    imm: u8,
+    /// Size of the `Rm`, `ModReg`, `OpReg` and `Acc` operands.
+    size: OpSize,
+    srcs: &'static [Tmpl],
+    dsts: &'static [Tmpl],
+}
+
+impl Form {
+    /// A form with no ModRM byte, no immediate and 32-bit operands
+    /// (`classify` sets the opcode length).
+    fn new(op: Opcode, srcs: &'static [Tmpl], dsts: &'static [Tmpl]) -> Form {
+        Form {
+            op,
             opcode_len: 1,
-            has_modrm,
-            imm,
-        })
-    };
-    // Arithmetic block 0x00..=0x3D, forms 0..=5.
-    if b <= 0x3D && (b & 7) <= 5 {
-        return match b & 7 {
-            0..=3 => s(true, 0),
-            4 => s(false, 1),
-            _ => s(false, 4),
+            modrm: false,
+            imm: 0,
+            size: OpSize::S32,
+            srcs,
+            dsts,
+        }
+    }
+
+    fn modrm(self) -> Form {
+        Form {
+            modrm: true,
+            ..self
+        }
+    }
+
+    fn imm(self, imm: u8) -> Form {
+        Form { imm, ..self }
+    }
+
+    fn size(self, size: OpSize) -> Form {
+        Form { size, ..self }
+    }
+
+    /// Parse the ModRM cluster, if any, and check that the whole
+    /// instruction is present. Returns the cluster and the length. Inlined
+    /// like `classify`: out of line, Level 1 cost about as much as Level 2.
+    #[inline(always)]
+    fn scan(&self, bytes: &[u8]) -> Result<(Option<ModRm>, u32), DecodeError> {
+        let mut len = self.opcode_len as u32;
+        let modrm = if self.modrm {
+            let m = ModRm::parse(&bytes[len as usize..])?;
+            len += m.len;
+            Some(m)
+        } else {
+            None
         };
+        len += self.imm as u32;
+        if bytes.len() < len as usize {
+            return Err(DecodeError::Truncated);
+        }
+        Ok((modrm, len))
     }
-    match b {
-        0x40..=0x5F => s(false, 0), // inc/dec/push/pop r32
-        0x68 => s(false, 4),        // push imm32
-        0x69 => s(true, 4),         // imul r, rm, imm32
-        0x6A => s(false, 1),        // push imm8
-        0x6B => s(true, 1),         // imul r, rm, imm8
-        0x70..=0x7F => s(false, 1), // jcc rel8
-        0x80 => s(true, 1),         // grp1 rm8, imm8
-        0x81 => s(true, 4),         // grp1 rm32, imm32
-        0x83 => s(true, 1),         // grp1 rm32, imm8
-        0x84..=0x87 => s(true, 0),  // test/xchg
-        0x88..=0x8B => s(true, 0),  // mov
-        0x8D => {
-            // lea requires a memory operand (mod != 3).
-            if get(bytes, 1)? >> 6 == 3 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
+
+    /// Fill in the operand templates of the `len`-byte instruction at `pc`.
+    fn operands(
+        &self,
+        bytes: &[u8],
+        pc: u32,
+        len: u32,
+        modrm: Option<ModRm>,
+    ) -> (Vec<Opnd>, Vec<Opnd>) {
+        // A loop, not `map(..).collect()`, which compiled to code that made
+        // Level 3 decoding about a third slower.
+        let build = |ts: &[Tmpl]| {
+            let mut v = Vec::with_capacity(ts.len());
+            for &t in ts {
+                v.push(self.operand(t, bytes, pc, len, modrm));
             }
-            s(true, 0)
-        }
-        0x8F => {
-            // pop rm32: /0 only.
-            if (get(bytes, 1)? >> 3) & 7 != 0 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, 0)
-        }
-        0x90 => s(false, 0),        // nop
-        0x91..=0x97 => s(false, 0), // xchg %eax, r32 (short form)
-        0x98 | 0x99 => s(false, 0), // cwde / cdq
-        0x9C..=0x9F => s(false, 0), // pushfd/popfd/sahf/lahf
-        0xA8 => s(false, 1),        // test al, imm8
-        0xA9 => s(false, 4),        // test eax, imm32
-        0xB0..=0xB7 => s(false, 1), // mov r8, imm8
-        0xB8..=0xBF => s(false, 4), // mov r32, imm32
-        0xC0 | 0xC1 => {
-            // grp2: rol/ror/shl/shr/sar digits.
-            let digit = (get(bytes, 1)? >> 3) & 7;
-            if !matches!(digit, 0 | 1 | 4 | 5 | 7) {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, 1)
-        }
-        0xC2 => s(false, 2), // ret imm16
-        0xC3 => s(false, 0), // ret
-        0xC6 | 0xC7 => {
-            // mov rm, imm: /0 only.
-            if (get(bytes, 1)? >> 3) & 7 != 0 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, if b == 0xC6 { 1 } else { 4 })
-        }
-        0xCC => s(false, 0), // int3
-        0xCD => s(false, 1), // int imm8
-        0xD0..=0xD3 => {
-            let digit = (get(bytes, 1)? >> 3) & 7;
-            if !matches!(digit, 0 | 1 | 4 | 5 | 7) {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, 0)
-        }
-        0xE3 => s(false, 1),        // jecxz rel8
-        0xE8 | 0xE9 => s(false, 4), // call/jmp rel32
-        0xEB => s(false, 1),        // jmp rel8
-        0xF4 => s(false, 0),        // hlt
-        0xF6 | 0xF7 => {
-            // grp3: immediate present only for the test form (/0); /1 is
-            // invalid.
-            let m = get(bytes, 1)?;
-            let digit = (m >> 3) & 7;
-            if digit == 1 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            let imm = if digit == 0 {
-                if b == 0xF6 {
-                    1
-                } else {
-                    4
-                }
-            } else {
-                0
-            };
-            s(true, imm)
-        }
-        0xFE => {
-            if (get(bytes, 1)? >> 3) & 7 > 1 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, 0)
-        }
-        0xFF => {
-            if !matches!((get(bytes, 1)? >> 3) & 7, 0 | 1 | 2 | 4 | 6) {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            s(true, 0)
-        }
-        0x0F => {
-            let b2 = get(bytes, 1)?;
-            let s2 = |has_modrm: bool, imm: u32| {
-                Ok(Shape {
-                    opcode_len: 2,
-                    has_modrm,
-                    imm,
-                })
-            };
-            match b2 {
-                0x40..=0x4F => s2(true, 0),               // cmovcc r32, rm32
-                0x80..=0x8F => s2(false, 4),              // jcc rel32
-                0x90..=0x9F => s2(true, 0),               // setcc rm8
-                0xA3 => s2(true, 0),                      // bt rm32, r32
-                0xAF => s2(true, 0),                      // imul r32, rm32
-                0xB6 | 0xB7 | 0xBE | 0xBF => s2(true, 0), // movzx/movsx
-                0xBA => {
-                    // grp8: only bt (/4) is supported.
-                    if (get(bytes, 2)? >> 3) & 7 != 4 {
-                        return Err(DecodeError::InvalidOpcode {
-                            byte: b2,
-                            two_byte: true,
-                        });
-                    }
-                    s2(true, 1)
-                }
-                0xC8..=0xCF => s2(false, 0), // bswap r32
-                _ => Err(DecodeError::InvalidOpcode {
-                    byte: b2,
-                    two_byte: true,
-                }),
-            }
-        }
-        _ => Err(DecodeError::InvalidOpcode {
-            byte: b,
-            two_byte: false,
-        }),
+            v
+        };
+        (build(self.srcs), build(self.dsts))
     }
+
+    /// Operand template `t` of the `len`-byte instruction at `pc`.
+    fn operand(&self, t: Tmpl, bytes: &[u8], pc: u32, len: u32, modrm: Option<ModRm>) -> Opnd {
+        let imm = &bytes[(len - self.imm as u32) as usize..len as usize];
+        let imm_size = match self.imm {
+            1 => OpSize::S8,
+            2 => OpSize::S16,
+            _ => OpSize::S32,
+        };
+        let m = || modrm.expect("form has a ModRM byte");
+        match t {
+            Rm => m().opnd(self.size),
+            ModReg => Opnd::Reg(Reg::from_number(m().reg(), self.size)),
+            ModReg32 => Opnd::Reg(Reg::from_number(m().reg(), OpSize::S32)),
+            OpReg => {
+                let last = bytes[self.opcode_len as usize - 1];
+                Opnd::Reg(Reg::from_number(last & 7, self.size))
+            }
+            Acc => Opnd::Reg(Reg::from_number(0, self.size)),
+            Imm => Opnd::Imm(le_value(imm, true), imm_size),
+            UImm => Opnd::Imm(le_value(imm, false), imm_size),
+            Rel => Opnd::Pc(
+                pc.wrapping_add(len)
+                    .wrapping_add(le_value(imm, true) as u32),
+            ),
+            Fixed(r) => Opnd::Reg(r),
+            Stack(disp) => Opnd::Mem(MemRef::base_disp(Reg::Esp, disp as i32, OpSize::S32)),
+            One => Opnd::imm8(1),
+        }
+    }
+}
+
+/// A group-1 form for `op first, second` in Intel order, following the
+/// DynamoRIO convention: `cmp` only reads, in operand order; the others read
+/// `[second, first]` and write `first`. A macro, so the templates stay
+/// static.
+macro_rules! arith {
+    ($op:expr, $first:expr, $second:expr) => {{
+        let op = $op;
+        if op == Opcode::Cmp {
+            Form::new(op, &[$first, $second], &[])
+        } else {
+            Form::new(op, &[$second, $first], &[$first])
+        }
+    }};
+}
+
+/// The decode table: classify the opcode bytes at the start of `bytes`.
+///
+/// Reads the byte after a `0x0F` escape and, for opcode groups and `lea`,
+/// the ModRM byte; the rest of the instruction is left to [`Form::scan`].
+/// Always inlined, so each strategy keeps only the work for the fields it
+/// reads: out of line, Level 1 decoding took about three times as long.
+#[inline(always)]
+fn classify(bytes: &[u8]) -> Result<Form, DecodeError> {
+    use OpSize::{S16, S32, S8};
+    use Opcode::*;
+
+    let b = get(bytes, 0)?;
+    // One key for the whole opcode space: `0f xx` becomes `0x0fxx`.
+    let (key, at) = if b == 0x0F {
+        (0x0F00 | get(bytes, 1)? as u16, 2)
+    } else {
+        (b as u16, 1)
+    };
+    let last = key as u8;
+    let invalid = DecodeError::InvalidOpcode {
+        byte: last,
+        two_byte: at == 2,
+    };
+    // The ModRM `reg` field, which picks the operation in opcode groups.
+    let digit = || get(bytes, at).map(|m| (m >> 3) & 7);
+    // Bit 0 of most one-byte opcodes picks 8- or 32-bit operands and
+    // immediates.
+    let (w, iw) = if last & 1 == 0 { (S8, 1) } else { (S32, 4) };
+    let cc = Cc::from_code(last & 0xF);
+    // Group 1 in `0x00..=0x3D`: opcode bits 3..5 pick the operation.
+    let grp1 = GRP1[usize::from(last >> 3) & 7];
+    let grp2 = || GRP2[usize::from(digit()?)].ok_or(invalid);
+
+    let form = match key {
+        0x00..=0x3D if key & 7 <= 5 => match key & 7 {
+            0 | 1 => arith!(grp1, Rm, ModReg).modrm(),
+            2 | 3 => arith!(grp1, ModReg, Rm).modrm(),
+            _ => arith!(grp1, Acc, Imm).imm(iw),
+        }
+        .size(w),
+        0x40..=0x47 => Form::new(Inc, &[OpReg], &[OpReg]),
+        0x48..=0x4F => Form::new(Dec, &[OpReg], &[OpReg]),
+        0x50..=0x57 => Form::new(Push, &[OpReg, ESP], &PUSHED),
+        0x58..=0x5F => Form::new(Pop, &POPPED, &[OpReg, ESP]),
+        0x68 => Form::new(Push, &[Imm, ESP], &PUSHED).imm(4),
+        0x6A => Form::new(Push, &[Imm, ESP], &PUSHED).imm(1),
+        0x69 => Form::new(Imul, &[Rm, Imm], &[ModReg]).modrm().imm(4),
+        0x6B => Form::new(Imul, &[Rm, Imm], &[ModReg]).modrm().imm(1),
+        0x70..=0x7F => Form::new(Jcc(cc), &[Rel], &[]).imm(1),
+        0x80 | 0x81 | 0x83 => arith!(GRP1[digit()? as usize], Rm, Imm)
+            .modrm()
+            .size(w)
+            .imm(if key == 0x81 { 4 } else { 1 }),
+        0x84 | 0x85 => Form::new(Test, &[Rm, ModReg], &[]).modrm().size(w),
+        0x86 | 0x87 => Form::new(Xchg, &[Rm, ModReg], &[Rm, ModReg])
+            .modrm()
+            .size(w),
+        0x88 | 0x89 => Form::new(Mov, &[ModReg], &[Rm]).modrm().size(w),
+        0x8A | 0x8B => Form::new(Mov, &[Rm], &[ModReg]).modrm().size(w),
+        // lea needs a memory operand (mod != 3).
+        0x8D if get(bytes, at)? >> 6 != 3 => Form::new(Lea, &[Rm], &[ModReg]).modrm(),
+        0x8F if digit()? == 0 => Form::new(Pop, &POPPED, &[Rm, ESP]).modrm(),
+        0x90 => Form::new(Nop, &[], &[]),
+        0x91..=0x97 => Form::new(Xchg, &[EAX, OpReg], &[EAX, OpReg]),
+        0x98 => Form::new(Cwde, &[Fixed(Reg::Ax)], &[EAX]),
+        0x99 => Form::new(Cdq, &[EAX], &[EDX]),
+        0x9C => Form::new(Pushfd, &[ESP], &PUSHED),
+        0x9D => Form::new(Popfd, &POPPED, &[ESP]),
+        0x9E => Form::new(Sahf, &[Fixed(Reg::Ah)], &[]),
+        0x9F => Form::new(Lahf, &[], &[Fixed(Reg::Ah)]),
+        0xA8 | 0xA9 => Form::new(Test, &[Acc, Imm], &[]).size(w).imm(iw),
+        0xB0..=0xB7 => Form::new(Mov, &[Imm], &[OpReg]).size(S8).imm(1),
+        0xB8..=0xBF => Form::new(Mov, &[Imm], &[OpReg]).imm(4),
+        0xC0 | 0xC1 => Form::new(grp2()?, &[Imm, Rm], &[Rm]).modrm().size(w).imm(1),
+        0xC2 => Form::new(Ret, &[UImm, ESP, Stack(0)], &[ESP]).imm(2),
+        0xC3 => Form::new(Ret, &POPPED, &[ESP]),
+        0xC6 | 0xC7 if digit()? == 0 => Form::new(Mov, &[Imm], &[Rm]).modrm().size(w).imm(iw),
+        0xCC => Form::new(Int3, &[], &[]),
+        0xCD => Form::new(Int, &[UImm], &[]).imm(1),
+        0xD0 | 0xD1 => Form::new(grp2()?, &[One, Rm], &[Rm]).modrm().size(w),
+        0xD2 | 0xD3 => Form::new(grp2()?, &[Fixed(Reg::Cl), Rm], &[Rm])
+            .modrm()
+            .size(w),
+        0xE3 => Form::new(Jecxz, &[Rel, Fixed(Reg::Ecx)], &[]).imm(1),
+        0xE8 => Form::new(Call, &[Rel, ESP], &PUSHED).imm(4),
+        0xE9 => Form::new(Jmp, &[Rel], &[]).imm(4),
+        0xEB => Form::new(Jmp, &[Rel], &[]).imm(1),
+        0xF4 => Form::new(Hlt, &[], &[]),
+        0xF6 | 0xF7 => match digit()? {
+            0 => Form::new(Test, &[Rm, Imm], &[]).imm(iw),
+            1 => return Err(invalid),
+            2 => Form::new(Not, &[Rm], &[Rm]),
+            3 => Form::new(Neg, &[Rm], &[Rm]),
+            4 => Form::new(Mul, &[Rm, EAX], &[EDX, EAX]),
+            5 => Form::new(Imul, &[Rm, EAX], &[EDX, EAX]),
+            6 => Form::new(Div, &[Rm, EDX, EAX], &[EDX, EAX]),
+            _ => Form::new(Idiv, &[Rm, EDX, EAX], &[EDX, EAX]),
+        }
+        .modrm()
+        .size(w),
+        0xFE | 0xFF => match digit()? {
+            0 => Form::new(Inc, &[Rm], &[Rm]),
+            1 => Form::new(Dec, &[Rm], &[Rm]),
+            2 if key == 0xFF => Form::new(CallInd, &[Rm, ESP], &PUSHED),
+            4 if key == 0xFF => Form::new(JmpInd, &[Rm], &[]),
+            6 if key == 0xFF => Form::new(Push, &[Rm, ESP], &PUSHED),
+            _ => return Err(invalid),
+        }
+        .modrm()
+        .size(w),
+        0x0F40..=0x0F4F => Form::new(Cmov(cc), &[Rm, ModReg], &[ModReg]).modrm(),
+        0x0F80..=0x0F8F => Form::new(Jcc(cc), &[Rel], &[]).imm(4),
+        0x0F90..=0x0F9F => Form::new(Set(cc), &[], &[Rm]).modrm().size(S8),
+        0x0FA3 => Form::new(Bt, &[Rm, ModReg], &[]).modrm(),
+        0x0FAF => Form::new(Imul, &[Rm, ModReg], &[ModReg]).modrm(),
+        0x0FB6 | 0x0FB7 | 0x0FBE | 0x0FBF => {
+            let op = if last < 0xBE { Movzx } else { Movsx };
+            let size = if last & 1 == 0 { S8 } else { S16 };
+            Form::new(op, &[Rm], &[ModReg32]).modrm().size(size)
+        }
+        // Group 8: only bt (/4).
+        0x0FBA if digit()? == 4 => Form::new(Bt, &[Rm, Imm], &[]).modrm().imm(1),
+        0x0FC8..=0x0FCF => Form::new(Bswap, &[OpReg], &[OpReg]),
+        _ => return Err(invalid),
+    };
+    Ok(Form {
+        opcode_len: at as u8,
+        ..form
+    })
+}
+
+/// Decode the instruction at the start of `bytes`, located at `pc`, to
+/// Level 1, 2 or 3 (`L0` is treated as `L1`, `L4` as `L3`). Returns the
+/// instruction and its length.
+pub(crate) fn decode_at(bytes: &[u8], pc: u32, level: Level) -> Result<(Instr, u32), DecodeError> {
+    let form = classify(bytes)?;
+    let (modrm, len) = form.scan(bytes)?;
+    let mut instr = Instr::raw(bytes[..len as usize].to_vec(), pc);
+    match level {
+        Level::L0 | Level::L1 => {}
+        Level::L2 => instr.install_l2(form.op),
+        Level::L3 | Level::L4 => {
+            let (srcs, dsts) = form.operands(bytes, pc, len, modrm);
+            instr.install_l3(form.op, srcs, dsts);
+        }
+    }
+    Ok((instr, len))
 }
 
 /// Compute the length of the instruction at the start of `bytes` without
@@ -440,16 +505,7 @@ fn shape_of(bytes: &[u8]) -> Result<Shape, DecodeError> {
 /// # Ok::<(), rio_ia32::DecodeError>(())
 /// ```
 pub fn decode_sizeof(bytes: &[u8]) -> Result<u32, DecodeError> {
-    let shape = shape_of(bytes)?;
-    let mut len = shape.opcode_len;
-    if shape.has_modrm {
-        len += modrm_len(&bytes[shape.opcode_len as usize..])?;
-    }
-    len += shape.imm;
-    if bytes.len() < len as usize {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(len)
+    Ok(classify(bytes)?.scan(bytes)?.1)
 }
 
 /// Decode only the opcode (Level 2 strategy). Returns the opcode and the
@@ -459,116 +515,8 @@ pub fn decode_sizeof(bytes: &[u8]) -> Result<u32, DecodeError> {
 ///
 /// Returns [`DecodeError`] for unsupported opcodes or truncated input.
 pub fn decode_opcode(bytes: &[u8]) -> Result<(Opcode, u32), DecodeError> {
-    let len = decode_sizeof(bytes)?;
-    let b = bytes[0];
-    if b <= 0x3D && (b & 7) <= 5 {
-        return Ok((GRP1[(b >> 3) as usize], len));
-    }
-    let op = match b {
-        0x40..=0x47 => Opcode::Inc,
-        0x48..=0x4F => Opcode::Dec,
-        0x50..=0x57 | 0x68 | 0x6A => Opcode::Push,
-        0x58..=0x5F => Opcode::Pop,
-        0x69 | 0x6B => Opcode::Imul,
-        0x70..=0x7F => Opcode::Jcc(Cc::from_code(b & 0xF)),
-        0x80 | 0x81 | 0x83 => GRP1[((bytes[1] >> 3) & 7) as usize],
-        0x84 | 0x85 => Opcode::Test,
-        0x86 | 0x87 => Opcode::Xchg,
-        0x88..=0x8B => Opcode::Mov,
-        0x8D => Opcode::Lea,
-        0x8F => Opcode::Pop,
-        0x90 => Opcode::Nop,
-        0x91..=0x97 => Opcode::Xchg,
-        0x98 => Opcode::Cwde,
-        0x99 => Opcode::Cdq,
-        0x9C => Opcode::Pushfd,
-        0x9D => Opcode::Popfd,
-        0x9E => Opcode::Sahf,
-        0x9F => Opcode::Lahf,
-        0xA8 | 0xA9 => Opcode::Test,
-        0xB0..=0xBF | 0xC6 | 0xC7 => Opcode::Mov,
-        0xC0 | 0xC1 | 0xD0..=0xD3 => grp2_opcode((bytes[1] >> 3) & 7)?,
-        0xC2 | 0xC3 => Opcode::Ret,
-        0xCC => Opcode::Int3,
-        0xCD => Opcode::Int,
-        0xE3 => Opcode::Jecxz,
-        0xE8 => Opcode::Call,
-        0xE9 | 0xEB => Opcode::Jmp,
-        0xF4 => Opcode::Hlt,
-        0xF6 | 0xF7 => grp3_opcode((bytes[1] >> 3) & 7)?,
-        0xFE => match (bytes[1] >> 3) & 7 {
-            0 => Opcode::Inc,
-            1 => Opcode::Dec,
-            _ => {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: 0xFE,
-                    two_byte: false,
-                })
-            }
-        },
-        0xFF => match (bytes[1] >> 3) & 7 {
-            0 => Opcode::Inc,
-            1 => Opcode::Dec,
-            2 => Opcode::CallInd,
-            4 => Opcode::JmpInd,
-            6 => Opcode::Push,
-            _ => {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: 0xFF,
-                    two_byte: false,
-                })
-            }
-        },
-        0x0F => {
-            let b2 = bytes[1];
-            match b2 {
-                0x40..=0x4F => Opcode::Cmov(Cc::from_code(b2 & 0xF)),
-                0x80..=0x8F => Opcode::Jcc(Cc::from_code(b2 & 0xF)),
-                0x90..=0x9F => Opcode::Set(Cc::from_code(b2 & 0xF)),
-                0xA3 | 0xBA => Opcode::Bt,
-                0xAF => Opcode::Imul,
-                0xB6 | 0xB7 => Opcode::Movzx,
-                0xBE | 0xBF => Opcode::Movsx,
-                0xC8..=0xCF => Opcode::Bswap,
-                _ => {
-                    return Err(DecodeError::InvalidOpcode {
-                        byte: b2,
-                        two_byte: true,
-                    })
-                }
-            }
-        }
-        _ => {
-            return Err(DecodeError::InvalidOpcode {
-                byte: b,
-                two_byte: false,
-            })
-        }
-    };
-    Ok((op, len))
-}
-
-/// Install Level 2 state into an existing raw instruction.
-pub(crate) fn decode_opcode_into(bytes: &[u8], instr: &mut Instr) -> Result<(), DecodeError> {
-    let (op, _) = decode_opcode(bytes)?;
-    instr.install_l2(op);
-    Ok(())
-}
-
-/// Implicit stack-memory operand at `disp(%esp)`.
-fn stack_mem(disp: i32) -> Opnd {
-    Opnd::Mem(MemRef::base_disp(Reg::Esp, disp, OpSize::S32))
-}
-
-/// Operand vectors for a group-1 arithmetic op in Intel `op first, second`
-/// form, following the DynamoRIO convention: for flag-only ops (`cmp`,
-/// `test`) sources are in operand order; otherwise `srcs = [src, dst]`,
-/// `dsts = [dst]`.
-fn arith_operands(op: Opcode, first: Opnd, second: Opnd) -> (Vec<Opnd>, Vec<Opnd>) {
-    match op {
-        Opcode::Cmp | Opcode::Test => (vec![first, second], Vec::new()),
-        _ => (vec![second, first], vec![first]),
-    }
+    let form = classify(bytes)?;
+    Ok((form.op, form.scan(bytes)?.1))
 }
 
 /// Fully decode the instruction at the start of `bytes`, located at
@@ -594,461 +542,7 @@ fn arith_operands(op: Opcode, first: Opnd, second: Opnd) -> (Vec<Opnd>, Vec<Opnd
 /// # Ok::<(), rio_ia32::DecodeError>(())
 /// ```
 pub fn decode_instr(bytes: &[u8], pc: u32) -> Result<(Instr, u32), DecodeError> {
-    let len = decode_sizeof(bytes)?;
-    let mut instr = Instr::raw(bytes[..len as usize].to_vec(), pc);
-    decode_full_into(bytes, pc, &mut instr)?;
-    Ok((instr, len))
-}
-
-/// Install Level 3 state into an existing raw instruction.
-pub(crate) fn decode_full_into(
-    bytes: &[u8],
-    pc: u32,
-    instr: &mut Instr,
-) -> Result<(), DecodeError> {
-    let len = decode_sizeof(bytes)?;
-    let next_pc = pc.wrapping_add(len);
-    let b = bytes[0];
-
-    // Arithmetic block 0x00..=0x3D.
-    if b <= 0x3D && (b & 7) <= 5 {
-        let op = GRP1[(b >> 3) as usize];
-        let (first, second) = match b & 7 {
-            0 => {
-                let m = parse_modrm(&bytes[1..], OpSize::S8)?;
-                (m.opnd, Opnd::Reg(Reg::from_number(m.reg, OpSize::S8)))
-            }
-            1 => {
-                let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-                (m.opnd, Opnd::Reg(Reg::from_number(m.reg, OpSize::S32)))
-            }
-            2 => {
-                let m = parse_modrm(&bytes[1..], OpSize::S8)?;
-                (Opnd::Reg(Reg::from_number(m.reg, OpSize::S8)), m.opnd)
-            }
-            3 => {
-                let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-                (Opnd::Reg(Reg::from_number(m.reg, OpSize::S32)), m.opnd)
-            }
-            4 => (
-                Opnd::reg(Reg::Al),
-                Opnd::Imm(read_i8(bytes, 1)?, OpSize::S8),
-            ),
-            _ => (
-                Opnd::reg(Reg::Eax),
-                Opnd::Imm(read_i32(bytes, 1)?, OpSize::S32),
-            ),
-        };
-        let (srcs, dsts) = arith_operands(op, first, second);
-        instr.install_l3(op, srcs, dsts);
-        return Ok(());
-    }
-
-    let (op, srcs, dsts): (Opcode, Vec<Opnd>, Vec<Opnd>) = match b {
-        0x40..=0x47 => {
-            let r = Opnd::Reg(Reg::from_number(b - 0x40, OpSize::S32));
-            (Opcode::Inc, vec![r], vec![r])
-        }
-        0x48..=0x4F => {
-            let r = Opnd::Reg(Reg::from_number(b - 0x48, OpSize::S32));
-            (Opcode::Dec, vec![r], vec![r])
-        }
-        0x50..=0x57 => {
-            let r = Opnd::Reg(Reg::from_number(b - 0x50, OpSize::S32));
-            (
-                Opcode::Push,
-                vec![r, Opnd::reg(Reg::Esp)],
-                vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-            )
-        }
-        0x58..=0x5F => {
-            let r = Opnd::Reg(Reg::from_number(b - 0x58, OpSize::S32));
-            (
-                Opcode::Pop,
-                vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-                vec![r, Opnd::reg(Reg::Esp)],
-            )
-        }
-        0x68 => (
-            Opcode::Push,
-            vec![
-                Opnd::Imm(read_i32(bytes, 1)?, OpSize::S32),
-                Opnd::reg(Reg::Esp),
-            ],
-            vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-        ),
-        0x6A => (
-            Opcode::Push,
-            vec![
-                Opnd::Imm(read_i8(bytes, 1)?, OpSize::S8),
-                Opnd::reg(Reg::Esp),
-            ],
-            vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-        ),
-        0x69 | 0x6B => {
-            let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-            let imm_off = 1 + m.len as usize;
-            let imm = if b == 0x69 {
-                Opnd::Imm(read_i32(bytes, imm_off)?, OpSize::S32)
-            } else {
-                Opnd::Imm(read_i8(bytes, imm_off)?, OpSize::S8)
-            };
-            let dst = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-            (Opcode::Imul, vec![m.opnd, imm], vec![dst])
-        }
-        0x70..=0x7F => {
-            let target = next_pc.wrapping_add(read_i8(bytes, 1)? as u32);
-            (
-                Opcode::Jcc(Cc::from_code(b & 0xF)),
-                vec![Opnd::Pc(target)],
-                vec![],
-            )
-        }
-        0x80 | 0x81 | 0x83 => {
-            let size = if b == 0x80 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let op = GRP1[m.reg as usize];
-            let imm_off = 1 + m.len as usize;
-            let imm = if b == 0x81 {
-                Opnd::Imm(read_i32(bytes, imm_off)?, OpSize::S32)
-            } else {
-                Opnd::Imm(read_i8(bytes, imm_off)?, OpSize::S8)
-            };
-            let (srcs, dsts) = arith_operands(op, m.opnd, imm);
-            (op, srcs, dsts)
-        }
-        0x84 | 0x85 => {
-            let size = if b == 0x84 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let r = Opnd::Reg(Reg::from_number(m.reg, size));
-            (Opcode::Test, vec![m.opnd, r], vec![])
-        }
-        0x86 | 0x87 => {
-            let size = if b == 0x86 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let r = Opnd::Reg(Reg::from_number(m.reg, size));
-            (Opcode::Xchg, vec![m.opnd, r], vec![m.opnd, r])
-        }
-        0x88 | 0x89 => {
-            let size = if b == 0x88 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let r = Opnd::Reg(Reg::from_number(m.reg, size));
-            (Opcode::Mov, vec![r], vec![m.opnd])
-        }
-        0x8A | 0x8B => {
-            let size = if b == 0x8A { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let r = Opnd::Reg(Reg::from_number(m.reg, size));
-            (Opcode::Mov, vec![m.opnd], vec![r])
-        }
-        0x8D => {
-            let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-            if !matches!(m.opnd, Opnd::Mem(_)) {
-                return Err(DecodeError::InvalidModRm);
-            }
-            let r = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-            (Opcode::Lea, vec![m.opnd], vec![r])
-        }
-        0x8F => {
-            let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-            if m.reg != 0 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: 0x8F,
-                    two_byte: false,
-                });
-            }
-            (
-                Opcode::Pop,
-                vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-                vec![m.opnd, Opnd::reg(Reg::Esp)],
-            )
-        }
-        0x90 => (Opcode::Nop, vec![], vec![]),
-        0x91..=0x97 => {
-            let r = Opnd::Reg(Reg::from_number(b - 0x90, OpSize::S32));
-            let a = Opnd::reg(Reg::Eax);
-            (Opcode::Xchg, vec![a, r], vec![a, r])
-        }
-        0x98 => (
-            Opcode::Cwde,
-            vec![Opnd::reg(Reg::Ax)],
-            vec![Opnd::reg(Reg::Eax)],
-        ),
-        0x99 => (
-            Opcode::Cdq,
-            vec![Opnd::reg(Reg::Eax)],
-            vec![Opnd::reg(Reg::Edx)],
-        ),
-        0x9C => (
-            Opcode::Pushfd,
-            vec![Opnd::reg(Reg::Esp)],
-            vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-        ),
-        0x9D => (
-            Opcode::Popfd,
-            vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-            vec![Opnd::reg(Reg::Esp)],
-        ),
-        0x9E => (Opcode::Sahf, vec![Opnd::reg(Reg::Ah)], vec![]),
-        0x9F => (Opcode::Lahf, vec![], vec![Opnd::reg(Reg::Ah)]),
-        0xA8 => (
-            Opcode::Test,
-            vec![
-                Opnd::reg(Reg::Al),
-                Opnd::Imm(read_i8(bytes, 1)?, OpSize::S8),
-            ],
-            vec![],
-        ),
-        0xA9 => (
-            Opcode::Test,
-            vec![
-                Opnd::reg(Reg::Eax),
-                Opnd::Imm(read_i32(bytes, 1)?, OpSize::S32),
-            ],
-            vec![],
-        ),
-        0xB0..=0xB7 => {
-            let r = Opnd::Reg(Reg::from_number(b - 0xB0, OpSize::S8));
-            (
-                Opcode::Mov,
-                vec![Opnd::Imm(read_i8(bytes, 1)?, OpSize::S8)],
-                vec![r],
-            )
-        }
-        0xB8..=0xBF => {
-            let r = Opnd::Reg(Reg::from_number(b - 0xB8, OpSize::S32));
-            (
-                Opcode::Mov,
-                vec![Opnd::Imm(read_i32(bytes, 1)?, OpSize::S32)],
-                vec![r],
-            )
-        }
-        0xC0 | 0xC1 => {
-            let size = if b == 0xC0 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let op = grp2_opcode(m.reg)?;
-            let imm = Opnd::Imm(read_i8(bytes, 1 + m.len as usize)?, OpSize::S8);
-            (op, vec![imm, m.opnd], vec![m.opnd])
-        }
-        0xC2 => (
-            Opcode::Ret,
-            vec![
-                Opnd::Imm(read_u16(bytes, 1)?, OpSize::S16),
-                Opnd::reg(Reg::Esp),
-                stack_mem(0),
-            ],
-            vec![Opnd::reg(Reg::Esp)],
-        ),
-        0xC3 => (
-            Opcode::Ret,
-            vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-            vec![Opnd::reg(Reg::Esp)],
-        ),
-        0xC6 | 0xC7 => {
-            let size = if b == 0xC6 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            if m.reg != 0 {
-                return Err(DecodeError::InvalidOpcode {
-                    byte: b,
-                    two_byte: false,
-                });
-            }
-            let imm_off = 1 + m.len as usize;
-            let imm = if b == 0xC6 {
-                Opnd::Imm(read_i8(bytes, imm_off)?, OpSize::S8)
-            } else {
-                Opnd::Imm(read_i32(bytes, imm_off)?, OpSize::S32)
-            };
-            (Opcode::Mov, vec![imm], vec![m.opnd])
-        }
-        0xCC => (Opcode::Int3, vec![], vec![]),
-        0xCD => (
-            Opcode::Int,
-            vec![Opnd::Imm(get(bytes, 1)? as i32, OpSize::S8)],
-            vec![],
-        ),
-        0xD0 | 0xD1 => {
-            let size = if b == 0xD0 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let op = grp2_opcode(m.reg)?;
-            (op, vec![Opnd::imm8(1), m.opnd], vec![m.opnd])
-        }
-        0xD2 | 0xD3 => {
-            let size = if b == 0xD2 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let op = grp2_opcode(m.reg)?;
-            (op, vec![Opnd::reg(Reg::Cl), m.opnd], vec![m.opnd])
-        }
-        0xE3 => {
-            let target = next_pc.wrapping_add(read_i8(bytes, 1)? as u32);
-            (
-                Opcode::Jecxz,
-                vec![Opnd::Pc(target), Opnd::reg(Reg::Ecx)],
-                vec![],
-            )
-        }
-        0xE8 => {
-            let target = next_pc.wrapping_add(read_i32(bytes, 1)? as u32);
-            (
-                Opcode::Call,
-                vec![Opnd::Pc(target), Opnd::reg(Reg::Esp)],
-                vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-            )
-        }
-        0xE9 => {
-            let target = next_pc.wrapping_add(read_i32(bytes, 1)? as u32);
-            (Opcode::Jmp, vec![Opnd::Pc(target)], vec![])
-        }
-        0xEB => {
-            let target = next_pc.wrapping_add(read_i8(bytes, 1)? as u32);
-            (Opcode::Jmp, vec![Opnd::Pc(target)], vec![])
-        }
-        0xF4 => (Opcode::Hlt, vec![], vec![]),
-        0xF6 | 0xF7 => {
-            let size = if b == 0xF6 { OpSize::S8 } else { OpSize::S32 };
-            let m = parse_modrm(&bytes[1..], size)?;
-            let op = grp3_opcode(m.reg)?;
-            match op {
-                Opcode::Test => {
-                    let imm_off = 1 + m.len as usize;
-                    let imm = if b == 0xF6 {
-                        Opnd::Imm(read_i8(bytes, imm_off)?, OpSize::S8)
-                    } else {
-                        Opnd::Imm(read_i32(bytes, imm_off)?, OpSize::S32)
-                    };
-                    (Opcode::Test, vec![m.opnd, imm], vec![])
-                }
-                Opcode::Not | Opcode::Neg => (op, vec![m.opnd], vec![m.opnd]),
-                Opcode::Mul | Opcode::Imul => (
-                    op,
-                    vec![m.opnd, Opnd::reg(Reg::Eax)],
-                    vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-                ),
-                _ => (
-                    // div / idiv
-                    op,
-                    vec![m.opnd, Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-                    vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-                ),
-            }
-        }
-        0xFE => {
-            let m = parse_modrm(&bytes[1..], OpSize::S8)?;
-            let op = match m.reg {
-                0 => Opcode::Inc,
-                1 => Opcode::Dec,
-                _ => {
-                    return Err(DecodeError::InvalidOpcode {
-                        byte: 0xFE,
-                        two_byte: false,
-                    })
-                }
-            };
-            (op, vec![m.opnd], vec![m.opnd])
-        }
-        0xFF => {
-            let m = parse_modrm(&bytes[1..], OpSize::S32)?;
-            match m.reg {
-                0 => (Opcode::Inc, vec![m.opnd], vec![m.opnd]),
-                1 => (Opcode::Dec, vec![m.opnd], vec![m.opnd]),
-                2 => (
-                    Opcode::CallInd,
-                    vec![m.opnd, Opnd::reg(Reg::Esp)],
-                    vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-                ),
-                4 => (Opcode::JmpInd, vec![m.opnd], vec![]),
-                6 => (
-                    Opcode::Push,
-                    vec![m.opnd, Opnd::reg(Reg::Esp)],
-                    vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
-                ),
-                _ => {
-                    return Err(DecodeError::InvalidOpcode {
-                        byte: 0xFF,
-                        two_byte: false,
-                    })
-                }
-            }
-        }
-        0x0F => {
-            let b2 = bytes[1];
-            match b2 {
-                0x40..=0x4F => {
-                    let m = parse_modrm(&bytes[2..], OpSize::S32)?;
-                    let r = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-                    // cmov conditionally writes r; r is also a source.
-                    (
-                        Opcode::Cmov(Cc::from_code(b2 & 0xF)),
-                        vec![m.opnd, r],
-                        vec![r],
-                    )
-                }
-                0xA3 => {
-                    let m = parse_modrm(&bytes[2..], OpSize::S32)?;
-                    let r = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-                    (Opcode::Bt, vec![m.opnd, r], vec![])
-                }
-                0xBA => {
-                    let m = parse_modrm(&bytes[2..], OpSize::S32)?;
-                    if m.reg != 4 {
-                        return Err(DecodeError::InvalidOpcode {
-                            byte: b2,
-                            two_byte: true,
-                        });
-                    }
-                    let imm = Opnd::Imm(read_i8(bytes, 2 + m.len as usize)?, OpSize::S8);
-                    (Opcode::Bt, vec![m.opnd, imm], vec![])
-                }
-                0xC8..=0xCF => {
-                    let r = Opnd::Reg(Reg::from_number(b2 - 0xC8, OpSize::S32));
-                    (Opcode::Bswap, vec![r], vec![r])
-                }
-                0x80..=0x8F => {
-                    let target = next_pc.wrapping_add(read_i32(bytes, 2)? as u32);
-                    (
-                        Opcode::Jcc(Cc::from_code(b2 & 0xF)),
-                        vec![Opnd::Pc(target)],
-                        vec![],
-                    )
-                }
-                0x90..=0x9F => {
-                    let m = parse_modrm(&bytes[2..], OpSize::S8)?;
-                    (Opcode::Set(Cc::from_code(b2 & 0xF)), vec![], vec![m.opnd])
-                }
-                0xAF => {
-                    let m = parse_modrm(&bytes[2..], OpSize::S32)?;
-                    let r = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-                    (Opcode::Imul, vec![m.opnd, r], vec![r])
-                }
-                0xB6 | 0xB7 | 0xBE | 0xBF => {
-                    let src_size = if b2 & 1 == 0 { OpSize::S8 } else { OpSize::S16 };
-                    let m = parse_modrm(&bytes[2..], src_size)?;
-                    let r = Opnd::Reg(Reg::from_number(m.reg, OpSize::S32));
-                    let op = if b2 < 0xBE {
-                        Opcode::Movzx
-                    } else {
-                        Opcode::Movsx
-                    };
-                    (op, vec![m.opnd], vec![r])
-                }
-                _ => {
-                    return Err(DecodeError::InvalidOpcode {
-                        byte: b2,
-                        two_byte: true,
-                    })
-                }
-            }
-        }
-        _ => {
-            return Err(DecodeError::InvalidOpcode {
-                byte: b,
-                two_byte: false,
-            })
-        }
-    };
-
-    instr.install_l3(op, srcs, dsts);
-    Ok(())
+    decode_at(bytes, pc, Level::L3)
 }
 
 #[cfg(test)]

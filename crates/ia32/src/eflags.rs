@@ -56,11 +56,6 @@ impl Eflags {
         self.0 & other.0 == other.0
     }
 
-    /// Whether any flag is shared between `self` and `other`.
-    pub fn intersects(self, other: Eflags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// True if no flags are set.
     pub fn is_empty(self) -> bool {
         self.0 == 0

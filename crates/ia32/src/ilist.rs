@@ -346,20 +346,10 @@ impl InstrList {
             _ => {
                 let mut off = 0usize;
                 while off < bytes.len() {
-                    let rest = &bytes[off..];
-                    let pc = app_pc + off as u32;
-                    let len = decode::decode_sizeof(rest)? as usize;
-                    let raw = rest[..len].to_vec();
-                    let mut instr = Instr::raw(raw, pc);
-                    match level {
-                        Level::L1 => {}
-                        Level::L2 => decode::decode_opcode_into(rest, &mut instr)?,
-                        _ => {
-                            decode::decode_full_into(rest, pc, &mut instr)?;
-                        }
-                    }
+                    let (instr, len) =
+                        decode::decode_at(&bytes[off..], app_pc + off as u32, level)?;
                     il.push_back(instr);
-                    off += len;
+                    off += len as usize;
                 }
             }
         }

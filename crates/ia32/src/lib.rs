@@ -11,8 +11,9 @@
 //!   synthesized instructions (Level 4),
 //! * [`Instr`] and [`InstrList`] — the linear single-entry multiple-exit
 //!   code-sequence representation used for basic blocks and traces,
-//! * a multi-strategy **decoder** ([`decode`]) — boundary scan, opcode+eflags
-//!   decode, and full operand decode — and a template-matching **encoder**
+//! * a table-driven, multi-strategy **decoder** ([`decode`]) — one opcode
+//!   table read by boundary scan, opcode+eflags decode and full operand
+//!   decode — and a template-matching **encoder**
 //!   ([`encode`]) with a raw-bit fast path,
 //! * instruction-creation constructors ([`create`]) mirroring the paper's
 //!   `INSTR_CREATE_*` macros, and

@@ -368,12 +368,6 @@ impl Opcode {
     pub fn is_halt(self) -> bool {
         matches!(self, Opcode::Hlt)
     }
-
-    /// Whether the instruction may read memory (beyond instruction fetch),
-    /// considering only explicit and implicit data operands.
-    pub fn is_mem_read_capable(self) -> bool {
-        !matches!(self, Opcode::Lea | Opcode::Label | Opcode::Nop)
-    }
 }
 
 impl fmt::Display for Opcode {

@@ -20,8 +20,7 @@
 //!   block where the region ends, where the injection fires and where the
 //!   fuel runs out, so every budget stays instruction-precise, and running
 //!   a block leaves exactly the state stepping its instructions one at a
-//!   time does. [`Machine::step`] and `run_steps(1)` run a block of at most
-//!   one instruction;
+//!   time does. `run_steps(1)` runs a block of at most one instruction;
 //! * a block is decoded only as far as execution needs it and extended when
 //!   execution reaches its end, so a pc that is only ever single-stepped
 //!   costs one decode;
@@ -790,11 +789,6 @@ impl Machine {
         self.watches = watches;
     }
 
-    /// Current watch regions.
-    pub fn watch_regions(&self) -> &[ExecRegion] {
-        &self.watches
-    }
-
     /// Enable or disable decode verification: every decode-cache hit is
     /// compared against the live memory bytes, and a mismatch (a stale
     /// decode that would have executed) is counted in
@@ -910,25 +904,15 @@ impl Machine {
         // (see `run_blocks`).
         let regions = std::mem::take(&mut self.regions);
         let mut arena = std::mem::take(&mut self.dcache.arena);
-        let exit = self.run_blocks(&mut arena, Some(&regions), max_steps);
+        let exit = self.run_blocks(&mut arena, &regions, max_steps);
         self.dcache.arena = arena;
         self.regions = regions;
         exit
     }
 
-    /// Execute exactly one instruction (region checks are the caller's
-    /// responsibility). Returns `Some(exit)` if the instruction stops
-    /// execution.
-    pub fn step(&mut self) -> Option<CpuExit> {
-        let mut arena = std::mem::take(&mut self.dcache.arena);
-        let exit = self.run_blocks(&mut arena, None, 1);
-        self.dcache.arena = arena;
-        (exit != CpuExit::FuelExhausted).then_some(exit)
-    }
-
     /// Run cached blocks with the decode arena lent out of the cache, until
-    /// `fuel` instructions have run or one stops execution. With `regions`,
-    /// control must stay inside them; without, nothing is checked.
+    /// `fuel` instructions have run or one stops execution. Control must
+    /// stay inside `regions`.
     ///
     /// The region, the armed injection and the fuel are tested once per
     /// block, and the block is cut where the region ends, where the
@@ -941,7 +925,7 @@ impl Machine {
     fn run_blocks(
         &mut self,
         arena: &mut Vec<Decoded>,
-        regions: Option<&[ExecRegion]>,
+        regions: &[ExecRegion],
         mut fuel: u64,
     ) -> CpuExit {
         // The rest of the current block: arena entries `next..end`, the
@@ -955,10 +939,8 @@ impl Machine {
                 }
                 pc = self.cpu.eip;
                 // The bytes from `pc` to the end of its region.
-                let room = match regions.map(|rs| rs.iter().find(|r| r.contains(pc))) {
-                    None => u32::MAX,
-                    Some(Some(r)) => r.end - pc,
-                    Some(None) => return CpuExit::OutOfRegion(pc),
+                let Some(room) = regions.iter().find(|r| r.contains(pc)).map(|r| r.end - pc) else {
+                    return CpuExit::OutOfRegion(pc);
                 };
                 let mut want = fuel;
                 if let Some((at, kind)) = self.inject {
@@ -1563,13 +1545,15 @@ impl Machine {
                 let dst = l.dsts[0];
                 let count = self.read(&l.srcs[0]) & 31;
                 if count != 0 {
-                    let a = self.read(&dst);
+                    // Rotate within the operand width.
                     let bits = dst.size().bytes() * 8;
+                    let mask = u32::MAX >> (32 - bits);
+                    let a = self.read(&dst) & mask;
                     let c = count % bits;
-                    let res = if l.op == Opcode::Rol {
-                        a.rotate_left(c) // 32-bit only in the subset
-                    } else {
-                        a.rotate_right(c)
+                    let res = match (c, l.op) {
+                        (0, _) => a,
+                        (_, Opcode::Rol) => ((a << c) | (a >> (bits - c))) & mask,
+                        _ => ((a >> c) | (a << (bits - c))) & mask,
                     };
                     self.write(&dst, res);
                     // CF = bit rotated into position; OF approximated as
@@ -1700,6 +1684,14 @@ mod tests {
     use super::*;
     use rio_ia32::encode::encode_list;
     use rio_ia32::{create, InstrList, Target};
+
+    /// A machine with nothing loaded that may execute anywhere below the
+    /// top byte of the address space.
+    fn bare() -> Machine {
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.set_exec_regions(vec![ExecRegion::new(0, u32::MAX)]);
+        m
+    }
 
     fn run_program(il: &InstrList) -> (Machine, CpuExit) {
         let code = encode_list(il, Image::CODE_BASE).unwrap().bytes;
@@ -2165,10 +2157,10 @@ mod tests {
 
         // Symmetrically, a store to the first page reaches a straddling
         // decode when nothing else runs there.
-        let mut m = Machine::new(CpuKind::Pentium4);
+        let mut m = bare();
         m.mem.write_bytes(0x1FFF, &[0xCD, 0x20]); // int 0x20
         m.cpu.eip = 0x1FFF;
-        assert_eq!(m.step(), Some(CpuExit::Syscall(0x20)));
+        assert_eq!(m.run_steps(1), CpuExit::Syscall(0x20));
         m.note_store(0x1FFF, 1);
         assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
     }
@@ -2208,12 +2200,12 @@ mod tests {
             .map(|k| a.wrapping_add(k))
             .find(|&pc| DecodeCache::index(pc) == DecodeCache::index(a))
             .unwrap();
-        let mut m = Machine::new(CpuKind::Pentium4);
+        let mut m = bare();
         m.mem.write_u8(a, 0xF4); // hlt
         m.mem.write_u8(b, 0xF4);
         for pc in [a, b, a, b] {
             m.cpu.eip = pc;
-            assert_eq!(m.step(), Some(CpuExit::Halt));
+            assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
         assert_eq!(m.decode_cache_stats(), stats(0, 4, 0));
         assert_eq!(m.dcache.arena.len(), 4);
@@ -2223,11 +2215,11 @@ mod tests {
         let fills = ARENA_INSTRS - MAX_BLOCK_INSTRS as usize + 1;
         for k in 4..fills {
             m.cpu.eip = [a, b][k % 2];
-            assert_eq!(m.step(), Some(CpuExit::Halt));
+            assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
         assert_eq!(m.decode_cache_stats(), stats(0, fills as u64, 0));
         m.cpu.eip = b;
-        assert_eq!(m.step(), Some(CpuExit::Halt));
+        assert_eq!(m.run_steps(1), CpuExit::Halt);
         assert_eq!(m.decode_cache_stats(), stats(0, fills as u64 + 1, 1));
         assert_eq!(m.dcache.arena.len(), 1);
         assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
@@ -2300,13 +2292,13 @@ mod tests {
     #[test]
     fn store_wrapping_past_the_top_invalidates_both_ends() {
         // A 4-byte store at 0xFFFF_FFFE writes 0xFFFF_FFFE..=0xFFFF_FFFF
-        // and 0..=1; decodes at 0xFFFF_FFFF, 0 and 1 all read those bytes.
-        let mut m = Machine::new(CpuKind::Pentium4);
-        let pcs = [0xFFFF_FFFF, 0, 1];
+        // and 0..=1; decodes at 0xFFFF_FFFE, 0 and 1 all read those bytes.
+        let mut m = bare();
+        let pcs = [0xFFFF_FFFE, 0, 1];
         for pc in pcs {
             m.mem.write_u8(pc, 0x90); // nop
             m.cpu.eip = pc;
-            assert_eq!(m.step(), None);
+            assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
             assert!(m.dcache.get(pc).is_some());
         }
         m.note_store(0xFFFF_FFFE, 4);
@@ -2314,7 +2306,7 @@ mod tests {
         assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
         // The public range entry point wraps the same way.
         m.cpu.eip = 1;
-        assert_eq!(m.step(), None);
+        assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
         m.invalidate_code_range(0xFFFF_FFFE, 4);
         assert_eq!(m.dcache.get(1), None);
     }
@@ -2373,7 +2365,7 @@ mod tests {
         shape: &'static str,
         /// Registers, flags, memory and regions before the step.
         setup: fn(&mut Machine),
-        exit: Option<CpuExit>,
+        exit: CpuExit,
         /// `eip` after the step; `None` for the next instruction.
         eip: Option<u32>,
         regs: &'static [(Reg, u32)],
@@ -2411,7 +2403,7 @@ mod tests {
                 instr: create::push(r(Reg::Esp)),
                 shape: "Push",
                 setup: |m| m.cpu.set_reg(Reg::Esp, STACK),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Esp, STACK - 4)],
                 eflags: 0,
@@ -2427,7 +2419,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Esp, STACK);
                     m.mem.write_u32(STACK, 0x1234_5678);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Esp, 0x1234_5678)],
                 eflags: 0,
@@ -2440,7 +2432,7 @@ mod tests {
                 instr: create::call(Target::Pc(CODE + 0x100)),
                 shape: "Call",
                 setup: |m| m.cpu.set_reg(Reg::Esp, STACK),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: Some(CODE + 0x100),
                 regs: &[(Reg::Esp, STACK - 4)],
                 eflags: 0,
@@ -2460,7 +2452,7 @@ mod tests {
                     m.mem.write_u32(STACK, CODE + 0x1234);
                     m.cost.ras_push(CODE + 0x1234);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: Some(CODE + 0x1234),
                 regs: &[(Reg::Esp, STACK + 4)],
                 eflags: 0,
@@ -2479,7 +2471,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Esp, STACK);
                     m.mem.write_u32(STACK, CODE + 0x1234);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: Some(CODE + 0x1234),
                 regs: &[(Reg::Esp, STACK + 4)],
                 eflags: 0,
@@ -2499,7 +2491,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0x1122_3344);
                     m.cpu.eflags = F::ZF.0;
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0x1122_0144)],
                 eflags: zf,
@@ -2515,7 +2507,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Ebx, 0xAABB_CCDD);
                     m.cpu.eflags = F::ZF.0;
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Ebx, 0xAABB_00DD)],
                 eflags: zf,
@@ -2531,7 +2523,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
                     m.cpu.set_reg(Reg::Ebx, 0xAABB_CCDD);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0xCC), (Reg::Ebx, 0xAABB_CCDD)],
                 eflags: 0,
@@ -2544,7 +2536,7 @@ mod tests {
                 instr: create::movzx(Reg::Eax, r(Reg::Ah)),
                 shape: "MovzxR",
                 setup: |m| m.cpu.set_reg(Reg::Eax, 0x1122_3344),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0x33)],
                 eflags: 0,
@@ -2560,7 +2552,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0x7FFF_FFFF);
                     m.cpu.eflags = F::CF.0 | F::ZF.0;
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0x8000_0000)],
                 eflags: of | sf | af | pf,
@@ -2576,7 +2568,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
                     m.cpu.set_reg(Reg::Ebx, 1);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0), (Reg::Ebx, 1)],
                 eflags: cf | zf | pf | af,
@@ -2589,7 +2581,7 @@ mod tests {
                 instr: create::sub(r(Reg::Eax), r(Reg::Ecx)),
                 shape: "SubRR",
                 setup: |m| m.cpu.set_reg(Reg::Ecx, 1),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0xFFFF_FFFF), (Reg::Ecx, 1)],
                 eflags: cf | pf | af | sf,
@@ -2602,7 +2594,7 @@ mod tests {
                 instr: create::sub(r(Reg::Edx), Opnd::imm32(1)),
                 shape: "SubRI",
                 setup: |m| m.cpu.set_reg(Reg::Edx, 0x8000_0000),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Edx, 0x7FFF_FFFF)],
                 eflags: of | af | pf,
@@ -2618,7 +2610,7 @@ mod tests {
                     m.mem.write_u32(Image::DATA_BASE, 0xFFFF_FFFF);
                     m.cpu.eflags = F::SF.0;
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[],
                 eflags: zf | pf | af,
@@ -2634,7 +2626,7 @@ mod tests {
                     m.mem.write_u32(Image::DATA_BASE, 0x7FFF_FFFF);
                     m.cpu.eflags = F::CF.0 | F::ZF.0;
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[],
                 eflags: cf | of | sf | af | pf,
@@ -2654,7 +2646,7 @@ mod tests {
                     m.cpu.set_reg(Reg::Edi, 0x400);
                     m.mem.write_bytes(0x1000_0FFE, &[0x11, 0x22, 0x33, 0x44]);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[(Reg::Eax, 0x4433_2211)],
                 eflags: 0,
@@ -2667,7 +2659,7 @@ mod tests {
                 instr: create::mov(abs(0x1000_1FFE), r(Reg::Ebx)),
                 shape: "MovMR",
                 setup: |m| m.cpu.set_reg(Reg::Ebx, 0x4433_2211),
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[],
                 eflags: 0,
@@ -2682,12 +2674,12 @@ mod tests {
                 setup: |m| {
                     m.mem.write_u8(CODE + 0x40, 0x90); // nop, decoded once
                     m.cpu.eip = CODE + 0x40;
-                    assert_eq!(m.step(), None);
+                    assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
                     m.cpu.eip = CODE;
                     m.counters = Counters::default();
                     m.cpu.set_reg(Reg::Eax, 0xCCCC_CCCC);
                 },
-                exit: None,
+                exit: CpuExit::FuelExhausted,
                 eip: None,
                 regs: &[],
                 eflags: 0,
@@ -2706,11 +2698,11 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0x0102_0304);
                     m.set_watch_regions(vec![ExecRegion::new(CODE + 0x100, CODE + 0x200)]);
                 },
-                exit: Some(CpuExit::CodeWrite {
+                exit: CpuExit::CodeWrite {
                     pc: CODE,
                     addr: CODE + 0x100,
                     len: 4,
-                }),
+                },
                 eip: None,
                 regs: &[],
                 eflags: 0,
@@ -2727,11 +2719,11 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 7);
                     m.set_guard_regions(vec![ExecRegion::new(STACK - 0x1000, STACK)]);
                 },
-                exit: Some(CpuExit::Fault {
+                exit: CpuExit::Fault {
                     kind: FaultKind::MemFault,
                     pc: CODE,
                     addr: STACK - 4,
-                }),
+                },
                 eip: Some(CODE),
                 regs: &[(Reg::Esp, STACK)],
                 eflags: 0,
@@ -2747,11 +2739,11 @@ mod tests {
                     m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
                     m.set_guard_regions(vec![ExecRegion::new(0x2000_1000, 0x2000_2000)]);
                 },
-                exit: Some(CpuExit::Fault {
+                exit: CpuExit::Fault {
                     kind: FaultKind::MemFault,
                     pc: CODE,
                     addr: 0x2000_1000,
-                }),
+                },
                 eip: Some(CODE),
                 regs: &[],
                 eflags: 0,
@@ -2768,11 +2760,11 @@ mod tests {
             let shape = format!("{:?}", lower(&decoded, len).shape);
             assert!(shape.starts_with(case.shape), "{}: {shape}", case.name);
 
-            let mut m = Machine::new(CpuKind::Pentium4);
+            let mut m = bare();
             m.mem.write_bytes(CODE, &code);
             m.cpu.eip = CODE;
             (case.setup)(&mut m);
-            assert_eq!(m.step(), case.exit, "{}", case.name);
+            assert_eq!(m.run_steps(1), case.exit, "{}", case.name);
             let eip = case.eip.unwrap_or(CODE + len);
             assert_eq!(m.cpu.eip, eip, "{}", case.name);
             for &(reg, v) in case.regs {
@@ -3270,11 +3262,22 @@ mod tests {
         il.push_back(create::rol(Opnd::reg(Reg::Eax), Opnd::imm8(1)));
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(0x1)));
         il.push_back(create::ror(Opnd::reg(Reg::Ebx), Opnd::imm8(4)));
+        // 8-bit rotates stay within the byte; CF is the bit rotated round.
+        il.push_back(create::mov(Opnd::reg(Reg::Ecx), Opnd::imm32(0x80)));
+        il.push_back(create::rol(Opnd::reg(Reg::Cl), Opnd::imm8(1)));
+        il.push_back(create::sbb(Opnd::reg(Reg::Esi), Opnd::reg(Reg::Esi))); // -CF
+        il.push_back(create::mov(Opnd::reg(Reg::Edx), Opnd::imm32(1)));
+        il.push_back(create::ror(Opnd::reg(Reg::Dl), Opnd::imm8(1)));
+        il.push_back(create::sbb(Opnd::reg(Reg::Edi), Opnd::reg(Reg::Edi)));
         il.push_back(create::hlt());
         let (m, exit) = run_program(&il);
         assert_eq!(exit, CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 0x3);
         assert_eq!(m.cpu.reg(Reg::Ebx), 0x1000_0000);
+        assert_eq!(m.cpu.reg(Reg::Ecx), 0x01); // rol $1, 0x80
+        assert_eq!(m.cpu.reg(Reg::Esi), 0xFFFF_FFFF);
+        assert_eq!(m.cpu.reg(Reg::Edx), 0x80); // ror $1, 0x01
+        assert_eq!(m.cpu.reg(Reg::Edi), 0xFFFF_FFFF);
     }
 
     #[test]

@@ -23,12 +23,6 @@
 /// Second patch word: last immediate byte of the `mov`, then `ret`.
 pub const RET_WORD: u32 = 49920;
 
-/// First patch word for `mov %eax, val; ...` with `0 <= val < 128`.
-pub fn mov_eax_word(val: u32) -> u32 {
-    assert!(val < 128, "imm must stay in the low byte");
-    184 + 256 * val
-}
-
 /// A store that overwrites the *writer's own basic block* with identical
 /// bytes (read back via `peek` first). The write overlaps the fragment
 /// containing the store itself, so the engine must invalidate the fragment
