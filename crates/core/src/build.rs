@@ -69,20 +69,30 @@ pub fn decode_bb(
 
     loop {
         mem.read_bytes(pc, &mut buf);
-        let decoded = decode_opcode(&buf).and_then(|(opcode, len)| {
+        // With `full_decode` every instruction is decoded to Level 3, once;
+        // otherwise only its opcode is, and the block-ending instruction
+        // (always Level 3) is decoded again in full.
+        let decoded = if full_decode {
+            decode_instr(&buf, pc).map(|(instr, len)| (instr.opcode(), len, Some(instr)))
+        } else {
+            decode_opcode(&buf).map(|(opcode, len)| (Some(opcode), len, None))
+        };
+        let decoded = decoded.and_then(|(opcode, len, instr)| {
             // System calls end blocks (as in real DynamoRIO): the program
             // may exit mid-syscall, so nothing after one is guaranteed to
             // execute.
-            let is_terminator = opcode.is_cti()
-                || opcode.is_halt()
-                || matches!(opcode, rio_ia32::Opcode::Int | rio_ia32::Opcode::Int3);
-            // The block-ending instruction is always fully decoded (Level 3).
-            let instr = if is_terminator || full_decode {
-                let (instr, ilen) = decode_instr(&buf, pc)?;
-                debug_assert_eq!(ilen, len);
-                Some(instr)
-            } else {
-                None
+            let is_terminator = opcode.is_some_and(|op| {
+                op.is_cti()
+                    || op.is_halt()
+                    || matches!(op, rio_ia32::Opcode::Int | rio_ia32::Opcode::Int3)
+            });
+            let instr = match instr {
+                None if is_terminator => {
+                    let (instr, ilen) = decode_instr(&buf, pc)?;
+                    debug_assert_eq!(ilen, len);
+                    Some(instr)
+                }
+                instr => instr,
             };
             Ok((len, is_terminator, instr))
         });

@@ -144,31 +144,35 @@ pub fn imul3(dst: Reg, src: Opnd, imm: Opnd) -> Instr {
     Instr::new(Opcode::Imul, vec![src, imm], vec![Opnd::reg(dst)])
 }
 
-/// `mul rm` (`edx:eax = eax * rm`, unsigned).
+/// A one-operand multiply or divide by `rm`, with the implicit operands of
+/// its size: the 8-bit forms multiply `%al` into `%ax` and divide `%ax`; the
+/// 32-bit forms use `%edx:%eax`.
+fn widening(op: Opcode, rm: Opnd) -> Instr {
+    let divide = matches!(op, Opcode::Div | Opcode::Idiv);
+    let (srcs, dsts): (&[Reg], &[Reg]) = match (rm.size(), divide) {
+        (OpSize::S8, false) => (&[Reg::Al], &[Reg::Ax]),
+        (OpSize::S8, true) => (&[Reg::Ax], &[Reg::Ax]),
+        (_, false) => (&[Reg::Eax], &[Reg::Edx, Reg::Eax]),
+        (_, true) => (&[Reg::Edx, Reg::Eax], &[Reg::Edx, Reg::Eax]),
+    };
+    let regs = |rs: &[Reg]| rs.iter().map(|&r| Opnd::reg(r)).collect::<Vec<_>>();
+    Instr::new(op, [vec![rm], regs(srcs)].concat(), regs(dsts))
+}
+
+/// `mul rm` (`edx:eax = eax * rm`, or `ax = al * rm8`; unsigned).
 pub fn mul(rm: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Mul,
-        vec![rm, Opnd::reg(Reg::Eax)],
-        vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-    )
+    widening(Opcode::Mul, rm)
 }
 
-/// `idiv rm` (`eax = edx:eax / rm`, `edx = remainder`, signed).
+/// `idiv rm` (`eax = edx:eax / rm`, `edx = remainder`, or `%al`/`%ah` from
+/// `%ax` for an 8-bit `rm`; signed).
 pub fn idiv(rm: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Idiv,
-        vec![rm, Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-        vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-    )
+    widening(Opcode::Idiv, rm)
 }
 
-/// `div rm` (unsigned).
+/// `div rm` (unsigned; operands as for [`idiv`]).
 pub fn div(rm: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Div,
-        vec![rm, Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-        vec![Opnd::reg(Reg::Edx), Opnd::reg(Reg::Eax)],
-    )
+    widening(Opcode::Div, rm)
 }
 
 /// `cdq` — sign-extend `%eax` into `%edx`.

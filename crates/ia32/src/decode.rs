@@ -18,7 +18,8 @@
 //!   ModRM cluster, the immediate and the pc, implicit operands included.
 //!
 //! [`InstrList::decode_block`](crate::InstrList::decode_block) decodes whole
-//! blocks through the same path, at any level.
+//! blocks through the same path, at any level, and the
+//! [`encode`](crate::encode) module takes its templates from the same table.
 
 use std::error::Error;
 use std::fmt;
@@ -170,8 +171,8 @@ const GRP2: [Option<Opcode>; 8] = [
 ];
 
 /// Where one operand of a [`Form`] comes from.
-#[derive(Clone, Copy, Debug)]
-enum Tmpl {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tmpl {
     /// The ModRM r/m operand, at the form's size.
     Rm,
     /// The register in the ModRM `reg` field, at the form's size.
@@ -199,6 +200,8 @@ enum Tmpl {
 
 use Tmpl::*;
 
+const AL: Tmpl = Fixed(Reg::Al);
+const AX: Tmpl = Fixed(Reg::Ax);
 const EAX: Tmpl = Fixed(Reg::Eax);
 const EDX: Tmpl = Fixed(Reg::Edx);
 const ESP: Tmpl = Fixed(Reg::Esp);
@@ -209,19 +212,19 @@ const POPPED: [Tmpl; 2] = [ESP, Stack(0)];
 
 /// One row of the decode table: what every strategy needs to know about an
 /// instruction once its opcode bytes (and group digit) are known.
-#[derive(Clone, Copy, Debug)]
-struct Form {
-    op: Opcode,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Form {
+    pub(crate) op: Opcode,
     /// Opcode bytes: 1, or 2 after the `0x0F` escape.
-    opcode_len: u8,
+    pub(crate) opcode_len: u8,
     /// Whether a ModRM byte (with any SIB byte and displacement) follows.
-    modrm: bool,
+    pub(crate) modrm: bool,
     /// Immediate bytes after the ModRM cluster: 0, 1, 2 or 4.
-    imm: u8,
+    pub(crate) imm: u8,
     /// Size of the `Rm`, `ModReg`, `OpReg` and `Acc` operands.
-    size: OpSize,
-    srcs: &'static [Tmpl],
-    dsts: &'static [Tmpl],
+    pub(crate) size: OpSize,
+    pub(crate) srcs: &'static [Tmpl],
+    pub(crate) dsts: &'static [Tmpl],
 }
 
 impl Form {
@@ -340,6 +343,9 @@ macro_rules! arith {
     }};
 }
 
+/// The escape byte that starts every two-byte opcode.
+const ESCAPE: u8 = 0x0F;
+
 /// The decode table: classify the opcode bytes at the start of `bytes`.
 ///
 /// Reads the byte after a `0x0F` escape and, for opcode groups and `lea`,
@@ -353,7 +359,7 @@ fn classify(bytes: &[u8]) -> Result<Form, DecodeError> {
 
     let b = get(bytes, 0)?;
     // One key for the whole opcode space: `0f xx` becomes `0x0fxx`.
-    let (key, at) = if b == 0x0F {
+    let (key, at) = if b == ESCAPE {
         (0x0F00 | get(bytes, 1)? as u16, 2)
     } else {
         (b as u16, 1)
@@ -404,7 +410,7 @@ fn classify(bytes: &[u8]) -> Result<Form, DecodeError> {
         0x8F if digit()? == 0 => Form::new(Pop, &POPPED, &[Rm, ESP]).modrm(),
         0x90 => Form::new(Nop, &[], &[]),
         0x91..=0x97 => Form::new(Xchg, &[EAX, OpReg], &[EAX, OpReg]),
-        0x98 => Form::new(Cwde, &[Fixed(Reg::Ax)], &[EAX]),
+        0x98 => Form::new(Cwde, &[AX], &[EAX]),
         0x99 => Form::new(Cdq, &[EAX], &[EDX]),
         0x9C => Form::new(Pushfd, &[ESP], &PUSHED),
         0x9D => Form::new(Popfd, &POPPED, &[ESP]),
@@ -428,14 +434,19 @@ fn classify(bytes: &[u8]) -> Result<Form, DecodeError> {
         0xE9 => Form::new(Jmp, &[Rel], &[]).imm(4),
         0xEB => Form::new(Jmp, &[Rel], &[]).imm(1),
         0xF4 => Form::new(Hlt, &[], &[]),
-        0xF6 | 0xF7 => match digit()? {
-            0 => Form::new(Test, &[Rm, Imm], &[]).imm(iw),
-            1 => return Err(invalid),
-            2 => Form::new(Not, &[Rm], &[Rm]),
-            3 => Form::new(Neg, &[Rm], &[Rm]),
-            4 => Form::new(Mul, &[Rm, EAX], &[EDX, EAX]),
-            5 => Form::new(Imul, &[Rm, EAX], &[EDX, EAX]),
-            6 => Form::new(Div, &[Rm, EDX, EAX], &[EDX, EAX]),
+        0xF6 | 0xF7 => match (digit()?, w) {
+            (0, _) => Form::new(Test, &[Rm, Imm], &[]).imm(iw),
+            (1, _) => return Err(invalid),
+            (2, _) => Form::new(Not, &[Rm], &[Rm]),
+            (3, _) => Form::new(Neg, &[Rm], &[Rm]),
+            // The 8-bit forms multiply `%al` into `%ax` and divide `%ax`.
+            (4, S8) => Form::new(Mul, &[Rm, AL], &[AX]),
+            (5, S8) => Form::new(Imul, &[Rm, AL], &[AX]),
+            (6, S8) => Form::new(Div, &[Rm, AX], &[AX]),
+            (7, S8) => Form::new(Idiv, &[Rm, AX], &[AX]),
+            (4, _) => Form::new(Mul, &[Rm, EAX], &[EDX, EAX]),
+            (5, _) => Form::new(Imul, &[Rm, EAX], &[EDX, EAX]),
+            (6, _) => Form::new(Div, &[Rm, EDX, EAX], &[EDX, EAX]),
             _ => Form::new(Idiv, &[Rm, EDX, EAX], &[EDX, EAX]),
         }
         .modrm()
@@ -469,6 +480,27 @@ fn classify(bytes: &[u8]) -> Result<Form, DecodeError> {
         opcode_len: at as u8,
         ..form
     })
+}
+
+/// Every row of the decode table, for the encoder: each opcode key (`0x0fxx`
+/// for two-byte opcodes) and ModRM `reg` field that classifies, with its form
+/// and whether the form's r/m operand must be memory (`lea`).
+pub(crate) fn rows() -> impl Iterator<Item = (u16, u8, Form, bool)> {
+    let one_byte = (0..=0xFF).filter(|&k| k != u16::from(ESCAPE));
+    let two_byte = (0..=0xFF).map(|b| u16::from_be_bytes([ESCAPE, b]));
+    let keys = one_byte.chain(two_byte);
+    keys.flat_map(|key| (0..8).map(move |digit| (key, digit)))
+        .filter_map(|(key, digit)| {
+            // The opcode bytes, then a ModRM byte with this digit and a
+            // memory (mod=00) or register (mod=11) operand.
+            let [escape, last] = key.to_be_bytes();
+            let form_with = |mod_bits: u8| {
+                let bytes = [escape, last, mod_bits << 6 | digit << 3];
+                classify(&bytes[usize::from(key <= 0xFF)..]).ok()
+            };
+            let form = form_with(0)?;
+            Some((key, digit, form, form.modrm && form_with(3).is_none()))
+        })
 }
 
 /// Decode the instruction at the start of `bytes`, located at `pc`, to
@@ -524,8 +556,8 @@ pub fn decode_opcode(bytes: &[u8]) -> Result<(Opcode, u32), DecodeError> {
 /// decoded, raw bits retained) and its length.
 ///
 /// Implicit operands are materialized (e.g. `%esp` and stack memory for
-/// push/pop/call/ret, `%edx:%eax` for mul/div), so dataflow analyses can
-/// treat `srcs()`/`dsts()` as complete.
+/// push/pop/call/ret, `%edx:%eax` or `%ax` for mul/div), so dataflow
+/// analyses can treat `srcs()`/`dsts()` as complete.
 ///
 /// # Errors
 ///

@@ -8,18 +8,31 @@
 //! The encoder must walk through every operand and find an instruction
 //! template that matches." (paper §3.1)
 //!
-//! The special short forms are implemented: `inc %reg` (one byte), `add
-//! $imm8` sign-extended group-1 forms, accumulator (`%eax`) short forms,
-//! `push $imm8`, shift-by-one, etc.
+//! The templates are the decoder's own table: on first use, every opcode key
+//! and ModRM digit is run through the decoder's classifier, and each form is
+//! kept with the bytes that select it, indexed by opcode. So only the decode
+//! table knows the opcode layout. An instruction is emitted in the first of
+//! its opcode's forms whose operand templates all match, trying the shortest
+//! first (ties in table order), except that:
 //!
-//! Direct CTIs are position-dependent, so whenever a decoded direct CTI is
-//! encoded its displacement is re-materialized from its absolute target
-//! rather than copied — this is what allows fragments to be placed anywhere
-//! in the code cache.
+//! * a form that would truncate an immediate (a shift count of 200, say)
+//!   is used only when no form holds it exactly;
+//! * a code address (`Opnd::Pc`) fills only a 4-byte immediate;
+//! * direct branches take rel32 wherever it exists, so sizes never depend on
+//!   the target (`jecxz` has only rel8);
+//! * a register-to-register `mov` keeps `8b /r`, as compiled images always
+//!   have;
+//! * `test` and `xchg`, being symmetric, also take the register first.
+//!
+//! Direct CTIs are position-dependent, so a decoded direct CTI is always
+//! re-encoded from its absolute target rather than copied — this is what
+//! allows fragments to be placed anywhere in the code cache.
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::decode::{rows, Form, Tmpl};
 use crate::ilist::{InstrId, InstrList};
 use crate::instr::Instr;
 use crate::opcode::Opcode;
@@ -64,12 +77,9 @@ impl Error for EncodeError {}
 /// Target resolver: maps an intra-list label id to its code address.
 pub type Resolver<'a> = &'a dyn Fn(InstrId) -> Option<u32>;
 
-fn push_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn fits_i8(v: i32) -> bool {
-    (-128..=127).contains(&v)
+/// Whether `v` survives truncation to `bits` bits and sign extension back.
+fn fits(v: i32, bits: u32) -> bool {
+    bits >= 32 || (v << (32 - bits)) >> (32 - bits) == v
 }
 
 /// Emit a ModRM byte (plus SIB/displacement) for `reg_digit` and the given
@@ -86,97 +96,46 @@ fn emit_modrm(out: &mut Vec<u8>, reg_digit: u8, rm: &Opnd) -> Result<(), EncodeE
 }
 
 fn emit_modrm_mem(out: &mut Vec<u8>, reg_digit: u8, m: &MemRef) -> Result<(), EncodeError> {
-    if let Some(idx) = m.index {
-        if idx == Reg::Esp || idx.size() != OpSize::S32 {
-            return Err(EncodeError::InvalidOperand);
-        }
-        if ![1, 2, 4, 8].contains(&m.scale) {
-            return Err(EncodeError::InvalidOperand);
-        }
+    let scales = [1, 2, 4, 8];
+    let bad_index = |i: Reg| i == Reg::Esp || i.size() != OpSize::S32 || !scales.contains(&m.scale);
+    if m.index.is_some_and(bad_index) || m.base.is_some_and(|b| b.size() != OpSize::S32) {
+        return Err(EncodeError::InvalidOperand);
     }
-    if let Some(b) = m.base {
-        if b.size() != OpSize::S32 {
-            return Err(EncodeError::InvalidOperand);
-        }
-    }
+    let scale_bits = scales.iter().position(|&s| s == m.scale).unwrap_or(0) as u8;
 
-    let scale_bits = match m.scale {
-        1 => 0u8,
-        2 => 1,
-        4 => 2,
-        8 => 3,
-        _ => 0,
-    };
-
-    match (m.base, m.index) {
+    let disp_len = match (m.base, m.index) {
+        // Absolute: mod=00 rm=101 disp32.
         (None, None) => {
-            // Absolute: mod=00 rm=101 disp32.
             out.push((reg_digit << 3) | 5);
-            push_i32(out, m.disp);
-            Ok(())
+            4
         }
+        // SIB with no base: mod=00 rm=100, sib base=101, disp32.
         (None, Some(idx)) => {
-            // SIB with no base: mod=00 rm=100, sib base=101, disp32.
             out.push((reg_digit << 3) | 4);
             out.push((scale_bits << 6) | (idx.number() << 3) | 5);
-            push_i32(out, m.disp);
-            Ok(())
+            4
         }
         (Some(base), index) => {
-            let needs_sib = index.is_some() || base == Reg::Esp;
             // mod selection: %ebp base cannot use mod=00 (that means disp32).
             let (mod_bits, disp_len) = if m.disp == 0 && base != Reg::Ebp {
-                (0u8, 0u8)
-            } else if fits_i8(m.disp) {
+                (0u8, 0)
+            } else if fits(m.disp, 8) {
                 (1, 1)
             } else {
                 (2, 4)
             };
-            if needs_sib {
+            if index.is_some() || base == Reg::Esp {
                 out.push((mod_bits << 6) | (reg_digit << 3) | 4);
                 let idx_bits = index.map_or(4, |i| i.number());
                 out.push((scale_bits << 6) | (idx_bits << 3) | base.number());
             } else {
                 out.push((mod_bits << 6) | (reg_digit << 3) | base.number());
             }
-            match disp_len {
-                0 => {}
-                1 => out.push(m.disp as i8 as u8),
-                _ => push_i32(out, m.disp),
-            }
-            Ok(())
+            disp_len
         }
-    }
-}
-
-fn reg32(op: &Opnd) -> Option<Reg> {
-    op.as_reg().filter(|r| r.size() == OpSize::S32)
-}
-
-/// Group-1 arithmetic opcodes and their encoding index.
-fn grp1_index(op: Opcode) -> Option<u8> {
-    match op {
-        Opcode::Add => Some(0),
-        Opcode::Or => Some(1),
-        Opcode::Adc => Some(2),
-        Opcode::Sbb => Some(3),
-        Opcode::And => Some(4),
-        Opcode::Sub => Some(5),
-        Opcode::Xor => Some(6),
-        Opcode::Cmp => Some(7),
-        _ => None,
-    }
-}
-
-fn grp2_digit(op: Opcode) -> Option<u8> {
-    match op {
-        Opcode::Rol => Some(0),
-        Opcode::Ror => Some(1),
-        Opcode::Shl => Some(4),
-        Opcode::Shr => Some(5),
-        Opcode::Sar => Some(7),
-        _ => None,
-    }
+    };
+    out.extend_from_slice(&m.disp.to_le_bytes()[..disp_len]);
+    Ok(())
 }
 
 /// Resolve a branch-target operand to an absolute code address.
@@ -188,22 +147,240 @@ fn resolve_target(op: &Opnd, resolve: Resolver<'_>) -> Result<u32, EncodeError> 
     }
 }
 
+/// One encoding template: a row of the decode table with the opcode bytes
+/// and ModRM digit that select it.
+#[derive(Clone, Copy, Debug)]
+struct Template {
+    form: Form,
+    /// The opcode bytes as one key, `0x0fxx` for two-byte opcodes, with the
+    /// register bits clear in a register-in-opcode family.
+    key: u16,
+    /// The ModRM `reg` field wherever no operand fills it (a group digit).
+    digit: u8,
+    /// The operand signatures ([`signature`]) this form can take: those
+    /// whose bits under `mask` equal `value`.
+    mask: u64,
+    value: u64,
+    /// For forms with a register in the opcode's low three bits, the
+    /// registers (bit `n` for register number `n`) the table gives this form.
+    op_regs: u8,
+}
+
+/// Operands bound to a template's slots.
+#[derive(Default)]
+struct Binding {
+    rm: Option<Opnd>,
+    /// The register number in the ModRM `reg` field or the opcode.
+    reg: Option<u8>,
+    imm: i32,
+    target: Option<Opnd>,
+    /// Whether the immediate had to be truncated to fit the form.
+    truncated: bool,
+}
+
+impl Template {
+    /// Bind the operands, whose [`signature`] is `sig`, to this form's
+    /// templates, or `None` if any operand does not fit its slot.
+    fn bind(&self, sig: u64, srcs: &[Opnd], dsts: &[Opnd]) -> Option<Binding> {
+        if sig & self.mask != self.value {
+            return None;
+        }
+        let mut b = Binding::default();
+        for (ts, os) in [(self.form.srcs, srcs), (self.form.dsts, dsts)] {
+            for (&t, o) in ts.iter().zip(os) {
+                if !self.bind_one(t, o, &mut b) {
+                    return None;
+                }
+            }
+        }
+        Some(b)
+    }
+
+    /// Bind one operand whose kind and size the signature has matched.
+    #[inline(always)]
+    fn bind_one(&self, t: Tmpl, o: &Opnd, b: &mut Binding) -> bool {
+        let reg = o.as_reg().map_or(8, Reg::number);
+        let mut bind_reg = |n: u8| *b.reg.get_or_insert(n) == n;
+        match t {
+            Tmpl::Rm => *b.rm.get_or_insert(*o) == *o,
+            Tmpl::ModReg | Tmpl::ModReg32 => bind_reg(reg),
+            Tmpl::OpReg => self.op_regs & 1 << reg != 0 && bind_reg(reg),
+            Tmpl::Acc => reg == 0,
+            Tmpl::Imm | Tmpl::UImm => {
+                let bits = 8 * u32::from(self.form.imm);
+                b.imm = match *o {
+                    Opnd::Imm(v, _) => v,
+                    Opnd::Pc(pc) => pc as i32,
+                    _ => return false,
+                };
+                b.truncated = if t == Tmpl::Imm {
+                    !fits(b.imm, bits)
+                } else {
+                    bits < 32 && (b.imm as u32) >> bits != 0
+                };
+                true
+            }
+            Tmpl::Rel => {
+                b.target = Some(*o);
+                true
+            }
+            Tmpl::Fixed(r) => *o == Opnd::Reg(r),
+            Tmpl::Stack(disp) => {
+                *o == Opnd::Mem(MemRef::base_disp(Reg::Esp, disp.into(), OpSize::S32))
+            }
+            Tmpl::One => matches!(o, Opnd::Imm(1, _)),
+        }
+    }
+
+    /// Append this form with the bound operands, placed at `at_pc`.
+    fn emit(
+        &self,
+        b: &Binding,
+        at_pc: u32,
+        resolve: Resolver<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError> {
+        let start = out.len();
+        let key = self.key | u16::from(b.reg.filter(|_| self.op_regs != 0).unwrap_or(0));
+        out.extend_from_slice(&key.to_be_bytes()[2 - usize::from(self.form.opcode_len)..]);
+        if let Some(rm) = &b.rm {
+            emit_modrm(out, b.reg.unwrap_or(self.digit), rm)?;
+        }
+        let width = usize::from(self.form.imm);
+        let value = match &b.target {
+            Some(target) => {
+                let target = resolve_target(target, resolve)?;
+                let next = at_pc.wrapping_add((out.len() - start + width) as u32);
+                let disp = target.wrapping_sub(next) as i32;
+                if !fits(disp, 8 * width as u32) {
+                    return Err(EncodeError::TargetOutOfRange { disp: disp.into() });
+                }
+                disp
+            }
+            None => b.imm,
+        };
+        out.extend_from_slice(&value.to_le_bytes()[..width]);
+        Ok(())
+    }
+}
+
+/// An operand's class: two bits of kind (register, memory, immediate, code
+/// address) above two bits of size.
+fn class(o: &Opnd) -> u64 {
+    let (kind, size) = match o {
+        Opnd::Reg(r) => (0, r.size()),
+        Opnd::Mem(m) => (1, m.size),
+        Opnd::Imm(_, size) => (2, *size),
+        Opnd::Pc(_) | Opnd::Instr(_) => (3, OpSize::S32),
+    };
+    kind << 2 | size as u64
+}
+
+/// The operand counts in the top two bytes, above the classes of the first
+/// twelve operands, sources first.
+fn signature(srcs: &[Opnd], dsts: &[Opnd]) -> u64 {
+    let count = |v: &[Opnd]| v.len().min(255) as u64;
+    let classes = srcs.iter().chain(dsts).take(12).enumerate();
+    let sig = classes.fold(0, |sig, (i, o)| sig | class(o) << (4 * i));
+    sig | count(srcs) << 48 | count(dsts) << 56
+}
+
+/// The `(mask, value)` that a signature must match to fit `form`'s
+/// templates; `mem_only` when its r/m operand must be memory (`lea`).
+fn filter(form: &Form, mem_only: bool) -> (u64, u64) {
+    let count = |v: &[Tmpl]| v.len() as u64;
+    let mut mask = 0xFFFF << 48;
+    let mut value = count(form.srcs) << 48 | count(form.dsts) << 56;
+    let (size, s32, mem) = (form.size as u64, OpSize::S32 as u64, 0b0100);
+    for (i, &t) in form.srcs.iter().chain(form.dsts).enumerate() {
+        let (m, v) = match t {
+            Tmpl::Rm if mem_only => (0b1111, mem | size),
+            // A register or memory operand of the form's size.
+            Tmpl::Rm => (0b1011, size),
+            Tmpl::ModReg | Tmpl::OpReg | Tmpl::Acc => (0b1111, size),
+            Tmpl::ModReg32 => (0b1111, s32),
+            Tmpl::Fixed(r) => (0b1111, r.size() as u64),
+            Tmpl::Stack(_) => (0b1111, mem | s32),
+            // A 4-byte immediate also holds a code address.
+            Tmpl::Imm | Tmpl::UImm if form.imm == 4 => (0b1000, 0b1000),
+            Tmpl::Imm | Tmpl::UImm | Tmpl::One => (0b1100, 0b1000),
+            Tmpl::Rel => (0b1100, 0b1100),
+        };
+        mask |= m << (4 * i);
+        value |= v << (4 * i);
+    }
+    (mask, value)
+}
+
+/// The forms of `op`, in selection order. The index, the table's forms by
+/// [`Opcode::index`], is built on first use.
+fn forms_of(op: Opcode) -> &'static [Template] {
+    static INDEX: OnceLock<Vec<Vec<Template>>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let mut all: Vec<Template> = Vec::new();
+        for (key, digit, form, mem_only) in rows() {
+            // Other digits of a non-group opcode give the same form, and so
+            // do the eight opcodes of a register-in-opcode family.
+            let op_reg = form.srcs.contains(&Tmpl::OpReg) || form.dsts.contains(&Tmpl::OpReg);
+            let same = |t: &&mut Template| {
+                t.form == form && (t.key == key || op_reg && t.key >> 3 == key >> 3)
+            };
+            let mut block = all.iter_mut().rev().take_while(|t| t.key >> 3 == key >> 3);
+            if let Some(t) = block.find(same) {
+                t.op_regs |= u8::from(op_reg) << (key & 7);
+                continue;
+            }
+            let (mask, value) = filter(&form, mem_only);
+            all.push(Template {
+                form,
+                key: if op_reg { key & !7 } else { key },
+                digit,
+                mask,
+                value,
+                op_regs: u8::from(op_reg) << (key & 7),
+            });
+        }
+        all.sort_by_key(|t| {
+            let f = &t.form;
+            let rel32 = f.srcs.first() == Some(&Tmpl::Rel) && f.imm == 4;
+            // The length, less the SIB byte and displacement that every form
+            // with a ModRM byte shares.
+            let len = f.opcode_len + f.modrm as u8 + f.imm;
+            let mov_to_reg = f.op == Opcode::Mov && f.dsts == [Tmpl::ModReg];
+            (!rel32, len, !mov_to_reg, t.key, t.digit)
+        });
+        let mut index = vec![Vec::new(); Opcode::COUNT];
+        for t in all {
+            index[t.form.op.index()].push(t);
+        }
+        index
+    });
+    &index[op.index()]
+}
+
+/// The first form of `op` that holds the operands exactly, else the first
+/// that holds them with a truncated immediate.
+fn select(op: Opcode, srcs: &[Opnd], dsts: &[Opnd]) -> Option<(&'static Template, Binding)> {
+    let sig = signature(srcs, dsts);
+    let mut truncated = None;
+    for t in forms_of(op) {
+        if let Some(b) = t.bind(sig, srcs, dsts) {
+            if !b.truncated {
+                return Some((t, b));
+            }
+            truncated = truncated.or(Some((t, b)));
+        }
+    }
+    truncated
+}
+
 /// Whether the encoder may copy this instruction's raw bits verbatim.
 ///
 /// Direct CTIs with decoded targets are position-dependent, so they are
 /// always re-encoded from their absolute target. Everything else in the
 /// subset is position-independent.
 fn can_copy_raw(instr: &Instr) -> bool {
-    if !instr.raw_valid() {
-        return false;
-    }
-    match instr.opcode() {
-        Some(op) if op.is_cti() && !op.is_indirect_cti() && op != Opcode::Ret => {
-            // Copy only if operands were never decoded (Level 1/2).
-            instr.srcs().is_empty()
-        }
-        _ => true,
-    }
+    instr.raw_valid() && instr.target().is_none()
 }
 
 /// Encode a single instruction placed at address `at_pc`.
@@ -230,417 +407,30 @@ pub fn encode_instr(
     at_pc: u32,
     resolve: Resolver<'_>,
 ) -> Result<Vec<u8>, EncodeError> {
-    if instr.is_label() {
-        return Ok(Vec::new());
-    }
-    if can_copy_raw(instr) {
-        return Ok(instr.raw_bytes().unwrap().to_vec());
-    }
-    let Some(op) = instr.opcode() else {
-        return Err(EncodeError::NotDecoded);
-    };
-    let mut out = Vec::with_capacity(8);
-    encode_from_operands(instr, op, at_pc, resolve, &mut out)?;
+    let mut out = Vec::new();
+    encode_into(instr, at_pc, resolve, &mut out)?;
     Ok(out)
 }
 
-fn encode_from_operands(
+/// Append the encoding of `instr`, placed at `at_pc`, to `out`.
+fn encode_into(
     instr: &Instr,
-    op: Opcode,
     at_pc: u32,
     resolve: Resolver<'_>,
     out: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
-    let srcs = instr.srcs();
-    let dsts = instr.dsts();
-    let no_template = || EncodeError::NoTemplate(op);
-
-    // Group-1 arithmetic (incl. cmp) shares template logic.
-    if let Some(idx) = grp1_index(op) {
-        let base = idx * 8;
-        // Intel operand positions: `op first, second`.
-        let (first, second) = if op == Opcode::Cmp {
-            (
-                srcs.first().ok_or_else(no_template)?,
-                srcs.get(1).ok_or_else(no_template)?,
-            )
-        } else {
-            (
-                dsts.first().ok_or_else(no_template)?,
-                srcs.first().ok_or_else(no_template)?,
-            )
-        };
-        let size = first.size().max(second.size());
-        match second {
-            Opnd::Imm(v, _) => {
-                if size == OpSize::S8 {
-                    if first.as_reg() == Some(Reg::Al) {
-                        out.push(base + 4);
-                    } else {
-                        out.push(0x80);
-                        emit_modrm(out, idx, first)?;
-                    }
-                    out.push(*v as i8 as u8);
-                } else if fits_i8(*v) {
-                    out.push(0x83);
-                    emit_modrm(out, idx, first)?;
-                    out.push(*v as i8 as u8);
-                } else if first.as_reg() == Some(Reg::Eax) {
-                    out.push(base + 5);
-                    push_i32(out, *v);
-                } else {
-                    out.push(0x81);
-                    emit_modrm(out, idx, first)?;
-                    push_i32(out, *v);
-                }
-            }
-            Opnd::Reg(r) => {
-                // op r/m, r form.
-                let opc = if size == OpSize::S8 { base } else { base + 1 };
-                out.push(opc);
-                emit_modrm(out, r.number(), first)?;
-            }
-            Opnd::Mem(_) => {
-                // op r, r/m form: first must be a register.
-                let r = first.as_reg().ok_or_else(no_template)?;
-                let opc = if size == OpSize::S8 {
-                    base + 2
-                } else {
-                    base + 3
-                };
-                out.push(opc);
-                emit_modrm(out, r.number(), second)?;
-            }
-            _ => return Err(no_template()),
-        }
+    if instr.is_label() || can_copy_raw(instr) {
+        out.extend_from_slice(instr.raw_bytes().unwrap_or_default());
         return Ok(());
     }
-
-    if let Some(digit) = grp2_digit(op) {
-        let count = srcs.first().ok_or_else(no_template)?;
-        let rm = dsts.first().ok_or_else(no_template)?;
-        let is8 = rm.size() == OpSize::S8;
-        match count {
-            Opnd::Imm(1, _) => {
-                out.push(if is8 { 0xD0 } else { 0xD1 });
-                emit_modrm(out, digit, rm)?;
-            }
-            Opnd::Imm(v, _) => {
-                out.push(if is8 { 0xC0 } else { 0xC1 });
-                emit_modrm(out, digit, rm)?;
-                out.push(*v as u8);
-            }
-            Opnd::Reg(Reg::Cl) => {
-                out.push(if is8 { 0xD2 } else { 0xD3 });
-                emit_modrm(out, digit, rm)?;
-            }
-            _ => return Err(no_template()),
-        }
-        return Ok(());
-    }
-
-    match op {
-        Opcode::Mov => {
-            let src = srcs.first().ok_or_else(no_template)?;
-            let dst = dsts.first().ok_or_else(no_template)?;
-            match (dst, src) {
-                (Opnd::Reg(r), Opnd::Imm(v, _)) => match r.size() {
-                    OpSize::S32 => {
-                        out.push(0xB8 + r.number());
-                        push_i32(out, *v);
-                    }
-                    OpSize::S8 => {
-                        out.push(0xB0 + r.number());
-                        out.push(*v as u8);
-                    }
-                    OpSize::S16 => return Err(no_template()),
-                },
-                (Opnd::Reg(r), _) => {
-                    out.push(if r.size() == OpSize::S8 { 0x8A } else { 0x8B });
-                    emit_modrm(out, r.number(), src)?;
-                }
-                (Opnd::Mem(m), Opnd::Reg(r)) => {
-                    let _ = m;
-                    out.push(if r.size() == OpSize::S8 { 0x88 } else { 0x89 });
-                    emit_modrm(out, r.number(), dst)?;
-                }
-                (Opnd::Mem(m), Opnd::Imm(v, _)) => {
-                    if m.size == OpSize::S8 {
-                        out.push(0xC6);
-                        emit_modrm(out, 0, dst)?;
-                        out.push(*v as u8);
-                    } else {
-                        out.push(0xC7);
-                        emit_modrm(out, 0, dst)?;
-                        push_i32(out, *v);
-                    }
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Lea => {
-            let r = dsts.first().and_then(reg32).ok_or_else(no_template)?;
-            let mem = srcs.first().ok_or_else(no_template)?;
-            if !matches!(mem, Opnd::Mem(_)) {
-                return Err(no_template());
-            }
-            out.push(0x8D);
-            emit_modrm(out, r.number(), mem)?;
-        }
-        Opcode::Movzx | Opcode::Movsx => {
-            let r = dsts.first().and_then(reg32).ok_or_else(no_template)?;
-            let src = srcs.first().ok_or_else(no_template)?;
-            let b2 = match (op, src.size()) {
-                (Opcode::Movzx, OpSize::S8) => 0xB6,
-                (Opcode::Movzx, OpSize::S16) => 0xB7,
-                (Opcode::Movsx, OpSize::S8) => 0xBE,
-                (Opcode::Movsx, OpSize::S16) => 0xBF,
-                _ => return Err(no_template()),
-            };
-            out.push(0x0F);
-            out.push(b2);
-            emit_modrm(out, r.number(), src)?;
-        }
-        Opcode::Test => {
-            let a = srcs.first().ok_or_else(no_template)?;
-            let b = srcs.get(1).ok_or_else(no_template)?;
-            match (a, b) {
-                (Opnd::Reg(Reg::Eax), Opnd::Imm(v, _)) => {
-                    out.push(0xA9);
-                    push_i32(out, *v);
-                }
-                (Opnd::Reg(Reg::Al), Opnd::Imm(v, _)) => {
-                    out.push(0xA8);
-                    out.push(*v as u8);
-                }
-                (_, Opnd::Imm(v, _)) => {
-                    if a.size() == OpSize::S8 {
-                        out.push(0xF6);
-                        emit_modrm(out, 0, a)?;
-                        out.push(*v as u8);
-                    } else {
-                        out.push(0xF7);
-                        emit_modrm(out, 0, a)?;
-                        push_i32(out, *v);
-                    }
-                }
-                (_, Opnd::Reg(r)) => {
-                    out.push(if r.size() == OpSize::S8 { 0x84 } else { 0x85 });
-                    emit_modrm(out, r.number(), a)?;
-                }
-                (Opnd::Reg(r), Opnd::Mem(_)) => {
-                    out.push(if r.size() == OpSize::S8 { 0x84 } else { 0x85 });
-                    emit_modrm(out, r.number(), b)?;
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Xchg => {
-            let a = srcs.first().ok_or_else(no_template)?;
-            let b = srcs.get(1).ok_or_else(no_template)?;
-            let is8 = a.size() == OpSize::S8;
-            match (a, b) {
-                (_, Opnd::Reg(r)) => {
-                    out.push(if is8 { 0x86 } else { 0x87 });
-                    emit_modrm(out, r.number(), a)?;
-                }
-                (Opnd::Reg(r), _) => {
-                    out.push(if is8 { 0x86 } else { 0x87 });
-                    emit_modrm(out, r.number(), b)?;
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Inc | Opcode::Dec => {
-            let rm = dsts.first().ok_or_else(no_template)?;
-            let digit = if op == Opcode::Inc { 0 } else { 1 };
-            if let Some(r) = reg32(rm) {
-                out.push(if op == Opcode::Inc { 0x40 } else { 0x48 } + r.number());
-            } else if rm.size() == OpSize::S8 {
-                out.push(0xFE);
-                emit_modrm(out, digit, rm)?;
-            } else {
-                out.push(0xFF);
-                emit_modrm(out, digit, rm)?;
-            }
-        }
-        Opcode::Neg | Opcode::Not => {
-            let rm = dsts.first().ok_or_else(no_template)?;
-            let digit = if op == Opcode::Neg { 3 } else { 2 };
-            out.push(if rm.size() == OpSize::S8 { 0xF6 } else { 0xF7 });
-            emit_modrm(out, digit, rm)?;
-        }
-        Opcode::Mul | Opcode::Div | Opcode::Idiv => {
-            let rm = srcs.first().ok_or_else(no_template)?;
-            let digit = match op {
-                Opcode::Mul => 4,
-                Opcode::Div => 6,
-                _ => 7,
-            };
-            out.push(if rm.size() == OpSize::S8 { 0xF6 } else { 0xF7 });
-            emit_modrm(out, digit, rm)?;
-        }
-        Opcode::Imul => {
-            match (srcs, dsts) {
-                // One-operand form: srcs [rm, eax], dsts [edx, eax].
-                ([rm, Opnd::Reg(Reg::Eax)], [Opnd::Reg(Reg::Edx), Opnd::Reg(Reg::Eax)]) => {
-                    out.push(0xF7);
-                    emit_modrm(out, 5, rm)?;
-                }
-                // Three-operand form: srcs [rm, imm], dsts [reg].
-                ([rm, Opnd::Imm(v, _)], [Opnd::Reg(r)]) => {
-                    if fits_i8(*v) {
-                        out.push(0x6B);
-                        emit_modrm(out, r.number(), rm)?;
-                        out.push(*v as i8 as u8);
-                    } else {
-                        out.push(0x69);
-                        emit_modrm(out, r.number(), rm)?;
-                        push_i32(out, *v);
-                    }
-                }
-                // Two-operand form: srcs [rm, reg], dsts [reg].
-                ([rm, Opnd::Reg(r1)], [Opnd::Reg(r2)]) if r1 == r2 => {
-                    out.push(0x0F);
-                    out.push(0xAF);
-                    emit_modrm(out, r1.number(), rm)?;
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Push => {
-            let src = srcs.first().ok_or_else(no_template)?;
-            match src {
-                Opnd::Reg(r) if r.size() == OpSize::S32 => out.push(0x50 + r.number()),
-                Opnd::Imm(v, _) if fits_i8(*v) => {
-                    out.push(0x6A);
-                    out.push(*v as i8 as u8);
-                }
-                Opnd::Imm(v, _) => {
-                    out.push(0x68);
-                    push_i32(out, *v);
-                }
-                Opnd::Pc(pc) => {
-                    // Pushing a code address (e.g. a return address) uses the
-                    // imm32 form regardless of value.
-                    out.push(0x68);
-                    push_i32(out, *pc as i32);
-                }
-                Opnd::Mem(_) => {
-                    out.push(0xFF);
-                    emit_modrm(out, 6, src)?;
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Pop => {
-            let dst = dsts.first().ok_or_else(no_template)?;
-            match dst {
-                Opnd::Reg(r) if r.size() == OpSize::S32 => out.push(0x58 + r.number()),
-                Opnd::Mem(_) => {
-                    out.push(0x8F);
-                    emit_modrm(out, 0, dst)?;
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Pushfd => out.push(0x9C),
-        Opcode::Popfd => out.push(0x9D),
-        Opcode::Sahf => out.push(0x9E),
-        Opcode::Lahf => out.push(0x9F),
-        Opcode::Cwde => out.push(0x98),
-        Opcode::Cdq => out.push(0x99),
-        Opcode::Nop => out.push(0x90),
-        Opcode::Int3 => out.push(0xCC),
-        Opcode::Hlt => out.push(0xF4),
-        Opcode::Int => {
-            let v = srcs
-                .first()
-                .and_then(Opnd::as_imm)
-                .ok_or_else(no_template)?;
-            out.push(0xCD);
-            out.push(v as u8);
-        }
-        Opcode::Set(cc) => {
-            let rm = dsts.first().ok_or_else(no_template)?;
-            out.push(0x0F);
-            out.push(0x90 + cc.code());
-            emit_modrm(out, 0, rm)?;
-        }
-        Opcode::Cmov(cc) => {
-            let r = dsts.first().and_then(reg32).ok_or_else(no_template)?;
-            let rm = srcs.first().ok_or_else(no_template)?;
-            out.push(0x0F);
-            out.push(0x40 + cc.code());
-            emit_modrm(out, r.number(), rm)?;
-        }
-        Opcode::Bt => {
-            let rm = srcs.first().ok_or_else(no_template)?;
-            match srcs.get(1) {
-                Some(Opnd::Reg(r)) => {
-                    out.push(0x0F);
-                    out.push(0xA3);
-                    emit_modrm(out, r.number(), rm)?;
-                }
-                Some(Opnd::Imm(v, _)) => {
-                    out.push(0x0F);
-                    out.push(0xBA);
-                    emit_modrm(out, 4, rm)?;
-                    out.push(*v as u8);
-                }
-                _ => return Err(no_template()),
-            }
-        }
-        Opcode::Bswap => {
-            let r = dsts.first().and_then(reg32).ok_or_else(no_template)?;
-            out.push(0x0F);
-            out.push(0xC8 + r.number());
-        }
-        Opcode::Jmp => {
-            let target = resolve_target(srcs.first().ok_or_else(no_template)?, resolve)?;
-            out.push(0xE9);
-            let disp = target.wrapping_sub(at_pc.wrapping_add(5)) as i32;
-            push_i32(out, disp);
-        }
-        Opcode::Call => {
-            let target = resolve_target(srcs.first().ok_or_else(no_template)?, resolve)?;
-            out.push(0xE8);
-            let disp = target.wrapping_sub(at_pc.wrapping_add(5)) as i32;
-            push_i32(out, disp);
-        }
-        Opcode::Jcc(cc) => {
-            let target = resolve_target(srcs.first().ok_or_else(no_template)?, resolve)?;
-            out.push(0x0F);
-            out.push(0x80 + cc.code());
-            let disp = target.wrapping_sub(at_pc.wrapping_add(6)) as i32;
-            push_i32(out, disp);
-        }
-        Opcode::Jecxz => {
-            let target = resolve_target(srcs.first().ok_or_else(no_template)?, resolve)?;
-            let disp = target.wrapping_sub(at_pc.wrapping_add(2)) as i32;
-            if !fits_i8(disp) {
-                return Err(EncodeError::TargetOutOfRange { disp: disp as i64 });
-            }
-            out.push(0xE3);
-            out.push(disp as i8 as u8);
-        }
-        Opcode::JmpInd | Opcode::CallInd => {
-            let rm = srcs.first().ok_or_else(no_template)?;
-            out.push(0xFF);
-            emit_modrm(out, if op == Opcode::JmpInd { 4 } else { 2 }, rm)?;
-        }
-        Opcode::Ret => {
-            if let Some(Opnd::Imm(v, _)) = srcs.first() {
-                out.push(0xC2);
-                out.extend_from_slice(&(*v as u16).to_le_bytes());
-            } else {
-                out.push(0xC3);
-            }
-        }
-        Opcode::Label => {}
-        _ => return Err(no_template()),
-    }
-    Ok(())
+    let op = instr.opcode().ok_or(EncodeError::NotDecoded)?;
+    let (srcs, dsts) = (instr.srcs(), instr.dsts());
+    let rev = |v: &[Opnd]| v.iter().rev().copied().collect::<Vec<_>>();
+    let symmetric = matches!(op, Opcode::Test | Opcode::Xchg);
+    let (t, b) = select(op, srcs, dsts)
+        .or_else(|| symmetric.then(|| select(op, &rev(srcs), &rev(dsts)))?)
+        .ok_or(EncodeError::NoTemplate(op))?;
+    t.emit(&b, at_pc, resolve, out)
 }
 
 /// Result of encoding an entire [`InstrList`]: the bytes plus each
@@ -663,44 +453,52 @@ impl EncodedList {
 
 /// Encode a whole list at `start_pc`, resolving intra-list label targets.
 ///
-/// Uses two passes: the first computes each instruction's size (all
-/// synthesized direct branches use fixed rel32 forms, so sizes are
-/// target-independent), the second encodes with resolved displacements.
+/// Every instruction is encoded once, in order, with labels resolved to the
+/// naming instruction's own address. Sizes never depend on branch targets
+/// (synthesized direct branches use rel32 forms, and a self-targeting rel8
+/// `jecxz` is in range), so the offsets are final after that pass, and only
+/// the instructions that name a label are encoded again.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if any instruction fails to encode.
 pub fn encode_list(il: &InstrList, start_pc: u32) -> Result<EncodedList, EncodeError> {
-    // Pass 1: compute offsets. Labels resolve to the branch's own address
-    // (sizes are target-independent: synthesized direct branches use fixed
-    // rel32 forms, and a self-targeting rel8 jecxz is always in range).
+    let mut bytes = Vec::new();
     let mut offsets: Vec<(InstrId, u32)> = Vec::with_capacity(il.len());
-    let mut off = 0u32;
+    let mut labelled = Vec::new();
     for id in il.ids() {
-        offsets.push((id, off));
         let instr = il.get(id);
+        let off = bytes.len() as u32;
         let at = start_pc.wrapping_add(off);
-        let dummy = |_: InstrId| Some(at);
-        let len = match instr.known_len() {
-            Some(l) if can_copy_raw(instr) || instr.is_label() => l,
-            _ => encode_instr(instr, at, &dummy)?.len() as u32,
-        };
-        off += len;
+        offsets.push((id, off));
+        encode_into(instr, at, &|_| Some(at), &mut bytes)?;
+        if instr.srcs().iter().any(|o| matches!(o, Opnd::Instr(_))) {
+            labelled.push((id, off as usize..bytes.len()));
+        }
     }
 
-    // Pass 2: encode with real label addresses.
-    let lookup = |id: InstrId| -> Option<u32> {
-        offsets
-            .iter()
-            .find(|(i, _)| *i == id)
-            .map(|(_, o)| start_pc.wrapping_add(*o))
-    };
-    let mut bytes = Vec::with_capacity(off as usize);
-    for (id, o) in &offsets {
-        debug_assert_eq!(bytes.len() as u32, *o);
-        let enc = encode_instr(il.get(*id), start_pc.wrapping_add(*o), &lookup)?;
-        bytes.extend_from_slice(&enc);
+    // Each instruction's id and address at its slot index, to resolve labels.
+    let mut addrs = Vec::new();
+    if !labelled.is_empty() {
+        let slots = offsets.iter().map(|(id, _)| id.raw() as usize + 1).max();
+        addrs.resize(slots.unwrap_or(0), None);
+        for &(id, off) in &offsets {
+            addrs[id.raw() as usize] = Some((id, start_pc.wrapping_add(off)));
+        }
     }
+    let lookup = |id: InstrId| match addrs.get(id.raw() as usize) {
+        Some(&Some((slot, addr))) if slot == id => Some(addr),
+        _ => None,
+    };
+    let mut enc = Vec::new();
+    for (id, range) in labelled {
+        enc.clear();
+        let at = start_pc.wrapping_add(range.start as u32);
+        encode_into(il.get(id), at, &lookup, &mut enc)?;
+        debug_assert_eq!(enc.len(), range.len());
+        bytes[range].copy_from_slice(&enc);
+    }
+    bytes.shrink_to_fit();
     Ok(EncodedList { bytes, offsets })
 }
 
@@ -844,6 +642,7 @@ mod tests {
             vec![0x0f, 0x94, 0xc1],             // setz %cl
             vec![0x87, 0xd9],                   // xchg
             vec![0xc7, 0x45, 0xfc, 1, 0, 0, 0], // mov $1 -> -4(%ebp)
+            vec![0xf6, 0xeb],                   // imul %bl (8-bit)
         ];
         for bytes in originals {
             let (mut i, _) = decode_instr(&bytes, 0).unwrap();
@@ -854,6 +653,16 @@ mod tests {
             assert_eq!(i.srcs(), j.srcs(), "bytes {bytes:x?}");
             assert_eq!(i.dsts(), j.dsts(), "bytes {bytes:x?}");
         }
+    }
+
+    #[test]
+    fn every_table_opcode_has_its_own_forms() {
+        for (_, _, form, _) in crate::decode::rows() {
+            let forms = forms_of(form.op);
+            assert!(!forms.is_empty());
+            assert!(forms.iter().all(|t| t.form.op == form.op), "{}", form.op);
+        }
+        assert!(Opcode::Label.index() < Opcode::COUNT);
     }
 
     #[test]

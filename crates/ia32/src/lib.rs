@@ -13,8 +13,8 @@
 //!   code-sequence representation used for basic blocks and traces,
 //! * a table-driven, multi-strategy **decoder** ([`decode`]) — one opcode
 //!   table read by boundary scan, opcode+eflags decode and full operand
-//!   decode — and a template-matching **encoder**
-//!   ([`encode`]) with a raw-bit fast path,
+//!   decode — and a template-matching **encoder** ([`encode`]) that picks
+//!   its templates from the same table, with a raw-bit fast path,
 //! * instruction-creation constructors ([`create`]) mirroring the paper's
 //!   `INSTR_CREATE_*` macros, and
 //! * a disassembler ([`disasm`]) printing the `srcs -> dsts` style shown in

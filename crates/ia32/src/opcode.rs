@@ -245,60 +245,85 @@ pub enum Opcode {
 }
 
 impl Opcode {
+    /// The number of distinct opcodes, each condition of `Set`, `Cmov` and
+    /// `Jcc` counted apart: the length of a table indexed by
+    /// [`Opcode::index`].
+    pub(crate) const COUNT: usize = 96;
+
+    /// A dense number below [`Opcode::COUNT`], for tables indexed by opcode.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Opcode::Set(cc) | Opcode::Cmov(cc) | Opcode::Jcc(cc) => self.numbered().0 + cc as usize,
+            _ => self.numbered().0,
+        }
+    }
+
     /// Mnemonic string (AT&T style, no size suffix).
     pub fn mnemonic(self) -> String {
         match self {
-            Opcode::Lea => "lea".into(),
-            Opcode::Mov => "mov".into(),
-            Opcode::Movzx => "movzx".into(),
-            Opcode::Movsx => "movsx".into(),
-            Opcode::Add => "add".into(),
-            Opcode::Or => "or".into(),
-            Opcode::Adc => "adc".into(),
-            Opcode::Sbb => "sbb".into(),
-            Opcode::And => "and".into(),
-            Opcode::Sub => "sub".into(),
-            Opcode::Xor => "xor".into(),
-            Opcode::Cmp => "cmp".into(),
-            Opcode::Inc => "inc".into(),
-            Opcode::Dec => "dec".into(),
-            Opcode::Neg => "neg".into(),
-            Opcode::Not => "not".into(),
-            Opcode::Test => "test".into(),
-            Opcode::Xchg => "xchg".into(),
-            Opcode::Shl => "shl".into(),
-            Opcode::Shr => "shr".into(),
-            Opcode::Sar => "sar".into(),
-            Opcode::Imul => "imul".into(),
-            Opcode::Mul => "mul".into(),
-            Opcode::Div => "div".into(),
-            Opcode::Idiv => "idiv".into(),
-            Opcode::Cdq => "cdq".into(),
-            Opcode::Cwde => "cwde".into(),
-            Opcode::Push => "push".into(),
-            Opcode::Pop => "pop".into(),
-            Opcode::Pushfd => "pushfd".into(),
-            Opcode::Popfd => "popfd".into(),
-            Opcode::Lahf => "lahf".into(),
-            Opcode::Sahf => "sahf".into(),
-            Opcode::Set(cc) => format!("set{cc}"),
-            Opcode::Cmov(cc) => format!("cmov{cc}"),
-            Opcode::Rol => "rol".into(),
-            Opcode::Ror => "ror".into(),
-            Opcode::Bt => "bt".into(),
-            Opcode::Bswap => "bswap".into(),
-            Opcode::Nop => "nop".into(),
-            Opcode::Int3 => "int3".into(),
-            Opcode::Int => "int".into(),
-            Opcode::Hlt => "hlt".into(),
-            Opcode::Jmp => "jmp".into(),
-            Opcode::JmpInd => "jmp*".into(),
-            Opcode::Jcc(cc) => format!("j{cc}"),
-            Opcode::Jecxz => "jecxz".into(),
-            Opcode::Call => "call".into(),
-            Opcode::CallInd => "call*".into(),
-            Opcode::Ret => "ret".into(),
-            Opcode::Label => "<label>".into(),
+            Opcode::Set(cc) | Opcode::Cmov(cc) | Opcode::Jcc(cc) => {
+                format!("{}{cc}", self.numbered().1)
+            }
+            _ => self.numbered().1.into(),
+        }
+    }
+
+    /// The opcode's first [`Opcode::index`] and its mnemonic, without the
+    /// condition suffix.
+    fn numbered(self) -> (usize, &'static str) {
+        use Opcode::*;
+        match self {
+            Lea => (0, "lea"),
+            Mov => (1, "mov"),
+            Movzx => (2, "movzx"),
+            Movsx => (3, "movsx"),
+            Add => (4, "add"),
+            Or => (5, "or"),
+            Adc => (6, "adc"),
+            Sbb => (7, "sbb"),
+            And => (8, "and"),
+            Sub => (9, "sub"),
+            Xor => (10, "xor"),
+            Cmp => (11, "cmp"),
+            Inc => (12, "inc"),
+            Dec => (13, "dec"),
+            Neg => (14, "neg"),
+            Not => (15, "not"),
+            Test => (16, "test"),
+            Xchg => (17, "xchg"),
+            Shl => (18, "shl"),
+            Shr => (19, "shr"),
+            Sar => (20, "sar"),
+            Imul => (21, "imul"),
+            Mul => (22, "mul"),
+            Div => (23, "div"),
+            Idiv => (24, "idiv"),
+            Cdq => (25, "cdq"),
+            Cwde => (26, "cwde"),
+            Push => (27, "push"),
+            Pop => (28, "pop"),
+            Pushfd => (29, "pushfd"),
+            Popfd => (30, "popfd"),
+            Lahf => (31, "lahf"),
+            Sahf => (32, "sahf"),
+            Rol => (33, "rol"),
+            Ror => (34, "ror"),
+            Bt => (35, "bt"),
+            Bswap => (36, "bswap"),
+            Nop => (37, "nop"),
+            Int3 => (38, "int3"),
+            Int => (39, "int"),
+            Hlt => (40, "hlt"),
+            Jmp => (41, "jmp"),
+            JmpInd => (42, "jmp*"),
+            Jecxz => (43, "jecxz"),
+            Call => (44, "call"),
+            CallInd => (45, "call*"),
+            Ret => (46, "ret"),
+            Label => (47, "<label>"),
+            Set(_) => (48, "set"),
+            Cmov(_) => (64, "cmov"),
+            Jcc(_) => (80, "j"),
         }
     }
 

@@ -1,13 +1,17 @@
 //! Exhaustive decoder sweeps: the three decoding strategies read one decode
 //! table, and must agree on validity, length and opcode for every one-byte
-//! and `0x0F`-prefixed opcode under every ModRM byte.
+//! and `0x0F`-prefixed opcode under every ModRM byte. The encoder reads the
+//! same table, so every instruction that decodes must also encode from its
+//! operands alone.
 
-use rio_ia32::{decode_instr, decode_opcode, decode_sizeof};
+use rio_ia32::{decode_instr, decode_opcode, decode_sizeof, encode_instr, Instr};
+
+const PC: u32 = 0x40_0000;
 
 fn check(bytes: &[u8]) {
     let size = decode_sizeof(bytes);
     let op = decode_opcode(bytes);
-    let full = decode_instr(bytes, 0x40_0000);
+    let full = decode_instr(bytes, PC);
     match (&size, &op, &full) {
         (Ok(n), Ok((o, m)), Ok((i, k))) => {
             assert_eq!(n, m, "sizeof vs opcode length on {bytes:02x?}");
@@ -17,6 +21,7 @@ fn check(bytes: &[u8]) {
                 i.opcode(),
                 "opcode vs full opcode on {bytes:02x?}"
             );
+            round_trip(i, bytes);
         }
         (Err(a), Err(b), Err(c)) => {
             assert_eq!(a, b, "sizeof vs opcode error on {bytes:02x?}");
@@ -28,6 +33,31 @@ fn check(bytes: &[u8]) {
             full.is_ok()
         ),
     }
+}
+
+/// Encode `decoded` from its operands (raw bits invalidated) and decode the
+/// result: the opcode and operands must come back unchanged, and encoding
+/// them again must give the same bytes.
+fn round_trip(decoded: &Instr, bytes: &[u8]) {
+    let encode = |i: &Instr| {
+        let mut i = i.clone();
+        i.invalidate_raw();
+        encode_instr(&i, PC, &|_| None)
+            .unwrap_or_else(|e| panic!("{i} from {bytes:02x?} does not encode: {e}"))
+    };
+    let enc = encode(decoded);
+    let (re, len) = decode_instr(&enc, PC).expect("encoder output decodes");
+    assert_eq!(
+        len as usize,
+        enc.len(),
+        "{bytes:02x?} encoded as {enc:02x?}"
+    );
+    assert_eq!(
+        (re.opcode(), re.srcs(), re.dsts()),
+        (decoded.opcode(), decoded.srcs(), decoded.dsts()),
+        "{bytes:02x?} encoded as {enc:02x?}"
+    );
+    assert_eq!(encode(&re), enc, "{bytes:02x?}: not a fixed point");
 }
 
 #[test]

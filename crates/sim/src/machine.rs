@@ -96,6 +96,17 @@ impl ExecRegion {
     }
 }
 
+/// The low `bits` bits of `v`, sign- or zero-extended (a 64-bit value
+/// unsigned keeps its bit pattern).
+fn extend(v: u64, bits: u32, signed: bool) -> i64 {
+    let shift = 64 - bits;
+    if signed {
+        ((v << shift) as i64) >> shift
+    } else {
+        ((v << shift) >> shift) as i64
+    }
+}
+
 /// Register-file index of the registers the interpreter names implicitly.
 const EAX: u8 = 0;
 const ECX: u8 = 1;
@@ -1438,55 +1449,47 @@ impl Machine {
                     self.cpu.set_flags(Eflags::ALL6, f);
                 }
             }
-            Opcode::Imul => {
+            // `%edx:%eax = %eax * r/m32`, `%ax = %al * r/m8`, or the two- and
+            // three-operand `imul r32, r/m32, r32|imm`.
+            Opcode::Mul | Opcode::Imul => {
+                let bits = 8 * l.srcs[0].size().bytes();
+                let ext = |v: u32| extend(v.into(), bits, l.op == Opcode::Imul);
+                // The low 64 bits of the product, which hold all of it.
+                let wide = ext(self.read(&l.srcs[0])).wrapping_mul(ext(self.read(&l.srcs[1])));
                 if l.ndst == 2 {
-                    // One-operand form: edx:eax = eax * rm (signed).
-                    let a = self.cpu.gpr(EAX) as i32 as i64;
-                    let b = self.read(&l.srcs[0]) as i32 as i64;
-                    let wide = a * b;
                     self.cpu.set_gpr(EAX, wide as u32);
                     self.cpu.set_gpr(EDX, (wide >> 32) as u32);
-                    let overflow = wide != (wide as i32 as i64);
-                    self.set_mul_flags(overflow);
                 } else {
-                    let a = self.read(&l.srcs[0]) as i32 as i64;
-                    let b = self.read(&l.srcs[1]) as i32 as i64;
-                    let wide = a * b;
                     self.write(&l.dsts[0], wide as u32);
-                    let overflow = wide != (wide as i32 as i64);
-                    self.set_mul_flags(overflow);
                 }
+                self.set_mul_flags(wide != ext(wide as u32));
             }
-            Opcode::Mul => {
-                let a = self.cpu.gpr(EAX) as u64;
-                let b = self.read(&l.srcs[0]) as u64;
-                let wide = a * b;
-                self.cpu.set_gpr(EAX, wide as u32);
-                self.cpu.set_gpr(EDX, (wide >> 32) as u32);
-                self.set_mul_flags(wide >> 32 != 0);
-            }
-            Opcode::Div => {
-                let divisor = self.read(&l.srcs[0]) as u64;
-                let dividend = ((self.cpu.gpr(EDX) as u64) << 32) | self.cpu.gpr(EAX) as u64;
-                if divisor == 0 || dividend / divisor > u32::MAX as u64 {
+            // `%eax`, `%edx` = `%edx:%eax` / r/m32, or `%al`, `%ah` =
+            // `%ax` / r/m8; #DE on a zero divisor or a quotient too wide.
+            Opcode::Div | Opcode::Idiv => {
+                let (bits, signed) = (8 * l.srcs[0].size().bytes(), l.op == Opcode::Idiv);
+                let divisor = extend(self.read(&l.srcs[0]).into(), bits, signed);
+                // Twice the divisor's width: `%ax` or `%edx:%eax`.
+                let edx_eax = u64::from(self.cpu.gpr(EDX)) << 32 | u64::from(self.cpu.gpr(EAX));
+                let dividend = extend(edx_eax, 2 * bits, signed);
+                let qr = if signed {
+                    dividend
+                        .checked_div(divisor)
+                        .zip(dividend.checked_rem(divisor))
+                } else {
+                    let (n, d) = (dividend as u64, divisor as u64);
+                    n.checked_div(d).map(|q| (q as i64, (n % d) as i64))
+                };
+                let fits = |&(q, _): &(i64, i64)| q == extend(q as u64, bits, signed);
+                let Some((q, r)) = qr.filter(fits) else {
                     return fault(FaultKind::DivideError);
+                };
+                if bits == 8 {
+                    self.write(&l.dsts[0], (r as u32 & 0xFF) << 8 | (q as u32 & 0xFF));
+                } else {
+                    self.cpu.set_gpr(EAX, q as u32);
+                    self.cpu.set_gpr(EDX, r as u32);
                 }
-                self.cpu.set_gpr(EAX, (dividend / divisor) as u32);
-                self.cpu.set_gpr(EDX, (dividend % divisor) as u32);
-            }
-            Opcode::Idiv => {
-                let divisor = self.read(&l.srcs[0]) as i32 as i64;
-                let dividend =
-                    (((self.cpu.gpr(EDX) as u64) << 32) | self.cpu.gpr(EAX) as u64) as i64;
-                if divisor == 0 {
-                    return fault(FaultKind::DivideError);
-                }
-                let q = dividend.wrapping_div(divisor);
-                if q != (q as i32 as i64) {
-                    return fault(FaultKind::DivideError);
-                }
-                self.cpu.set_gpr(EAX, q as u32);
-                self.cpu.set_gpr(EDX, dividend.wrapping_rem(divisor) as u32);
             }
             Opcode::Cdq => {
                 let v = if self.cpu.gpr(EAX) & 0x8000_0000 != 0 {
@@ -1917,6 +1920,41 @@ mod tests {
         let (m, _) = run_program(&il);
         assert_eq!(m.cpu.reg(Reg::Eax) as i32, -3);
         assert_eq!(m.cpu.reg(Reg::Edx) as i32, -1);
+    }
+
+    /// Runs `op %bl` with `eax`, `edx` and `ebx` preset.
+    fn byte_op(op: fn(Opnd) -> Instr, eax: i32, edx: i32, ebx: i32) -> (Machine, CpuExit) {
+        let mut il = InstrList::new();
+        for (r, v) in [(Reg::Eax, eax), (Reg::Edx, edx), (Reg::Ebx, ebx)] {
+            il.push_back(create::mov(Opnd::reg(r), Opnd::imm32(v)));
+        }
+        il.push_back(op(Opnd::reg(Reg::Bl)));
+        il.push_back(create::hlt());
+        run_program(&il)
+    }
+
+    #[test]
+    fn byte_multiply_and_divide_use_ax_not_edx() {
+        // mul %bl: %ax = %al * %bl; %edx is untouched.
+        let (m, exit) = byte_op(create::mul, 0x1210, 0x1234, 3);
+        assert_eq!(exit, CpuExit::Halt);
+        assert_eq!((m.cpu.reg(Reg::Eax), m.cpu.reg(Reg::Edx)), (0x30, 0x1234));
+        // div %bl: %al = %ax / %bl, %ah = %ax % %bl.
+        let (m, exit) = byte_op(create::div, 0x107, 0x1234, 2);
+        assert_eq!(exit, CpuExit::Halt);
+        assert_eq!((m.cpu.reg(Reg::Eax), m.cpu.reg(Reg::Edx)), (0x183, 0x1234));
+        // idiv %bl: -7 / 2 = -3 remainder -1.
+        let (m, _) = byte_op(create::idiv, 0xFFF9, 0, 2);
+        assert_eq!(m.cpu.reg(Reg::Eax), 0xFFFD);
+        // A quotient wider than 8 bits is a divide error.
+        let (_, exit) = byte_op(create::div, 0x200, 0, 2);
+        assert!(matches!(
+            exit,
+            CpuExit::Fault {
+                kind: FaultKind::DivideError,
+                ..
+            }
+        ));
     }
 
     #[test]
