@@ -55,6 +55,11 @@ impl Client for Combined {
         self.ctrace.on_exit(core);
     }
 
+    // Only `ctrace` has a `basic_block` hook, so it picks the decode path.
+    fn wants_full_decode(&self) -> bool {
+        self.ctrace.wants_full_decode()
+    }
+
     fn basic_block(&mut self, core: &mut Core, tag: u32, bb: &mut InstrList) {
         self.ctrace.basic_block(core, tag, bb);
     }

@@ -98,6 +98,12 @@ impl Client for CTrace {
         "ctrace"
     }
 
+    // The `basic_block` hook reads only the block's last instruction, which
+    // bundled decoding always leaves at Level 3 when it is a CTI.
+    fn wants_full_decode(&self) -> bool {
+        false
+    }
+
     fn basic_block(&mut self, core: &mut Core, tag: u32, bb: &mut InstrList) {
         // Classify the terminator for the end_trace policy, and mark blocks
         // that end in a direct call as trace heads, so traces begin at the

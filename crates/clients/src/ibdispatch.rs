@@ -187,6 +187,11 @@ impl Client for IbDispatch {
         "ibdispatch"
     }
 
+    // No `basic_block` hook: blocks keep the Level 0 bundle fast path.
+    fn wants_full_decode(&self) -> bool {
+        false
+    }
+
     fn trace(&mut self, core: &mut Core, tag: u32, trace: &mut InstrList) {
         // Instrument every indirect-branch lookup path in the trace with a
         // profiling call (Figure 4, upper half).

@@ -103,6 +103,11 @@ impl Client for Inc2Add {
         "inc2add"
     }
 
+    // No `basic_block` hook: blocks keep the Level 0 bundle fast path.
+    fn wants_full_decode(&self) -> bool {
+        false
+    }
+
     fn init(&mut self, core: &mut Core) {
         self.enabled = core.proc_kind() == CpuKind::Pentium4;
         self.num_examined = 0;

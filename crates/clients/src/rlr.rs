@@ -215,6 +215,11 @@ impl Client for Rlr {
         "rlr"
     }
 
+    // No `basic_block` hook: blocks keep the Level 0 bundle fast path.
+    fn wants_full_decode(&self) -> bool {
+        false
+    }
+
     fn trace(&mut self, core: &mut Core, _tag: u32, trace: &mut InstrList) {
         self.transform(core, trace);
     }

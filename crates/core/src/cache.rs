@@ -259,6 +259,16 @@ impl CodeCache {
         (self.bb_base, self.trace_limit)
     }
 
+    /// Where the next [`CodeCache::alloc`] of `kind` starts. Allocation is
+    /// a bump pointer, so a fragment can be encoded at its final address
+    /// before its length is known.
+    pub fn next_start(&self, kind: FragmentKind) -> u32 {
+        match kind {
+            FragmentKind::BasicBlock => self.bb_next,
+            FragmentKind::Trace => self.trace_next,
+        }
+    }
+
     /// Reserve `len` bytes in the basic-block or trace cache. Returns
     /// `None` once the sub-cache's 16 MiB slice is used up: eviction frees
     /// capacity accounting, not address space, so a long run under a small

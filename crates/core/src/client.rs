@@ -65,6 +65,15 @@ pub trait Client {
     /// Whether the engine should fully decode basic blocks before calling
     /// [`Client::basic_block`]. Returning `false` keeps the Level 0 bundle
     /// fast path (the hook then sees bundles rather than instructions).
+    ///
+    /// In bundled mode the instruction that ends the block — a CTI, `hlt`,
+    /// `int` or `int3` — is still decoded to Level 3; only the prefix before
+    /// it is a bundle (and so is the block's tail when the block is split at
+    /// [`Options::max_bb_instrs`](crate::Options::max_bb_instrs) or before
+    /// undecodable bytes, where no such instruction exists). A hook that only
+    /// reads the terminator should therefore return `false`, as should a
+    /// client with no `basic_block` hook at all. Traces are always decoded
+    /// in full, whatever this returns.
     fn wants_full_decode(&self) -> bool {
         true
     }

@@ -194,32 +194,22 @@ pub fn emit_fragment(
         }
     }
 
-    // Size, allocate, encode at the final address.
-    let sized = encode_list(&il, 0)?;
-    let total_len = sized.bytes.len() as u32;
+    // Encode once, at the address the sub-cache's bump allocator hands out
+    // next, then allocate exactly that span.
+    let at = cache.next_start(kind);
+    let encoded = encode_list(&il, at)?;
+    let total_len = encoded.bytes.len() as u32;
     let start = cache
         .alloc(kind, total_len)
         .ok_or(EmitError::CacheExhausted)?;
-    let encoded = encode_list(&il, start)?;
-    debug_assert_eq!(encoded.bytes.len() as u32, total_len);
+    debug_assert_eq!(start, at, "fragment encoded for a different address");
     machine.mem.write_bytes(start, &encoded.bytes);
     // Only the decodes overlapping the freshly written bytes can be stale;
     // emitting a fragment no longer wipes unrelated decodes.
     machine.invalidate_code_range(start, total_len);
 
-    // Instruction lengths from consecutive offsets.
     let offset_of = |id: InstrId| encoded.offset_of(id).expect("instr was encoded");
-    let len_of = |id: InstrId| -> u32 {
-        let off = offset_of(id);
-        let mut next_best = total_len;
-        for (oid, o) in &encoded.offsets {
-            if *o > off && *o < next_best {
-                next_best = *o;
-            }
-            let _ = oid;
-        }
-        next_best - off
-    };
+    let len_of = |id: InstrId| encoded.len_of(id).expect("instr was encoded");
 
     let body_len = offset_of(boundary);
 

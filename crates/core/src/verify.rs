@@ -29,11 +29,12 @@
 //!   flags proven dead (transformation safety, validating `inc2add` and
 //!   `rlr`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rio_ia32::liveness::{effects, Liveness, RegSet};
-use rio_ia32::{decode_instr, Eflags, Instr, InstrList, MemRef, OpSize, Opcode, Opnd, Reg, Target};
+use rio_ia32::{
+    decode_instr, Eflags, Instr, InstrId, InstrList, MemRef, OpSize, Opcode, Opnd, Reg, Target,
+};
 use rio_sim::{Image, Machine};
 
 use crate::cache::{CodeCache, ExitKind, FragmentId};
@@ -500,43 +501,85 @@ pub(crate) fn verify_fragment(
 /// Pre-hook snapshot of an [`InstrList`]'s write effects, diffed after the
 /// hook by [`LintSnapshot::check`].
 pub(crate) struct LintSnapshot {
-    /// Per-instruction written registers and flags, keyed by id — survives
-    /// in-place edits ([`InstrList::replace`] keeps the id).
-    by_id: HashMap<u32, (RegSet, Eflags)>,
-    /// Write aggregate per application pc, for edits that re-create
-    /// instructions (fragment replacement re-decodes, so ids never match).
-    by_pc: HashMap<u32, (RegSet, Eflags)>,
+    /// Per-instruction written registers and flags, indexed by the id's slot
+    /// ([`InstrId::raw`](rio_ia32::InstrId::raw)) — survives in-place edits
+    /// ([`InstrList::replace`] keeps the id).
+    by_id: Vec<Option<(RegSet, Eflags)>>,
+    /// Write aggregate per application pc, sorted by pc, for edits that
+    /// re-create instructions (fragment replacement re-decodes, so ids never
+    /// match).
+    by_pc: Vec<(u32, RegSet, Eflags)>,
+}
+
+/// An instruction that writes registers or flags its pre-hook self did not:
+/// a lint violation if any of them is live after it.
+struct ExtraWrites {
+    id: InstrId,
+    regs: RegSet,
+    flags: Eflags,
+    check: Check,
+    op: Opcode,
+    app_pc: u32,
 }
 
 impl LintSnapshot {
     /// Record the write effects of every instruction in `il`.
     pub(crate) fn capture(il: &InstrList) -> LintSnapshot {
-        let mut by_id = HashMap::new();
-        let mut by_pc: HashMap<u32, (RegSet, Eflags)> = HashMap::new();
+        let mut by_id = Vec::new();
+        let mut by_pc = Vec::new();
         for id in il.ids() {
             let instr = il.get(id);
             if instr.is_label() {
                 continue;
             }
             let e = effects(instr);
-            by_id.insert(id.raw(), (e.writes, e.flags.written));
+            let slot = id.raw() as usize;
+            if by_id.len() <= slot {
+                by_id.resize(slot + 1, None);
+            }
+            by_id[slot] = Some((e.writes, e.flags.written));
             if instr.app_pc() != 0 {
-                let agg = by_pc
-                    .entry(instr.app_pc())
-                    .or_insert((RegSet::NONE, Eflags::NONE));
-                agg.0 = agg.0.union(e.writes);
-                agg.1 = agg.1 | e.flags.written;
+                by_pc.push((instr.app_pc(), e.writes, e.flags.written));
             }
         }
+        by_pc.sort_unstable_by_key(|&(pc, ..)| pc);
+        by_pc.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.union(later.1);
+                kept.2 = kept.2 | later.2;
+            }
+            same
+        });
         LintSnapshot { by_id, by_pc }
     }
 
-    /// Diff `il` (after a client hook) against the snapshot under a fresh
+    /// The pre-hook writes of the instruction now at `id`: its own if the id
+    /// survived, else the aggregate for its application pc. `None` for code
+    /// the hook inserted.
+    fn pre_writes(&self, id: InstrId, app_pc: u32) -> Option<(RegSet, Eflags)> {
+        if let Some(&Some(pre)) = self.by_id.get(id.raw() as usize) {
+            return Some(pre);
+        }
+        if app_pc == 0 {
+            return None;
+        }
+        let pre = match self.by_pc.binary_search_by_key(&app_pc, |&(pc, ..)| pc) {
+            Ok(i) => (self.by_pc[i].1, self.by_pc[i].2),
+            Err(_) => (RegSet::NONE, Eflags::NONE),
+        };
+        Some(pre)
+    }
+
+    /// Diff `il` (after a client hook) against the snapshot under a
     /// liveness analysis. `tag` and `thread` label any violations.
+    ///
+    /// A violation needs a write the snapshot lacks, so the liveness
+    /// analysis runs only when some instruction adds one: an untouched
+    /// list, or one whose edits keep every write, costs one walk.
     pub(crate) fn check(&self, il: &InstrList, thread: usize, tag: u32) -> Vec<Violation> {
-        let live = Liveness::analyze(il);
         let ecx_slot = MemRef::absolute(layout::ECX_SLOT, OpSize::S32);
-        let mut v = Vec::new();
+        let mut extra = Vec::new();
         let mut spilled = false;
         let mut pushfd_depth = 0u32;
         for id in il.ids() {
@@ -564,56 +607,37 @@ impl LintSnapshot {
                             && (m.disp as u32) < Image::RIO_DATA_BASE + 0x1000
                     });
 
-            let e = effects(instr);
-            let out = live.live_after(id);
-
-            // What this instruction is allowed to write without question.
-            let mut exempt = RegSet::of(Reg::Esp);
-            if spilled {
-                // While the application's %ecx lives in its slot, the
-                // register itself is engine scratch.
-                exempt.insert(Reg::Ecx);
-            }
-            let flags_exempt = if op == Opcode::Popfd && pushfd_depth > 0 {
-                // A popfd paired with an earlier pushfd restores the
-                // application's flags; it is a save/restore, not a clobber.
-                Eflags::ALL6
-            } else {
-                Eflags::NONE
-            };
-
-            let (pre_regs, pre_flags, check) = if let Some(pre) = self.by_id.get(&id.raw()) {
-                (pre.0, pre.1, Check::TransformationLint)
-            } else if instr.app_pc() != 0 {
-                let pre = self
-                    .by_pc
-                    .get(&instr.app_pc())
-                    .copied()
-                    .unwrap_or((RegSet::NONE, Eflags::NONE));
-                (pre.0, pre.1, Check::TransformationLint)
-            } else {
-                (RegSet::NONE, Eflags::NONE, Check::InstrumentationLint)
-            };
-
             if !is_restore_load && !is_store {
-                let extra_regs = e.writes.minus(pre_regs).minus(exempt);
-                let bad_regs = extra_regs.intersect(out.regs);
-                let extra_flags = e.flags.written & !pre_flags & !flags_exempt;
-                let bad_flags = extra_flags & out.flags;
-                if !bad_regs.is_empty() || !bad_flags.is_empty() {
-                    let what = if check == Check::TransformationLint {
-                        "edit adds a write to live"
-                    } else {
-                        "inserted code clobbers live"
-                    };
-                    v.push(Violation {
-                        thread,
-                        tag,
+                // What this instruction is allowed to write without question.
+                let mut exempt = RegSet::of(Reg::Esp);
+                if spilled {
+                    // While the application's %ecx lives in its slot, the
+                    // register itself is engine scratch.
+                    exempt.insert(Reg::Ecx);
+                }
+                let flags_exempt = if op == Opcode::Popfd && pushfd_depth > 0 {
+                    // A popfd paired with an earlier pushfd restores the
+                    // application's flags; it is a save/restore, not a
+                    // clobber.
+                    Eflags::ALL6
+                } else {
+                    Eflags::NONE
+                };
+                let (pre_regs, pre_flags, check) = match self.pre_writes(id, instr.app_pc()) {
+                    Some((regs, flags)) => (regs, flags, Check::TransformationLint),
+                    None => (RegSet::NONE, Eflags::NONE, Check::InstrumentationLint),
+                };
+                let e = effects(instr);
+                let regs = e.writes.minus(pre_regs).minus(exempt);
+                let flags = e.flags.written & !pre_flags & !flags_exempt;
+                if !regs.is_empty() || !flags.is_empty() {
+                    extra.push(ExtraWrites {
+                        id,
+                        regs,
+                        flags,
                         check,
-                        detail: format!(
-                            "{what} {bad_regs} |{bad_flags} ({op} at app pc {:#010x})",
-                            instr.app_pc()
-                        ),
+                        op,
+                        app_pc: instr.app_pc(),
                     });
                 }
             }
@@ -631,6 +655,34 @@ impl LintSnapshot {
                 Opcode::Popfd => pushfd_depth = pushfd_depth.saturating_sub(1),
                 _ => {}
             }
+        }
+        if extra.is_empty() {
+            return Vec::new();
+        }
+
+        let live = Liveness::analyze(il);
+        let mut v = Vec::new();
+        for x in extra {
+            let out = live.live_after(x.id);
+            let bad_regs = x.regs.intersect(out.regs);
+            let bad_flags = x.flags & out.flags;
+            if bad_regs.is_empty() && bad_flags.is_empty() {
+                continue;
+            }
+            let what = if x.check == Check::TransformationLint {
+                "edit adds a write to live"
+            } else {
+                "inserted code clobbers live"
+            };
+            v.push(Violation {
+                thread,
+                tag,
+                check: x.check,
+                detail: format!(
+                    "{what} {bad_regs} |{bad_flags} ({} at app pc {:#010x})",
+                    x.op, x.app_pc
+                ),
+            });
         }
         v
     }
@@ -860,6 +912,57 @@ mod tests {
         let v = snap.check(&il, 0, 0x1000);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].check, Check::TransformationLint);
+    }
+
+    /// `inc %eax` between five untouched instructions on each side, then an
+    /// exit; the instruction after the `inc` reads CF (`adc`) or kills every
+    /// flag (`add`).
+    fn padded_inc(cf_live: bool) -> (InstrList, InstrId) {
+        let mut il = InstrList::new();
+        for k in 0..5 {
+            il.push_back(create::mov(Opnd::Reg(Reg::Esi), Opnd::imm32(k)));
+        }
+        let inc = il.push_back(create::inc(Opnd::Reg(Reg::Eax)));
+        if cf_live {
+            il.push_back(create::adc(Opnd::Reg(Reg::Ebx), Opnd::imm32(0)));
+        } else {
+            il.push_back(create::add(Opnd::Reg(Reg::Ebx), Opnd::imm32(1)));
+        }
+        for k in 0..5 {
+            il.push_back(create::mov(Opnd::Reg(Reg::Edi), Opnd::imm32(k)));
+        }
+        il.push_back(create::jmp(Target::Pc(0x1234)));
+        (il, inc)
+    }
+
+    #[test]
+    fn lint_verdicts_on_a_long_list_follow_the_edit_alone() {
+        let image = Image::from_code(vec![0xf4]);
+        let mut core = crate::Core::new(
+            &image,
+            crate::Options::default(),
+            rio_sim::CpuKind::Pentium4,
+        );
+        for cf_live in [true, false] {
+            let (mut il, inc) = padded_inc(cf_live);
+            assert!(il.len() >= 10);
+            let snap = LintSnapshot::capture(&il);
+            // Untouched: no violation, and the lint still counts as run.
+            let (checks, violations) = (core.stats.checks_run, core.stats.violations);
+            core.lint_client_edit(&snap, &il, 0x1000);
+            assert_eq!(core.stats.checks_run, checks + 1);
+            assert_eq!(core.stats.violations, violations);
+            // inc -> add adds a CF write: flagged exactly when CF is live.
+            il.replace(inc, create::add(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
+            core.lint_client_edit(&snap, &il, 0x1000);
+            assert_eq!(core.stats.checks_run, checks + 2);
+            assert_eq!(core.stats.violations, violations + u64::from(cf_live));
+            let v = snap.check(&il, 0, 0x1000);
+            assert_eq!(v.len(), usize::from(cf_live), "{v:?}");
+            if cf_live {
+                assert_eq!(v[0].check, Check::TransformationLint);
+            }
+        }
     }
 
     #[test]

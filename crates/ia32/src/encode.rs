@@ -33,7 +33,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::decode::{rows, Form, Tmpl};
-use crate::ilist::{InstrId, InstrList};
+use crate::ilist::{InstrId, InstrList, Positions};
 use crate::instr::Instr;
 use crate::opcode::Opcode;
 use crate::opnd::{MemRef, OpSize, Opnd};
@@ -439,15 +439,24 @@ fn encode_into(
 pub struct EncodedList {
     /// The encoded machine code.
     pub bytes: Vec<u8>,
-    /// `(id, offset)` for every instruction, in list order. Labels appear
-    /// with the offset of the following instruction.
-    pub offsets: Vec<(InstrId, u32)>,
+    /// The encoded list's ids.
+    ids: Positions,
+    /// Each instruction's offset, in list order. Labels get the offset of
+    /// the following instruction.
+    offsets: Vec<u32>,
 }
 
 impl EncodedList {
     /// Offset of instruction `id`, if present.
     pub fn offset_of(&self, id: InstrId) -> Option<u32> {
-        self.offsets.iter().find(|(i, _)| *i == id).map(|(_, o)| *o)
+        self.ids.get(id).map(|i| self.offsets[i])
+    }
+
+    /// Encoded length of instruction `id` (zero for a label), if present.
+    pub fn len_of(&self, id: InstrId) -> Option<u32> {
+        let i = self.ids.get(id)?;
+        let end = self.offsets.get(i + 1).copied();
+        Some(end.unwrap_or(self.bytes.len() as u32) - self.offsets[i])
     }
 }
 
@@ -463,43 +472,37 @@ impl EncodedList {
 ///
 /// Returns [`EncodeError`] if any instruction fails to encode.
 pub fn encode_list(il: &InstrList, start_pc: u32) -> Result<EncodedList, EncodeError> {
+    let ids = Positions::new(il);
     let mut bytes = Vec::new();
-    let mut offsets: Vec<(InstrId, u32)> = Vec::with_capacity(il.len());
+    let mut offsets = Vec::with_capacity(ids.order.len());
     let mut labelled = Vec::new();
-    for id in il.ids() {
+    for &id in &ids.order {
         let instr = il.get(id);
         let off = bytes.len() as u32;
         let at = start_pc.wrapping_add(off);
-        offsets.push((id, off));
+        offsets.push(off);
         encode_into(instr, at, &|_| Some(at), &mut bytes)?;
         if instr.srcs().iter().any(|o| matches!(o, Opnd::Instr(_))) {
             labelled.push((id, off as usize..bytes.len()));
         }
     }
-
-    // Each instruction's id and address at its slot index, to resolve labels.
-    let mut addrs = Vec::new();
-    if !labelled.is_empty() {
-        let slots = offsets.iter().map(|(id, _)| id.raw() as usize + 1).max();
-        addrs.resize(slots.unwrap_or(0), None);
-        for &(id, off) in &offsets {
-            addrs[id.raw() as usize] = Some((id, start_pc.wrapping_add(off)));
-        }
-    }
-    let lookup = |id: InstrId| match addrs.get(id.raw() as usize) {
-        Some(&Some((slot, addr))) if slot == id => Some(addr),
-        _ => None,
+    bytes.shrink_to_fit();
+    let mut list = EncodedList {
+        bytes,
+        ids,
+        offsets,
     };
+
     let mut enc = Vec::new();
     for (id, range) in labelled {
         enc.clear();
         let at = start_pc.wrapping_add(range.start as u32);
+        let lookup = |l: InstrId| list.offset_of(l).map(|o| start_pc.wrapping_add(o));
         encode_into(il.get(id), at, &lookup, &mut enc)?;
         debug_assert_eq!(enc.len(), range.len());
-        bytes[range].copy_from_slice(&enc);
+        list.bytes[range].copy_from_slice(&enc);
     }
-    bytes.shrink_to_fit();
-    Ok(EncodedList { bytes, offsets })
+    Ok(list)
 }
 
 #[cfg(test)]

@@ -41,6 +41,33 @@ impl fmt::Debug for InstrId {
     }
 }
 
+/// A list's ids in list order, with each one's position found by slot
+/// ([`InstrId::raw`]) in O(1). The ids are kept, so a stale id whose slot
+/// was reused is not mistaken for the instruction now in it.
+#[derive(Clone, Debug)]
+pub(crate) struct Positions {
+    pub(crate) order: Vec<InstrId>,
+    by_slot: Vec<u32>,
+}
+
+impl Positions {
+    pub(crate) fn new(il: &InstrList) -> Positions {
+        let order: Vec<InstrId> = il.ids().collect();
+        let slots = order.iter().map(|id| id.idx as usize + 1).max();
+        let mut by_slot = vec![u32::MAX; slots.unwrap_or(0)];
+        for (i, id) in order.iter().enumerate() {
+            by_slot[id.idx as usize] = i as u32;
+        }
+        Positions { order, by_slot }
+    }
+
+    /// `id`'s position in list order, if it is in the list.
+    pub(crate) fn get(&self, id: InstrId) -> Option<usize> {
+        let i = *self.by_slot.get(id.idx as usize)? as usize;
+        (self.order.get(i) == Some(&id)).then_some(i)
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     instr: Option<Instr>,

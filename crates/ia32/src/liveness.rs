@@ -18,11 +18,10 @@
 //! consults [`Liveness`] therefore never sees "dead" for a value the
 //! application could observe.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::eflags::{Eflags, EflagsEffect};
-use crate::ilist::{InstrId, InstrList};
+use crate::ilist::{InstrId, InstrList, Positions};
 use crate::instr::{Instr, Target};
 use crate::opcode::Opcode;
 use crate::opnd::Opnd;
@@ -252,7 +251,7 @@ enum Succ {
 /// assert!(live.live_after(b).regs.contains(Reg::Eax));
 /// ```
 pub struct Liveness {
-    pos: HashMap<InstrId, usize>,
+    pos: Positions,
     before: Vec<LiveState>,
     after: Vec<LiveState>,
 }
@@ -266,14 +265,12 @@ impl Liveness {
     /// are frontiers where the full state is live. The analysis iterates
     /// to a fixpoint, so backward branches to labels converge correctly.
     pub fn analyze(il: &InstrList) -> Liveness {
-        let order: Vec<InstrId> = il.ids().collect();
-        let n = order.len();
-        let pos: HashMap<InstrId, usize> =
-            order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        let pos = Positions::new(il);
+        let n = pos.order.len();
 
         let mut effs = Vec::with_capacity(n);
         let mut succs = Vec::with_capacity(n);
-        for (i, id) in order.iter().enumerate() {
+        for (i, id) in pos.order.iter().enumerate() {
             let instr = il.get(*id);
             effs.push(effects(instr));
             succs.push(successor(instr, i, n, &pos));
@@ -325,7 +322,7 @@ impl Liveness {
     ///
     /// Panics if `id` is not in the analyzed list.
     pub fn live_before(&self, id: InstrId) -> LiveState {
-        self.before[self.pos[&id]]
+        self.before[self.index(id)]
     }
 
     /// Live state immediately after `id` executes (along all successors).
@@ -334,16 +331,22 @@ impl Liveness {
     ///
     /// Panics if `id` is not in the analyzed list.
     pub fn live_after(&self, id: InstrId) -> LiveState {
-        self.after[self.pos[&id]]
+        self.after[self.index(id)]
+    }
+
+    fn index(&self, id: InstrId) -> usize {
+        self.pos
+            .get(id)
+            .unwrap_or_else(|| panic!("{id:?} is not in the analyzed list"))
     }
 
     /// Whether `id` was part of the analyzed list.
     pub fn covers(&self, id: InstrId) -> bool {
-        self.pos.contains_key(&id)
+        self.pos.get(id).is_some()
     }
 }
 
-fn successor(instr: &Instr, i: usize, n: usize, pos: &HashMap<InstrId, usize>) -> Succ {
+fn successor(instr: &Instr, i: usize, n: usize, pos: &Positions) -> Succ {
     let at_end = i + 1 >= n;
     let Some(op) = instr.opcode() else {
         return if at_end { Succ::Outside } else { Succ::Next };
@@ -356,15 +359,15 @@ fn successor(instr: &Instr, i: usize, n: usize, pos: &HashMap<InstrId, usize>) -
     };
     match op {
         Opcode::Jmp => match instr.target() {
-            Some(Target::Instr(l)) => match pos.get(&l) {
-                Some(j) => Succ::Only(*j),
+            Some(Target::Instr(l)) => match pos.get(l) {
+                Some(j) => Succ::Only(j),
                 None => Succ::Outside,
             },
             _ => Succ::Outside,
         },
         Opcode::Jcc(_) | Opcode::Jecxz => match instr.target() {
-            Some(Target::Instr(l)) => match pos.get(&l) {
-                Some(j) => fall(Some(*j)),
+            Some(Target::Instr(l)) => match pos.get(l) {
+                Some(j) => fall(Some(j)),
                 None => Succ::Outside,
             },
             // A side exit: the taken edge leaves the list, so everything

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use rio_ia32::encode::encode_list;
+use rio_ia32::encode::{encode_instr, encode_list};
 use rio_ia32::{create, Cc, InstrId, InstrList, MemRef, OpSize, Opnd, Reg, Target};
 use rio_sim::Image;
 
@@ -131,31 +131,34 @@ impl Codegen {
         self.resolve_calls()?;
 
         // Encode, then patch absolute addresses (function pointers, jump
-        // tables). Patching changes only fixed-width imm32 values, so
-        // offsets are stable and a single re-encode suffices.
-        let first = encode_list(&self.il, Image::CODE_BASE)?;
+        // tables). A patch changes only a fixed-width imm32 value, so the
+        // offsets stay put and each patched instruction is re-encoded in
+        // place.
+        let mut enc = encode_list(&self.il, Image::CODE_BASE)?;
         for (id, name) in &self.fnaddr_patches {
             let label = self
                 .fn_labels
                 .get(name)
                 .copied()
                 .ok_or_else(|| CompileError::UnknownFunction(name.clone()))?;
-            let addr = Image::CODE_BASE + first.offset_of(label).expect("label encoded");
+            let addr = Image::CODE_BASE + enc.offset_of(label).expect("label encoded");
             self.il.get_mut(*id).set_src(0, Opnd::imm32(addr as i32));
+            let off = enc.offset_of(*id).expect("patch encoded");
+            let len = enc.len_of(*id).expect("patch encoded");
+            let patched = encode_instr(self.il.get(*id), Image::CODE_BASE + off, &|_| None)?;
+            enc.bytes[off as usize..(off + len) as usize].copy_from_slice(&patched);
         }
         for (table_addr, labels) in &self.table_patches {
             let mut bytes = Vec::with_capacity(labels.len() * 4);
             for l in labels {
-                let addr = Image::CODE_BASE + first.offset_of(*l).expect("label encoded");
+                let addr = Image::CODE_BASE + enc.offset_of(*l).expect("label encoded");
                 bytes.extend_from_slice(&addr.to_le_bytes());
             }
             self.data.push((*table_addr, bytes));
         }
-        let finl = encode_list(&self.il, Image::CODE_BASE)?;
-        debug_assert_eq!(first.bytes.len(), finl.bytes.len());
 
         Ok(Image {
-            code: finl.bytes,
+            code: enc.bytes,
             data: self.data,
             entry: Image::CODE_BASE,
         })

@@ -2,11 +2,12 @@
 //! architectural results of native execution, across every engine
 //! configuration, while building the expected cache structures.
 
+use rio_core::build::{decode_bb, BuiltBlock};
 use rio_core::{
     Client, EndTraceDecision, FragmentKind, NullClient, Options, Rio, StepBudget, StepOutcome,
 };
 use rio_ia32::encode::encode_list;
-use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opnd, Reg, Target};
+use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opcode, Opnd, Reg, Target};
 use rio_sim::{run_native, CpuKind, Image};
 use rio_tests::{
     assert_transparent, call_program, exit_with, loop_program, program, run, DeletionLog, HookLog,
@@ -522,5 +523,82 @@ fn translated_returns_lose_the_return_address_predictor() {
         "standard traces were not expected to absorb returns here: {} vs {}",
         t.counters.ind_mispredicts,
         r.counters.ind_mispredicts
+    );
+}
+
+/// Decodes every block the engine builds both ways, bundled and in full, and
+/// records what the two disagree on.
+#[derive(Default)]
+struct DecodeBoth {
+    blocks: usize,
+    split_blocks: usize,
+    mismatches: Vec<String>,
+}
+
+/// The opcode and target of the instruction that ends `bb` — a CTI, `hlt`,
+/// `int` or `int3` — or `None` when the block was split before one.
+fn ender(bb: &BuiltBlock) -> Option<(Opcode, Option<Target>)> {
+    let last = bb.il.get(bb.il.last_id().expect("blocks are never empty"));
+    last.opcode()
+        .filter(|op| op.is_cti() || op.is_halt() || matches!(op, Opcode::Int | Opcode::Int3))
+        .map(|op| (op, last.target()))
+}
+
+impl Client for DecodeBoth {
+    fn wants_full_decode(&self) -> bool {
+        false
+    }
+
+    fn basic_block(&mut self, core: &mut rio_core::Core, tag: u32, _bb: &mut InstrList) {
+        let max = core.options.max_bb_instrs;
+        let bundled = decode_bb(&core.machine.mem, tag, false, max).expect("block decodes");
+        let full = decode_bb(&core.machine.mem, tag, true, max).expect("block decodes");
+        self.blocks += 1;
+        if ender(&full).is_none() {
+            self.split_blocks += 1;
+        }
+        // What a `basic_block` hook that reads only the terminator observes.
+        let view = |bb: &BuiltBlock| (bb.end_pc, bb.num_instrs, bb.terminator, ender(bb));
+        let (b, f) = (view(&bundled), view(&full));
+        if b != f {
+            self.mismatches
+                .push(format!("block {tag:#x}: bundled {b:?}, full {f:?}"));
+        }
+    }
+}
+
+#[test]
+fn bundled_and_full_block_decodes_agree_on_the_terminator() {
+    // Clients that read only a block's terminator (`ctrace`, and so
+    // `combined`) take the bundled decode; they rely on it agreeing with a
+    // full decode at every block start reached in the suite and in
+    // generated programs.
+    let suite = rio_workloads::suite_scaled(1)
+        .into_iter()
+        .map(|b| (b.name.to_string(), compile(&b.source).unwrap()));
+    let fuzz = (0..64).map(|i| {
+        let p = rio_fuzz::Program::generate(rio_fuzz::DEFAULT_BASE_SEED + i);
+        (format!("seed {:#x}", p.seed), compile(&p.source()).unwrap())
+    });
+    let (mut blocks, mut split_blocks) = (0, 0);
+    for (name, image) in suite.chain(fuzz) {
+        let mut rio = Rio::new(
+            &image,
+            Options::full(),
+            CpuKind::Pentium4,
+            DecodeBoth::default(),
+        );
+        rio.run();
+        let c = &rio.client;
+        assert!(c.mismatches.is_empty(), "{name}: {:#?}", c.mismatches);
+        assert!(c.blocks > 0, "{name} built no blocks");
+        blocks += c.blocks;
+        split_blocks += c.split_blocks;
+    }
+    // Blocks split before any terminator, where the bundled decode's last
+    // instruction is still inside a bundle, are covered too.
+    assert!(
+        split_blocks > 0 && blocks > split_blocks,
+        "{split_blocks} of {blocks}"
     );
 }
