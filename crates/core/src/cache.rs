@@ -2,16 +2,22 @@
 //!
 //! A *fragment* is "either a basic block or a trace in the code cache"
 //! (paper §2). Every simulated thread owns a private cache, split into a
-//! basic-block and a trace sub-cache, each a bump allocator over its 16 MiB
-//! slice of the simulated address space. The paper's evaluation runs with
-//! unlimited cache space, and so does this implementation by default.
-//! Deleted fragments are unlinked, dropped from the lookup tables and
-//! tombstoned, but their bytes are not reused: only a whole sub-cache flush
-//! resets its allocator.
+//! basic-block and a trace sub-cache. Each sub-cache is one record: a bump
+//! allocator over its 16 MiB slice of the simulated address space, its tag
+//! table, its live-byte count and its FIFO eviction head. The paper's
+//! evaluation runs with unlimited cache space, and so does this
+//! implementation by default. Deleted fragments are unlinked, dropped from
+//! the lookup tables and tombstoned, but their bytes are not reused: only a
+//! whole sub-cache flush resets its allocator.
+//!
+//! Each [`Exit`] records the one rel32 [`Word`] that linking patches and,
+//! for a custom stub, the one that never moves; emission works both out
+//! once, so linking, unlinking and the verifier never ask how the exit's
+//! stub was built.
 
 use std::collections::HashMap;
 
-use rio_sim::Image;
+use rio_sim::{Image, Memory};
 
 /// Identifies a fragment for the lifetime of the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,25 +58,41 @@ pub enum ExitKind {
     },
 }
 
+/// A branch's rel32 displacement word in the code cache, and the target it
+/// holds while its exit is unlinked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Word {
+    /// Cache address of the displacement.
+    pub addr: u32,
+    /// Where the branch lands while the exit is unlinked: the stub sentinel,
+    /// or the entry of the exit's custom stub.
+    pub unlinked: u32,
+}
+
+impl Word {
+    /// Where the rel32 displacement at `addr` currently sends its branch.
+    pub fn resolve(mem: &Memory, addr: u32) -> u32 {
+        addr.wrapping_add(4).wrapping_add(mem.read_u32(addr))
+    }
+}
+
 /// One exit from a fragment.
+///
+/// An exit owns one or two rel32 words. A plain exit has only its branch.
+/// An exit with a custom stub (paper §3.2) has the branch, aimed at the stub
+/// entry, and the stub's final `jmp`, aimed at the sentinel. Linking patches
+/// `link_word`: the branch, or the stub's `jmp` when the stub is forced so
+/// its code keeps running. The other word is `fixed_word` and never moves.
 #[derive(Clone, Debug)]
 pub struct Exit {
     /// Classification and (for direct exits) the target tag.
     pub kind: ExitKind,
     /// Global stub index (sentinel = `layout::stub_sentinel(stub)`).
     pub stub: u32,
-    /// Cache address of the exit branch's rel32 displacement field — the
-    /// word patched when this exit is linked.
-    pub branch_disp_addr: u32,
-    /// Cache address this exit branches to when unlinked (the stub body, or
-    /// the stub sentinel directly when the stub is empty).
-    pub unlinked_target: u32,
-    /// Cache address of the stub's final `jmp` displacement — the word
-    /// patched instead of `branch_disp_addr` when `force_stub` is set.
-    pub stub_jmp_disp_addr: u32,
-    /// Always route through the stub, even when linked (paper §3.2: custom
-    /// exit stubs).
-    pub force_stub: bool,
+    /// The word linking rewrites, and its target while unlinked.
+    pub link_word: Word,
+    /// A custom stub's other word, which always rests on `unlinked`.
+    pub fixed_word: Option<Word>,
     /// Fragment this exit is currently linked to.
     pub linked_to: Option<FragmentId>,
     /// Byte offset of the exit branch instruction within the fragment.
@@ -186,8 +208,36 @@ pub struct StubRecord {
     pub exit_idx: usize,
 }
 
+/// One sub-cache: a bump allocator over its half of the thread's region, its
+/// tag table, and the bookkeeping capacity eviction reads.
+#[derive(Debug, Default)]
+struct SubCache {
+    base: u32,
+    limit: u32,
+    next: u32,
+    /// Bytes occupied by *live* fragments — unlike the bump allocator's
+    /// high-water mark, this shrinks when fragments are deleted, so capacity
+    /// policies can count what is actually resident.
+    live: u32,
+    /// FIFO head: every fragment below it is deleted or of the other kind,
+    /// so the eviction walk never revisits tombstones.
+    fifo: u32,
+    by_tag: HashMap<u32, FragmentId>,
+}
+
+impl SubCache {
+    fn new(base: u32, limit: u32) -> SubCache {
+        SubCache {
+            base,
+            limit,
+            next: base,
+            ..SubCache::default()
+        }
+    }
+}
+
 /// The code cache: fragment storage, tag lookup tables, stub records, and
-/// the two bump allocators.
+/// the two sub-caches.
 ///
 /// Caches are **thread-private** (paper §2: "DynamoRIO maintains
 /// thread-private code caches"): each simulated thread owns one, carved out
@@ -198,25 +248,10 @@ pub struct StubRecord {
 pub struct CodeCache {
     frags: Vec<Fragment>,
     stubs: Vec<StubRecord>,
-    bb_by_tag: HashMap<u32, FragmentId>,
-    trace_by_tag: HashMap<u32, FragmentId>,
     entry_by_addr: HashMap<u32, FragmentId>,
-    bb_base: u32,
-    bb_limit: u32,
-    trace_base: u32,
-    trace_limit: u32,
-    bb_next: u32,
-    trace_next: u32,
     stub_offset: u32,
-    /// Bytes occupied by *live* fragments per sub-cache — unlike the bump
-    /// allocator's high-water mark, this shrinks when fragments are
-    /// deleted, so capacity policies can count what is actually resident.
-    bb_live: u32,
-    trace_live: u32,
-    /// Per-sub-cache FIFO heads: every fragment below a head is deleted or
-    /// of the other kind, so the eviction walk never revisits tombstones.
-    bb_fifo: u32,
-    trace_fifo: u32,
+    /// The basic-block and trace sub-caches, indexed by [`FragmentKind`].
+    subs: [SubCache; 2],
 }
 
 /// Address-space slice per thread-private cache (16 MiB bb + 16 MiB trace).
@@ -241,32 +276,36 @@ impl CodeCache {
     pub fn for_thread(t: u32) -> CodeCache {
         assert!(t < MAX_THREADS, "too many threads (max {MAX_THREADS})");
         let base = Image::CACHE_BASE + t * THREAD_SLICE;
+        let mid = base + THREAD_SLICE / 2;
         CodeCache {
-            bb_base: base,
-            bb_limit: base + THREAD_SLICE / 2,
-            trace_base: base + THREAD_SLICE / 2,
-            trace_limit: base + THREAD_SLICE,
-            bb_next: base,
-            trace_next: base + THREAD_SLICE / 2,
             stub_offset: t * STUBS_PER_THREAD,
+            subs: [
+                SubCache::new(base, mid),
+                SubCache::new(mid, base + THREAD_SLICE),
+            ],
             ..CodeCache::default()
         }
+    }
+
+    fn sub(&self, kind: FragmentKind) -> &SubCache {
+        &self.subs[kind as usize]
+    }
+
+    fn sub_mut(&mut self, kind: FragmentKind) -> &mut SubCache {
+        &mut self.subs[kind as usize]
     }
 
     /// This cache's `[start, end)` region (both sub-caches) — the only
     /// addresses its thread may execute.
     pub fn region(&self) -> (u32, u32) {
-        (self.bb_base, self.trace_limit)
+        (self.subs[0].base, self.subs[1].limit)
     }
 
     /// Where the next [`CodeCache::alloc`] of `kind` starts. Allocation is
     /// a bump pointer, so a fragment can be encoded at its final address
     /// before its length is known.
     pub fn next_start(&self, kind: FragmentKind) -> u32 {
-        match kind {
-            FragmentKind::BasicBlock => self.bb_next,
-            FragmentKind::Trace => self.trace_next,
-        }
+        self.sub(kind).next
     }
 
     /// Reserve `len` bytes in the basic-block or trace cache. Returns
@@ -274,36 +313,27 @@ impl CodeCache {
     /// capacity accounting, not address space, so a long run under a small
     /// [`Options::cache_limit`](crate::Options::cache_limit) can get there.
     pub fn alloc(&mut self, kind: FragmentKind, len: u32) -> Option<u32> {
-        let (next, limit) = match kind {
-            FragmentKind::BasicBlock => (&mut self.bb_next, self.bb_limit),
-            FragmentKind::Trace => (&mut self.trace_next, self.trace_limit),
-        };
-        let start = *next;
-        if start.checked_add(len)? >= limit {
+        let sub = self.sub_mut(kind);
+        let start = sub.next;
+        if start.checked_add(len)? >= sub.limit {
             return None;
         }
         // Align fragments to 16 bytes like the original (cache-line
         // friendliness of fragment entries).
-        *next = (start + len + 15) & !15;
+        sub.next = (start + len + 15) & !15;
         Some(start)
     }
 
     /// Bytes currently allocated in a sub-cache.
     pub fn used(&self, kind: FragmentKind) -> u32 {
-        match kind {
-            FragmentKind::BasicBlock => self.bb_next - self.bb_base,
-            FragmentKind::Trace => self.trace_next - self.trace_base,
-        }
+        self.sub(kind).next - self.sub(kind).base
     }
 
     /// Bytes occupied by live (non-deleted) fragments of `kind` — the
     /// quantity capacity policies bound. Maintained by
     /// [`CodeCache::insert`] and by fragment deletion.
     pub fn live_bytes(&self, kind: FragmentKind) -> u32 {
-        match kind {
-            FragmentKind::BasicBlock => self.bb_live,
-            FragmentKind::Trace => self.trace_live,
-        }
+        self.sub(kind).live
     }
 
     /// Delete a fragment: drop it from the lookup tables and tombstone it,
@@ -319,34 +349,24 @@ impl CodeCache {
             return;
         }
         f.deleted = true;
-        let kind = f.kind;
-        let head = match kind {
-            FragmentKind::BasicBlock => {
-                self.bb_live -= f.total_len;
-                &mut self.bb_fifo
-            }
-            FragmentKind::Trace => {
-                self.trace_live -= f.total_len;
-                &mut self.trace_fifo
-            }
-        };
-        while let Some(f) = self.frags.get(*head as usize) {
+        let (kind, len) = (f.kind, f.total_len);
+        let mut head = self.sub(kind).fifo;
+        while let Some(f) = self.frags.get(head as usize) {
             if !f.deleted && f.kind == kind {
                 break;
             }
-            *head += 1;
+            head += 1;
         }
+        let sub = self.sub_mut(kind);
+        sub.live -= len;
+        sub.fifo = head;
     }
 
     /// The oldest (lowest-id, i.e. first-emitted) live fragment of `kind`
     /// whose id is at least `from` — the FIFO eviction candidate. The walk
     /// starts no earlier than the sub-cache's FIFO head.
     pub fn oldest_live(&self, kind: FragmentKind, from: FragmentId) -> Option<FragmentId> {
-        let head = match kind {
-            FragmentKind::BasicBlock => self.bb_fifo,
-            FragmentKind::Trace => self.trace_fifo,
-        };
-        self.frags[from.0.max(head) as usize..]
+        self.frags[from.0.max(self.sub(kind).fifo) as usize..]
             .iter()
             .find(|f| f.kind == kind && !f.deleted)
             .map(|f| f.id)
@@ -366,10 +386,8 @@ impl CodeCache {
     /// fragments overwrite them, so this is safe at any engine safe point.
     pub(crate) fn reset_alloc(&mut self, kind: FragmentKind) {
         debug_assert_eq!(self.live_bytes(kind), 0, "reset of a live sub-cache");
-        match kind {
-            FragmentKind::BasicBlock => self.bb_next = self.bb_base,
-            FragmentKind::Trace => self.trace_next = self.trace_base,
-        }
+        let sub = self.sub_mut(kind);
+        sub.next = sub.base;
     }
 
     /// The fragment executing for `tag` if control may enter it without
@@ -389,16 +407,9 @@ impl CodeCache {
     pub fn insert(&mut self, mut frag: Fragment) -> FragmentId {
         let id = FragmentId(self.frags.len() as u32);
         frag.id = id;
-        match frag.kind {
-            FragmentKind::BasicBlock => {
-                self.bb_by_tag.insert(frag.tag, id);
-                self.bb_live += frag.total_len;
-            }
-            FragmentKind::Trace => {
-                self.trace_by_tag.insert(frag.tag, id);
-                self.trace_live += frag.total_len;
-            }
-        };
+        let sub = self.sub_mut(frag.kind);
+        sub.by_tag.insert(frag.tag, id);
+        sub.live += frag.total_len;
         self.entry_by_addr.insert(frag.start, id);
         self.frags.push(frag);
         id
@@ -439,20 +450,17 @@ impl CodeCache {
     /// The fragment to execute for `tag`: the trace if one exists, else the
     /// basic block (paper: traces shadow their head blocks).
     pub fn lookup(&self, tag: u32) -> Option<FragmentId> {
-        self.trace_by_tag
-            .get(&tag)
-            .or_else(|| self.bb_by_tag.get(&tag))
-            .copied()
+        self.lookup_trace(tag).or_else(|| self.lookup_bb(tag))
     }
 
     /// The basic block for `tag`, ignoring traces.
     pub fn lookup_bb(&self, tag: u32) -> Option<FragmentId> {
-        self.bb_by_tag.get(&tag).copied()
+        self.sub(FragmentKind::BasicBlock).by_tag.get(&tag).copied()
     }
 
     /// The trace for `tag`, if any.
     pub fn lookup_trace(&self, tag: u32) -> Option<FragmentId> {
-        self.trace_by_tag.get(&tag).copied()
+        self.sub(FragmentKind::Trace).by_tag.get(&tag).copied()
     }
 
     /// The fragment whose entry is exactly the cache address `addr`.
@@ -480,21 +488,12 @@ impl CodeCache {
     /// Remove a fragment from the lookup tables (it can no longer be entered
     /// or linked; its bytes stay resident until control has left them).
     pub fn remove_from_maps(&mut self, id: FragmentId) {
-        let (tag, kind, start) = {
-            let f = self.frag(id);
-            (f.tag, f.kind, f.start)
-        };
-        match kind {
-            FragmentKind::BasicBlock => {
-                if self.bb_by_tag.get(&tag) == Some(&id) {
-                    self.bb_by_tag.remove(&tag);
-                }
-            }
-            FragmentKind::Trace => {
-                if self.trace_by_tag.get(&tag) == Some(&id) {
-                    self.trace_by_tag.remove(&tag);
-                }
-            }
+        let &Fragment {
+            tag, kind, start, ..
+        } = self.frag(id);
+        let by_tag = &mut self.sub_mut(kind).by_tag;
+        if by_tag.get(&tag) == Some(&id) {
+            by_tag.remove(&tag);
         }
         if self.entry_by_addr.get(&start) == Some(&id) {
             self.entry_by_addr.remove(&start);
@@ -729,7 +728,7 @@ mod tests {
             Some(ids[2])
         );
         // The FIFO head has moved past the tombstone.
-        assert_eq!(c.bb_fifo, ids[1].0);
+        assert_eq!(c.sub(FragmentKind::BasicBlock).fifo, ids[1].0);
         c.remove(ids[1]);
         c.remove(ids[2]);
         assert_eq!(c.oldest_live(FragmentKind::BasicBlock, FragmentId(0)), None);

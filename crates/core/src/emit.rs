@@ -15,7 +15,7 @@ use rio_ia32::{create, EncodeError, Instr, InstrId, InstrList, Level, Opcode, Ta
 use rio_sim::{Image, Machine};
 
 use crate::cache::{
-    CodeCache, Exit, ExitKind, Fragment, FragmentId, FragmentKind, IndKind, Translation,
+    CodeCache, Exit, ExitKind, Fragment, FragmentId, FragmentKind, IndKind, Translation, Word,
 };
 use crate::config::layout;
 use crate::mangle::Note;
@@ -104,94 +104,56 @@ pub fn emit_fragment(
     mut custom_stubs: Vec<CustomStub>,
     src_ranges: Vec<(u32, u32)>,
 ) -> Result<FragmentId, EmitError> {
-    // Pre-pass: a jecxz exit cannot encode a rel32 target; reroute it
-    // through a nearby trampoline jmp placed in the stub area.
+    // A jecxz exit cannot encode a rel32 target; reroute it through a
+    // trampoline jmp at the start of the stub area (close enough for rel8),
+    // which becomes the exit in its place.
+    let boundary = il.push_back(Instr::label());
     let jecxz_exits: Vec<InstrId> = il
         .ids()
-        .filter(|id| {
-            let i = il.get(*id);
+        .filter(|&id| {
+            let i = il.get(id);
             i.opcode() == Some(Opcode::Jecxz) && exit_kind_of(i).is_some()
         })
         .collect();
-    let mut trampolines: Vec<(InstrId, u32)> = Vec::new();
     for id in jecxz_exits {
-        if let Some(Target::Pc(t)) = il.get(id).target() {
-            trampolines.push((id, t));
-        }
+        let target = il.get(id).target().expect("an exit has a target");
+        let lbl = il.push_back(Instr::label());
+        il.push_back(create::jmp(target));
+        il.get_mut(id).set_target(Target::Instr(lbl));
     }
 
-    // Identify exits in list order.
+    // Give every exit its stub. Each exit is recorded as (branch, kind,
+    // stub index, link-word instruction, fixed-word instruction): a custom
+    // stub adds the stub's `jmp`, and forcing the stub makes that `jmp` the
+    // word linking patches.
     let exits_scan: Vec<(InstrId, ExitKind)> = il
         .ids()
         .filter_map(|id| exit_kind_of(il.get(id)).map(|k| (id, k)))
         .collect();
-
-    // Reserve stub indices.
     let frag_id = cache.next_id();
     let stub_base = cache.reserve_stubs(frag_id, exits_scan.len());
-
-    // Stub area boundary marker.
-    let boundary = il.push_back(Instr::label());
-
-    // jecxz trampolines live at the start of the stub area, close enough
-    // for rel8.
-    for (jecxz_id, target) in trampolines {
-        let lbl = il.push_back(Instr::label());
-        il.push_back(create::jmp(Target::Pc(target)));
-        il.get_mut(jecxz_id).set_target(Target::Instr(lbl));
-    }
-
-    // Re-scan: the trampoline jmps are themselves direct exits, and the
-    // original jecxz instructions no longer are. (Stub indices were reserved
-    // before the rewrite, so reserve extras if the count grew.)
-    let exits_scan: Vec<(InstrId, ExitKind)> = il
-        .ids()
-        .filter_map(|id| exit_kind_of(il.get(id)).map(|k| (id, k)))
-        .collect();
-    if exits_scan.len() > (cache_stub_count(cache, stub_base)) {
-        let extra = exits_scan.len() - cache_stub_count(cache, stub_base);
-        cache.reserve_stubs(frag_id, extra);
-    }
-
-    // Materialize stubs and retarget exit branches.
-    struct ExitBuild {
-        instr: InstrId,
-        kind: ExitKind,
-        stub: u32,
-        stub_jmp: InstrId,
-        unlinked_label: Option<InstrId>, // stub entry label if stub code exists
-        force_stub: bool,
-    }
-    let mut builds: Vec<ExitBuild> = Vec::new();
-    for (k, (exit_id, kind)) in exits_scan.iter().enumerate() {
-        let stub_index = stub_base + k as u32;
-        let sentinel = layout::stub_sentinel(stub_index);
-        let custom_pos = custom_stubs.iter().position(|c| c.exit_instr == *exit_id);
-        if let Some(pos) = custom_pos {
-            let custom = custom_stubs.swap_remove(pos);
-            let entry = il.push_back(Instr::label());
-            il.append(custom.instrs);
-            let stub_jmp = il.push_back(create::jmp(Target::Pc(sentinel)));
-            il.get_mut(*exit_id).set_target(Target::Instr(entry));
-            builds.push(ExitBuild {
-                instr: *exit_id,
-                kind: *kind,
-                stub: stub_index,
-                stub_jmp,
-                unlinked_label: Some(entry),
-                force_stub: custom.force_stub,
-            });
-        } else {
-            il.get_mut(*exit_id).set_target(Target::Pc(sentinel));
-            builds.push(ExitBuild {
-                instr: *exit_id,
-                kind: *kind,
-                stub: stub_index,
-                stub_jmp: *exit_id,
-                unlinked_label: None,
-                force_stub: false,
-            });
-        }
+    let mut builds = Vec::with_capacity(exits_scan.len());
+    for (stub, (branch, kind)) in (stub_base..).zip(exits_scan) {
+        let sentinel = Target::Pc(layout::stub_sentinel(stub));
+        let (link, fixed) = match custom_stubs.iter().position(|c| c.exit_instr == branch) {
+            None => {
+                il.get_mut(branch).set_target(sentinel);
+                (branch, None)
+            }
+            Some(pos) => {
+                let custom = custom_stubs.swap_remove(pos);
+                let entry = il.push_back(Instr::label());
+                il.append(custom.instrs);
+                let stub_jmp = il.push_back(create::jmp(sentinel));
+                il.get_mut(branch).set_target(Target::Instr(entry));
+                if custom.force_stub {
+                    (stub_jmp, Some(branch))
+                } else {
+                    (branch, Some(stub_jmp))
+                }
+            }
+        };
+        builds.push((branch, kind, stub, link, fixed));
     }
 
     // Encode once, at the address the sub-cache's bump allocator hands out
@@ -256,29 +218,23 @@ pub fn emit_fragment(
         }
     }
 
+    // A word rests, unlinked, where its instruction was just encoded to go.
+    let word = |id: InstrId| {
+        let addr = start + offset_of(id) + len_of(id) - 4;
+        Word {
+            addr,
+            unlinked: Word::resolve(&machine.mem, addr),
+        }
+    };
     let exits: Vec<Exit> = builds
-        .iter()
-        .map(|b| {
-            let branch_off = offset_of(b.instr);
-            let branch_len = len_of(b.instr);
-            let branch_disp_addr = start + branch_off + branch_len - 4;
-            let (stub_jmp_disp_addr, unlinked_target) = if let Some(lbl) = b.unlinked_label {
-                let jmp_off = offset_of(b.stub_jmp);
-                let jmp_len = len_of(b.stub_jmp);
-                (start + jmp_off + jmp_len - 4, start + offset_of(lbl))
-            } else {
-                (branch_disp_addr, layout::stub_sentinel(b.stub))
-            };
-            Exit {
-                kind: b.kind,
-                stub: b.stub,
-                branch_disp_addr,
-                unlinked_target,
-                stub_jmp_disp_addr,
-                force_stub: b.force_stub,
-                linked_to: None,
-                branch_instr_off: branch_off,
-            }
+        .into_iter()
+        .map(|(branch, kind, stub, link, fixed)| Exit {
+            kind,
+            stub,
+            link_word: word(link),
+            fixed_word: fixed.map(word),
+            linked_to: None,
+            branch_instr_off: offset_of(branch),
         })
         .collect();
 
@@ -302,44 +258,75 @@ pub fn emit_fragment(
     Ok(id)
 }
 
-/// How many stubs have been reserved at or after `base` (helper for the
-/// jecxz re-scan).
-fn cache_stub_count(cache: &CodeCache, base: u32) -> usize {
-    let mut n = 0usize;
-    while cache.stub(base + n as u32).is_some() {
-        n += 1;
-    }
-    n
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mangle::mangle_bb;
-    use rio_ia32::{Opnd, Reg};
-    use rio_sim::CpuKind;
+    use rio_ia32::{MemRef, OpSize, Opnd, Reg};
+    use rio_sim::{CpuKind, ExecRegion};
 
-    fn machine() -> Machine {
-        Machine::new(CpuKind::Pentium4)
-    }
-
-    fn emit_block(bytes: &[u8], tag: u32) -> (Machine, CodeCache, FragmentId) {
-        let mut m = machine();
-        let mut cache = CodeCache::new();
+    /// Decode, mangle and emit the block `bytes` at `tag`. With
+    /// `force_stub`, its last exit gets a custom stub that increments
+    /// `SCRATCH_SLOT`, forced or not.
+    fn emit_into(
+        m: &mut Machine,
+        cache: &mut CodeCache,
+        bytes: &[u8],
+        tag: u32,
+        force_stub: Option<bool>,
+    ) -> FragmentId {
         let mut il = InstrList::decode_block(bytes, tag, Level::L3).unwrap();
         let end = tag + bytes.len() as u32;
         mangle_bb(&mut il, end);
-        let id = emit_fragment(
-            &mut m,
-            &mut cache,
+        let stub = force_stub.map(|force_stub| {
+            let mut instrs = InstrList::new();
+            let slot = MemRef::absolute(layout::SCRATCH_SLOT, OpSize::S32);
+            instrs.push_back(create::inc(Opnd::Mem(slot)));
+            let exit_instr = il.last_id().unwrap();
+            CustomStub {
+                exit_instr,
+                instrs,
+                force_stub,
+            }
+        });
+        let stubs = stub.into_iter().collect();
+        emit_fragment(
+            m,
+            cache,
             FragmentKind::BasicBlock,
             tag,
             il,
-            Vec::new(),
+            stubs,
             vec![(tag, end)],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn emit_block(bytes: &[u8], tag: u32) -> (Machine, CodeCache, FragmentId) {
+        let mut m = Machine::new(CpuKind::Pentium4);
+        let mut cache = CodeCache::new();
+        let id = emit_into(&mut m, &mut cache, bytes, tag, None);
         (m, cache, id)
+    }
+
+    /// Two unlinked blocks, ready to run: A at tag 0x1000 (`jmp 0x2000`,
+    /// with a custom stub per [`emit_into`]) and B at tag 0x2000
+    /// (`mov $9, %eax; hlt`).
+    pub(crate) fn two_blocks(
+        force_stub: Option<bool>,
+    ) -> (Machine, CodeCache, FragmentId, FragmentId) {
+        let mut m = Machine::new(CpuKind::Pentium4);
+        let mut cache = CodeCache::new();
+        let fa = emit_into(
+            &mut m,
+            &mut cache,
+            &[0xE9, 0xFB, 0x0F, 0, 0],
+            0x1000,
+            force_stub,
+        );
+        let fb = emit_into(&mut m, &mut cache, &[0xB8, 9, 0, 0, 0, 0xF4], 0x2000, None);
+        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
+        (m, cache, fa, fb)
     }
 
     #[test]
@@ -352,14 +339,12 @@ mod tests {
             f.exits[0].kind,
             ExitKind::Direct { target: 0x101a }
         ));
-        // The branch targets the stub sentinel when unlinked: decode the
-        // emitted jmp and check.
-        let disp = m.mem.read_u32(f.exits[0].branch_disp_addr) as i32;
-        let resolved = f.exits[0]
-            .branch_disp_addr
-            .wrapping_add(4)
-            .wrapping_add(disp as u32);
-        assert_eq!(resolved, layout::stub_sentinel(f.exits[0].stub));
+        // The branch is the link word, resting on the stub sentinel.
+        let w = f.exits[0].link_word;
+        assert_eq!(w.unlinked, layout::stub_sentinel(f.exits[0].stub));
+        assert_eq!(Word::resolve(&m.mem, w.addr), w.unlinked);
+        assert_eq!(w.addr, f.start + f.exits[0].branch_instr_off + 1);
+        assert_eq!(f.exits[0].fixed_word, None);
     }
 
     #[test]
@@ -427,51 +412,37 @@ mod tests {
 
     #[test]
     fn custom_stub_instructions_are_emitted() {
-        let mut m = machine();
-        let mut cache = CodeCache::new();
-        let mut il = InstrList::decode_block(&[0xE9, 0x10, 0, 0, 0], 0x1000, Level::L3).unwrap();
-        mangle_bb(&mut il, 0x1005);
-        let exit_id = il.last_id().unwrap();
-        let mut stub_il = InstrList::new();
-        // Custom stub: inc a counter in RIO data space.
-        stub_il.push_back(create::inc(Opnd::Mem(rio_ia32::MemRef::absolute(
-            layout::SCRATCH_SLOT,
-            rio_ia32::OpSize::S32,
-        ))));
-        let id = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x1000,
-            il,
-            vec![CustomStub {
-                exit_instr: exit_id,
-                instrs: stub_il,
-                force_stub: true,
-            }],
-            vec![(0x1000, 0x1005)],
-        )
-        .unwrap();
-        let f = cache.frag(id);
-        assert!(f.exits[0].force_stub);
-        // The stub area contains the inc: find the 0xFF opcode of inc m32.
-        let mut bytes = vec![0u8; f.total_len as usize];
-        m.mem.read_bytes(f.start, &mut bytes);
-        assert!(bytes[f.body_len as usize..].contains(&0xFF));
-        // Unlinked target is the stub entry, not the sentinel.
-        assert!(f.exits[0].unlinked_target >= f.start);
-        assert!(f.exits[0].unlinked_target < f.start + f.total_len);
-        assert_ne!(f.exits[0].stub_jmp_disp_addr, f.exits[0].branch_disp_addr);
+        for force_stub in [false, true] {
+            let (m, cache, id, _) = two_blocks(Some(force_stub));
+            let f = cache.frag(id);
+            // The stub area contains the inc: find the 0xFF opcode of inc m32.
+            let mut bytes = vec![0u8; f.total_len as usize];
+            m.mem.read_bytes(f.start, &mut bytes);
+            assert!(bytes[f.body_len as usize..].contains(&0xFF));
+            // The branch rests on the stub entry, the stub's jmp on the
+            // sentinel; forcing the stub makes the jmp the link word.
+            let exit = &f.exits[0];
+            let fixed = exit.fixed_word.unwrap();
+            let (branch, stub_jmp) = if force_stub {
+                (fixed, exit.link_word)
+            } else {
+                (exit.link_word, fixed)
+            };
+            assert_eq!(branch.addr, f.start + exit.branch_instr_off + 1);
+            assert!(branch.unlinked >= f.start + f.body_len);
+            assert!(branch.unlinked < stub_jmp.addr);
+            assert_eq!(stub_jmp.unlinked, layout::stub_sentinel(exit.stub));
+            for w in [branch, stub_jmp] {
+                assert_eq!(Word::resolve(&m.mem, w.addr), w.unlinked);
+            }
+        }
     }
 
     #[test]
     fn emitted_block_executes_to_stub_sentinel() {
         let (mut m, cache, id) = emit_block(&[0xB8, 7, 0, 0, 0, 0xE9, 0x10, 0, 0, 0], 0x1000);
         let f = cache.frag(id);
-        m.set_exec_regions(vec![rio_sim::ExecRegion::new(
-            Image::CACHE_BASE,
-            Image::CACHE_END,
-        )]);
+        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
         m.cpu.eip = f.start;
         let exit = m.run();
         assert_eq!(

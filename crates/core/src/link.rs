@@ -3,8 +3,8 @@
 //! "If a target basic block is already present in the code cache, and is
 //! targeted via a direct branch, DynamoRIO links the two blocks together
 //! with a direct jump. This avoids the cost of a subsequent context switch"
-//! (paper §2). Linking patches the rel32 displacement of the exit branch in
-//! cache memory; unlinking patches it back to the exit's stub.
+//! (paper §2). Linking patches an exit's link word in cache memory to the
+//! target's entry; unlinking patches it back to where it rests unlinked.
 
 use rio_sim::Machine;
 
@@ -20,10 +20,8 @@ fn patch_disp(machine: &mut Machine, disp_addr: u32, target: u32) {
     machine.invalidate_code_range(disp_addr, 4);
 }
 
-/// Link `src`'s exit `exit_idx` to fragment `dst`.
-///
-/// Respects the exit's `force_stub` flag: a forced exit keeps routing
-/// through its stub (whose final jump is patched instead), so client stub
+/// Link `src`'s exit `exit_idx` to fragment `dst` by patching its link word.
+/// A forced custom stub's link word is the stub's own `jmp`, so client stub
 /// code still runs (paper §3.2).
 ///
 /// # Panics
@@ -36,48 +34,25 @@ pub fn link_exit(
     exit_idx: usize,
     dst: FragmentId,
 ) {
-    let (disp_addr, target_start) = {
-        let dst_frag = cache.frag(dst);
-        let target_start = dst_frag.start;
-        let exit = &cache.frag(src).exits[exit_idx];
-        assert!(
-            matches!(exit.kind, ExitKind::Direct { .. }),
-            "cannot link an indirect exit"
-        );
-        assert!(exit.linked_to.is_none(), "exit already linked");
-        let disp_addr = if exit.force_stub {
-            exit.stub_jmp_disp_addr
-        } else {
-            exit.branch_disp_addr
-        };
-        (disp_addr, target_start)
-    };
-    patch_disp(machine, disp_addr, target_start);
+    let exit = &cache.frag(src).exits[exit_idx];
+    assert!(
+        matches!(exit.kind, ExitKind::Direct { .. }),
+        "cannot link an indirect exit"
+    );
+    assert!(exit.linked_to.is_none(), "exit already linked");
+    patch_disp(machine, exit.link_word.addr, cache.frag(dst).start);
     cache.frag_mut(src).exits[exit_idx].linked_to = Some(dst);
     cache.frag_mut(dst).incoming.push((src, exit_idx));
 }
 
-/// Unlink `src`'s exit `exit_idx`, restoring its branch to the stub.
+/// Unlink `src`'s exit `exit_idx`, returning its link word to rest.
 pub fn unlink_exit(machine: &mut Machine, cache: &mut CodeCache, src: FragmentId, exit_idx: usize) {
-    let (disp_addr, unlinked_target, dst) = {
-        let exit = &cache.frag(src).exits[exit_idx];
-        let Some(dst) = exit.linked_to else { return };
-        // For a forced exit the patched word is the *stub's* final jump,
-        // and its unlinked resting state is the stub sentinel — not
-        // `unlinked_target`, which is the stub entry itself (restoring
-        // that would make the stub jump back into its own entry).
-        let (disp_addr, unlinked_target) = if exit.force_stub {
-            (
-                exit.stub_jmp_disp_addr,
-                crate::config::layout::stub_sentinel(exit.stub),
-            )
-        } else {
-            (exit.branch_disp_addr, exit.unlinked_target)
-        };
-        (disp_addr, unlinked_target, dst)
+    let exit = &mut cache.frag_mut(src).exits[exit_idx];
+    let Some(dst) = exit.linked_to.take() else {
+        return;
     };
-    patch_disp(machine, disp_addr, unlinked_target);
-    cache.frag_mut(src).exits[exit_idx].linked_to = None;
+    let word = exit.link_word;
+    patch_disp(machine, word.addr, word.unlinked);
     cache
         .frag_mut(dst)
         .incoming
@@ -123,61 +98,31 @@ mod tests {
     use super::*;
     use crate::cache::FragmentKind;
     use crate::config::layout;
-    use crate::emit::emit_fragment;
+    use crate::emit::{emit_fragment, tests::two_blocks};
     use crate::mangle::mangle_bb;
     use rio_ia32::{InstrList, Level};
-    use rio_sim::{CpuExit, CpuKind, ExecRegion, Image, Machine};
-
-    /// Build two blocks: A `jmp B_tag`, B `mov eax, 9; ret`-ish halt.
-    fn two_blocks() -> (Machine, CodeCache, FragmentId, FragmentId) {
-        let mut m = Machine::new(CpuKind::Pentium4);
-        let mut cache = CodeCache::new();
-        // A at 0x1000: jmp 0x2000
-        let mut a =
-            InstrList::decode_block(&[0xE9, 0xFB, 0x0F, 0x00, 0x00], 0x1000, Level::L3).unwrap();
-        mangle_bb(&mut a, 0x1005);
-        let fa = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x1000,
-            a,
-            vec![],
-            vec![(0x1000, 0x1005)],
-        )
-        .unwrap();
-        // B at 0x2000: mov eax, 9; hlt
-        let mut b = InstrList::decode_block(&[0xB8, 9, 0, 0, 0, 0xF4], 0x2000, Level::L3).unwrap();
-        mangle_bb(&mut b, 0x2006);
-        let fb = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x2000,
-            b,
-            vec![],
-            vec![(0x2000, 0x2006)],
-        )
-        .unwrap();
-        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
-        (m, cache, fa, fb)
-    }
+    use rio_sim::CpuExit;
 
     #[test]
     fn linked_exit_jumps_directly_into_target() {
-        let (mut m, mut cache, fa, fb) = two_blocks();
-        link_exit(&mut m, &mut cache, fa, 0, fb);
-        m.cpu.eip = cache.frag(fa).start;
-        let exit = m.run();
-        // Control flows A -> B without leaving the cache, B halts.
-        assert_eq!(exit, CpuExit::Halt);
-        assert_eq!(m.cpu.reg(rio_ia32::Reg::Eax), 9);
-        assert_eq!(cache.frag(fb).incoming, vec![(fa, 0)]);
+        // A custom stub runs on a linked exit only when it is forced.
+        for force_stub in [None, Some(false), Some(true)] {
+            let (mut m, mut cache, fa, fb) = two_blocks(force_stub);
+            link_exit(&mut m, &mut cache, fa, 0, fb);
+            m.cpu.eip = cache.frag(fa).start;
+            let exit = m.run();
+            // Control flows A -> B without leaving the cache, B halts.
+            assert_eq!(exit, CpuExit::Halt);
+            assert_eq!(m.cpu.reg(rio_ia32::Reg::Eax), 9);
+            assert_eq!(cache.frag(fb).incoming, vec![(fa, 0)]);
+            let ran = u32::from(force_stub == Some(true));
+            assert_eq!(m.mem.read_u32(layout::SCRATCH_SLOT), ran, "{force_stub:?}");
+        }
     }
 
     #[test]
     fn unlinked_exit_returns_to_stub() {
-        let (mut m, mut cache, fa, fb) = two_blocks();
+        let (mut m, mut cache, fa, fb) = two_blocks(None);
         link_exit(&mut m, &mut cache, fa, 0, fb);
         unlink_exit(&mut m, &mut cache, fa, 0);
         m.cpu.eip = cache.frag(fa).start;
@@ -189,7 +134,7 @@ mod tests {
 
     #[test]
     fn unlink_incoming_detaches_all_sources() {
-        let (mut m, mut cache, fa, fb) = two_blocks();
+        let (mut m, mut cache, fa, fb) = two_blocks(None);
         link_exit(&mut m, &mut cache, fa, 0, fb);
         unlink_incoming(&mut m, &mut cache, fb);
         assert!(cache.frag(fa).exits[0].linked_to.is_none());
@@ -198,7 +143,7 @@ mod tests {
 
     #[test]
     fn redirect_incoming_moves_links() {
-        let (mut m, mut cache, fa, fb) = two_blocks();
+        let (mut m, mut cache, fa, fb) = two_blocks(None);
         link_exit(&mut m, &mut cache, fa, 0, fb);
         // Emit a replacement copy of B.
         let mut b2 =
@@ -224,64 +169,25 @@ mod tests {
 
     #[test]
     fn unlinking_forced_exit_restores_the_stub_sentinel() {
-        use crate::emit::CustomStub;
-        use rio_ia32::{create, MemRef, OpSize, Opnd};
-        let mut m = Machine::new(CpuKind::Pentium4);
-        let mut cache = CodeCache::new();
-        // A at 0x1000: jmp 0x2000, with a custom stub that bumps a counter
-        // and keeps routing through the stub even when linked.
-        let mut a =
-            InstrList::decode_block(&[0xE9, 0xFB, 0x0F, 0x00, 0x00], 0x1000, Level::L3).unwrap();
-        mangle_bb(&mut a, 0x1005);
-        let exit_id = a.last_id().unwrap();
-        let mut stub_il = InstrList::new();
-        stub_il.push_back(create::inc(Opnd::Mem(MemRef::absolute(
-            layout::SCRATCH_SLOT,
-            OpSize::S32,
-        ))));
-        let fa = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x1000,
-            a,
-            vec![CustomStub {
-                exit_instr: exit_id,
-                instrs: stub_il,
-                force_stub: true,
-            }],
-            vec![(0x1000, 0x1005)],
-        )
-        .unwrap();
-        let mut b = InstrList::decode_block(&[0xB8, 9, 0, 0, 0, 0xF4], 0x2000, Level::L3).unwrap();
-        mangle_bb(&mut b, 0x2006);
-        let fb = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x2000,
-            b,
-            vec![],
-            vec![(0x2000, 0x2006)],
-        )
-        .unwrap();
-        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
-        link_exit(&mut m, &mut cache, fa, 0, fb);
-        unlink_exit(&mut m, &mut cache, fa, 0);
         // After the unlink, running A must execute the custom stub code and
-        // come to rest on the stub *sentinel* — not loop back into the stub
-        // entry.
-        m.cpu.eip = cache.frag(fa).start;
-        let exit = m.run();
-        let stub = cache.frag(fa).exits[0].stub;
-        assert_eq!(exit, CpuExit::OutOfRegion(layout::stub_sentinel(stub)));
-        assert_eq!(m.mem.read_u32(layout::SCRATCH_SLOT), 1); // stub code ran
+        // come to rest on the stub *sentinel* — not loop back into a forced
+        // stub's entry.
+        for force_stub in [false, true] {
+            let (mut m, mut cache, fa, fb) = two_blocks(Some(force_stub));
+            link_exit(&mut m, &mut cache, fa, 0, fb);
+            unlink_exit(&mut m, &mut cache, fa, 0);
+            m.cpu.eip = cache.frag(fa).start;
+            let exit = m.run();
+            let stub = cache.frag(fa).exits[0].stub;
+            assert_eq!(exit, CpuExit::OutOfRegion(layout::stub_sentinel(stub)));
+            assert_eq!(m.mem.read_u32(layout::SCRATCH_SLOT), 1); // stub code ran
+        }
     }
 
     #[test]
     #[should_panic(expected = "exit already linked")]
     fn double_link_is_rejected() {
-        let (mut m, mut cache, fa, fb) = two_blocks();
+        let (mut m, mut cache, fa, fb) = two_blocks(None);
         link_exit(&mut m, &mut cache, fa, 0, fb);
         link_exit(&mut m, &mut cache, fa, 0, fb);
     }

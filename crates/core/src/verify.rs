@@ -13,8 +13,10 @@
 //! * **Cache verifier** (`verify_fragment`, surfaced as
 //!   `Core::verify_cache`): every byte decodes cleanly; every control-flow
 //!   target is within-fragment, a registered exit stub, a linked fragment
-//!   entry recorded in the link maps, or an engine entry point; the
-//!   forward/backward link maps agree with the patched displacement words;
+//!   entry recorded in the link maps, or an engine entry point; each
+//!   exit's link word resolves to its linked fragment's entry (or rests on
+//!   its unlinked target), its fixed word rests on its own target, and the
+//!   backward link maps agree;
 //!   translation-table rows are strictly increasing, land on instruction
 //!   boundaries, and cover the whole body; `%ecx` spill regions derived
 //!   from the bytes agree with the rows and are balanced at every exit; and
@@ -37,7 +39,7 @@ use rio_ia32::{
 };
 use rio_sim::{Image, Machine};
 
-use crate::cache::{CodeCache, ExitKind, FragmentId};
+use crate::cache::{CodeCache, ExitKind, FragmentId, Word};
 use crate::config::layout;
 
 /// Which invariant a [`Violation`] breaks.
@@ -213,122 +215,48 @@ pub(crate) fn verify_fragment(
         }
     }
 
-    // (3)+(4) Link agreement: patched displacement words vs the link maps.
-    let resolve = |disp_addr: u32| {
-        disp_addr
-            .wrapping_add(4)
-            .wrapping_add(machine.mem.read_u32(disp_addr))
-    };
+    // (3)+(4) Link agreement: every exit's link word resolves to its linked
+    // fragment's entry (or rests unlinked), and its fixed word never moves.
     for (i, exit) in frag.exits.iter().enumerate() {
-        match exit.kind {
-            ExitKind::Indirect { .. } => {
-                if exit.linked_to.is_some() {
-                    report(
-                        Check::LinkForward,
-                        format!("indirect exit {i} claims a direct link"),
-                    );
-                }
-                // Indirect exits are never link-patched: the branch rests
-                // permanently on its unlinked target (the stub sentinel, or
-                // the stub entry when client stub code was prepended), and
-                // the lookup is reached through the stub.
-                let got = resolve(exit.branch_disp_addr);
-                if got != exit.unlinked_target {
-                    report(
-                        Check::LinkForward,
-                        format!(
-                            "indirect exit {i} branch resolves to {got:#010x}, expected \
-                             its unlinked target {:#010x}",
-                            exit.unlinked_target
-                        ),
-                    );
-                }
-                if exit.stub_jmp_disp_addr != exit.branch_disp_addr {
-                    let got = resolve(exit.stub_jmp_disp_addr);
-                    if got != layout::stub_sentinel(exit.stub) {
-                        report(
-                            Check::LinkForward,
-                            format!(
-                                "indirect exit {i} stub jmp resolves to {got:#010x}, \
-                                 expected the stub sentinel {:#010x}",
-                                layout::stub_sentinel(exit.stub)
-                            ),
-                        );
-                    }
-                }
+        let mut want = exit.link_word.unlinked;
+        if let Some(dst) = exit.linked_to {
+            let dst_frag = cache.frag(dst);
+            want = dst_frag.start;
+            if matches!(exit.kind, ExitKind::Indirect { .. }) {
+                report(
+                    Check::LinkForward,
+                    format!("indirect exit {i} claims a direct link"),
+                );
             }
-            ExitKind::Direct { .. } => {
-                let patched = if exit.force_stub {
-                    exit.stub_jmp_disp_addr
-                } else {
-                    exit.branch_disp_addr
-                };
-                let got = resolve(patched);
-                match exit.linked_to {
-                    Some(dst) => {
-                        let dst_frag = cache.frag(dst);
-                        if dst_frag.deleted {
-                            report(
-                                Check::LinkForward,
-                                format!("exit {i} is linked to deleted fragment {}", dst.0),
-                            );
-                        }
-                        if got != dst_frag.start {
-                            report(
-                                Check::LinkForward,
-                                format!(
-                                    "exit {i} displacement resolves to {got:#010x} but the \
-                                     link map says fragment {} at {:#010x}",
-                                    dst.0, dst_frag.start
-                                ),
-                            );
-                        }
-                        if !dst_frag.incoming.contains(&(id, i)) {
-                            report(
-                                Check::LinkBackward,
-                                format!(
-                                    "exit {i} is linked to fragment {} but its incoming \
-                                     list does not record the link",
-                                    dst.0
-                                ),
-                            );
-                        }
-                    }
-                    None => {
-                        // Unlinked: a forced exit's stub jmp must rest on
-                        // the stub sentinel; a plain exit's branch on its
-                        // recorded unlinked target.
-                        let expected = if exit.force_stub {
-                            layout::stub_sentinel(exit.stub)
-                        } else {
-                            exit.unlinked_target
-                        };
-                        if got != expected {
-                            report(
-                                Check::LinkForward,
-                                format!(
-                                    "unlinked exit {i} displacement resolves to {got:#010x}, \
-                                     expected {expected:#010x}"
-                                ),
-                            );
-                        }
-                    }
-                }
-                // A forced exit's own branch always routes through the stub
-                // entry, linked or not.
-                if exit.force_stub {
-                    let got = resolve(exit.branch_disp_addr);
-                    if got != exit.unlinked_target {
-                        report(
-                            Check::LinkForward,
-                            format!(
-                                "forced exit {i} branch resolves to {got:#010x}, expected \
-                                 its stub entry {:#010x}",
-                                exit.unlinked_target
-                            ),
-                        );
-                    }
-                }
+            if dst_frag.deleted {
+                report(
+                    Check::LinkForward,
+                    format!("exit {i} is linked to deleted fragment {}", dst.0),
+                );
+            }
+            if !dst_frag.incoming.contains(&(id, i)) {
+                report(
+                    Check::LinkBackward,
+                    format!(
+                        "exit {i} is linked to fragment {} but its incoming list does not \
+                         record the link",
+                        dst.0
+                    ),
+                );
+            }
+        }
+        let fixed = exit.fixed_word.map(|w| (w, w.unlinked));
+        for (word, want) in [(exit.link_word, want)].into_iter().chain(fixed) {
+            let got = Word::resolve(&machine.mem, word.addr);
+            if got != want {
+                report(
+                    Check::LinkForward,
+                    format!(
+                        "exit {i} word at {:#010x} resolves to {got:#010x}, expected \
+                         {want:#010x}",
+                        word.addr
+                    ),
+                );
             }
         }
     }
@@ -691,44 +619,14 @@ impl LintSnapshot {
 #[cfg(test)]
 mod verifier_tests {
     use super::*;
-    use crate::cache::FragmentKind;
-    use crate::emit::emit_fragment;
+    use crate::emit::tests::two_blocks;
     use crate::link::link_exit;
-    use crate::mangle::mangle_bb;
-    use rio_ia32::{InstrList, Level};
-    use rio_sim::CpuKind;
 
     const APP: (u32, u32) = (0x1000, 0x3000);
 
-    /// Two linked blocks: A at tag 0x1000 (`jmp 0x2000`), B at tag 0x2000.
-    fn linked_pair() -> (Machine, CodeCache, FragmentId, FragmentId) {
-        let mut m = Machine::new(CpuKind::Pentium4);
-        let mut cache = CodeCache::new();
-        let mut a =
-            InstrList::decode_block(&[0xE9, 0xFB, 0x0F, 0x00, 0x00], 0x1000, Level::L3).unwrap();
-        mangle_bb(&mut a, 0x1005);
-        let fa = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x1000,
-            a,
-            vec![],
-            vec![(0x1000, 0x1005)],
-        )
-        .unwrap();
-        let mut b = InstrList::decode_block(&[0xB8, 9, 0, 0, 0, 0xF4], 0x2000, Level::L3).unwrap();
-        mangle_bb(&mut b, 0x2006);
-        let fb = emit_fragment(
-            &mut m,
-            &mut cache,
-            FragmentKind::BasicBlock,
-            0x2000,
-            b,
-            vec![],
-            vec![(0x2000, 0x2006)],
-        )
-        .unwrap();
+    /// [`two_blocks`], linked A to B.
+    fn linked_pair(force_stub: Option<bool>) -> (Machine, CodeCache, FragmentId, FragmentId) {
+        let (mut m, mut cache, fa, fb) = two_blocks(force_stub);
         link_exit(&mut m, &mut cache, fa, 0, fb);
         (m, cache, fa, fb)
     }
@@ -739,14 +637,14 @@ mod verifier_tests {
 
     #[test]
     fn clean_fragments_verify_clean() {
-        let (m, cache, fa, fb) = linked_pair();
+        let (m, cache, fa, fb) = linked_pair(None);
         assert!(verify_fragment(&m, &cache, 0, fa, APP, 0).is_empty());
         assert!(verify_fragment(&m, &cache, 0, fb, APP, 0).is_empty());
     }
 
     #[test]
     fn corrupted_bytes_fire_decode() {
-        let (mut m, cache, fa, _) = linked_pair();
+        let (mut m, cache, fa, _) = linked_pair(None);
         let start = cache.frag(fa).start;
         m.mem.write_bytes(start, &[0x0F, 0xFF]); // undecodable pair
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
@@ -755,25 +653,43 @@ mod verifier_tests {
 
     #[test]
     fn tampered_link_patch_fires_link_forward() {
-        let (mut m, cache, fa, fb) = linked_pair();
-        // Re-aim the patched displacement word four bytes past B's entry:
-        // the link map still says "linked to B at its start".
-        let exit = &cache.frag(fa).exits[0];
-        let disp_addr = exit.branch_disp_addr;
-        let bogus = cache.frag(fb).start + 4;
-        m.mem
-            .write_u32(disp_addr, bogus.wrapping_sub(disp_addr + 4));
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
-        assert!(checks_of(&v).contains(&Check::LinkForward), "{v:?}");
+        // (custom stub forced?, tamper the fixed word rather than the link
+        // word): a plain exit's branch, a forced exit's stub jmp and branch,
+        // and an unforced exit's stub jmp.
+        for (force_stub, fixed) in [
+            (None, false),
+            (Some(true), false),
+            (Some(true), true),
+            (Some(false), true),
+        ] {
+            let (mut m, cache, fa, fb) = linked_pair(force_stub);
+            let exit = &cache.frag(fa).exits[0];
+            assert_eq!(exit.fixed_word.is_some(), force_stub.is_some());
+            assert!(verify_fragment(&m, &cache, 0, fa, APP, 0).is_empty());
+            // Re-aim the word four bytes past B's entry: the link map still
+            // says "linked to B at its start", and a fixed word never moves.
+            let addr = if fixed {
+                exit.fixed_word.unwrap()
+            } else {
+                exit.link_word
+            }
+            .addr;
+            let bogus = cache.frag(fb).start + 4;
+            m.mem.write_u32(addr, bogus.wrapping_sub(addr + 4));
+            let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+            assert!(
+                checks_of(&v).contains(&Check::LinkForward),
+                "{force_stub:?} {fixed}: {v:?}"
+            );
+        }
     }
 
     #[test]
     fn branch_into_foreign_code_fires_cfg() {
-        let (mut m, cache, fa, fb) = linked_pair();
+        let (mut m, cache, fa, fb) = linked_pair(None);
         // Mid-fragment of B is a live cache address but not a fragment
         // entry: an escape into the middle of foreign code.
-        let exit = &cache.frag(fa).exits[0];
-        let disp_addr = exit.branch_disp_addr;
+        let disp_addr = cache.frag(fa).exits[0].link_word.addr;
         let bogus = cache.frag(fb).start + 1;
         m.mem
             .write_u32(disp_addr, bogus.wrapping_sub(disp_addr + 4));
@@ -783,7 +699,7 @@ mod verifier_tests {
 
     #[test]
     fn dropped_incoming_record_fires_link_backward() {
-        let (m, mut cache, fa, fb) = linked_pair();
+        let (m, mut cache, fa, fb) = linked_pair(None);
         cache.frag_mut(fb).incoming.clear();
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::LinkBackward), "{v:?}");
@@ -791,7 +707,7 @@ mod verifier_tests {
 
     #[test]
     fn stale_incoming_record_fires_link_backward() {
-        let (m, mut cache, fa, fb) = linked_pair();
+        let (m, mut cache, fa, fb) = linked_pair(None);
         // A second incoming entry naming an exit that is not linked here.
         cache.frag_mut(fb).incoming.push((fa, 7));
         let v = verify_fragment(&m, &cache, 0, fb, APP, 0);
@@ -800,7 +716,7 @@ mod verifier_tests {
 
     #[test]
     fn off_boundary_translation_row_fires_translation() {
-        let (m, mut cache, fa, _) = linked_pair();
+        let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).translations[0].cache_off = 1;
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Translation), "{v:?}");
@@ -808,7 +724,7 @@ mod verifier_tests {
 
     #[test]
     fn out_of_range_app_pc_fires_translation() {
-        let (m, mut cache, fa, _) = linked_pair();
+        let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).translations[0].app_pc = 0x9999_9999;
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Translation), "{v:?}");
@@ -816,7 +732,7 @@ mod verifier_tests {
 
     #[test]
     fn tampered_spill_row_fires_ecx_balance() {
-        let (m, mut cache, fa, _) = linked_pair();
+        let (m, mut cache, fa, _) = linked_pair(None);
         // The bytes never store %ecx, so a row claiming it is spilled lies.
         cache.frag_mut(fa).translations[0].ecx_spilled = true;
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
@@ -825,7 +741,7 @@ mod verifier_tests {
 
     #[test]
     fn bogus_src_range_fires_src_ranges() {
-        let (m, mut cache, fa, _) = linked_pair();
+        let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).src_ranges.push((0x5000, 0x4000));
         let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::SrcRanges), "{v:?}");

@@ -1074,41 +1074,23 @@ impl Machine {
 
     /// Check every memory address the instruction will touch against the
     /// guard regions — *before* execution, so a [`FaultKind::MemFault`] is
-    /// precise (no architectural state has changed).
+    /// precise (no architectural state has changed). The decoder lists the
+    /// stack slot of every push, pop, call and return as a memory operand,
+    /// so the operands cover those too.
     fn check_guards(&self, pc: u32, l: &Lowered) -> Option<CpuExit> {
-        let fault = |addr| {
-            Some(CpuExit::Fault {
-                kind: FaultKind::MemFault,
-                pc,
-                addr,
-            })
-        };
-        // Explicit memory operands (`lea` only computes the address).
-        if l.op != Opcode::Lea {
-            for op in l.srcs.iter().chain(l.dsts.iter()) {
-                if let LOpnd::Mem(m) = op {
-                    if let Some(bad) = self.guarded(self.addr_of(m), m.size.bytes()) {
-                        return fault(bad);
-                    }
-                }
-            }
+        // `lea` only computes its address.
+        if l.op == Opcode::Lea {
+            return None;
         }
-        // Implicit stack accesses.
-        let esp = self.cpu.gpr(ESP);
-        match l.op {
-            Opcode::Push | Opcode::Pushfd | Opcode::Call | Opcode::CallInd => {
-                if let Some(bad) = self.guarded(esp.wrapping_sub(4), 4) {
-                    return fault(bad);
-                }
-            }
-            Opcode::Pop | Opcode::Popfd | Opcode::Ret => {
-                if let Some(bad) = self.guarded(esp, 4) {
-                    return fault(bad);
-                }
-            }
-            _ => {}
-        }
-        None
+        let bad = l.srcs.iter().chain(l.dsts.iter()).find_map(|op| match op {
+            LOpnd::Mem(m) => self.guarded(self.addr_of(m), m.size.bytes()),
+            _ => None,
+        })?;
+        Some(CpuExit::Fault {
+            kind: FaultKind::MemFault,
+            pc,
+            addr: bad,
+        })
     }
 
     fn read_reg(&self, r: RegOp) -> u32 {
@@ -2749,27 +2731,6 @@ mod tests {
                 check: nothing,
             },
             ShapeCase {
-                name: "guarded push faults before esp moves",
-                instr: create::push(r(Reg::Eax)),
-                shape: "Push",
-                setup: |m| {
-                    m.cpu.set_reg(Reg::Esp, STACK);
-                    m.cpu.set_reg(Reg::Eax, 7);
-                    m.set_guard_regions(vec![ExecRegion::new(STACK - 0x1000, STACK)]);
-                },
-                exit: CpuExit::Fault {
-                    kind: FaultKind::MemFault,
-                    pc: CODE,
-                    addr: STACK - 4,
-                },
-                eip: Some(CODE),
-                regs: &[(Reg::Esp, STACK)],
-                eflags: 0,
-                mem: &[(STACK - 4, &[0; 4])],
-                counters: Counters::default(),
-                check: nothing,
-            },
-            ShapeCase {
                 name: "guarded store faults before writing",
                 instr: create::mov(abs(0x2000_0FFE), r(Reg::Eax)),
                 shape: "MovMR",
@@ -2816,6 +2777,51 @@ mod tests {
             }
             assert_eq!(m.counters, case.counters, "{}", case.name);
             (case.check)(&m);
+        }
+    }
+
+    #[test]
+    fn guarded_stack_slots_fault_before_any_state_change() {
+        const STACK: u32 = 0x6000_1000;
+        const DATA: u32 = 0x2000_0000;
+        let m32 = || Opnd::Mem(MemRef::absolute(DATA, OpSize::S32));
+        // Each form with its stack slot: below esp for a push, at esp for a
+        // pop.
+        let (pushed, popped) = (STACK - 4, STACK);
+        let cases = [
+            (create::push(Opnd::reg(Reg::Eax)), pushed),
+            (create::push(Opnd::imm32(7)), pushed),
+            (create::push(m32()), pushed),
+            (create::pop(Opnd::reg(Reg::Eax)), popped),
+            (create::pop(m32()), popped),
+            (create::pushfd(), pushed),
+            (create::popfd(), popped),
+            (create::call(Target::Pc(Image::CODE_BASE + 0x100)), pushed),
+            (create::call_ind(Opnd::reg(Reg::Eax)), pushed),
+            (create::ret(), popped),
+            (create::ret_imm(8), popped),
+        ];
+        for (instr, slot) in cases {
+            let name = instr.to_string();
+            let mut il = InstrList::new();
+            il.push_back(instr);
+            let mut m = bare();
+            let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
+            m.mem.write_bytes(Image::CODE_BASE, &code);
+            m.cpu.eip = Image::CODE_BASE;
+            m.cpu.set_reg(Reg::Esp, STACK);
+            m.mem.write_u32(slot, 0xA5A5_A5A5);
+            m.set_guard_regions(vec![ExecRegion::new(slot, slot + 4)]);
+            let fault = CpuExit::Fault {
+                kind: FaultKind::MemFault,
+                pc: Image::CODE_BASE,
+                addr: slot,
+            };
+            assert_eq!(m.run_steps(1), fault, "{name}");
+            assert_eq!(m.cpu.eip, Image::CODE_BASE, "{name}");
+            assert_eq!(m.cpu.reg(Reg::Esp), STACK, "{name}");
+            assert_eq!(m.mem.read_u32(slot), 0xA5A5_A5A5, "{name}");
+            assert_eq!(m.mem.read_u32(DATA), 0, "{name}");
         }
     }
 

@@ -5,11 +5,13 @@
 //! re-decoded translation tables regressed before the verifier existed.
 
 use rio_core::{
-    Check, Client, FaultInjector, InjectionPlan, NullClient, Options, Rio, StepBudget, StepOutcome,
+    layout, Check, Client, Core, FaultInjector, InjectionPlan, NullClient, Options, Rio,
+    StepBudget, StepOutcome,
 };
-use rio_ia32::{create, InstrList, Opcode, Opnd, Reg};
+use rio_ia32::{create, InstrList, MemRef, OpSize, Opcode, Opnd, Reg};
 use rio_sim::{run_native, CpuKind};
 use rio_tests::{exit_with, loop_program, program, run, SelfRewriter};
+use rio_workloads::compile;
 
 /// A broken client that inserts an unguarded clobber of `%ebx` (no spill,
 /// no app pc) into every basic block.
@@ -143,4 +145,66 @@ fn verified_runs_are_clean_and_uncharged() {
     assert_eq!(rc.counters.cycles, rp.counters.cycles);
     assert_eq!(rc.counters.instructions, rp.counters.instructions);
     assert!(checked.core.verify_cache().is_empty());
+}
+
+/// A client that gives each block's last instruction a flag-neutral custom
+/// exit stub, `mov $tag` into the client TLS slot, forced for every other
+/// block it builds.
+#[derive(Default)]
+struct TaggingStubs {
+    force: bool,
+}
+impl Client for TaggingStubs {
+    fn name(&self) -> &'static str {
+        "tagging-stubs"
+    }
+    fn basic_block(&mut self, core: &mut Core, tag: u32, bb: &mut InstrList) {
+        let slot = Opnd::Mem(MemRef::absolute(layout::CLIENT_TLS_SLOT, OpSize::S32));
+        let mut stub = InstrList::new();
+        stub.push_back(create::mov(slot, Opnd::imm32(tag as i32)));
+        self.force = !self.force;
+        core.append_exit_stub(bb.last_id().unwrap(), stub, self.force);
+    }
+}
+
+#[test]
+fn custom_exit_stubs_run_linked_and_verify_clean() {
+    let img = compile(
+        "fn main() {
+             var s = 0;
+             var i = 0;
+             while (i < 200) {
+                 if (i % 3 == 0) { s = s + i; } else { s = s + 1; }
+                 if (i % 50 == 0) { print(s); }
+                 i++;
+             }
+             return s % 251;
+         }",
+    )
+    .unwrap();
+    let native = run_native(&img, CpuKind::Pentium4);
+    let opts = Options {
+        verify: true,
+        ..Options::full()
+    };
+    let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, TaggingStubs::default());
+    let r = rio.run();
+    assert_eq!(r.exit_code, native.exit_code);
+    assert_eq!(r.app_output, native.output);
+    assert_eq!(r.stats.violations, 0, "{:?}", rio.core.verify_findings());
+    assert!(rio.core.verify_cache().is_empty());
+    assert!(r.stats.links > 0);
+    // Exits with both kinds of stub were linked: a forced stub's link word
+    // (its `jmp`) lies past its fixed word (the branch), an unforced one's
+    // before it.
+    for forced in [false, true] {
+        let mut exits = rio.core.cache().iter().flat_map(|f| &f.exits);
+        assert!(
+            exits.any(|e| e.linked_to.is_some()
+                && e.fixed_word
+                    .is_some_and(|w| (w.addr < e.link_word.addr) == forced)),
+            "no linked exit with a forced={forced} stub"
+        );
+    }
+    assert_ne!(rio.core.client_tls(), 0, "no custom stub ran");
 }
