@@ -230,8 +230,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("{}", r.stats);
         let d = rio.core.machine.decode_cache_stats();
         eprintln!(
-            "decode cache: {} hits, {} misses, {} invalidated",
-            d.hits, d.misses, d.invalidated
+            "decode cache: {} hits, {} misses, {} instructions decoded, {} invalidated",
+            d.hits, d.misses, d.decoded, d.invalidated
         );
         if r.sideline_cycles > 0 {
             eprintln!("sideline cycles: {}", r.sideline_cycles);

@@ -68,7 +68,10 @@ fn run_stats_print_deterministic_decode_cache_counts() {
     };
     let first = line();
     assert!(
-        first.contains(" hits, ") && first.contains(" misses, ") && first.ends_with(" invalidated"),
+        first.contains(" hits, ")
+            && first.contains(" misses, ")
+            && first.contains(" instructions decoded, ")
+            && first.ends_with(" invalidated"),
         "{first}"
     );
     assert_eq!(first, line());

@@ -104,6 +104,9 @@ pub struct Core {
     pub(crate) app_code_range: (u32, u32),
     pub(crate) last_dispatched: Option<u32>,
     clean_call_args: Vec<u64>,
+    /// Why a client hook asked for something the engine cannot give; the
+    /// engine ends the run with this engine fault at its next safe point.
+    pub(crate) client_fault: Option<String>,
     client_output: String,
     sideline_queue: Vec<(u32, u64)>,
     sideline_cycles: u64,
@@ -136,6 +139,7 @@ impl Core {
             app_code_range: image.code_range(),
             last_dispatched: None,
             clean_call_args: Vec::new(),
+            client_fault: None,
             client_output: String::new(),
             sideline_queue: Vec::new(),
             sideline_cycles: 0,
@@ -201,17 +205,23 @@ impl Core {
     /// thread-local slots to spill registers"). Only `%ecx`, `%eax`, and
     /// `%edx` have dedicated slots.
     ///
-    /// # Panics
-    ///
-    /// Panics for registers without a slot.
-    pub fn spill_slot(reg: Reg) -> MemRef {
+    /// Asking for any other register is a client error: it returns `None`,
+    /// and the engine ends the run with an engine fault (exit status 128)
+    /// naming the register at its next safe point, before any further
+    /// application code runs.
+    pub fn spill_slot(&mut self, reg: Reg) -> Option<MemRef> {
         let addr = match reg.parent32() {
             Reg::Ecx => layout::ECX_SLOT,
             Reg::Eax => layout::EAX_SLOT,
             Reg::Edx => layout::EDX_SLOT,
-            other => panic!("no spill slot for {other}"),
+            other => {
+                self.client_fault.get_or_insert_with(|| {
+                    format!("client asked for a spill slot for {other}, which has none")
+                });
+                return None;
+            }
         };
-        MemRef::absolute(addr, OpSize::S32)
+        Some(MemRef::absolute(addr, OpSize::S32))
     }
 
     /// Read the generic client thread-local field (paper §3.2). The field is
@@ -238,7 +248,12 @@ impl Core {
     /// Request that `instrs` be prepended to the exit stub of the exit CTI
     /// `exit`, optionally forcing the exit to route through the stub even
     /// when linked. Applies to the fragment currently being built (call from
-    /// within a `basic_block` or `trace` hook).
+    /// within a `basic_block` or `trace` hook). In a `basic_block` hook,
+    /// `exit` may also be the block's last instruction when mangling
+    /// replaces it or appends after it (a `call`, `ret`, indirect `jmp` or
+    /// `call`, or a block cut before a split): the stub goes to the exit
+    /// mangling puts in its place. A stub on any other instruction that is
+    /// not an exit is never emitted.
     pub fn append_exit_stub(&mut self, exit: InstrId, instrs: InstrList, force_stub: bool) {
         self.pending_custom_stubs.push(CustomStub {
             exit_instr: exit,

@@ -580,6 +580,12 @@ impl<C: Client> Rio<C> {
                     }
                 }
             }
+            // A client hook that asked for what the engine cannot give ends
+            // the run before any more application code executes.
+            if let Some(message) = &self.core.client_fault {
+                let eip = self.core.machine.cpu.eip;
+                return StepOutcome::Faulted(Fault::engine(eip, message.clone()));
+            }
             let fuel = meter.fuel(&self.core.machine.counters);
             let exit = self.core.machine.run_steps(fuel);
             if let Some(event) = self.core.os.handle(&mut self.core.machine, exit) {
@@ -930,7 +936,16 @@ impl<C: Client> Rio<C> {
         let snapshot = LintSnapshot::capture(&il);
         self.client.basic_block(&mut self.core, tag, &mut il);
         self.core.lint_client_edit(&snapshot, &il, tag);
-        mangle_bb(&mut il, bb.end_pc);
+        let last = il.last_id();
+        if let (Some(last), Some(exit)) = (last, mangle_bb(&mut il, bb.end_pc)) {
+            // A custom stub the hook asked for on the block's last
+            // instruction goes to the exit mangling put in its place.
+            for stub in &mut self.core.pending_custom_stubs {
+                if stub.exit_instr == last {
+                    stub.exit_instr = exit;
+                }
+            }
+        }
         let id = self
             .core
             .emit(FragmentKind::BasicBlock, tag, il, vec![(tag, bb.end_pc)])
@@ -953,11 +968,11 @@ impl<C: Client> Rio<C> {
     fn handle_leave(&mut self, addr: u32) -> Result<Leave, Fault> {
         // Clean call into client code.
         if let Some(token) = layout::clean_call_index(addr) {
-            return Ok(self.handle_clean_call(token));
+            return self.handle_clean_call(token);
         }
         // Exit stub sentinel.
         if let Some(stub) = layout::stub_index(addr) {
-            return Ok(self.handle_stub(stub));
+            return self.handle_stub(stub);
         }
         // A quarantined block ran by emulation; control leaving it to any
         // application address is an ordinary dispatch (which rebuilds a
@@ -1002,11 +1017,13 @@ impl<C: Client> Rio<C> {
         ))
     }
 
-    fn handle_clean_call(&mut self, token: u32) -> Leave {
-        let arg = self
-            .core
-            .clean_call_arg(token)
-            .unwrap_or_else(|| panic!("unknown clean-call token {token}"));
+    /// Control reached clean-call sentinel `token`: run the client's hook
+    /// and resume after the call. A token no client instruction was made
+    /// for (the application jumped there itself) is an engine fault.
+    fn handle_clean_call(&mut self, token: u32) -> Result<Leave, Fault> {
+        let Some(arg) = self.core.clean_call_arg(token) else {
+            return Err(self.unknown_sentinel("clean-call token", token));
+        };
         // The call pushed the cache resume address; pop it to restore the
         // application stack (transparency) and remember where to resume.
         let esp = self.core.machine.cpu.reg(Reg::Esp);
@@ -1017,14 +1034,16 @@ impl<C: Client> Rio<C> {
         self.core.stats.clean_calls += 1;
         self.client.clean_call(&mut self.core, arg);
         self.core.machine.cpu.eip = resume;
-        Leave::Resume
+        Ok(Leave::Resume)
     }
 
-    fn handle_stub(&mut self, stub: u32) -> Leave {
-        let rec = self.core.threads[self.core.cur]
-            .cache
-            .stub(stub)
-            .unwrap_or_else(|| panic!("unknown stub {stub}"));
+    /// Control reached exit-stub sentinel `stub`: take the exit it belongs
+    /// to. A stub no fragment reserved (the application jumped there
+    /// itself) is an engine fault.
+    fn handle_stub(&mut self, stub: u32) -> Result<Leave, Fault> {
+        let Some(rec) = self.core.threads[self.core.cur].cache.stub(stub) else {
+            return Err(self.unknown_sentinel("stub", stub));
+        };
         let exit_kind =
             self.core.threads[self.core.cur].cache.frag(rec.frag).exits[rec.exit_idx].kind;
         match exit_kind {
@@ -1038,13 +1057,23 @@ impl<C: Client> Rio<C> {
                     self.core.mark_trace_head(target);
                 }
                 if self.core.threads[self.core.cur].recording.is_some() {
-                    return self.record_crossing_dispatch(target);
+                    return Ok(self.record_crossing_dispatch(target));
                 }
                 self.maybe_link(rec.frag, rec.exit_idx, target);
-                Leave::Dispatch(target)
+                Ok(Leave::Dispatch(target))
             }
-            ExitKind::Indirect { kind } => self.handle_indirect(kind),
+            ExitKind::Indirect { kind } => Ok(self.handle_indirect(kind)),
         }
+    }
+
+    /// The engine fault for control at a runtime sentinel the engine never
+    /// handed out: `what` number `index`.
+    fn unknown_sentinel(&self, what: &str, index: u32) -> Fault {
+        let eip = self.core.machine.cpu.eip;
+        Fault::engine(
+            eip,
+            format!("control reached an unknown {what} ({index}) at {eip:#x}"),
+        )
     }
 
     /// Link a direct exit lazily, on first traversal.

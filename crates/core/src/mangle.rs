@@ -191,26 +191,34 @@ pub fn classify_terminator(il: &InstrList) -> Terminator {
 /// exit form. `fall_through` is the application address immediately after
 /// the block (used for conditional fall-through exits and call return
 /// addresses).
-pub fn mangle_bb(il: &mut InstrList, fall_through: u32) {
+///
+/// Returns the exit that now stands in the place of the block's last
+/// instruction, when that instruction is not an exit itself: the callee
+/// `jmp` of a direct call, the lookup exit of a `ret`, `jmp*` or `call*`
+/// (each of which mangling replaced), or the fall-through `jmp` after a
+/// block cut before a split. A direct `jmp` or `jcc` stays its own exit,
+/// and `hlt` has none.
+pub fn mangle_bb(il: &mut InstrList, fall_through: u32) -> Option<InstrId> {
     let term = classify_terminator(il);
     let last_id = il.last_id();
     match term {
         Terminator::Halt | Terminator::Jmp { .. } => {
             // hlt stops the program; a direct jmp is already a valid exit.
+            None
         }
-        Terminator::FallThrough => {
-            il.push_back(create::jmp(Target::Pc(fall_through)));
-        }
+        Terminator::FallThrough => Some(il.push_back(create::jmp(Target::Pc(fall_through)))),
         Terminator::CondBranch { .. } => {
             // Taken path is the jcc itself; add the fall-through exit.
             il.push_back(create::jmp(Target::Pc(fall_through)));
+            None
         }
         Terminator::Call { target } => {
             push_return_address(il, last_id.expect("call block has instrs"), fall_through);
-            il.push_back(create::jmp(Target::Pc(target)));
+            Some(il.push_back(create::jmp(Target::Pc(target))))
         }
         Terminator::Ret { .. } | Terminator::JmpInd | Terminator::CallInd => {
             mangle_indirect(il, term, fall_through, None);
+            il.last_id()
         }
     }
 }
@@ -499,8 +507,9 @@ mod tests {
 
     #[test]
     fn mangle_jcc_adds_fall_through_exit() {
+        // The jcc stays the exit of its taken path.
         let mut il = decoded_block(&[0x74, 0x05], 0x1000); // jz +5
-        mangle_bb(&mut il, 0x1002);
+        assert_eq!(mangle_bb(&mut il, 0x1002), None);
         assert_eq!(il.len(), 2);
         let last = il.get(il.last_id().unwrap());
         assert_eq!(last.opcode(), Some(Opcode::Jmp));
@@ -509,8 +518,9 @@ mod tests {
 
     #[test]
     fn mangle_call_pushes_app_return_address() {
+        // The callee jmp is the exit in the call's place.
         let mut il = decoded_block(&[0xE8, 0x00, 0x01, 0x00, 0x00], 0x1000); // call +0x100
-        mangle_bb(&mut il, 0x1005);
+        assert_eq!(mangle_bb(&mut il, 0x1005), il.last_id());
         let ops: Vec<_> = il.iter().map(|i| i.opcode().unwrap()).collect();
         assert_eq!(ops, vec![Opcode::Push, Opcode::Jmp]);
         let push = il.get(il.first_id().unwrap());
@@ -522,7 +532,7 @@ mod tests {
     #[test]
     fn mangle_ret_spills_and_exits_to_lookup() {
         let mut il = decoded_block(&[0xC3], 0x1000);
-        mangle_bb(&mut il, 0x1001);
+        assert_eq!(mangle_bb(&mut il, 0x1001), il.last_id());
         let ops: Vec<_> = il.iter().map(|i| i.opcode().unwrap()).collect();
         assert_eq!(ops, vec![Opcode::Mov, Opcode::Pop, Opcode::Jmp]);
         let last = il.get(il.last_id().unwrap());

@@ -14,8 +14,14 @@
 //!   the immediate width.
 //! * [`decode_opcode`] — Level 2: the boundary plus the opcode, which fixes
 //!   the instruction's effect on the eflags.
-//! * [`decode_instr`] — Levels 3/4: the operand templates filled in from the
-//!   ModRM cluster, the immediate and the pc, implicit operands included.
+//! * [`decode_operands`] — Level 3 without an [`Instr`]: the operand templates
+//!   filled in from the ModRM cluster, the immediate and the pc, implicit
+//!   operands included, and written into fixed slots of any [`Operand`]
+//!   form. Nothing is allocated, so a consumer that only executes (the
+//!   simulator's decode cache) binds operands straight into the form it
+//!   runs.
+//! * [`decode_instr`] — Levels 3/4: the same fill into [`Opnd`] slots,
+//!   copied into a new [`Instr`] with its raw bytes.
 //!
 //! [`InstrList::decode_block`](crate::InstrList::decode_block) decodes whole
 //! blocks through the same path, at any level, and the
@@ -119,29 +125,23 @@ impl ModRm {
     }
 
     /// The r/m operand; `size` is its data size.
-    fn opnd(&self, size: OpSize) -> Opnd {
+    #[inline(always)]
+    fn operand<T: Operand>(&self, size: OpSize) -> T {
         let (mod_, rm) = (self.modrm >> 6, self.modrm & 7);
         if mod_ == 3 {
-            return Opnd::Reg(Reg::from_number(rm, size));
+            return T::reg(rm, size);
         }
-        let r32 = |n| Reg::from_number(n, OpSize::S32);
         let (base, index, scale) = if rm == 4 {
             let (index, base) = ((self.sib >> 3) & 7, self.sib & 7);
             (
-                (base != 5 || mod_ != 0).then(|| r32(base)),
-                (index != 4).then(|| r32(index)), // %esp cannot be an index
+                (base != 5 || mod_ != 0).then_some(base),
+                (index != 4).then_some(index), // %esp cannot be an index
                 1 << (self.sib >> 6),
             )
         } else {
-            ((rm != 5 || mod_ != 0).then(|| r32(rm)), None, 1)
+            ((rm != 5 || mod_ != 0).then_some(rm), None, 1)
         };
-        Opnd::Mem(MemRef {
-            base,
-            index,
-            scale,
-            disp: self.disp,
-            size,
-        })
+        T::mem(base, index, scale, self.disp, size)
     }
 }
 
@@ -277,28 +277,44 @@ impl Form {
         Ok((modrm, len))
     }
 
-    /// Fill in the operand templates of the `len`-byte instruction at `pc`.
-    fn operands(
+    /// Fill the operand templates of the `len`-byte instruction at `pc`
+    /// into fixed slots.
+    #[inline(always)]
+    fn fill<T: Operand>(
         &self,
         bytes: &[u8],
         pc: u32,
         len: u32,
         modrm: Option<ModRm>,
-    ) -> (Vec<Opnd>, Vec<Opnd>) {
-        // A loop, not `map(..).collect()`, which compiled to code that made
-        // Level 3 decoding about a third slower.
-        let build = |ts: &[Tmpl]| {
-            let mut v = Vec::with_capacity(ts.len());
-            for &t in ts {
-                v.push(self.operand(t, bytes, pc, len, modrm));
-            }
-            v
-        };
-        (build(self.srcs), build(self.dsts))
+    ) -> Operands<T> {
+        let mut srcs = [T::NONE; MAX_SRCS];
+        let mut dsts = [T::NONE; MAX_DSTS];
+        for (slot, &t) in srcs.iter_mut().zip(self.srcs) {
+            *slot = self.operand(t, bytes, pc, len, modrm);
+        }
+        for (slot, &t) in dsts.iter_mut().zip(self.dsts) {
+            *slot = self.operand(t, bytes, pc, len, modrm);
+        }
+        Operands {
+            op: self.op,
+            len,
+            srcs,
+            nsrcs: self.srcs.len() as u8,
+            dsts,
+            ndsts: self.dsts.len() as u8,
+        }
     }
 
     /// Operand template `t` of the `len`-byte instruction at `pc`.
-    fn operand(&self, t: Tmpl, bytes: &[u8], pc: u32, len: u32, modrm: Option<ModRm>) -> Opnd {
+    #[inline(always)]
+    fn operand<T: Operand>(
+        &self,
+        t: Tmpl,
+        bytes: &[u8],
+        pc: u32,
+        len: u32,
+        modrm: Option<ModRm>,
+    ) -> T {
         let imm = &bytes[(len - self.imm as u32) as usize..len as usize];
         let imm_size = match self.imm {
             1 => OpSize::S8,
@@ -307,23 +323,20 @@ impl Form {
         };
         let m = || modrm.expect("form has a ModRM byte");
         match t {
-            Rm => m().opnd(self.size),
-            ModReg => Opnd::Reg(Reg::from_number(m().reg(), self.size)),
-            ModReg32 => Opnd::Reg(Reg::from_number(m().reg(), OpSize::S32)),
-            OpReg => {
-                let last = bytes[self.opcode_len as usize - 1];
-                Opnd::Reg(Reg::from_number(last & 7, self.size))
-            }
-            Acc => Opnd::Reg(Reg::from_number(0, self.size)),
-            Imm => Opnd::Imm(le_value(imm, true), imm_size),
-            UImm => Opnd::Imm(le_value(imm, false), imm_size),
-            Rel => Opnd::Pc(
+            Rm => m().operand(self.size),
+            ModReg => T::reg(m().reg(), self.size),
+            ModReg32 => T::reg(m().reg(), OpSize::S32),
+            OpReg => T::reg(bytes[self.opcode_len as usize - 1] & 7, self.size),
+            Acc => T::reg(0, self.size),
+            Imm => T::imm(le_value(imm, true), imm_size),
+            UImm => T::imm(le_value(imm, false), imm_size),
+            Rel => T::pc(
                 pc.wrapping_add(len)
                     .wrapping_add(le_value(imm, true) as u32),
             ),
-            Fixed(r) => Opnd::Reg(r),
-            Stack(disp) => Opnd::Mem(MemRef::base_disp(Reg::Esp, disp as i32, OpSize::S32)),
-            One => Opnd::imm8(1),
+            Fixed(r) => T::reg(r.number(), r.size()),
+            Stack(disp) => T::mem(Some(Reg::Esp.number()), None, 1, disp.into(), OpSize::S32),
+            One => T::imm(1, OpSize::S8),
         }
     }
 }
@@ -505,7 +518,8 @@ pub(crate) fn rows() -> impl Iterator<Item = (u16, u8, Form, bool)> {
 
 /// Decode the instruction at the start of `bytes`, located at `pc`, to
 /// Level 1, 2 or 3 (`L0` is treated as `L1`, `L4` as `L3`). Returns the
-/// instruction and its length.
+/// instruction and its length. Level 3 operands come from the same fill as
+/// [`decode_operands`], copied out of its fixed slots.
 pub(crate) fn decode_at(bytes: &[u8], pc: u32, level: Level) -> Result<(Instr, u32), DecodeError> {
     let form = classify(bytes)?;
     let (modrm, len) = form.scan(bytes)?;
@@ -514,11 +528,118 @@ pub(crate) fn decode_at(bytes: &[u8], pc: u32, level: Level) -> Result<(Instr, u
         Level::L0 | Level::L1 => {}
         Level::L2 => instr.install_l2(form.op),
         Level::L3 | Level::L4 => {
-            let (srcs, dsts) = form.operands(bytes, pc, len, modrm);
-            instr.install_l3(form.op, srcs, dsts);
+            let ops = form.fill::<Opnd>(bytes, pc, len, modrm);
+            instr.install_l3(form.op, ops.srcs().to_vec(), ops.dsts().to_vec());
         }
     }
     Ok((instr, len))
+}
+
+/// Most source operands a decoded instruction has (`div`, `ret imm16`).
+pub const MAX_SRCS: usize = 3;
+/// Most destination operands a decoded instruction has.
+pub const MAX_DSTS: usize = 2;
+
+/// A form an operand can be decoded straight into, with no [`Opnd`] in
+/// between. Registers arrive as their hardware number and size (8-bit
+/// numbers 4–7 are `%ah`–`%bh`); a memory operand's base and index are
+/// numbers of 32-bit registers.
+pub trait Operand: Copy {
+    /// The value of the slots past an instruction's operand count.
+    const NONE: Self;
+    /// Register `number` at `size`.
+    fn reg(number: u8, size: OpSize) -> Self;
+    /// Memory at `disp(base, index, scale)`, accessed at `size`.
+    fn mem(base: Option<u8>, index: Option<u8>, scale: u8, disp: i32, size: OpSize) -> Self;
+    /// An immediate of `size`, already sign- or zero-extended.
+    fn imm(value: i32, size: OpSize) -> Self;
+    /// A branch target.
+    fn pc(target: u32) -> Self;
+}
+
+impl Operand for Opnd {
+    const NONE: Opnd = Opnd::Imm(0, OpSize::S32);
+
+    fn reg(number: u8, size: OpSize) -> Opnd {
+        Opnd::Reg(Reg::from_number(number, size))
+    }
+
+    fn mem(base: Option<u8>, index: Option<u8>, scale: u8, disp: i32, size: OpSize) -> Opnd {
+        let r32 = |n| Reg::from_number(n, OpSize::S32);
+        Opnd::Mem(MemRef {
+            base: base.map(r32),
+            index: index.map(r32),
+            scale,
+            disp,
+            size,
+        })
+    }
+
+    fn imm(value: i32, size: OpSize) -> Opnd {
+        Opnd::Imm(value, size)
+    }
+
+    fn pc(target: u32) -> Opnd {
+        Opnd::Pc(target)
+    }
+}
+
+/// One instruction decoded to its opcode, length and operands, the operands
+/// in fixed slots: `srcs[..nsrcs]` and `dsts[..ndsts]` hold them, in the
+/// order [`decode_instr`] lists them, and every other slot is
+/// [`Operand::NONE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Operands<T> {
+    /// The opcode.
+    pub op: Opcode,
+    /// The instruction length in bytes.
+    pub len: u32,
+    /// Source operand slots.
+    pub srcs: [T; MAX_SRCS],
+    /// Number of source operands.
+    pub nsrcs: u8,
+    /// Destination operand slots.
+    pub dsts: [T; MAX_DSTS],
+    /// Number of destination operands.
+    pub ndsts: u8,
+}
+
+impl<T> Operands<T> {
+    /// The source operands.
+    pub fn srcs(&self) -> &[T] {
+        &self.srcs[..usize::from(self.nsrcs)]
+    }
+
+    /// The destination operands.
+    pub fn dsts(&self) -> &[T] {
+        &self.dsts[..usize::from(self.ndsts)]
+    }
+}
+
+/// Decode the instruction at the start of `bytes`, located at `pc`, straight
+/// into its operands, with no [`Instr`] and no heap allocation: the same
+/// operands [`decode_instr`] gives, implicit ones included, in the form `T`
+/// the caller executes or analyses.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] for unsupported opcodes or truncated input.
+///
+/// # Examples
+///
+/// ```
+/// use rio_ia32::decode::{decode_operands, Operands};
+/// use rio_ia32::{Opcode, Opnd, Reg};
+/// let ops: Operands<Opnd> = decode_operands(&[0x8b, 0x46, 0x0c], 0x1000)?;
+/// assert_eq!((ops.op, ops.len), (Opcode::Mov, 3));
+/// assert_eq!(ops.dsts(), &[Opnd::reg(Reg::Eax)]);
+/// # Ok::<(), rio_ia32::DecodeError>(())
+/// ```
+#[inline]
+pub fn decode_operands<T: Operand>(bytes: &[u8], pc: u32) -> Result<Operands<T>, DecodeError> {
+    let form = classify(bytes)?;
+    let (modrm, len) = form.scan(bytes)?;
+    Ok(form.fill(bytes, pc, len, modrm))
 }
 
 /// Compute the length of the instruction at the start of `bytes` without
@@ -591,6 +712,32 @@ mod tests {
         0x3b, 0xc1, // cmp %eax %ecx
         0x0f, 0x8d, 0xa2, 0x0a, 0x00, 0x00, // jnl
     ];
+
+    #[test]
+    fn every_form_fits_the_operand_slots() {
+        for (key, digit, form, _) in rows() {
+            assert!(
+                form.srcs.len() <= MAX_SRCS && form.dsts.len() <= MAX_DSTS,
+                "{key:#06x} /{digit}: {form:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn operand_fill_matches_the_full_decode() {
+        for bytes in [FIG2, &[0xf7, 0xfb], &[0xc2, 0x08, 0x00], &[0x50], &[0x90]] {
+            let ops: Operands<Opnd> = decode_operands(bytes, 0x1000).unwrap();
+            let (i, len) = decode_instr(bytes, 0x1000).unwrap();
+            assert_eq!((Some(ops.op), ops.len), (i.opcode(), len));
+            assert_eq!((ops.srcs(), ops.dsts()), (i.srcs(), i.dsts()));
+            assert!(ops.srcs[ops.srcs().len()..]
+                .iter()
+                .all(|&o| o == Opnd::NONE));
+            assert!(ops.dsts[ops.dsts().len()..]
+                .iter()
+                .all(|&o| o == Opnd::NONE));
+        }
+    }
 
     #[test]
     fn sizeof_walks_figure2_block() {

@@ -32,9 +32,10 @@
 //!   its trace, say) fill opposite halves of the cache and both stay
 //!   cached. A pc with a zero top byte, which is all application code and
 //!   so every native run, keeps the plain `pc ^ (pc >> 15)` slot;
-//! * decoded instructions live in one arena per machine, reserved on the
-//!   first miss and never reallocated; when it is full the whole cache is
-//!   reset, so memory stays bounded;
+//! * a miss decodes straight into the executable form (no `Instr`, no heap
+//!   allocation) and appends it to one arena per machine, which grows with
+//!   the program; when it reaches its bound the whole cache is reset, so
+//!   memory stays bounded;
 //! * a block executes by reference out of the arena;
 //! * a per-page bitmap of pages that may hold a cached block lets stores to
 //!   data and stack pages (nearly all of them) skip the invalidation probe.
@@ -66,7 +67,8 @@
 //!   of the machine for the whole call, since no instruction can change the
 //!   regions or move an arena entry.
 
-use rio_ia32::{decode_instr, Cc, Eflags, Instr, MemRef, OpSize, Opcode, Opnd, Reg};
+use rio_ia32::decode::{decode_operands, Operand, Operands, MAX_DSTS, MAX_SRCS};
+use rio_ia32::{Cc, Eflags, OpSize, Opcode, Reg};
 
 use crate::cpu::{
     alu_add, alu_logic, alu_sar, alu_shl, alu_shr, alu_sub, CpuExit, CpuState, FaultKind,
@@ -139,18 +141,16 @@ const AH: RegOp = RegOp {
 };
 
 impl RegOp {
-    fn bind(r: Reg) -> RegOp {
-        let view = match r.size() {
-            OpSize::S32 => View::R32,
-            OpSize::S16 => View::R16,
-            // 8-bit numbers 4..7 are %ah..%bh.
-            OpSize::S8 if r.number() >= 4 => View::High8,
-            OpSize::S8 => View::Low8,
+    /// Register `number` at `size`, as the decoder names it.
+    fn new(number: u8, size: OpSize) -> RegOp {
+        let (idx, view) = match size {
+            OpSize::S32 => (number, View::R32),
+            OpSize::S16 => (number, View::R16),
+            // 8-bit numbers 4..7 are %ah..%bh, the high bytes of 0..3.
+            OpSize::S8 if number >= 4 => (number - 4, View::High8),
+            OpSize::S8 => (number, View::Low8),
         };
-        RegOp {
-            idx: r.parent32().number(),
-            view,
-        }
+        RegOp { idx, view }
     }
 
     /// The register-file index, if the operand names a whole 32-bit register.
@@ -170,7 +170,7 @@ impl RegOp {
 /// A memory operand bound at decode time: `disp(base, index, scale)` with
 /// register-file indices ([`NO_REG`] when absent). The decoder only forms
 /// addresses from 32-bit registers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MemOp {
     base: u8,
     index: u8,
@@ -179,54 +179,80 @@ struct MemOp {
     disp: i32,
 }
 
-impl MemOp {
-    fn bind(m: &MemRef) -> MemOp {
-        let idx = |r: Option<Reg>| r.map_or(NO_REG, |r| r.parent32().number());
-        MemOp {
-            base: idx(m.base),
-            index: idx(m.index),
-            scale: m.scale,
-            size: m.size,
-            disp: m.disp,
-        }
-    }
-}
-
-/// Compact executable form of one decoded instruction.
-#[derive(Clone, Copy, Debug)]
+/// Compact executable form of one decoded instruction. The fields every
+/// executor reads (opcode, length and executor) come first, in 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 struct Lowered {
     op: Opcode,
     len: u8,
     ndst: u8,
     shape: Shape,
-    srcs: [LOpnd; 4],
-    dsts: [LOpnd; 4],
+    srcs: [LOpnd; MAX_SRCS],
+    dsts: [LOpnd; MAX_DSTS],
 }
 
-#[derive(Clone, Copy, Debug)]
+impl Lowered {
+    /// The executable form of a decoded instruction: its operands are
+    /// already bound, so only the executor is left to choose.
+    fn new(d: Operands<LOpnd>) -> Lowered {
+        Lowered {
+            op: d.op,
+            len: d.len as u8, // at most MAX_INSTR_BYTES
+            ndst: d.ndsts,
+            shape: Shape::of(d.op, &d.srcs, &d.dsts),
+            srcs: d.srcs,
+            dsts: d.dsts,
+        }
+    }
+}
+
+/// An operand bound at decode time. An immediate keeps only its value,
+/// already extended: the width of an operation comes from its register or
+/// memory operand, so dropping the immediate's width keeps every operand in
+/// eight bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LOpnd {
     None,
     Reg(RegOp),
-    Imm(i32, OpSize),
+    Imm(i32),
     Mem(MemOp),
     Pc(u32),
 }
 
-impl LOpnd {
-    fn from_opnd(op: &Opnd) -> LOpnd {
-        match op {
-            Opnd::Reg(r) => LOpnd::Reg(RegOp::bind(*r)),
-            Opnd::Imm(v, s) => LOpnd::Imm(*v, *s),
-            Opnd::Mem(m) => LOpnd::Mem(MemOp::bind(m)),
-            Opnd::Pc(pc) => LOpnd::Pc(*pc),
-            Opnd::Instr(_) => LOpnd::None, // labels never reach execution
-        }
+/// The decoder binds operands straight into this form: register numbers
+/// are register-file indices, so nothing is looked up again.
+impl Operand for LOpnd {
+    const NONE: LOpnd = LOpnd::None;
+
+    fn reg(number: u8, size: OpSize) -> LOpnd {
+        LOpnd::Reg(RegOp::new(number, size))
     }
 
+    fn mem(base: Option<u8>, index: Option<u8>, scale: u8, disp: i32, size: OpSize) -> LOpnd {
+        LOpnd::Mem(MemOp {
+            base: base.unwrap_or(NO_REG),
+            index: index.unwrap_or(NO_REG),
+            scale,
+            size,
+            disp,
+        })
+    }
+
+    fn imm(value: i32, _size: OpSize) -> LOpnd {
+        LOpnd::Imm(value)
+    }
+
+    fn pc(target: u32) -> LOpnd {
+        LOpnd::Pc(target)
+    }
+}
+
+impl LOpnd {
+    /// The width of a register or memory operand.
     fn size(&self) -> OpSize {
         match self {
             LOpnd::Reg(r) => r.size(),
-            LOpnd::Imm(_, s) => *s,
             LOpnd::Mem(m) => m.size,
             _ => OpSize::S32,
         }
@@ -254,7 +280,7 @@ impl LOpnd {
 /// dynamic mix, with its operands already bound; every other instruction
 /// runs the generic operand-list interpreter. Register fields are
 /// register-file indices of whole 32-bit registers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Shape {
     Generic,
     /// `mov r32, r32` (dst, src).
@@ -308,10 +334,10 @@ enum Shape {
 }
 
 impl Shape {
-    fn of(op: Opcode, srcs: &[LOpnd; 4], dsts: &[LOpnd; 4]) -> Shape {
+    fn of(op: Opcode, srcs: &[LOpnd; MAX_SRCS], dsts: &[LOpnd; MAX_DSTS]) -> Shape {
         let (s0, s1, d0) = (&srcs[0], &srcs[1], &dsts[0]);
         let (imm, pc) = match *s0 {
-            LOpnd::Imm(v, _) => (Some(v as u32), None),
+            LOpnd::Imm(v) => (Some(v as u32), None),
             LOpnd::Pc(t) => (None, Some(t)),
             _ => (None, None),
         };
@@ -363,26 +389,6 @@ impl Shape {
     }
 }
 
-fn lower(instr: &Instr, len: u32) -> Lowered {
-    let mut srcs = [LOpnd::None; 4];
-    let mut dsts = [LOpnd::None; 4];
-    for (slot, s) in srcs.iter_mut().zip(instr.srcs()) {
-        *slot = LOpnd::from_opnd(s);
-    }
-    for (slot, d) in dsts.iter_mut().zip(instr.dsts()) {
-        *slot = LOpnd::from_opnd(d);
-    }
-    let op = instr.opcode().expect("lower requires decoded instr");
-    Lowered {
-        op,
-        len: len as u8, // at most MAX_INSTR_BYTES
-        ndst: instr.dsts().len().min(4) as u8,
-        shape: Shape::of(op, &srcs, &dsts),
-        srcs,
-        dsts,
-    }
-}
-
 const DCACHE_BITS: usize = 15;
 const DCACHE_SIZE: usize = 1 << DCACHE_BITS;
 /// Longest instruction fetch: a decode at `pc` reads at most the bytes up to
@@ -395,10 +401,14 @@ const MAX_BLOCK_INSTRS: u32 = 32;
 /// at `addr` can stale only blocks starting at `addr - MAX_BLOCK_BYTES + 1`
 /// or later.
 const MAX_BLOCK_BYTES: u32 = 128;
-/// Decoded instructions the arena holds. The arena is reserved at this size
-/// on a machine's first miss and never grows: when it cannot take one more
-/// whole block, the whole cache is reset.
+/// Decoded instructions the arena holds. The arena grows with the program,
+/// doubling from [`ARENA_FIRST_INSTRS`], up to this bound: when it cannot
+/// take one more whole block within the bound, the whole cache is reset.
 const ARENA_INSTRS: usize = 1 << 15;
+/// The arena's first allocation, on a machine's first miss: 80 KiB, enough
+/// that a program decoding up to 1,024 instructions never copies its arena
+/// (each copy briefly holds both arenas, which would raise peak memory).
+const ARENA_FIRST_INSTRS: usize = 1 << 10;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_MASK: u32 = (1 << PAGE_SHIFT) - 1;
 /// Pages in the 32-bit address space, one bit each in the code-page bitmap.
@@ -421,8 +431,12 @@ fn ends_block(op: Opcode) -> bool {
     op.is_cti() || matches!(op, Opcode::Int | Opcode::Int3 | Opcode::Hlt)
 }
 
-/// One decoded instruction of a cached block.
+/// One decoded instruction of a cached block. Aligned to 16 bytes, so the
+/// first 16 bytes of every arena entry, which the executors read, lie in one
+/// cache line (an unaligned 72-byte entry let them straddle two, and ran
+/// the suite measurably slower).
 #[derive(Clone, Copy)]
+#[repr(C, align(16))]
 struct Decoded {
     lowered: Lowered,
     /// Raw bytes the decode was made from (first `lowered.len` are live);
@@ -495,6 +509,9 @@ pub struct DecodeCacheStats {
     /// Cached blocks dropped by invalidation (store, range, or whole) or
     /// by a reset when the arena is full.
     pub invalidated: u64,
+    /// Instructions decoded by misses (a block extended in place or copied
+    /// decodes only its new instructions).
+    pub decoded: u64,
 }
 
 /// Direct-mapped software cache of decoded straight-line blocks, keyed by
@@ -517,11 +534,14 @@ pub struct DecodeCacheStats {
 ///   bit, and where the block lies (see `SLOT_VALID`). It is allocated
 ///   zeroed and only touched where code runs.
 /// * `arena` holds every block's decoded instructions back to back. It is
-///   reserved once, on the first miss, and never reallocated. A new block
-///   is appended; a block grows in place while it is the newest and is
-///   copied to the end otherwise; a replaced or invalidated block's
-///   instructions stay behind until the arena fills, and then the whole
-///   cache is reset. Memory is bounded by [`ARENA_INSTRS`] decodes.
+///   allocated on the first miss at [`ARENA_FIRST_INSTRS`] entries and
+///   doubles whenever a fill might not fit, so a machine pays only for the
+///   code it runs. A new block is appended; a block grows in place while it
+///   is the newest and is copied to the end otherwise; a replaced or
+///   invalidated block's instructions stay behind until the arena reaches
+///   [`ARENA_INSTRS`] entries, and then the whole cache is reset, so memory
+///   stays bounded. Blocks name their instructions by arena index, so
+///   growing the arena moves no block.
 /// * `code_pages` is a bitmap with one bit per 4 KiB page. Invariant: for
 ///   every valid slot with start `pc` and span `s`, the pages holding `pc`
 ///   and `pc + s - 1` are marked. A byte at `a` can only stale a block
@@ -582,13 +602,15 @@ impl DecodeCache {
         want: u32,
         room: u32,
     ) -> Option<Block> {
-        if arena.capacity() == 0 {
-            arena.reserve_exact(ARENA_INSTRS);
-        }
-        if arena.capacity() - arena.len() < MAX_BLOCK_INSTRS as usize {
+        if ARENA_INSTRS - arena.len() < MAX_BLOCK_INSTRS as usize {
             self.invalidate_all();
             arena.clear();
             found = None;
+        }
+        // Room for a whole block, so the fill below never reallocates.
+        if arena.capacity() - arena.len() < MAX_BLOCK_INSTRS as usize {
+            let grown = (2 * arena.capacity()).clamp(ARENA_FIRST_INSTRS, ARENA_INSTRS);
+            arena.reserve_exact(grown - arena.len());
         }
         // Blocks passed in for extension are never complete.
         let (start, mut len, mut span) = match found {
@@ -607,17 +629,18 @@ impl DecodeCache {
             let at = pc.wrapping_add(span);
             let mut bytes = [0u8; 16];
             mem.read_bytes(at, &mut bytes);
-            let Ok((instr, n)) = decode_instr(&bytes, at) else {
+            let Ok(ops) = decode_operands(&bytes, at) else {
                 if len == 0 {
                     return None;
                 }
                 last = true;
                 break;
             };
-            let lowered = lower(&instr, n);
+            let lowered = Lowered::new(ops);
             arena.push(Decoded { lowered, bytes });
+            self.stats.decoded += 1;
             len += 1;
-            span += n;
+            span += ops.len;
             last = ends_block(lowered.op)
                 || len == MAX_BLOCK_INSTRS
                 || span > MAX_BLOCK_BYTES - MAX_INSTR_BYTES;
@@ -1138,7 +1161,7 @@ impl Machine {
     fn read(&mut self, op: &LOpnd) -> u32 {
         match op {
             LOpnd::Reg(r) => self.read_reg(*r),
-            LOpnd::Imm(v, _) => *v as u32,
+            LOpnd::Imm(v) => *v as u32,
             LOpnd::Pc(pc) => *pc,
             LOpnd::Mem(m) => self.load(m),
             LOpnd::None => 0,
@@ -1368,18 +1391,18 @@ impl Machine {
                 self.write(&dst, res);
                 self.cpu.set_flags(Eflags::ALL6, f);
             }
+            // The first operand is the register or memory one, at the
+            // operation's width; a second immediate is sign-extended to it.
             Opcode::Cmp => {
                 let a = self.read(&l.srcs[0]);
                 let b = self.read(&l.srcs[1]);
-                let size = l.srcs[0].size().max(l.srcs[1].size());
-                let (_, f) = alu_sub(a, b, 0, size);
+                let (_, f) = alu_sub(a, b, 0, l.srcs[0].size());
                 self.cpu.set_flags(Eflags::ALL6, f);
             }
             Opcode::Test => {
                 let a = self.read(&l.srcs[0]);
                 let b = self.read(&l.srcs[1]);
-                let size = l.srcs[0].size().max(l.srcs[1].size());
-                let (_, f) = alu_logic(a & b, size);
+                let (_, f) = alu_logic(a & b, l.srcs[0].size());
                 self.cpu.set_flags(Eflags::ALL6, f);
             }
             Opcode::Inc | Opcode::Dec => {
@@ -1626,7 +1649,7 @@ impl Machine {
             }
             Opcode::Ret => {
                 let target = self.pop32();
-                if let LOpnd::Imm(extra, _) = l.srcs[0] {
+                if let LOpnd::Imm(extra) = l.srcs[0] {
                     let esp = self.cpu.gpr(ESP).wrapping_add(extra as u32);
                     self.cpu.set_gpr(ESP, esp);
                 }
@@ -1668,7 +1691,113 @@ impl Machine {
 mod tests {
     use super::*;
     use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, InstrList, Target};
+    use rio_ia32::{create, decode_instr, DecodeError, Instr, InstrList, MemRef, Opnd, Target};
+
+    /// The reference lowering: a full Level 3 [`Instr`], then each [`Opnd`]
+    /// bound to its register-file indices one at a time. The decode cache
+    /// lowered this way before it decoded straight into [`Lowered`], which
+    /// must give the same result.
+    fn lower(instr: &Instr, len: u32) -> Lowered {
+        let reg = |r: Reg| {
+            let view = match r.size() {
+                OpSize::S32 => View::R32,
+                OpSize::S16 => View::R16,
+                OpSize::S8 if r.number() >= 4 => View::High8,
+                OpSize::S8 => View::Low8,
+            };
+            RegOp {
+                idx: r.parent32().number(),
+                view,
+            }
+        };
+        let bind = |op: &Opnd| match op {
+            Opnd::Reg(r) => LOpnd::Reg(reg(*r)),
+            Opnd::Imm(v, _) => LOpnd::Imm(*v),
+            Opnd::Mem(m) => {
+                let idx = |r: Option<Reg>| r.map_or(NO_REG, |r| r.parent32().number());
+                LOpnd::Mem(MemOp {
+                    base: idx(m.base),
+                    index: idx(m.index),
+                    scale: m.scale,
+                    size: m.size,
+                    disp: m.disp,
+                })
+            }
+            Opnd::Pc(pc) => LOpnd::Pc(*pc),
+            Opnd::Instr(_) => LOpnd::None,
+        };
+        let mut srcs = [LOpnd::None; MAX_SRCS];
+        let mut dsts = [LOpnd::None; MAX_DSTS];
+        for (slot, s) in srcs.iter_mut().zip(instr.srcs()) {
+            *slot = bind(s);
+        }
+        for (slot, d) in dsts.iter_mut().zip(instr.dsts()) {
+            *slot = bind(d);
+        }
+        let op = instr.opcode().expect("lower requires decoded instr");
+        Lowered {
+            op,
+            len: len as u8,
+            ndst: instr.dsts().len() as u8,
+            shape: Shape::of(op, &srcs, &dsts),
+            srcs,
+            dsts,
+        }
+    }
+
+    /// The decode cache's lowering of the instruction at the start of
+    /// `bytes`, located at `pc`.
+    fn lowered(bytes: &[u8], pc: u32) -> Result<Lowered, DecodeError> {
+        decode_operands(bytes, pc).map(Lowered::new)
+    }
+
+    #[test]
+    fn decoded_instructions_stay_small() {
+        // `ARENA_FIRST_INSTRS` is sized for this entry: five eight-byte
+        // operands, the executor and the raw bytes, padded to 16 bytes.
+        assert_eq!(std::mem::size_of::<LOpnd>(), 8);
+        assert_eq!(std::mem::size_of::<Decoded>(), 80);
+    }
+
+    #[test]
+    fn lowering_without_an_instr_matches_the_reference_everywhere() {
+        // Every one-byte and `0f`-prefixed opcode under every ModRM byte,
+        // followed by SIB bytes with and without an index and with base 5,
+        // and displacement and immediate bytes that are zero, negative and
+        // mixed; each also cut short. A pc near the top of the address space
+        // makes relative targets wrap.
+        const PC: u32 = 0xFFFF_FFF0;
+        let tails: [[u8; 6]; 3] = [
+            [0; 6],
+            [0x80, 0xFF, 0xFF, 0xFF, 0xFE, 0xFF],
+            [0x7F, 0x12, 0x34, 0x56, 0x78, 0x9A],
+        ];
+        let mut checked = 0;
+        for escape in [false, true] {
+            for op in 0..=0xFFu8 {
+                for modrm in 0..=0xFFu8 {
+                    for sib in [0x00, 0x24, 0x65, 0xDD] {
+                        for tail in &tails {
+                            let mut bytes = Vec::with_capacity(16);
+                            if escape {
+                                bytes.push(0x0F);
+                            }
+                            bytes.extend([op, modrm, sib]);
+                            bytes.extend(tail);
+                            bytes.resize(16, 0xCC);
+                            for cut in [16, 7, 4, 2, 1] {
+                                let bytes = &bytes[..cut];
+                                let want = decode_instr(bytes, PC).map(|(i, n)| lower(&i, n));
+                                assert_eq!(lowered(bytes, PC), want, "{bytes:02x?}");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 256 * 256 * 4 * 3 * 5);
+    }
 
     /// A machine with nothing loaded that may execute anywhere below the
     /// top byte of the address space.
@@ -2079,11 +2208,12 @@ mod tests {
         m
     }
 
-    fn stats(hits: u64, misses: u64, invalidated: u64) -> DecodeCacheStats {
+    fn stats(hits: u64, misses: u64, invalidated: u64, decoded: u64) -> DecodeCacheStats {
         DecodeCacheStats {
             hits,
             misses,
             invalidated,
+            decoded,
         }
     }
 
@@ -2096,10 +2226,10 @@ mod tests {
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         // The three instructions are one block, ended by the `hlt`.
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 3));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(1, 1, 0));
+        assert_eq!(m.decode_cache_stats(), stats(1, 1, 0, 3));
         // Host-only: the simulated counters never see the cache.
         assert_eq!(m.counters.instructions, 6);
     }
@@ -2111,15 +2241,15 @@ mod tests {
         il.push_back(create::hlt());
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 2));
         m.mem.write_u32(Image::CODE_BASE + 1, 2);
         m.invalidate_code_range(Image::CODE_BASE + 1, 4);
         // The 4-byte write lands inside the one `mov; hlt` block.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 2));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 2);
-        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1, 4));
         // The refill was appended; the dropped block stays in the arena
         // until it fills.
         assert_eq!(m.dcache.arena.len(), 4);
@@ -2168,11 +2298,12 @@ mod tests {
         assert_eq!(m.run(), CpuExit::Syscall(0x20));
         // The straddling decode is the only one so far, and it marked the
         // second page.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 1));
         assert!(m.dcache.touches_code_page(straddle + 1, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Syscall(0x21));
-        assert_eq!(m.decode_cache_stats(), stats(0, 4, 1));
+        // The store ends its block, so the `jmp` is decoded twice.
+        assert_eq!(m.decode_cache_stats(), stats(0, 4, 1, 5));
         assert_eq!(m.stale_decode_hits(), 0);
 
         // Symmetrically, a store to the first page reaches a straddling
@@ -2182,7 +2313,7 @@ mod tests {
         m.cpu.eip = 0x1FFF;
         assert_eq!(m.run_steps(1), CpuExit::Syscall(0x20));
         m.note_store(0x1FFF, 1);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 1));
     }
 
     #[test]
@@ -2195,7 +2326,7 @@ mod tests {
         assert_eq!(m.run(), CpuExit::Halt);
         m.invalidate_code();
         // One block of three instructions was dropped, and the arena freed.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 3));
         assert!(!m.dcache.touches_code_page(Image::CODE_BASE, 1));
         assert!(m.dcache.arena.is_empty());
         // Nothing is served stale, and the block refills from the start of
@@ -2203,12 +2334,12 @@ mod tests {
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 6);
-        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1, 6));
         assert_eq!(m.dcache.arena.len(), 3);
         assert!(m.dcache.touches_code_page(Image::CODE_BASE, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(1, 2, 1));
+        assert_eq!(m.decode_cache_stats(), stats(1, 2, 1, 6));
     }
 
     #[test]
@@ -2227,20 +2358,22 @@ mod tests {
             m.cpu.eip = pc;
             assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
-        assert_eq!(m.decode_cache_stats(), stats(0, 4, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 4, 0, 4));
         assert_eq!(m.dcache.arena.len(), 4);
-        assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
-        // The arena never grows: once it cannot take a whole block, the
-        // next miss drops the one live block and starts over.
+        assert_eq!(m.dcache.arena.capacity(), ARENA_FIRST_INSTRS);
+        // The arena grows up to its bound: once it cannot take a whole
+        // block within it, the next miss drops the one live block and
+        // starts over.
         let fills = ARENA_INSTRS - MAX_BLOCK_INSTRS as usize + 1;
         for k in 4..fills {
             m.cpu.eip = [a, b][k % 2];
             assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
-        assert_eq!(m.decode_cache_stats(), stats(0, fills as u64, 0));
+        let fills = fills as u64;
+        assert_eq!(m.decode_cache_stats(), stats(0, fills, 0, fills));
         m.cpu.eip = b;
         assert_eq!(m.run_steps(1), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, fills as u64 + 1, 1));
+        assert_eq!(m.decode_cache_stats(), stats(0, fills + 1, 1, fills + 1));
         assert_eq!(m.dcache.arena.len(), 1);
         assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
     }
@@ -2287,12 +2420,12 @@ mod tests {
         m.cpu.eip = block;
         let (round, blocks) = (2 * 4092, 2 * 128);
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
-        assert_eq!(m.decode_cache_stats(), stats(0, blocks, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, blocks, 0, round));
         for rounds in 2..=3 {
             assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
             assert_eq!(
                 m.decode_cache_stats(),
-                stats((rounds - 1) * blocks, blocks, 0)
+                stats((rounds - 1) * blocks, blocks, 0, round)
             );
         }
         assert_eq!(m.cpu.eip, block);
@@ -2303,9 +2436,12 @@ mod tests {
         // block.
         m.mem.write_u8(trace, 0x43); // inc ebx
         m.invalidate_code_range(trace, 1);
-        assert_eq!(m.decode_cache_stats(), stats(2 * blocks, blocks, 1));
+        assert_eq!(m.decode_cache_stats(), stats(2 * blocks, blocks, 1, round));
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
-        assert_eq!(m.decode_cache_stats(), stats(3 * blocks - 1, blocks + 1, 1));
+        assert_eq!(
+            m.decode_cache_stats(),
+            stats(3 * blocks - 1, blocks + 1, 1, round + 32)
+        );
         assert_eq!(m.cpu.reg(Reg::Ebx), 1);
     }
 
@@ -2322,7 +2458,7 @@ mod tests {
             assert!(m.dcache.get(pc).is_some());
         }
         m.note_store(0xFFFF_FFFE, 4);
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3));
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3, 3));
         assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
         // The public range entry point wraps the same way.
         m.cpu.eip = 1;
@@ -2755,8 +2891,8 @@ mod tests {
             let mut il = InstrList::new();
             il.push_back(case.instr);
             let code = encode_list(&il, CODE).unwrap().bytes;
-            let (decoded, len) = decode_instr(&code, CODE).unwrap();
-            let shape = format!("{:?}", lower(&decoded, len).shape);
+            let l = lowered(&code, CODE).unwrap();
+            let (shape, len) = (format!("{:?}", l.shape), u32::from(l.len));
             assert!(shape.starts_with(case.shape), "{}: {shape}", case.name);
 
             let mut m = bare();
@@ -2888,8 +3024,8 @@ mod tests {
             let mut il = InstrList::new();
             il.push_back(instr);
             let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-            let (decoded, len) = decode_instr(&code, Image::CODE_BASE).unwrap();
-            let special = lower(&decoded, len);
+            let (decoded, _) = decode_instr(&code, Image::CODE_BASE).unwrap();
+            let special = lowered(&code, Image::CODE_BASE).unwrap();
             assert!(!matches!(special.shape, Shape::Generic), "{decoded}");
             let generic = Lowered {
                 shape: Shape::Generic,
@@ -3242,7 +3378,7 @@ mod tests {
         code.extend(repeated(add_eax_imm32, 30));
         let mut m = load(code);
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0, 71));
         let spans: Vec<_> = [0, 32, 32 + 113]
             .map(|off| m.dcache.get(Image::CODE_BASE + off).unwrap())
             .iter()
@@ -3262,20 +3398,20 @@ mod tests {
             assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
         }
         assert_eq!(m.run_steps(1), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 5, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 5, 0, 5));
         assert_eq!(m.dcache.arena.len(), 5);
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         // One miss: the one-instruction block at CODE_BASE was copied to
         // the end and extended to all five instructions.
-        assert_eq!(m.decode_cache_stats(), stats(0, 6, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 6, 0, 9));
         assert_eq!(m.dcache.arena.len(), 10);
         let b = m.dcache.get(Image::CODE_BASE).unwrap();
         assert_eq!((b.start(), b.len(), b.span(), b.last()), (5, 5, 5, true));
         // The newest block grows in place.
         m.cpu.eip = Image::CODE_BASE + 1;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 7, 0));
+        assert_eq!(m.decode_cache_stats(), stats(0, 7, 0, 12));
         let b = m.dcache.get(Image::CODE_BASE + 1).unwrap();
         assert_eq!((b.start(), b.len()), (10, 4));
         assert_eq!(m.dcache.arena.len(), 14);

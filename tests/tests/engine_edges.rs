@@ -2,7 +2,7 @@
 //! taken translation paths (jecxz exits, `ret n`, 8-bit/carry arithmetic,
 //! flag save/restore, deep recursion, tiny block splits).
 
-use rio_core::Options;
+use rio_core::{layout, Client, Core, NullClient, Options, Rio};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrId, InstrList, MemRef, OpSize, Opnd, Reg, Target};
 use rio_sim::{run_native, CpuKind, Image, TRAP_EXIT_CODE};
@@ -272,4 +272,62 @@ fn undecodable_bytes_mid_block_fault_after_the_valid_prefix() {
     let native = run_native(&img, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 16);
     assert_transparent(&img);
+}
+
+/// An image whose first instruction jumps straight to `target`.
+fn jump_image(target: u32) -> Image {
+    program(|il| {
+        il.push_back(create::jmp(Target::Pc(target)));
+    })
+}
+
+/// Run `image` under the full engine with `client`; the run must end with
+/// an engine fault (exit status 128) whose message contains `what`.
+fn assert_engine_fault<C: Client>(image: &Image, client: C, what: &str) -> Rio<C> {
+    let mut rio = Rio::new(image, Options::full(), CpuKind::Pentium4, client);
+    let r = rio.run();
+    let fault = r.fault.expect("the run ends with a fault");
+    assert_eq!((r.exit_code, fault.kind), (128, None), "{}", fault.message);
+    assert!(fault.message.contains(what), "{}", fault.message);
+    rio
+}
+
+#[test]
+fn application_jumps_to_runtime_sentinels_are_engine_faults() {
+    // The application jumps to a clean-call token and an exit stub no
+    // client or fragment ever handed out.
+    let token = layout::clean_call_sentinel(1000);
+    assert_engine_fault(
+        &jump_image(token),
+        NullClient,
+        "unknown clean-call token (1000)",
+    );
+    let stub = layout::stub_sentinel(1_000_000);
+    assert_engine_fault(&jump_image(stub), NullClient, "unknown stub (1000000)");
+}
+
+/// A client that asks for a spill slot `%ebx` does not have.
+#[derive(Default)]
+struct EbxSpiller {
+    slot: Option<Option<MemRef>>,
+}
+impl Client for EbxSpiller {
+    fn name(&self) -> &'static str {
+        "ebx-spiller"
+    }
+    fn basic_block(&mut self, core: &mut Core, _tag: u32, _bb: &mut InstrList) {
+        self.slot.get_or_insert(core.spill_slot(Reg::Ebx));
+    }
+}
+
+#[test]
+fn a_spill_slot_for_a_register_without_one_is_an_engine_fault() {
+    let img = program(|il| {
+        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(7)));
+        exit_with(il, Reg::Edi);
+    });
+    let rio = assert_engine_fault(&img, EbxSpiller::default(), "spill slot for %ebx");
+    assert_eq!(rio.client.slot, Some(None));
+    // The fault ends the run before any application code executes.
+    assert_eq!(rio.core.machine.counters.instructions, 0);
 }

@@ -149,32 +149,51 @@ fn verified_runs_are_clean_and_uncharged() {
 
 /// A client that gives each block's last instruction a flag-neutral custom
 /// exit stub, `mov $tag` into the client TLS slot, forced for every other
-/// block it builds.
+/// block it builds. On a block ending in `call` or `ret`, which mangling
+/// replaces, the stub also makes a clean call that counts its runs.
 #[derive(Default)]
 struct TaggingStubs {
     force: bool,
+    /// Stub runs on blocks ending in `call` and in `ret`.
+    runs: [u64; 2],
 }
 impl Client for TaggingStubs {
     fn name(&self) -> &'static str {
         "tagging-stubs"
     }
     fn basic_block(&mut self, core: &mut Core, tag: u32, bb: &mut InstrList) {
+        let last = bb.last_id().unwrap();
         let slot = Opnd::Mem(MemRef::absolute(layout::CLIENT_TLS_SLOT, OpSize::S32));
         let mut stub = InstrList::new();
         stub.push_back(create::mov(slot, Opnd::imm32(tag as i32)));
+        let counter = match bb.get(last).opcode() {
+            Some(Opcode::Call) => Some(0),
+            Some(Opcode::Ret) => Some(1),
+            _ => None,
+        };
+        if let Some(k) = counter {
+            stub.push_back(core.clean_call_instr(k));
+        }
         self.force = !self.force;
-        core.append_exit_stub(bb.last_id().unwrap(), stub, self.force);
+        core.append_exit_stub(last, stub, self.force);
+    }
+    fn clean_call(&mut self, _core: &mut Core, arg: u64) {
+        self.runs[arg as usize] += 1;
     }
 }
 
 #[test]
 fn custom_exit_stubs_run_linked_and_verify_clean() {
     let img = compile(
-        "fn main() {
+        "fn bump(s, i) {
+             if (i % 3 == 0) { return s + i; }
+             return s + 1;
+         }
+         fn main() {
              var s = 0;
              var i = 0;
              while (i < 200) {
-                 if (i % 3 == 0) { s = s + i; } else { s = s + 1; }
+                 s = bump(s, i);
                  if (i % 50 == 0) { print(s); }
                  i++;
              }
@@ -207,4 +226,10 @@ fn custom_exit_stubs_run_linked_and_verify_clean() {
         );
     }
     assert_ne!(rio.core.client_tls(), 0, "no custom stub ran");
+    // Stubs on the exits mangling put in place of a `call` and a `ret` ran.
+    let [calls, rets] = rio.client.runs;
+    assert!(
+        calls > 0 && rets > 0,
+        "call-block runs {calls}, ret-block runs {rets}"
+    );
 }
