@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use rio_bench::{jobs, run_parallel};
+use rio_bench::{run_parallel, Args};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{decode_sizeof, InstrList, Level};
 use rio_sim::Image;
@@ -43,11 +43,17 @@ fn block_ranges(code: &[u8]) -> Vec<(usize, usize)> {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let jobs = Args::parse(&args, &["--jobs"], &[], 0).and_then(|a| a.jobs());
+    let jobs = jobs.unwrap_or_else(|e| {
+        eprintln!("table2: {e}");
+        std::process::exit(2)
+    });
     // Harvest a basic-block corpus from every benchmark binary. Compiling
     // and slicing runs on the worker pool; the timing loop below stays
     // strictly serial so wall-clock numbers are not skewed by contention.
     let suite = suite_scaled(1);
-    let blocks: Vec<Vec<u8>> = run_parallel(&suite, jobs(), |_, b| {
+    let blocks: Vec<Vec<u8>> = run_parallel(&suite, jobs, |_, b| {
         let image = compiled(b);
         block_ranges(&image.code)
             .into_iter()

@@ -1,32 +1,10 @@
-//! Shared measurement harness for the experiment binaries: the worker-pool
-//! [`run_parallel`] runner every experiment binary is built on. The engine
-//! is `Send`, simulated cycle counts are independent of host scheduling,
-//! and results are returned in item order — so any `--jobs N` produces
-//! byte-identical tables, just faster.
+//! The worker-pool [`run_parallel`] runner every report and suite command
+//! is built on. The engine is `Send`, simulated cycle counts are
+//! independent of host scheduling, and results are returned in item order
+//! — so any `--jobs N` produces byte-identical tables, just faster.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Worker count for the experiment binaries: `--jobs N` (also `-j N` /
-/// `--jobs=N`) through the shared [`Args`](crate::Args) parser, else
-/// [`default_jobs`].
-pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = crate::Args::parse(&args, &["--jobs"], &[], 0).and_then(|a| a.jobs());
-    jobs.unwrap_or_else(|_| default_jobs())
-}
-
-/// Worker count when no `--jobs` is given: the `RIO_JOBS` environment
-/// variable, then the host's available parallelism.
-pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("RIO_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// Apply `f` to every item on a pool of `jobs` worker threads and return
 /// the results **in item order**.

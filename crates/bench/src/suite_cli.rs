@@ -1,16 +1,11 @@
 //! Shared command-line plumbing: one argument parser for every `rio`
-//! subcommand and experiment binary, and the report printer the scenario
-//! suites share.
+//! subcommand and the `table2` binary.
 //!
 //! [`Args::parse`] takes a command's value flags and switches, accepts
 //! both `--flag value` and `--flag=value` (plus `-j N` for `--jobs N`), and
-//! rejects unknown flags. `rio faults`, `rio smc`, `rio verify`, and
-//! `rio fuzz` then fan scenarios out over
-//! [`run_parallel`](crate::run_parallel) and print one stable line per
-//! scenario with [`print_suite_rows`], counting `Err` rows as failures.
+//! rejects unknown flags.
 
 use std::fmt::Display;
-use std::process::ExitCode;
 use std::str::FromStr;
 
 use rio_clients::ClientKind;
@@ -94,11 +89,11 @@ impl Args {
         }
     }
 
-    /// The worker count: `--jobs N` (at least 1), else
-    /// [`default_jobs`](crate::harness::default_jobs).
+    /// The worker count: `--jobs N` (at least 1), else the host's available
+    /// parallelism.
     pub fn jobs(&self) -> Result<usize, String> {
-        let jobs = self.parsed::<usize>("--jobs")?;
-        Ok(jobs.unwrap_or_else(crate::harness::default_jobs).max(1))
+        let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        Ok(self.parsed("--jobs")?.unwrap_or_else(host).max(1))
     }
 
     /// The client (`--client NAME`, default `null`).
@@ -111,36 +106,6 @@ impl Args {
             format!("unknown client `{name}` ({})", known.join("|"))
         })
     }
-}
-
-/// Print scenario report lines (stable order from
-/// [`run_parallel`](crate::run_parallel)), `Err` rows prefixed `FAIL`;
-/// returns the number of failures.
-pub fn print_rows<T: Display>(rows: &[Result<T, String>]) -> usize {
-    let mut failures = 0usize;
-    for row in rows {
-        match row {
-            Ok(line) => println!("{line}"),
-            Err(line) => {
-                println!("FAIL {line}");
-                failures += 1;
-            }
-        }
-    }
-    failures
-}
-
-/// [`print_rows`], then a summary line; `Err` rows count as failures.
-pub fn print_suite_rows<T: Display>(
-    rows: &[Result<T, String>],
-    what: &str,
-) -> Result<ExitCode, String> {
-    let failures = print_rows(rows);
-    if failures > 0 {
-        return Err(format!("{failures} {what} scenario(s) failed"));
-    }
-    println!("all {} {what} scenarios passed", rows.len());
-    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! The one shape every experiment binary has: a set of benchmarks whose
-//! native baselines are run once, and a grid of engine runs — one row per
-//! configuration, one column per benchmark — each reported as simulated
-//! cycles over native cycles.
+//! The shape of Table 1, Figure 5 and the ablations: a set of benchmarks
+//! whose native baselines are run once, and a grid of engine runs — one
+//! row per configuration, one column per benchmark — each reported as
+//! simulated cycles over native cycles.
 
 use std::fmt::Debug;
 use std::sync::Arc;

@@ -13,6 +13,8 @@
 //! rio fuzz [--seeds N] [--seed-base HEX] [--cpu p3|p4] [--jobs N]
 //!          [--corpus DIR] [--replay]                differential conformance fuzzing
 //! rio bench-list                                    list the benchmark suite
+//! rio golden [--check | --write] [--jobs N] [NAME...]
+//!                                                   print, diff, or rewrite tests/golden/
 //!
 //! clients (--client of run, fragments, and suite; default null):
 //!   null | rlr | inc2add | ibdispatch | ctrace | combined | shepherd |
@@ -41,9 +43,14 @@
 //!                     (invalidated); host-only but deterministic
 //!
 //! Every flag is also accepted as --flag=value. --jobs N (or -j N) sets the
-//! worker threads; it also honors RIO_JOBS and defaults to the host's
-//! available parallelism. Suite, scenario, and fuzz output is
-//! byte-identical for any --jobs value.
+//! worker threads (default: the host's available parallelism). Suite,
+//! scenario, fuzz, and golden output is byte-identical for any --jobs value.
+//!
+//! golden: each file NAME.txt in tests/golden/ is one report with its
+//! options pinned (no environment variable changes it); no NAME means all,
+//! up to N at once with --jobs N. --check prints each report's first line
+//! that differs from its file, --write rewrites the files; both exit 1 on a
+//! mismatch or failed report.
 //!
 //! fuzz options: --seeds N generated programs (default 64), starting at
 //! --seed-base HEX (default 0x5eed0000); every program runs natively and
@@ -63,12 +70,17 @@
 
 #![forbid(unsafe_code)]
 
+mod golden;
+
+use std::fmt::Display;
 use std::process::ExitCode;
 
-use rio_bench::{print_rows, print_suite_rows, run_parallel, Args};
-use rio_core::{Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
-use rio_fuzz::scenario::{self, check, Scenario};
-use rio_sim::{run_native, CpuKind, Image};
+use rio_bench::{run_parallel, Args};
+use rio_clients::ClientKind;
+use rio_core::{NullClient, Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
+use rio_fuzz::scenario::{self, check, Pass, Scenario};
+use rio_fuzz::{run_campaign, CampaignOptions};
+use rio_sim::{run_native, CpuKind, DecodeCacheStats, Image};
 use rio_workloads::{benchmark, compile, compiled_suite, suite};
 
 /// Exit code when a `--max-instructions` / `--timeout-cycles` budget runs
@@ -93,9 +105,30 @@ const RUN_SWITCHES: &[&str] = &[
     "--stats",
 ];
 
+/// A report command's stdout text, and why the command fails if any of its
+/// rows failed.
+struct Report {
+    text: String,
+    error: Option<String>,
+}
+
+impl From<String> for Report {
+    fn from(text: String) -> Report {
+        Report { text, error: None }
+    }
+}
+
+impl Report {
+    /// Print the text; a failure becomes the command's error.
+    fn print(self) -> Result<ExitCode, String> {
+        print!("{}", self.text);
+        self.error.map_or(Ok(ExitCode::SUCCESS), Err)
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: rio <run|native|disasm|fragments|suite|faults|smc|verify|fuzz|bench-list> [args]  (see --help in source header)"
+        "usage: rio <run|native|disasm|fragments|suite|faults|smc|verify|fuzz|bench-list|golden> [args]  (see --help in source header)"
     );
     ExitCode::from(2)
 }
@@ -228,10 +261,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     );
     if a.has("--stats") {
         eprintln!("{}", r.stats);
-        let d = rio.core.machine.decode_cache_stats();
         eprintln!(
-            "decode cache: {} hits, {} misses, {} instructions decoded, {} invalidated",
-            d.hits, d.misses, d.decoded, d.invalidated
+            "{}",
+            decode_cache_line(rio.core.machine.decode_cache_stats())
         );
         if r.sideline_cycles > 0 {
             eprintln!("sideline cycles: {}", r.sideline_cycles);
@@ -245,6 +277,27 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(EXIT_BUDGET_EXHAUSTED));
     }
     Ok(ExitCode::from((r.exit_code & 0xFF) as u8))
+}
+
+/// The simulator's decode-cache counts, in basic blocks, as `--stats`
+/// prints them.
+fn decode_cache_line(d: DecodeCacheStats) -> String {
+    format!(
+        "decode cache: {} hits, {} misses, {} instructions decoded, {} invalidated",
+        d.hits, d.misses, d.decoded, d.invalidated
+    )
+}
+
+/// `NAME: decode cache: ...` for every suite benchmark under the full
+/// system and the null client: host-only work, but deterministic.
+fn decode_cache_report(jobs: usize) -> Report {
+    let lines = run_parallel(&compiled_suite(), jobs, |_, (b, image)| {
+        let mut rio = Rio::new(image, Options::full(), CpuKind::Pentium4, NullClient);
+        rio.run();
+        let line = decode_cache_line(rio.core.machine.decode_cache_stats());
+        format!("{}: {line}\n", b.name)
+    });
+    Report::from(lines.concat())
 }
 
 /// `rio fragments`: run once under the requested client, then dump that
@@ -284,112 +337,106 @@ fn cmd_disasm(args: &[String]) -> Result<ExitCode, String> {
 /// normalized-time table plus aggregate statistics.
 fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
     let a = Args::parse(args, &["--client", "--cpu", "--jobs"], &[], 0)?;
-    let (client, cpu, njobs) = (a.client()?, a.cpu()?, a.jobs()?);
     let mut opts = Options::full();
     apply_env(&mut opts)?;
-    let benches = compiled_suite();
-    let rows = run_parallel(&benches, njobs, |_, (b, image)| {
+    suite_report(a.client()?, a.cpu()?, opts, a.jobs()?).print()
+}
+
+/// The `rio suite` table: every benchmark under `client` and `opts`.
+fn suite_report(client: ClientKind, cpu: CpuKind, opts: Options, jobs: usize) -> Report {
+    let rows = run_parallel(&compiled_suite(), jobs, |_, (b, image)| {
         let native = run_native(image, cpu);
         let r = Rio::new(image, opts, cpu, client.build()).run();
-        let diverged = (r.exit_code, &r.app_output) != (native.exit_code, &native.output);
-        (b.name, native.counters.cycles, r, diverged)
-    });
-
-    println!(
-        "suite under client `{}` ({njobs} worker{})",
-        client.label(),
-        if njobs == 1 { "" } else { "s" }
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>8}",
-        "benchmark", "native cyc", "rio cyc", "norm"
-    );
-    let mut failed = 0usize;
-    for (name, native, r, diverged) in &rows {
         // A benchmark that faulted is recorded as a failed row (with the
         // faithful fault report) rather than aborting the whole table.
-        let marker = match (&r.fault, diverged) {
-            (Some(f), _) => format!("  !! FAULTED: {}", f.message),
-            (None, true) => "  !! DIVERGED".to_string(),
-            (None, false) => String::new(),
+        let marker = match &r.fault {
+            Some(f) => format!("  !! FAULTED: {}", f.message),
+            None if (r.exit_code, &r.app_output) != (native.exit_code, &native.output) => {
+                "  !! DIVERGED".to_string()
+            }
+            None => String::new(),
         };
-        println!(
-            "{:<10} {:>12} {:>12} {:>8.3}{}",
-            name,
-            native,
-            r.counters.cycles,
-            r.counters.cycles as f64 / *native as f64,
-            marker
-        );
-        failed += usize::from(*diverged || r.fault.is_some());
-    }
-    let total = Stats::aggregate(rows.iter().map(|(_, _, r, _)| &r.stats));
-    println!();
-    println!("aggregate: {total}");
-    if failed > 0 {
-        return Err(format!(
-            "{failed} benchmark(s) faulted or diverged from native execution"
-        ));
-    }
-    Ok(ExitCode::SUCCESS)
+        let (name, native, cycles) = (b.name, native.counters.cycles, r.counters.cycles);
+        let norm = cycles as f64 / native as f64;
+        let line = format!("{name:<10} {native:>12} {cycles:>12} {norm:>8.3}{marker}\n");
+        (line, r.stats, !marker.is_empty())
+    });
+    let failed = rows.iter().filter(|(_, _, failed)| *failed).count();
+    let total = Stats::aggregate(rows.iter().map(|(_, stats, _)| stats));
+    let table: String = rows.iter().map(|(line, _, _)| line.as_str()).collect();
+    let label = client.label();
+    let header = "benchmark    native cyc      rio cyc     norm";
+    let text = format!("suite under client `{label}`\n{header}\n{table}\naggregate: {total}\n");
+    let error = (failed > 0)
+        .then(|| format!("{failed} benchmark(s) faulted or diverged from native execution"));
+    Report { text, error }
 }
 
-/// Parse a command line of only `--cpu` and `--jobs`.
-fn cpu_and_jobs(args: &[String]) -> Result<(CpuKind, usize), String> {
+/// Check every scenario of `table` on `jobs` workers, in table order.
+fn checked(table: Vec<Scenario>, cpu: CpuKind, jobs: usize) -> Vec<Result<Pass, String>> {
+    run_parallel(&table, jobs, |_, s| check(s, cpu))
+}
+
+/// One line per row in item order, `Err` rows prefixed `FAIL`.
+fn rows_text<T: Display>(rows: &[Result<T, String>]) -> String {
+    let line = |row: &Result<T, String>| match row {
+        Ok(line) => format!("{line}\n"),
+        Err(line) => format!("FAIL {line}\n"),
+    };
+    rows.iter().map(line).collect()
+}
+
+/// A scenario suite's report: [`rows_text`], then a pass line unless a row
+/// failed, which fails the report.
+fn rows_report<T: Display>(rows: &[Result<T, String>], what: &str) -> Report {
+    let failed = rows.iter().filter(|r| r.is_err()).count();
+    let mut text = rows_text(rows);
+    if failed == 0 {
+        text += &format!("all {} {what} scenarios passed\n", rows.len());
+    }
+    let error = (failed > 0).then(|| format!("{failed} {what} scenario(s) failed"));
+    Report { text, error }
+}
+
+/// `rio faults` / `rio smc` (each table under verification when
+/// `RIO_VERIFY` is set) and `rio verify`: check every scenario on the
+/// worker pool and print one line each.
+fn cmd_scenarios(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     let a = Args::parse(args, &["--cpu", "--jobs"], &[], 0)?;
-    Ok((a.cpu()?, a.jobs()?))
-}
-
-/// `rio faults` / `rio smc`: check every scenario of a table on the worker
-/// pool (under verification when `RIO_VERIFY` is set) and print one line
-/// each.
-fn cmd_scenarios(
-    args: &[String],
-    table: fn(bool) -> Vec<Scenario>,
-    what: &str,
-) -> Result<ExitCode, String> {
-    let (cpu, jobs) = cpu_and_jobs(args)?;
-    let rows = run_parallel(&table(verify_env()), jobs, |_, s| check(s, cpu));
-    print_suite_rows(&rows, what)
+    let (cpu, jobs) = (a.cpu()?, a.jobs()?);
+    match cmd {
+        "faults" => rows_report(&checked(scenario::faults(verify_env()), cpu, jobs), "fault"),
+        "smc" => rows_report(&checked(scenario::smc(verify_env()), cpu, jobs), "smc"),
+        _ => verify_report(cpu, jobs),
+    }
+    .print()
 }
 
 /// `rio verify`: the full verification gauntlet — every suite benchmark
 /// under the null, combined, and shepherd clients with incremental
 /// verification plus a final whole-cache sweep, then the fault and SMC
-/// tables re-run under verification. Fails (exit 1) on any violation
-/// outside the deliberate cache-corruption scenario, where verifier
-/// findings are detection rather than defects.
-fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
-    let (cpu, jobs) = cpu_and_jobs(args)?;
-    let run = |table: Vec<Scenario>| run_parallel(&table, jobs, |_, s| check(s, cpu));
-    let rows = run(scenario::verify());
-    let failures = print_rows(&rows);
-    println!();
-    let fault_rows = run(scenario::faults(true));
-    let faults_ok = print_suite_rows(&fault_rows, "fault");
-    println!();
-    let smc_rows = run(scenario::smc(true));
-    let smc_ok = print_suite_rows(&smc_rows, "smc");
-    println!();
+/// tables re-run under verification. Fails on any violation outside the
+/// deliberate cache-corruption scenario, where verifier findings are
+/// detection rather than defects.
+fn verify_report(cpu: CpuKind, jobs: usize) -> Report {
+    let rows = checked(scenario::verify(), cpu, jobs);
+    let faults = checked(scenario::faults(true), cpu, jobs);
+    let smc = checked(scenario::smc(true), cpu, jobs);
     let passed = || rows.iter().flatten().map(|p| p.stats);
-    println!(
-        "verify: {} checks ({} violations) across {} suite runs, plus {} fault and {} smc scenarios under verification",
+    let summary = format!(
+        "verify: {} checks ({} violations) across {} suite runs, plus {} fault and {} smc scenarios under verification\n",
         passed().map(|s| s.checks_run).sum::<u64>(),
         passed().map(|s| s.violations).sum::<u64>(),
         rows.len(),
-        fault_rows.len(),
-        smc_rows.len()
+        faults.len(),
+        smc.len(),
     );
-    let mut problems = Vec::new();
-    if failures > 0 {
-        problems.push(format!("{failures} verified suite run(s) failed"));
+    let error = rows_report(&rows, "verify").error;
+    let (faults, smc) = (rows_report(&faults, "fault"), rows_report(&smc, "smc"));
+    Report {
+        text: [rows_text(&rows), faults.text, smc.text, summary].join("\n"),
+        error: error.or(faults.error).or(smc.error),
     }
-    problems.extend(faults_ok.err());
-    problems.extend(smc_ok.err());
-    if !problems.is_empty() {
-        return Err(problems.join("; "));
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `rio fuzz`: differential conformance fuzzing. Generates deterministic
@@ -419,21 +466,21 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
                 .unwrap_or_else(|| path.display().to_string());
             rio_fuzz::replay_entry(&name, entry, cpu)
         });
-        return print_suite_rows(&rows, "corpus");
+        return rows_report(&rows, "corpus").print();
     }
     let base_seed = match a.value("--seed-base") {
         None => rio_fuzz::DEFAULT_BASE_SEED,
         Some(v) => u64::from_str_radix(v.trim_start_matches("0x"), 16)
             .map_err(|e| format!("bad seed base `{v}`: {e}"))?,
     };
-    let opts = rio_fuzz::CampaignOptions {
+    let opts = CampaignOptions {
         seeds: a.parsed("--seeds")?.unwrap_or(64),
         base_seed,
         cpu,
         jobs,
         corpus_dir: Some(corpus),
     };
-    print_suite_rows(&rio_fuzz::run_campaign(&opts), "fuzz")
+    rows_report(&run_campaign(&opts), "fuzz").print()
 }
 
 fn cmd_bench_list() -> ExitCode {
@@ -464,11 +511,10 @@ fn main() -> ExitCode {
         "fragments" => cmd_fragments(rest),
         "disasm" => cmd_disasm(rest),
         "suite" => cmd_suite(rest),
-        "faults" => cmd_scenarios(rest, scenario::faults, "fault"),
-        "smc" => cmd_scenarios(rest, scenario::smc, "smc"),
-        "verify" => cmd_verify(rest),
+        "faults" | "smc" | "verify" => cmd_scenarios(cmd, rest),
         "fuzz" => cmd_fuzz(rest),
         "bench-list" => Ok(cmd_bench_list()),
+        "golden" => golden::cmd_golden(rest),
         _ => return usage(),
     };
     match result {

@@ -3,8 +3,16 @@
 use std::process::{Command, Output};
 
 fn rio(args: &[&str]) -> Output {
+    rio_env(args, &[])
+}
+
+/// Run `rio` with `RIO_VERIFY` and `RIO_CACHE_LIMIT` unset but for `vars`.
+fn rio_env(args: &[&str], vars: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rio"))
         .args(args)
+        .env_remove("RIO_VERIFY")
+        .env_remove("RIO_CACHE_LIMIT")
+        .envs(vars.iter().copied())
         .output()
         .expect("spawn rio")
 }
@@ -58,21 +66,53 @@ fn every_client_label_and_legend_alias_runs() {
 
 #[test]
 fn run_stats_print_deterministic_decode_cache_counts() {
-    let line = || {
-        let o = rio(&["run", "bench:gzip", "--stats"]);
-        let err = String::from_utf8_lossy(&o.stderr).into_owned();
-        err.lines()
-            .find(|l| l.starts_with("decode cache: "))
-            .unwrap_or_else(|| panic!("no decode-cache line in:\n{err}"))
-            .to_owned()
-    };
-    let first = line();
-    assert!(
-        first.contains(" hits, ")
-            && first.contains(" misses, ")
-            && first.contains(" instructions decoded, ")
-            && first.ends_with(" invalidated"),
-        "{first}"
+    let o = rio(&["run", "bench:gzip", "--stats"]);
+    let err = String::from_utf8_lossy(&o.stderr).into_owned();
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("decode cache: "))
+        .unwrap_or_else(|| panic!("no decode-cache line in:\n{err}"));
+    let golden = include_str!("../../../tests/golden/decode_cache.txt");
+    assert!(golden.starts_with(&format!("gzip: {line}\n")), "{line}");
+}
+
+#[test]
+fn golden_check_ignores_the_engine_environment() {
+    // Three workers, so the reports are also checked against files written
+    // by one: output must not depend on the job count.
+    let vars = [("RIO_VERIFY", "1"), ("RIO_CACHE_LIMIT", "4096")];
+    let o = rio_env(
+        &["golden", "--check", "faults", "smc", "fuzz64", "--jobs=3"],
+        &vars,
     );
-    assert_eq!(first, line());
+    assert!(stdout(&o).ends_with("all 3 goldens match\n"));
+}
+
+#[test]
+fn rio_verify_and_cache_limit_env_reach_the_engine() {
+    // Verified, each table is the section `rio verify` pins for it.
+    let verify = include_str!("../../../tests/golden/verify.txt");
+    for table in ["faults", "smc"] {
+        let verified = stdout(&rio_env(&[table], &[("RIO_VERIFY", "1")]));
+        assert!(verify.contains(&verified) && verified.contains(" checks"));
+        assert_ne!(verified, stdout(&rio(&[table])));
+    }
+    let run = ["run", "bench:gzip", "--max-instructions=20000"];
+    let evicts = |vars: &[(&str, &str)]| {
+        let err = String::from_utf8_lossy(&rio_env(&run, vars).stderr).into_owned();
+        !err.contains(" 0 evictions")
+    };
+    assert!(!evicts(&[]));
+    assert!(evicts(&[("RIO_CACHE_LIMIT", "256")]));
+}
+
+#[test]
+fn golden_rejects_unknown_names_with_the_known_list() {
+    let o = rio(&["golden", "--check", "nope"]);
+    assert_eq!(o.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(
+        err.contains("golden `nope` (known: ablations decode_cache "),
+        "{err}"
+    );
 }

@@ -107,6 +107,19 @@ impl Options {
     pub fn full() -> Options {
         Options::default()
     }
+
+    /// The five Table 1 rows with their labels, emulation first: each row
+    /// adds one engine feature (block cache, direct links, indirect links,
+    /// traces) to the row before.
+    pub fn table1() -> [(&'static str, Options); 5] {
+        [
+            ("Emulation", Options::emulation()),
+            ("+ Basic block cache", Options::cache_only()),
+            ("+ Link direct branches", Options::with_direct_links()),
+            ("+ Link indirect branches", Options::with_indirect_links()),
+            ("+ Traces", Options::full()),
+        ]
+    }
 }
 
 /// Cycle costs of RIO runtime operations, charged on top of executed
@@ -237,13 +250,7 @@ mod tests {
 
     #[test]
     fn table1_rows_strictly_add_features() {
-        let rows = [
-            Options::emulation(),
-            Options::cache_only(),
-            Options::with_direct_links(),
-            Options::with_indirect_links(),
-            Options::full(),
-        ];
+        let rows = Options::table1().map(|(_, o)| o);
         assert_eq!(rows[0].mode, ExecMode::Emulate);
         assert!(!rows[1].link_direct && !rows[1].link_indirect && !rows[1].enable_traces);
         assert!(rows[2].link_direct && !rows[2].link_indirect);

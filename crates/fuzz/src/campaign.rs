@@ -7,8 +7,8 @@
 //! Campaign items are distributed over [`rio_bench::run_parallel`]'s
 //! worker pool and the per-seed report lines are collected in item order,
 //! so output is byte-identical for any `--jobs N` — the same property
-//! every other suite in the repository holds, and what lets CI diff a
-//! 1-worker campaign against a 4-worker one.
+//! every other suite in the repository holds, and what lets the `fuzz64`
+//! golden, written by one worker, be checked at any worker count.
 
 use std::path::PathBuf;
 
@@ -123,27 +123,4 @@ pub fn run_campaign(opts: &CampaignOptions) -> Vec<Result<String, String>> {
     rio_bench::run_parallel(&seeds, opts.jobs, |_, &seed| {
         run_seed(seed, opts.cpu, opts.corpus_dir.as_deref())
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_small_campaign_is_clean_and_job_count_invariant() {
-        let mk = |jobs| CampaignOptions {
-            seeds: 4,
-            base_seed: DEFAULT_BASE_SEED,
-            cpu: CpuKind::Pentium4,
-            jobs,
-            corpus_dir: None,
-        };
-        let one = run_campaign(&mk(1));
-        let four = run_campaign(&mk(4));
-        assert_eq!(one, four, "campaign report depends on the job count");
-        for row in &one {
-            let line = row.as_ref().unwrap_or_else(|e| panic!("finding: {e}"));
-            assert!(line.starts_with("ok seed "), "unexpected row: {line}");
-        }
-    }
 }

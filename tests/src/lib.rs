@@ -109,18 +109,6 @@ pub fn infinite_program() -> Image {
     })
 }
 
-/// The five Table 1 configurations, emulation first: each adds one engine
-/// feature (block cache, direct links, indirect links, traces).
-pub fn table1_rows() -> [Options; 5] {
-    [
-        Options::emulation(),
-        Options::cache_only(),
-        Options::with_direct_links(),
-        Options::with_indirect_links(),
-        Options::full(),
-    ]
-}
-
 /// Run `image` to completion under `options` and the null client.
 pub fn run(image: &Image, options: Options) -> RioRunResult {
     Rio::new(image, options, CpuKind::Pentium4, NullClient).run()

@@ -3,8 +3,8 @@
 //! the code cache — same handler-observed state, same exit codes, same
 //! output — and the engine must never panic, stay resumable after every
 //! fault, and self-heal corrupted cache copies. The injection, corruption,
-//! and unhandled-fault matrix is the `rio faults` scenario table
-//! (`tests/scenarios.rs`); these tests cover what a table row cannot
+//! and unhandled-fault matrix is the `rio faults` scenario table (pinned
+//! by the `faults` and `verify` goldens); these tests cover what a row cannot
 //! express: handler-observed state and flushes requested mid-delivery.
 
 use rio_clients::ClientKind;

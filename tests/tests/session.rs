@@ -9,8 +9,7 @@ use std::time::Duration;
 use rio_core::{Core, NullClient, Options, Rio, RioRunResult, StepBudget, StepOutcome, StopReason};
 use rio_sim::{CpuKind, Machine};
 use rio_tests::{
-    assert_stepping_invisible, infinite_program, loop_program, run, run_in_steps, table1_rows,
-    DeletionLog,
+    assert_stepping_invisible, infinite_program, loop_program, run, run_in_steps, DeletionLog,
 };
 
 // ----- Send audit ---------------------------------------------------------
@@ -48,7 +47,7 @@ fn session_can_move_between_threads() {
 #[test]
 fn stepping_is_invisible_to_execution() {
     let image = loop_program(400);
-    for options in table1_rows() {
+    for (_, options) in Options::table1() {
         for budget in [
             StepBudget::instructions(1),
             StepBudget::instructions(97),

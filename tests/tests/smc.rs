@@ -4,8 +4,8 @@
 //! surface as a code-write event, invalidate exactly the overlapping
 //! fragments, and never let a stale copy execute — proven by the decode
 //! verifier's stale-hit counter staying at zero. The workload × mode
-//! equivalence matrix is the `rio smc` scenario table
-//! (`tests/scenarios.rs`); these tests pin exact counts and check that
+//! equivalence matrix is the `rio smc` scenario table (pinned by the
+//! `smc` and `verify` goldens); these tests pin exact counts and check that
 //! stepping through the workloads is invisible.
 
 use rio_clients::ClientKind;

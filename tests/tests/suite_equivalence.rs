@@ -8,7 +8,6 @@ use rio_clients::ClientKind;
 use rio_core::{NullClient, Options, Rio};
 use rio_fuzz::scenario::{self, Exit, Expect, Faults, Run, Scenario};
 use rio_sim::CpuKind;
-use rio_tests::table1_rows;
 use rio_workloads::{compile, suite_scaled, Benchmark};
 
 /// Check one run of `b` against native execution: exit code, output,
@@ -42,7 +41,7 @@ fn all_benchmarks_match_native_under_every_client() {
 fn all_benchmarks_match_native_under_every_engine_configuration() {
     for b in suite_scaled(1) {
         // Every cache configuration; emulation is spot-checked below.
-        for options in &table1_rows()[1..] {
+        for (_, options) in &Options::table1()[1..] {
             check(&b, *options, ClientKind::Null);
         }
     }

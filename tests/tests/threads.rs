@@ -3,7 +3,7 @@
 
 use rio_core::{NullClient, Options, Rio, StepBudget};
 use rio_sim::{run_native, CpuKind};
-use rio_tests::{assert_transparent, run_in_steps, table1_rows, HookLog};
+use rio_tests::{assert_transparent, run_in_steps, HookLog};
 use rio_workloads::compile;
 
 /// Two workers and the main thread cooperatively appending to the output.
@@ -43,7 +43,7 @@ fn threads_run_identically_native_and_under_rio() {
     assert!(native.output.starts_with("MABMAB"), "{:?}", native.output);
     assert!(native.output.contains("12\n")); // spawn returned tids 1 and 2
 
-    for opts in table1_rows() {
+    for (_, opts) in Options::table1() {
         let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
         let (r, _) = run_in_steps(&mut rio, StepBudget::instructions(1_000_000), Some(1));
         assert_eq!(r.stats.threads_spawned, 2, "{opts:?}");
@@ -135,7 +135,7 @@ fn thread_exit_fires_once_for_a_retired_main_thread() {
     let image = compile(src).expect("compiles");
     let native = run_native(&image, CpuKind::Pentium4);
     assert_eq!((native.exit_code, native.output.as_str()), (0, "MW"));
-    for opts in table1_rows() {
+    for (_, opts) in Options::table1() {
         let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, HookLog::default());
         run_in_steps(&mut rio, StepBudget::instructions(1_000_000), Some(1));
         assert_eq!(rio.client.thread_exits, [0, 1], "{opts:?}");
