@@ -17,7 +17,7 @@ use crate::emit::{emit_fragment, CustomStub, EmitError};
 use crate::link::{redirect_incoming, unlink_incoming, unlink_outgoing};
 use crate::mangle::Note;
 use crate::stats::Stats;
-use crate::verify::{verify_fragment, LintSnapshot, Violation};
+use crate::verify::{verify_fragment, Decoded, LintSnapshot, Violation};
 
 /// State of an in-progress trace recording (§3.5's trace generation mode).
 #[derive(Clone, Debug)]
@@ -114,6 +114,11 @@ pub struct Core {
     /// Fragments touched by an emit/link/unlink/invalidate/evict since the
     /// last safe point, awaiting re-verification under [`Options::verify`].
     verify_queue: Vec<(usize, FragmentId)>,
+    /// The verifier's decode of the fragment it checks, kept between checks.
+    verify_decoded: Decoded,
+    /// The lints' snapshot buffers, lent out by [`Core::lint_snapshot`] and
+    /// returned by [`Core::lint_client_edit`].
+    lint_buffers: LintSnapshot,
     /// Violations recorded by incremental verification and the lints.
     verify_findings: Vec<Violation>,
 }
@@ -145,6 +150,8 @@ impl Core {
             sideline_cycles: 0,
             pending_flush: false,
             verify_queue: Vec::new(),
+            verify_decoded: Vec::new(),
+            lint_buffers: LintSnapshot::default(),
             verify_findings: Vec::new(),
         }
     }
@@ -480,8 +487,8 @@ impl Core {
         // cache copy it replaces — client edits may only add writes to
         // registers and flags the liveness analysis proves dead.
         if let Some(pre) = self.decode_fragment(tag) {
-            let snapshot = LintSnapshot::capture(&pre);
-            self.lint_client_edit(&snapshot, &il, tag);
+            let snapshot = self.lint_snapshot(&pre);
+            self.lint_client_edit(snapshot, &il, tag);
         }
         self.charge(self.costs.replace_fragment);
         let Ok(new) = self.emit(kind, tag, il, src_ranges) else {
@@ -716,8 +723,10 @@ impl Core {
     pub fn verify_cache(&mut self) -> Vec<Violation> {
         let mut all = Vec::new();
         for t in 0..self.threads.len() {
-            for id in self.threads[t].cache.live_ids(|_| true) {
-                all.extend(self.verify_one(t, id));
+            for id in (0..self.threads[t].cache.len() as u32).map(FragmentId) {
+                if !self.threads[t].cache.frag(id).deleted {
+                    all.extend(self.verify_one(t, id));
+                }
             }
         }
         all
@@ -735,6 +744,7 @@ impl Core {
             id,
             self.app_code_range,
             clean_calls,
+            &mut self.verify_decoded,
         );
         self.stats.violations += v.len() as u64;
         v
@@ -783,7 +793,7 @@ impl Core {
         queue.sort_unstable_by_key(|(t, id)| (*t, id.0));
         queue.dedup();
         let mut found = 0;
-        for (t, id) in queue {
+        for &(t, id) in &queue {
             if self.threads[t].cache.frag(id).deleted {
                 continue;
             }
@@ -791,18 +801,31 @@ impl Core {
             found += v.len();
             self.verify_findings.extend(v);
         }
+        // Verification queues nothing, so the emptied buffer goes back.
+        queue.clear();
+        self.verify_queue = queue;
         found
+    }
+
+    /// Snapshot `il` ahead of a client hook, into the core's reused lint
+    /// buffers (a hook that nests another snapshot gets fresh ones).
+    pub(crate) fn lint_snapshot(&mut self, il: &InstrList) -> LintSnapshot {
+        let mut snapshot = std::mem::take(&mut self.lint_buffers);
+        snapshot.capture(il);
+        snapshot
     }
 
     /// Run the client-safety lints over an instruction list a client hook
     /// just returned, diffing it against the pre-hook `snapshot` under a
-    /// fresh liveness analysis. Always on (uncharged); violations land in
-    /// [`Stats::violations`] and [`Core::verify_findings`].
-    pub(crate) fn lint_client_edit(&mut self, snapshot: &LintSnapshot, il: &InstrList, tag: u32) {
+    /// fresh liveness analysis, and keep the snapshot's buffers. Always on
+    /// (uncharged); violations land in [`Stats::violations`] and
+    /// [`Core::verify_findings`].
+    pub(crate) fn lint_client_edit(&mut self, snapshot: LintSnapshot, il: &InstrList, tag: u32) {
         self.stats.checks_run += 1;
         let v = snapshot.check(il, self.cur, tag);
         self.stats.violations += v.len() as u64;
         self.verify_findings.extend(v);
+        self.lint_buffers = snapshot;
     }
 
     // ----- introspection for reports ---------------------------------------

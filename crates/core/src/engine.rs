@@ -33,7 +33,6 @@ use crate::core::{Core, Recording, ThreadCore};
 use crate::link::link_exit;
 use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
 use crate::stats::Stats;
-use crate::verify::LintSnapshot;
 
 /// Result of running a program under RIO.
 #[derive(Clone, Debug)]
@@ -379,9 +378,7 @@ impl<C: Client> Rio<C> {
             self.phase = match self.core.options.mode {
                 ExecMode::Emulate => {
                     let (s, e) = self.core.app_code_range;
-                    self.core
-                        .machine
-                        .set_exec_regions(vec![ExecRegion::new(s, e)]);
+                    self.core.machine.set_exec_region(ExecRegion::new(s, e));
                     Phase::Emulating
                 }
                 ExecMode::Cache => {
@@ -802,9 +799,7 @@ impl<C: Client> Rio<C> {
         self.core.stats.emulated_instrs += instrs;
         self.core.threads[self.core.cur].quarantine_exec = true;
         self.core.machine.cpu.eip = tag;
-        self.core
-            .machine
-            .set_exec_regions(vec![ExecRegion::new(tag, end)]);
+        self.core.machine.set_exec_region(ExecRegion::new(tag, end));
     }
 
     /// Fire the `fragment_deleted` hook for every fragment removed since the
@@ -829,7 +824,7 @@ impl<C: Client> Rio<C> {
             ExecRegion::new(s, e)
         };
         self.core.machine.cpu.eip = f.start;
-        self.core.machine.set_exec_regions(vec![region]);
+        self.core.machine.set_exec_region(region);
     }
 
     /// Find or build the fragment to execute for `tag`; handles trace-head
@@ -933,9 +928,9 @@ impl<C: Client> Rio<C> {
         let mut il = bb.il;
         // Instrumentation-safety lint: whatever the client adds to the
         // block must not clobber live application registers or flags.
-        let snapshot = LintSnapshot::capture(&il);
+        let snapshot = self.core.lint_snapshot(&il);
         self.client.basic_block(&mut self.core, tag, &mut il);
-        self.core.lint_client_edit(&snapshot, &il, tag);
+        self.core.lint_client_edit(snapshot, &il, tag);
         let last = il.last_id();
         if let (Some(last), Some(exit)) = (last, mangle_bb(&mut il, bb.end_pc)) {
             // A custom stub the hook asked for on the block's last
@@ -1246,11 +1241,11 @@ impl<C: Client> Rio<C> {
         self.core.stats.trace_instrs += total_instrs as u64;
 
         // Instrumentation-safety lint over the trace hook's edits.
-        let snapshot = LintSnapshot::capture(&trace_il);
+        let snapshot = self.core.lint_snapshot(&trace_il);
         self.client
             .trace(&mut self.core, rec.trace_tag, &mut trace_il);
         self.core
-            .lint_client_edit(&snapshot, &trace_il, rec.trace_tag);
+            .lint_client_edit(snapshot, &trace_il, rec.trace_tag);
 
         // An emit failure abandons the trace (blocks keep executing); it is
         // not worth killing the session over an optimization.

@@ -33,10 +33,9 @@
 
 use std::fmt;
 
+use rio_ia32::decode::{decode_operands, Operands};
 use rio_ia32::liveness::{effects, Liveness, RegSet};
-use rio_ia32::{
-    decode_instr, Eflags, Instr, InstrId, InstrList, MemRef, OpSize, Opcode, Opnd, Reg, Target,
-};
+use rio_ia32::{Eflags, InstrId, InstrList, MemRef, OpSize, Opcode, Opnd, Reg};
 use rio_sim::{Image, Machine};
 
 use crate::cache::{CodeCache, ExitKind, FragmentId, Word};
@@ -115,10 +114,15 @@ impl fmt::Display for Violation {
 // Cache verifier
 // ---------------------------------------------------------------------------
 
+/// A fragment's instructions as the verifier decodes them: each one's
+/// offset in the fragment and its operands, with no `Instr` in between.
+pub(crate) type Decoded = Vec<(u32, Operands<Opnd>)>;
+
 /// Verify every structural invariant of one live fragment against the
 /// actual bytes in cache memory. `clean_call_count` bounds the valid
 /// clean-call sentinel tokens; `app_code_range` is the watched application
-/// code span.
+/// code span. `decoded` is scratch space, reused across calls so a clean
+/// fragment allocates nothing.
 pub(crate) fn verify_fragment(
     machine: &Machine,
     cache: &CodeCache,
@@ -126,6 +130,7 @@ pub(crate) fn verify_fragment(
     id: FragmentId,
     app_code_range: (u32, u32),
     clean_call_count: u32,
+    decoded: &mut Decoded,
 ) -> Vec<Violation> {
     let frag = cache.frag(id);
     let mut v = Vec::new();
@@ -139,16 +144,16 @@ pub(crate) fn verify_fragment(
     };
 
     // (1) Every byte in [start, start + total_len) decodes cleanly.
-    let mut decoded: Vec<(u32, Instr)> = Vec::new();
+    decoded.clear();
     let mut pc = frag.start;
     let end = frag.start + frag.total_len;
     let mut buf = [0u8; 16];
     while pc < end {
         machine.mem.read_bytes(pc, &mut buf);
-        match decode_instr(&buf, pc) {
-            Ok((instr, len)) => {
-                decoded.push((pc - frag.start, instr));
-                pc += len;
+        match decode_operands(&buf, pc) {
+            Ok(ops) => {
+                decoded.push((pc - frag.start, ops));
+                pc += ops.len;
             }
             Err(e) => {
                 report(
@@ -175,12 +180,14 @@ pub(crate) fn verify_fragment(
         return v;
     }
 
-    let boundaries: Vec<u32> = decoded.iter().map(|(off, _)| *off).collect();
-    let on_boundary = |off: u32| boundaries.binary_search(&off).is_ok();
+    let decoded = &*decoded;
+    let on_boundary = |off: u32| decoded.binary_search_by_key(&off, |(o, _)| *o).is_ok();
+    let body = || decoded.iter().filter(|(off, _)| *off < frag.body_len);
 
-    // (2) Closed-world control flow: classify every decoded CTI target.
-    for (off, instr) in &decoded {
-        let Some(Target::Pc(t)) = instr.target() else {
+    // (2) Closed-world control flow: classify every decoded CTI target (a
+    // decoded `Pc` operand is always a direct CTI's first source).
+    for (off, ops) in decoded {
+        let Some(&Opnd::Pc(t)) = ops.srcs().first() else {
             continue;
         };
         let within = t >= frag.start && t < end;
@@ -285,10 +292,7 @@ pub(crate) fn verify_fragment(
     // first row at offset zero, all within the body, covering every body
     // instruction (directly or through a linear Level-0 bundle row).
     let rows = &frag.translations;
-    let body_instrs = boundaries
-        .iter()
-        .filter(|off| **off < frag.body_len)
-        .count();
+    let body_instrs = body().count();
     if rows.is_empty() && body_instrs > 0 {
         report(
             Check::Translation,
@@ -348,7 +352,7 @@ pub(crate) fn verify_fragment(
         }
     }
     // Coverage: every decoded body instruction must translate.
-    for off in boundaries.iter().filter(|off| **off < frag.body_len) {
+    for (off, _) in body() {
         let covered = frag
             .translate(frag.start + off)
             .is_some_and(|t| t.linear || rows.iter().any(|r| r.cache_off == *off));
@@ -365,7 +369,7 @@ pub(crate) fn verify_fragment(
     // require the translation rows and every exit to agree.
     let ecx_slot = MemRef::absolute(layout::ECX_SLOT, OpSize::S32);
     let mut spilled = false;
-    for (off, instr) in decoded.iter().filter(|(off, _)| *off < frag.body_len) {
+    for (off, ops) in body() {
         if let Some(row) = frag.translate(frag.start + off) {
             if row.ecx_spilled != spilled {
                 report(
@@ -392,11 +396,11 @@ pub(crate) fn verify_fragment(
                 _ => {}
             }
         }
-        if instr.opcode() == Some(Opcode::Mov) {
-            let store = instr.dsts().first().and_then(Opnd::as_mem) == Some(&ecx_slot)
-                && instr.srcs().first().and_then(Opnd::as_reg) == Some(Reg::Ecx);
-            let load = instr.dsts().first().and_then(Opnd::as_reg) == Some(Reg::Ecx)
-                && instr.srcs().first().and_then(Opnd::as_mem) == Some(&ecx_slot);
+        if ops.op == Opcode::Mov {
+            let store = ops.dsts().first().and_then(Opnd::as_mem) == Some(&ecx_slot)
+                && ops.srcs().first().and_then(Opnd::as_reg) == Some(Reg::Ecx);
+            let load = ops.dsts().first().and_then(Opnd::as_reg) == Some(Reg::Ecx)
+                && ops.srcs().first().and_then(Opnd::as_mem) == Some(&ecx_slot);
             if store {
                 spilled = true;
             } else if load {
@@ -427,7 +431,9 @@ pub(crate) fn verify_fragment(
 // ---------------------------------------------------------------------------
 
 /// Pre-hook snapshot of an [`InstrList`]'s write effects, diffed after the
-/// hook by [`LintSnapshot::check`].
+/// hook by [`LintSnapshot::check`]. Its buffers are kept and refilled by
+/// each [`LintSnapshot::capture`].
+#[derive(Default)]
 pub(crate) struct LintSnapshot {
     /// Per-instruction written registers and flags, indexed by the id's slot
     /// ([`InstrId::raw`](rio_ia32::InstrId::raw)) — survives in-place edits
@@ -451,10 +457,12 @@ struct ExtraWrites {
 }
 
 impl LintSnapshot {
-    /// Record the write effects of every instruction in `il`.
-    pub(crate) fn capture(il: &InstrList) -> LintSnapshot {
-        let mut by_id = Vec::new();
-        let mut by_pc = Vec::new();
+    /// Record the write effects of every instruction in `il`, replacing
+    /// what was recorded before.
+    pub(crate) fn capture(&mut self, il: &InstrList) {
+        let LintSnapshot { by_id, by_pc } = self;
+        by_id.clear();
+        by_pc.clear();
         for id in il.ids() {
             let instr = il.get(id);
             if instr.is_label() {
@@ -479,7 +487,6 @@ impl LintSnapshot {
             }
             same
         });
-        LintSnapshot { by_id, by_pc }
     }
 
     /// The pre-hook writes of the instruction now at `id`: its own if the id
@@ -635,11 +642,21 @@ mod verifier_tests {
         v.iter().map(|x| x.check).collect()
     }
 
+    fn verify(
+        m: &Machine,
+        cache: &CodeCache,
+        id: FragmentId,
+        app: (u32, u32),
+        calls: u32,
+    ) -> Vec<Violation> {
+        verify_fragment(m, cache, 0, id, app, calls, &mut Vec::new())
+    }
+
     #[test]
     fn clean_fragments_verify_clean() {
         let (m, cache, fa, fb) = linked_pair(None);
-        assert!(verify_fragment(&m, &cache, 0, fa, APP, 0).is_empty());
-        assert!(verify_fragment(&m, &cache, 0, fb, APP, 0).is_empty());
+        assert!(verify(&m, &cache, fa, APP, 0).is_empty());
+        assert!(verify(&m, &cache, fb, APP, 0).is_empty());
     }
 
     #[test]
@@ -647,7 +664,7 @@ mod verifier_tests {
         let (mut m, cache, fa, _) = linked_pair(None);
         let start = cache.frag(fa).start;
         m.mem.write_bytes(start, &[0x0F, 0xFF]); // undecodable pair
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Decode), "{v:?}");
     }
 
@@ -665,7 +682,7 @@ mod verifier_tests {
             let (mut m, cache, fa, fb) = linked_pair(force_stub);
             let exit = &cache.frag(fa).exits[0];
             assert_eq!(exit.fixed_word.is_some(), force_stub.is_some());
-            assert!(verify_fragment(&m, &cache, 0, fa, APP, 0).is_empty());
+            assert!(verify(&m, &cache, fa, APP, 0).is_empty());
             // Re-aim the word four bytes past B's entry: the link map still
             // says "linked to B at its start", and a fixed word never moves.
             let addr = if fixed {
@@ -676,7 +693,7 @@ mod verifier_tests {
             .addr;
             let bogus = cache.frag(fb).start + 4;
             m.mem.write_u32(addr, bogus.wrapping_sub(addr + 4));
-            let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+            let v = verify(&m, &cache, fa, APP, 0);
             assert!(
                 checks_of(&v).contains(&Check::LinkForward),
                 "{force_stub:?} {fixed}: {v:?}"
@@ -693,7 +710,7 @@ mod verifier_tests {
         let bogus = cache.frag(fb).start + 1;
         m.mem
             .write_u32(disp_addr, bogus.wrapping_sub(disp_addr + 4));
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Cfg), "{v:?}");
     }
 
@@ -701,7 +718,7 @@ mod verifier_tests {
     fn dropped_incoming_record_fires_link_backward() {
         let (m, mut cache, fa, fb) = linked_pair(None);
         cache.frag_mut(fb).incoming.clear();
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::LinkBackward), "{v:?}");
     }
 
@@ -710,7 +727,7 @@ mod verifier_tests {
         let (m, mut cache, fa, fb) = linked_pair(None);
         // A second incoming entry naming an exit that is not linked here.
         cache.frag_mut(fb).incoming.push((fa, 7));
-        let v = verify_fragment(&m, &cache, 0, fb, APP, 0);
+        let v = verify(&m, &cache, fb, APP, 0);
         assert!(checks_of(&v).contains(&Check::LinkBackward), "{v:?}");
     }
 
@@ -718,7 +735,7 @@ mod verifier_tests {
     fn off_boundary_translation_row_fires_translation() {
         let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).translations[0].cache_off = 1;
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Translation), "{v:?}");
     }
 
@@ -726,7 +743,7 @@ mod verifier_tests {
     fn out_of_range_app_pc_fires_translation() {
         let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).translations[0].app_pc = 0x9999_9999;
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::Translation), "{v:?}");
     }
 
@@ -735,7 +752,7 @@ mod verifier_tests {
         let (m, mut cache, fa, _) = linked_pair(None);
         // The bytes never store %ecx, so a row claiming it is spilled lies.
         cache.frag_mut(fa).translations[0].ecx_spilled = true;
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::EcxBalance), "{v:?}");
     }
 
@@ -743,7 +760,7 @@ mod verifier_tests {
     fn bogus_src_range_fires_src_ranges() {
         let (m, mut cache, fa, _) = linked_pair(None);
         cache.frag_mut(fa).src_ranges.push((0x5000, 0x4000));
-        let v = verify_fragment(&m, &cache, 0, fa, APP, 0);
+        let v = verify(&m, &cache, fa, APP, 0);
         assert!(checks_of(&v).contains(&Check::SrcRanges), "{v:?}");
     }
 }
@@ -751,7 +768,13 @@ mod verifier_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rio_ia32::create;
+    use rio_ia32::{create, Target};
+
+    fn snapshot(il: &InstrList) -> LintSnapshot {
+        let mut snap = LintSnapshot::default();
+        snap.capture(il);
+        snap
+    }
 
     #[test]
     fn untouched_list_has_no_violations() {
@@ -759,7 +782,7 @@ mod tests {
         il.push_back(create::mov(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::add(Opnd::Reg(Reg::Ebx), Opnd::Reg(Reg::Eax)));
         il.push_back(create::ret());
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         assert!(snap.check(&il, 0, 0x1000).is_empty());
     }
 
@@ -768,7 +791,7 @@ mod tests {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::jmp(Target::Pc(0x1234)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         // A broken client inserts `mov ebx, 7` (no app pc): %ebx is live at
         // the fragment exit.
         let first = il.first_id().unwrap();
@@ -783,7 +806,7 @@ mod tests {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::jmp(Target::Pc(0x1234)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         let first = il.first_id().unwrap();
         // Broken: bare `add` clobbers flags that are live at the exit.
         let bad = il.insert_after(
@@ -809,7 +832,7 @@ mod tests {
         let i = il.push_back(create::inc(Opnd::Reg(Reg::Eax)));
         il.push_back(create::add(Opnd::Reg(Reg::Ebx), Opnd::imm32(1))); // kills all flags
         il.push_back(create::jmp(Target::Pc(0x1234)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         let mut add = create::add(Opnd::Reg(Reg::Eax), Opnd::imm32(1));
         add.set_app_pc(0x1000);
         il.replace(i, add);
@@ -823,7 +846,7 @@ mod tests {
         let i = il.push_back(create::inc(Opnd::Reg(Reg::Eax)));
         il.push_back(create::adc(Opnd::Reg(Reg::Ebx), Opnd::imm32(0)));
         il.push_back(create::jmp(Target::Pc(0x1234)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         il.replace(i, create::add(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
         let v = snap.check(&il, 0, 0x1000);
         assert_eq!(v.len(), 1);
@@ -862,15 +885,15 @@ mod tests {
         for cf_live in [true, false] {
             let (mut il, inc) = padded_inc(cf_live);
             assert!(il.len() >= 10);
-            let snap = LintSnapshot::capture(&il);
+            let [snap, first, second] = [(); 3].map(|()| snapshot(&il));
             // Untouched: no violation, and the lint still counts as run.
             let (checks, violations) = (core.stats.checks_run, core.stats.violations);
-            core.lint_client_edit(&snap, &il, 0x1000);
+            core.lint_client_edit(first, &il, 0x1000);
             assert_eq!(core.stats.checks_run, checks + 1);
             assert_eq!(core.stats.violations, violations);
             // inc -> add adds a CF write: flagged exactly when CF is live.
             il.replace(inc, create::add(Opnd::Reg(Reg::Eax), Opnd::imm32(1)));
-            core.lint_client_edit(&snap, &il, 0x1000);
+            core.lint_client_edit(second, &il, 0x1000);
             assert_eq!(core.stats.checks_run, checks + 2);
             assert_eq!(core.stats.violations, violations + u64::from(cf_live));
             let v = snap.check(&il, 0, 0x1000);
@@ -891,7 +914,7 @@ mod tests {
             Opnd::Mem(MemRef::base_disp(Reg::Ebp, -4, OpSize::S32)),
         ));
         il.push_back(create::jmp(Target::Pc(0x1234)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         il.replace(load, create::mov(Opnd::Reg(Reg::Edx), Opnd::Reg(Reg::Eax)));
         assert!(snap.check(&il, 0, 0x1000).is_empty());
     }
@@ -902,7 +925,7 @@ mod tests {
         let mut il = InstrList::new();
         il.push_back(create::mov(slot, Opnd::Reg(Reg::Ecx))); // spill
         il.push_back(create::jmp(Target::Pc(layout::IB_LOOKUP)));
-        let snap = LintSnapshot::capture(&il);
+        let snap = snapshot(&il);
         // The ibdispatch pattern: scramble %ecx while it is spilled.
         let first = il.first_id().unwrap();
         il.insert_after(

@@ -23,26 +23,26 @@ fn stack_mem(disp: i32) -> Opnd {
 
 /// `mov dst, src`.
 pub fn mov(dst: Opnd, src: Opnd) -> Instr {
-    Instr::new(Opcode::Mov, vec![src], vec![dst])
+    Instr::new(Opcode::Mov, &[src], &[dst])
 }
 
 /// `lea dst, mem` — load effective address.
 pub fn lea(dst: Reg, mem: MemRef) -> Instr {
-    Instr::new(Opcode::Lea, vec![Opnd::Mem(mem)], vec![Opnd::reg(dst)])
+    Instr::new(Opcode::Lea, &[Opnd::Mem(mem)], &[Opnd::reg(dst)])
 }
 
 /// `movzx dst32, src` (8- or 16-bit source).
 pub fn movzx(dst: Reg, src: Opnd) -> Instr {
-    Instr::new(Opcode::Movzx, vec![src], vec![Opnd::reg(dst)])
+    Instr::new(Opcode::Movzx, &[src], &[Opnd::reg(dst)])
 }
 
 /// `movsx dst32, src` (8- or 16-bit source).
 pub fn movsx(dst: Reg, src: Opnd) -> Instr {
-    Instr::new(Opcode::Movsx, vec![src], vec![Opnd::reg(dst)])
+    Instr::new(Opcode::Movsx, &[src], &[Opnd::reg(dst)])
 }
 
 fn arith(op: Opcode, dst: Opnd, src: Opnd) -> Instr {
-    Instr::new(op, vec![src, dst], vec![dst])
+    Instr::new(op, &[src, dst], &[dst])
 }
 
 /// `add dst, src` (paper Figure 3: `INSTR_CREATE_add`).
@@ -82,66 +82,62 @@ pub fn xor(dst: Opnd, src: Opnd) -> Instr {
 
 /// `cmp a, b` — computes `a - b`, writes flags only.
 pub fn cmp(a: Opnd, b: Opnd) -> Instr {
-    Instr::new(Opcode::Cmp, vec![a, b], vec![])
+    Instr::new(Opcode::Cmp, &[a, b], &[])
 }
 
 /// `test a, b` — computes `a & b`, writes flags only.
 pub fn test(a: Opnd, b: Opnd) -> Instr {
-    Instr::new(Opcode::Test, vec![a, b], vec![])
+    Instr::new(Opcode::Test, &[a, b], &[])
 }
 
 /// `inc rm` — increment; does not write CF.
 pub fn inc(rm: Opnd) -> Instr {
-    Instr::new(Opcode::Inc, vec![rm], vec![rm])
+    Instr::new(Opcode::Inc, &[rm], &[rm])
 }
 
 /// `dec rm` — decrement; does not write CF.
 pub fn dec(rm: Opnd) -> Instr {
-    Instr::new(Opcode::Dec, vec![rm], vec![rm])
+    Instr::new(Opcode::Dec, &[rm], &[rm])
 }
 
 /// `neg rm`.
 pub fn neg(rm: Opnd) -> Instr {
-    Instr::new(Opcode::Neg, vec![rm], vec![rm])
+    Instr::new(Opcode::Neg, &[rm], &[rm])
 }
 
 /// `not rm`.
 pub fn not(rm: Opnd) -> Instr {
-    Instr::new(Opcode::Not, vec![rm], vec![rm])
+    Instr::new(Opcode::Not, &[rm], &[rm])
 }
 
 /// `xchg a, b`.
 pub fn xchg(a: Opnd, b: Opnd) -> Instr {
-    Instr::new(Opcode::Xchg, vec![a, b], vec![a, b])
+    Instr::new(Opcode::Xchg, &[a, b], &[a, b])
 }
 
 /// `shl rm, count` (count: immediate or `%cl`).
 pub fn shl(rm: Opnd, count: Opnd) -> Instr {
-    Instr::new(Opcode::Shl, vec![count, rm], vec![rm])
+    Instr::new(Opcode::Shl, &[count, rm], &[rm])
 }
 
 /// `shr rm, count`.
 pub fn shr(rm: Opnd, count: Opnd) -> Instr {
-    Instr::new(Opcode::Shr, vec![count, rm], vec![rm])
+    Instr::new(Opcode::Shr, &[count, rm], &[rm])
 }
 
 /// `sar rm, count`.
 pub fn sar(rm: Opnd, count: Opnd) -> Instr {
-    Instr::new(Opcode::Sar, vec![count, rm], vec![rm])
+    Instr::new(Opcode::Sar, &[count, rm], &[rm])
 }
 
 /// Two-operand `imul dst, src` (`dst = dst * src`).
 pub fn imul(dst: Reg, src: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Imul,
-        vec![src, Opnd::reg(dst)],
-        vec![Opnd::reg(dst)],
-    )
+    Instr::new(Opcode::Imul, &[src, Opnd::reg(dst)], &[Opnd::reg(dst)])
 }
 
 /// Three-operand `imul dst, src, imm`.
 pub fn imul3(dst: Reg, src: Opnd, imm: Opnd) -> Instr {
-    Instr::new(Opcode::Imul, vec![src, imm], vec![Opnd::reg(dst)])
+    Instr::new(Opcode::Imul, &[src, imm], &[Opnd::reg(dst)])
 }
 
 /// A one-operand multiply or divide by `rm`, with the implicit operands of
@@ -149,14 +145,13 @@ pub fn imul3(dst: Reg, src: Opnd, imm: Opnd) -> Instr {
 /// 32-bit forms use `%edx:%eax`.
 fn widening(op: Opcode, rm: Opnd) -> Instr {
     let divide = matches!(op, Opcode::Div | Opcode::Idiv);
-    let (srcs, dsts): (&[Reg], &[Reg]) = match (rm.size(), divide) {
-        (OpSize::S8, false) => (&[Reg::Al], &[Reg::Ax]),
-        (OpSize::S8, true) => (&[Reg::Ax], &[Reg::Ax]),
-        (_, false) => (&[Reg::Eax], &[Reg::Edx, Reg::Eax]),
-        (_, true) => (&[Reg::Edx, Reg::Eax], &[Reg::Edx, Reg::Eax]),
-    };
-    let regs = |rs: &[Reg]| rs.iter().map(|&r| Opnd::reg(r)).collect::<Vec<_>>();
-    Instr::new(op, [vec![rm], regs(srcs)].concat(), regs(dsts))
+    let [al, ax, eax, edx] = [Reg::Al, Reg::Ax, Reg::Eax, Reg::Edx].map(Opnd::reg);
+    match (rm.size(), divide) {
+        (OpSize::S8, false) => Instr::new(op, &[rm, al], &[ax]),
+        (OpSize::S8, true) => Instr::new(op, &[rm, ax], &[ax]),
+        (_, false) => Instr::new(op, &[rm, eax], &[edx, eax]),
+        (_, true) => Instr::new(op, &[rm, edx, eax], &[edx, eax]),
+    }
 }
 
 /// `mul rm` (`edx:eax = eax * rm`, or `ax = al * rm8`; unsigned).
@@ -177,28 +172,20 @@ pub fn div(rm: Opnd) -> Instr {
 
 /// `cdq` — sign-extend `%eax` into `%edx`.
 pub fn cdq() -> Instr {
-    Instr::new(
-        Opcode::Cdq,
-        vec![Opnd::reg(Reg::Eax)],
-        vec![Opnd::reg(Reg::Edx)],
-    )
+    Instr::new(Opcode::Cdq, &[Opnd::reg(Reg::Eax)], &[Opnd::reg(Reg::Edx)])
 }
 
 /// `cwde` — sign-extend `%ax` into `%eax`.
 pub fn cwde() -> Instr {
-    Instr::new(
-        Opcode::Cwde,
-        vec![Opnd::reg(Reg::Ax)],
-        vec![Opnd::reg(Reg::Eax)],
-    )
+    Instr::new(Opcode::Cwde, &[Opnd::reg(Reg::Ax)], &[Opnd::reg(Reg::Eax)])
 }
 
 /// `push src` (register, immediate, memory, or code address).
 pub fn push(src: Opnd) -> Instr {
     Instr::new(
         Opcode::Push,
-        vec![src, Opnd::reg(Reg::Esp)],
-        vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
+        &[src, Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(-4)],
     )
 }
 
@@ -206,8 +193,8 @@ pub fn push(src: Opnd) -> Instr {
 pub fn pop(dst: Opnd) -> Instr {
     Instr::new(
         Opcode::Pop,
-        vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-        vec![dst, Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(0)],
+        &[dst, Opnd::reg(Reg::Esp)],
     )
 }
 
@@ -215,8 +202,8 @@ pub fn pop(dst: Opnd) -> Instr {
 pub fn pushfd() -> Instr {
     Instr::new(
         Opcode::Pushfd,
-        vec![Opnd::reg(Reg::Esp)],
-        vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
+        &[Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(-4)],
     )
 }
 
@@ -224,114 +211,106 @@ pub fn pushfd() -> Instr {
 pub fn popfd() -> Instr {
     Instr::new(
         Opcode::Popfd,
-        vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-        vec![Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(0)],
+        &[Opnd::reg(Reg::Esp)],
     )
 }
 
 /// `lahf` — flags into `%ah`.
 pub fn lahf() -> Instr {
-    Instr::new(Opcode::Lahf, vec![], vec![Opnd::reg(Reg::Ah)])
+    Instr::new(Opcode::Lahf, &[], &[Opnd::reg(Reg::Ah)])
 }
 
 /// `sahf` — `%ah` into flags.
 pub fn sahf() -> Instr {
-    Instr::new(Opcode::Sahf, vec![Opnd::reg(Reg::Ah)], vec![])
+    Instr::new(Opcode::Sahf, &[Opnd::reg(Reg::Ah)], &[])
 }
 
 /// `set<cc> rm8`.
 pub fn setcc(cc: Cc, rm8: Opnd) -> Instr {
-    Instr::new(Opcode::Set(cc), vec![], vec![rm8])
+    Instr::new(Opcode::Set(cc), &[], &[rm8])
 }
 
 /// `cmov<cc> dst32, src` — conditional move.
 pub fn cmov(cc: Cc, dst: Reg, src: Opnd) -> Instr {
-    Instr::new(
-        Opcode::Cmov(cc),
-        vec![src, Opnd::reg(dst)],
-        vec![Opnd::reg(dst)],
-    )
+    Instr::new(Opcode::Cmov(cc), &[src, Opnd::reg(dst)], &[Opnd::reg(dst)])
 }
 
 /// `rol rm, count`.
 pub fn rol(rm: Opnd, count: Opnd) -> Instr {
-    Instr::new(Opcode::Rol, vec![count, rm], vec![rm])
+    Instr::new(Opcode::Rol, &[count, rm], &[rm])
 }
 
 /// `ror rm, count`.
 pub fn ror(rm: Opnd, count: Opnd) -> Instr {
-    Instr::new(Opcode::Ror, vec![count, rm], vec![rm])
+    Instr::new(Opcode::Ror, &[count, rm], &[rm])
 }
 
 /// `bt rm, bit` — test a bit into CF (bit: register or imm8).
 pub fn bt(rm: Opnd, bit: Opnd) -> Instr {
-    Instr::new(Opcode::Bt, vec![rm, bit], vec![])
+    Instr::new(Opcode::Bt, &[rm, bit], &[])
 }
 
 /// `bswap r32`.
 pub fn bswap(r: Reg) -> Instr {
-    Instr::new(Opcode::Bswap, vec![Opnd::reg(r)], vec![Opnd::reg(r)])
+    Instr::new(Opcode::Bswap, &[Opnd::reg(r)], &[Opnd::reg(r)])
 }
 
 /// `nop`.
 pub fn nop() -> Instr {
-    Instr::new(Opcode::Nop, vec![], vec![])
+    Instr::new(Opcode::Nop, &[], &[])
 }
 
 /// `int3` breakpoint.
 pub fn int3() -> Instr {
-    Instr::new(Opcode::Int3, vec![], vec![])
+    Instr::new(Opcode::Int3, &[], &[])
 }
 
 /// `int n` — software interrupt (the simulated system-call gate).
 pub fn int(n: u8) -> Instr {
-    Instr::new(Opcode::Int, vec![Opnd::Imm(n as i32, OpSize::S8)], vec![])
+    Instr::new(Opcode::Int, &[Opnd::Imm(n as i32, OpSize::S8)], &[])
 }
 
 /// `hlt` — terminates the simulated program.
 pub fn hlt() -> Instr {
-    Instr::new(Opcode::Hlt, vec![], vec![])
+    Instr::new(Opcode::Hlt, &[], &[])
 }
 
 /// Direct `jmp target`.
 pub fn jmp(target: Target) -> Instr {
-    Instr::new(Opcode::Jmp, vec![target.to_opnd()], vec![])
+    Instr::new(Opcode::Jmp, &[target.to_opnd()], &[])
 }
 
 /// Conditional direct `j<cc> target`.
 pub fn jcc(cc: Cc, target: Target) -> Instr {
-    Instr::new(Opcode::Jcc(cc), vec![target.to_opnd()], vec![])
+    Instr::new(Opcode::Jcc(cc), &[target.to_opnd()], &[])
 }
 
 /// `jecxz target` — jump if `%ecx` is zero; reads no eflags.
 pub fn jecxz(target: Target) -> Instr {
-    Instr::new(
-        Opcode::Jecxz,
-        vec![target.to_opnd(), Opnd::reg(Reg::Ecx)],
-        vec![],
-    )
+    Instr::new(Opcode::Jecxz, &[target.to_opnd(), Opnd::reg(Reg::Ecx)], &[])
 }
 
 /// Direct `call target`.
 pub fn call(target: Target) -> Instr {
     Instr::new(
         Opcode::Call,
-        vec![target.to_opnd(), Opnd::reg(Reg::Esp)],
-        vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
+        &[target.to_opnd(), Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(-4)],
     )
 }
 
 /// Indirect `jmp *rm`.
 pub fn jmp_ind(rm: Opnd) -> Instr {
-    Instr::new(Opcode::JmpInd, vec![rm], vec![])
+    Instr::new(Opcode::JmpInd, &[rm], &[])
 }
 
 /// Indirect `call *rm`.
 pub fn call_ind(rm: Opnd) -> Instr {
     Instr::new(
         Opcode::CallInd,
-        vec![rm, Opnd::reg(Reg::Esp)],
-        vec![Opnd::reg(Reg::Esp), stack_mem(-4)],
+        &[rm, Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(-4)],
     )
 }
 
@@ -339,8 +318,8 @@ pub fn call_ind(rm: Opnd) -> Instr {
 pub fn ret() -> Instr {
     Instr::new(
         Opcode::Ret,
-        vec![Opnd::reg(Reg::Esp), stack_mem(0)],
-        vec![Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp), stack_mem(0)],
+        &[Opnd::reg(Reg::Esp)],
     )
 }
 
@@ -348,12 +327,12 @@ pub fn ret() -> Instr {
 pub fn ret_imm(imm: u16) -> Instr {
     Instr::new(
         Opcode::Ret,
-        vec![
+        &[
             Opnd::Imm(imm as i32, OpSize::S16),
             Opnd::reg(Reg::Esp),
             stack_mem(0),
         ],
-        vec![Opnd::reg(Reg::Esp)],
+        &[Opnd::reg(Reg::Esp)],
     )
 }
 

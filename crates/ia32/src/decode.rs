@@ -21,7 +21,8 @@
 //!   simulator's decode cache) binds operands straight into the form it
 //!   runs.
 //! * [`decode_instr`] — Levels 3/4: the same fill into [`Opnd`] slots,
-//!   copied into a new [`Instr`] with its raw bytes.
+//!   which a new [`Instr`] keeps, with its raw bytes inline; nothing is
+//!   allocated either.
 //!
 //! [`InstrList::decode_block`](crate::InstrList::decode_block) decodes whole
 //! blocks through the same path, at any level, and the
@@ -519,18 +520,16 @@ pub(crate) fn rows() -> impl Iterator<Item = (u16, u8, Form, bool)> {
 /// Decode the instruction at the start of `bytes`, located at `pc`, to
 /// Level 1, 2 or 3 (`L0` is treated as `L1`, `L4` as `L3`). Returns the
 /// instruction and its length. Level 3 operands come from the same fill as
-/// [`decode_operands`], copied out of its fixed slots.
+/// [`decode_operands`], whose fixed slots the `Instr` keeps as they are, so
+/// no level allocates.
 pub(crate) fn decode_at(bytes: &[u8], pc: u32, level: Level) -> Result<(Instr, u32), DecodeError> {
     let form = classify(bytes)?;
     let (modrm, len) = form.scan(bytes)?;
-    let mut instr = Instr::raw(bytes[..len as usize].to_vec(), pc);
+    let mut instr = Instr::raw(&bytes[..len as usize], pc);
     match level {
         Level::L0 | Level::L1 => {}
         Level::L2 => instr.install_l2(form.op),
-        Level::L3 | Level::L4 => {
-            let ops = form.fill::<Opnd>(bytes, pc, len, modrm);
-            instr.install_l3(form.op, ops.srcs().to_vec(), ops.dsts().to_vec());
-        }
+        Level::L3 | Level::L4 => instr.install_l3(&form.fill(bytes, pc, len, modrm)),
     }
     Ok((instr, len))
 }

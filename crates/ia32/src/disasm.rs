@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn level_specific_display() {
-        let raw = crate::Instr::raw(vec![0x40], 0);
+        let raw = crate::Instr::raw(&[0x40], 0);
         assert_eq!(raw.to_string(), "<raw 40>");
         let bundle = crate::Instr::bundle(vec![0x40, 0x41], 0, 1, 2);
         assert_eq!(bundle.to_string(), "<bundle of 2 instrs, 2 bytes>");

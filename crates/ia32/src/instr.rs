@@ -19,10 +19,14 @@
 use std::fmt;
 use std::mem;
 
+use crate::decode::{Operand, Operands, MAX_DSTS, MAX_SRCS};
 use crate::eflags::EflagsEffect;
 use crate::ilist::InstrId;
 use crate::opcode::Opcode;
 use crate::opnd::Opnd;
+
+/// The longest IA-32 instruction, in bytes.
+pub const MAX_INSTR_LEN: usize = 15;
 
 /// The five levels of instruction detail (paper §3.1, Figure 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,7 +72,33 @@ impl Target {
     }
 }
 
+/// Raw machine bytes: one instruction's inline, a Level 0 bundle's out of
+/// line.
+#[derive(Clone, Debug, PartialEq)]
+enum Raw {
+    /// The first `len` bytes; the rest are zero.
+    Inline(u8, [u8; MAX_INSTR_LEN]),
+    /// A bundle's bytes.
+    Bundle(Vec<u8>),
+}
+
+/// No raw bytes.
+const NO_RAW: Raw = Raw::Inline(0, [0; MAX_INSTR_LEN]);
+
+/// `ops` in `N` fixed slots, the rest [`Operand::NONE`], and their count.
+fn slots<const N: usize>(ops: &[Opnd]) -> ([Opnd; N], u8) {
+    assert!(ops.len() <= N, "{} operands for {N} slots", ops.len());
+    let mut slots = [Opnd::NONE; N];
+    slots[..ops.len()].copy_from_slice(ops);
+    (slots, ops.len() as u8)
+}
+
 /// A single instruction (or Level 0 bundle) in the adaptive representation.
+///
+/// Only a Level 0 bundle owns heap memory (its bytes). One instruction's raw
+/// bytes are stored inline, and its operands in fixed slots sized by the
+/// decode table ([`MAX_SRCS`] sources, [`MAX_DSTS`] destinations), which hold
+/// every decoded form and every [`create`](crate::create) constructor.
 ///
 /// # Examples
 ///
@@ -88,7 +118,7 @@ pub struct Instr {
     /// Original application pc (0 for synthesized instructions).
     app_pc: u32,
     /// Raw machine bytes; meaningful when `raw_valid`.
-    raw: Vec<u8>,
+    raw: Raw,
     raw_valid: bool,
     /// For Level 0 bundles: byte offset of the final instruction.
     bundle_last_off: u32,
@@ -96,8 +126,12 @@ pub struct Instr {
     bundle_count: u32,
     opcode: Option<Opcode>,
     eflags: EflagsEffect,
-    srcs: Vec<Opnd>,
-    dsts: Vec<Opnd>,
+    /// `srcs[..nsrcs]` and `dsts[..ndsts]` are the operands; every other
+    /// slot is [`Operand::NONE`].
+    srcs: [Opnd; MAX_SRCS],
+    nsrcs: u8,
+    dsts: [Opnd; MAX_DSTS],
+    ndsts: u8,
     prefixes: u16,
     /// Free-form client annotation field (paper §3.2: "a field in the Instr
     /// data structure that can be used by the client for annotations").
@@ -105,69 +139,73 @@ pub struct Instr {
 }
 
 impl Instr {
-    /// Create a Level 0 bundle over `bytes`, which hold `count` instructions,
-    /// the last one beginning at `last_off`.
-    pub fn bundle(bytes: Vec<u8>, app_pc: u32, last_off: u32, count: u32) -> Instr {
+    /// An instruction at `level` with no opcode and no operands.
+    fn empty(level: Level, app_pc: u32, raw: Raw) -> Instr {
         Instr {
-            level: Level::L0,
+            level,
             app_pc,
-            raw: bytes,
-            raw_valid: true,
-            bundle_last_off: last_off,
-            bundle_count: count,
+            raw_valid: level < Level::L4,
+            raw,
+            bundle_last_off: 0,
+            bundle_count: 1,
             opcode: None,
             eflags: EflagsEffect::NONE,
-            srcs: Vec::new(),
-            dsts: Vec::new(),
+            srcs: [Opnd::NONE; MAX_SRCS],
+            nsrcs: 0,
+            dsts: [Opnd::NONE; MAX_DSTS],
+            ndsts: 0,
             prefixes: 0,
             note: 0,
         }
     }
 
-    /// Create a Level 1 instruction holding only raw bytes.
-    pub fn raw(bytes: Vec<u8>, app_pc: u32) -> Instr {
+    /// Create a Level 0 bundle over `bytes`, which hold `count` instructions,
+    /// the last one beginning at `last_off`.
+    pub fn bundle(bytes: Vec<u8>, app_pc: u32, last_off: u32, count: u32) -> Instr {
         Instr {
-            level: Level::L1,
-            app_pc,
-            raw: bytes,
-            raw_valid: true,
-            bundle_last_off: 0,
-            bundle_count: 1,
-            opcode: None,
-            eflags: EflagsEffect::NONE,
-            srcs: Vec::new(),
-            dsts: Vec::new(),
-            prefixes: 0,
-            note: 0,
+            bundle_last_off: last_off,
+            bundle_count: count,
+            ..Instr::empty(Level::L0, app_pc, Raw::Bundle(bytes))
         }
+    }
+
+    /// Create a Level 1 instruction holding only raw bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than [`MAX_INSTR_LEN`].
+    pub fn raw(bytes: &[u8], app_pc: u32) -> Instr {
+        let mut raw = [0; MAX_INSTR_LEN];
+        raw[..bytes.len()].copy_from_slice(bytes);
+        Instr::empty(Level::L1, app_pc, Raw::Inline(bytes.len() as u8, raw))
     }
 
     /// Create a synthesized (Level 4) instruction from opcode and operands.
     ///
     /// This is the workhorse behind the [`create`](crate::create)
     /// constructors; the eflags effect is derived from the opcode.
-    pub fn new(opcode: Opcode, srcs: Vec<Opnd>, dsts: Vec<Opnd>) -> Instr {
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_SRCS`] sources or [`MAX_DSTS`]
+    /// destinations.
+    pub fn new(opcode: Opcode, srcs: &[Opnd], dsts: &[Opnd]) -> Instr {
+        let ((srcs, nsrcs), (dsts, ndsts)) = (slots(srcs), slots(dsts));
         Instr {
-            level: Level::L4,
-            app_pc: 0,
-            raw: Vec::new(),
-            raw_valid: false,
-            bundle_last_off: 0,
-            bundle_count: 1,
             opcode: Some(opcode),
             eflags: opcode.eflags_effect(),
             srcs,
+            nsrcs,
             dsts,
-            prefixes: 0,
-            note: 0,
+            ndsts,
+            ..Instr::empty(Level::L4, 0, NO_RAW)
         }
     }
 
     /// Create a label pseudo-instruction (a zero-length branch target).
     pub fn label() -> Instr {
-        Instr::new(Opcode::Label, Vec::new(), Vec::new())
+        Instr::new(Opcode::Label, &[], &[])
     }
-
     /// Current level of detail.
     pub fn level(&self) -> Level {
         self.level
@@ -191,11 +229,10 @@ impl Instr {
 
     /// The raw bytes, if valid.
     pub fn raw_bytes(&self) -> Option<&[u8]> {
-        if self.raw_valid {
-            Some(&self.raw)
-        } else {
-            None
-        }
+        self.raw_valid.then_some(match &self.raw {
+            Raw::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Raw::Bundle(bytes) => bytes,
+        })
     }
 
     /// For Level 0 bundles, the byte offset of the final bundled instruction.
@@ -233,12 +270,12 @@ impl Instr {
     /// Source operands (valid at Level 3+). Implicit operands are
     /// materialized, so e.g. `pop %eax` lists `%esp` and `(%esp)` as sources.
     pub fn srcs(&self) -> &[Opnd] {
-        &self.srcs
+        &self.srcs[..usize::from(self.nsrcs)]
     }
 
     /// Destination operands (valid at Level 3+).
     pub fn dsts(&self) -> &[Opnd] {
-        &self.dsts
+        &self.dsts[..usize::from(self.ndsts)]
     }
 
     /// Source operand `i` (paper: `instr_get_src`).
@@ -247,7 +284,7 @@ impl Instr {
     ///
     /// Panics if `i` is out of range.
     pub fn src(&self, i: usize) -> &Opnd {
-        &self.srcs[i]
+        &self.srcs()[i]
     }
 
     /// Destination operand `i` (paper: `instr_get_dst`).
@@ -256,7 +293,7 @@ impl Instr {
     ///
     /// Panics if `i` is out of range.
     pub fn dst(&self, i: usize) -> &Opnd {
-        &self.dsts[i]
+        &self.dsts()[i]
     }
 
     /// Replace source operand `i`, invalidating raw bytes (level → 4).
@@ -265,7 +302,7 @@ impl Instr {
     ///
     /// Panics if `i` is out of range.
     pub fn set_src(&mut self, i: usize, op: Opnd) {
-        self.srcs[i] = op;
+        self.srcs[..usize::from(self.nsrcs)][i] = op;
         self.invalidate_raw();
     }
 
@@ -275,7 +312,7 @@ impl Instr {
     ///
     /// Panics if `i` is out of range.
     pub fn set_dst(&mut self, i: usize, op: Opnd) {
-        self.dsts[i] = op;
+        self.dsts[..usize::from(self.ndsts)][i] = op;
         self.invalidate_raw();
     }
 
@@ -283,7 +320,7 @@ impl Instr {
     pub fn target(&self) -> Option<Target> {
         let op = self.opcode?;
         if op.is_cti() && !op.is_indirect_cti() && op != Opcode::Ret {
-            self.srcs.first().and_then(Target::from_opnd)
+            self.srcs().first().and_then(Target::from_opnd)
         } else {
             None
         }
@@ -302,11 +339,8 @@ impl Instr {
             op.is_cti() && !op.is_indirect_cti() && op != Opcode::Ret,
             "set_target on non-direct-CTI {op}"
         );
-        if self.srcs.is_empty() {
-            self.srcs.push(target.to_opnd());
-        } else {
-            self.srcs[0] = target.to_opnd();
-        }
+        self.nsrcs = self.nsrcs.max(1);
+        self.srcs[0] = target.to_opnd();
         self.invalidate_raw();
     }
 
@@ -322,7 +356,7 @@ impl Instr {
         match self.opcode {
             Some(op) if op.is_indirect_cti() => true,
             Some(op) if op.is_cti() => {
-                matches!(self.srcs.first(), Some(Opnd::Pc(_)))
+                matches!(self.srcs().first(), Some(Opnd::Pc(_)))
             }
             _ => false,
         }
@@ -339,7 +373,7 @@ impl Instr {
     /// state the representation cannot observe.
     pub fn invalidate_raw(&mut self) {
         self.raw_valid = false;
-        self.raw = Vec::new();
+        self.raw = NO_RAW;
         if self.level >= Level::L3 {
             self.level = Level::L4;
         }
@@ -354,12 +388,12 @@ impl Instr {
         }
     }
 
-    /// Install decoded Level 3 state. Used by the decoder.
-    pub(crate) fn install_l3(&mut self, opcode: Opcode, srcs: Vec<Opnd>, dsts: Vec<Opnd>) {
-        self.opcode = Some(opcode);
-        self.eflags = opcode.eflags_effect();
-        self.srcs = srcs;
-        self.dsts = dsts;
+    /// Install decoded Level 3 state: the decoder's operand slots, copied
+    /// as they are. Used by the decoder.
+    pub(crate) fn install_l3(&mut self, ops: &Operands<Opnd>) {
+        self.install_l2(ops.op);
+        (self.srcs, self.nsrcs) = (ops.srcs, ops.nsrcs);
+        (self.dsts, self.ndsts) = (ops.dsts, ops.ndsts);
         if self.level < Level::L3 {
             self.level = Level::L3;
         }
@@ -370,20 +404,24 @@ impl Instr {
     pub fn known_len(&self) -> Option<u32> {
         if self.is_label() {
             Some(0)
-        } else if self.raw_valid {
-            Some(self.raw.len() as u32)
         } else {
-            None
+            self.raw_bytes().map(|raw| raw.len() as u32)
         }
     }
 
-    /// Approximate heap + inline memory footprint in bytes, for the Table 2
-    /// reproduction.
+    /// Approximate memory footprint in bytes, for the Table 2
+    /// reproduction: the structure, a bundle's out-of-line bytes, and the
+    /// operands this level materialises (not the empty slots), so Levels
+    /// 0–2 pay for no operands.
     pub fn memory_bytes(&self) -> usize {
-        mem::size_of::<Instr>()
-            + self.raw.capacity()
-            + self.srcs.capacity() * mem::size_of::<Opnd>()
-            + self.dsts.capacity() * mem::size_of::<Opnd>()
+        let opnd = mem::size_of::<Opnd>();
+        let bundle = match &self.raw {
+            Raw::Bundle(bytes) => bytes.capacity(),
+            Raw::Inline(..) => 0,
+        };
+        mem::size_of::<Instr>() - (MAX_SRCS + MAX_DSTS) * opnd
+            + usize::from(self.nsrcs + self.ndsts) * opnd
+            + bundle
     }
 
     /// Rewrite intra-list targets using `map` (used when an `InstrList` is
@@ -413,8 +451,8 @@ mod tests {
     fn synthesized_instr_is_level4() {
         let i = Instr::new(
             Opcode::Add,
-            vec![Opnd::imm8(1), Opnd::reg(Reg::Eax)],
-            vec![Opnd::reg(Reg::Eax)],
+            &[Opnd::imm8(1), Opnd::reg(Reg::Eax)],
+            &[Opnd::reg(Reg::Eax)],
         );
         assert_eq!(i.level(), Level::L4);
         assert!(!i.raw_valid());
@@ -423,7 +461,7 @@ mod tests {
 
     #[test]
     fn raw_instr_is_level1() {
-        let i = Instr::raw(vec![0x90], 0x400000);
+        let i = Instr::raw(&[0x90], 0x400000);
         assert_eq!(i.level(), Level::L1);
         assert!(i.raw_valid());
         assert_eq!(i.known_len(), Some(1));
@@ -440,12 +478,7 @@ mod tests {
 
     #[test]
     fn mutation_invalidates_raw_and_raises_level() {
-        let mut i = Instr::raw(vec![0x40], 0x1000); // inc %eax
-        i.install_l3(
-            Opcode::Inc,
-            vec![Opnd::reg(Reg::Eax)],
-            vec![Opnd::reg(Reg::Eax)],
-        );
+        let (mut i, _) = crate::decode_instr(&[0x40], 0x1000).unwrap(); // inc %eax
         assert_eq!(i.level(), Level::L3);
         assert!(i.raw_valid());
         i.set_dst(0, Opnd::reg(Reg::Ebx));
@@ -456,7 +489,7 @@ mod tests {
 
     #[test]
     fn target_accessors_work_on_direct_ctis() {
-        let mut j = Instr::new(Opcode::Jmp, vec![Opnd::Pc(0x5000)], vec![]);
+        let mut j = Instr::new(Opcode::Jmp, &[Opnd::Pc(0x5000)], &[]);
         assert_eq!(j.target(), Some(Target::Pc(0x5000)));
         assert!(j.is_exit_cti());
         j.set_target(Target::Instr(InstrId::from_raw(3)));
@@ -468,11 +501,11 @@ mod tests {
     fn indirect_ctis_always_exit() {
         let r = Instr::new(
             Opcode::Ret,
-            vec![
+            &[
                 Opnd::reg(Reg::Esp),
                 Opnd::mem(crate::MemRef::base_disp(Reg::Esp, 0, OpSize::S32)),
             ],
-            vec![Opnd::reg(Reg::Esp)],
+            &[Opnd::reg(Reg::Esp)],
         );
         assert!(r.is_exit_cti());
         assert_eq!(r.target(), None);
@@ -488,18 +521,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "set_target on non-direct-CTI")]
     fn set_target_rejects_non_cti() {
-        let mut i = Instr::new(Opcode::Nop, vec![], vec![]);
+        let mut i = Instr::new(Opcode::Nop, &[], &[]);
         i.set_target(Target::Pc(0));
     }
 
     #[test]
     fn memory_accounting_grows_with_operands() {
-        let small = Instr::raw(vec![0x90], 0);
+        let small = Instr::raw(&[0x90], 0);
         let big = Instr::new(
             Opcode::Add,
-            vec![Opnd::imm32(5), Opnd::reg(Reg::Eax)],
-            vec![Opnd::reg(Reg::Eax)],
+            &[Opnd::imm32(5), Opnd::reg(Reg::Eax)],
+            &[Opnd::reg(Reg::Eax)],
         );
-        assert!(big.memory_bytes() >= small.memory_bytes());
+        let opnd = mem::size_of::<Opnd>();
+        assert_eq!(big.memory_bytes(), small.memory_bytes() + 3 * opnd);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 operands for 3 slots")]
+    fn operands_past_the_slots_are_rejected() {
+        let r = Opnd::reg(Reg::Eax);
+        Instr::new(Opcode::Add, &[r, r, r, r], &[]);
     }
 }

@@ -518,7 +518,7 @@ mod tests {
     fn undecoded_instruction_is_a_conservative_barrier() {
         let mut il = InstrList::new();
         let a = il.push_back(create::mov(Opnd::Reg(Reg::Ebx), Opnd::imm32(1)));
-        il.push_back(Instr::raw(vec![0x90], 0));
+        il.push_back(Instr::raw(&[0x90], 0));
         il.push_back(create::mov(Opnd::Reg(Reg::Ebx), Opnd::imm32(2)));
         let live = Liveness::analyze(&il);
         // The raw byte might read anything, so %ebx stays live.

@@ -47,6 +47,7 @@ pub mod machine;
 pub mod mem;
 pub mod os;
 pub mod perf;
+mod spare;
 
 pub use cpu::{CpuExit, CpuState, FaultKind};
 pub use image::Image;

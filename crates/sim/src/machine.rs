@@ -24,8 +24,11 @@
 //! * a block is decoded only as far as execution needs it and extended when
 //!   execution reaches its end, so a pc that is only ever single-stepped
 //!   costs one decode;
-//! * its 32K slot words are allocated zeroed, so a fresh [`Machine`] pays
-//!   only for the slots its code actually uses;
+//! * its 32K slot words and its code-page bitmap are reused from machines
+//!   dropped earlier on the same thread, cleared where they were used, so a
+//!   fresh [`Machine`] neither allocates nor zeroes them and pays only for
+//!   the slots its code actually uses (a thread's first machine allocates
+//!   them zeroed);
 //! * it is direct-mapped by start pc, and its index keeps apart code in
 //!   different 16 MiB regions: bit 24 of the pc is folded into the top
 //!   index bit, so two copies of hot code 16 MiB apart (a basic block and
@@ -76,6 +79,7 @@ use crate::cpu::{
 use crate::image::Image;
 use crate::mem::Memory;
 use crate::perf::{CostModel, Counters, CpuKind};
+use crate::spare::{self, Spares};
 
 /// A half-open `[start, end)` address range the CPU may execute from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -531,16 +535,18 @@ pub struct DecodeCacheStats {
 ///   only there never share a slot, and the first 16 KiB of two regions
 ///   16 MiB apart fill opposite halves of the slots.
 /// * `slots` holds one word per direct-mapped slot: the start pc, a valid
-///   bit, and where the block lies (see `SLOT_VALID`). It is allocated
-///   zeroed and only touched where code runs.
+///   bit, and where the block lies (see `SLOT_VALID`). It and `code_pages`
+///   are [`Tables`], reused from machines dropped on the same thread.
 /// * `arena` holds every block's decoded instructions back to back. It is
 ///   allocated on the first miss at [`ARENA_FIRST_INSTRS`] entries and
 ///   doubles whenever a fill might not fit, so a machine pays only for the
-///   code it runs. A new block is appended; a block grows in place while it
-///   is the newest and is copied to the end otherwise; a replaced or
-///   invalidated block's instructions stay behind until the arena reaches
-///   [`ARENA_INSTRS`] entries, and then the whole cache is reset, so memory
-///   stays bounded. Blocks name their instructions by arena index, so
+///   code it runs. A dropped machine leaves its arena, emptied, to the next
+///   machine on its thread with the tables, so an arena is allocated and
+///   grown once per thread, not once per machine. A new block is appended;
+///   a block grows in place while it is the newest and is copied to the
+///   end otherwise; a replaced or invalidated block's instructions stay
+///   behind until the arena reaches [`ARENA_INSTRS`] entries, and then the
+///   whole cache is reset, so memory stays bounded. Blocks name their instructions by arena index, so
 ///   growing the arena moves no block.
 /// * `code_pages` is a bitmap with one bit per 4 KiB page. Invariant: for
 ///   every valid slot with start `pc` and span `s`, the pages holding `pc`
@@ -551,21 +557,114 @@ pub struct DecodeCacheStats {
 ///   only by `invalidate_all`, so the bitmap may over-approximate but
 ///   never under-approximates.
 ///
-/// Invalidation touches only `slots` (and `stats`), never `arena`, which is
-/// what lets the interpreter borrow the arena while it executes a block.
+/// Invalidation touches only the tables (and `stats`), never `arena`, which
+/// is what lets the interpreter borrow the arena while it executes a block.
 struct DecodeCache {
-    slots: Vec<u64>,
+    tables: Tables,
     arena: Vec<Decoded>,
-    code_pages: Vec<u64>,
     stats: DecodeCacheStats,
 }
 
-impl DecodeCache {
-    fn new() -> DecodeCache {
-        DecodeCache {
+/// Slots per chunk of the slot index whose use [`Tables`] tracks.
+const SLOT_CHUNK: usize = 1 << 10;
+const _: () = assert!(DCACHE_SIZE / SLOT_CHUNK <= 32);
+
+thread_local! {
+    /// The tables and emptied arenas of decode caches dropped on this thread.
+    static SPARE_TABLES: Spares<(Tables, Vec<Decoded>)> = const { Spares::new(Vec::new()) };
+}
+
+/// The decode cache's fixed-size tables: the slot index and the code-page
+/// bitmap, 384 KiB together. A new machine takes a cleared set from those
+/// of machines dropped on its thread (see [`DecodeCache::new`]), and
+/// allocates them zeroed only when there is none, so it pays only for the
+/// slots its code actually uses.
+/// Clearing touches only what was used: each table records which of its
+/// parts (a chunk of [`SLOT_CHUNK`] slots, a bitmap word) may be nonzero,
+/// and both marks are set on a fill, never on a lookup or a store.
+#[derive(Default)]
+struct Tables {
+    slots: Vec<u64>,
+    code_pages: Vec<u64>,
+    /// Bit `c`: chunk `c` of `slots` may hold a nonzero word.
+    used_chunks: u32,
+    /// Bit `w`: `code_pages[w]` may be nonzero.
+    used_words: Vec<u64>,
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
+impl Tables {
+    fn new() -> Tables {
+        let words = PAGES as usize / 64;
+        Tables {
             slots: vec![0; DCACHE_SIZE],
-            arena: Vec::new(),
-            code_pages: vec![0; PAGES as usize / 64],
+            code_pages: vec![0; words],
+            used_chunks: 0,
+            used_words: vec![0; words / 64],
+        }
+    }
+
+    /// Zero what was used.
+    fn clear(&mut self) {
+        for chunk in set_bits(self.used_chunks.into()) {
+            self.slots[chunk * SLOT_CHUNK..][..SLOT_CHUNK].fill(0);
+        }
+        self.used_chunks = 0;
+        self.clear_pages();
+    }
+
+    /// Store `word` in slot `index`, marking its chunk used.
+    fn set_slot(&mut self, index: usize, word: u64) {
+        self.slots[index] = word;
+        self.used_chunks |= 1 << (index / SLOT_CHUNK);
+    }
+
+    /// Mark the page holding `addr` as holding code, and its word used.
+    fn mark_page(&mut self, addr: u32) {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        let word = page / 64;
+        self.code_pages[word] |= 1 << (page % 64);
+        self.used_words[word / 64] |= 1 << (word % 64);
+    }
+
+    /// Zero every bitmap word that may be set.
+    fn clear_pages(&mut self) {
+        for (i, used) in self.used_words.iter_mut().enumerate() {
+            for bit in set_bits(std::mem::take(used)) {
+                self.code_pages[i * 64 + bit] = 0;
+            }
+        }
+    }
+}
+
+impl Drop for DecodeCache {
+    fn drop(&mut self) {
+        // The empty defaults left behind allocate nothing.
+        let mut tables = std::mem::take(&mut self.tables);
+        let mut arena = std::mem::take(&mut self.arena);
+        tables.clear();
+        arena.clear();
+        spare::give(&SPARE_TABLES, (tables, arena));
+    }
+}
+
+impl DecodeCache {
+    /// A cache with cleared tables and an empty arena: a machine's dropped
+    /// earlier on this thread, or new ones.
+    fn new() -> DecodeCache {
+        let (tables, arena) =
+            spare::take(&SPARE_TABLES).unwrap_or_else(|| (Tables::new(), Vec::new()));
+        DecodeCache {
+            tables,
+            arena,
             stats: DecodeCacheStats::default(),
         }
     }
@@ -584,7 +683,7 @@ impl DecodeCache {
     /// The valid block starting at `pc`, if cached.
     #[inline]
     fn get(&self, pc: u32) -> Option<Block> {
-        let word = self.slots[Self::index(pc)];
+        let word = self.tables.slots[Self::index(pc)];
         (word & SLOT_TAG == Self::valid_tag(pc)).then_some(Block(word))
     }
 
@@ -646,15 +745,10 @@ impl DecodeCache {
                 || span > MAX_BLOCK_BYTES - MAX_INSTR_BYTES;
         }
         let b = Block::new(pc, start, len, span, last);
-        self.slots[Self::index(pc)] = b.0;
-        self.mark_page(pc);
-        self.mark_page(pc.wrapping_add(span - 1));
+        self.tables.set_slot(Self::index(pc), b.0);
+        self.tables.mark_page(pc);
+        self.tables.mark_page(pc.wrapping_add(span - 1));
         Some(b)
-    }
-
-    fn mark_page(&mut self, addr: u32) {
-        let page = (addr >> PAGE_SHIFT) as usize;
-        self.code_pages[page / 64] |= 1 << (page % 64);
     }
 
     /// Whether any page holding one of the `len` bytes at `start` (wrapping)
@@ -667,20 +761,23 @@ impl DecodeCache {
         let last_offset = (u64::from(start & PAGE_MASK) + u64::from(len) - 1) >> PAGE_SHIFT;
         (0..=last_offset as u32).any(|k| {
             let page = (first.wrapping_add(k) % PAGES) as usize;
-            self.code_pages[page / 64] & (1 << (page % 64)) != 0
+            self.tables.code_pages[page / 64] & (1 << (page % 64)) != 0
         })
     }
 
     /// Drop every block. The arena's contents become garbage; the caller
     /// that holds the arena clears it.
     fn invalidate_all(&mut self) {
-        for word in &mut self.slots {
-            if *word & SLOT_VALID != 0 {
-                *word &= !SLOT_VALID;
-                self.stats.invalidated += 1;
+        let tables = &mut self.tables;
+        for chunk in set_bits(tables.used_chunks.into()) {
+            for word in &mut tables.slots[chunk * SLOT_CHUNK..][..SLOT_CHUNK] {
+                if *word & SLOT_VALID != 0 {
+                    *word &= !SLOT_VALID;
+                    self.stats.invalidated += 1;
+                }
             }
         }
-        self.code_pages.fill(0);
+        tables.clear_pages();
     }
 
     /// Drop every cached block whose bytes overlap the `len` bytes at
@@ -697,7 +794,7 @@ impl DecodeCache {
         let lo = start.wrapping_sub(MAX_BLOCK_BYTES - 1);
         for k in 0..u64::from(len) + u64::from(MAX_BLOCK_BYTES - 1) {
             let pc = lo.wrapping_add(k as u32);
-            let word = &mut self.slots[Self::index(pc)];
+            let word = &mut self.tables.slots[Self::index(pc)];
             if *word & SLOT_TAG == Self::valid_tag(pc)
                 && (start.wrapping_sub(pc) < Block(*word).span() || pc.wrapping_sub(start) < len)
             {
@@ -760,6 +857,10 @@ impl std::fmt::Debug for Machine {
 
 impl Machine {
     /// Create a machine of the given processor family with empty memory.
+    /// Once a machine has been dropped on this thread, this allocates
+    /// nothing: the decode cache's tables and the branch predictors' tables
+    /// are the dropped machine's, reset, and memory allocates on first
+    /// write.
     pub fn new(kind: CpuKind) -> Machine {
         Machine {
             cpu: CpuState::new(),
@@ -786,13 +887,21 @@ impl Machine {
         self.cpu.eip = img.entry;
         self.cpu.set_reg(Reg::Esp, Image::STACK_TOP - 16);
         let (s, e) = img.code_range();
-        self.regions = vec![ExecRegion::new(s, e)];
+        self.set_exec_region(ExecRegion::new(s, e));
     }
 
     /// Replace the set of regions the CPU may execute from. Control leaving
     /// them stops [`Machine::run`] with [`CpuExit::OutOfRegion`].
     pub fn set_exec_regions(&mut self, regions: Vec<ExecRegion>) {
         self.regions = regions;
+    }
+
+    /// Make `region` the only region the CPU may execute from, reusing the
+    /// storage of the current set, so the engine's per-dispatch region
+    /// switch allocates nothing.
+    pub fn set_exec_region(&mut self, region: ExecRegion) {
+        self.regions.clear();
+        self.regions.push(region);
     }
 
     /// Current execution regions.
@@ -2256,6 +2365,36 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_machines_tables_come_back_cleared() {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
+        il.push_back(create::hlt());
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        assert_eq!(m.run(), CpuExit::Halt);
+        // A block 16 KiB into the cache region: another chunk of slots.
+        let pc = Image::CACHE_BASE + 0x4000;
+        m.mem.write_bytes(pc, &[0xF4]);
+        m.cpu.eip = pc;
+        m.set_exec_region(ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END));
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.dcache.tables.used_chunks.count_ones(), 2);
+        drop(m);
+        // This thread's next machine takes the set just given back.
+        let m = Machine::new(CpuKind::Pentium4);
+        let t = &m.dcache.tables;
+        assert_eq!(t.used_chunks, 0);
+        assert!(t
+            .slots
+            .iter()
+            .chain(&t.code_pages)
+            .chain(&t.used_words)
+            .all(|&w| w == 0));
+        assert!(m.dcache.arena.is_empty());
+        assert_eq!(m.dcache.arena.capacity(), ARENA_FIRST_INSTRS);
+        assert_eq!(m.decode_cache_stats(), DecodeCacheStats::default());
+    }
+
+    #[test]
     fn stack_stores_skip_the_invalidation_probe() {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(7)));
@@ -2344,6 +2483,11 @@ mod tests {
 
     #[test]
     fn aliasing_pcs_share_one_slot_and_a_full_arena_resets() {
+        // On a thread of its own, so the arena is new, not a dropped one.
+        std::thread::scope(|s| s.spawn(a_full_arena_resets).join().unwrap());
+    }
+
+    fn a_full_arena_resets() {
         // Two pcs that map to the same direct-mapped slot evict each other:
         // each refill appends a block, and the evicted one is garbage.
         let a = Image::CODE_BASE;

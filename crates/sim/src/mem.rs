@@ -7,6 +7,8 @@
 //! Lookup is a two-level page table, like the hardware it models: the top
 //! ten address bits pick one of 1024 directory entries, the next ten one of
 //! 1024 page slots in a lazily allocated leaf, and the low twelve the byte.
+//! The directory itself comes with the first write, so an empty memory
+//! allocates nothing.
 //! An access is two dependent array loads with no hashing, and bulk
 //! transfers move whole page-sized slices at a time.
 
@@ -42,18 +44,10 @@ fn empty_slots<T, const N: usize>() -> Box<[Option<T>; N]> {
 /// assert_eq!(m.read_u32(0x0800_0000), 0xdead_beef);
 /// assert_eq!(m.read_u32(0x0800_0004), 0); // untouched memory reads zero
 /// ```
+#[derive(Default)]
 pub struct Memory {
-    dir: Box<[Option<Box<Leaf>>; DIR_SIZE]>,
+    dir: Option<Box<[Option<Box<Leaf>>; DIR_SIZE]>>,
     resident: usize,
-}
-
-impl Default for Memory {
-    fn default() -> Memory {
-        Memory {
-            dir: empty_slots(),
-            resident: 0,
-        }
-    }
 }
 
 impl std::fmt::Debug for Memory {
@@ -75,13 +69,14 @@ impl Memory {
 
     #[inline]
     fn page(&self, addr: u32) -> Option<&Page> {
-        let leaf = self.dir[(addr >> LEAF_SHIFT) as usize].as_deref()?;
+        let leaf = self.dir.as_deref()?[(addr >> LEAF_SHIFT) as usize].as_deref()?;
         leaf[((addr >> PAGE_SHIFT) as usize) & (LEAF_SIZE - 1)].as_deref()
     }
 
     #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut Page {
-        let leaf = self.dir[(addr >> LEAF_SHIFT) as usize].get_or_insert_with(empty_slots);
+        let dir = self.dir.get_or_insert_with(empty_slots);
+        let leaf = dir[(addr >> LEAF_SHIFT) as usize].get_or_insert_with(empty_slots);
         let slot = &mut leaf[((addr >> PAGE_SHIFT) as usize) & (LEAF_SIZE - 1)];
         if slot.is_none() {
             self.resident += 1;

@@ -17,6 +17,8 @@ use std::fmt;
 
 use rio_ia32::Opcode;
 
+use crate::spare::{self, Spares};
+
 /// Processor family reported to clients (paper: `proc_get_family`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CpuKind {
@@ -140,6 +142,16 @@ const BP_SIZE: usize = 1 << BP_BITS;
 const BTB_BITS: usize = 12;
 const BTB_SIZE: usize = 1 << BTB_BITS;
 const RAS_DEPTH: usize = 16;
+/// A fresh conditional-branch counter: weakly not-taken.
+const BP_INIT: u8 = 1;
+
+/// A model's predictor tables: the conditional-branch counters and the BTB.
+type Predictors = (Vec<u8>, Vec<(u32, u32)>);
+
+thread_local! {
+    /// Predictor tables of models dropped on this thread.
+    static SPARE_PREDICTORS: Spares<Predictors> = const { Spares::new(Vec::new()) };
+}
 
 /// The complete performance model: parameters plus predictor state.
 pub struct CostModel {
@@ -156,6 +168,13 @@ pub struct CostModel {
     ras_len: usize,
 }
 
+impl Drop for CostModel {
+    fn drop(&mut self) {
+        let tables = (std::mem::take(&mut self.bp), std::mem::take(&mut self.btb));
+        spare::give(&SPARE_PREDICTORS, tables);
+    }
+}
+
 impl fmt::Debug for CostModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CostModel({:?})", self.kind)
@@ -169,11 +188,20 @@ impl CostModel {
             CpuKind::Pentium3 => CostParams::pentium3(),
             CpuKind::Pentium4 => CostParams::pentium4(),
         };
+        // A dropped model's tables, reset, or new ones.
+        let (bp, btb) = match spare::take(&SPARE_PREDICTORS) {
+            Some((mut bp, mut btb)) => {
+                bp.fill(BP_INIT);
+                btb.fill((0, 0));
+                (bp, btb)
+            }
+            None => (vec![BP_INIT; BP_SIZE], vec![(0, 0); BTB_SIZE]),
+        };
         CostModel {
             kind,
             params,
-            bp: vec![1u8; BP_SIZE], // weakly not-taken
-            btb: vec![(0, 0); BTB_SIZE],
+            bp,
+            btb,
             ras: [0; RAS_DEPTH],
             ras_top: 0,
             ras_len: 0,
