@@ -30,12 +30,11 @@
 //!   --no-ib-links     disable indirect-branch in-cache lookup
 //!   --no-traces       disable trace building
 //!   --threshold N     trace-head threshold (default 50)
-//!   --cache-limit N   per-sub-cache capacity in bytes (FIFO eviction;
-//!                     also honors the RIO_CACHE_LIMIT env var)
+//!   --cache-limit N   per-sub-cache capacity in bytes (FIFO eviction)
 //!   --max-instructions N  stop after N application instructions (exit 124)
 //!   --timeout-cycles N    stop after N simulated cycles (exit 124)
 //!   --verify          re-verify affected fragments at every safe point
-//!                     (also honors RIO_VERIFY=1; never charged to the run)
+//!                     (never charged to the run)
 //!   --stats           print engine statistics and the simulator's
 //!                     decode-cache counts, in basic blocks: lookups served
 //!                     from the cache (hits), lookups that decoded a new or
@@ -47,10 +46,9 @@
 //! scenario, fuzz, and golden output is byte-identical for any --jobs value.
 //!
 //! golden: each file NAME.txt in tests/golden/ is one report with its
-//! options pinned (no environment variable changes it); no NAME means all,
-//! up to N at once with --jobs N. --check prints each report's first line
-//! that differs from its file, --write rewrites the files; both exit 1 on a
-//! mismatch or failed report.
+//! options pinned; no NAME means all, up to N at once with --jobs N.
+//! --check prints each report's first line that differs from its file,
+//! --write rewrites the files; both exit 1 on a mismatch or failed report.
 //!
 //! fuzz options: --seeds N generated programs (default 64), starting at
 //! --seed-base HEX (default 0x5eed0000); every program runs natively and
@@ -180,29 +178,7 @@ fn run_options(a: &Args) -> Result<Options, String> {
     }
     o.cache_limit = a.parsed("--cache-limit")?;
     o.verify = a.has("--verify");
-    apply_env(&mut o)?;
     Ok(o)
-}
-
-/// Honor `RIO_CACHE_LIMIT` when no `--cache-limit` was given, and
-/// `RIO_VERIFY` (any value except `0`/empty) unless `--verify` already
-/// turned verification on.
-fn apply_env(o: &mut Options) -> Result<(), String> {
-    if o.cache_limit.is_none() {
-        if let Ok(v) = std::env::var("RIO_CACHE_LIMIT") {
-            o.cache_limit = Some(
-                v.parse()
-                    .map_err(|e| format!("bad RIO_CACHE_LIMIT `{v}`: {e}"))?,
-            );
-        }
-    }
-    o.verify |= verify_env();
-    Ok(())
-}
-
-/// Whether `RIO_VERIFY` asks for verification.
-fn verify_env() -> bool {
-    std::env::var("RIO_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
@@ -215,7 +191,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let budget = StepBudget {
         max_instructions: a.parsed("--max-instructions")?,
         max_cycles: a.parsed("--timeout-cycles")?,
-        timeout: None,
     };
     let (r, exhausted) = match rio.step(budget) {
         StepOutcome::Exited(code) => (rio.result_snapshot(code), None),
@@ -229,7 +204,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             Some(match reason {
                 StopReason::InstructionBudget => "instruction budget",
                 StopReason::CycleBudget => "cycle budget",
-                StopReason::Timeout => "timeout",
             }),
         ),
     };
@@ -265,9 +239,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "{}",
             decode_cache_line(rio.core.machine.decode_cache_stats())
         );
-        if r.sideline_cycles > 0 {
-            eprintln!("sideline cycles: {}", r.sideline_cycles);
-        }
     }
     if let Some(what) = exhausted {
         eprintln!(
@@ -337,9 +308,7 @@ fn cmd_disasm(args: &[String]) -> Result<ExitCode, String> {
 /// normalized-time table plus aggregate statistics.
 fn cmd_suite(args: &[String]) -> Result<ExitCode, String> {
     let a = Args::parse(args, &["--client", "--cpu", "--jobs"], &[], 0)?;
-    let mut opts = Options::full();
-    apply_env(&mut opts)?;
-    suite_report(a.client()?, a.cpu()?, opts, a.jobs()?).print()
+    suite_report(a.client()?, a.cpu()?, Options::full(), a.jobs()?).print()
 }
 
 /// The `rio suite` table: every benchmark under `client` and `opts`.
@@ -398,15 +367,15 @@ fn rows_report<T: Display>(rows: &[Result<T, String>], what: &str) -> Report {
     Report { text, error }
 }
 
-/// `rio faults` / `rio smc` (each table under verification when
-/// `RIO_VERIFY` is set) and `rio verify`: check every scenario on the
-/// worker pool and print one line each.
+/// `rio faults` / `rio smc` and `rio verify` (both tables and the suite
+/// under verification): check every scenario on the worker pool and print
+/// one line each.
 fn cmd_scenarios(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     let a = Args::parse(args, &["--cpu", "--jobs"], &[], 0)?;
     let (cpu, jobs) = (a.cpu()?, a.jobs()?);
     match cmd {
-        "faults" => rows_report(&checked(scenario::faults(verify_env()), cpu, jobs), "fault"),
-        "smc" => rows_report(&checked(scenario::smc(verify_env()), cpu, jobs), "smc"),
+        "faults" => rows_report(&checked(scenario::faults(false), cpu, jobs), "fault"),
+        "smc" => rows_report(&checked(scenario::smc(false), cpu, jobs), "smc"),
         _ => verify_report(cpu, jobs),
     }
     .print()

@@ -6,16 +6,18 @@ fn rio(args: &[&str]) -> Output {
     rio_env(args, &[])
 }
 
-/// Run `rio` with `RIO_VERIFY` and `RIO_CACHE_LIMIT` unset but for `vars`.
+/// Run `rio` with `vars` added to its environment.
 fn rio_env(args: &[&str], vars: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rio"))
         .args(args)
-        .env_remove("RIO_VERIFY")
-        .env_remove("RIO_CACHE_LIMIT")
         .envs(vars.iter().copied())
         .output()
         .expect("spawn rio")
 }
+
+/// Environment variables that once switched on verification and bounded the
+/// cache behind the flags' back; `rio` reads neither.
+const RETIRED_VARS: [(&str, &str); 2] = [("RIO_VERIFY", "1"), ("RIO_CACHE_LIMIT", "256")];
 
 fn stdout(o: &Output) -> String {
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
@@ -80,30 +82,32 @@ fn run_stats_print_deterministic_decode_cache_counts() {
 fn golden_check_ignores_the_engine_environment() {
     // Three workers, so the reports are also checked against files written
     // by one: output must not depend on the job count.
-    let vars = [("RIO_VERIFY", "1"), ("RIO_CACHE_LIMIT", "4096")];
     let o = rio_env(
         &["golden", "--check", "faults", "smc", "fuzz64", "--jobs=3"],
-        &vars,
+        &RETIRED_VARS,
     );
     assert!(stdout(&o).ends_with("all 3 goldens match\n"));
 }
 
 #[test]
-fn rio_verify_and_cache_limit_env_reach_the_engine() {
-    // Verified, each table is the section `rio verify` pins for it.
-    let verify = include_str!("../../../tests/golden/verify.txt");
-    for table in ["faults", "smc"] {
-        let verified = stdout(&rio_env(&[table], &[("RIO_VERIFY", "1")]));
-        assert!(verify.contains(&verified) && verified.contains(" checks"));
-        assert_ne!(verified, stdout(&rio(&[table])));
-    }
-    let run = ["run", "bench:gzip", "--max-instructions=20000"];
-    let evicts = |vars: &[(&str, &str)]| {
-        let err = String::from_utf8_lossy(&rio_env(&run, vars).stderr).into_owned();
-        !err.contains(" 0 evictions")
+fn cache_limit_flag_makes_a_run_evict() {
+    let evictions = |extra: &[&str]| -> u64 {
+        let run = ["run", "bench:gzip", "--max-instructions=20000"];
+        let err = String::from_utf8_lossy(&rio(&[&run[..], extra].concat()).stderr).into_owned();
+        let (before, _) = err.split_once(" evictions").expect("no evictions count");
+        let count = before.rsplit(' ').next().unwrap_or_default();
+        count.parse().expect(count)
     };
-    assert!(!evicts(&[]));
-    assert!(evicts(&[("RIO_CACHE_LIMIT", "256")]));
+    assert_eq!(evictions(&[]), 0);
+    assert!(evictions(&["--cache-limit", "256"]) > 0);
+}
+
+#[test]
+fn scenario_tables_ignore_the_environment() {
+    for table in ["faults", "smc"] {
+        let plain = stdout(&rio(&[table]));
+        assert_eq!(stdout(&rio_env(&[table], &RETIRED_VARS)), plain, "{table}");
+    }
 }
 
 #[test]

@@ -83,10 +83,6 @@ impl Client for Combined {
     fn fragment_deleted(&mut self, core: &mut Core, tag: u32) {
         self.ibdispatch.fragment_deleted(core, tag);
     }
-
-    fn sideline_optimize(&mut self, core: &mut Core, tag: u32, arg: u64) {
-        self.ibdispatch.sideline_optimize(core, tag, arg);
-    }
 }
 
 #[cfg(test)]

@@ -37,8 +37,6 @@ struct Site {
     samples: Vec<u32>,
     /// Whether the site has been rewritten (one rewrite per site).
     rewritten: bool,
-    /// Whether a sideline rewrite has been queued.
-    queued: bool,
 }
 
 /// The adaptive indirect-branch dispatch client.
@@ -47,11 +45,6 @@ pub struct IbDispatch {
     sites: Vec<Site>,
     /// Sampling threshold before rewriting.
     pub threshold: usize,
-    /// Perform rewrites on the sideline optimizer (§3.4's planned
-    /// "sideline optimization") instead of inside the profiling call:
-    /// the rewrite is queued and executed at the next dispatch with its
-    /// analysis time charged off the critical path.
-    pub sideline: bool,
     /// Total samples observed.
     pub samples_taken: u64,
     /// Trace rewrites performed.
@@ -77,15 +70,6 @@ impl IbDispatch {
         }
     }
 
-    /// Create a sideline-rewriting variant with the default threshold.
-    pub fn with_sideline() -> IbDispatch {
-        IbDispatch {
-            threshold: DEFAULT_THRESHOLD,
-            sideline: true,
-            ..IbDispatch::default()
-        }
-    }
-
     /// The hottest distinct targets among `samples`, most frequent first.
     fn hot_targets(samples: &[u32], max: usize) -> Vec<u32> {
         let mut counts: HashMap<u32, u32> = HashMap::new();
@@ -98,8 +82,7 @@ impl IbDispatch {
     }
 
     /// Rewrite the trace containing `site`: insert the dispatch chain.
-    /// `on_sideline` charges the analysis to the sideline budget.
-    fn rewrite(&mut self, core: &mut Core, site_idx: usize, on_sideline: bool) {
+    fn rewrite(&mut self, core: &mut Core, site_idx: usize) {
         let (tag, sentinel) = {
             let s = &self.sites[site_idx];
             (s.trace_tag, s.sentinel)
@@ -167,11 +150,7 @@ impl IbDispatch {
             );
         }
 
-        if on_sideline {
-            core.charge_sideline(REWRITE_COST);
-        } else {
-            core.charge(REWRITE_COST);
-        }
+        core.charge(REWRITE_COST);
         if core.replace_fragment(tag, il) {
             self.rewrites += 1;
             self.targets_inserted += targets.len() as u64;
@@ -212,7 +191,6 @@ impl Client for IbDispatch {
                 sentinel,
                 samples: Vec::new(),
                 rewritten: false,
-                queued: false,
             });
         }
     }
@@ -222,34 +200,11 @@ impl Client for IbDispatch {
         // The runtime target is in %ecx at the profiling point.
         let target = core.machine.cpu.reg(Reg::Ecx);
         self.samples_taken += 1;
-        let (ready, rewritten, queued, trace_tag) = {
-            let site = &mut self.sites[idx];
-            site.samples.push(target);
-            (
-                site.samples.len() >= self.threshold,
-                site.rewritten,
-                site.queued,
-                site.trace_tag,
-            )
-        };
-        if ready && !rewritten {
-            if self.sideline {
-                if !queued {
-                    self.sites[idx].queued = true;
-                    core.request_sideline(trace_tag, idx as u64);
-                }
-            } else {
-                self.rewrite(core, idx, false);
-            }
+        let site = &mut self.sites[idx];
+        site.samples.push(target);
+        if site.samples.len() >= self.threshold && !site.rewritten {
+            self.rewrite(core, idx);
         }
-    }
-
-    fn sideline_optimize(&mut self, core: &mut Core, _tag: u32, arg: u64) {
-        let idx = arg as usize;
-        if !self.sites[idx].rewritten {
-            self.rewrite(core, idx, true);
-        }
-        self.sites[idx].queued = false;
     }
 
     fn on_exit(&mut self, core: &mut Core) {
@@ -264,7 +219,7 @@ impl Client for IbDispatch {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use rio_core::{Options, Rio};
     use rio_ia32::encode::encode_list;
@@ -282,7 +237,7 @@ pub(crate) mod tests {
     /// A call-heavy program where the callee returns to two different call
     /// sites — the return's inlined target check misses half the time,
     /// which is exactly the pattern §4.3 targets.
-    pub(crate) fn two_site_call_program(iters: i32) -> Image {
+    fn two_site_call_program(iters: i32) -> Image {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
         il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(iters)));
@@ -345,43 +300,6 @@ pub(crate) mod tests {
             "dispatch chains should absorb lookups: {} vs {}",
             b.stats.ib_lookups,
             a.stats.ib_lookups
-        );
-    }
-}
-
-#[cfg(test)]
-mod sideline_tests {
-    use super::*;
-    use rio_core::{Options, Rio};
-    use rio_sim::{run_native, CpuKind};
-
-    #[test]
-    fn sideline_rewrites_preserve_semantics_and_move_cost_off_path() {
-        let img = tests::two_site_call_program(5_000);
-        let native = run_native(&img, CpuKind::Pentium4);
-
-        let mut inline = Rio::new(
-            &img,
-            Options::full(),
-            CpuKind::Pentium4,
-            IbDispatch::with_threshold(32),
-        );
-        let a = inline.run();
-        assert_eq!(a.exit_code, native.exit_code);
-        assert_eq!(a.sideline_cycles, 0);
-
-        let mut side = IbDispatch::with_sideline();
-        side.threshold = 32;
-        let mut sideline = Rio::new(&img, Options::full(), CpuKind::Pentium4, side);
-        let b = sideline.run();
-        assert_eq!(
-            b.exit_code, native.exit_code,
-            "sideline rewrite broke execution"
-        );
-        assert!(sideline.client.rewrites >= 1, "{:?}", sideline.client);
-        assert!(
-            b.sideline_cycles > 0,
-            "analysis should land on the sideline"
         );
     }
 }

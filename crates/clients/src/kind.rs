@@ -152,7 +152,6 @@ impl Client for AnyClient {
         fn fault_event(kind: FaultKind, cache_eip: u32, app_pc: Option<u32>);
         fn end_trace(trace_tag: u32, next_tag: u32) -> EndTraceDecision;
         fn clean_call(arg: u64);
-        fn sideline_optimize(tag: u32, arg: u64);
     }
 }
 

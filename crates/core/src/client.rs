@@ -127,15 +127,6 @@ pub trait Client {
     fn clean_call(&mut self, core: &mut Core, arg: u64) {
         let _ = (core, arg);
     }
-
-    /// Called at the next dispatch for each request the client queued with
-    /// [`Core::request_sideline`] — re-optimization work performed off the
-    /// application's critical path (the paper's planned "sideline
-    /// optimization", §3.4). Charge analysis time with
-    /// [`Core::charge_sideline`].
-    fn sideline_optimize(&mut self, core: &mut Core, tag: u32, arg: u64) {
-        let _ = (core, tag, arg);
-    }
 }
 
 /// The no-op client: plain RIO with no custom transformation (the "base

@@ -43,7 +43,7 @@ pub struct Options {
     /// are evicted in FIFO order at the next safe point.
     pub cache_limit: Option<u32>,
     /// Re-verify affected fragments' structural invariants after every
-    /// emit, link, unlink, invalidation, and eviction (set by `RIO_VERIFY=1`;
+    /// emit, link, unlink, invalidation, and eviction (set by `--verify`;
     /// the self-checking mode behind `Core::verify_cache`). Verification
     /// work is not charged to the run, so enabling it never perturbs the
     /// application's cycle counts.

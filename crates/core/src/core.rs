@@ -108,8 +108,6 @@ pub struct Core {
     /// engine ends the run with this engine fault at its next safe point.
     pub(crate) client_fault: Option<String>,
     client_output: String,
-    sideline_queue: Vec<(u32, u64)>,
-    sideline_cycles: u64,
     pending_flush: bool,
     /// Fragments touched by an emit/link/unlink/invalidate/evict since the
     /// last safe point, awaiting re-verification under [`Options::verify`].
@@ -146,8 +144,6 @@ impl Core {
             clean_call_args: Vec::new(),
             client_fault: None,
             client_output: String::new(),
-            sideline_queue: Vec::new(),
-            sideline_cycles: 0,
             pending_flush: false,
             verify_queue: Vec::new(),
             verify_decoded: Vec::new(),
@@ -583,37 +579,6 @@ impl Core {
         }
     }
 
-    // ----- sideline optimization (§3.4's future-work extension) ------------
-
-    /// Queue work for the sideline optimizer: the engine will call
-    /// [`Client::sideline_optimize`] with `tag` and `arg` at the next
-    /// dispatch, *off the application's critical path* — the "sideline
-    /// optimization using this low-overhead trace replacement" the paper
-    /// plans in §3.4. Use [`Core::charge_sideline`] inside the handler so
-    /// the optimization time lands on the sideline budget rather than the
-    /// application's cycles.
-    ///
-    /// [`Client::sideline_optimize`]: crate::Client::sideline_optimize
-    pub fn request_sideline(&mut self, tag: u32, arg: u64) {
-        self.sideline_queue.push((tag, arg));
-    }
-
-    /// Charge cycles to the sideline optimizer (a concurrent thread in the
-    /// paper's plan), not to the application run.
-    pub fn charge_sideline(&mut self, cycles: u64) {
-        self.sideline_cycles += cycles;
-    }
-
-    /// Total cycles spent in sideline optimization.
-    pub fn sideline_cycles(&self) -> u64 {
-        self.sideline_cycles
-    }
-
-    /// Drain pending sideline requests (engine-internal).
-    pub(crate) fn take_sideline_requests(&mut self) -> Vec<(u32, u64)> {
-        std::mem::take(&mut self.sideline_queue)
-    }
-
     // ----- cache capacity management ----------------------------------------
 
     /// If a sub-cache's live bytes exceed [`Options::cache_limit`], evict
@@ -750,7 +715,7 @@ impl Core {
         v
     }
 
-    /// Violations recorded so far by incremental (`RIO_VERIFY`)
+    /// Violations recorded so far by incremental ([`Options::verify`])
     /// verification and the client-safety lints, in detection order.
     pub fn verify_findings(&self) -> &[Violation] {
         &self.verify_findings

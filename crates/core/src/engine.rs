@@ -10,17 +10,16 @@
 //! # Resumable sessions
 //!
 //! Execution is organized as a *session*: [`Rio::step`] advances the
-//! program by a bounded amount of work (a [`StepBudget`] of instructions,
-//! cycles, and/or wall-clock time) and returns a [`StepOutcome`]. A session
-//! suspends only at engine safe points — control out of the code cache, or
-//! between bounded execution chunks with all engine state quiescent — so a
+//! program by a bounded amount of work (a [`StepBudget`] of instructions
+//! and/or cycles) and returns a [`StepOutcome`]. A session suspends only
+//! at engine safe points — control out of the code cache, or between
+//! bounded execution chunks with all engine state quiescent — so a
 //! suspended `Rio` can be resumed (or handed to another thread; the engine
 //! is `Send`) with no observable difference from an uninterrupted run.
 //! [`Rio::run`] is a thin wrapper that steps with an unlimited budget.
 
 use rio_ia32::InstrList;
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
 
 use rio_ia32::Reg;
 use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent};
@@ -47,8 +46,6 @@ pub struct RioRunResult {
     pub counters: Counters,
     /// Engine statistics.
     pub stats: Stats,
-    /// Cycles spent in sideline optimization (not charged to the run).
-    pub sideline_cycles: u64,
     /// The unhandled guest fault that ended the run, if any (`exit_code` is
     /// then [`Fault::exit_code`]).
     pub fault: Option<Fault>,
@@ -57,17 +54,14 @@ pub struct RioRunResult {
 /// A bound on how much work one [`Rio::step`] call may perform before
 /// suspending. All limits are measured from the start of the step; absent
 /// limits are unlimited. Budgets are checked at engine safe points, so a
-/// step may slightly overshoot a cycle or wall-clock limit (never by more
-/// than one bounded execution chunk).
+/// step may slightly overshoot a cycle limit (never by more than one bounded
+/// execution chunk).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepBudget {
     /// Suspend after this many simulated instructions.
     pub max_instructions: Option<u64>,
     /// Suspend after this many simulated cycles.
     pub max_cycles: Option<u64>,
-    /// Suspend after this much host wall-clock time (hard timeout for
-    /// non-terminating images).
-    pub timeout: Option<Duration>,
 }
 
 impl StepBudget {
@@ -91,12 +85,6 @@ impl StepBudget {
             ..StepBudget::default()
         }
     }
-
-    /// Add a host wall-clock timeout to this budget.
-    pub fn with_timeout(mut self, d: Duration) -> StepBudget {
-        self.timeout = Some(d);
-        self
-    }
 }
 
 /// Which budget limit caused a step to suspend.
@@ -106,8 +94,6 @@ pub enum StopReason {
     InstructionBudget,
     /// The cycle limit was reached.
     CycleBudget,
-    /// The wall-clock timeout expired.
-    Timeout,
 }
 
 /// A terminal execution failure: a guest fault with no registered handler
@@ -183,17 +169,15 @@ pub enum StepOutcome {
     Faulted(Fault),
 }
 
-/// Budget accounting for one step: counter values at the start of the step
-/// plus the wall-clock deadline.
+/// Budget accounting for one step: counter values at the start of the step.
 struct BudgetMeter {
     budget: StepBudget,
     start_instructions: u64,
     start_cycles: u64,
-    deadline: Option<Instant>,
 }
 
-/// Fuel per bounded machine-execution chunk when a cycle or wall-clock
-/// limit needs periodic re-checking.
+/// Fuel per bounded machine-execution chunk when a cycle limit needs
+/// periodic re-checking.
 const CHUNK_FUEL: u64 = 8192;
 
 /// Fuel for an effectively-unbounded machine run (matches `Machine::run`).
@@ -205,7 +189,6 @@ impl BudgetMeter {
             budget,
             start_instructions: counters.instructions,
             start_cycles: counters.cycles,
-            deadline: budget.timeout.map(|d| Instant::now() + d),
         }
     }
 
@@ -221,20 +204,15 @@ impl BudgetMeter {
                 return Some(StopReason::CycleBudget);
             }
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Some(StopReason::Timeout);
-            }
-        }
         None
     }
 
     /// Fuel for the next machine-execution chunk: exactly the remaining
     /// instruction budget when one is set (so instruction limits are
-    /// precise), bounded when cycle/time limits need periodic re-checking,
+    /// precise), bounded when a cycle limit needs periodic re-checking,
     /// effectively unlimited otherwise.
     fn fuel(&self, counters: &Counters) -> u64 {
-        let mut fuel = if self.budget.max_cycles.is_some() || self.deadline.is_some() {
+        let mut fuel = if self.budget.max_cycles.is_some() {
             CHUNK_FUEL
         } else {
             UNLIMITED_FUEL
@@ -454,7 +432,6 @@ impl<C: Client> Rio<C> {
             client_output: self.core.client_output().to_string(),
             counters: self.core.machine.counters,
             stats: self.core.stats,
-            sideline_cycles: self.core.sideline_cycles(),
             fault: None,
         }
     }
@@ -840,9 +817,6 @@ impl<C: Client> Rio<C> {
         self.fire_deleted();
         self.core.take_requested_flush();
         self.fire_deleted();
-        for (s_tag, arg) in self.core.take_sideline_requests() {
-            self.client.sideline_optimize(&mut self.core, s_tag, arg);
-        }
         // Dispatch is a safe point: re-verify every fragment touched by an
         // emit, link, unlink, invalidation, or eviction since the last one
         // (no-op unless `Options::verify` is set; never charged).

@@ -9,7 +9,7 @@
 //! * `engine_edges` — rare translation paths: jecxz exits, `ret n`, carry
 //!   chains, flag save/restore, deep recursion, one-instruction blocks,
 //!   stray traps and undecodable code.
-//! * `session` — the resumable stepper: budgets, timeouts, `Send`, and
+//! * `session` — the resumable stepper: budgets, `Send`, and
 //!   cache flushes and capacity pressure at suspension points.
 //! * `verify` — the client-safety lints and the cache verifier.
 //! * `threads` — cooperative multithreading with thread-private caches.

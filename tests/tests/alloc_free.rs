@@ -28,27 +28,30 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
-// The CI audit checks line by line, so every line of this impl that needs a
-// SAFETY note carries its own, and rustfmt leaves the lines as they are.
-#[rustfmt::skip]
-unsafe impl GlobalAlloc for Counting { // SAFETY: every method forwards its arguments unchanged to `System`, so it keeps `System`'s contract; counting only bumps a thread-local integer.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 { // SAFETY: the caller's `layout` goes to `System` as is.
+// SAFETY: every method forwards its arguments unchanged to `System`, so it
+// keeps `System`'s contract; counting only bumps a thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc(layout)
+        // SAFETY: the caller's `layout` goes to `System` as is.
+        unsafe { System.alloc(layout) }
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 { // SAFETY: as for `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc_zeroed(layout)
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 { // SAFETY: `ptr` came from `System`, through this allocator.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from `System`, through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) { // SAFETY: `ptr` came from `System`, through this allocator.
-        System.dealloc(ptr, layout)
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System`, through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -4,8 +4,6 @@
 //! stepping has no observable effect on execution goes through
 //! [`assert_stepping_invisible`].
 
-use std::time::Duration;
-
 use rio_core::{Core, NullClient, Options, Rio, RioRunResult, StepBudget, StepOutcome, StopReason};
 use rio_sim::{CpuKind, Machine};
 use rio_tests::{
@@ -122,11 +120,13 @@ fn timeout_interrupts_a_nonterminating_image() {
     let image = infinite_program();
     for opts in [Options::emulation(), Options::full()] {
         let mut rio = Rio::new(&image, opts, CpuKind::Pentium4, NullClient);
-        let outcome = rio.step(StepBudget::unlimited().with_timeout(Duration::from_millis(50)));
-        assert!(
-            matches!(outcome, StepOutcome::Running(StopReason::Timeout)),
-            "expected timeout under {opts:?}, got {outcome:?}"
-        );
+        for _ in 0..2 {
+            let outcome = rio.step(StepBudget::cycles(50_000));
+            assert!(
+                matches!(outcome, StepOutcome::Running(StopReason::CycleBudget)),
+                "expected a cycle-budget stop under {opts:?}, got {outcome:?}"
+            );
+        }
     }
 }
 
