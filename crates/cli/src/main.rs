@@ -25,10 +25,10 @@
 //! run / fragments options:
 //!   --client NAME     see above
 //!   --cpu p3|p4       processor model (default p4)
-//!   --emulate         Table 1 row 1 configuration
-//!   --no-links        disable direct-branch linking
-//!   --no-ib-links     disable indirect-branch in-cache lookup
-//!   --no-traces       disable trace building
+//!   --emulate         Table 1 row 1: pure emulation
+//!   --no-links        at most row 2: no linking, no traces
+//!   --no-ib-links     at most row 3: no indirect-branch lookup, no traces
+//!   --no-traces       at most row 4: no trace building
 //!   --threshold N     trace-head threshold (default 50)
 //!   --cache-limit N   per-sub-cache capacity in bytes (FIFO eviction)
 //!   --max-instructions N  stop after N application instructions (exit 124)
@@ -75,7 +75,7 @@ use std::process::ExitCode;
 
 use rio_bench::{run_parallel, Args};
 use rio_clients::ClientKind;
-use rio_core::{NullClient, Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
+use rio_core::{ExecMode, NullClient, Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
 use rio_fuzz::scenario::{self, check, Pass, Scenario};
 use rio_fuzz::{run_campaign, CampaignOptions};
 use rio_sim::{run_native, CpuKind, DecodeCacheStats, Image};
@@ -154,24 +154,19 @@ fn parse_program(
     Ok((a, image))
 }
 
-/// Engine options from the run flags, then the environment.
+/// Engine options from the run flags. Each row flag caps the Table 1 row
+/// at its own, so the lowest row named wins.
 fn run_options(a: &Args) -> Result<Options, String> {
-    let mut o = if a.has("--emulate") {
-        Options::emulation()
-    } else {
-        Options::default()
-    };
-    if a.has("--no-links") {
-        o.link_direct = false;
-        o.link_indirect = false;
-        o.enable_traces = false;
-    }
-    if a.has("--no-ib-links") {
-        o.link_indirect = false;
-        o.enable_traces = false;
-    }
-    if a.has("--no-traces") {
-        o.enable_traces = false;
+    let mut o = Options::default();
+    for (flag, cap) in [
+        ("--emulate", ExecMode::Emulate),
+        ("--no-links", ExecMode::BlockCache),
+        ("--no-ib-links", ExecMode::DirectLinks),
+        ("--no-traces", ExecMode::IndirectLinks),
+    ] {
+        if a.has(flag) {
+            o.mode = o.mode.min(cap);
+        }
     }
     if let Some(t) = a.parsed("--threshold")? {
         o.trace_threshold = t;

@@ -2,6 +2,9 @@
 
 use std::process::{Command, Output};
 
+use rio_core::{NullClient, Options, Rio};
+use rio_sim::CpuKind;
+
 fn rio(args: &[&str]) -> Output {
     rio_env(args, &[])
 }
@@ -107,6 +110,30 @@ fn scenario_tables_ignore_the_environment() {
     for table in ["faults", "smc"] {
         let plain = stdout(&rio(&[table]));
         assert_eq!(stdout(&rio_env(&[table], &RETIRED_VARS)), plain, "{table}");
+    }
+}
+
+#[test]
+fn row_flags_run_the_matching_table1_row() {
+    let gzip = rio_workloads::benchmark("gzip").expect("gzip exists");
+    let image = rio_workloads::compile(&gzip.source).expect("gzip compiles");
+    let counts = Options::table1().map(|(_, options)| {
+        let c = Rio::new(&image, options, CpuKind::Pentium4, NullClient)
+            .run()
+            .counters;
+        format!("--- {} instrs, {} cycles, ", c.instructions, c.cycles)
+    });
+    for (flags, row) in [
+        (&[][..], 4),
+        (&["--emulate"], 0),
+        (&["--no-links"], 1),
+        (&["--no-ib-links"], 2),
+        (&["--no-traces"], 3),
+        (&["--no-links", "--no-traces"], 1),
+    ] {
+        let o = rio(&[&["run", "bench:gzip"][..], flags].concat());
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains(&counts[row]), "{flags:?}: {err}");
     }
 }
 

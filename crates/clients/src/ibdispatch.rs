@@ -62,14 +62,6 @@ impl IbDispatch {
         }
     }
 
-    /// Create with a custom sampling threshold (for experiments).
-    pub fn with_threshold(threshold: usize) -> IbDispatch {
-        IbDispatch {
-            threshold,
-            ..IbDispatch::default()
-        }
-    }
-
     /// The hottest distinct targets among `samples`, most frequent first.
     fn hot_targets(samples: &[u32], max: usize) -> Vec<u32> {
         let mut counts: HashMap<u32, u32> = HashMap::new();
@@ -268,7 +260,10 @@ mod tests {
             &img,
             Options::full(),
             CpuKind::Pentium4,
-            IbDispatch::with_threshold(32),
+            IbDispatch {
+                threshold: 32,
+                ..IbDispatch::new()
+            },
         );
         let r = rio.run();
         assert_eq!(r.exit_code, native.exit_code, "rewrite broke execution");
@@ -291,7 +286,10 @@ mod tests {
             &img,
             Options::full(),
             CpuKind::Pentium4,
-            IbDispatch::with_threshold(32),
+            IbDispatch {
+                threshold: 32,
+                ..IbDispatch::new()
+            },
         );
         let b = opt.run();
         assert_eq!(a.exit_code, b.exit_code);

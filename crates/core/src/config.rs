@@ -3,31 +3,34 @@
 
 use rio_sim::Image;
 
-/// How the engine executes the application (the Table 1 ablation axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How much of the engine runs: the rows of the paper's Table 1, in order.
+/// Each row adds one feature to the row before, so a feature is on in its
+/// own row and every later one (`mode >= ExecMode::DirectLinks`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ExecMode {
     /// Pure emulation: every instruction is dispatched individually with no
-    /// caching (Table 1, row 1).
+    /// caching (row 1).
     Emulate,
-    /// Basic-block code cache (all remaining Table 1 rows; which linking and
-    /// trace features are active is controlled by the other options).
-    Cache,
+    /// Basic-block code cache, with no linking and no traces (row 2).
+    BlockCache,
+    /// Adds links between fragments connected by direct branches (row 3).
+    DirectLinks,
+    /// Adds the in-cache hashtable lookup for indirect branches in place of
+    /// a full context switch (row 4).
+    IndirectLinks,
+    /// Adds traces built from hot basic-block sequences: the full system
+    /// (row 5).
+    Traces,
 }
 
-/// Engine configuration. Each field maps to one of the design points the
-/// paper evaluates; [`Options::default`] is the full system (Table 1's last
-/// row: cache + direct links + indirect links + traces).
+/// Engine configuration. [`Options::default`] is the full system (Table 1's
+/// last row: cache + direct links + indirect links + traces); the other
+/// rows differ from it in [`Options::mode`] alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Options {
-    /// Execution mode (emulation vs code cache).
+    /// The Table 1 row: which of emulation, block cache, direct links,
+    /// indirect links and traces run.
     pub mode: ExecMode,
-    /// Link fragments connected by direct branches (Table 1 row 3).
-    pub link_direct: bool,
-    /// Resolve indirect branches with the in-cache hashtable lookup rather
-    /// than a full context switch (Table 1 row 4).
-    pub link_indirect: bool,
-    /// Build traces from hot basic-block sequences (Table 1 row 5).
-    pub enable_traces: bool,
     /// Executions of a trace head before trace generation begins (Dynamo
     /// default: 50).
     pub trace_threshold: u32,
@@ -53,10 +56,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Options {
         Options {
-            mode: ExecMode::Cache,
-            link_direct: true,
-            link_indirect: true,
-            enable_traces: true,
+            mode: ExecMode::Traces,
             trace_threshold: 50,
             max_trace_bbs: 16,
             inline_ib_target: true,
@@ -79,9 +79,7 @@ impl Options {
     /// Table 1 row 2: basic-block cache only, no linking, no traces.
     pub fn cache_only() -> Options {
         Options {
-            link_direct: false,
-            link_indirect: false,
-            enable_traces: false,
+            mode: ExecMode::BlockCache,
             ..Options::default()
         }
     }
@@ -89,8 +87,7 @@ impl Options {
     /// Table 1 row 3: + direct-branch linking.
     pub fn with_direct_links() -> Options {
         Options {
-            link_indirect: false,
-            enable_traces: false,
+            mode: ExecMode::DirectLinks,
             ..Options::default()
         }
     }
@@ -98,7 +95,7 @@ impl Options {
     /// Table 1 row 4: + indirect-branch in-cache lookup.
     pub fn with_indirect_links() -> Options {
         Options {
-            enable_traces: false,
+            mode: ExecMode::IndirectLinks,
             ..Options::default()
         }
     }
@@ -124,56 +121,36 @@ impl Options {
 
 /// Cycle costs of RIO runtime operations, charged on top of executed
 /// instructions. Calibrated so the Table 1 bands land in the paper's ranges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RioCosts {
+pub mod costs {
     /// Per-application-instruction cost of pure emulation (fetch + decode +
     /// dispatch in the emulator loop).
-    pub emulate_per_instr: u64,
+    pub const EMULATE_PER_INSTR: u64 = 1250;
     /// A context switch between the code cache and RIO (save/restore
     /// machine state).
-    pub context_switch: u64,
+    pub const CONTEXT_SWITCH: u64 = 850;
     /// Dispatch work per fragment lookup (hashtable probe + bookkeeping).
-    pub dispatch: u64,
+    pub const DISPATCH: u64 = 120;
     /// The in-cache indirect-branch hashtable lookup.
-    pub hash_lookup: u64,
+    pub const HASH_LOOKUP: u64 = 70;
     /// Building one basic block, per decoded instruction (decode + copy +
     /// emit + bookkeeping).
-    pub bb_build_per_instr: u64,
+    pub const BB_BUILD_PER_INSTR: u64 = 100;
     /// Fixed per-basic-block build cost.
-    pub bb_build_base: u64,
+    pub const BB_BUILD_BASE: u64 = 500;
     /// Building one trace, per instruction (re-decode + stitch + emit).
-    pub trace_build_per_instr: u64,
+    pub const TRACE_BUILD_PER_INSTR: u64 = 250;
     /// Fixed per-trace build cost.
-    pub trace_build_base: u64,
+    pub const TRACE_BUILD_BASE: u64 = 2000;
     /// Patching one link (encode displacement + bookkeeping).
-    pub link_patch: u64,
+    pub const LINK_PATCH: u64 = 100;
     /// Trace-head counter increment in dispatch.
-    pub counter_increment: u64,
+    pub const COUNTER_INCREMENT: u64 = 10;
     /// A clean call from the code cache into a client routine (state save,
     /// call, restore).
-    pub clean_call: u64,
+    pub const CLEAN_CALL: u64 = 60;
     /// Replacing a fragment (unlink/relink + bookkeeping), excluding the
     /// client's own rewriting work.
-    pub replace_fragment: u64,
-}
-
-impl Default for RioCosts {
-    fn default() -> RioCosts {
-        RioCosts {
-            emulate_per_instr: 1250,
-            context_switch: 850,
-            dispatch: 120,
-            hash_lookup: 70,
-            bb_build_per_instr: 100,
-            bb_build_base: 500,
-            trace_build_per_instr: 250,
-            trace_build_base: 2000,
-            link_patch: 100,
-            counter_increment: 10,
-            clean_call: 60,
-            replace_fragment: 3000,
-        }
-    }
+    pub const REPLACE_FRAGMENT: u64 = 3000;
 }
 
 /// RIO-owned address-space layout: thread-local spill slots and runtime
@@ -243,8 +220,8 @@ mod tests {
     #[test]
     fn default_options_are_the_full_system() {
         let o = Options::default();
-        assert_eq!(o.mode, ExecMode::Cache);
-        assert!(o.link_direct && o.link_indirect && o.enable_traces);
+        assert_eq!(o.mode, ExecMode::Traces);
+        assert_eq!(o, Options::full());
         assert_eq!(o.trace_threshold, 50);
     }
 
@@ -252,10 +229,18 @@ mod tests {
     fn table1_rows_strictly_add_features() {
         let rows = Options::table1().map(|(_, o)| o);
         assert_eq!(rows[0].mode, ExecMode::Emulate);
-        assert!(!rows[1].link_direct && !rows[1].link_indirect && !rows[1].enable_traces);
-        assert!(rows[2].link_direct && !rows[2].link_indirect);
-        assert!(rows[3].link_direct && rows[3].link_indirect && !rows[3].enable_traces);
-        assert!(rows[4].enable_traces);
+        assert_eq!(rows[4].mode, ExecMode::Traces);
+        for pair in rows.windows(2) {
+            assert!(pair[0].mode < pair[1].mode, "{pair:?}");
+            // The row is the only difference between rows.
+            assert_eq!(
+                pair[0],
+                Options {
+                    mode: pair[0].mode,
+                    ..pair[1]
+                }
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rio_ia32::{create, decode_instr, Instr, InstrId, InstrList, MemRef, OpSize, 
 use rio_sim::{CpuKind, ExecRegion, Image, Machine, Os};
 
 use crate::cache::{CodeCache, ExitKind, FragmentId, FragmentKind};
-use crate::config::{layout, Options, RioCosts};
+use crate::config::{costs, layout, Options};
 use crate::emit::{emit_fragment, CustomStub, EmitError};
 use crate::link::{redirect_incoming, unlink_incoming, unlink_outgoing};
 use crate::mangle::Note;
@@ -63,9 +63,9 @@ pub(crate) struct ThreadCore {
     /// as ordinary dispatch targets).
     pub quarantine_exec: bool,
     /// Where the thread resumes when it is next switched in: the cache, at
-    /// its saved `eip`, with these execution regions; or, before its first
+    /// its saved `eip`, with this execution region; or, before its first
     /// turn, a dispatch at its entry `eip`.
-    pub resume: Option<Vec<ExecRegion>>,
+    pub resume: Option<ExecRegion>,
 }
 
 impl ThreadCore {
@@ -87,8 +87,6 @@ pub struct Core {
     pub machine: Machine,
     /// Engine configuration.
     pub options: Options,
-    /// Runtime overhead cost parameters.
-    pub costs: RioCosts,
     /// Engine statistics.
     pub stats: Stats,
     pub(crate) threads: Vec<ThreadCore>,
@@ -117,6 +115,11 @@ pub struct Core {
     /// The lints' snapshot buffers, lent out by [`Core::lint_snapshot`] and
     /// returned by [`Core::lint_client_edit`].
     lint_buffers: LintSnapshot,
+    /// The lint snapshot of the list [`Core::decode_fragment`] last
+    /// returned, and the thread, tag and fragment it was decoded from:
+    /// [`Core::replace_fragment`] diffs the client's edited list against it.
+    decoded_snapshot: LintSnapshot,
+    decoded_from: Option<(usize, u32, FragmentId)>,
     /// Violations recorded by incremental verification and the lints.
     verify_findings: Vec<Violation>,
 }
@@ -129,7 +132,6 @@ impl Core {
         Core {
             machine,
             options,
-            costs: RioCosts::default(),
             stats: Stats::default(),
             threads: vec![ThreadCore::new(0)],
             cur: 0,
@@ -148,6 +150,8 @@ impl Core {
             verify_queue: Vec::new(),
             verify_decoded: Vec::new(),
             lint_buffers: LintSnapshot::default(),
+            decoded_snapshot: LintSnapshot::default(),
+            decoded_from: None,
             verify_findings: Vec::new(),
         }
     }
@@ -190,7 +194,7 @@ impl Core {
 
     /// Charge and count one context switch from the cache to the engine.
     pub(crate) fn context_switch(&mut self) {
-        self.charge(self.costs.context_switch);
+        self.charge(costs::CONTEXT_SWITCH);
         self.stats.context_switches += 1;
     }
 
@@ -367,7 +371,11 @@ impl Core {
     /// target of a [`Note::IbCheckBegin`]) is not reconstructable from
     /// machine code, so re-decoded fragments conservatively lose check
     /// elision.
-    pub fn decode_fragment(&self, tag: u32) -> Option<InstrList> {
+    ///
+    /// The core keeps the returned list's lint snapshot, so the
+    /// [`Core::replace_fragment`] that follows lints the client's edits
+    /// without decoding the fragment again.
+    pub fn decode_fragment(&mut self, tag: u32) -> Option<InstrList> {
         let id = self.threads[self.cur].cache.lookup(tag)?;
         let frag = self.threads[self.cur].cache.frag(id);
         let start = frag.start;
@@ -456,6 +464,8 @@ impl Core {
                 }
             }
         }
+        self.decoded_snapshot.capture(&il);
+        self.decoded_from = Some((self.cur, tag, id));
         Some(il)
     }
 
@@ -480,13 +490,15 @@ impl Core {
             (f.kind, f.src_ranges.clone())
         };
         // Transformation-safety lint: diff the replacement list against the
-        // cache copy it replaces — client edits may only add writes to
-        // registers and flags the liveness analysis proves dead.
-        if let Some(pre) = self.decode_fragment(tag) {
-            let snapshot = self.lint_snapshot(&pre);
-            self.lint_client_edit(snapshot, &il, tag);
+        // decode of the cache copy it replaces — client edits may only add
+        // writes to registers and flags the liveness analysis proves dead.
+        // A list not decoded from that copy has every write checked as new.
+        if self.decoded_from.take() != Some((self.cur, tag, old)) {
+            self.decoded_snapshot.clear();
         }
-        self.charge(self.costs.replace_fragment);
+        let v = self.decoded_snapshot.check(&il, self.cur, tag);
+        self.note_lint(v);
+        self.charge(costs::REPLACE_FRAGMENT);
         let Ok(new) = self.emit(kind, tag, il, src_ranges) else {
             return false;
         };
@@ -786,11 +798,16 @@ impl Core {
     /// (uncharged); violations land in [`Stats::violations`] and
     /// [`Core::verify_findings`].
     pub(crate) fn lint_client_edit(&mut self, snapshot: LintSnapshot, il: &InstrList, tag: u32) {
-        self.stats.checks_run += 1;
         let v = snapshot.check(il, self.cur, tag);
+        self.note_lint(v);
+        self.lint_buffers = snapshot;
+    }
+
+    /// Count one lint run and record its violations.
+    fn note_lint(&mut self, v: Vec<Violation>) {
+        self.stats.checks_run += 1;
         self.stats.violations += v.len() as u64;
         self.verify_findings.extend(v);
-        self.lint_buffers = snapshot;
     }
 
     // ----- introspection for reports ---------------------------------------

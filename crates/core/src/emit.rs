@@ -325,7 +325,7 @@ pub(crate) mod tests {
             force_stub,
         );
         let fb = emit_into(&mut m, &mut cache, &[0xB8, 9, 0, 0, 0, 0xF4], 0x2000, None);
-        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
+        m.set_exec_region(ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END));
         (m, cache, fa, fb)
     }
 
@@ -442,7 +442,7 @@ pub(crate) mod tests {
     fn emitted_block_executes_to_stub_sentinel() {
         let (mut m, cache, id) = emit_block(&[0xB8, 7, 0, 0, 0, 0xE9, 0x10, 0, 0, 0], 0x1000);
         let f = cache.frag(id);
-        m.set_exec_regions(vec![ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END)]);
+        m.set_exec_region(ExecRegion::new(Image::CACHE_BASE, Image::CACHE_END));
         m.cpu.eip = f.start;
         let exit = m.run();
         assert_eq!(

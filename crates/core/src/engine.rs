@@ -27,7 +27,7 @@ use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent}
 use crate::build::decode_bb;
 use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
 use crate::client::{Client, EndTraceDecision};
-use crate::config::{layout, ExecMode, Options};
+use crate::config::{costs, layout, ExecMode, Options};
 use crate::core::{Core, Recording, ThreadCore};
 use crate::link::link_exit;
 use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
@@ -289,10 +289,10 @@ enum Leave {
 enum Resume {
     /// Dispatch to an application tag.
     Dispatch(u32),
-    /// Continue in the cache at the current `eip`, with these execution
-    /// regions (preserves mid-recording restrictions across thread
+    /// Continue in the cache at the current `eip`, with this execution
+    /// region (preserves mid-recording restrictions across thread
     /// switches).
-    InCache(Vec<ExecRegion>),
+    InCache(ExecRegion),
 }
 
 /// Exit status of a run ended by an engine-level failure.
@@ -353,24 +353,21 @@ impl<C: Client> Rio<C> {
         if matches!(self.phase, Phase::Unstarted) {
             self.client.init(&mut self.core);
             self.client.thread_init(&mut self.core);
-            self.phase = match self.core.options.mode {
-                ExecMode::Emulate => {
-                    let (s, e) = self.core.app_code_range;
-                    self.core.machine.set_exec_region(ExecRegion::new(s, e));
-                    Phase::Emulating
-                }
-                ExecMode::Cache => {
-                    // Monitor the application code region for stores so
-                    // self-modifying code surfaces as `CpuExit::CodeWrite`
-                    // (paper §6: cache consistency). The engine's own
-                    // writes (fragment emission, link patching) go through
-                    // the memory API directly and are exempt.
-                    let (s, e) = self.core.app_code_range;
-                    self.core
-                        .machine
-                        .set_watch_regions(vec![ExecRegion::new(s, e)]);
-                    Phase::InCache(Some(Resume::Dispatch(self.core.app_entry)))
-                }
+            self.phase = if self.core.options.mode == ExecMode::Emulate {
+                let (s, e) = self.core.app_code_range;
+                self.core.machine.set_exec_region(ExecRegion::new(s, e));
+                Phase::Emulating
+            } else {
+                // Monitor the application code region for stores so
+                // self-modifying code surfaces as `CpuExit::CodeWrite`
+                // (paper §6: cache consistency). The engine's own writes
+                // (fragment emission, link patching) go through the memory
+                // API directly and are exempt.
+                let (s, e) = self.core.app_code_range;
+                self.core
+                    .machine
+                    .set_watch_region(Some(ExecRegion::new(s, e)));
+                Phase::InCache(Some(Resume::Dispatch(self.core.app_entry)))
             };
         }
         let meter = BudgetMeter::start(budget, &self.core.machine.counters);
@@ -444,8 +441,7 @@ impl<C: Client> Rio<C> {
             if let Some(reason) = meter.exhausted(&self.core.machine.counters) {
                 return StepOutcome::Running(reason);
             }
-            let per_instr = self.core.costs.emulate_per_instr;
-            self.core.machine.charge(per_instr);
+            self.core.machine.charge(costs::EMULATE_PER_INSTR);
             self.core.stats.emulated_instrs += 1;
             let exit = self.core.machine.run_steps(1);
             if let Some(event) = self.core.os.handle(&mut self.core.machine, exit) {
@@ -491,7 +487,7 @@ impl<C: Client> Rio<C> {
     /// A spawned thread gets its private cache and fires `thread_init`; a
     /// retired one fires `thread_exit` (the thread on the CPU at program
     /// exit fires it in [`Rio::step`]). A yielding thread keeps its
-    /// execution regions so it resumes mid-fragment; a thread's first turn
+    /// execution region so it resumes mid-fragment; a thread's first turn
     /// dispatches at its entry `eip`.
     fn os_event(&mut self, event: OsEvent) -> ControlFlow<i32, Option<Resume>> {
         match event {
@@ -509,12 +505,11 @@ impl<C: Client> Rio<C> {
                 if retired {
                     self.client.thread_exit(&mut self.core);
                 } else {
-                    let regions = self.core.machine.exec_regions().to_vec();
-                    self.core.threads[from].resume = Some(regions);
+                    self.core.threads[from].resume = Some(self.core.machine.exec_region());
                 }
                 self.core.cur = to;
                 return ControlFlow::Continue(Some(match self.core.threads[to].resume.take() {
-                    Some(regions) => Resume::InCache(regions),
+                    Some(region) => Resume::InCache(region),
                     None => Resume::Dispatch(self.core.machine.cpu.eip),
                 }));
             }
@@ -549,9 +544,7 @@ impl<C: Client> Rio<C> {
                             }
                         }
                     }
-                    Resume::InCache(regions) => {
-                        self.core.machine.set_exec_regions(regions);
-                    }
+                    Resume::InCache(region) => self.core.machine.set_exec_region(region),
                 }
             }
             // A client hook that asked for what the engine cannot give ends
@@ -771,8 +764,7 @@ impl<C: Client> Rio<C> {
             // raise the invalid-opcode fault at `tag` itself.
             Err(_) => (tag.wrapping_add(1), 1),
         };
-        let per_instr = self.core.costs.emulate_per_instr;
-        self.core.machine.charge(per_instr * instrs);
+        self.core.machine.charge(costs::EMULATE_PER_INSTR * instrs);
         self.core.stats.emulated_instrs += instrs;
         self.core.threads[self.core.cur].quarantine_exec = true;
         self.core.machine.cpu.eip = tag;
@@ -807,8 +799,7 @@ impl<C: Client> Rio<C> {
     /// Find or build the fragment to execute for `tag`; handles trace-head
     /// counting and trace-recording kickoff.
     fn dispatch(&mut self, tag: u32) -> Result<FragmentId, Fault> {
-        let dispatch_cost = self.core.costs.dispatch;
-        self.core.machine.charge(dispatch_cost);
+        self.core.machine.charge(costs::DISPATCH);
         self.core.stats.dispatches += 1;
         self.core.last_dispatched = Some(tag);
         self.core.take_safe_deletions();
@@ -841,7 +832,8 @@ impl<C: Client> Rio<C> {
     }
 
     fn count_trace_head(&mut self, bb: FragmentId, tag: u32) {
-        if self.core.threads[self.core.cur].recording.is_some() || !self.core.options.enable_traces
+        if self.core.threads[self.core.cur].recording.is_some()
+            || self.core.options.mode < ExecMode::Traces
         {
             return;
         }
@@ -852,8 +844,7 @@ impl<C: Client> Rio<C> {
         {
             return;
         }
-        let increment_cost = self.core.costs.counter_increment;
-        self.core.machine.charge(increment_cost);
+        self.core.machine.charge(costs::COUNTER_INCREMENT);
         let counter = {
             let f = self.core.threads[self.core.cur].cache.frag_mut(bb);
             f.counter += 1;
@@ -893,8 +884,7 @@ impl<C: Client> Rio<C> {
                 })
             }
         };
-        let build_cost = self.core.costs.bb_build_base
-            + self.core.costs.bb_build_per_instr * bb.num_instrs as u64;
+        let build_cost = costs::BB_BUILD_BASE + costs::BB_BUILD_PER_INSTR * bb.num_instrs as u64;
         self.core.machine.charge(build_cost);
         self.core.stats.bbs_built += 1;
         self.core.stats.bb_instrs += bb.num_instrs as u64;
@@ -998,8 +988,7 @@ impl<C: Client> Rio<C> {
         let esp = self.core.machine.cpu.reg(Reg::Esp);
         let resume = self.core.machine.mem.read_u32(esp);
         self.core.machine.cpu.set_reg(Reg::Esp, esp.wrapping_add(4));
-        let cost = self.core.costs.clean_call;
-        self.core.machine.charge(cost);
+        self.core.machine.charge(costs::CLEAN_CALL);
         self.core.stats.clean_calls += 1;
         self.client.clean_call(&mut self.core, arg);
         self.core.machine.cpu.eip = resume;
@@ -1022,7 +1011,7 @@ impl<C: Client> Rio<C> {
                 // Backward direct branches identify loop heads (Dynamo's
                 // trace-head heuristic).
                 let src_tag = self.core.threads[self.core.cur].cache.frag(rec.frag).tag;
-                if self.core.options.enable_traces && target <= src_tag {
+                if self.core.options.mode >= ExecMode::Traces && target <= src_tag {
                     self.core.mark_trace_head(target);
                 }
                 if self.core.threads[self.core.cur].recording.is_some() {
@@ -1049,7 +1038,7 @@ impl<C: Client> Rio<C> {
     fn maybe_link(&mut self, src: FragmentId, exit_idx: usize, target: u32) {
         let cache = &self.core.threads[self.core.cur].cache;
         let srcf = cache.frag(src);
-        if !self.core.options.link_direct
+        if self.core.options.mode < ExecMode::DirectLinks
             || srcf.deleted
             || srcf.exits[exit_idx].linked_to.is_some()
         {
@@ -1065,8 +1054,7 @@ impl<C: Client> Rio<C> {
             exit_idx,
             dst,
         );
-        let patch = self.core.costs.link_patch;
-        self.core.machine.charge(patch);
+        self.core.machine.charge(costs::LINK_PATCH);
         self.core.stats.links += 1;
         self.core.note_verify(self.core.cur, src);
         self.core.note_verify(self.core.cur, dst);
@@ -1090,14 +1078,12 @@ impl<C: Client> Rio<C> {
         m.counters.cycles += penalty;
 
         if self.core.threads[self.core.cur].recording.is_some() {
-            let hash = self.core.costs.hash_lookup;
-            self.core.machine.charge(hash);
+            self.core.machine.charge(costs::HASH_LOOKUP);
             return self.record_crossing_dispatch(target);
         }
 
-        if self.core.options.link_indirect {
-            let hash = self.core.costs.hash_lookup;
-            self.core.machine.charge(hash);
+        if self.core.options.mode >= ExecMode::IndirectLinks {
+            self.core.machine.charge(costs::HASH_LOOKUP);
             // In-cache lookup: the same fragments a direct link may enter.
             let cache = &self.core.threads[self.core.cur].cache;
             if let Some(id) = cache.link_target(target) {
@@ -1208,8 +1194,7 @@ impl<C: Client> Rio<C> {
                 trace_il.append(il);
             }
         }
-        let build = self.core.costs.trace_build_base
-            + self.core.costs.trace_build_per_instr * total_instrs as u64;
+        let build = costs::TRACE_BUILD_BASE + costs::TRACE_BUILD_PER_INSTR * total_instrs as u64;
         self.core.machine.charge(build);
         self.core.stats.traces_built += 1;
         self.core.stats.trace_instrs += total_instrs as u64;

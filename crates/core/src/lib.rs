@@ -18,8 +18,8 @@
 //!   of §3.4 ([`Core::decode_fragment`] / [`Core::replace_fragment`]) and
 //!   the **custom-trace interface** of §3.5 ([`Core::mark_trace_head`] +
 //!   [`Client::end_trace`]).
-//! * [`Options`] — the feature axes of Table 1 (emulation, block cache,
-//!   direct links, indirect links, traces) for ablation experiments.
+//! * [`Options`] — the rows of Table 1 ([`ExecMode`]: emulation, block
+//!   cache, direct links, indirect links, traces) for ablation experiments.
 //! * [`Rio`] — the engine itself.
 //!
 //! ## Quick start
@@ -53,7 +53,7 @@ pub mod verify;
 pub use crate::core::Core;
 pub use cache::{ExitKind, Fragment, FragmentId, FragmentKind, IndKind, Translation};
 pub use client::{Client, EndTraceDecision, NullClient};
-pub use config::{layout, ExecMode, Options, RioCosts};
+pub use config::{layout, ExecMode, Options};
 pub use engine::{Fault, Rio, RioRunResult, StepBudget, StepOutcome, StopReason};
 pub use inject::{FaultInjector, InjectionPlan};
 pub use mangle::{elide_ret_check, find_ib_checks, IbCheck, Note};

@@ -440,8 +440,7 @@ pub(crate) struct LintSnapshot {
     /// ([`InstrList::replace`] keeps the id).
     by_id: Vec<Option<(RegSet, Eflags)>>,
     /// Write aggregate per application pc, sorted by pc, for edits that
-    /// re-create instructions (fragment replacement re-decodes, so ids never
-    /// match).
+    /// re-create instructions rather than keep their ids.
     by_pc: Vec<(u32, RegSet, Eflags)>,
 }
 
@@ -457,12 +456,18 @@ struct ExtraWrites {
 }
 
 impl LintSnapshot {
+    /// Forget every recorded instruction, so every write of a checked list
+    /// counts as one its code did not make before.
+    pub(crate) fn clear(&mut self) {
+        self.by_id.clear();
+        self.by_pc.clear();
+    }
+
     /// Record the write effects of every instruction in `il`, replacing
     /// what was recorded before.
     pub(crate) fn capture(&mut self, il: &InstrList) {
+        self.clear();
         let LintSnapshot { by_id, by_pc } = self;
-        by_id.clear();
-        by_pc.clear();
         for id in il.ids() {
             let instr = il.get(id);
             if instr.is_label() {

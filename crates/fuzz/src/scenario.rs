@@ -12,8 +12,8 @@
 use std::fmt;
 
 use rio_clients::ClientKind;
+use rio_core::{ExecMode, Stats, StepBudget, StepOutcome};
 use rio_core::{Fault, FaultInjector, FaultKind, InjectionPlan, Options, Rio, RioRunResult};
-use rio_core::{Stats, StepBudget, StepOutcome};
 use rio_sim::{run_native_guarded, CpuKind, ExecRegion, Image};
 use rio_workloads::{compile, faulting, smc, suite};
 
@@ -29,8 +29,8 @@ pub struct Run {
     pub step: Option<u64>,
     /// A fault to inject, polled before every slice.
     pub inject: Option<InjectionPlan>,
-    /// Guard regions, installed natively and under the engine.
-    pub guards: Vec<ExecRegion>,
+    /// Guard region, installed natively and under the engine.
+    pub guard: Option<ExecRegion>,
     /// Check every decode-cache hit against the live bytes.
     pub verify_decodes: bool,
     /// End with a whole-cache `verify_cache` sweep.
@@ -48,7 +48,7 @@ impl Run {
             client,
             step: None,
             inject: None,
-            guards: Vec::new(),
+            guard: None,
             verify_decodes: false,
             sweep: false,
             max_faults: 1,
@@ -75,9 +75,7 @@ pub struct Observed {
 /// Execute `run` over `image`.
 pub fn drive(image: &Image, run: &Run, cpu: CpuKind) -> Observed {
     let mut rio = Rio::new(image, run.options, cpu, run.client.build());
-    if !run.guards.is_empty() {
-        rio.core.machine.set_guard_regions(run.guards.clone());
-    }
+    rio.core.machine.set_guard_region(run.guard);
     if run.verify_decodes {
         rio.core.machine.set_verify_decodes(true);
     }
@@ -232,7 +230,7 @@ impl fmt::Display for Pass {
 /// expectation; `Err` names the scenario and the first failed check.
 pub fn check(s: &Scenario, cpu: CpuKind) -> Result<Pass, String> {
     let image = compile(&s.source).map_err(|e| format!("{}: compile error: {e}", s.name))?;
-    let native = run_native_guarded(&image, cpu, s.run.guards.clone());
+    let native = run_native_guarded(&image, cpu, s.run.guard);
     let o = drive(&image, &s.run, cpu);
     let (e, r, n) = (&s.expect, &o.result, o.faults.len());
     let mut failed = Vec::new();
@@ -333,19 +331,17 @@ const INJECT_SOURCE: &str = "fn main() {
     return s % 100;
 }";
 
-/// Report names and `emulate` flags of the two execution modes.
-const MODES: [(&str, bool); 2] = [("cache", false), ("emulate", true)];
+/// Report names and Table 1 rows of the two execution modes.
+const MODES: [(&str, ExecMode); 2] = [("cache", ExecMode::Traces), ("emulate", ExecMode::Emulate)];
 
 /// The null client in 200-instruction slices (so injections land mid-run
-/// and fault delivery interleaves with suspension), under emulation or the
-/// full system.
-fn sliced(emulate: bool, verify: bool) -> Run {
-    let mut options = if emulate {
-        Options::emulation()
-    } else {
-        Options::full()
+/// and fault delivery interleaves with suspension), in Table 1 row `mode`.
+fn sliced(mode: ExecMode, verify: bool) -> Run {
+    let options = Options {
+        mode,
+        verify,
+        ..Options::default()
     };
-    options.verify = verify;
     let mut run = Run::new(options, ClientKind::Null);
     run.step = Some(200);
     run
@@ -359,18 +355,18 @@ pub fn faults(verify: bool) -> Vec<Scenario> {
     use FaultKind::{DivideError, InvalidOpcode, MemFault};
     let mut out = Vec::new();
     for kind in [DivideError, InvalidOpcode, MemFault] {
-        for (mode, emulate) in MODES {
-            let mut run = sliced(emulate, verify);
+        for (name, mode) in MODES {
+            let mut run = sliced(mode, verify);
             run.inject = Some(InjectionPlan::AtInstruction { at: 400, kind });
             run.max_faults = 8;
             let expect = Expect::new(Exit::Native, Faults::One(kind), &[]);
-            let name = format!("inject-{kind}-{mode}").replace(' ', "-");
+            let name = format!("inject-{kind}-{name}").replace(' ', "-");
             out.push(Scenario::new(name, INJECT_SOURCE, run, expect));
         }
     }
     // Every warm fragment corrupted: invalid-opcode faults, eviction, and
     // a self-healed run. The verifier must flag the corruption.
-    let mut run = sliced(false, verify);
+    let mut run = sliced(ExecMode::Traces, verify);
     run.inject = Some(InjectionPlan::CorruptAll { min_frags: 4 });
     run.max_faults = 64;
     let evicted = [("fault_evictions", Want::Nonzero)];
@@ -412,14 +408,14 @@ pub fn faults(verify: bool) -> Vec<Scenario> {
             .map(|n| ("faults_delivered", Want::Eq(n)))
             .into_iter()
             .collect();
-        for (mode, emulate) in MODES {
-            let mut run = sliced(emulate, verify);
+        for (name, mode) in MODES {
+            let mut run = sliced(mode, verify);
             if stem.starts_with("wild") {
-                run.guards = faulting::guard_regions();
+                run.guard = Some(faulting::guard_region());
             }
             let expect = Expect::new(Exit::Code(exit), faults, &fields);
             out.push(Scenario::new(
-                format!("{stem}-{mode}"),
+                format!("{stem}-{name}"),
                 &source,
                 run,
                 expect,
@@ -444,10 +440,10 @@ pub fn smc(verify: bool) -> Vec<Scenario> {
     // bound the written fragment may already be evicted when the store
     // lands, so only the unbounded cache is guaranteed an invalidation;
     // capacity pressure evicts per fragment, never by whole-cache flush.
-    let modes: [(&str, bool, Option<u32>, &[FieldWant]); 3] = [
+    let modes: [(&str, ExecMode, Option<u32>, &[FieldWant]); 3] = [
         (
             "emulate",
-            true,
+            ExecMode::Emulate,
             None,
             &[
                 ("code_writes", Eq(0)),
@@ -457,7 +453,7 @@ pub fn smc(verify: bool) -> Vec<Scenario> {
         ),
         (
             "cache",
-            false,
+            ExecMode::Traces,
             None,
             &[
                 ("code_writes", Nonzero),
@@ -467,7 +463,7 @@ pub fn smc(verify: bool) -> Vec<Scenario> {
         ),
         (
             "bounded",
-            false,
+            ExecMode::Traces,
             Some(64),
             &[
                 ("code_writes", Nonzero),
@@ -479,13 +475,13 @@ pub fn smc(verify: bool) -> Vec<Scenario> {
     ];
     let mut out = Vec::new();
     for (workload, source) in &workloads {
-        for &(mode, emulate, cache_limit, fields) in &modes {
-            let mut run = sliced(emulate, verify);
+        for &(name, mode, cache_limit, fields) in &modes {
+            let mut run = sliced(mode, verify);
             run.options.cache_limit = cache_limit;
             run.verify_decodes = true;
             let expect = Expect::new(Exit::Code(0), Faults::None, fields);
             out.push(Scenario::new(
-                format!("{workload}-{mode}"),
+                format!("{workload}-{name}"),
                 source,
                 run,
                 expect,

@@ -164,7 +164,7 @@ pub enum CpuExit {
     Syscall(u8),
     /// `int3` executed.
     Breakpoint,
-    /// Control left the permitted execution regions; `eip` holds the target
+    /// Control left the permitted execution region; `eip` holds the target
     /// address (e.g. a RIO runtime sentinel or unlinked fragment exit).
     OutOfRegion(u32),
     /// The step budget was exhausted.
@@ -183,7 +183,7 @@ pub enum CpuExit {
         addr: u32,
     },
     /// A guest store landed inside a watched code region
-    /// ([`Machine::set_watch_regions`](crate::Machine::set_watch_regions)).
+    /// ([`Machine::set_watch_region`](crate::Machine::set_watch_region)).
     /// Unlike [`CpuExit::Fault`], the store *has committed* and `eip`
     /// already points past the writing instruction, so resuming makes
     /// forward progress even when an instruction overwrites itself.

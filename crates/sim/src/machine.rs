@@ -66,9 +66,9 @@
 //!   before any change, each store noted before it is written, the step
 //!   accounted before a watched-store exit), so the simulated counters do
 //!   not depend on which executor ran;
-//! * [`Machine::run_steps`] lends the exec regions and the decode arena out
-//!   of the machine for the whole call, since no instruction can change the
-//!   regions or move an arena entry.
+//! * [`Machine::run_steps`] copies the exec region and lends the decode
+//!   arena out of the machine for the whole call, since no instruction can
+//!   change the region or move an arena entry.
 
 use rio_ia32::decode::{decode_operands, Operand, Operands, MAX_DSTS, MAX_SRCS};
 use rio_ia32::{Cc, Eflags, OpSize, Opcode, Reg};
@@ -816,7 +816,11 @@ fn touches(r: &ExecRegion, addr: u32, len: u32) -> bool {
 
 /// The simulated machine.
 ///
-/// See the [crate docs](crate) for an end-to-end example.
+/// It executes from one region ([`Machine::set_exec_region`]; the loaded
+/// image's code by default) and may watch one code region for stores
+/// ([`Machine::set_watch_region`]) and guard one data region against
+/// access ([`Machine::set_guard_region`]). See the [crate docs](crate) for
+/// an end-to-end example.
 pub struct Machine {
     /// Architectural CPU state.
     pub cpu: CpuState,
@@ -827,17 +831,18 @@ pub struct Machine {
     /// Accumulated execution statistics.
     pub counters: Counters,
     dcache: DecodeCache,
-    regions: Vec<ExecRegion>,
-    /// Guarded data regions: any load/store touching one raises
+    /// The one region the CPU may execute from.
+    region: ExecRegion,
+    /// Guarded data region: any load/store touching it raises
     /// [`FaultKind::MemFault`] *before* the instruction mutates state.
-    /// Empty by default (the sparse memory otherwise zero-fills).
-    guards: Vec<ExecRegion>,
+    /// None by default (the sparse memory otherwise zero-fills).
+    guard: Option<ExecRegion>,
     /// One-shot injected fault: raised in place of the next instruction
     /// once `counters.instructions` reaches the trigger count.
     inject: Option<(u64, FaultKind)>,
-    /// Watched code regions: a committed guest store touching one stops
-    /// execution with [`CpuExit::CodeWrite`]. Empty by default.
-    watches: Vec<ExecRegion>,
+    /// Watched code region: a committed guest store touching it stops
+    /// execution with [`CpuExit::CodeWrite`]. None by default.
+    watch: Option<ExecRegion>,
     /// Store into a watched region recorded by the current instruction
     /// (`(addr, len)`), turned into an exit at the end of the step.
     step_code_write: Option<(u32, u32)>,
@@ -868,10 +873,10 @@ impl Machine {
             cost: CostModel::new(kind),
             counters: Counters::default(),
             dcache: DecodeCache::new(),
-            regions: Vec::new(),
-            guards: Vec::new(),
+            region: ExecRegion::new(0, 0),
+            guard: None,
             inject: None,
-            watches: Vec::new(),
+            watch: None,
             step_code_write: None,
             verify_decodes: false,
             stale_decode_hits: 0,
@@ -881,7 +886,7 @@ impl Machine {
     }
 
     /// Load an image: code + data into memory, `eip` at the entry point,
-    /// `esp` at the stack top, and the code range as the sole exec region.
+    /// `esp` at the stack top, and the code range as the exec region.
     pub fn load_image(&mut self, img: &Image) {
         img.load(&mut self.mem);
         self.cpu.eip = img.entry;
@@ -890,46 +895,35 @@ impl Machine {
         self.set_exec_region(ExecRegion::new(s, e));
     }
 
-    /// Replace the set of regions the CPU may execute from. Control leaving
-    /// them stops [`Machine::run`] with [`CpuExit::OutOfRegion`].
-    pub fn set_exec_regions(&mut self, regions: Vec<ExecRegion>) {
-        self.regions = regions;
-    }
-
-    /// Make `region` the only region the CPU may execute from, reusing the
-    /// storage of the current set, so the engine's per-dispatch region
-    /// switch allocates nothing.
+    /// Make `region` the region the CPU may execute from. Control leaving
+    /// it stops [`Machine::run`] with [`CpuExit::OutOfRegion`]; a new
+    /// machine's region is empty.
     pub fn set_exec_region(&mut self, region: ExecRegion) {
-        self.regions.clear();
-        self.regions.push(region);
+        self.region = region;
     }
 
-    /// Current execution regions.
-    pub fn exec_regions(&self) -> &[ExecRegion] {
-        &self.regions
+    /// The current execution region.
+    pub fn exec_region(&self) -> ExecRegion {
+        self.region
     }
 
-    /// Install guarded data regions: any memory access touching one raises
-    /// a precise [`FaultKind::MemFault`] before the instruction commits any
-    /// architectural state. The default (empty) set never faults — the
-    /// sparse memory zero-fills unmapped pages.
-    pub fn set_guard_regions(&mut self, guards: Vec<ExecRegion>) {
-        self.guards = guards;
+    /// Install (or with `None` remove) the guarded data region: any memory
+    /// access touching it raises a precise [`FaultKind::MemFault`] before
+    /// the instruction commits any architectural state. Without one no
+    /// access faults — the sparse memory zero-fills unmapped pages.
+    pub fn set_guard_region(&mut self, guard: Option<ExecRegion>) {
+        self.guard = guard;
     }
 
-    /// Current guard regions.
-    pub fn guard_regions(&self) -> &[ExecRegion] {
-        &self.guards
-    }
-
-    /// Install watched code regions: a guest store whose bytes touch one
-    /// stops execution with [`CpuExit::CodeWrite`] *after* the store (and
-    /// the whole instruction) has committed, so resuming at `eip` makes
-    /// forward progress even when an instruction overwrites itself. Writes
-    /// made through [`Machine::mem`] directly (fragment emission, link
-    /// patching) are exempt — only interpreted guest stores are monitored.
-    pub fn set_watch_regions(&mut self, watches: Vec<ExecRegion>) {
-        self.watches = watches;
+    /// Install (or with `None` remove) the watched code region: a guest
+    /// store whose bytes touch it stops execution with
+    /// [`CpuExit::CodeWrite`] *after* the store (and the whole instruction)
+    /// has committed, so resuming at `eip` makes forward progress even when
+    /// an instruction overwrites itself. Writes made through
+    /// [`Machine::mem`] directly (fragment emission, link patching) are
+    /// exempt — only interpreted guest stores are monitored.
+    pub fn set_watch_region(&mut self, watch: Option<ExecRegion>) {
+        self.watch = watch;
     }
 
     /// Enable or disable decode verification: every decode-cache hit is
@@ -1042,20 +1036,17 @@ impl Machine {
     /// `run_blocks` in one call.
     #[inline]
     pub fn run_steps(&mut self, max_steps: u64) -> CpuExit {
-        // Nothing a step does can change the exec regions, so they are lent
-        // out for the whole call. The decode arena is lent out the same way
-        // (see `run_blocks`).
-        let regions = std::mem::take(&mut self.regions);
+        // The decode arena is lent out for the whole call (see
+        // `run_blocks`); nothing a step does can change the exec region.
         let mut arena = std::mem::take(&mut self.dcache.arena);
-        let exit = self.run_blocks(&mut arena, &regions, max_steps);
+        let exit = self.run_blocks(&mut arena, self.region, max_steps);
         self.dcache.arena = arena;
-        self.regions = regions;
         exit
     }
 
     /// Run cached blocks with the decode arena lent out of the cache, until
     /// `fuel` instructions have run or one stops execution. Control must
-    /// stay inside `regions`.
+    /// stay inside `region`.
     ///
     /// The region, the armed injection and the fuel are tested once per
     /// block, and the block is cut where the region ends, where the
@@ -1068,7 +1059,7 @@ impl Machine {
     fn run_blocks(
         &mut self,
         arena: &mut Vec<Decoded>,
-        regions: &[ExecRegion],
+        region: ExecRegion,
         mut fuel: u64,
     ) -> CpuExit {
         // The rest of the current block: arena entries `next..end`, the
@@ -1081,10 +1072,11 @@ impl Machine {
                     return CpuExit::FuelExhausted;
                 }
                 pc = self.cpu.eip;
-                // The bytes from `pc` to the end of its region.
-                let Some(room) = regions.iter().find(|r| r.contains(pc)).map(|r| r.end - pc) else {
+                if !region.contains(pc) {
                     return CpuExit::OutOfRegion(pc);
-                };
+                }
+                // The bytes from `pc` to the end of the region.
+                let room = region.end - pc;
                 let mut want = fuel;
                 if let Some((at, kind)) = self.inject {
                     let done = self.counters.instructions;
@@ -1197,25 +1189,24 @@ impl Machine {
         a
     }
 
-    /// First guarded byte of `[addr, addr + bytes)`, if any.
-    fn guarded(&self, addr: u32, bytes: u32) -> Option<u32> {
-        (0..bytes)
-            .map(|i| addr.wrapping_add(i))
-            .find(|a| self.guards.iter().any(|g| g.contains(*a)))
-    }
-
     /// Check every memory address the instruction will touch against the
-    /// guard regions — *before* execution, so a [`FaultKind::MemFault`] is
+    /// guard region — *before* execution, so a [`FaultKind::MemFault`] is
     /// precise (no architectural state has changed). The decoder lists the
     /// stack slot of every push, pop, call and return as a memory operand,
     /// so the operands cover those too.
-    fn check_guards(&self, pc: u32, l: &Lowered) -> Option<CpuExit> {
+    fn check_guard(&self, guard: ExecRegion, pc: u32, l: &Lowered) -> Option<CpuExit> {
         // `lea` only computes its address.
         if l.op == Opcode::Lea {
             return None;
         }
         let bad = l.srcs.iter().chain(l.dsts.iter()).find_map(|op| match op {
-            LOpnd::Mem(m) => self.guarded(self.addr_of(m), m.size.bytes()),
+            // The first guarded byte of the access, if any.
+            LOpnd::Mem(m) => {
+                let addr = self.addr_of(m);
+                (0..m.size.bytes())
+                    .map(|i| addr.wrapping_add(i))
+                    .find(|&a| guard.contains(a))
+            }
             _ => None,
         })?;
         Some(CpuExit::Fault {
@@ -1284,7 +1275,7 @@ impl Machine {
     fn note_store(&mut self, addr: u32, bytes: u32) {
         self.step_stores += 1;
         self.dcache.invalidate_range(addr, bytes);
-        if self.watches.iter().any(|w| touches(w, addr, bytes)) {
+        if self.watch.is_some_and(|w| touches(&w, addr, bytes)) {
             self.step_code_write = Some(match self.step_code_write {
                 None => (addr, bytes),
                 Some((a0, l0)) => {
@@ -1337,8 +1328,8 @@ impl Machine {
         self.step_loads = 0;
         self.step_stores = 0;
         self.step_code_write = None;
-        if !self.guards.is_empty() {
-            if let Some(exit) = self.check_guards(pc, l) {
+        if let Some(guard) = self.guard {
+            if let Some(exit) = self.check_guard(guard, pc, l) {
                 return Some(exit);
             }
         }
@@ -1912,7 +1903,7 @@ mod tests {
     /// top byte of the address space.
     fn bare() -> Machine {
         let mut m = Machine::new(CpuKind::Pentium4);
-        m.set_exec_regions(vec![ExecRegion::new(0, u32::MAX)]);
+        m.set_exec_region(ExecRegion::new(0, u32::MAX));
         m
     }
 
@@ -2073,7 +2064,7 @@ mod tests {
         let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
         let mut m = Machine::new(CpuKind::Pentium4);
         m.load_image(&Image::from_code(code));
-        m.set_guard_regions(vec![ExecRegion::new(0x2000_0000, 0x2000_1000)]);
+        m.set_guard_region(Some(ExecRegion::new(0x2000_0000, 0x2000_1000)));
         let exit = m.run();
         assert_eq!(
             exit,
@@ -2086,7 +2077,7 @@ mod tests {
         // The guarded store never happened.
         assert_eq!(m.mem.read_u32(0x2000_0000), 0);
         // Without the guard the same program completes.
-        m.set_guard_regions(Vec::new());
+        m.set_guard_region(None);
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.mem.read_u32(0x2000_0000), 7);
     }
@@ -2271,10 +2262,10 @@ mod tests {
         let store_pc = Image::CODE_BASE + enc.offset_of(store).unwrap();
         let mut m = Machine::new(CpuKind::Pentium4);
         m.load_image(&Image::from_code(enc.bytes));
-        m.set_watch_regions(vec![ExecRegion::new(
+        m.set_watch_region(Some(ExecRegion::new(
             Image::CODE_BASE,
             Image::CODE_BASE + 0x100,
-        )]);
+        )));
         let exit = m.run();
         assert_eq!(
             exit,
@@ -2543,8 +2534,8 @@ mod tests {
         // Two 4 KiB straight-line runs 16 MiB apart, laid out like a block
         // and its trace copy, each ending in a `jmp` to the other. Each run
         // is 128 blocks: 127 of 32 `inc`s and one of 27 `inc`s and the
-        // `jmp`. Executed alternately, both stay cached: after the first
-        // round every block hits.
+        // `jmp`. Executed alternately under one exec region spanning both,
+        // both stay cached: after the first round every block hits.
         let (block, trace) = (0xC000_0000u32, 0xC100_0000u32);
         let mut m = Machine::new(CpuKind::Pentium4);
         for (at, to) in [(block, trace), (trace, block)] {
@@ -2557,10 +2548,7 @@ mod tests {
             assert_eq!(code.len(), 4096);
             m.mem.write_bytes(at, &code);
         }
-        m.set_exec_regions(vec![
-            ExecRegion::new(block, block + 4096),
-            ExecRegion::new(trace, trace + 4096),
-        ]);
+        m.set_exec_region(ExecRegion::new(block, trace + 4096));
         m.cpu.eip = block;
         let (round, blocks) = (2 * 4092, 2 * 128);
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
@@ -2632,7 +2620,7 @@ mod tests {
         ));
         il.push_back(create::hlt());
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
-        m.set_watch_regions(vec![low]);
+        m.set_watch_region(Some(low));
         let exit = m.run();
         assert!(
             matches!(
@@ -2996,7 +2984,7 @@ mod tests {
                 shape: "MovMR",
                 setup: |m| {
                     m.cpu.set_reg(Reg::Eax, 0x0102_0304);
-                    m.set_watch_regions(vec![ExecRegion::new(CODE + 0x100, CODE + 0x200)]);
+                    m.set_watch_region(Some(ExecRegion::new(CODE + 0x100, CODE + 0x200)));
                 },
                 exit: CpuExit::CodeWrite {
                     pc: CODE,
@@ -3016,7 +3004,7 @@ mod tests {
                 shape: "MovMR",
                 setup: |m| {
                     m.cpu.set_reg(Reg::Eax, 0xFFFF_FFFF);
-                    m.set_guard_regions(vec![ExecRegion::new(0x2000_1000, 0x2000_2000)]);
+                    m.set_guard_region(Some(ExecRegion::new(0x2000_1000, 0x2000_2000)));
                 },
                 exit: CpuExit::Fault {
                     kind: FaultKind::MemFault,
@@ -3091,7 +3079,7 @@ mod tests {
             m.cpu.eip = Image::CODE_BASE;
             m.cpu.set_reg(Reg::Esp, STACK);
             m.mem.write_u32(slot, 0xA5A5_A5A5);
-            m.set_guard_regions(vec![ExecRegion::new(slot, slot + 4)]);
+            m.set_guard_region(Some(ExecRegion::new(slot, slot + 4)));
             let fault = CpuExit::Fault {
                 kind: FaultKind::MemFault,
                 pc: Image::CODE_BASE,
@@ -3204,10 +3192,10 @@ mod tests {
                     for (&a, &w) in probes.iter().zip(&words) {
                         m.mem.write_u32(a, w);
                     }
-                    let touched = vec![ExecRegion::new(probes[0], probes[0].wrapping_add(1))];
+                    let touched = Some(ExecRegion::new(probes[0], probes[0].wrapping_add(1)));
                     match trial % 3 {
-                        1 => m.set_guard_regions(touched),
-                        2 => m.set_watch_regions(touched),
+                        1 => m.set_guard_region(touched),
+                        2 => m.set_watch_region(touched),
                         _ => {}
                     }
                 }
@@ -3331,9 +3319,9 @@ mod tests {
                     il.push_back(create::hlt());
                     encode(&il)
                 },
-                setup: |m| m.set_guard_regions(vec![ExecRegion::new(0x2000_0000, 0x2000_1000)]),
+                setup: |m| m.set_guard_region(Some(ExecRegion::new(0x2000_0000, 0x2000_1000))),
                 resume: |m, exit| {
-                    m.set_guard_regions(Vec::new());
+                    m.set_guard_region(None);
                     runs_on(exit)
                 },
                 expect: |exit| {
@@ -3357,7 +3345,7 @@ mod tests {
                 },
                 setup: |m| {
                     let base = Image::CODE_BASE;
-                    m.set_watch_regions(vec![ExecRegion::new(base + 0x100, base + 0x200)]);
+                    m.set_watch_region(Some(ExecRegion::new(base + 0x100, base + 0x200)));
                 },
                 resume: |m, exit| {
                     if let CpuExit::CodeWrite { pc, .. } = exit {
@@ -3430,11 +3418,11 @@ mod tests {
                 setup: |m| {
                     warm(m);
                     let base = Image::CODE_BASE;
-                    m.set_exec_regions(vec![ExecRegion::new(base, base + 4)]);
+                    m.set_exec_region(ExecRegion::new(base, base + 4));
                 },
                 resume: |m, exit| {
                     let end = Image::CODE_BASE + 0x100;
-                    m.set_exec_regions(vec![ExecRegion::new(Image::CODE_BASE, end)]);
+                    m.set_exec_region(ExecRegion::new(Image::CODE_BASE, end));
                     runs_on(exit)
                 },
                 expect: |exit| exit == CpuExit::OutOfRegion(Image::CODE_BASE + 4),

@@ -60,7 +60,7 @@ pub const SET_FAULT_HANDLER_SYSCALL: u32 = 20;
 
 /// Exit status of a program that executes a stray trap (`int3`, or `int n`
 /// with `n != 0x80`). The native runner also uses it when control escapes
-/// the machine's execution regions.
+/// the machine's execution region.
 pub const TRAP_EXIT_CODE: i32 = 0x2000;
 
 /// Cycle cost of delivering a fault to a guest handler (kernel entry +
@@ -291,19 +291,19 @@ pub struct RunResult {
 /// assert_eq!(r.exit_code, 7);
 /// ```
 pub fn run_native(image: &Image, kind: crate::perf::CpuKind) -> RunResult {
-    run_native_guarded(image, kind, Vec::new())
+    run_native_guarded(image, kind, None)
 }
 
-/// As [`run_native`], with guarded data regions installed before execution
-/// (accesses into them raise [`FaultKind::MemFault`]).
+/// As [`run_native`], with a guarded data region installed before execution
+/// (accesses into it raise [`FaultKind::MemFault`]).
 pub fn run_native_guarded(
     image: &Image,
     kind: crate::perf::CpuKind,
-    guards: Vec<ExecRegion>,
+    guard: Option<ExecRegion>,
 ) -> RunResult {
     let mut m = Machine::new(kind);
     m.load_image(image);
-    m.set_guard_regions(guards);
+    m.set_guard_region(guard);
     let mut os = Os::new();
     let exit_code = loop {
         let exit = m.run();

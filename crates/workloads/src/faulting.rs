@@ -17,10 +17,10 @@ pub const GUARD_BASE: u32 = 0x2000_0000;
 /// Length of the guarded region.
 pub const GUARD_LEN: u32 = 0x1000;
 
-/// The guard regions to install (via `Machine::set_guard_regions` or
+/// The guard region to install (via `Machine::set_guard_region` or
 /// `run_native_guarded`) so the wild-load workloads actually fault.
-pub fn guard_regions() -> Vec<ExecRegion> {
-    vec![ExecRegion::new(GUARD_BASE, GUARD_BASE + GUARD_LEN)]
+pub fn guard_region() -> ExecRegion {
+    ExecRegion::new(GUARD_BASE, GUARD_BASE + GUARD_LEN)
 }
 
 /// Divide-by-zero inside a hot loop, recovered by a handler. The loop runs
