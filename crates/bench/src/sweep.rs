@@ -6,7 +6,7 @@
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use rio_core::RioRunResult;
+use rio_core::{check_transparent, RioRunResult};
 use rio_sim::{run_native, CpuKind, Image, RunResult};
 use rio_workloads::{compiled, Benchmark, Category};
 
@@ -45,7 +45,7 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Panics if a cell's exit code or output differs from native
+    /// Panics if a cell fails [`check_transparent`] against native
     /// execution.
     pub fn grid<R, F>(&self, rows: &[R], run: F) -> Vec<Vec<f64>>
     where
@@ -59,13 +59,10 @@ impl Sweep {
         let norms = run_parallel(&cells, self.jobs, |_, &(r, b)| {
             let ((bench, image), native) = (&self.benches[b], &self.natives[b]);
             let res = run(&rows[r], image);
-            assert_eq!(
-                (res.exit_code, res.app_output.as_str()),
-                (native.exit_code, native.output.as_str()),
-                "{} diverged from native execution under {:?}",
-                bench.name,
-                rows[r]
-            );
+            if let Err(d) = check_transparent(native, &res) {
+                let (name, row) = (bench.name, &rows[r]);
+                panic!("{name} diverged from native execution under {row:?} on {d}");
+            }
             res.counters.cycles as f64 / native.counters.cycles as f64
         });
         norms.chunks(n.max(1)).map(<[f64]>::to_vec).collect()

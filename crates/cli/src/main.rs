@@ -75,7 +75,8 @@ use std::process::ExitCode;
 
 use rio_bench::{run_parallel, Args};
 use rio_clients::ClientKind;
-use rio_core::{ExecMode, NullClient, Options, Rio, Stats, StepBudget, StepOutcome, StopReason};
+use rio_core::{check_transparent, ExecMode, NullClient, Options, Rio, Stats};
+use rio_core::{StepBudget, StepOutcome, StopReason};
 use rio_fuzz::scenario::{self, check, Pass, Scenario};
 use rio_fuzz::{run_campaign, CampaignOptions};
 use rio_sim::{run_native, CpuKind, DecodeCacheStats, Image};
@@ -157,7 +158,7 @@ fn parse_program(
 /// Engine options from the run flags. Each row flag caps the Table 1 row
 /// at its own, so the lowest row named wins.
 fn run_options(a: &Args) -> Result<Options, String> {
-    let mut o = Options::default();
+    let mut o = Options::full();
     for (flag, cap) in [
         ("--emulate", ExecMode::Emulate),
         ("--no-links", ExecMode::BlockCache),
@@ -208,11 +209,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         // below follows the 128+kind convention documented in the header.
         eprintln!("rio: {}", f.message);
     }
-    if exhausted.is_none() && (r.app_output != native.output || r.exit_code != native.exit_code) {
-        eprintln!(
-            "!! DIVERGENCE from native execution (native exit {})",
-            native.exit_code
-        );
+    if let (None, Err(d)) = (exhausted, check_transparent(&native, &r)) {
+        eprintln!("!! DIVERGENCE from native execution on {d}");
     }
     if !r.client_output.is_empty() {
         eprintln!("--- client output ---");
@@ -313,12 +311,10 @@ fn suite_report(client: ClientKind, cpu: CpuKind, opts: Options, jobs: usize) ->
         let r = Rio::new(image, opts, cpu, client.build()).run();
         // A benchmark that faulted is recorded as a failed row (with the
         // faithful fault report) rather than aborting the whole table.
-        let marker = match &r.fault {
-            Some(f) => format!("  !! FAULTED: {}", f.message),
-            None if (r.exit_code, &r.app_output) != (native.exit_code, &native.output) => {
-                "  !! DIVERGED".to_string()
-            }
-            None => String::new(),
+        let marker = match (&r.fault, check_transparent(&native, &r)) {
+            (Some(f), _) => format!("  !! FAULTED: {}", f.message),
+            (None, Err(d)) => format!("  !! DIVERGED on {}", d.axis),
+            (None, Ok(())) => String::new(),
         };
         let (name, native, cycles) = (b.name, native.counters.cycles, r.counters.cycles);
         let norm = cycles as f64 / native as f64;

@@ -228,45 +228,18 @@ impl Client for CTrace {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::programs::{assert_matches_native, call_program};
     use rio_core::{NullClient, Options, Rio};
-    use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, Cc, Opnd, Reg};
-    use rio_sim::{run_native, CpuKind, Image};
-
-    /// A loop calling a small function from two sites (returns miss the
-    /// standard inlined target half the time).
-    pub(crate) fn call_program(iters: i32) -> Image {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(iters)));
-        let top = il.push_back(create::label());
-        let c1 = il.push_back(create::call(Target::Pc(0)));
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(1)));
-        let c2 = il.push_back(create::call(Target::Pc(0)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Edi)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        let f = il.push_back(create::label());
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
-        il.push_back(create::ret());
-        il.get_mut(c1).set_target(Target::Instr(f));
-        il.get_mut(c2).set_target(Target::Instr(f));
-        Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
-    }
+    use rio_sim::CpuKind;
 
     #[test]
     fn marks_call_targets_and_elides_returns() {
         let img = call_program(2_000);
-        let native = run_native(&img, CpuKind::Pentium4);
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, CTrace::new());
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code, "elision broke execution");
+        assert_matches_native(&img, &r);
         assert!(rio.client.calls_marked >= 1);
         assert!(rio.client.rets_elided >= 1, "{:?}", rio.client);
         assert!(r.stats.traces_built >= 1);
@@ -291,7 +264,6 @@ pub(crate) mod tests {
     #[test]
     fn respects_max_trace_size() {
         let img = call_program(2_000);
-        let native = run_native(&img, CpuKind::Pentium4);
         let mut rio = Rio::new(
             &img,
             Options::full(),
@@ -299,19 +271,18 @@ pub(crate) mod tests {
             CTrace::with_max_bbs(2),
         );
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        assert_matches_native(&img, &r);
         assert!(r.stats.traces_built >= 1);
     }
 
     #[test]
     fn disabled_elision_still_correct() {
         let img = call_program(1_000);
-        let native = run_native(&img, CpuKind::Pentium4);
         let mut client = CTrace::new();
         client.elide_returns = false;
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, client);
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        assert_matches_native(&img, &r);
         assert_eq!(rio.client.rets_elided, 0);
     }
 }
@@ -319,6 +290,7 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod mispredict_tests {
     use super::*;
+    use crate::programs::call_program;
     use rio_core::{NullClient, Options, Rio};
     use rio_sim::CpuKind;
 
@@ -327,7 +299,7 @@ mod mispredict_tests {
         // The §4.4 payoff: call-site-anchored traces inline the matching
         // return, eliminating the translated-return mispredictions that
         // standard traces leave behind.
-        let img = tests::call_program(5_000);
+        let img = call_program(5_000);
         let mut standard = Rio::new(&img, Options::full(), CpuKind::Pentium4, NullClient);
         let a = standard.run();
         let mut custom = Rio::new(&img, Options::full(), CpuKind::Pentium4, CTrace::new());

@@ -40,7 +40,7 @@ struct Site {
 }
 
 /// The adaptive indirect-branch dispatch client.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IbDispatch {
     sites: Vec<Site>,
     /// Sampling threshold before rewriting.
@@ -57,8 +57,11 @@ impl IbDispatch {
     /// Create the client with the default sampling threshold.
     pub fn new() -> IbDispatch {
         IbDispatch {
+            sites: Vec::new(),
             threshold: DEFAULT_THRESHOLD,
-            ..IbDispatch::default()
+            samples_taken: 0,
+            rewrites: 0,
+            targets_inserted: 0,
         }
     }
 
@@ -153,6 +156,12 @@ impl IbDispatch {
     }
 }
 
+impl Default for IbDispatch {
+    fn default() -> IbDispatch {
+        IbDispatch::new()
+    }
+}
+
 impl Client for IbDispatch {
     fn name(&self) -> &'static str {
         "ibdispatch"
@@ -213,10 +222,9 @@ impl Client for IbDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::{assert_matches_native, call_program};
     use rio_core::{Options, Rio};
-    use rio_ia32::encode::encode_list;
-    use rio_ia32::Cc;
-    use rio_sim::{run_native, CpuKind, Image};
+    use rio_sim::CpuKind;
 
     #[test]
     fn hot_targets_orders_by_frequency() {
@@ -226,36 +234,16 @@ mod tests {
         assert!(IbDispatch::hot_targets(&[], 4).is_empty());
     }
 
-    /// A call-heavy program where the callee returns to two different call
-    /// sites — the return's inlined target check misses half the time,
-    /// which is exactly the pattern §4.3 targets.
-    fn two_site_call_program(iters: i32) -> Image {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(iters)));
-        let top = il.push_back(create::label());
-        let c1 = il.push_back(create::call(Target::Pc(0)));
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(1)));
-        let c2 = il.push_back(create::call(Target::Pc(0)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Edi)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        let f = il.push_back(create::label());
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
-        il.push_back(create::ret());
-        il.get_mut(c1).set_target(Target::Instr(f));
-        il.get_mut(c2).set_target(Target::Instr(f));
-        Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
+    #[test]
+    fn default_is_new() {
+        assert_eq!(IbDispatch::default().threshold, IbDispatch::new().threshold);
     }
 
     #[test]
     fn profiles_rewrites_and_preserves_semantics() {
-        let img = two_site_call_program(3_000);
-        let native = run_native(&img, CpuKind::Pentium4);
+        // The callee returns to two call sites, so the return's inlined
+        // target check misses half the time: the pattern §4.3 targets.
+        let img = call_program(3_000);
         let mut rio = Rio::new(
             &img,
             Options::full(),
@@ -266,7 +254,7 @@ mod tests {
             },
         );
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code, "rewrite broke execution");
+        assert_matches_native(&img, &r);
         assert!(rio.client.samples_taken > 0, "no profiling happened");
         assert!(rio.client.rewrites >= 1, "no rewrite: {:?}", rio.client);
         assert!(r.stats.replacements >= 1);
@@ -274,7 +262,7 @@ mod tests {
 
     #[test]
     fn dispatch_reduces_hashtable_lookups() {
-        let img = two_site_call_program(10_000);
+        let img = call_program(10_000);
         let mut base = Rio::new(
             &img,
             Options::full(),

@@ -133,13 +133,14 @@ impl Client for Inc2Add {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::{assert_matches_native, counted_loop, exit_with, program};
     use rio_core::{Options, Rio};
     use rio_ia32::{Reg, Target};
     use rio_sim::Image;
 
     fn client(kind: CpuKind) -> (Inc2Add, Core) {
         let image = Image::from_code(vec![0xf4]);
-        let mut core = Core::new(&image, Options::default(), kind);
+        let mut core = Core::new(&image, Options::full(), kind);
         let mut c = Inc2Add::new();
         c.init(&mut core);
         (c, core)
@@ -217,26 +218,17 @@ mod tests {
         // following add before the flags-reading jnz... actually dec writes
         // flags: inc eax; add edi, 2; dec esi; jnz — inc's CF-dead proof is
         // the add.
-        use rio_ia32::encode::encode_list;
-        let mut il = InstrList::new();
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(400)));
-        let top = il.push_back(create::label());
-        il.push_back(create::inc(Opnd::reg(Reg::Eax)));
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(rio_ia32::Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Eax)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        let image = Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
-
-        let native = rio_sim::run_native(&image, CpuKind::Pentium4);
+        let image = program(|il| {
+            il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(0)));
+            counted_loop(il, 400, |il| {
+                il.push_back(create::inc(Opnd::reg(Reg::Eax)));
+                il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
+            });
+            exit_with(il, Reg::Eax);
+        });
         let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, Inc2Add::new());
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        assert_matches_native(&image, &r);
         assert_eq!(r.exit_code, 400);
         assert!(rio.client.num_converted >= 1, "{:?}", rio.client);
         assert!(r.client_output.starts_with("converted"));

@@ -238,39 +238,20 @@ impl Client for OpStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::{assert_matches_native, loop_program};
     use rio_core::{Options, Rio};
-    use rio_ia32::encode::encode_list;
-    use rio_ia32::{Cc, Reg, Target};
-    use rio_sim::{run_native, CpuKind};
-
-    fn loop_image(n: i32) -> Image {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(n)));
-        let top = il.push_back(create::label());
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::reg(Reg::Esi)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Edi)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
-    }
+    use rio_sim::CpuKind;
 
     #[test]
     fn inscount_is_exact_without_traces() {
-        let img = loop_image(200);
-        let native = run_native(&img, CpuKind::Pentium4);
+        let img = loop_program(200);
         let mut rio = Rio::new(
             &img,
             Options::with_indirect_links(),
             CpuKind::Pentium4,
             InsCount::new(),
         );
-        let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        let native = assert_matches_native(&img, &rio.run());
         assert_eq!(
             rio.client.executed, native.counters.instructions,
             "block-level inline counting must be exact"
@@ -281,11 +262,9 @@ mod tests {
     fn inscount_is_nearly_exact_with_traces() {
         // Traces legitimately eliminate inter-block jmps, so the in-cache
         // count may slightly undercount native execution.
-        let img = loop_image(200);
-        let native = run_native(&img, CpuKind::Pentium4);
+        let img = loop_program(200);
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, InsCount::new());
-        let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        let native = assert_matches_native(&img, &rio.run());
         let n = native.counters.instructions;
         assert!(
             rio.client.executed <= n && rio.client.executed * 100 >= n * 95,
@@ -298,15 +277,14 @@ mod tests {
     fn inscount_preserves_flags() {
         // The loop's jnz depends on dec's ZF; if the inserted add clobbered
         // flags the loop would run forever or exit early.
-        let img = loop_image(50);
-        let native = run_native(&img, CpuKind::Pentium4);
+        let img = loop_program(50);
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, InsCount::new());
-        assert_eq!(rio.run().exit_code, native.exit_code);
+        assert_matches_native(&img, &rio.run());
     }
 
     #[test]
     fn bbprofile_counts_loop_iterations() {
-        let img = loop_image(123);
+        let img = loop_program(123);
         let mut rio = Rio::new(
             &img,
             // Block-level profiling: disable traces so blocks keep running.
@@ -325,7 +303,7 @@ mod tests {
 
     #[test]
     fn opstats_sees_application_opcodes() {
-        let img = loop_image(10);
+        let img = loop_program(10);
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, OpStats::new());
         let r = rio.run();
         assert!(rio.client.count("add") >= 1);

@@ -26,7 +26,7 @@
 //! use rio_sim::{Image, CpuKind};
 //!
 //! let image = Image::from_code(vec![0xf4]);
-//! let mut rio = Rio::new(&image, Options::default(), CpuKind::Pentium4, Inc2Add::new());
+//! let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, Inc2Add::new());
 //! let result = rio.run();
 //! println!("{}", result.client_output);
 //! ```
@@ -39,6 +39,8 @@ pub mod ibdispatch;
 pub mod inc2add;
 pub mod instrument;
 pub mod kind;
+#[cfg(test)]
+mod programs;
 pub mod rlr;
 pub mod shepherd;
 

@@ -241,7 +241,7 @@ mod tests {
 
     fn setup() -> (Rlr, Core) {
         let image = Image::from_code(vec![0xf4]);
-        let core = Core::new(&image, Options::default(), CpuKind::Pentium4);
+        let core = Core::new(&image, Options::full(), CpuKind::Pentium4);
         (Rlr::new(), core)
     }
 
@@ -374,32 +374,25 @@ mod tests {
 
     #[test]
     fn end_to_end_correctness_with_redundant_loads() {
+        use crate::programs::{assert_matches_native, counted_loop, exit_with, program};
         use rio_core::Rio;
-        use rio_ia32::encode::encode_list;
         // Loop with two loads of the same local per iteration.
-        let mut il = InstrList::new();
         let slot = MemRef::absolute(Image::DATA_BASE, OpSize::S32);
-        il.push_back(create::mov(Opnd::Mem(slot), Opnd::imm32(5)));
-        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(600)));
-        let top = il.push_back(create::label());
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::Mem(slot)));
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::reg(Reg::Eax)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::Mem(slot))); // redundant
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::reg(Reg::Eax)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(rio_ia32::Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Edi)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        let image = Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
-
-        let native = rio_sim::run_native(&image, CpuKind::Pentium4);
+        let image = program(|il| {
+            il.push_back(create::mov(Opnd::Mem(slot), Opnd::imm32(5)));
+            il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
+            counted_loop(il, 600, |il| {
+                // The second load is redundant.
+                for _ in 0..2 {
+                    il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::Mem(slot)));
+                    il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::reg(Reg::Eax)));
+                }
+            });
+            exit_with(il, Reg::Edi);
+        });
         let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, Rlr::new());
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        assert_matches_native(&image, &r);
         assert_eq!(r.exit_code, 6000);
         assert!(rio.client.loads_removed >= 1);
         // The optimized run does fewer loads than native in steady state

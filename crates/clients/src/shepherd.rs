@@ -181,29 +181,25 @@ impl Client for Shepherd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::{assert_matches_native, counted_loop, exit_with, program};
     use rio_core::{Options, Rio};
     use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, Cc, MemRef, OpSize, Target};
-    use rio_sim::{run_native, CpuKind, Image};
+    use rio_ia32::{create, MemRef, OpSize, Target};
+    use rio_sim::{CpuKind, Image};
 
     fn benign_program(iters: i32) -> Image {
-        let mut il = InstrList::new();
-        il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
-        il.push_back(create::mov(Opnd::reg(Reg::Esi), Opnd::imm32(iters)));
-        let top = il.push_back(create::label());
-        let c = il.push_back(create::call(Target::Pc(0)));
-        il.push_back(create::dec(Opnd::reg(Reg::Esi)));
-        let mut j = create::jcc(Cc::Nz, Target::Pc(0));
-        j.set_target(Target::Instr(top));
-        il.push_back(j);
-        il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Edi)));
-        il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
-        il.push_back(create::int(0x80));
-        let f = il.push_back(create::label());
-        il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
-        il.push_back(create::ret());
-        il.get_mut(c).set_target(Target::Instr(f));
-        Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
+        program(|il| {
+            il.push_back(create::mov(Opnd::reg(Reg::Edi), Opnd::imm32(0)));
+            let mut call = None;
+            counted_loop(il, iters, |il| {
+                call = Some(il.push_back(create::call(Target::Pc(0))));
+            });
+            exit_with(il, Reg::Edi);
+            let f = il.push_back(create::label());
+            il.push_back(create::add(Opnd::reg(Reg::Edi), Opnd::imm32(2)));
+            il.push_back(create::ret());
+            il.get_mut(call.unwrap()).set_target(Target::Instr(f));
+        })
     }
 
     /// A function that overwrites its own return address, redirecting the
@@ -240,13 +236,9 @@ mod tests {
     #[test]
     fn benign_program_has_no_violations() {
         let img = benign_program(300);
-        let native = run_native(&img, CpuKind::Pentium4);
         let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, Shepherd::new());
         let r = rio.run();
-        assert_eq!(
-            r.exit_code, native.exit_code,
-            "instrumentation broke execution"
-        );
+        assert_matches_native(&img, &r);
         assert_eq!(rio.client.violations, vec![]);
         assert_eq!(rio.client.calls_seen, 300);
         assert_eq!(rio.client.rets_checked, 300);
@@ -280,10 +272,9 @@ mod tests {
              fn main() { return fib(12); }",
         )
         .unwrap();
-        let native = run_native(&image, CpuKind::Pentium4);
         let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, Shepherd::new());
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        assert_matches_native(&image, &r);
         assert!(rio.client.violations.is_empty());
         assert!(rio.client.max_depth >= 12, "depth {}", rio.client.max_depth);
         assert_eq!(rio.client.calls_seen, rio.client.rets_checked);

@@ -23,7 +23,7 @@ pub enum ExecMode {
     Traces,
 }
 
-/// Engine configuration. [`Options::default`] is the full system (Table 1's
+/// Engine configuration. [`Options::full`] is the full system (Table 1's
 /// last row: cache + direct links + indirect links + traces); the other
 /// rows differ from it in [`Options::mode`] alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,8 +53,41 @@ pub struct Options {
     pub verify: bool,
 }
 
-impl Default for Options {
-    fn default() -> Options {
+impl Options {
+    /// Table 1 row 1: pure emulation.
+    pub fn emulation() -> Options {
+        Options {
+            mode: ExecMode::Emulate,
+            ..Options::full()
+        }
+    }
+
+    /// Table 1 row 2: basic-block cache only, no linking, no traces.
+    pub fn cache_only() -> Options {
+        Options {
+            mode: ExecMode::BlockCache,
+            ..Options::full()
+        }
+    }
+
+    /// Table 1 row 3: + direct-branch linking.
+    pub fn with_direct_links() -> Options {
+        Options {
+            mode: ExecMode::DirectLinks,
+            ..Options::full()
+        }
+    }
+
+    /// Table 1 row 4: + indirect-branch in-cache lookup.
+    pub fn with_indirect_links() -> Options {
+        Options {
+            mode: ExecMode::IndirectLinks,
+            ..Options::full()
+        }
+    }
+
+    /// Table 1 row 5 / the full system: + traces.
+    pub fn full() -> Options {
         Options {
             mode: ExecMode::Traces,
             trace_threshold: 50,
@@ -64,45 +97,6 @@ impl Default for Options {
             cache_limit: None,
             verify: false,
         }
-    }
-}
-
-impl Options {
-    /// Table 1 row 1: pure emulation.
-    pub fn emulation() -> Options {
-        Options {
-            mode: ExecMode::Emulate,
-            ..Options::default()
-        }
-    }
-
-    /// Table 1 row 2: basic-block cache only, no linking, no traces.
-    pub fn cache_only() -> Options {
-        Options {
-            mode: ExecMode::BlockCache,
-            ..Options::default()
-        }
-    }
-
-    /// Table 1 row 3: + direct-branch linking.
-    pub fn with_direct_links() -> Options {
-        Options {
-            mode: ExecMode::DirectLinks,
-            ..Options::default()
-        }
-    }
-
-    /// Table 1 row 4: + indirect-branch in-cache lookup.
-    pub fn with_indirect_links() -> Options {
-        Options {
-            mode: ExecMode::IndirectLinks,
-            ..Options::default()
-        }
-    }
-
-    /// Table 1 row 5 / the full system: + traces.
-    pub fn full() -> Options {
-        Options::default()
     }
 
     /// The five Table 1 rows with their labels, emulation first: each row
@@ -218,10 +212,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_options_are_the_full_system() {
-        let o = Options::default();
+    fn full_options_are_the_last_table1_row() {
+        let o = Options::full();
         assert_eq!(o.mode, ExecMode::Traces);
-        assert_eq!(o, Options::full());
+        assert_eq!(o, Options::table1()[4].1);
         assert_eq!(o.trace_threshold, 50);
     }
 

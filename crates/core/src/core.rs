@@ -98,8 +98,9 @@ pub struct Core {
     pub(crate) deleted_tags: Vec<u32>,
     pub(crate) pending_custom_stubs: Vec<CustomStub>,
     pub(crate) marked_heads: HashSet<u32>,
-    pub(crate) app_entry: u32,
-    pub(crate) app_code_range: (u32, u32),
+    /// The loaded application image: its entry, its code range (watched
+    /// for writes) and the data segments the final state digest reads.
+    pub(crate) image: Image,
     pub(crate) last_dispatched: Option<u32>,
     clean_call_args: Vec<u64>,
     /// Why a client hook asked for something the engine cannot give; the
@@ -140,8 +141,7 @@ impl Core {
             deleted_tags: Vec::new(),
             pending_custom_stubs: Vec::new(),
             marked_heads: HashSet::new(),
-            app_entry: image.entry,
-            app_code_range: image.code_range(),
+            image: image.clone(),
             last_dispatched: None,
             clean_call_args: Vec::new(),
             client_fault: None,
@@ -719,7 +719,7 @@ impl Core {
             cache,
             t,
             id,
-            self.app_code_range,
+            self.image.code_range(),
             clean_calls,
             &mut self.verify_decoded,
         );

@@ -19,10 +19,11 @@
 //! [`Rio::run`] is a thin wrapper that steps with an unlimited budget.
 
 use rio_ia32::InstrList;
+use std::fmt;
 use std::ops::ControlFlow;
 
 use rio_ia32::Reg;
-use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent};
+use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent, RunResult};
 
 use crate::build::decode_bb;
 use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
@@ -49,6 +50,58 @@ pub struct RioRunResult {
     /// The unhandled guest fault that ended the run, if any (`exit_code` is
     /// then [`Fault::exit_code`]).
     pub fault: Option<Fault>,
+    /// Digest of the application-visible state when the result was taken
+    /// ([`Machine::app_state_digest`](rio_sim::Machine::app_state_digest)).
+    pub state_digest: u64,
+}
+
+/// The first axis on which an engine run differs from native execution
+/// (see [`check_transparent`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Divergence {
+    /// `output`, `exit code` or `state digest` from [`check_transparent`];
+    /// a check layered on top may name its own (the fuzz oracle's
+    /// `violations`).
+    pub axis: &'static str,
+    /// What native execution produced on that axis.
+    pub native: String,
+    /// What the engine produced on that axis.
+    pub engine: String,
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (axis, native, engine) = (self.axis, &self.native, &self.engine);
+        write!(f, "{axis}: native {native:?} vs {engine:?}")
+    }
+}
+
+impl std::error::Error for Divergence {}
+
+/// The transparency check (§2–3): an engine run must end exactly as native
+/// execution of the same image does. Compares the output, then the exit
+/// code, then the final application-state digest, and names the first axis
+/// that differs. Every engine-versus-native comparison goes through here.
+pub fn check_transparent(native: &RunResult, engine: &RioRunResult) -> Result<(), Divergence> {
+    let differs = |axis, native: String, engine: String| {
+        Err(Divergence {
+            axis,
+            native,
+            engine,
+        })
+    };
+    if engine.app_output != native.output {
+        return differs("output", native.output.clone(), engine.app_output.clone());
+    }
+    if engine.exit_code != native.exit_code {
+        let (n, e) = (native.exit_code, engine.exit_code);
+        return differs("exit code", n.to_string(), e.to_string());
+    }
+    if engine.state_digest != native.state_digest {
+        let (n, e) = (native.state_digest, engine.state_digest);
+        return differs("state digest", format!("{n:016x}"), format!("{e:016x}"));
+    }
+    Ok(())
 }
 
 /// A bound on how much work one [`Rio::step`] call may perform before
@@ -234,7 +287,7 @@ impl BudgetMeter {
 /// use rio_sim::{Image, CpuKind};
 ///
 /// let image = Image::from_code(vec![0xf4]); // hlt
-/// let mut rio = Rio::new(&image, Options::default(), CpuKind::Pentium4, NullClient);
+/// let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
 /// let result = rio.run();
 /// assert_eq!(result.exit_code, 0);
 /// ```
@@ -246,7 +299,7 @@ impl BudgetMeter {
 /// use rio_sim::{Image, CpuKind};
 ///
 /// let image = Image::from_code(vec![0xf4]);
-/// let mut rio = Rio::new(&image, Options::default(), CpuKind::Pentium4, NullClient);
+/// let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
 /// loop {
 ///     match rio.step(StepBudget::instructions(10_000)) {
 ///         StepOutcome::Running(_) => continue, // safe point: inspect, flush, resume
@@ -354,7 +407,7 @@ impl<C: Client> Rio<C> {
             self.client.init(&mut self.core);
             self.client.thread_init(&mut self.core);
             self.phase = if self.core.options.mode == ExecMode::Emulate {
-                let (s, e) = self.core.app_code_range;
+                let (s, e) = self.core.image.code_range();
                 self.core.machine.set_exec_region(ExecRegion::new(s, e));
                 Phase::Emulating
             } else {
@@ -363,11 +416,11 @@ impl<C: Client> Rio<C> {
                 // (paper §6: cache consistency). The engine's own writes
                 // (fragment emission, link patching) go through the memory
                 // API directly and are exempt.
-                let (s, e) = self.core.app_code_range;
+                let (s, e) = self.core.image.code_range();
                 self.core
                     .machine
                     .set_watch_region(Some(ExecRegion::new(s, e)));
-                Phase::InCache(Some(Resume::Dispatch(self.core.app_entry)))
+                Phase::InCache(Some(Resume::Dispatch(self.core.image.entry)))
             };
         }
         let meter = BudgetMeter::start(budget, &self.core.machine.counters);
@@ -430,6 +483,7 @@ impl<C: Client> Rio<C> {
             counters: self.core.machine.counters,
             stats: self.core.stats,
             fault: None,
+            state_digest: self.core.machine.app_state_digest(&self.core.image),
         }
     }
 
@@ -708,7 +762,7 @@ impl<C: Client> Rio<C> {
                 // Untranslatable store site (a store synthesized by
                 // mangling — not application code): re-enter at the last
                 // dispatched tag rather than running a stale fragment.
-                None => self.core.last_dispatched.unwrap_or(self.core.app_entry),
+                None => self.core.last_dispatched.unwrap_or(self.core.image.entry),
             }
         };
         // A recording in progress may include a block the write just
@@ -1254,7 +1308,7 @@ mod tests {
     fn an_exhausted_block_cache_ends_the_run_as_an_engine_failure() {
         let mut rio = Rio::new(
             &counted_loop(),
-            Options::default(),
+            Options::full(),
             CpuKind::Pentium4,
             NullClient,
         );
@@ -1274,7 +1328,7 @@ mod tests {
     fn an_exhausted_trace_cache_abandons_traces_and_replacements() {
         let mut rio = Rio::new(
             &counted_loop(),
-            Options::default(),
+            Options::full(),
             CpuKind::Pentium4,
             NullClient,
         );
@@ -1296,5 +1350,70 @@ mod tests {
         assert!(!rio.core.replace_fragment(tag, il));
         assert_eq!(rio.core.cache().lookup(tag), old);
         assert_eq!(rio.core.stats.replacements, 0);
+    }
+
+    #[test]
+    fn the_transparency_check_names_the_first_differing_axis() {
+        let native = RunResult {
+            exit_code: 3,
+            output: "7\n".into(),
+            counters: Counters::default(),
+            state_digest: 0xab,
+        };
+        let same = RioRunResult {
+            exit_code: 3,
+            app_output: "7\n".into(),
+            client_output: String::new(),
+            counters: Counters::default(),
+            stats: Stats::default(),
+            fault: None,
+            state_digest: 0xab,
+        };
+        assert_eq!(check_transparent(&native, &same), Ok(()));
+        // The report for an engine run that differs on each of `axes`.
+        let first = |axes: &[&str]| {
+            let mut r = same.clone();
+            if axes.contains(&"output") {
+                r.app_output = "8\n".into();
+            }
+            if axes.contains(&"exit code") {
+                r.exit_code = 4;
+            }
+            if axes.contains(&"state digest") {
+                r.state_digest = 0xcd;
+            }
+            check_transparent(&native, &r).unwrap_err().to_string()
+        };
+        assert_eq!(first(&["output"]), r#"output: native "7\n" vs "8\n""#);
+        assert_eq!(first(&["exit code"]), r#"exit code: native "3" vs "4""#);
+        assert_eq!(
+            first(&["state digest"]),
+            r#"state digest: native "00000000000000ab" vs "00000000000000cd""#
+        );
+        // Output is reported before the exit code, and both before the digest.
+        let all = first(&["output", "exit code", "state digest"]);
+        assert_eq!(all, first(&["output"]));
+        assert_eq!(first(&["exit code", "state digest"]), first(&["exit code"]));
+    }
+
+    #[test]
+    fn result_digests_are_the_machine_digest_suspended_and_finished() {
+        let image = Image {
+            data: vec![(Image::DATA_BASE, vec![1, 2, 3, 4])],
+            ..counted_loop()
+        };
+        let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
+        let suspended = match rio.step(StepBudget::instructions(100)) {
+            StepOutcome::Running(_) => rio.result_snapshot(0).state_digest,
+            other => panic!("finished within 100 instructions: {other:?}"),
+        };
+        assert_eq!(suspended, rio.core.machine.app_state_digest(&image));
+        let finished = rio.run();
+        assert_eq!(
+            finished.state_digest,
+            rio.core.machine.app_state_digest(&image)
+        );
+        // `%ecx` counted down in between.
+        assert_ne!(suspended, finished.state_digest);
     }
 }

@@ -29,7 +29,7 @@
 //! use rio_sim::{Image, CpuKind};
 //!
 //! let image = Image::from_code(vec![0xf4]); // hlt: trivial program
-//! let mut rio = Rio::new(&image, Options::default(), CpuKind::Pentium4, NullClient);
+//! let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
 //! let result = rio.run();
 //! println!("normalized stats: {}", result.stats);
 //! ```
@@ -54,7 +54,9 @@ pub use crate::core::Core;
 pub use cache::{ExitKind, Fragment, FragmentId, FragmentKind, IndKind, Translation};
 pub use client::{Client, EndTraceDecision, NullClient};
 pub use config::{layout, ExecMode, Options};
-pub use engine::{Fault, Rio, RioRunResult, StepBudget, StepOutcome, StopReason};
+pub use engine::{
+    check_transparent, Divergence, Fault, Rio, RioRunResult, StepBudget, StepOutcome, StopReason,
+};
 pub use inject::{FaultInjector, InjectionPlan};
 pub use mangle::{elide_ret_check, find_ib_checks, IbCheck, Note};
 pub use rio_sim::FaultKind;

@@ -882,11 +882,7 @@ mod tests {
     #[test]
     fn lint_verdicts_on_a_long_list_follow_the_edit_alone() {
         let image = Image::from_code(vec![0xf4]);
-        let mut core = crate::Core::new(
-            &image,
-            crate::Options::default(),
-            rio_sim::CpuKind::Pentium4,
-        );
+        let mut core = crate::Core::new(&image, crate::Options::full(), rio_sim::CpuKind::Pentium4);
         for cf_live in [true, false] {
             let (mut il, inc) = padded_inc(cf_live);
             assert!(il.len() >= 10);

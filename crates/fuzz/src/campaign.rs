@@ -75,7 +75,7 @@ pub fn run_seed(
             program.nodes(),
             summary.configs,
             summary.exit_code,
-            summary.output_lines,
+            summary.output.lines().count(),
             summary.state_digest
         ))
         }

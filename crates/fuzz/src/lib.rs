@@ -40,7 +40,7 @@ pub use corpus::{load_dir, replay_entry, CorpusEntry};
 pub use gen::{render, Program, E, S};
 pub use oracle::{
     check_image, diverges, run_engine, run_native_baseline, CheckSummary, EngineConfig, FuzzConfig,
-    Mismatch, Outcome,
+    Mismatch,
 };
 pub use rng::Rng;
 pub use shrink::{shrink_config, shrink_program};

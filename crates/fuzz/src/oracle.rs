@@ -8,16 +8,17 @@
 //! run through a lattice of engine configurations (emulation; code cache
 //! with traces off and on; a tiny bounded cache under FIFO eviction;
 //! one-instruction `Rio::step` budgets; incremental verification) crossed
-//! with the null and combined clients. Every run must match the baseline's
-//! output, exit code, and final register/global state digest, and verified
-//! runs must report zero violations. Any difference is a [`Mismatch`] —
-//! a finding, never a flake, because every run is deterministic.
+//! with the null and combined clients. Every run must pass
+//! [`check_transparent`] against the baseline (output, exit code, final
+//! register/global state digest), and verified runs must report zero
+//! violations. Any difference is a [`Mismatch`] — a finding, never a
+//! flake, because every run is deterministic.
 
 use std::fmt;
 
 use rio_clients::ClientKind;
-use rio_core::Options;
-use rio_sim::{run_native, CpuKind, Image};
+use rio_core::{check_transparent, Divergence, Options, RioRunResult};
+use rio_sim::{run_native, CpuKind, Image, RunResult};
 
 use crate::scenario::{drive, Run};
 
@@ -170,110 +171,56 @@ impl fmt::Display for FuzzConfig {
     }
 }
 
-/// Everything one run exposes for comparison.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Outcome {
-    /// Application exit code.
-    pub exit_code: i32,
-    /// Buffered application output.
-    pub output: String,
-    /// Final register + global-state digest
-    /// ([`rio_sim::Machine::app_state_digest`]).
-    pub state_digest: u64,
-    /// Verifier violations (always 0 for unverified runs).
-    pub violations: u64,
-    /// Unhandled terminal fault, if any.
-    pub fault: Option<String>,
-}
-
 /// A divergence between the native baseline and one engine configuration —
 /// the fuzzer's unit of discovery.
 #[derive(Clone, Debug)]
 pub struct Mismatch {
     /// The configuration that disagreed with native execution.
     pub config: FuzzConfig,
-    /// Which comparison failed (`output`, `exit code`, `state digest`,
-    /// `violations`).
-    pub axis: &'static str,
-    /// What the native baseline produced.
-    pub expected: String,
-    /// What the engine configuration produced.
-    pub actual: String,
+    /// The first differing axis: one of [`check_transparent`]'s, or
+    /// `violations` for a verified run the verifier flagged.
+    pub divergence: Divergence,
 }
 
 impl fmt::Display for Mismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} diverged on {}: native {:?} vs {:?}",
-            self.config, self.axis, self.expected, self.actual
-        )
+        write!(f, "{} diverged on {}", self.config, self.divergence)
     }
 }
 
 /// Run the native interpreter baseline.
-pub fn run_native_baseline(image: &Image, cpu: CpuKind) -> Outcome {
-    let r = run_native(image, cpu);
-    Outcome {
-        exit_code: r.exit_code,
-        output: r.output,
-        state_digest: r.state_digest,
-        violations: 0,
-        fault: None,
-    }
+pub fn run_native_baseline(image: &Image, cpu: CpuKind) -> RunResult {
+    run_native(image, cpu)
 }
 
-/// Run one engine configuration to completion.
-pub fn run_engine(image: &Image, cfg: FuzzConfig, cpu: CpuKind) -> Outcome {
-    let o = drive(image, &cfg.run(), cpu);
-    Outcome {
-        exit_code: o.result.exit_code,
-        output: o.result.app_output,
-        state_digest: o.state_digest,
-        violations: o.result.stats.violations,
-        fault: o.result.fault.map(|f| f.message),
-    }
+/// Run one engine configuration to completion; `stats` include a verified
+/// run's final sweep.
+pub fn run_engine(image: &Image, cfg: FuzzConfig, cpu: CpuKind) -> RioRunResult {
+    drive(image, &cfg.run(), cpu).result
 }
 
-/// Compare one engine outcome against the native baseline.
-pub fn compare(cfg: FuzzConfig, native: &Outcome, engine: &Outcome) -> Result<(), Mismatch> {
-    let mismatch = |axis, expected: String, actual: String| {
-        Err(Mismatch {
-            config: cfg,
-            axis,
-            expected,
-            actual,
-        })
+/// Compare one engine run against the native baseline: the transparency
+/// check, then zero verifier violations.
+pub fn compare(cfg: FuzzConfig, native: &RunResult, engine: &RioRunResult) -> Result<(), Mismatch> {
+    let mismatch = |divergence| Mismatch {
+        config: cfg,
+        divergence,
     };
-    if engine.output != native.output {
-        return mismatch("output", native.output.clone(), engine.output.clone());
-    }
-    if engine.exit_code != native.exit_code {
-        return mismatch(
-            "exit code",
-            native.exit_code.to_string(),
-            engine.exit_code.to_string(),
-        );
-    }
-    if engine.state_digest != native.state_digest {
-        return mismatch(
-            "state digest",
-            format!("{:016x}", native.state_digest),
-            format!("{:016x}", engine.state_digest),
-        );
-    }
-    if engine.violations != 0 {
-        return mismatch(
-            "violations",
-            "0".into(),
-            format!("{} (fault: {:?})", engine.violations, engine.fault),
-        );
+    check_transparent(native, engine).map_err(mismatch)?;
+    let violations = engine.stats.violations;
+    if violations != 0 {
+        let fault = engine.fault.as_ref().map(|f| &f.message);
+        return Err(mismatch(Divergence {
+            axis: "violations",
+            native: "0".into(),
+            engine: format!("{violations} (fault: {fault:?})"),
+        }));
     }
     Ok(())
 }
 
 /// Summary of a clean matrix pass.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckSummary {
     /// Number of engine configurations that agreed with native.
     pub configs: usize,
@@ -281,8 +228,8 @@ pub struct CheckSummary {
     pub state_digest: u64,
     /// The (shared) exit code.
     pub exit_code: i32,
-    /// Number of output lines the program printed.
-    pub output_lines: usize,
+    /// The (shared) output.
+    pub output: String,
 }
 
 /// Run the full configuration matrix over a compiled image and compare
@@ -299,7 +246,7 @@ pub fn check_image(image: &Image, cpu: CpuKind) -> Result<CheckSummary, Box<Mism
         configs: matrix.len(),
         state_digest: native.state_digest,
         exit_code: native.exit_code,
-        output_lines: native.output.lines().count(),
+        output: native.output,
     })
 }
 
@@ -361,6 +308,6 @@ mod tests {
         let summary = check_image(&image, CpuKind::Pentium4).expect("matrix agrees");
         assert_eq!(summary.configs, 12);
         assert_eq!(summary.exit_code, 7);
-        assert_eq!(summary.output_lines, 1);
+        assert_eq!(summary.output, "1225\n");
     }
 }

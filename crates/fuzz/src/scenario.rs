@@ -12,7 +12,7 @@
 use std::fmt;
 
 use rio_clients::ClientKind;
-use rio_core::{ExecMode, Stats, StepBudget, StepOutcome};
+use rio_core::{check_transparent, ExecMode, Stats, StepBudget, StepOutcome};
 use rio_core::{Fault, FaultInjector, FaultKind, InjectionPlan, Options, Rio, RioRunResult};
 use rio_sim::{run_native_guarded, CpuKind, ExecRegion, Image};
 use rio_workloads::{compile, faulting, smc, suite};
@@ -64,8 +64,6 @@ pub struct Observed {
     pub result: RioRunResult,
     /// Every terminal fault, in order.
     pub faults: Vec<Fault>,
-    /// The final app-visible state digest.
-    pub state_digest: u64,
     /// Stale decodes executed (counted under `verify_decodes`).
     pub stale_decodes: u64,
     /// The first few verifier findings.
@@ -115,7 +113,6 @@ pub fn drive(image: &Image, run: &Run, cpu: CpuKind) -> Observed {
     Observed {
         result,
         faults,
-        state_digest: rio.core.machine.app_state_digest(image),
         stale_decodes: rio.core.machine.stale_decode_hits(),
         findings,
     }
@@ -156,8 +153,8 @@ pub enum Want {
 /// A `Stats` field name (from [`Stats::fields`]) and what it must hold.
 pub type FieldWant = (&'static str, Want);
 
-/// What a scenario must observe, besides native-identical output and final
-/// app state and zero stale decodes, which every scenario requires.
+/// What a scenario must observe, besides what every scenario requires:
+/// [`check_transparent`] against native execution and zero stale decodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Expect {
     /// Exit status.
@@ -256,23 +253,18 @@ pub fn check(s: &Scenario, cpu: CpuKind) -> Result<Pass, String> {
         faults_ok,
         format!("expected {:?} terminal faults, got {messages:?}", e.faults),
     );
+    if let Err(d) = check_transparent(&native, r) {
+        require(false, format!("diverged from native on {d}"));
+    }
+    // The transparency check ties the engine's exit code to native's.
     let exit = match e.exit {
-        Exit::Native => native.exit_code,
+        Exit::Native => r.exit_code,
         Exit::Code(c) => c,
     };
-    let (rio_exit, native_exit) = (r.exit_code, native.exit_code);
-    let exit_ok = rio_exit == exit && native_exit == exit;
+    let rio_exit = r.exit_code;
     require(
-        exit_ok,
-        format!("exit {rio_exit} (native {native_exit}), expected {exit}"),
-    );
-    require(
-        r.app_output == native.output,
-        "output diverged from native".into(),
-    );
-    require(
-        o.state_digest == native.state_digest,
-        "final app state diverged from native".into(),
+        rio_exit == exit,
+        format!("exit {rio_exit}, expected {exit}"),
     );
     let mut parts = vec![format!("exit {exit}, output native-identical")];
     if let Some(first) = o.faults.first() {
@@ -340,7 +332,7 @@ fn sliced(mode: ExecMode, verify: bool) -> Run {
     let options = Options {
         mode,
         verify,
-        ..Options::default()
+        ..Options::full()
     };
     let mut run = Run::new(options, ClientKind::Null);
     run.step = Some(200);

@@ -1907,10 +1907,16 @@ mod tests {
         m
     }
 
-    fn run_program(il: &InstrList) -> (Machine, CpuExit) {
+    /// A machine with `il` assembled and loaded at [`Image::CODE_BASE`].
+    fn loaded(il: &InstrList) -> Machine {
         let code = encode_list(il, Image::CODE_BASE).unwrap().bytes;
         let mut m = Machine::new(CpuKind::Pentium4);
         m.load_image(&Image::from_code(code));
+        m
+    }
+
+    fn run_program(il: &InstrList) -> (Machine, CpuExit) {
+        let mut m = loaded(il);
         let exit = m.run();
         (m, exit)
     }
@@ -2016,13 +2022,7 @@ mod tests {
     fn out_of_region_exit() {
         let mut il = InstrList::new();
         il.push_back(create::jmp(Target::Pc(0xC000_0000)));
-        let (_, exit) = {
-            let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-            let mut m = Machine::new(CpuKind::Pentium4);
-            m.load_image(&Image::from_code(code));
-            let e = m.run();
-            (m, e)
-        };
+        let (_, exit) = run_program(&il);
         assert_eq!(exit, CpuExit::OutOfRegion(0xC000_0000));
     }
 
@@ -2034,10 +2034,7 @@ mod tests {
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(0)));
         il.push_back(create::idiv(Opnd::reg(Reg::Ebx)));
         il.push_back(create::hlt());
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
-        let exit = m.run();
+        let (mut m, exit) = run_program(&il);
         let CpuExit::Fault { kind, pc, addr } = exit else {
             panic!("expected fault, got {exit:?}");
         };
@@ -2061,9 +2058,7 @@ mod tests {
             Opnd::reg(Reg::Eax),
         ));
         il.push_back(create::hlt());
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
+        let mut m = loaded(&il);
         m.set_guard_region(Some(ExecRegion::new(0x2000_0000, 0x2000_1000)));
         let exit = m.run();
         assert_eq!(
@@ -2088,9 +2083,7 @@ mod tests {
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(2)));
         il.push_back(create::hlt());
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
+        let mut m = loaded(&il);
         m.inject_fault_at(1, FaultKind::InvalidOpcode);
         let exit = m.run();
         let CpuExit::Fault { kind, pc, .. } = exit else {
@@ -2201,9 +2194,7 @@ mod tests {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::hlt());
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
+        let mut m = loaded(&il);
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 1);
         // Patch immediate to 2.
@@ -2239,9 +2230,7 @@ mod tests {
         let imm_addr = Image::CODE_BASE + enc.offset_of(after_add).unwrap() - 4;
         il.get_mut(patch)
             .set_dst(0, Opnd::Mem(MemRef::absolute(imm_addr, OpSize::S32)));
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
+        let mut m = loaded(&il);
         m.set_verify_decodes(true);
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 3000); // 1000 + patched 2000
@@ -2290,9 +2279,7 @@ mod tests {
         let mut il = InstrList::new();
         il.push_back(create::mov(Opnd::reg(Reg::Eax), Opnd::imm32(1)));
         il.push_back(create::hlt());
-        let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-        let mut m = Machine::new(CpuKind::Pentium4);
-        m.load_image(&Image::from_code(code));
+        let mut m = loaded(&il);
         assert_eq!(m.run(), CpuExit::Halt);
         // Patch the immediate through memory, invalidating just that range.
         m.mem.write_u32(Image::CODE_BASE + 1, 2);

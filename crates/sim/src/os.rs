@@ -418,7 +418,7 @@ mod thread_tests {
     use super::*;
     use crate::perf::CpuKind;
     use rio_ia32::encode::encode_list;
-    use rio_ia32::{create, InstrList, Opnd, Target};
+    use rio_ia32::{create, InstrList, Opnd};
 
     /// main prints 'A', yields, prints 'A', exits program with 7;
     /// worker prints 'B', yields, prints 'B', thread-exits.
@@ -456,7 +456,6 @@ mod thread_tests {
         let worker_addr = Image::CODE_BASE + enc.offset_of(worker).unwrap();
         il.get_mut(patch)
             .set_src(0, Opnd::imm32(worker_addr as i32));
-        let _ = Target::Pc(0);
         Image::from_code(encode_list(&il, Image::CODE_BASE).unwrap().bytes)
     }
 

@@ -1,6 +1,7 @@
 //! Cycle cost model: per-opcode costs, branch predictors, counters.
 //!
-//! The model is deliberately simple — a handful of parameters — but captures
+//! The model is deliberately simple — a handful of fixed costs per
+//! processor — but captures
 //! every effect the paper's evaluation depends on:
 //!
 //! * **Indirect branches** predict through a BTB (last-target). Returns
@@ -28,61 +29,55 @@ pub enum CpuKind {
     Pentium4,
 }
 
-/// Tunable cost parameters (cycles).
+/// A processor model's cycle costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostParams {
+struct CostParams {
     /// Base cost of a simple ALU instruction.
-    pub base: u64,
+    base: u64,
     /// Additional cost of a memory load operand.
-    pub load: u64,
+    load: u64,
     /// Additional cost of a memory store operand.
-    pub store: u64,
+    store: u64,
     /// Cost of `inc`/`dec` (replaces `base`).
-    pub inc_dec: u64,
+    inc_dec: u64,
     /// Cost of a 32-bit multiply (replaces `base`).
-    pub mul: u64,
+    mul: u64,
     /// Cost of a 32-bit divide (replaces `base`).
-    pub div: u64,
+    div: u64,
     /// Cost of `pushfd`/`popfd`/`lahf`/`sahf` flag shuffles.
-    pub flags_save: u64,
+    flags_save: u64,
     /// Fetch-bubble cost of any taken branch.
-    pub taken_branch: u64,
+    taken_branch: u64,
     /// Branch misprediction penalty.
-    pub mispredict: u64,
+    mispredict: u64,
 }
 
-impl CostParams {
-    /// Parameters for the Pentium 4 model.
-    pub fn pentium4() -> CostParams {
-        CostParams {
-            base: 1,
-            load: 3,
-            store: 2,
-            inc_dec: 4,
-            mul: 10,
-            div: 40,
-            flags_save: 6,
-            taken_branch: 1,
-            mispredict: 20,
-        }
-    }
+/// The Pentium 4 model's costs.
+const PENTIUM4: CostParams = CostParams {
+    base: 1,
+    load: 3,
+    store: 2,
+    inc_dec: 4,
+    mul: 10,
+    div: 40,
+    flags_save: 6,
+    taken_branch: 1,
+    mispredict: 20,
+};
 
-    /// Parameters for the Pentium III model (shallower pipeline, no
-    /// flags-merge penalty on `inc`).
-    pub fn pentium3() -> CostParams {
-        CostParams {
-            base: 1,
-            load: 2,
-            store: 2,
-            inc_dec: 1,
-            mul: 5,
-            div: 30,
-            flags_save: 4,
-            taken_branch: 1,
-            mispredict: 10,
-        }
-    }
-}
+/// The Pentium III model's costs (shallower pipeline, no flags-merge
+/// penalty on `inc`).
+const PENTIUM3: CostParams = CostParams {
+    base: 1,
+    load: 2,
+    store: 2,
+    inc_dec: 1,
+    mul: 5,
+    div: 30,
+    flags_save: 4,
+    taken_branch: 1,
+    mispredict: 10,
+};
 
 /// Execution statistics accumulated by a [`Machine`](crate::Machine).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -153,11 +148,12 @@ thread_local! {
     static SPARE_PREDICTORS: Spares<Predictors> = const { Spares::new(Vec::new()) };
 }
 
-/// The complete performance model: parameters plus predictor state.
+/// The complete performance model: the processor's costs plus predictor
+/// state.
 pub struct CostModel {
     kind: CpuKind,
-    /// Cost parameters (public for ablation experiments).
-    pub params: CostParams,
+    /// The costs of `kind` ([`PENTIUM3`] or [`PENTIUM4`]).
+    params: CostParams,
     /// 2-bit saturating counters for conditional branches.
     bp: Vec<u8>,
     /// Branch target buffer: tag + predicted target.
@@ -185,8 +181,8 @@ impl CostModel {
     /// Create the model for a processor family.
     pub fn new(kind: CpuKind) -> CostModel {
         let params = match kind {
-            CpuKind::Pentium3 => CostParams::pentium3(),
-            CpuKind::Pentium4 => CostParams::pentium4(),
+            CpuKind::Pentium3 => PENTIUM3,
+            CpuKind::Pentium4 => PENTIUM4,
         };
         // A dropped model's tables, reset, or new ones.
         let (bp, btb) = match spare::take(&SPARE_PREDICTORS) {

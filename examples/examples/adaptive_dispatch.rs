@@ -5,7 +5,7 @@
 //! lookup.
 
 use rio_clients::{ClientKind, IbDispatch};
-use rio_core::{Options, Rio};
+use rio_core::{check_transparent, Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compile};
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         IbDispatch::new(),
     );
     let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&native, &r)?;
     println!(
         "with dispatch:  {:.3}x native, {} hashtable lookups",
         r.counters.cycles as f64 / native.counters.cycles as f64,

@@ -3,7 +3,7 @@
 //! removed entirely under the calling-convention assumption.
 
 use rio_clients::{CTrace, ClientKind};
-use rio_core::{Options, Rio};
+use rio_core::{check_transparent, Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compile};
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, CTrace::new());
     let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&native, &r)?;
     println!(
         "custom traces:   {:.3}x native, {} ib lookups",
         r.counters.cycles as f64 / native.counters.cycles as f64,

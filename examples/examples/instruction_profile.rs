@@ -3,7 +3,7 @@
 //! execution profiling, and a static opcode histogram.
 
 use rio_clients::{BbProfile, InsCount, OpStats};
-use rio_core::{Options, Rio};
+use rio_core::{check_transparent, Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::{benchmark, compile};
 
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CpuKind::Pentium4,
         InsCount::new(),
     );
-    let r = rio.run();
+    check_transparent(&native, &rio.run())?;
     println!(
         "inscount: {} (simulator says {})",
         rio.client.executed, native.counters.instructions
@@ -33,14 +33,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CpuKind::Pentium4,
         BbProfile::new(5),
     );
-    let r2 = rio.run();
-    assert_eq!(r2.exit_code, r.exit_code);
-    println!("\n{}", r2.client_output.trim());
+    let r = rio.run();
+    check_transparent(&native, &r)?;
+    println!("\n{}", r.client_output.trim());
 
     // Static opcode histogram.
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, OpStats::new());
-    let r3 = rio.run();
-    assert_eq!(r3.exit_code, r.exit_code);
-    println!("\n{}", r3.client_output.trim());
+    let r = rio.run();
+    check_transparent(&native, &r)?;
+    println!("\n{}", r.client_output.trim());
     Ok(())
 }

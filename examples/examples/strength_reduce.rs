@@ -4,7 +4,7 @@
 //! on".
 
 use rio_clients::Inc2Add;
-use rio_core::{Options, Rio};
+use rio_core::{check_transparent, Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::compile;
 
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let native = run_native(&image, kind);
         let mut rio = Rio::new(&image, Options::full(), kind, Inc2Add::new());
         let r = rio.run();
-        assert_eq!(r.exit_code, native.exit_code);
+        check_transparent(&native, &r)?;
         println!("{kind:?}:");
         println!("  client says: {}", r.client_output.trim());
         println!(

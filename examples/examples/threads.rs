@@ -8,7 +8,7 @@
 //! private cache builds its own copy, and no cross-thread synchronization
 //! exists anywhere in the engine.
 
-use rio_core::{NullClient, Options, Rio};
+use rio_core::{check_transparent, NullClient, Options, Rio};
 use rio_sim::{run_native, CpuKind};
 use rio_workloads::compile;
 
@@ -41,12 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let native = run_native(&image, CpuKind::Pentium4);
     // Emulation schedules threads through the same simulated OS.
     let emulated = Rio::new(&image, Options::emulation(), CpuKind::Pentium4, NullClient).run();
-    assert_eq!(emulated.exit_code, native.exit_code);
-    assert_eq!(emulated.app_output, native.output);
+    check_transparent(&native, &emulated)?;
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
     let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
-    assert_eq!(r.app_output, native.output);
+    check_transparent(&native, &r)?;
 
     println!("program output: {}", r.app_output.trim());
     println!(

@@ -31,19 +31,23 @@
 //! * `properties`, `roundtrip_sweep` — randomized round-trips over the
 //!   instruction representation, liveness, and `InstrList` invariants.
 //!
-//! Every engine-versus-native check goes through [`assert_transparent`],
-//! i.e. the fuzz oracle's [`check_image`]. Randomized tests use the
+//! Every engine-versus-native comparison goes through
+//! [`rio_core::check_transparent`] (output, exit code, final state digest):
+//! whole-matrix checks through [`assert_transparent`], i.e. the fuzz
+//! oracle's [`check_image`], and a test's own run, with a custom client or
+//! at a chosen point, by calling it directly. Randomized tests use the
 //! deterministic xorshift64* [`Rng`] and the generators in
 //! [`rio_fuzz::gen`], so every case derives from a fixed seed and failures
 //! are exactly reproducible.
 
 use rio_clients::ClientKind;
-use rio_core::{Client, Core, NullClient, Options, Rio, RioRunResult, StepBudget, StepOutcome};
+use rio_core::{check_transparent, Client, Core, NullClient, Options, Rio, RioRunResult};
+use rio_core::{StepBudget, StepOutcome};
 use rio_fuzz::scenario::{drive, Run};
-use rio_fuzz::{check_image, run_native_baseline, CheckSummary};
+use rio_fuzz::{check_image, CheckSummary};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrList, Opnd, Reg, Target};
-use rio_sim::{CpuKind, Image};
+use rio_sim::{run_native, CpuKind, Image};
 
 pub use rio_fuzz::Rng;
 
@@ -179,18 +183,15 @@ pub fn assert_transparent(image: &Image) -> CheckSummary {
     summary
 }
 
-/// Assert that one null-client run of `image` under `options` ends exactly
-/// as native execution does: output, exit code and final state digest.
+/// Assert that one null-client run of `image` under `options` passes
+/// [`check_transparent`] against native execution.
 /// For options outside the [`assert_transparent`] configurations.
 pub fn assert_native_identical(image: &Image, options: Options) {
     let cpu = CpuKind::Pentium4;
-    let native = run_native_baseline(image, cpu);
     let o = drive(image, &Run::new(options, ClientKind::Null), cpu);
-    assert_eq!(
-        (o.result.exit_code, o.result.app_output, o.state_digest),
-        (native.exit_code, native.output, native.state_digest),
-        "{options:?} diverged from native execution"
-    );
+    if let Err(d) = check_transparent(&run_native(image, cpu), &o.result) {
+        panic!("{options:?} diverged from native execution on {d}");
+    }
 }
 
 /// A client that logs the Table 3 lifecycle hooks: how often each fired,

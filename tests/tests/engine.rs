@@ -3,9 +3,8 @@
 //! configuration, while building the expected cache structures.
 
 use rio_core::build::{decode_bb, BuiltBlock};
-use rio_core::{
-    Client, EndTraceDecision, FragmentKind, NullClient, Options, Rio, StepBudget, StepOutcome,
-};
+use rio_core::{check_transparent, Client, EndTraceDecision, FragmentKind, NullClient, Options};
+use rio_core::{Rio, StepBudget, StepOutcome};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrList, MemRef, OpSize, Opcode, Opnd, Reg, Target};
 use rio_sim::{run_native, CpuKind, Image};
@@ -207,8 +206,7 @@ fn end_trace_hook_controls_trace_length() {
     null.run();
     let spans = trace_spans(&null);
     assert!(spans.iter().any(|&n| n > 1), "{spans:?}");
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&run_native(&img, CpuKind::Pentium4), &r).unwrap();
 }
 
 /// A client that uses a clean call to count executions of one block.
@@ -240,8 +238,7 @@ fn clean_calls_reach_the_client_per_execution() {
         CleanCallCounter::default(),
     );
     let r = rio.run();
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&run_native(&img, CpuKind::Pentium4), &r).unwrap();
     // The loop body block executes 100 times; plus entry/exit blocks.
     assert!(rio.client.hits >= 100, "hits = {}", rio.client.hits);
     assert_eq!(r.stats.clean_calls, rio.client.hits);
@@ -257,8 +254,7 @@ fn fragment_replacement_from_inside_the_fragment_is_safe() {
         SelfRewriter::default(),
     );
     let r = rio.run();
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(r.exit_code, native.exit_code, "replacement broke execution");
+    check_transparent(&run_native(&img, CpuKind::Pentium4), &r).unwrap();
     assert!(rio.client.rewrote);
     assert_eq!(r.stats.replacements, 1);
     assert_eq!(r.stats.deletions, 1);
@@ -293,9 +289,8 @@ fn client_printf_is_transparent() {
     let img = loop_program(10);
     let mut rio = Rio::new(&img, Options::full(), CpuKind::Pentium4, Printer);
     let r = rio.run();
-    let native = run_native(&img, CpuKind::Pentium4);
     // Client output is buffered separately; app output untouched.
-    assert_eq!(r.app_output, native.output);
+    check_transparent(&run_native(&img, CpuKind::Pentium4), &r).unwrap();
     assert!(r.client_output.contains("bb 0x40"));
 }
 
@@ -327,7 +322,7 @@ fn cache_limit_triggers_evictions_and_preserves_correctness() {
     opts.cache_limit = Some(256); // absurdly small: forces churn
     let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, NullClient);
     let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code, "eviction broke execution");
+    check_transparent(&native, &r).unwrap();
     assert!(r.stats.evictions > 0, "no eviction happened: {}", r.stats);
     // Capacity pressure evicts per-fragment, never flushes a sub-cache.
     assert_eq!(r.stats.cache_flushes, 0, "{}", r.stats);
@@ -336,7 +331,7 @@ fn cache_limit_triggers_evictions_and_preserves_correctness() {
 
     // Unlimited cache: no evictions, same result.
     let r2 = run(&img, Options::full());
-    assert_eq!(r2.exit_code, native.exit_code);
+    check_transparent(&native, &r2).unwrap();
     assert_eq!(r2.stats.evictions, 0);
     assert_eq!(r2.stats.cache_flushes, 0);
 }
@@ -374,11 +369,10 @@ fn assert_removals(
         }
     };
     let stats = rio.core.stats;
-    assert_eq!(
-        code,
-        run_native(image, CpuKind::Pentium4).exit_code,
-        "{counter}: {stats}"
-    );
+    let native = run_native(image, CpuKind::Pentium4);
+    if let Err(d) = check_transparent(&native, &rio.result_snapshot(code)) {
+        panic!("{counter}: diverged on {d}: {stats}");
+    }
     assert!(stats.deletions > 0, "{counter}: nothing deleted: {stats}");
     assert_eq!(
         rio.client.0.len() as u64,
@@ -506,7 +500,7 @@ fn translated_returns_lose_the_return_address_predictor() {
     // Translated, traces disabled: the shared lookup's single BTB slot
     // alternates between two return targets and mispredicts massively.
     let r = run(&img, Options::with_indirect_links());
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&native, &r).unwrap();
     assert!(
         r.counters.ind_mispredicts > 5_000,
         "translated returns should thrash the BTB: {}",
@@ -517,7 +511,7 @@ fn translated_returns_lose_the_return_address_predictor() {
     // procedure call's return in a different trace from the call" — the
     // exact motivation §4.4 gives for custom traces.
     let t = run(&img, Options::full());
-    assert_eq!(t.exit_code, native.exit_code);
+    check_transparent(&native, &t).unwrap();
     assert!(
         t.counters.ind_mispredicts > r.counters.ind_mispredicts / 2,
         "standard traces were not expected to absorb returns here: {} vs {}",

@@ -5,7 +5,7 @@
 use rio_core::{layout, Client, Core, NullClient, Options, Rio};
 use rio_ia32::encode::encode_list;
 use rio_ia32::{create, Cc, InstrId, InstrList, MemRef, OpSize, Opnd, Reg, Target};
-use rio_sim::{run_native, CpuKind, Image, TRAP_EXIT_CODE};
+use rio_sim::{CpuKind, Image, TRAP_EXIT_CODE};
 use rio_tests::{assert_native_identical, assert_transparent, exit_with, program};
 
 #[test]
@@ -26,9 +26,7 @@ fn jecxz_terminated_blocks_translate_via_trampolines() {
         il.get_mut(out).set_target(Target::Instr(done));
         exit_with(il, Reg::Edi);
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 1500);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 1500);
 }
 
 #[test]
@@ -48,9 +46,7 @@ fn ret_n_calling_convention() {
         il.push_back(create::ret_imm(4));
         il.get_mut(c).set_target(Target::Instr(f));
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 40);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 40);
 }
 
 #[test]
@@ -73,9 +69,10 @@ fn carry_chains_and_eight_bit_arithmetic_survive_translation() {
         il.push_back(create::add(Opnd::reg(Reg::Ebx), Opnd::reg(Reg::Esi)));
         exit_with(il, Reg::Ebx);
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 1000 + ((200 + 100) & 0xFF));
-    assert_transparent(&img);
+    assert_eq!(
+        assert_transparent(&img).exit_code,
+        1000 + ((200 + 100) & 0xFF)
+    );
 }
 
 #[test]
@@ -91,9 +88,7 @@ fn pushfd_popfd_lahf_sahf_through_the_cache() {
         il.push_back(create::movzx(Reg::Ebx, Opnd::reg(Reg::Cl)));
         exit_with(il, Reg::Ebx);
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 1);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 1);
 }
 
 #[test]
@@ -106,9 +101,7 @@ fn deep_recursion_under_translation() {
          fn main() { return ack_ish(800, 0) % 251; }",
     )
     .unwrap();
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, (800 * 801 / 2) % 251);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, (800 * 801 / 2) % 251);
 }
 
 #[test]
@@ -147,10 +140,8 @@ fn new_isa_instructions_translate_correctly() {
         il.push_back(create::xchg(Opnd::reg(Reg::Ecx), Opnd::reg(Reg::Edi)));
         exit_with(il, Reg::Edi);
     });
-    let native = run_native(&img, CpuKind::Pentium4);
     // bswap(0x01020304)=0x04030201, rol 8 -> 0x03020104, bit1 = 0 -> cmov not taken
-    assert_eq!(native.exit_code, 0);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 0);
 }
 
 #[test]
@@ -198,18 +189,15 @@ fn trap_image(trap: rio_ia32::Instr) -> Image {
 #[test]
 fn int3_exits_like_native() {
     let img = trap_image(create::int3());
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, TRAP_EXIT_CODE);
-    assert_eq!(native.output, "!");
-    assert_transparent(&img);
+    let summary = assert_transparent(&img);
+    assert_eq!(summary.exit_code, TRAP_EXIT_CODE);
+    assert_eq!(summary.output, "!");
 }
 
 #[test]
 fn stray_interrupt_vector_exits_like_native() {
     let img = trap_image(create::int(0x21));
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, TRAP_EXIT_CODE);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, TRAP_EXIT_CODE);
 }
 
 /// Register the label `body` returns as the fault handler, run `body`'s
@@ -248,9 +236,7 @@ fn undecodable_jump_target_is_delivered_to_the_handler() {
         il.get_mut(jmp).set_target(Target::Instr(garbage));
         entry
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 77);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 77);
 }
 
 #[test]
@@ -269,9 +255,7 @@ fn undecodable_bytes_mid_block_fault_after_the_valid_prefix() {
         il.get_mut(jmp).set_target(Target::Instr(l));
         entry
     });
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(native.exit_code, 16);
-    assert_transparent(&img);
+    assert_eq!(assert_transparent(&img).exit_code, 16);
 }
 
 /// An image whose first instruction jumps straight to `target`.

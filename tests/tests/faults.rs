@@ -8,7 +8,8 @@
 //! express: handler-observed state and flushes requested mid-delivery.
 
 use rio_clients::ClientKind;
-use rio_core::{Client, Core, FaultKind, NullClient, Options, Rio, StepBudget, StepOutcome};
+use rio_core::{check_transparent, Client, Core, FaultKind, NullClient, Options, Rio};
+use rio_core::{StepBudget, StepOutcome};
 use rio_fuzz::scenario::{drive, Run};
 use rio_ia32::Reg;
 use rio_sim::{run_native, CpuKind};
@@ -64,7 +65,6 @@ fn handler_observes_identical_state_in_emulation_and_cache() {
     let image = compile(&faulting::div_recover()).unwrap();
     let native = run_native(&image, CpuKind::Pentium4);
     assert_eq!(native.exit_code, 0);
-
     let mut emu = Rio::new(
         &image,
         Options::emulation(),
@@ -80,10 +80,8 @@ fn handler_observes_identical_state_in_emulation_and_cache() {
     );
     let rc = cache.run();
 
-    assert_eq!(re.exit_code, 0);
-    assert_eq!(rc.exit_code, 0);
-    assert_eq!(re.app_output, native.output);
-    assert_eq!(rc.app_output, native.output);
+    check_transparent(&native, &re).unwrap();
+    check_transparent(&native, &rc).unwrap();
     assert_eq!(
         emu.client.events.len(),
         faulting::DIV_RECOVER_FAULTS as usize
@@ -111,8 +109,7 @@ fn fault_delivery_works_under_single_instruction_budgets() {
             "unexpected terminal fault: {:?}",
             o.faults
         );
-        assert_eq!(o.result.exit_code, native.exit_code);
-        assert_eq!(o.result.app_output, native.output);
+        check_transparent(&native, &o.result).unwrap();
         assert_eq!(
             o.result.stats.faults_delivered,
             faulting::DIV_RECOVER_FAULTS as u64
@@ -129,7 +126,7 @@ fn handler_delivery_survives_a_pending_cache_flush() {
     let native = run_native(&image, CpuKind::Pentium4);
     let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
     let mut requested = false;
-    let (code, output) = loop {
+    let result = loop {
         match rio.step(StepBudget::instructions(200)) {
             StepOutcome::Running(_) => {
                 if !requested && rio.core.stats.faults_delivered >= 3 {
@@ -137,13 +134,12 @@ fn handler_delivery_survives_a_pending_cache_flush() {
                     requested = true;
                 }
             }
-            StepOutcome::Exited(code) => break (code, rio.result_snapshot(code).app_output),
+            StepOutcome::Exited(code) => break rio.result_snapshot(code),
             StepOutcome::Faulted(f) => panic!("unexpected terminal fault: {}", f.message),
         }
     };
     assert!(requested, "run finished before any fault was delivered");
-    assert_eq!(code, native.exit_code);
-    assert_eq!(output, native.output);
+    check_transparent(&native, &result).unwrap();
     assert!(rio.core.stats.cache_flushes >= 1);
     assert_eq!(
         rio.core.stats.faults_delivered,

@@ -14,7 +14,7 @@
 use std::path::Path;
 
 use rio_clients::ClientKind;
-use rio_core::{FaultKind, InjectionPlan, Options};
+use rio_core::{check_transparent, FaultKind, InjectionPlan, Options, RioRunResult};
 use rio_fuzz::scenario::{drive, Run};
 use rio_fuzz::{
     check_image, load_dir, render, replay_entry, shrink_program, FuzzConfig, Program,
@@ -123,7 +123,7 @@ fn generated_programs_execute_no_stale_decode_seeds_200_to_299() {
 /// generated preamble registers a handler, so the fault is recovered
 /// in-program and the run completes — with a different `fcnt` line than
 /// the (injection-free) native run.
-fn run_with_injected_fault(image: &Image, at: u64) -> (i32, String) {
+fn run_with_injected_fault(image: &Image, at: u64) -> RioRunResult {
     let mut run = Run::new(Options::full(), ClientKind::Null);
     run.step = Some(200);
     run.inject = Some(InjectionPlan::AtInstruction {
@@ -136,7 +136,7 @@ fn run_with_injected_fault(image: &Image, at: u64) -> (i32, String) {
         escaped.is_none(),
         "injected fault escaped the handler: {escaped:?}"
     );
-    (o.result.exit_code, o.result.app_output)
+    o.result
 }
 
 #[test]
@@ -168,8 +168,7 @@ fn shrinker_minimizes_an_injected_divergence() {
             // to reach it natively does not count as the same finding.
             return false;
         }
-        let (code, output) = run_with_injected_fault(&image, at);
-        code != native.exit_code || output != native.output
+        check_transparent(&native, &run_with_injected_fault(&image, at)).is_err()
     };
 
     assert!(

@@ -5,8 +5,8 @@
 //! re-decoded translation tables regressed before the verifier existed.
 
 use rio_core::{
-    layout, Check, Client, Core, FaultInjector, InjectionPlan, NullClient, Options, Rio,
-    StepBudget, StepOutcome,
+    check_transparent, layout, Check, Client, Core, FaultInjector, InjectionPlan, NullClient,
+    Options, Rio, StepBudget, StepOutcome,
 };
 use rio_ia32::{create, InstrList, MemRef, OpSize, Opcode, Opnd, Reg};
 use rio_sim::{run_native, CpuKind};
@@ -119,8 +119,7 @@ fn replaced_fragments_verify_clean() {
     opts.verify = true;
     let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, SelfRewriter::default());
     let r = rio.run();
-    let native = run_native(&img, CpuKind::Pentium4);
-    assert_eq!(r.exit_code, native.exit_code);
+    check_transparent(&run_native(&img, CpuKind::Pentium4), &r).unwrap();
     assert!(rio.client.rewrote, "replacement never happened");
     assert_eq!(r.stats.replacements, 1);
     assert_eq!(r.stats.violations, 0, "{:?}", rio.core.verify_findings());
@@ -137,7 +136,7 @@ fn verified_runs_are_clean_and_uncharged() {
     opts.verify = true;
     let mut checked = Rio::new(&img, opts, CpuKind::Pentium4, NullClient);
     let rc = checked.run();
-    assert_eq!(rc.exit_code, native.exit_code);
+    check_transparent(&native, &rc).unwrap();
     assert!(rc.stats.checks_run > 0, "verification never ran");
     assert_eq!(rc.stats.violations, 0);
     // Verification is an offline observer: it must not perturb the
@@ -208,8 +207,7 @@ fn custom_exit_stubs_run_linked_and_verify_clean() {
     };
     let mut rio = Rio::new(&img, opts, CpuKind::Pentium4, TaggingStubs::default());
     let r = rio.run();
-    assert_eq!(r.exit_code, native.exit_code);
-    assert_eq!(r.app_output, native.output);
+    check_transparent(&native, &r).unwrap();
     assert_eq!(r.stats.violations, 0, "{:?}", rio.core.verify_findings());
     assert!(rio.core.verify_cache().is_empty());
     assert!(r.stats.links > 0);
