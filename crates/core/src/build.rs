@@ -5,17 +5,20 @@
 //! bundle** and only the block-ending CTI is fully decoded (Level 3); when a
 //! client hook will run, every instruction is decoded to Level 3.
 
+use std::borrow::BorrowMut;
+
 use rio_ia32::decode::{decode_instr, decode_opcode};
 use rio_ia32::{DecodeError, Instr, InstrList};
 use rio_sim::Memory;
 
 use crate::mangle::Terminator;
 
-/// A decoded (not yet mangled) basic block.
+/// A decoded (not yet mangled) basic block: its instructions, in a list
+/// of its own ([`decode_bb`]) or one the caller keeps ([`decode_bb_into`]).
 #[derive(Debug)]
-pub struct BuiltBlock {
+pub struct BuiltBlock<L = InstrList> {
     /// The instructions, at Level 0+3 or full Level 3 detail.
-    pub il: InstrList,
+    pub il: L,
     /// Application address of the block entry.
     pub tag: u32,
     /// Application address immediately after the block (fall-through /
@@ -30,7 +33,8 @@ pub struct BuiltBlock {
 /// Maximum bytes fetched per instruction decode.
 const FETCH: usize = 16;
 
-/// Decode the basic block starting at `tag` from application memory.
+/// Decode the basic block starting at `tag` from application memory into a
+/// new list.
 ///
 /// The block extends to (and includes) the first control-transfer
 /// instruction or `hlt`, or is split after `max_instrs` instructions, or
@@ -51,21 +55,43 @@ pub fn decode_bb(
     full_decode: bool,
     max_instrs: usize,
 ) -> Result<BuiltBlock, DecodeError> {
-    let mut il = InstrList::new();
+    decode_bb_into(mem, tag, full_decode, max_instrs, InstrList::new())
+}
+
+/// [`decode_bb`] into `il`, which is cleared first: a list the caller keeps
+/// from block to block lends the block its slots and its Level 0 bundle's
+/// byte storage, so a warm list decodes a block with no allocation.
+///
+/// # Errors
+///
+/// As [`decode_bb`].
+pub fn decode_bb_into<L: BorrowMut<InstrList>>(
+    mem: &Memory,
+    tag: u32,
+    full_decode: bool,
+    max_instrs: usize,
+    mut il: L,
+) -> Result<BuiltBlock<L>, DecodeError> {
+    let list = il.borrow_mut();
+    list.clear();
     let mut pc = tag;
     let mut count = 0usize;
-    let mut bundle: Vec<u8> = Vec::new();
+    // The pending Level 0 bundle: its first pc, the offset of its last
+    // instruction and its instruction count. Its bytes are read from
+    // memory in one go when it is pushed.
     let mut bundle_start = tag;
     let mut bundle_last_off = 0u32;
     let mut bundle_count = 0u32;
     let mut buf = [0u8; FETCH];
 
-    let flush_bundle =
-        |il: &mut InstrList, bundle: &mut Vec<u8>, start: u32, last_off: u32, n: u32| {
-            if !bundle.is_empty() {
-                il.push_back(Instr::bundle(std::mem::take(bundle), start, last_off, n));
-            }
-        };
+    let push_bundle = |il: &mut InstrList, start: u32, last_off: u32, n: u32, end: u32| {
+        if n > 0 {
+            let mut bytes = il.bundle_buffer();
+            bytes.resize(end.wrapping_sub(start) as usize, 0);
+            mem.read_bytes(start, &mut bytes);
+            il.push_back(Instr::bundle(bytes, start, last_off, n));
+        }
+    };
 
     loop {
         mem.read_bytes(pc, &mut buf);
@@ -107,21 +133,15 @@ pub fn decode_bb(
         count += 1;
         match instr {
             Some(instr) => {
-                flush_bundle(
-                    &mut il,
-                    &mut bundle,
-                    bundle_start,
-                    bundle_last_off,
-                    bundle_count,
-                );
-                il.push_back(instr);
+                push_bundle(list, bundle_start, bundle_last_off, bundle_count, pc);
+                bundle_count = 0;
+                list.push_back(instr);
             }
             None => {
-                if bundle.is_empty() {
+                if bundle_count == 0 {
                     bundle_start = pc;
                 }
-                bundle_last_off = bundle.len() as u32;
-                bundle.extend_from_slice(&buf[..len as usize]);
+                bundle_last_off = pc.wrapping_sub(bundle_start);
                 bundle_count += 1;
             }
         }
@@ -130,15 +150,9 @@ pub fn decode_bb(
             break;
         }
     }
-    flush_bundle(
-        &mut il,
-        &mut bundle,
-        bundle_start,
-        bundle_last_off,
-        bundle_count,
-    );
+    push_bundle(list, bundle_start, bundle_last_off, bundle_count, pc);
 
-    let terminator = crate::mangle::classify_terminator(&il);
+    let terminator = crate::mangle::classify_terminator(list);
     Ok(BuiltBlock {
         il,
         tag,

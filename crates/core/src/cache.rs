@@ -15,9 +15,10 @@
 //! once, so linking, unlinking and the verifier never ask how the exit's
 //! stub was built.
 
-use std::collections::HashMap;
-
 use rio_sim::{Image, Memory};
+
+use crate::emit::Scratch;
+use crate::tagmap::TagMap;
 
 /// Identifies a fragment for the lifetime of the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,7 +84,7 @@ impl Word {
 /// entry, and the stub's final `jmp`, aimed at the sentinel. Linking patches
 /// `link_word`: the branch, or the stub's `jmp` when the stub is forced so
 /// its code keeps running. The other word is `fixed_word` and never moves.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exit {
     /// Classification and (for direct exits) the target tag.
     pub kind: ExitKind,
@@ -222,7 +223,7 @@ struct SubCache {
     /// FIFO head: every fragment below it is deleted or of the other kind,
     /// so the eviction walk never revisits tombstones.
     fifo: u32,
-    by_tag: HashMap<u32, FragmentId>,
+    by_tag: TagMap<FragmentId>,
 }
 
 impl SubCache {
@@ -248,10 +249,12 @@ impl SubCache {
 pub struct CodeCache {
     frags: Vec<Fragment>,
     stubs: Vec<StubRecord>,
-    entry_by_addr: HashMap<u32, FragmentId>,
+    entry_by_addr: TagMap<FragmentId>,
     stub_offset: u32,
     /// The basic-block and trace sub-caches, indexed by [`FragmentKind`].
     subs: [SubCache; 2],
+    /// Emission's reused storage, lent to each [`emit_fragment`](crate::emit::emit_fragment).
+    pub(crate) scratch: Scratch,
 }
 
 /// Address-space slice per thread-private cache (16 MiB bb + 16 MiB trace).
@@ -322,11 +325,6 @@ impl CodeCache {
         // friendliness of fragment entries).
         sub.next = (start + len + 15) & !15;
         Some(start)
-    }
-
-    /// Bytes currently allocated in a sub-cache.
-    pub fn used(&self, kind: FragmentKind) -> u32 {
-        self.sub(kind).next - self.sub(kind).base
     }
 
     /// Bytes occupied by live (non-deleted) fragments of `kind` — the
@@ -415,15 +413,18 @@ impl CodeCache {
         id
     }
 
-    /// Reserve the next `n` stub indices for a fragment being built. Indices
-    /// are globally unique across thread-private caches (each cache owns a
-    /// disjoint index range).
-    pub fn reserve_stubs(&mut self, frag: FragmentId, exits: usize) -> u32 {
-        let base = self.stubs.len() as u32;
-        for exit_idx in 0..exits {
-            self.stubs.push(StubRecord { frag, exit_idx });
+    /// Reserve the next `exits` stub indices for a fragment being built.
+    /// Indices are globally unique across thread-private caches: each cache
+    /// owns a disjoint range of `STUBS_PER_THREAD`, and `None` means this
+    /// cache's range cannot hold them (indices are never reused).
+    pub fn reserve_stubs(&mut self, frag: FragmentId, exits: usize) -> Option<u32> {
+        let base = self.stubs.len();
+        if base + exits > STUBS_PER_THREAD as usize {
+            return None;
         }
-        self.stub_offset + base
+        self.stubs
+            .extend((0..exits).map(|exit_idx| StubRecord { frag, exit_idx }));
+        Some(self.stub_offset + base as u32)
     }
 
     /// Pre-assign the fragment id the next [`CodeCache::insert`] will use.
@@ -565,8 +566,8 @@ mod tests {
         // Stub index spaces are disjoint and self-resolving.
         let id0 = c0.next_id();
         let id1 = c1.next_id();
-        let b0 = c0.reserve_stubs(id0, 2);
-        let b1 = c1.reserve_stubs(id1, 2);
+        let b0 = c0.reserve_stubs(id0, 2).unwrap();
+        let b1 = c1.reserve_stubs(id1, 2).unwrap();
         assert_ne!(b0, b1);
         assert!(c0.stub(b0).is_some());
         assert!(c0.stub(b1).is_none(), "foreign stub must not resolve");
@@ -597,12 +598,29 @@ mod tests {
     fn stub_records_round_trip() {
         let mut c = CodeCache::new();
         let id = c.next_id();
-        let base = c.reserve_stubs(id, 3);
+        let base = c.reserve_stubs(id, 3).unwrap();
         assert_eq!(base, 0);
         let rec = c.stub(base + 2).unwrap();
         assert_eq!(rec.frag, id);
         assert_eq!(rec.exit_idx, 2);
         assert!(c.stub(99).is_none());
+    }
+
+    #[test]
+    fn stub_reservations_stay_inside_the_threads_range() {
+        // The last thread's range ends where the clean-call sentinels
+        // begin, so one index past it would read as clean call 0.
+        let mut c = CodeCache::for_thread(MAX_THREADS - 1);
+        let id = c.next_id();
+        let per_thread = STUBS_PER_THREAD as usize;
+        let base = c.reserve_stubs(id, per_thread - 1).unwrap();
+        let last = c.reserve_stubs(id, 1).unwrap();
+        assert_eq!(last, base + STUBS_PER_THREAD - 1);
+        let sentinel = crate::config::layout::stub_sentinel(last);
+        assert_eq!(crate::config::layout::stub_index(sentinel), Some(last));
+        assert_eq!(c.reserve_stubs(id, 1), None);
+        assert_eq!(c.reserve_stubs(id, 0), Some(last + 1));
+        assert!(c.stub(last).is_some());
     }
 
     #[test]
@@ -694,13 +712,13 @@ mod tests {
         let b = c.insert(dummy_frag(0x2000, FragmentKind::BasicBlock, s2));
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 40);
         // The bump allocator's high-water mark never shrinks...
-        assert!(c.used(FragmentKind::BasicBlock) >= 40);
+        assert!(c.next_start(FragmentKind::BasicBlock) - c.region().0 >= 40);
         c.remove(a);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 20);
         // ...and double-deletion must not double-count.
         c.remove(a);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 20);
-        assert!(c.used(FragmentKind::BasicBlock) >= 40);
+        assert!(c.next_start(FragmentKind::BasicBlock) - c.region().0 >= 40);
         c.remove(b);
         assert_eq!(c.live_bytes(FragmentKind::BasicBlock), 0);
     }

@@ -6,8 +6,6 @@
 //! calls, custom trace heads (§3.5), and the adaptive-optimization interface
 //! `dr_decode_fragment` / `dr_replace_fragment` (§3.4).
 
-use std::collections::HashSet;
-
 use rio_ia32::{create, decode_instr, Instr, InstrId, InstrList, MemRef, OpSize, Reg, Target};
 use rio_sim::{CpuKind, ExecRegion, Image, Machine, Os};
 
@@ -17,6 +15,7 @@ use crate::emit::{emit_fragment, CustomStub, EmitError};
 use crate::link::{redirect_incoming, unlink_incoming, unlink_outgoing};
 use crate::mangle::Note;
 use crate::stats::Stats;
+use crate::tagmap::TagSet;
 use crate::verify::{verify_fragment, Decoded, LintSnapshot, Violation};
 
 /// State of an in-progress trace recording (§3.5's trace generation mode).
@@ -57,7 +56,7 @@ pub(crate) struct ThreadCore {
     /// Tags whose fragments were evicted for repeated faulting; the next
     /// dispatch of such a tag runs the application code by emulation
     /// instead of rebuilding a (possibly still-faulting) cache copy.
-    pub fault_quarantine: HashSet<u32>,
+    pub fault_quarantine: TagSet,
     /// Whether the thread is currently executing a quarantined block
     /// outside the cache (so `handle_leave` treats application addresses
     /// as ordinary dispatch targets).
@@ -74,7 +73,7 @@ impl ThreadCore {
             cache: CodeCache::for_thread(tid),
             recording: None,
             last_exit_was_return: false,
-            fault_quarantine: HashSet::new(),
+            fault_quarantine: TagSet::default(),
             quarantine_exec: false,
             resume: None,
         }
@@ -97,7 +96,7 @@ pub struct Core {
     /// `fragment_deleted` hook, in removal order.
     pub(crate) deleted_tags: Vec<u32>,
     pub(crate) pending_custom_stubs: Vec<CustomStub>,
-    pub(crate) marked_heads: HashSet<u32>,
+    pub(crate) marked_heads: TagSet,
     /// The loaded application image: its entry, its code range (watched
     /// for writes) and the data segments the final state digest reads.
     pub(crate) image: Image,
@@ -140,7 +139,7 @@ impl Core {
             pending_deletions: Vec::new(),
             deleted_tags: Vec::new(),
             pending_custom_stubs: Vec::new(),
-            marked_heads: HashSet::new(),
+            marked_heads: TagSet::default(),
             image: image.clone(),
             last_dispatched: None,
             clean_call_args: Vec::new(),
@@ -481,7 +480,7 @@ impl Core {
     ///
     /// Returns `false` if no fragment exists for `tag` or the new list fails
     /// to encode.
-    pub fn replace_fragment(&mut self, tag: u32, il: InstrList) -> bool {
+    pub fn replace_fragment(&mut self, tag: u32, mut il: InstrList) -> bool {
         let Some(old) = self.threads[self.cur].cache.lookup(tag) else {
             return false;
         };
@@ -499,7 +498,7 @@ impl Core {
         let v = self.decoded_snapshot.check(&il, self.cur, tag);
         self.note_lint(v);
         self.charge(costs::REPLACE_FRAGMENT);
-        let Ok(new) = self.emit(kind, tag, il, src_ranges) else {
+        let Ok(new) = self.emit(kind, tag, &mut il, src_ranges) else {
             return false;
         };
         // Preserve trace-head status and counter.
@@ -538,8 +537,8 @@ impl Core {
         &mut self,
         kind: FragmentKind,
         tag: u32,
-        il: InstrList,
-        src_ranges: Vec<(u32, u32)>,
+        il: &mut InstrList,
+        src_ranges: impl Into<Vec<(u32, u32)>>,
     ) -> Result<FragmentId, EmitError> {
         let custom = std::mem::take(&mut self.pending_custom_stubs);
         let cache = &mut self.threads[self.cur].cache;

@@ -6,11 +6,19 @@
 //! client-supplied custom stub instructions (§3.2) — encodes the whole list
 //! into cache memory, and records the displacement words that linking will
 //! patch.
+//!
+//! Emission works in storage that outlives it: the [`CodeCache`] keeps the
+//! encoded list, the exit scan and the translation rows, and the engine
+//! keeps the list every basic block is decoded into, mangled in and emitted
+//! from ([`decode_bb_into`](crate::build::decode_bb_into)). So a warm
+//! engine builds a block with no allocation but the records its fragment
+//! keeps: the exit list, the translation table and the source ranges.
 
+use std::borrow::BorrowMut;
 use std::error::Error;
 use std::fmt;
 
-use rio_ia32::encode::encode_list;
+use rio_ia32::encode::EncodedList;
 use rio_ia32::{create, EncodeError, Instr, InstrId, InstrList, Level, Opcode, Target};
 use rio_sim::{Image, Machine};
 
@@ -61,15 +69,10 @@ pub struct CustomStub {
 
 /// Classify an instruction as an exit CTI of a cache-ready list.
 fn exit_kind_of(instr: &Instr) -> Option<ExitKind> {
-    if !instr.is_cti() {
-        return None;
-    }
-    let op = instr.opcode()?;
-    if op.is_indirect_cti() {
-        // Mangling removes all indirect CTIs; none should remain.
-        debug_assert!(false, "unmangled indirect CTI reached emit");
-        return None;
-    }
+    let op = instr.opcode().filter(|_| instr.is_cti())?;
+    // Mangling removes all indirect CTIs (which have no target); none
+    // should remain.
+    debug_assert!(!op.is_indirect_cti(), "unmangled indirect CTI reached emit");
     match instr.target() {
         Some(Target::Pc(p)) if p == layout::IB_LOOKUP => {
             let kind = match Note::parse(instr.note) {
@@ -83,7 +86,18 @@ fn exit_kind_of(instr: &Instr) -> Option<ExitKind> {
     }
 }
 
-/// Emit `il` as a fragment of the given kind for `tag`. Consumes the list.
+/// The storage emission reuses from one fragment to the next: the encoded
+/// list, the exit scan (branch, kind, link-word and fixed-word
+/// instructions) and the translation rows.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    encoded: EncodedList,
+    exits: Vec<(InstrId, ExitKind, InstrId, Option<InstrId>)>,
+    translations: Vec<Translation>,
+}
+
+/// Emit `il` (owned or borrowed; left mangled for emission) as a fragment
+/// of the given kind for `tag`.
 ///
 /// `custom_stubs` carries any client-requested exit-stub additions (matched
 /// by exit instruction id). `src_ranges` lists the application `[start,
@@ -94,72 +108,70 @@ fn exit_kind_of(instr: &Instr) -> Option<ExitKind> {
 /// # Errors
 ///
 /// Returns [`EmitError`] if the list cannot be encoded or its sub-cache
-/// has no room left.
+/// has no room or stub indices left. The cache then drops its scratch
+/// storage.
 pub fn emit_fragment(
     machine: &mut Machine,
     cache: &mut CodeCache,
     kind: FragmentKind,
     tag: u32,
-    mut il: InstrList,
+    mut il: impl BorrowMut<InstrList>,
     mut custom_stubs: Vec<CustomStub>,
-    src_ranges: Vec<(u32, u32)>,
+    src_ranges: impl Into<Vec<(u32, u32)>>,
 ) -> Result<FragmentId, EmitError> {
-    // A jecxz exit cannot encode a rel32 target; reroute it through a
-    // trampoline jmp at the start of the stub area (close enough for rel8),
-    // which becomes the exit in its place.
+    let (il, mut s) = (il.borrow_mut(), std::mem::take(&mut cache.scratch));
+    // Find the exits, each its own link word for now. A jecxz exit cannot
+    // encode a rel32 target: a trampoline jmp at the start of the stub area
+    // (in rel8 range), which the scan reaches last, is the exit in its place.
     let boundary = il.push_back(Instr::label());
-    let jecxz_exits: Vec<InstrId> = il
-        .ids()
-        .filter(|&id| {
-            let i = il.get(id);
-            i.opcode() == Some(Opcode::Jecxz) && exit_kind_of(i).is_some()
-        })
-        .collect();
-    for id in jecxz_exits {
-        let target = il.get(id).target().expect("an exit has a target");
-        let lbl = il.push_back(Instr::label());
-        il.push_back(create::jmp(target));
-        il.get_mut(id).set_target(Target::Instr(lbl));
+    s.exits.clear();
+    let mut next = il.first_id();
+    while let Some(id) = next {
+        next = il.next_id(id);
+        let i = il.get(id);
+        let Some(kind) = exit_kind_of(i) else {
+            continue;
+        };
+        if i.opcode() == Some(Opcode::Jecxz) {
+            let target = i.target().expect("an exit has a target");
+            let lbl = il.push_back(Instr::label());
+            il.push_back(create::jmp(target));
+            il.get_mut(id).set_target(Target::Instr(lbl));
+        } else {
+            s.exits.push((id, kind, id, None));
+        }
     }
 
-    // Give every exit its stub. Each exit is recorded as (branch, kind,
-    // stub index, link-word instruction, fixed-word instruction): a custom
-    // stub adds the stub's `jmp`, and forcing the stub makes that `jmp` the
-    // word linking patches.
-    let exits_scan: Vec<(InstrId, ExitKind)> = il
-        .ids()
-        .filter_map(|id| exit_kind_of(il.get(id)).map(|k| (id, k)))
-        .collect();
+    // Give the `i`th exit stub `stub_base + i`. A custom stub adds the
+    // stub's `jmp`, and forcing the stub makes that `jmp` the word linking
+    // patches.
     let frag_id = cache.next_id();
-    let stub_base = cache.reserve_stubs(frag_id, exits_scan.len());
-    let mut builds = Vec::with_capacity(exits_scan.len());
-    for (stub, (branch, kind)) in (stub_base..).zip(exits_scan) {
+    let stub_base = cache
+        .reserve_stubs(frag_id, s.exits.len())
+        .ok_or(EmitError::CacheExhausted)?;
+    for (stub, (branch, _, link, fixed)) in (stub_base..).zip(&mut s.exits) {
         let sentinel = Target::Pc(layout::stub_sentinel(stub));
-        let (link, fixed) = match custom_stubs.iter().position(|c| c.exit_instr == branch) {
-            None => {
-                il.get_mut(branch).set_target(sentinel);
-                (branch, None)
-            }
-            Some(pos) => {
-                let custom = custom_stubs.swap_remove(pos);
-                let entry = il.push_back(Instr::label());
-                il.append(custom.instrs);
-                let stub_jmp = il.push_back(create::jmp(sentinel));
-                il.get_mut(branch).set_target(Target::Instr(entry));
-                if custom.force_stub {
-                    (stub_jmp, Some(branch))
-                } else {
-                    (branch, Some(stub_jmp))
-                }
-            }
+        let Some(pos) = custom_stubs.iter().position(|c| c.exit_instr == *branch) else {
+            il.get_mut(*branch).set_target(sentinel);
+            continue;
         };
-        builds.push((branch, kind, stub, link, fixed));
+        let custom = custom_stubs.swap_remove(pos);
+        let entry = il.push_back(Instr::label());
+        il.append(custom.instrs);
+        let stub_jmp = il.push_back(create::jmp(sentinel));
+        il.get_mut(*branch).set_target(Target::Instr(entry));
+        if custom.force_stub {
+            (*link, *fixed) = (stub_jmp, Some(*branch));
+        } else {
+            *fixed = Some(stub_jmp);
+        }
     }
 
     // Encode once, at the address the sub-cache's bump allocator hands out
     // next, then allocate exactly that span.
     let at = cache.next_start(kind);
-    let encoded = encode_list(&il, at)?;
+    let encoded = &mut s.encoded;
+    encoded.encode(il, at)?;
     let total_len = encoded.bytes.len() as u32;
     let start = cache
         .alloc(kind, total_len)
@@ -181,27 +193,21 @@ pub fn emit_fragment(
     // Mangling-inserted instructions (zero `app_pc`) inherit the pc of the
     // application instruction they expand; anything before the first
     // app-tagged instruction belongs to the block entry (`tag`).
-    let mut translations: Vec<Translation> = Vec::new();
+    s.translations.clear();
     let mut spilled = false;
     let mut cur_pc = tag;
-    for iid in il.ids() {
-        if iid == boundary {
-            break;
-        }
+    for iid in il.ids().take_while(|&id| id != boundary) {
         let instr = il.get(iid);
         // Skip zero-width labels — but not Level 0 bundles, which also have
         // no single opcode yet occupy bytes and need a translation row.
         if instr.is_label() {
             continue;
         }
-        let Some(off) = encoded.offset_of(iid) else {
-            continue;
-        };
         if instr.app_pc() != 0 {
             cur_pc = instr.app_pc();
         }
-        translations.push(Translation {
-            cache_off: off,
+        s.translations.push(Translation {
+            cache_off: offset_of(iid),
             app_pc: cur_pc,
             ecx_spilled: spilled,
             // Level 0 bundles are copied into the cache verbatim, so one
@@ -226,9 +232,9 @@ pub fn emit_fragment(
             unlinked: Word::resolve(&machine.mem, addr),
         }
     };
-    let exits: Vec<Exit> = builds
-        .into_iter()
-        .map(|(branch, kind, stub, link, fixed)| Exit {
+    let exits: Vec<Exit> = (stub_base..)
+        .zip(&s.exits)
+        .map(|(stub, &(branch, kind, link, fixed))| Exit {
             kind,
             stub,
             link_word: word(link),
@@ -250,11 +256,12 @@ pub fn emit_fragment(
         is_trace_head: false,
         counter: 0,
         deleted: false,
-        translations,
+        translations: s.translations.to_vec(),
         faults: 0,
-        src_ranges,
+        src_ranges: src_ranges.into(),
     });
     debug_assert_eq!(id, frag_id);
+    cache.scratch = s;
     Ok(id)
 }
 
@@ -435,6 +442,47 @@ pub(crate) mod tests {
             for w in [branch, stub_jmp] {
                 assert_eq!(Word::resolve(&m.mem, w.addr), w.unlinked);
             }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_emits_what_a_fresh_cache_does() {
+        // A jecxz exit (a trampoline and a labelled re-encode), a forced
+        // custom stub, a plain block, then the first block again.
+        let blocks: [(&[u8], u32, Option<bool>); 4] = [
+            (&[0xE3, 0x05], 0x1000, None),
+            (&[0xE9, 0xFB, 0x0F, 0, 0], 0x2000, Some(true)),
+            (&[0xB8, 1, 0, 0, 0, 0xC3], 0x3000, None),
+            (&[0xE3, 0x05], 0x1000, None),
+        ];
+        let bytes_of = |m: &Machine, f: &Fragment| {
+            let mut bytes = vec![0u8; f.total_len as usize];
+            m.mem.read_bytes(f.start, &mut bytes);
+            bytes
+        };
+        let mut m = Machine::new(CpuKind::Pentium4);
+        let mut cache = CodeCache::new();
+        for (bytes, tag, stub) in blocks {
+            let id = emit_into(&mut m, &mut cache, bytes, tag, stub);
+            let warm = cache.frag(id);
+            // The same block into a fresh cache, brought to the same
+            // address and stub index first.
+            let mut fresh_m = Machine::new(CpuKind::Pentium4);
+            let mut fresh = CodeCache::new();
+            fresh.alloc(FragmentKind::BasicBlock, warm.start - fresh.region().0);
+            let first_stub = warm.exits[0].stub as usize;
+            fresh.reserve_stubs(fresh.next_id(), first_stub).unwrap();
+            let id = emit_into(&mut fresh_m, &mut fresh, bytes, tag, stub);
+            let cold = fresh.frag(id);
+            assert_eq!(cold.start, warm.start);
+            assert_eq!(
+                bytes_of(&fresh_m, cold),
+                bytes_of(&m, warm),
+                "block {tag:#x}"
+            );
+            assert_eq!(cold.exits, warm.exits);
+            assert_eq!(cold.translations, warm.translations);
+            assert_eq!(cold.body_len, warm.body_len);
         }
     }
 

@@ -25,7 +25,7 @@ use std::ops::ControlFlow;
 use rio_ia32::Reg;
 use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent, RunResult};
 
-use crate::build::decode_bb;
+use crate::build::{decode_bb, decode_bb_into};
 use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
 use crate::client::{Client, EndTraceDecision};
 use crate::config::{costs, layout, ExecMode, Options};
@@ -315,6 +315,9 @@ pub struct Rio<C: Client> {
     pub client: C,
     /// Session progress (which mode is active, suspended-thread state).
     phase: Phase,
+    /// The list every basic block is decoded into, mangled in and emitted
+    /// from; cleared per block, it keeps its storage.
+    block_list: InstrList,
 }
 
 /// Session progress of a [`Rio`].
@@ -366,6 +369,7 @@ impl<C: Client> Rio<C> {
             core: Core::new(image, options, kind),
             client,
             phase: Phase::Unstarted,
+            block_list: InstrList::new(),
         }
     }
 
@@ -922,11 +926,12 @@ impl<C: Client> Rio<C> {
     /// `tag` — exactly what native execution of those bytes would raise.
     fn build_bb(&mut self, tag: u32) -> Result<FragmentId, Fault> {
         let full = self.client.wants_full_decode();
-        let bb = match decode_bb(
+        let bb = match decode_bb_into(
             &self.core.machine.mem,
             tag,
             full,
             self.core.options.max_bb_instrs,
+            &mut self.block_list,
         ) {
             Ok(bb) => bb,
             Err(e) => {
@@ -943,14 +948,14 @@ impl<C: Client> Rio<C> {
         self.core.stats.bbs_built += 1;
         self.core.stats.bb_instrs += bb.num_instrs as u64;
 
-        let mut il = bb.il;
+        let il = bb.il;
         // Instrumentation-safety lint: whatever the client adds to the
         // block must not clobber live application registers or flags.
-        let snapshot = self.core.lint_snapshot(&il);
-        self.client.basic_block(&mut self.core, tag, &mut il);
-        self.core.lint_client_edit(snapshot, &il, tag);
+        let snapshot = self.core.lint_snapshot(il);
+        self.client.basic_block(&mut self.core, tag, il);
+        self.core.lint_client_edit(snapshot, il, tag);
         let last = il.last_id();
-        if let (Some(last), Some(exit)) = (last, mangle_bb(&mut il, bb.end_pc)) {
+        if let (Some(last), Some(exit)) = (last, mangle_bb(il, bb.end_pc)) {
             // A custom stub the hook asked for on the block's last
             // instruction goes to the exit mangling put in its place.
             for stub in &mut self.core.pending_custom_stubs {
@@ -961,7 +966,7 @@ impl<C: Client> Rio<C> {
         }
         let id = self
             .core
-            .emit(FragmentKind::BasicBlock, tag, il, vec![(tag, bb.end_pc)])
+            .emit(FragmentKind::BasicBlock, tag, il, [(tag, bb.end_pc)])
             .map_err(|e| {
                 Fault::engine(
                     self.core.machine.cpu.eip,
@@ -1262,10 +1267,12 @@ impl<C: Client> Rio<C> {
 
         // An emit failure abandons the trace (blocks keep executing); it is
         // not worth killing the session over an optimization.
-        let Ok(id) = self
-            .core
-            .emit(FragmentKind::Trace, rec.trace_tag, trace_il, src_ranges)
-        else {
+        let Ok(id) = self.core.emit(
+            FragmentKind::Trace,
+            rec.trace_tag,
+            &mut trace_il,
+            src_ranges,
+        ) else {
             return;
         };
 

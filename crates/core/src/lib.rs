@@ -48,6 +48,7 @@ pub mod inject;
 pub mod link;
 pub mod mangle;
 pub mod stats;
+mod tagmap;
 pub mod verify;
 
 pub use crate::core::Core;

@@ -27,6 +27,11 @@
 //! Direct CTIs are position-dependent, so a decoded direct CTI is always
 //! re-encoded from its absolute target rather than copied — this is what
 //! allows fragments to be placed anywhere in the code cache.
+//!
+//! [`encode_list`] returns an [`EncodedList`] of its own, its bytes exactly
+//! sized (compiled images keep them). [`EncodedList::encode`] refills one
+//! in place instead: its owner (each code cache keeps one for emission)
+//! encodes with no allocation once the storage fits its largest list.
 
 use std::error::Error;
 use std::fmt;
@@ -138,15 +143,6 @@ fn emit_modrm_mem(out: &mut Vec<u8>, reg_digit: u8, m: &MemRef) -> Result<(), En
     Ok(())
 }
 
-/// Resolve a branch-target operand to an absolute code address.
-fn resolve_target(op: &Opnd, resolve: Resolver<'_>) -> Result<u32, EncodeError> {
-    match op {
-        Opnd::Pc(pc) => Ok(*pc),
-        Opnd::Instr(id) => resolve(*id).ok_or(EncodeError::UnresolvedLabel(*id)),
-        _ => Err(EncodeError::InvalidOperand),
-    }
-}
-
 /// One encoding template: a row of the decode table with the opcode bytes
 /// and ModRM digit that select it.
 #[derive(Clone, Copy, Debug)]
@@ -247,9 +243,13 @@ impl Template {
             emit_modrm(out, b.reg.unwrap_or(self.digit), rm)?;
         }
         let width = usize::from(self.form.imm);
-        let value = match &b.target {
+        let value = match b.target {
             Some(target) => {
-                let target = resolve_target(target, resolve)?;
+                let target = match target {
+                    Opnd::Pc(pc) => pc,
+                    Opnd::Instr(id) => resolve(id).ok_or(EncodeError::UnresolvedLabel(id))?,
+                    _ => return Err(EncodeError::InvalidOperand),
+                };
                 let next = at_pc.wrapping_add((out.len() - start + width) as u32);
                 let disp = target.wrapping_sub(next) as i32;
                 if !fits(disp, 8 * width as u32) {
@@ -374,15 +374,6 @@ fn select(op: Opcode, srcs: &[Opnd], dsts: &[Opnd]) -> Option<(&'static Template
     truncated
 }
 
-/// Whether the encoder may copy this instruction's raw bits verbatim.
-///
-/// Direct CTIs with decoded targets are position-dependent, so they are
-/// always re-encoded from their absolute target. Everything else in the
-/// subset is position-independent.
-fn can_copy_raw(instr: &Instr) -> bool {
-    instr.raw_valid() && instr.target().is_none()
-}
-
 /// Encode a single instruction placed at address `at_pc`.
 ///
 /// `resolve` maps intra-list label ids to addresses; pass `&|_| None` when
@@ -419,7 +410,9 @@ fn encode_into(
     resolve: Resolver<'_>,
     out: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
-    if instr.is_label() || can_copy_raw(instr) {
+    // Raw bits are copied verbatim, except a direct CTI's: its target is
+    // position-dependent, so it is encoded again from the absolute target.
+    if instr.is_label() || (instr.raw_valid() && instr.target().is_none()) {
         out.extend_from_slice(instr.raw_bytes().unwrap_or_default());
         return Ok(());
     }
@@ -435,7 +428,7 @@ fn encode_into(
 
 /// Result of encoding an entire [`InstrList`]: the bytes plus each
 /// instruction's offset within them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EncodedList {
     /// The encoded machine code.
     pub bytes: Vec<u8>,
@@ -458,6 +451,40 @@ impl EncodedList {
         let end = self.offsets.get(i + 1).copied();
         Some(end.unwrap_or(self.bytes.len() as u32) - self.offsets[i])
     }
+
+    /// [`encode_list`] into this list, in place of its contents and in its
+    /// storage. On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] if any instruction fails to encode.
+    pub fn encode(&mut self, il: &InstrList, start_pc: u32) -> Result<(), EncodeError> {
+        self.ids.refill(il);
+        self.bytes.clear();
+        self.offsets.clear();
+        for &id in &self.ids.order {
+            let at = start_pc.wrapping_add(self.bytes.len() as u32);
+            self.offsets.push(self.bytes.len() as u32);
+            encode_into(il.get(id), at, &|_| Some(at), &mut self.bytes)?;
+        }
+        // Encode each instruction that names a label again, past the end,
+        // and move it into place.
+        let end = self.bytes.len();
+        for (i, &id) in self.ids.order.iter().enumerate() {
+            let instr = il.get(id);
+            if !instr.srcs().iter().any(|o| matches!(o, Opnd::Instr(_))) {
+                continue;
+            }
+            let off = self.offsets[i];
+            let lookup = |l| Some(start_pc.wrapping_add(self.offsets[self.ids.get(l)?]));
+            encode_into(instr, start_pc.wrapping_add(off), &lookup, &mut self.bytes)?;
+            let next = self.offsets.get(i + 1).map_or(end, |&o| o as usize);
+            debug_assert_eq!(self.bytes.len() - end, next - off as usize, "a label moved");
+            self.bytes.copy_within(end.., off as usize);
+            self.bytes.truncate(end);
+        }
+        Ok(())
+    }
 }
 
 /// Encode a whole list at `start_pc`, resolving intra-list label targets.
@@ -466,42 +493,16 @@ impl EncodedList {
 /// naming instruction's own address. Sizes never depend on branch targets
 /// (synthesized direct branches use rel32 forms, and a self-targeting rel8
 /// `jecxz` is in range), so the offsets are final after that pass, and only
-/// the instructions that name a label are encoded again.
+/// the instructions that name a label are encoded again. The returned
+/// bytes take exactly their length.
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if any instruction fails to encode.
 pub fn encode_list(il: &InstrList, start_pc: u32) -> Result<EncodedList, EncodeError> {
-    let ids = Positions::new(il);
-    let mut bytes = Vec::new();
-    let mut offsets = Vec::with_capacity(ids.order.len());
-    let mut labelled = Vec::new();
-    for &id in &ids.order {
-        let instr = il.get(id);
-        let off = bytes.len() as u32;
-        let at = start_pc.wrapping_add(off);
-        offsets.push(off);
-        encode_into(instr, at, &|_| Some(at), &mut bytes)?;
-        if instr.srcs().iter().any(|o| matches!(o, Opnd::Instr(_))) {
-            labelled.push((id, off as usize..bytes.len()));
-        }
-    }
-    bytes.shrink_to_fit();
-    let mut list = EncodedList {
-        bytes,
-        ids,
-        offsets,
-    };
-
-    let mut enc = Vec::new();
-    for (id, range) in labelled {
-        enc.clear();
-        let at = start_pc.wrapping_add(range.start as u32);
-        let lookup = |l: InstrId| list.offset_of(l).map(|o| start_pc.wrapping_add(o));
-        encode_into(il.get(id), at, &lookup, &mut enc)?;
-        debug_assert_eq!(enc.len(), range.len());
-        list.bytes[range].copy_from_slice(&enc);
-    }
+    let mut list = EncodedList::default();
+    list.encode(il, start_pc)?;
+    list.bytes.shrink_to_fit();
     Ok(list)
 }
 

@@ -44,21 +44,22 @@ impl fmt::Debug for InstrId {
 /// A list's ids in list order, with each one's position found by slot
 /// ([`InstrId::raw`]) in O(1). The ids are kept, so a stale id whose slot
 /// was reused is not mistaken for the instruction now in it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Positions {
     pub(crate) order: Vec<InstrId>,
     by_slot: Vec<u32>,
 }
 
 impl Positions {
-    pub(crate) fn new(il: &InstrList) -> Positions {
-        let order: Vec<InstrId> = il.ids().collect();
-        let slots = order.iter().map(|id| id.idx as usize + 1).max();
-        let mut by_slot = vec![u32::MAX; slots.unwrap_or(0)];
-        for (i, id) in order.iter().enumerate() {
-            by_slot[id.idx as usize] = i as u32;
+    /// Hold `il`'s ids, in place of any held before.
+    pub(crate) fn refill(&mut self, il: &InstrList) {
+        self.order.clear();
+        self.order.extend(il.ids());
+        self.by_slot.clear();
+        self.by_slot.resize(il.nodes.len(), u32::MAX);
+        for (i, id) in self.order.iter().enumerate() {
+            self.by_slot[id.idx as usize] = i as u32;
         }
-        Positions { order, by_slot }
     }
 
     /// `id`'s position in list order, if it is in the list.
@@ -99,6 +100,8 @@ pub struct InstrList {
     head: Option<u32>,
     tail: Option<u32>,
     len: usize,
+    /// The byte storage of a Level 0 bundle [`InstrList::clear`] dropped.
+    spare: Vec<u8>,
 }
 
 impl InstrList {
@@ -124,22 +127,36 @@ impl InstrList {
         n
     }
 
-    fn alloc(&mut self, instr: Instr) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            let n = &mut self.nodes[idx as usize];
-            n.instr = Some(instr);
-            n.prev = None;
-            n.next = None;
-            idx
-        } else {
-            self.nodes.push(Node {
-                instr: Some(instr),
-                prev: None,
-                next: None,
-                gen: 0,
-            });
-            (self.nodes.len() - 1) as u32
+    /// Put `instr` in a free slot, linked in between `prev` and `next`
+    /// (neighbours, or `None` at the list's ends).
+    fn link(&mut self, instr: Instr, prev: Option<u32>, next: Option<u32>) -> InstrId {
+        let node = |gen| Node {
+            instr: Some(instr),
+            prev,
+            next,
+            gen,
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                let n = &mut self.nodes[idx as usize];
+                *n = node(n.gen);
+                idx
+            }
+            None => {
+                self.nodes.push(node(0));
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        match prev {
+            Some(p) => self.nodes[p as usize].next = Some(idx),
+            None => self.head = Some(idx),
         }
+        match next {
+            Some(n) => self.nodes[n as usize].prev = Some(idx),
+            None => self.tail = Some(idx),
+        }
+        self.len += 1;
+        self.id_of(idx)
     }
 
     fn id_of(&self, idx: u32) -> InstrId {
@@ -191,28 +208,12 @@ impl InstrList {
 
     /// Append an instruction (paper: `instrlist_append`).
     pub fn push_back(&mut self, instr: Instr) -> InstrId {
-        let idx = self.alloc(instr);
-        self.nodes[idx as usize].prev = self.tail;
-        match self.tail {
-            Some(t) => self.nodes[t as usize].next = Some(idx),
-            None => self.head = Some(idx),
-        }
-        self.tail = Some(idx);
-        self.len += 1;
-        self.id_of(idx)
+        self.link(instr, self.tail, None)
     }
 
     /// Prepend an instruction (paper: `instrlist_prepend`).
     pub fn push_front(&mut self, instr: Instr) -> InstrId {
-        let idx = self.alloc(instr);
-        self.nodes[idx as usize].next = self.head;
-        match self.head {
-            Some(h) => self.nodes[h as usize].prev = Some(idx),
-            None => self.tail = Some(idx),
-        }
-        self.head = Some(idx);
-        self.len += 1;
-        self.id_of(idx)
+        self.link(instr, None, self.head)
     }
 
     /// Insert `instr` immediately before `at`.
@@ -221,17 +222,8 @@ impl InstrList {
     ///
     /// Panics if `at` is stale.
     pub fn insert_before(&mut self, at: InstrId, instr: Instr) -> InstrId {
-        let at_prev = self.node(at).prev;
-        let idx = self.alloc(instr);
-        self.nodes[idx as usize].prev = at_prev;
-        self.nodes[idx as usize].next = Some(at.idx);
-        self.nodes[at.idx as usize].prev = Some(idx);
-        match at_prev {
-            Some(p) => self.nodes[p as usize].next = Some(idx),
-            None => self.head = Some(idx),
-        }
-        self.len += 1;
-        self.id_of(idx)
+        let prev = self.node(at).prev;
+        self.link(instr, prev, Some(at.idx))
     }
 
     /// Insert `instr` immediately after `at`.
@@ -240,17 +232,8 @@ impl InstrList {
     ///
     /// Panics if `at` is stale.
     pub fn insert_after(&mut self, at: InstrId, instr: Instr) -> InstrId {
-        let at_next = self.node(at).next;
-        let idx = self.alloc(instr);
-        self.nodes[idx as usize].next = at_next;
-        self.nodes[idx as usize].prev = Some(at.idx);
-        self.nodes[at.idx as usize].next = Some(idx);
-        match at_next {
-            Some(n) => self.nodes[n as usize].prev = Some(idx),
-            None => self.tail = Some(idx),
-        }
-        self.len += 1;
-        self.id_of(idx)
+        let next = self.node(at).next;
+        self.link(instr, Some(at.idx), next)
     }
 
     /// Remove and return the instruction at `id` (paper: `instrlist_remove` +
@@ -260,10 +243,7 @@ impl InstrList {
     ///
     /// Panics if `id` is stale.
     pub fn remove(&mut self, id: InstrId) -> Instr {
-        let (prev, next) = {
-            let n = self.node(id);
-            (n.prev, n.next)
-        };
+        let &Node { prev, next, .. } = self.node(id);
         match prev {
             Some(p) => self.nodes[p as usize].next = next,
             None => self.head = next,
@@ -274,8 +254,6 @@ impl InstrList {
         }
         let node = &mut self.nodes[id.idx as usize];
         node.gen = node.gen.wrapping_add(1);
-        node.prev = None;
-        node.next = None;
         self.len -= 1;
         self.free.push(id.idx);
         node.instr.take().unwrap()
@@ -295,6 +273,29 @@ impl InstrList {
         n.instr.replace(instr).expect("InstrId no longer in list")
     }
 
+    /// Remove every instruction (paper: `instrlist_clear`), keeping the
+    /// storage for the next use: the slots, whose ids all go stale, and a
+    /// Level 0 bundle's bytes, which [`InstrList::bundle_buffer`] lends to
+    /// the next bundle built into this list.
+    pub fn clear(&mut self) {
+        self.free.clear();
+        for (idx, n) in self.nodes.iter_mut().enumerate().rev() {
+            if let Some(mut bytes) = n.instr.take().and_then(Instr::into_bundle_bytes) {
+                bytes.clear();
+                self.spare = bytes;
+            }
+            n.gen = n.gen.wrapping_add(1);
+            self.free.push(idx as u32);
+        }
+        (self.head, self.tail, self.len) = (None, None, 0);
+    }
+
+    /// An empty buffer for the bytes of a Level 0 bundle: the storage of
+    /// the last bundle [`InstrList::clear`] dropped, if any.
+    pub fn bundle_buffer(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.spare)
+    }
+
     /// Ids in list order.
     pub fn ids(&self) -> Ids<'_> {
         Ids {
@@ -312,24 +313,15 @@ impl InstrList {
     /// intra-list branch targets. Used when stitching basic blocks into a
     /// trace.
     pub fn append(&mut self, mut other: InstrList) {
-        let other_ids: Vec<InstrId> = other.ids().collect();
-        let mut map: Vec<(InstrId, InstrId)> = Vec::with_capacity(other_ids.len());
-        for oid in &other_ids {
-            let instr = other.remove(*oid);
-            let nid = self.push_back(instr);
-            map.push((*oid, nid));
+        let mut map = Vec::with_capacity(other.len());
+        while let Some(oid) = other.first_id() {
+            map.push((oid, self.push_back(other.remove(oid))));
         }
-        let new_ids: Vec<InstrId> = map.iter().map(|(_, n)| *n).collect();
-        let remap = move |id: InstrId| -> InstrId {
-            map.iter()
-                .find(|(o, _)| *o == id)
-                .map(|(_, n)| *n)
-                .unwrap_or(id)
-        };
         // Only the moved instructions may reference the old ids; ids of
         // pre-existing instructions can collide numerically with `other`'s
         // and must not be rewritten.
-        for nid in new_ids {
+        let remap = |id| map.iter().find(|&&(o, _)| o == id).map_or(id, |&(_, n)| n);
+        for &(_, nid) in &map {
             self.get_mut(nid).remap_instr_targets(&remap);
         }
     }
@@ -340,6 +332,7 @@ impl InstrList {
         std::mem::size_of::<InstrList>()
             + self.nodes.capacity() * std::mem::size_of::<Node>()
             + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.spare.capacity()
             + self.iter().map(Instr::memory_bytes).sum::<usize>()
     }
 
@@ -359,9 +352,7 @@ impl InstrList {
         let mut il = InstrList::new();
         match level {
             Level::L0 => {
-                let mut off = 0u32;
-                let mut last = 0u32;
-                let mut count = 0u32;
+                let (mut off, mut last, mut count) = (0u32, 0u32, 0u32);
                 while (off as usize) < bytes.len() {
                     let len = decode::decode_sizeof(&bytes[off as usize..])?;
                     last = off;

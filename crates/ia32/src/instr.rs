@@ -235,6 +235,14 @@ impl Instr {
         })
     }
 
+    /// A Level 0 bundle's byte storage; `None` for any other instruction.
+    pub(crate) fn into_bundle_bytes(self) -> Option<Vec<u8>> {
+        match self.raw {
+            Raw::Bundle(bytes) => Some(bytes),
+            Raw::Inline(..) => None,
+        }
+    }
+
     /// For Level 0 bundles, the byte offset of the final bundled instruction.
     pub fn bundle_last_offset(&self) -> u32 {
         self.bundle_last_off

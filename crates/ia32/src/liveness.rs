@@ -265,7 +265,8 @@ impl Liveness {
     /// are frontiers where the full state is live. The analysis iterates
     /// to a fixpoint, so backward branches to labels converge correctly.
     pub fn analyze(il: &InstrList) -> Liveness {
-        let pos = Positions::new(il);
+        let mut pos = Positions::default();
+        pos.refill(il);
         let n = pos.order.len();
 
         let mut effs = Vec::with_capacity(n);

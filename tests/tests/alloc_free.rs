@@ -1,7 +1,9 @@
 //! Paths that must not touch the heap, pinned with a counting allocator:
-//! decoding to Level 3, the instruction constructors, the cache verifier on
-//! a clean cache, and creating a machine once another has been dropped on
-//! the same thread.
+//! decoding to Level 3, the instruction constructors, encoding into a warm
+//! `EncodedList`, rebuilding blocks in a warm cache (but for the records
+//! each new fragment keeps), the cache verifier on a clean cache, and
+//! creating a machine once another has been dropped on the same thread.
+//! One campaign seed's oracle check is held under an allocation ceiling.
 //!
 //! The count is per thread, so the tests in this binary may run in
 //! parallel.
@@ -9,9 +11,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rio_core::{NullClient, Options, Rio};
-use rio_ia32::{create, decode_instr, Cc, MemRef, OpSize, Opnd, Reg, Target};
-use rio_sim::{CpuKind, Machine};
+use rio_core::build::decode_bb_into;
+use rio_core::cache::CodeCache;
+use rio_core::emit::emit_fragment;
+use rio_core::mangle::mangle_bb;
+use rio_core::{FragmentKind, NullClient, Options, Rio};
+use rio_fuzz::{check_image, Program, DEFAULT_BASE_SEED};
+use rio_ia32::encode::{encode_list, EncodedList};
+use rio_ia32::{create, decode_instr, Cc, InstrList, Level, MemRef, OpSize, Opnd, Reg, Target};
+use rio_sim::{CpuKind, Image, Machine};
 use rio_tests::{call_program, loop_program};
 
 thread_local! {
@@ -182,6 +190,108 @@ fn instruction_constructors_allocate_nothing() {
     });
     assert_eq!(made, 55);
     assert_eq!(n, 0, "the constructors allocated {n} times");
+}
+
+#[test]
+fn encoding_into_a_warm_encoded_list_allocates_nothing() {
+    // Figure 2 between two labels, its `jnl` aimed at the one after it and
+    // a closing `jmp` at the one before, so both are encoded again once
+    // the labels are placed; then Figure 2 as one Level 0 bundle.
+    let mut il = InstrList::decode_block(FIG2, 0x1000, Level::L3).expect("Figure 2 decodes");
+    let jnl = il.last_id().expect("Figure 2 is not empty");
+    let top = il.push_front(create::label());
+    let bottom = il.push_back(create::label());
+    il.get_mut(jnl).set_target(Target::Instr(bottom));
+    il.push_back(create::jmp(Target::Instr(top)));
+    let bundle = InstrList::decode_block(FIG2, 0x1000, Level::L0).expect("Figure 2 bundles");
+    let mut warm = EncodedList::default();
+    warm.encode(&il, 0x40_0000).expect("the list encodes");
+    for list in [&il, &bundle, &il] {
+        let (n, encoded) = allocations(|| warm.encode(list, 0x40_0000));
+        encoded.expect("the list encodes");
+        assert_eq!(n, 0, "encoding into a warm EncodedList allocated {n} times");
+        let fresh = encode_list(list, 0x40_0000).expect("the list encodes");
+        assert_eq!(warm.bytes, fresh.bytes);
+        for id in list.ids() {
+            assert_eq!(warm.offset_of(id), fresh.offset_of(id));
+        }
+    }
+}
+
+/// The first campaign seed's program.
+fn campaign_seed() -> Image {
+    rio_workloads::compile(&Program::generate(DEFAULT_BASE_SEED).source()).expect("seed compiles")
+}
+
+#[test]
+fn rebuilding_blocks_in_a_warm_cache_allocates_only_their_records() {
+    let image = campaign_seed();
+    let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
+    rio.run();
+    let tags: Vec<u32> = rio
+        .core
+        .cache()
+        .iter()
+        .filter(|f| f.kind == FragmentKind::BasicBlock)
+        .map(|f| f.tag)
+        .collect();
+    assert!(tags.len() > 20, "only {} blocks", tags.len());
+    let max = Options::full().max_bb_instrs;
+    for full in [false, true] {
+        let mut machine = Machine::new(CpuKind::Pentium4);
+        machine.load_image(&image);
+        let mut cache = CodeCache::new();
+        let mut il = InstrList::new();
+        // Per block, the fewest allocations a rebuild made beyond the
+        // records its fragment keeps (exit list, translation table, source
+        // ranges). The fewest over several passes leaves out the amortized
+        // growth of the cache's tables and of the machine's memory, which
+        // lands on some rebuild or other.
+        let mut extra = vec![u64::MAX; tags.len()];
+        for pass in 0..8 {
+            for (i, &tag) in tags.iter().enumerate() {
+                let (n, id) = allocations(|| {
+                    let bb = decode_bb_into(&machine.mem, tag, full, max, &mut il)
+                        .expect("a built block decodes");
+                    mangle_bb(bb.il, bb.end_pc);
+                    let kind = FragmentKind::BasicBlock;
+                    let src = [(tag, bb.end_pc)];
+                    emit_fragment(&mut machine, &mut cache, kind, tag, bb.il, Vec::new(), src)
+                        .expect("the block emits")
+                });
+                let f = cache.frag(id);
+                let records = [!f.exits.is_empty(), !f.translations.is_empty(), true];
+                let records = records.into_iter().filter(|&r| r).count() as u64;
+                // Two passes size the scratch space first.
+                if pass >= 2 {
+                    extra[i] = extra[i].min(n.checked_sub(records).expect("records allocate"));
+                }
+            }
+        }
+        assert!(
+            extra.iter().all(|&e| e == 0),
+            "full: {full}, extra: {extra:?}"
+        );
+    }
+}
+
+/// The most allocations one campaign seed's `check_image` (native and the
+/// 12 oracle configurations) may make on a warm thread: 10% above the 2,721
+/// it makes with block translation reusing its storage (9,521 without).
+const SEED_CHECK_CEILING: u64 = 2_990;
+
+#[test]
+fn one_campaign_seed_stays_under_its_allocation_ceiling() {
+    let image = campaign_seed();
+    // The first check builds the encoder's index and leaves this thread
+    // the spare machine tables the second one reuses.
+    check_image(&image, CpuKind::Pentium4).expect("seed agrees");
+    let (n, summary) = allocations(|| check_image(&image, CpuKind::Pentium4));
+    assert_eq!(summary.expect("seed agrees").configs, 12);
+    assert!(
+        n <= SEED_CHECK_CEILING,
+        "check_image made {n} allocations (ceiling {SEED_CHECK_CEILING})"
+    );
 }
 
 #[test]
