@@ -8,7 +8,7 @@ use rio_bench::{reports, run_parallel, Args};
 use rio_clients::ClientKind::Null;
 use rio_core::Options;
 use rio_fuzz::{run_campaign, scenario, CampaignOptions};
-use rio_sim::CpuKind::Pentium4;
+use rio_sim::CpuKind::{Pentium3, Pentium4};
 
 use crate::Report;
 use crate::{checked, decode_cache_report, rows_report, suite_report, verify_report};
@@ -49,6 +49,9 @@ const GOLDENS: &[Golden] = &[
             ..Options::full()
         };
         suite_report(Null, Pentium4, opts, jobs)
+    }),
+    ("suite_p3", |jobs| {
+        suite_report(Null, Pentium3, Options::full(), jobs)
     }),
     ("suite_stats", |jobs| reports::suite_stats(jobs).into()),
     ("table1", |jobs| reports::table1(jobs).into()),

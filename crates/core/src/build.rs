@@ -11,7 +11,7 @@ use rio_ia32::decode::{decode_instr, decode_opcode};
 use rio_ia32::{DecodeError, Instr, InstrList};
 use rio_sim::Memory;
 
-use crate::mangle::Terminator;
+use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
 
 /// A decoded (not yet mangled) basic block: its instructions, in a list
 /// of its own ([`decode_bb`]) or one the caller keeps ([`decode_bb_into`]).
@@ -160,6 +160,51 @@ pub fn decode_bb_into<L: BorrowMut<InstrList>>(
         num_instrs: count,
         terminator,
     })
+}
+
+/// Decode the blocks at `tags` in full into `trace`, which is cleared
+/// first: each block is decoded into `block` (kept by the caller, as for
+/// [`decode_bb_into`]), joined to the next with [`mangle_trace_connector`]
+/// (the last is mangled as a block) and moved to the end of `trace`, and
+/// its `(tag, end_pc)` pushed to `src_ranges`. Without `inline_ib_target`
+/// a block ending in an indirect branch ends the trace, since the blocks
+/// after it are unreachable. Returns the application instructions decoded.
+/// With warm lists this allocates only where `src_ranges` grows.
+///
+/// # Errors
+///
+/// As [`decode_bb`], for the first block that no longer decodes.
+pub fn decode_trace_into(
+    mem: &Memory,
+    tags: &[u32],
+    max_instrs: usize,
+    inline_ib_target: bool,
+    block: &mut InstrList,
+    trace: &mut InstrList,
+    src_ranges: &mut Vec<(u32, u32)>,
+) -> Result<usize, DecodeError> {
+    trace.clear();
+    let mut total = 0;
+    for (i, &tag) in tags.iter().enumerate() {
+        let bb = decode_bb_into(mem, tag, true, max_instrs, &mut *block)?;
+        total += bb.num_instrs;
+        src_ranges.push((tag, bb.end_pc));
+        let Some(&next) = tags.get(i + 1) else {
+            mangle_bb(bb.il, bb.end_pc);
+            trace.append(bb.il);
+            break;
+        };
+        mangle_trace_connector(bb.il, next, bb.end_pc, inline_ib_target);
+        trace.append(bb.il);
+        let indirect = matches!(
+            bb.terminator,
+            Terminator::Ret { .. } | Terminator::JmpInd | Terminator::CallInd
+        );
+        if indirect && !inline_ib_target {
+            break;
+        }
+    }
+    Ok(total)
 }
 
 #[cfg(test)]

@@ -179,7 +179,7 @@ impl Core {
     /// The processor family the code cache runs on (paper:
     /// `proc_get_family`), for architecture-specific optimizations.
     pub fn proc_kind(&self) -> CpuKind {
-        self.machine.cost.kind()
+        self.machine.cpu_kind()
     }
 
     // ----- overhead accounting -------------------------------------------

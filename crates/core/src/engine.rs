@@ -25,13 +25,13 @@ use std::ops::ControlFlow;
 use rio_ia32::Reg;
 use rio_sim::{Counters, CpuExit, CpuKind, ExecRegion, FaultKind, Image, OsEvent, RunResult};
 
-use crate::build::{decode_bb, decode_bb_into};
+use crate::build::{decode_bb, decode_bb_into, decode_trace_into};
 use crate::cache::{self, ExitKind, FragmentId, FragmentKind, IndKind};
 use crate::client::{Client, EndTraceDecision};
 use crate::config::{costs, layout, ExecMode, Options};
 use crate::core::{Core, Recording, ThreadCore};
 use crate::link::link_exit;
-use crate::mangle::{mangle_bb, mangle_trace_connector, Terminator};
+use crate::mangle::mangle_bb;
 use crate::stats::Stats;
 
 /// Result of running a program under RIO.
@@ -318,6 +318,8 @@ pub struct Rio<C: Client> {
     /// The list every basic block is decoded into, mangled in and emitted
     /// from; cleared per block, it keeps its storage.
     block_list: InstrList,
+    /// The list every trace is built in, likewise kept.
+    trace_list: InstrList,
 }
 
 /// Session progress of a [`Rio`].
@@ -370,6 +372,7 @@ impl<C: Client> Rio<C> {
             client,
             phase: Phase::Unstarted,
             block_list: InstrList::new(),
+            trace_list: InstrList::new(),
         }
     }
 
@@ -1130,11 +1133,9 @@ impl<C: Client> Rio<C> {
         // The shared lookup routine ends in one indirect jump: a single BTB
         // slot shared by every translated indirect branch — the source of
         // the overhead discussed in §5.
-        let m = &mut self.core.machine;
-        let penalty = m
-            .cost
-            .indirect_branch(layout::IB_LOOKUP, target, false, &mut m.counters);
-        m.counters.cycles += penalty;
+        self.core
+            .machine
+            .predict_indirect_jump(layout::IB_LOOKUP, target);
 
         if self.core.threads[self.core.cur].recording.is_some() {
             self.core.machine.charge(costs::HASH_LOOKUP);
@@ -1211,84 +1212,60 @@ impl<C: Client> Rio<C> {
             .recording
             .take()
             .expect("recording active");
-        let mut trace_il = InstrList::new();
-        let mut total_instrs = 0usize;
-        let mut src_ranges: Vec<(u32, u32)> = Vec::new();
-        let n = rec.tags.len();
-        for (i, tag) in rec.tags.iter().enumerate() {
-            // The application code may have been modified (or corrupted)
-            // since the crossing was recorded; abandon the trace rather
-            // than panic — its blocks still execute individually.
-            let Ok(bb) = decode_bb(
-                &self.core.machine.mem,
-                *tag,
-                true,
-                self.core.options.max_bb_instrs,
-            ) else {
-                return;
-            };
-            total_instrs += bb.num_instrs;
-            src_ranges.push((*tag, bb.end_pc));
-            let mut il = bb.il;
-            if i + 1 < n {
-                mangle_trace_connector(
-                    &mut il,
-                    rec.tags[i + 1],
-                    bb.end_pc,
-                    self.core.options.inline_ib_target,
-                );
-                trace_il.append(il);
-                // Without inlining, an indirect terminator exits the trace
-                // unconditionally; the remaining blocks are unreachable.
-                if !self.core.options.inline_ib_target
-                    && matches!(
-                        bb.terminator,
-                        Terminator::Ret { .. } | Terminator::JmpInd | Terminator::CallInd
-                    )
-                {
-                    break;
-                }
-            } else {
-                mangle_bb(&mut il, bb.end_pc);
-                trace_il.append(il);
-            }
+        // Built in the kept lists. The application code may have been
+        // modified (or corrupted) since the crossing was recorded; abandon
+        // the trace rather than panic — its blocks still execute
+        // individually.
+        let mut trace_il = std::mem::take(&mut self.trace_list);
+        let mut src_ranges = Vec::with_capacity(rec.tags.len());
+        if let Ok(total_instrs) = decode_trace_into(
+            &self.core.machine.mem,
+            &rec.tags,
+            self.core.options.max_bb_instrs,
+            self.core.options.inline_ib_target,
+            &mut self.block_list,
+            &mut trace_il,
+            &mut src_ranges,
+        ) {
+            self.emit_trace(rec.trace_tag, total_instrs, &mut trace_il, src_ranges);
         }
+        self.trace_list = trace_il;
+    }
+
+    /// Charge, hook and emit a trace built from `total_instrs` application
+    /// instructions, and mark its exits as trace heads.
+    fn emit_trace(
+        &mut self,
+        trace_tag: u32,
+        total_instrs: usize,
+        trace_il: &mut InstrList,
+        src_ranges: Vec<(u32, u32)>,
+    ) {
         let build = costs::TRACE_BUILD_BASE + costs::TRACE_BUILD_PER_INSTR * total_instrs as u64;
         self.core.machine.charge(build);
         self.core.stats.traces_built += 1;
         self.core.stats.trace_instrs += total_instrs as u64;
 
         // Instrumentation-safety lint over the trace hook's edits.
-        let snapshot = self.core.lint_snapshot(&trace_il);
-        self.client
-            .trace(&mut self.core, rec.trace_tag, &mut trace_il);
-        self.core
-            .lint_client_edit(snapshot, &trace_il, rec.trace_tag);
+        let snapshot = self.core.lint_snapshot(trace_il);
+        self.client.trace(&mut self.core, trace_tag, trace_il);
+        self.core.lint_client_edit(snapshot, trace_il, trace_tag);
 
         // An emit failure abandons the trace (blocks keep executing); it is
         // not worth killing the session over an optimization.
-        let Ok(id) = self.core.emit(
-            FragmentKind::Trace,
-            rec.trace_tag,
-            &mut trace_il,
-            src_ranges,
-        ) else {
+        let Ok(id) = self
+            .core
+            .emit(FragmentKind::Trace, trace_tag, trace_il, src_ranges)
+        else {
             return;
         };
 
-        // Exits of traces are trace heads (Dynamo's rule).
-        let exit_targets: Vec<u32> = self.core.threads[self.core.cur]
-            .cache
-            .frag(id)
-            .exits
-            .iter()
-            .filter_map(|e| match e.kind {
-                ExitKind::Direct { target } => Some(target),
-                ExitKind::Indirect { .. } => None,
-            })
-            .collect();
-        for t in exit_targets {
-            self.core.mark_trace_head(t);
+        // Exits of traces are trace heads (Dynamo's rule). Marking one
+        // changes no fragment's exit list.
+        for i in 0..self.core.cache().frag(id).exits.len() {
+            if let ExitKind::Direct { target } = self.core.cache().frag(id).exits[i].kind {
+                self.core.mark_trace_head(target);
+            }
         }
     }
 }

@@ -7,6 +7,7 @@
 //! stable across mutations — which is what lets branch operands
 //! ([`Opnd::Instr`](crate::Opnd::Instr)) name labels inside the same list.
 
+use std::borrow::BorrowMut;
 use std::fmt;
 
 use crate::decode::{self, DecodeError};
@@ -310,20 +311,43 @@ impl InstrList {
     }
 
     /// Move every instruction of `other` to the end of `self`, remapping
-    /// intra-list branch targets. Used when stitching basic blocks into a
-    /// trace.
-    pub fn append(&mut self, mut other: InstrList) {
-        let mut map = Vec::with_capacity(other.len());
-        while let Some(oid) = other.first_id() {
-            map.push((oid, self.push_back(other.remove(oid))));
+    /// intra-list branch targets, and leave `other` cleared. Used when
+    /// stitching basic blocks into a trace; a list the caller keeps lends
+    /// its storage again, so a warm append allocates nothing.
+    pub fn append(&mut self, mut other: impl BorrowMut<InstrList>) {
+        let other = other.borrow_mut();
+        // `other.free`, rebuilt by the `clear` below, maps each moved slot
+        // to its new one; the moved nodes keep their generations until then.
+        other.free.clear();
+        other.free.resize(other.nodes.len(), u32::MAX);
+        let mut at = other.head;
+        while let Some(i) = at {
+            let node = &mut other.nodes[i as usize];
+            at = node.next;
+            let moved = node
+                .instr
+                .take()
+                .expect("a linked node holds an instruction");
+            other.free[i as usize] = self.push_back(moved).idx;
         }
         // Only the moved instructions may reference the old ids; ids of
         // pre-existing instructions can collide numerically with `other`'s
         // and must not be rewritten.
-        let remap = |id| map.iter().find(|&&(o, _)| o == id).map_or(id, |&(_, n)| n);
-        for &(_, nid) in &map {
-            self.get_mut(nid).remap_instr_targets(&remap);
+        let mut at = other.head.map(|i| other.free[i as usize]);
+        while let Some(i) = at {
+            let mut instr = self.nodes[i as usize].instr.take().expect("moved here");
+            instr.remap_instr_targets(&|id| {
+                let old = other.nodes.get(id.idx as usize).filter(|n| n.gen == id.gen);
+                match other.free.get(id.idx as usize) {
+                    Some(&new) if new != u32::MAX && old.is_some() => self.id_of(new),
+                    _ => id,
+                }
+            });
+            let node = &mut self.nodes[i as usize];
+            node.instr = Some(instr);
+            at = node.next;
         }
+        other.clear();
     }
 
     /// Total memory footprint of all instructions plus list overhead, for
@@ -488,6 +512,27 @@ mod tests {
         let jmp_id = ids[2];
         assert!(a.get(new_lbl).is_label());
         assert_eq!(a.get(jmp_id).target(), Some(Target::Instr(new_lbl)));
+    }
+
+    #[test]
+    fn appending_a_kept_list_remaps_each_time() {
+        // A list reused block after block hands out the same slots with
+        // new generations; each append must still aim every jump at the
+        // label moved with it.
+        let (mut block, mut trace) = (InstrList::new(), InstrList::new());
+        for _ in 0..3 {
+            let lbl = block.push_back(Instr::label());
+            let mut jmp = create::jmp(Target::Pc(0));
+            jmp.set_target(Target::Instr(lbl));
+            block.push_back(jmp);
+            trace.append(&mut block);
+            assert!(block.is_empty());
+        }
+        let ids: Vec<_> = trace.ids().collect();
+        assert_eq!(ids.len(), 6);
+        for pair in ids.chunks(2) {
+            assert_eq!(trace.get(pair[1]).target(), Some(Target::Instr(pair[0])));
+        }
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //!   memory stays bounded;
 //! * a block executes by reference out of the arena;
 //! * a per-page bitmap of pages that may hold a cached block lets stores to
-//!   data and stack pages (nearly all of them) skip the invalidation probe.
-//!   A store that does reach a cached block drops it, and any invalidation
-//!   ends the running block after the current instruction, so a store into
-//!   the block that is executing runs the new bytes next.
+//!   data and stack pages (nearly all of them) skip the invalidation probe
+//!   after testing two bits, those of their first and last byte. A store
+//!   that does reach a cached block drops it and sets the one flag tested
+//!   after each instruction, which ends the running block there, so a store
+//!   into the block that is executing runs the new bytes next.
 //!
 //! [`Machine::decode_cache_stats`] reports block hits, misses and
 //! invalidations for profiling; they never reach [`Counters`].
@@ -66,6 +67,10 @@
 //!   before any change, each store noted before it is written, the step
 //!   accounted before a watched-store exit), so the simulated counters do
 //!   not depend on which executor ran;
+//! * a step's cycles are bound at decode time too: `instr_cost` for the
+//!   loads and stores its executor always makes, under the machine's cost
+//!   model. Only the generic interpreter prices anything as it runs: the
+//!   loads and stores it made;
 //! * [`Machine::run_steps`] copies the exec region and lends the decode
 //!   arena out of the machine for the whole call, since no instruction can
 //!   change the region or move an arena entry.
@@ -184,13 +189,15 @@ struct MemOp {
 }
 
 /// Compact executable form of one decoded instruction. The fields every
-/// executor reads (opcode, length and executor) come first, in 16 bytes.
+/// executor reads (opcode, length, cycles, executor) come first, in 16 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(C)]
 struct Lowered {
     op: Opcode,
     len: u8,
-    ndst: u8,
+    /// `instr_cost` for the loads and stores the executor always makes (the
+    /// generic one makes none, and prices those it makes as it runs).
+    cycles: u8,
     shape: Shape,
     srcs: [LOpnd; MAX_SRCS],
     dsts: [LOpnd; MAX_DSTS],
@@ -198,13 +205,20 @@ struct Lowered {
 
 impl Lowered {
     /// The executable form of a decoded instruction: its operands are
-    /// already bound, so only the executor is left to choose.
-    fn new(d: Operands<LOpnd>) -> Lowered {
+    /// already bound, so only the executor and its cost are left to choose.
+    fn new(d: Operands<LOpnd>, cost: &CostModel) -> Lowered {
+        let shape = Shape::of(d.op, &d.srcs, &d.dsts);
+        let (loads, stores) = match shape {
+            Shape::MovRM(..) | Shape::Pop(_) | Shape::Ret => (1, 0),
+            Shape::MovMR(..) | Shape::Push(_) | Shape::Call(_) | Shape::CallIndR(_) => (0, 1),
+            Shape::IncM(_) => (1, 1),
+            _ => (0, 0),
+        };
         Lowered {
             op: d.op,
             len: d.len as u8, // at most MAX_INSTR_BYTES
-            ndst: d.ndsts,
-            shape: Shape::of(d.op, &d.srcs, &d.dsts),
+            cycles: u8::try_from(cost.instr_cost(d.op, loads, stores)).expect("costs fit a byte"),
+            shape,
             srcs: d.srcs,
             dsts: d.dsts,
         }
@@ -692,9 +706,11 @@ impl DecodeCache {
     /// takes instructions until it holds `want` of them, is complete, or
     /// reaches `room` bytes from `pc` (the end of the exec region). Returns
     /// `None` when a new block's first instruction is undecodable.
+    #[allow(clippy::too_many_arguments)]
     fn fill(
         &mut self,
         mem: &Memory,
+        cost: &CostModel,
         arena: &mut Vec<Decoded>,
         pc: u32,
         mut found: Option<Block>,
@@ -735,7 +751,7 @@ impl DecodeCache {
                 last = true;
                 break;
             };
-            let lowered = Lowered::new(ops);
+            let lowered = Lowered::new(ops, cost);
             arena.push(Decoded { lowered, bytes });
             self.stats.decoded += 1;
             len += 1;
@@ -752,17 +768,14 @@ impl DecodeCache {
     }
 
     /// Whether any page holding one of the `len` bytes at `start` (wrapping)
-    /// may hold part of a cached block.
+    /// may hold part of a cached block: for a run of at most a page, that of
+    /// its first or of its last byte; a longer run always may.
     fn touches_code_page(&self, start: u32, len: u32) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let first = start >> PAGE_SHIFT;
-        let last_offset = (u64::from(start & PAGE_MASK) + u64::from(len) - 1) >> PAGE_SHIFT;
-        (0..=last_offset as u32).any(|k| {
-            let page = (first.wrapping_add(k) % PAGES) as usize;
+        let marked = |addr: u32| {
+            let page = (addr >> PAGE_SHIFT) as usize;
             self.tables.code_pages[page / 64] & (1 << (page % 64)) != 0
-        })
+        };
+        len > PAGE_MASK + 1 || (len > 0 && (marked(start) || marked(start.wrapping_add(len - 1))))
     }
 
     /// Drop every block. The arena's contents become garbage; the caller
@@ -786,11 +799,13 @@ impl DecodeCache {
     /// pcs in `[start - 127, start + len)` can be affected; each lives at
     /// its own direct-mapped slot, so the walk is bounded by `len + 127`
     /// probes, and the span in the slot word decides the overlap. Writes
-    /// that touch no code page skip the walk.
-    fn invalidate_range(&mut self, start: u32, len: u32) {
+    /// that touch no code page skip the walk. Returns whether a block was
+    /// dropped.
+    fn invalidate_range(&mut self, start: u32, len: u32) -> bool {
         if !self.touches_code_page(start, len) {
-            return;
+            return false;
         }
+        let before = self.stats.invalidated;
         let lo = start.wrapping_sub(MAX_BLOCK_BYTES - 1);
         for k in 0..u64::from(len) + u64::from(MAX_BLOCK_BYTES - 1) {
             let pc = lo.wrapping_add(k as u32);
@@ -802,6 +817,7 @@ impl DecodeCache {
                 self.stats.invalidated += 1;
             }
         }
+        self.stats.invalidated != before
     }
 }
 
@@ -826,8 +842,8 @@ pub struct Machine {
     pub cpu: CpuState,
     /// Memory.
     pub mem: Memory,
-    /// The cycle cost model and predictor state.
-    pub cost: CostModel,
+    /// The cycle cost model and predictor state (decodes bind its costs).
+    cost: CostModel,
     /// Accumulated execution statistics.
     pub counters: Counters,
     dcache: DecodeCache,
@@ -846,12 +862,13 @@ pub struct Machine {
     /// Store into a watched region recorded by the current instruction
     /// (`(addr, len)`), turned into an exit at the end of the step.
     step_code_write: Option<(u32, u32)>,
+    /// Set by a store that dropped a cached block or touched the watched
+    /// region: the one flag `run_blocks` tests after each step.
+    code_stored: bool,
     /// When set, every decode-cache hit is re-verified against the live
     /// memory bytes; mismatches count in `stale_decode_hits`.
     verify_decodes: bool,
     stale_decode_hits: u64,
-    step_loads: u64,
-    step_stores: u64,
 }
 
 impl std::fmt::Debug for Machine {
@@ -878,10 +895,9 @@ impl Machine {
             inject: None,
             watch: None,
             step_code_write: None,
+            code_stored: false,
             verify_decodes: false,
             stale_decode_hits: 0,
-            step_loads: 0,
-            step_stores: 0,
         }
     }
 
@@ -992,6 +1008,23 @@ impl Machine {
         self.inject
     }
 
+    /// The modelled processor family (paper: `proc_get_family`).
+    pub fn cpu_kind(&self) -> CpuKind {
+        self.cost.kind()
+    }
+
+    /// Account, through the BTB, an indirect jump at `pc` to `target` that the
+    /// interpreter did not run (the engine's shared lookup routine ends in one).
+    pub fn predict_indirect_jump(&mut self, pc: u32, target: u32) {
+        self.counters.cycles += self.indirect_branch(pc, target, false);
+    }
+
+    /// Account an indirect transfer through the predictors; its penalty.
+    fn indirect_branch(&mut self, pc: u32, target: u32, is_ret: bool) -> u64 {
+        self.cost
+            .indirect_branch(pc, target, is_ret, &mut self.counters)
+    }
+
     /// Charge runtime-overhead cycles (dispatch, hashtable lookup,
     /// optimization time) to the cycle counter.
     pub fn charge(&mut self, cycles: u64) {
@@ -1053,9 +1086,9 @@ impl Machine {
     /// injection fires and where the fuel runs out, so every budget stays
     /// instruction-precise. `exec` can invalidate slots (every store goes
     /// through `note_store`) but never touches the arena, so a block
-    /// executes in place. Any invalidation ends the block after the current
-    /// instruction, so a store into the executing block runs the new bytes
-    /// next.
+    /// executes in place. A store that drops a cached block ends the block
+    /// after the current instruction, so a store into the executing block
+    /// runs the new bytes next; both that and a watched store set one flag.
     fn run_blocks(
         &mut self,
         arena: &mut Vec<Decoded>,
@@ -1063,9 +1096,9 @@ impl Machine {
         mut fuel: u64,
     ) -> CpuExit {
         // The rest of the current block: arena entries `next..end`, the
-        // first of them at `pc`, all valid while no invalidation has
-        // happened since the block began (`generation`).
-        let (mut next, mut end, mut pc, mut generation) = (0, 0, 0, 0);
+        // first of them at `pc`, all valid while no store has dropped a
+        // cached block since the block began.
+        let (mut next, mut end, mut pc) = (0, 0, 0);
         loop {
             if next == end {
                 if fuel == 0 {
@@ -1107,7 +1140,6 @@ impl Machine {
                 if b.span() > room {
                     end = next + Self::instrs_before(&arena[next..end], room);
                 }
-                generation = self.dcache.stats.invalidated;
             }
             let l = &arena[next].lowered;
             if let Some(exit) = self.exec(pc, l) {
@@ -1115,10 +1147,15 @@ impl Machine {
             }
             next += 1;
             fuel -= 1;
-            pc = pc.wrapping_add(u32::from(l.len));
-            if self.dcache.stats.invalidated != generation {
-                end = next;
+            if self.code_stored {
+                (self.code_stored, end) = (false, next);
+                // A watched store stops execution once its instruction has
+                // committed, with `eip` past the writer: no livelock.
+                if let Some((addr, len)) = self.step_code_write.take() {
+                    return CpuExit::CodeWrite { pc, addr, len };
+                }
             }
+            pc = pc.wrapping_add(u32::from(l.len));
         }
     }
 
@@ -1148,7 +1185,8 @@ impl Machine {
         }
         self.dcache.stats.misses += 1;
         let want = want.min(u64::from(MAX_BLOCK_INSTRS)) as u32;
-        self.dcache.fill(&self.mem, arena, pc, found, want, room)
+        self.dcache
+            .fill(&self.mem, &self.cost, arena, pc, found, want, room)
     }
 
     /// How many of `instrs` start fewer than `room` bytes into the block.
@@ -1239,7 +1277,7 @@ impl Machine {
     }
 
     fn load(&mut self, m: &MemOp) -> u32 {
-        self.step_loads += 1;
+        self.counters.loads += 1;
         let a = self.addr_of(m);
         match m.size {
             OpSize::S8 => self.mem.read_u8(a) as u32,
@@ -1270,12 +1308,15 @@ impl Machine {
 
     /// Bookkeeping for every interpreted guest store: keep the decode
     /// cache coherent with the written bytes (so self-modifying code is
-    /// correct in every mode, with no manual invalidation), and flag
-    /// stores that land in a watched code region.
+    /// correct in every mode, with no manual invalidation), and record
+    /// stores that land in a watched code region; either sets `code_stored`.
     fn note_store(&mut self, addr: u32, bytes: u32) {
-        self.step_stores += 1;
-        self.dcache.invalidate_range(addr, bytes);
+        self.counters.stores += 1;
+        if self.dcache.invalidate_range(addr, bytes) {
+            self.code_stored = true;
+        }
         if self.watch.is_some_and(|w| touches(&w, addr, bytes)) {
+            self.code_stored = true;
             self.step_code_write = Some(match self.step_code_write {
                 None => (addr, bytes),
                 Some((a0, l0)) => {
@@ -1305,7 +1346,7 @@ impl Machine {
 
     fn pop32(&mut self) -> u32 {
         let esp = self.cpu.gpr(ESP);
-        self.step_loads += 1;
+        self.counters.loads += 1;
         let v = self.mem.read_u32(esp);
         self.cpu.set_gpr(ESP, esp.wrapping_add(4));
         v
@@ -1322,12 +1363,9 @@ impl Machine {
     /// Execute one decoded instruction through its executor. The order of
     /// effects is the same for every shape: guards are checked before any
     /// state changes, each store is noted before it is written, the step
-    /// is accounted, and only then does a store into a watched region stop
-    /// execution.
+    /// adds the cycles bound at decode, and only then does `run_blocks` stop
+    /// execution for a store into a watched region.
     fn exec(&mut self, pc: u32, l: &Lowered) -> Option<CpuExit> {
-        self.step_loads = 0;
-        self.step_stores = 0;
-        self.step_code_write = None;
         if let Some(guard) = self.guard {
             if let Some(exit) = self.check_guard(guard, pc, l) {
                 return Some(exit);
@@ -1395,16 +1433,12 @@ impl Machine {
                 self.push32(next_pc);
                 self.cost.ras_push(next_pc);
                 new_eip = target;
-                branch_penalty = self
-                    .cost
-                    .indirect_branch(pc, target, false, &mut self.counters);
+                branch_penalty = self.indirect_branch(pc, target, false);
             }
             Shape::Ret => {
                 let target = self.pop32();
                 new_eip = target;
-                branch_penalty = self
-                    .cost
-                    .indirect_branch(pc, target, true, &mut self.counters);
+                branch_penalty = self.indirect_branch(pc, target, true);
             }
             Shape::MovzxR(d, s) => self.cpu.set_gpr(d, self.read_reg(s)),
             Shape::SetR(cc, d) => self.write_reg(d, u32::from(self.cpu.cc_holds(cc))),
@@ -1417,20 +1451,16 @@ impl Machine {
         }
         self.cpu.eip = new_eip;
         self.finish_step(l, branch_penalty);
-        // A committed store into a watched code region stops execution
-        // *after* the instruction: state is architecturally complete and
-        // `eip` is past the writer, so resumption cannot livelock.
-        self.step_code_write
-            .take()
-            .map(|(addr, len)| CpuExit::CodeWrite { pc, addr, len })
+        None
     }
 
     /// The generic operand-list interpreter, for every instruction shape
-    /// without its own executor. Returns the next `eip` and the branch
-    /// penalty, or the exit that ends the step early: a fault (nothing
-    /// committed), or a trap or `hlt` (already accounted).
+    /// without its own executor. Returns the next `eip` and the cycles of its
+    /// branch penalty, loads and stores, or the exit that ends the step
+    /// early: a fault (nothing committed), or a trap or `hlt` (accounted).
     #[allow(clippy::too_many_lines)]
     fn exec_generic(&mut self, pc: u32, next_pc: u32, l: &Lowered) -> Result<(u32, u64), CpuExit> {
+        let (loads, stores) = (self.counters.loads, self.counters.stores);
         let mut new_eip = next_pc;
         let mut branch_penalty = 0u64;
         let fault = |kind| Err(CpuExit::Fault { kind, pc, addr: pc });
@@ -1561,7 +1591,7 @@ impl Machine {
                 let ext = |v: u32| extend(v.into(), bits, l.op == Opcode::Imul);
                 // The low 64 bits of the product, which hold all of it.
                 let wide = ext(self.read(&l.srcs[0])).wrapping_mul(ext(self.read(&l.srcs[1])));
-                if l.ndst == 2 {
+                if l.dsts[1] != LOpnd::None {
                     self.cpu.set_gpr(EAX, wide as u32);
                     self.cpu.set_gpr(EDX, (wide >> 32) as u32);
                 } else {
@@ -1587,6 +1617,7 @@ impl Machine {
                 };
                 let fits = |&(q, _): &(i64, i64)| q == extend(q as u64, bits, signed);
                 let Some((q, r)) = qr.filter(fits) else {
+                    self.counters.loads = loads; // the faulting step counts no load
                     return fault(FaultKind::DivideError);
                 };
                 if bits == 8 {
@@ -1736,16 +1767,12 @@ impl Machine {
                 self.push32(next_pc);
                 self.cost.ras_push(next_pc);
                 new_eip = target;
-                branch_penalty = self
-                    .cost
-                    .indirect_branch(pc, target, false, &mut self.counters);
+                branch_penalty = self.indirect_branch(pc, target, false);
             }
             Opcode::JmpInd => {
                 let target = self.read(&l.srcs[0]);
                 new_eip = target;
-                branch_penalty = self
-                    .cost
-                    .indirect_branch(pc, target, false, &mut self.counters);
+                branch_penalty = self.indirect_branch(pc, target, false);
             }
             Opcode::Ret => {
                 let target = self.pop32();
@@ -1754,9 +1781,7 @@ impl Machine {
                     self.cpu.set_gpr(ESP, esp);
                 }
                 new_eip = target;
-                branch_penalty = self
-                    .cost
-                    .indirect_branch(pc, target, true, &mut self.counters);
+                branch_penalty = self.indirect_branch(pc, target, true);
             }
             Opcode::Label => {
                 // A label pseudo-instruction reached the interpreter:
@@ -1764,7 +1789,11 @@ impl Machine {
                 return fault(FaultKind::InvalidOpcode);
             }
         }
-        Ok((new_eip, branch_penalty))
+        let (loads, stores) = (self.counters.loads - loads, self.counters.stores - stores);
+        Ok((
+            new_eip,
+            branch_penalty + self.cost.access_cost(loads, stores),
+        ))
     }
 
     fn set_mul_flags(&mut self, overflow: bool) {
@@ -1776,14 +1805,10 @@ impl Machine {
         self.cpu.set_flags(Eflags::ALL6, v);
     }
 
-    fn finish_step(&mut self, l: &Lowered, branch_penalty: u64) {
+    /// Account a completed step: its bound cycles plus `extra`.
+    fn finish_step(&mut self, l: &Lowered, extra: u64) {
         self.counters.instructions += 1;
-        self.counters.loads += self.step_loads;
-        self.counters.stores += self.step_stores;
-        self.counters.cycles += self
-            .cost
-            .instr_cost(l.op, self.step_loads, self.step_stores)
-            + branch_penalty;
+        self.counters.cycles += u64::from(l.cycles) + extra;
     }
 }
 
@@ -1797,7 +1822,7 @@ mod tests {
     /// bound to its register-file indices one at a time. The decode cache
     /// lowered this way before it decoded straight into [`Lowered`], which
     /// must give the same result.
-    fn lower(instr: &Instr, len: u32) -> Lowered {
+    fn lower(instr: &Instr, len: u32, cost: &CostModel) -> Lowered {
         let reg = |r: Reg| {
             let view = match r.size() {
                 OpSize::S32 => View::R32,
@@ -1834,21 +1859,21 @@ mod tests {
         for (slot, d) in dsts.iter_mut().zip(instr.dsts()) {
             *slot = bind(d);
         }
-        let op = instr.opcode().expect("lower requires decoded instr");
-        Lowered {
-            op,
-            len: len as u8,
-            ndst: instr.dsts().len() as u8,
-            shape: Shape::of(op, &srcs, &dsts),
+        let d = Operands {
+            op: instr.opcode().expect("lower requires decoded instr"),
+            len,
             srcs,
+            nsrcs: instr.srcs().len() as u8,
             dsts,
-        }
+            ndsts: instr.dsts().len() as u8,
+        };
+        Lowered::new(d, cost)
     }
 
     /// The decode cache's lowering of the instruction at the start of
-    /// `bytes`, located at `pc`.
-    fn lowered(bytes: &[u8], pc: u32) -> Result<Lowered, DecodeError> {
-        decode_operands(bytes, pc).map(Lowered::new)
+    /// `bytes`, located at `pc`, with its cost under `cost`.
+    fn lowered(bytes: &[u8], pc: u32, cost: &CostModel) -> Result<Lowered, DecodeError> {
+        decode_operands(bytes, pc).map(|d| Lowered::new(d, cost))
     }
 
     #[test]
@@ -1867,6 +1892,7 @@ mod tests {
         // mixed; each also cut short. A pc near the top of the address space
         // makes relative targets wrap.
         const PC: u32 = 0xFFFF_FFF0;
+        let cost = CostModel::new(CpuKind::Pentium4);
         let tails: [[u8; 6]; 3] = [
             [0; 6],
             [0x80, 0xFF, 0xFF, 0xFF, 0xFE, 0xFF],
@@ -1887,8 +1913,9 @@ mod tests {
                             bytes.resize(16, 0xCC);
                             for cut in [16, 7, 4, 2, 1] {
                                 let bytes = &bytes[..cut];
-                                let want = decode_instr(bytes, PC).map(|(i, n)| lower(&i, n));
-                                assert_eq!(lowered(bytes, PC), want, "{bytes:02x?}");
+                                let want =
+                                    decode_instr(bytes, PC).map(|(i, n)| lower(&i, n, &cost));
+                                assert_eq!(lowered(bytes, PC, &cost), want, "{bytes:02x?}");
                                 checked += 1;
                             }
                         }
@@ -2047,6 +2074,23 @@ mod tests {
         // The machine is resumable: skip the 2-byte idiv and finish.
         m.cpu.eip = pc + 2;
         assert_eq!(m.run(), CpuExit::Halt);
+
+        // A faulting step counts nothing, not even a divisor it loaded.
+        let mut il = InstrList::new();
+        let zero = MemRef::absolute(Image::DATA_BASE, OpSize::S32);
+        il.push_back(create::div(Opnd::Mem(zero)));
+        let (m, exit) = run_program(&il);
+        assert!(
+            matches!(
+                exit,
+                CpuExit::Fault {
+                    kind: FaultKind::DivideError,
+                    ..
+                }
+            ),
+            "{exit:?}"
+        );
+        assert_eq!(m.counters, Counters::default());
     }
 
     #[test]
@@ -2564,9 +2608,20 @@ mod tests {
         assert_eq!(m.cpu.reg(Reg::Ebx), 1);
     }
 
+    /// `mov [addr], eax` then `hlt`, at [`Image::CODE_BASE`].
+    fn store_eax_then_halt(addr: u32) -> Vec<u8> {
+        let mut il = InstrList::new();
+        il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(addr, OpSize::S32)),
+            Opnd::reg(Reg::Eax),
+        ));
+        il.push_back(create::hlt());
+        encode_list(&il, Image::CODE_BASE).unwrap().bytes
+    }
+
     #[test]
     fn store_wrapping_past_the_top_invalidates_both_ends() {
-        // A 4-byte store at 0xFFFF_FFFE writes 0xFFFF_FFFE..=0xFFFF_FFFF
+        // A 4-byte guest store at 0xFFFF_FFFE writes 0xFFFF_FFFE..=0xFFFF_FFFF
         // and 0..=1; decodes at 0xFFFF_FFFE, 0 and 1 all read those bytes.
         let mut m = bare();
         let pcs = [0xFFFF_FFFE, 0, 1];
@@ -2576,14 +2631,114 @@ mod tests {
             assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
             assert!(m.dcache.get(pc).is_some());
         }
-        m.note_store(0xFFFF_FFFE, 4);
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 3, 3));
+        m.mem
+            .write_bytes(Image::CODE_BASE, &store_eax_then_halt(0xFFFF_FFFE));
+        m.cpu.eip = Image::CODE_BASE;
+        m.cpu.set_reg(Reg::Eax, 0x9090_9090);
+        assert_eq!(m.run(), CpuExit::Halt);
+        // The store cut its block, so the `hlt` is decoded again.
+        assert_eq!(m.decode_cache_stats(), stats(0, 5, 3, 6));
         assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
         // The public range entry point wraps the same way.
         m.cpu.eip = 1;
         assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
         m.invalidate_code_range(0xFFFF_FFFE, 4);
         assert_eq!(m.dcache.get(1), None);
+    }
+
+    #[test]
+    fn store_ending_on_a_cached_page_invalidates_its_block() {
+        // A 4-byte store at page offset 0xFFE writes two bytes on each of
+        // two pages; only the second holds a cached block, `mov al, 1; hlt`
+        // at its start, whose first two bytes the store rewrites to
+        // `mov al, 7`.
+        let data = 0x2000_0000;
+        let block = data + 0x1000;
+        let mut m = bare();
+        m.mem.write_bytes(block, &[0xB0, 0x01, 0xF4]);
+        m.cpu.eip = block;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Eax), 1);
+        assert!(!m.dcache.touches_code_page(data, 1));
+        m.mem
+            .write_bytes(Image::CODE_BASE, &store_eax_then_halt(data + 0xFFE));
+        m.cpu.eip = Image::CODE_BASE;
+        m.cpu.set_reg(Reg::Eax, 0x07B0_0000);
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.decode_cache_stats().invalidated, 1);
+        m.cpu.eip = block;
+        assert_eq!(m.run(), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Eax), 0x07B0_0007);
+    }
+
+    #[test]
+    fn a_watched_store_into_the_running_block_exits_then_runs_the_new_bytes() {
+        // `mov [imm32 of the next mov], eax` rewrites the `mov ebx, 1` after
+        // it, in the same block and inside the watched region: one store
+        // both drops the running block and ends the step with `CodeWrite`.
+        let mut il = InstrList::new();
+        let store = il.push_back(create::mov(
+            Opnd::Mem(MemRef::absolute(0, OpSize::S32)), // fixed up below
+            Opnd::reg(Reg::Eax),
+        ));
+        let target = il.push_back(create::mov(Opnd::reg(Reg::Ebx), Opnd::imm32(1)));
+        il.push_back(create::hlt());
+        let enc = encode_list(&il, Image::CODE_BASE).unwrap();
+        let (store_pc, target_pc) = [store, target]
+            .map(|id| Image::CODE_BASE + enc.offset_of(id).unwrap())
+            .into();
+        il.get_mut(store)
+            .set_dst(0, Opnd::Mem(MemRef::absolute(target_pc + 1, OpSize::S32)));
+        let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
+        m.set_watch_region(Some(ExecRegion::new(target_pc, target_pc + 5)));
+        m.cpu.set_reg(Reg::Eax, 2);
+        let exit = m.run_steps(100);
+        assert_eq!(
+            exit,
+            CpuExit::CodeWrite {
+                pc: store_pc,
+                addr: target_pc + 1,
+                len: 4,
+            }
+        );
+        assert_eq!(m.cpu.eip, target_pc);
+        assert_eq!(m.decode_cache_stats().invalidated, 1);
+        assert_eq!(m.run_steps(100), CpuExit::Halt);
+        assert_eq!(m.cpu.reg(Reg::Ebx), 2);
+        assert_eq!(m.counters.instructions, 3);
+    }
+
+    #[test]
+    fn a_pentium3_machine_after_a_dropped_pentium4_one_charges_pentium3_cycles() {
+        // On a thread of its own, so the second machine takes exactly the
+        // first one's dropped decode arena and tables.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut il = InstrList::new();
+                let data = Opnd::Mem(MemRef::absolute(Image::DATA_BASE, OpSize::S32));
+                il.push_back(create::mov(Opnd::reg(Reg::Eax), data)); // one load
+                il.push_back(create::inc(Opnd::reg(Reg::Eax))); // generic
+                il.push_back(create::inc(data)); // a load and a store
+                il.push_back(create::push(Opnd::reg(Reg::Eax))); // one store
+                il.push_back(create::pop(Opnd::reg(Reg::Ebx))); // one load
+                il.push_back(create::imul(Reg::Eax, Opnd::reg(Reg::Ebx))); // generic
+                il.push_back(create::hlt());
+                let cycles = |kind| {
+                    let mut m = Machine::new(kind);
+                    m.load_image(&Image::from_code(
+                        encode_list(&il, Image::CODE_BASE).unwrap().bytes,
+                    ));
+                    assert_eq!(m.run(), CpuExit::Halt);
+                    m.counters.cycles
+                };
+                // Pentium 4: 1+3, 4, 4+3+2, 1+2, 1+3, 10, 1.
+                assert_eq!(cycles(CpuKind::Pentium4), 35);
+                // Pentium 3: 1+2, 1, 1+2+2, 1+2, 1+2, 5, 1.
+                assert_eq!(cycles(CpuKind::Pentium3), 21);
+            })
+            .join()
+            .unwrap();
+        });
     }
 
     #[test]
@@ -3010,7 +3165,7 @@ mod tests {
             let mut il = InstrList::new();
             il.push_back(case.instr);
             let code = encode_list(&il, CODE).unwrap().bytes;
-            let l = lowered(&code, CODE).unwrap();
+            let l = lowered(&code, CODE, &CostModel::new(CpuKind::Pentium4)).unwrap();
             let (shape, len) = (format!("{:?}", l.shape), u32::from(l.len));
             assert!(shape.starts_with(case.shape), "{}: {shape}", case.name);
 
@@ -3080,12 +3235,36 @@ mod tests {
         }
     }
 
+    /// Decode the one instruction at `eip` into the cache as a block of its
+    /// own, in the generic interpreter's form when `generic` is set, so the
+    /// next `run_steps(1)` hits it.
+    fn prime(m: &mut Machine, generic: bool) {
+        let mut arena = std::mem::take(&mut m.dcache.arena);
+        let pc = m.cpu.eip;
+        let room = m.region.end - pc;
+        let b = m
+            .dcache
+            .fill(&m.mem, &m.cost, &mut arena, pc, None, 1, room);
+        let l = &mut arena[b.expect("the instruction decodes").start()].lowered;
+        if generic {
+            let cycles = m.cost.instr_cost(l.op, 0, 0) as u8;
+            *l = Lowered {
+                shape: Shape::Generic,
+                cycles,
+                ..*l
+            };
+        }
+        m.dcache.arena = arena;
+    }
+
     #[test]
     fn specialised_executors_agree_with_the_generic_interpreter() {
-        // Every specialised shape, run on pseudo-random registers, flags
-        // and memory, with and without a guard or watch on the bytes it
-        // touches, must leave exactly the state the generic interpreter
-        // leaves for the same decode.
+        // Every specialised shape, stepped once through `run_steps` on
+        // pseudo-random registers, flags and memory, with and without a
+        // guard or watch on the bytes it touches, on both processor models,
+        // must leave exactly the exit, state and counters the generic
+        // interpreter leaves for the same decode: so each shape's cycles,
+        // bound at decode, equal the generic count of its loads and stores.
         let r = Opnd::reg;
         let mem = |base, index: Option<Reg>, disp| {
             Opnd::Mem(MemRef {
@@ -3139,17 +3318,17 @@ mod tests {
             state as u32
         };
         const EDGES: [u32; 6] = [0, 1, 0x7F, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF];
-        for instr in instrs {
+        const CODE: u32 = Image::CODE_BASE;
+        for (instr, kind) in instrs
+            .iter()
+            .flat_map(|i| [CpuKind::Pentium4, CpuKind::Pentium3].map(|k| (i, k)))
+        {
             let mut il = InstrList::new();
-            il.push_back(instr);
-            let code = encode_list(&il, Image::CODE_BASE).unwrap().bytes;
-            let (decoded, _) = decode_instr(&code, Image::CODE_BASE).unwrap();
-            let special = lowered(&code, Image::CODE_BASE).unwrap();
+            il.push_back(instr.clone());
+            let code = encode_list(&il, CODE).unwrap().bytes;
+            let (decoded, _) = decode_instr(&code, CODE).unwrap();
+            let special = lowered(&code, CODE, &CostModel::new(kind)).unwrap();
             assert!(!matches!(special.shape, Shape::Generic), "{decoded}");
-            let generic = Lowered {
-                shape: Shape::Generic,
-                ..special
-            };
             for trial in 0..48 {
                 let regs: Vec<u32> = (0..8)
                     .map(|_| match next() % 3 {
@@ -3158,8 +3337,11 @@ mod tests {
                     })
                     .collect();
                 let eflags = next() & Eflags::ALL6.0;
-                let mut machines = [special, generic].map(|_| Machine::new(CpuKind::Pentium4));
+                let mut machines = [false, true].map(|_| Machine::new(kind));
                 for m in &mut machines {
+                    m.set_exec_region(ExecRegion::new(0, u32::MAX));
+                    m.mem.write_bytes(CODE, &code);
+                    m.cpu.eip = CODE;
                     for (i, &v) in regs.iter().enumerate() {
                         m.cpu.set_gpr(i as u8, v);
                     }
@@ -3187,11 +3369,10 @@ mod tests {
                     }
                 }
                 let [a, b] = &mut machines;
-                let exits = (
-                    a.exec(Image::CODE_BASE, &special),
-                    b.exec(Image::CODE_BASE, &generic),
-                );
-                let what = format!("{decoded} trial {trial}");
+                prime(a, false);
+                prime(b, true);
+                let exits = (a.run_steps(1), b.run_steps(1));
+                let what = format!("{decoded} on {kind:?}, trial {trial}");
                 assert_eq!(exits.0, exits.1, "{what}");
                 assert_eq!(a.cpu, b.cpu, "{what}");
                 assert_eq!(a.counters, b.counters, "{what}");

@@ -210,7 +210,7 @@ impl CostModel {
     }
 
     /// Base cost of executing `op` with the given counts of memory loads and
-    /// stores among its operands.
+    /// stores among its operands. The interpreter binds it once per decode.
     pub fn instr_cost(&self, op: Opcode, loads: u64, stores: u64) -> u64 {
         let p = &self.params;
         let base = match op {
@@ -220,7 +220,12 @@ impl CostModel {
             Opcode::Pushfd | Opcode::Popfd | Opcode::Lahf | Opcode::Sahf => p.flags_save,
             _ => p.base,
         };
-        base + loads * p.load + stores * p.store
+        base + self.access_cost(loads, stores)
+    }
+
+    /// The cycles `loads` memory loads and `stores` stores add to a cost.
+    pub(crate) fn access_cost(&self, loads: u64, stores: u64) -> u64 {
+        loads * self.params.load + stores * self.params.store
     }
 
     fn bp_index(pc: u32) -> usize {

@@ -1,7 +1,7 @@
 //! Paths that must not touch the heap, pinned with a counting allocator:
 //! decoding to Level 3, the instruction constructors, encoding into a warm
-//! `EncodedList`, rebuilding blocks in a warm cache (but for the records
-//! each new fragment keeps), the cache verifier on a clean cache, and
+//! `EncodedList`, rebuilding blocks and traces in a warm cache (but for the
+//! records each new fragment keeps), the cache verifier on a clean cache, and
 //! creating a machine once another has been dropped on the same thread.
 //! One campaign seed's oracle check is held under an allocation ceiling.
 //!
@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rio_core::build::decode_bb_into;
+use rio_core::build::{decode_bb_into, decode_trace_into};
 use rio_core::cache::CodeCache;
 use rio_core::emit::emit_fragment;
 use rio_core::mangle::mangle_bb;
@@ -272,6 +272,68 @@ fn rebuilding_blocks_in_a_warm_cache_allocates_only_their_records() {
             extra.iter().all(|&e| e == 0),
             "full: {full}, extra: {extra:?}"
         );
+    }
+}
+
+#[test]
+fn rebuilding_traces_in_warm_lists_allocates_only_their_records() {
+    // A one-block trace, and one of a call, its callee and the return.
+    for image in [loop_program(300), call_program(500)] {
+        let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, NullClient);
+        rio.run();
+        // Each trace's tag and the tags of the blocks it was built from.
+        let traces: Vec<(u32, Vec<u32>)> = rio
+            .core
+            .cache()
+            .iter()
+            .filter(|f| f.kind == FragmentKind::Trace)
+            .map(|f| (f.tag, f.src_ranges.iter().map(|&(tag, _)| tag).collect()))
+            .collect();
+        assert!(!traces.is_empty(), "no trace built");
+        let opts = Options::full();
+        let mut machine = Machine::new(CpuKind::Pentium4);
+        machine.load_image(&image);
+        let mut cache = CodeCache::new();
+        let (mut block, mut trace, mut src) = (InstrList::new(), InstrList::new(), Vec::new());
+        // As for blocks: per trace, the fewest allocations a rebuild made
+        // beyond the records its fragment keeps.
+        let mut extra = vec![u64::MAX; traces.len()];
+        for pass in 0..6 {
+            for (i, (tag, tags)) in traces.iter().enumerate() {
+                let (n, id) = allocations(|| {
+                    src.clear();
+                    let (max, inline) = (opts.max_bb_instrs, opts.inline_ib_target);
+                    decode_trace_into(
+                        &machine.mem,
+                        tags,
+                        max,
+                        inline,
+                        &mut block,
+                        &mut trace,
+                        &mut src,
+                    )
+                    .expect("a built trace decodes");
+                    let kind = FragmentKind::Trace;
+                    emit_fragment(
+                        &mut machine,
+                        &mut cache,
+                        kind,
+                        *tag,
+                        &mut trace,
+                        Vec::new(),
+                        &src[..],
+                    )
+                    .expect("the trace emits")
+                });
+                let f = cache.frag(id);
+                let records = [!f.exits.is_empty(), !f.translations.is_empty(), true];
+                let records = records.into_iter().filter(|&r| r).count() as u64;
+                if pass >= 2 {
+                    extra[i] = extra[i].min(n.checked_sub(records).expect("records allocate"));
+                }
+            }
+        }
+        assert!(extra.iter().all(|&e| e == 0), "extra: {extra:?}");
     }
 }
 
