@@ -39,7 +39,8 @@
 //!                     decode-cache counts, in basic blocks: lookups served
 //!                     from the cache (hits), lookups that decoded a new or
 //!                     longer block (misses), and blocks dropped
-//!                     (invalidated); host-only but deterministic
+//!                     (invalidated), then the steps that ran the generic
+//!                     interpreter; host-only but deterministic
 //!
 //! Every flag is also accepted as --flag=value. --jobs N (or -j N) sets the
 //! worker threads (default: the host's available parallelism). Suite,
@@ -228,10 +229,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     );
     if a.has("--stats") {
         eprintln!("{}", r.stats);
-        eprintln!(
-            "{}",
-            decode_cache_line(rio.core.machine.decode_cache_stats())
-        );
+        let d = rio.core.machine.decode_cache_stats();
+        eprintln!("{}", decode_cache_line(d));
+        eprintln!("generic interpreter: {} steps", d.generic);
     }
     if let Some(what) = exhausted {
         eprintln!(

@@ -73,12 +73,16 @@ fn every_client_label_and_legend_alias_runs() {
 fn run_stats_print_deterministic_decode_cache_counts() {
     let o = rio(&["run", "bench:gzip", "--stats"]);
     let err = String::from_utf8_lossy(&o.stderr).into_owned();
-    let line = err
-        .lines()
-        .find(|l| l.starts_with("decode cache: "))
+    let mut lines = err.lines().skip_while(|l| !l.starts_with("decode cache: "));
+    let line = lines
+        .next()
         .unwrap_or_else(|| panic!("no decode-cache line in:\n{err}"));
     let golden = include_str!("../../../tests/golden/decode_cache.txt");
     assert!(golden.starts_with(&format!("gzip: {line}\n")), "{line}");
+    // The generic interpreter's steps follow on a line of their own.
+    let generic = lines.next().unwrap_or_default();
+    assert!(generic.starts_with("generic interpreter: "), "{generic}");
+    assert!(generic.ends_with(" steps"), "{generic}");
 }
 
 #[test]

@@ -278,7 +278,8 @@ pub(crate) fn alu_shl(a: u32, count: u32, size: OpSize) -> AluOut {
     let a = a & m;
     let res = (a << count) & m;
     let mut f = szp_flags(res, size);
-    let cf = (a >> (width_bits(size) - count)) & 1;
+    // The last bit shifted out; 0 once the count passes the width.
+    let cf = ((u64::from(a) << count) >> width_bits(size)) as u32 & 1;
     if cf != 0 {
         f |= Eflags::CF.0;
     }
@@ -384,6 +385,22 @@ mod tests {
         assert_eq!(r, 0xF800_0000);
         let (r, _) = alu_sar(0x80, 4, OpSize::S8);
         assert_eq!(r, 0xF8);
+    }
+
+    #[test]
+    fn shl_past_a_narrow_width_shifts_everything_out() {
+        // The last bit out is bit `width - count` of the operand, or none
+        // once the count passes the width.
+        for size in [OpSize::S8, OpSize::S16] {
+            let bits = width_bits(size);
+            for count in [9, 16, 20, 31] {
+                let (res, f) = alu_shl(0xFFFF_FFFF, count, size);
+                let shifted = u64::from(mask_of(size)) << count;
+                assert_eq!(res, shifted as u32 & mask_of(size), "{size:?} by {count}");
+                let cf = count <= bits;
+                assert_eq!(f & Eflags::CF.0 != 0, cf, "{size:?} by {count}");
+            }
+        }
     }
 
     #[test]

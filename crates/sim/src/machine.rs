@@ -57,16 +57,14 @@
 //!   register-file index plus a view (32-bit, 16-bit, low or high byte), and
 //!   a memory operand is `{base, index, scale, disp, size}` with register
 //!   indices;
-//! * the instruction shapes that dominate the dynamic mix (`mov` between
-//!   registers, memory and immediates, `push`/`pop` of a register, `add`,
-//!   `sub`, `and`, `xor`, `cmp`, `test` on registers, `movzx` and `setcc`
-//!   on registers, `inc` of memory, and the transfers `jcc`, `jmp`,
-//!   `call`, `call *r32` and `ret`) each get one executor, chosen
-//!   once at decode time; every other shape runs the generic operand-list
-//!   interpreter. All executors share the generic order of effects (guards
-//!   before any change, each store noted before it is written, the step
-//!   accounted before a watched-store exit), so the simulated counters do
-//!   not depend on which executor ran;
+//! * every instruction form that is hot in the suite's dynamic mix,
+//!   natively or under the engine (see `Shape`), gets one executor, chosen
+//!   once at decode time; the rest, under 0.1% of the suite's steps, run
+//!   the generic operand-list interpreter, which
+//!   [`DecodeCacheStats::generic`] counts. All executors share the generic
+//!   order of effects (guards before any change, each store noted before it
+//!   is written, the step accounted before a watched-store exit), so the
+//!   simulated counters do not depend on which executor ran;
 //! * a step's cycles are bound at decode time too: `instr_cost` for the
 //!   loads and stores its executor always makes, under the machine's cost
 //!   model. Only the generic interpreter prices anything as it runs: the
@@ -209,9 +207,10 @@ impl Lowered {
     fn new(d: Operands<LOpnd>, cost: &CostModel) -> Lowered {
         let shape = Shape::of(d.op, &d.srcs, &d.dsts);
         let (loads, stores) = match shape {
-            Shape::MovRM(..) | Shape::Pop(_) | Shape::Ret => (1, 0),
-            Shape::MovMR(..) | Shape::Push(_) | Shape::Call(_) | Shape::CallIndR(_) => (0, 1),
-            Shape::IncM(_) => (1, 1),
+            Shape::MovRM(..) | Shape::Pop(_) | Shape::Ret | Shape::JmpIndM(_) => (1, 0),
+            Shape::MovMR(..) | Shape::Push(_) | Shape::PushI(_) => (0, 1),
+            Shape::Call(_) | Shape::CallIndR(_) => (0, 1),
+            Shape::IncM(_) | Shape::AddMI(_) => (1, 1),
             _ => (0, 0),
         };
         Lowered {
@@ -295,9 +294,10 @@ impl LOpnd {
 
 /// The executor of one instruction, chosen once at decode time. Each
 /// variant is one (opcode, operand shape) pair that is hot in the suite's
-/// dynamic mix, with its operands already bound; every other instruction
-/// runs the generic operand-list interpreter. Register fields are
-/// register-file indices of whole 32-bit registers.
+/// dynamic mix, natively or under the engine, with its operands already
+/// bound; every other instruction (under 0.1% of the suite's steps) runs
+/// the generic operand-list interpreter. Register fields are register-file
+/// indices of whole 32-bit registers. A payload holds at most 12 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Shape {
     Generic,
@@ -331,6 +331,8 @@ enum Shape {
     XorRI(u8, u32),
     /// `cmp r32, r32`.
     CmpRR(u8, u8),
+    /// `cmp r32, imm`.
+    CmpRI(u8, u32),
     /// `test r32, r32`.
     TestRR(u8, u8),
     /// `j<cc> target`.
@@ -349,6 +351,24 @@ enum Shape {
     SetR(Cc, RegOp),
     /// `inc m32`.
     IncM(MemOp),
+    /// `add m32, imm`, the immediate in `srcs[0]`.
+    AddMI(MemOp),
+    /// `imul r32, r32` (dst, src).
+    ImulRR(u8, u8),
+    /// `shl`, `shr` or `sar` of r32 by `%cl` or an immediate.
+    Shift(u8),
+    /// `cdq`.
+    Cdq,
+    /// `idiv r32`.
+    IdivR(u8),
+    /// `lea r32, m`.
+    Lea(u8, MemOp),
+    /// `push imm`.
+    PushI(u32),
+    /// `jecxz target`.
+    Jecxz(u32),
+    /// `jmp *m32`.
+    JmpIndM(MemOp),
 }
 
 impl Shape {
@@ -362,6 +382,7 @@ impl Shape {
         // (src, dst) register pairs and (imm, dst) pairs of whole registers.
         let rr = s0.r32().zip(d0.r32());
         let ri = imm.zip(d0.r32());
+        let mi = imm.and(d0.m32());
         match op {
             Opcode::Mov => match (rr, ri, s0.m32().zip(d0.r32()), s0.r32().zip(d0.m32())) {
                 (Some((s, d)), ..) => Shape::MovRR(d, s),
@@ -370,24 +391,45 @@ impl Shape {
                 (.., Some((s, m))) => Shape::MovMR(m, s),
                 _ => Shape::Generic,
             },
-            Opcode::Push => s0.r32().map_or(Shape::Generic, Shape::Push),
+            Opcode::Push => match (s0.r32(), imm) {
+                (Some(s), _) => Shape::Push(s),
+                (_, Some(v)) => Shape::PushI(v),
+                _ => Shape::Generic,
+            },
             Opcode::Pop => d0.r32().map_or(Shape::Generic, Shape::Pop),
-            Opcode::Add | Opcode::Sub | Opcode::And | Opcode::Xor => match (op, rr, ri) {
-                (Opcode::Add, Some((s, d)), _) => Shape::AddRR(d, s),
-                (Opcode::Add, _, Some((v, d))) => Shape::AddRI(d, v),
-                (Opcode::Sub, Some((s, d)), _) => Shape::SubRR(d, s),
-                (Opcode::Sub, _, Some((v, d))) => Shape::SubRI(d, v),
-                (Opcode::And, Some((s, d)), _) => Shape::AndRR(d, s),
-                (Opcode::And, _, Some((v, d))) => Shape::AndRI(d, v),
-                (Opcode::Xor, Some((s, d)), _) => Shape::XorRR(d, s),
-                (Opcode::Xor, _, Some((v, d))) => Shape::XorRI(d, v),
+            Opcode::Add | Opcode::Sub | Opcode::And | Opcode::Xor => match (op, rr, ri, mi) {
+                (Opcode::Add, Some((s, d)), ..) => Shape::AddRR(d, s),
+                (Opcode::Add, _, Some((v, d)), _) => Shape::AddRI(d, v),
+                (Opcode::Add, .., Some(m)) => Shape::AddMI(m),
+                (Opcode::Sub, Some((s, d)), ..) => Shape::SubRR(d, s),
+                (Opcode::Sub, _, Some((v, d)), _) => Shape::SubRI(d, v),
+                (Opcode::And, Some((s, d)), ..) => Shape::AndRR(d, s),
+                (Opcode::And, _, Some((v, d)), _) => Shape::AndRI(d, v),
+                (Opcode::Xor, Some((s, d)), ..) => Shape::XorRR(d, s),
+                (Opcode::Xor, _, Some((v, d)), _) => Shape::XorRI(d, v),
                 _ => Shape::Generic,
             },
-            Opcode::Cmp | Opcode::Test => match (op, s0.r32().zip(s1.r32())) {
-                (Opcode::Cmp, Some((a, b))) => Shape::CmpRR(a, b),
-                (_, Some((a, b))) => Shape::TestRR(a, b),
+            Opcode::Cmp | Opcode::Test => match (op, s0.r32(), s1.r32(), *s1) {
+                (Opcode::Cmp, Some(a), Some(b), _) => Shape::CmpRR(a, b),
+                (Opcode::Test, Some(a), Some(b), _) => Shape::TestRR(a, b),
+                (Opcode::Cmp, Some(a), _, LOpnd::Imm(v)) => Shape::CmpRI(a, v as u32),
                 _ => Shape::Generic,
             },
+            // Two operands only: the one-operand form also writes `%edx`.
+            Opcode::Imul if dsts[1] == LOpnd::None && s1.r32().is_some() => {
+                rr.map_or(Shape::Generic, |(s, d)| Shape::ImulRR(d, s))
+            }
+            Opcode::Shl | Opcode::Shr | Opcode::Sar => {
+                d0.r32().map_or(Shape::Generic, Shape::Shift)
+            }
+            Opcode::Cdq => Shape::Cdq,
+            Opcode::Idiv => s0.r32().map_or(Shape::Generic, Shape::IdivR),
+            Opcode::Lea => match (*s0, d0.r32()) {
+                (LOpnd::Mem(m), Some(d)) => Shape::Lea(d, m),
+                _ => Shape::Generic,
+            },
+            Opcode::Jecxz => pc.map_or(Shape::Generic, Shape::Jecxz),
+            Opcode::JmpInd => s0.m32().map_or(Shape::Generic, Shape::JmpIndM),
             Opcode::Jcc(cc) => pc.map_or(Shape::Generic, |t| Shape::Jcc(cc, t)),
             Opcode::Jmp => pc.map_or(Shape::Generic, Shape::Jmp),
             Opcode::Call => pc.map_or(Shape::Generic, Shape::Call),
@@ -530,6 +572,9 @@ pub struct DecodeCacheStats {
     /// Instructions decoded by misses (a block extended in place or copied
     /// decodes only its new instructions).
     pub decoded: u64,
+    /// Steps that ran the generic operand-list interpreter: instructions
+    /// without an executor of their own.
+    pub generic: u64,
 }
 
 /// Direct-mapped software cache of decoded straight-line blocks, keyed by
@@ -1360,6 +1405,13 @@ impl Machine {
         self.cpu.set_flags(Eflags::ALL6, f);
     }
 
+    /// A conditional jump at `pc` to `target`, `taken` or not: the next
+    /// `eip` and the branch penalty.
+    fn cond_jump(&mut self, pc: u32, taken: bool, target: u32, next_pc: u32) -> (u32, u64) {
+        let penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
+        (if taken { target } else { next_pc }, penalty)
+    }
+
     /// Execute one decoded instruction through its executor. The order of
     /// effects is the same for every shape: guards are checked before any
     /// state changes, each store is noted before it is written, the step
@@ -1407,16 +1459,19 @@ impl Machine {
                 let (_, f) = sub(self.cpu.gpr(a), self.cpu.gpr(b));
                 self.cpu.set_flags(Eflags::ALL6, f);
             }
+            Shape::CmpRI(a, v) => {
+                let (_, f) = sub(self.cpu.gpr(a), v);
+                self.cpu.set_flags(Eflags::ALL6, f);
+            }
             Shape::TestRR(a, b) => {
                 let (_, f) = and(self.cpu.gpr(a), self.cpu.gpr(b));
                 self.cpu.set_flags(Eflags::ALL6, f);
             }
-            Shape::Jcc(cc, target) => {
-                let taken = self.cpu.cc_holds(cc);
-                if taken {
-                    new_eip = target;
-                }
-                branch_penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
+            Shape::Jcc(cc, t) => {
+                (new_eip, branch_penalty) = self.cond_jump(pc, self.cpu.cc_holds(cc), t, next_pc);
+            }
+            Shape::Jecxz(t) => {
+                (new_eip, branch_penalty) = self.cond_jump(pc, self.cpu.gpr(ECX) == 0, t, next_pc);
             }
             Shape::Jmp(target) => {
                 new_eip = target;
@@ -1440,6 +1495,10 @@ impl Machine {
                 new_eip = target;
                 branch_penalty = self.indirect_branch(pc, target, true);
             }
+            Shape::JmpIndM(m) => {
+                new_eip = self.load(&m);
+                branch_penalty = self.indirect_branch(pc, new_eip, false);
+            }
             Shape::MovzxR(d, s) => self.cpu.set_gpr(d, self.read_reg(s)),
             Shape::SetR(cc, d) => self.write_reg(d, u32::from(self.cpu.cc_holds(cc))),
             Shape::IncM(m) => {
@@ -1448,6 +1507,44 @@ impl Machine {
                 // inc leaves CF unchanged.
                 self.cpu.set_flags(Eflags::NOT_CF, f);
             }
+            Shape::AddMI(m) => {
+                let (res, f) = add(self.load(&m), self.read(&l.srcs[0]));
+                self.store(&m, res);
+                self.cpu.set_flags(Eflags::ALL6, f);
+            }
+            Shape::ImulRR(d, s) => {
+                let wide = i64::from(self.cpu.gpr(d) as i32) * i64::from(self.cpu.gpr(s) as i32);
+                self.cpu.set_gpr(d, wide as u32);
+                self.set_mul_flags(wide != i64::from(wide as i32));
+            }
+            Shape::Shift(d) => {
+                // A masked count of 0 changes nothing, flags included.
+                let count = self.read(&l.srcs[0]) & 31;
+                let alu = match l.op {
+                    Opcode::Shl => alu_shl,
+                    Opcode::Shr => alu_shr,
+                    _ => alu_sar,
+                };
+                if count != 0 {
+                    self.alu_r32(d, count, |a, c| alu(a, c, OpSize::S32));
+                }
+            }
+            Shape::Cdq => self
+                .cpu
+                .set_gpr(EDX, (self.cpu.gpr(EAX) as i32 >> 31) as u32),
+            Shape::IdivR(r) => {
+                let edx_eax = u64::from(self.cpu.gpr(EDX)) << 32 | u64::from(self.cpu.gpr(EAX));
+                let (n, d) = (edx_eax as i64, i64::from(self.cpu.gpr(r) as i32));
+                // #DE on a zero divisor or a quotient too wide, before any change.
+                let Some(q) = n.checked_div(d).filter(|&q| q == i64::from(q as i32)) else {
+                    let kind = FaultKind::DivideError;
+                    return Some(CpuExit::Fault { kind, pc, addr: pc });
+                };
+                self.cpu.set_gpr(EDX, (n % d) as u32);
+                self.cpu.set_gpr(EAX, q as u32);
+            }
+            Shape::Lea(d, m) => self.cpu.set_gpr(d, self.addr_of(&m)),
+            Shape::PushI(v) => self.push32(v),
         }
         self.cpu.eip = new_eip;
         self.finish_step(l, branch_penalty);
@@ -1460,6 +1557,7 @@ impl Machine {
     /// early: a fault (nothing committed), or a trap or `hlt` (accounted).
     #[allow(clippy::too_many_lines)]
     fn exec_generic(&mut self, pc: u32, next_pc: u32, l: &Lowered) -> Result<(u32, u64), CpuExit> {
+        self.dcache.stats.generic += 1;
         let (loads, stores) = (self.counters.loads, self.counters.stores);
         let mut new_eip = next_pc;
         let mut branch_penalty = 0u64;
@@ -1628,11 +1726,7 @@ impl Machine {
                 }
             }
             Opcode::Cdq => {
-                let v = if self.cpu.gpr(EAX) & 0x8000_0000 != 0 {
-                    0xFFFF_FFFF
-                } else {
-                    0
-                };
+                let v = 0u32.wrapping_sub(self.cpu.gpr(EAX) >> 31);
                 self.cpu.set_gpr(EDX, v);
             }
             Opcode::Cwde => {
@@ -1695,17 +1789,17 @@ impl Machine {
                         _ => ((a >> c) | (a << (bits - c))) & mask,
                     };
                     self.write(&dst, res);
-                    // CF = bit rotated into position; OF approximated as
-                    // written (architecturally defined only for count==1).
-                    let cf = if l.op == Opcode::Rol {
-                        res & 1
+                    // CF = the bit rotated into position. OF is defined for
+                    // a count of 1 only (and cleared otherwise): `rol` sets
+                    // it to MSB ^ CF, `ror` to the XOR of the top two bits.
+                    let msb = (res >> (bits - 1)) & 1;
+                    let (cf, of) = if l.op == Opcode::Rol {
+                        (res & 1, msb ^ (res & 1))
                     } else {
-                        (res >> (bits - 1)) & 1
+                        (msb, msb ^ ((res >> (bits - 2)) & 1))
                     };
-                    let mut f = 0;
-                    if cf != 0 {
-                        f |= Eflags::CF.0;
-                    }
+                    let of = if count == 1 { of } else { 0 };
+                    let f = (cf * Eflags::CF.0) | (of * Eflags::OF.0);
                     self.cpu.set_flags(Eflags(Eflags::CF.0 | Eflags::OF.0), f);
                 }
             }
@@ -1741,38 +1835,27 @@ impl Machine {
                 new_eip = self.read(&l.srcs[0]);
                 branch_penalty = self.cost.direct_branch(&mut self.counters);
             }
-            Opcode::Jcc(cc) => {
-                let taken = self.cpu.cc_holds(cc);
-                if taken {
-                    new_eip = self.read(&l.srcs[0]);
-                }
-                branch_penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
+            Opcode::Jcc(_) | Opcode::Jecxz => {
+                let taken = match l.op {
+                    Opcode::Jcc(cc) => self.cpu.cc_holds(cc),
+                    _ => self.cpu.gpr(ECX) == 0,
+                };
+                let target = self.read(&l.srcs[0]);
+                (new_eip, branch_penalty) = self.cond_jump(pc, taken, target, next_pc);
             }
-            Opcode::Jecxz => {
-                let taken = self.cpu.gpr(ECX) == 0;
-                if taken {
-                    new_eip = self.read(&l.srcs[0]);
-                }
-                branch_penalty = self.cost.cond_branch(pc, taken, &mut self.counters);
-            }
-            Opcode::Call => {
+            Opcode::Call | Opcode::CallInd => {
                 let target = self.read(&l.srcs[0]);
                 self.push32(next_pc);
                 self.cost.ras_push(next_pc);
                 new_eip = target;
-                branch_penalty = self.cost.direct_branch(&mut self.counters);
-            }
-            Opcode::CallInd => {
-                let target = self.read(&l.srcs[0]);
-                self.push32(next_pc);
-                self.cost.ras_push(next_pc);
-                new_eip = target;
-                branch_penalty = self.indirect_branch(pc, target, false);
+                branch_penalty = match l.op {
+                    Opcode::Call => self.cost.direct_branch(&mut self.counters),
+                    _ => self.indirect_branch(pc, target, false),
+                };
             }
             Opcode::JmpInd => {
-                let target = self.read(&l.srcs[0]);
-                new_eip = target;
-                branch_penalty = self.indirect_branch(pc, target, false);
+                new_eip = self.read(&l.srcs[0]);
+                branch_penalty = self.indirect_branch(pc, new_eip, false);
             }
             Opcode::Ret => {
                 let target = self.pop32();
@@ -1797,11 +1880,7 @@ impl Machine {
     }
 
     fn set_mul_flags(&mut self, overflow: bool) {
-        let v = if overflow {
-            Eflags::CF.0 | Eflags::OF.0
-        } else {
-            0
-        };
+        let v = u32::from(overflow) * (Eflags::CF.0 | Eflags::OF.0);
         self.cpu.set_flags(Eflags::ALL6, v);
     }
 
@@ -1882,6 +1961,9 @@ mod tests {
         // operands, the executor and the raw bytes, padded to 16 bytes.
         assert_eq!(std::mem::size_of::<LOpnd>(), 8);
         assert_eq!(std::mem::size_of::<Decoded>(), 80);
+        // Opcode, length, cycles and a 12-byte executor fill the first 16.
+        assert_eq!(std::mem::size_of::<Shape>(), 12);
+        assert_eq!(std::mem::offset_of!(Lowered, srcs), 16);
     }
 
     #[test]
@@ -2051,6 +2133,82 @@ mod tests {
         il.push_back(create::jmp(Target::Pc(0xC000_0000)));
         let (_, exit) = run_program(&il);
         assert_eq!(exit, CpuExit::OutOfRegion(0xC000_0000));
+    }
+
+    /// Step the instruction `code` once from `eax` and `eflags`: the new
+    /// `eax` and flags.
+    fn step_on_eax(code: &[u8], eax: u32, eflags: u32) -> (u32, u32) {
+        let mut m = bare();
+        m.mem.write_bytes(Image::CODE_BASE, code);
+        m.cpu.eip = Image::CODE_BASE;
+        m.cpu.set_reg(Reg::Eax, eax);
+        m.cpu.eflags = eflags;
+        assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
+        (m.cpu.reg(Reg::Eax), m.cpu.eflags)
+    }
+
+    #[test]
+    fn shl_of_al_past_its_width_clears_it_and_the_carry() {
+        // `shl $n, %al` is `c0 e0 n`: every bit leaves, the last one from
+        // past the register, so CF is clear (`cpu.rs` covers `%ax`, which
+        // the decoder has no prefix for).
+        for count in [9, 16, 20, 31] {
+            let (eax, flags) = step_on_eax(&[0xC0, 0xE0, count], 0x1234_56FF, Eflags::CF.0);
+            assert_eq!(eax, 0x1234_5600, "by {count}");
+            assert_eq!(flags & Eflags::CF.0, 0, "by {count}");
+        }
+    }
+
+    #[test]
+    fn rotates_by_one_set_the_overflow_flag() {
+        // `rol`: OF = MSB(result) ^ CF. `ror`: OF = the XOR of the result's
+        // top two bits. Any other count leaves OF clear.
+        let (cf, of) = (Eflags::CF.0, Eflags::OF.0);
+        let one = || Opnd::imm8(1);
+        let cases = [
+            (create::rol(Opnd::reg(Reg::Al), one()), 0x40, 0x80, of),
+            (create::rol(Opnd::reg(Reg::Al), one()), 0xC0, 0x81, cf),
+            (create::ror(Opnd::reg(Reg::Al), one()), 0x01, 0x80, cf | of),
+            (create::ror(Opnd::reg(Reg::Al), one()), 0x02, 0x01, 0),
+            (
+                create::rol(Opnd::reg(Reg::Eax), one()),
+                0x8000_0000,
+                1,
+                cf | of,
+            ),
+            (
+                create::rol(Opnd::reg(Reg::Eax), one()),
+                0xC000_0000,
+                0x8000_0001,
+                cf,
+            ),
+            (
+                create::ror(Opnd::reg(Reg::Eax), one()),
+                0x8000_0000,
+                0x4000_0000,
+                of,
+            ),
+            (
+                create::ror(Opnd::reg(Reg::Eax), one()),
+                0x8000_0001,
+                0xC000_0000,
+                cf,
+            ),
+            (
+                create::rol(Opnd::reg(Reg::Eax), Opnd::imm8(2)),
+                0x4000_0000,
+                1,
+                cf,
+            ),
+        ];
+        for (instr, before, after, flags) in cases {
+            let name = instr.to_string();
+            let mut il = InstrList::new();
+            il.push_back(instr);
+            let (eax, got) = step_on_eax(&encode(&il), before, of);
+            assert_eq!(eax, after, "{name} on {before:#x}");
+            assert_eq!(got & (cf | of), flags, "{name} on {before:#x}");
+        }
     }
 
     #[test]
@@ -2345,6 +2503,15 @@ mod tests {
             misses,
             invalidated,
             decoded,
+            generic: 0,
+        }
+    }
+
+    /// The decode-cache counts of `m` without its generic steps.
+    fn block_stats(m: &Machine) -> DecodeCacheStats {
+        DecodeCacheStats {
+            generic: 0,
+            ..m.decode_cache_stats()
         }
     }
 
@@ -2357,12 +2524,14 @@ mod tests {
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         // The three instructions are one block, ended by the `hlt`.
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 3));
+        assert_eq!(block_stats(&m), stats(0, 1, 0, 3));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(1, 1, 0, 3));
-        // Host-only: the simulated counters never see the cache.
+        assert_eq!(block_stats(&m), stats(1, 1, 0, 3));
+        // Host-only: the simulated counters never see the cache. Only the
+        // two `hlt`s ran the generic interpreter.
         assert_eq!(m.counters.instructions, 6);
+        assert_eq!(m.decode_cache_stats().generic, 2);
     }
 
     #[test]
@@ -2372,15 +2541,15 @@ mod tests {
         il.push_back(create::hlt());
         let mut m = load(encode_list(&il, Image::CODE_BASE).unwrap().bytes);
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 2));
+        assert_eq!(block_stats(&m), stats(0, 1, 0, 2));
         m.mem.write_u32(Image::CODE_BASE + 1, 2);
         m.invalidate_code_range(Image::CODE_BASE + 1, 4);
         // The 4-byte write lands inside the one `mov; hlt` block.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 2));
+        assert_eq!(block_stats(&m), stats(0, 1, 1, 2));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 2);
-        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1, 4));
+        assert_eq!(block_stats(&m), stats(0, 2, 1, 4));
         // The refill was appended; the dropped block stays in the arena
         // until it fills.
         assert_eq!(m.dcache.arena.len(), 4);
@@ -2459,12 +2628,12 @@ mod tests {
         assert_eq!(m.run(), CpuExit::Syscall(0x20));
         // The straddling decode is the only one so far, and it marked the
         // second page.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 0, 1));
+        assert_eq!(block_stats(&m), stats(0, 1, 0, 1));
         assert!(m.dcache.touches_code_page(straddle + 1, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Syscall(0x21));
         // The store ends its block, so the `jmp` is decoded twice.
-        assert_eq!(m.decode_cache_stats(), stats(0, 4, 1, 5));
+        assert_eq!(block_stats(&m), stats(0, 4, 1, 5));
         assert_eq!(m.stale_decode_hits(), 0);
 
         // Symmetrically, a store to the first page reaches a straddling
@@ -2474,7 +2643,7 @@ mod tests {
         m.cpu.eip = 0x1FFF;
         assert_eq!(m.run_steps(1), CpuExit::Syscall(0x20));
         m.note_store(0x1FFF, 1);
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 1));
+        assert_eq!(block_stats(&m), stats(0, 1, 1, 1));
     }
 
     #[test]
@@ -2487,7 +2656,7 @@ mod tests {
         assert_eq!(m.run(), CpuExit::Halt);
         m.invalidate_code();
         // One block of three instructions was dropped, and the arena freed.
-        assert_eq!(m.decode_cache_stats(), stats(0, 1, 1, 3));
+        assert_eq!(block_stats(&m), stats(0, 1, 1, 3));
         assert!(!m.dcache.touches_code_page(Image::CODE_BASE, 1));
         assert!(m.dcache.arena.is_empty());
         // Nothing is served stale, and the block refills from the start of
@@ -2495,12 +2664,12 @@ mod tests {
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         assert_eq!(m.cpu.reg(Reg::Eax), 6);
-        assert_eq!(m.decode_cache_stats(), stats(0, 2, 1, 6));
+        assert_eq!(block_stats(&m), stats(0, 2, 1, 6));
         assert_eq!(m.dcache.arena.len(), 3);
         assert!(m.dcache.touches_code_page(Image::CODE_BASE, 1));
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(1, 2, 1, 6));
+        assert_eq!(block_stats(&m), stats(1, 2, 1, 6));
     }
 
     #[test]
@@ -2524,7 +2693,7 @@ mod tests {
             m.cpu.eip = pc;
             assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
-        assert_eq!(m.decode_cache_stats(), stats(0, 4, 0, 4));
+        assert_eq!(block_stats(&m), stats(0, 4, 0, 4));
         assert_eq!(m.dcache.arena.len(), 4);
         assert_eq!(m.dcache.arena.capacity(), ARENA_FIRST_INSTRS);
         // The arena grows up to its bound: once it cannot take a whole
@@ -2536,10 +2705,10 @@ mod tests {
             assert_eq!(m.run_steps(1), CpuExit::Halt);
         }
         let fills = fills as u64;
-        assert_eq!(m.decode_cache_stats(), stats(0, fills, 0, fills));
+        assert_eq!(block_stats(&m), stats(0, fills, 0, fills));
         m.cpu.eip = b;
         assert_eq!(m.run_steps(1), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, fills + 1, 1, fills + 1));
+        assert_eq!(block_stats(&m), stats(0, fills + 1, 1, fills + 1));
         assert_eq!(m.dcache.arena.len(), 1);
         assert_eq!(m.dcache.arena.capacity(), ARENA_INSTRS);
     }
@@ -2583,11 +2752,11 @@ mod tests {
         m.cpu.eip = block;
         let (round, blocks) = (2 * 4092, 2 * 128);
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
-        assert_eq!(m.decode_cache_stats(), stats(0, blocks, 0, round));
+        assert_eq!(block_stats(&m), stats(0, blocks, 0, round));
         for rounds in 2..=3 {
             assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
             assert_eq!(
-                m.decode_cache_stats(),
+                block_stats(&m),
                 stats((rounds - 1) * blocks, blocks, 0, round)
             );
         }
@@ -2599,10 +2768,10 @@ mod tests {
         // block.
         m.mem.write_u8(trace, 0x43); // inc ebx
         m.invalidate_code_range(trace, 1);
-        assert_eq!(m.decode_cache_stats(), stats(2 * blocks, blocks, 1, round));
+        assert_eq!(block_stats(&m), stats(2 * blocks, blocks, 1, round));
         assert_eq!(m.run_steps(round), CpuExit::FuelExhausted);
         assert_eq!(
-            m.decode_cache_stats(),
+            block_stats(&m),
             stats(3 * blocks - 1, blocks + 1, 1, round + 32)
         );
         assert_eq!(m.cpu.reg(Reg::Ebx), 1);
@@ -2637,7 +2806,7 @@ mod tests {
         m.cpu.set_reg(Reg::Eax, 0x9090_9090);
         assert_eq!(m.run(), CpuExit::Halt);
         // The store cut its block, so the `hlt` is decoded again.
-        assert_eq!(m.decode_cache_stats(), stats(0, 5, 3, 6));
+        assert_eq!(block_stats(&m), stats(0, 5, 3, 6));
         assert!(pcs.iter().all(|&pc| m.dcache.get(pc).is_none()));
         // The public range entry point wraps the same way.
         m.cpu.eip = 1;
@@ -3257,6 +3426,81 @@ mod tests {
         m.dcache.arena = arena;
     }
 
+    /// No region, a guard, or a watch on the first byte a step touches.
+    #[derive(Clone, Copy, Debug)]
+    enum Probe {
+        Plain,
+        Guarded,
+        Watched,
+    }
+
+    /// Step the one instruction `code` at `CODE_BASE` once through
+    /// `run_steps`, from `regs` and `eflags`, on two `kind` machines: one
+    /// through its executor and one through the generic interpreter's form
+    /// of the same decode. Both must leave the same exit, state, counters,
+    /// block counts and memory, and only the generic side may count a
+    /// generic step. The bytes the instruction may touch (its memory
+    /// operands and the stack slots on either side of esp) start as words
+    /// from `word`; `probe` applies to the first of them. Returns the exit.
+    fn step_both(
+        code: &[u8],
+        kind: CpuKind,
+        regs: [u32; 8],
+        eflags: u32,
+        probe: Probe,
+        word: &mut impl FnMut() -> u32,
+    ) -> CpuExit {
+        const CODE: u32 = Image::CODE_BASE;
+        let special = lowered(code, CODE, &CostModel::new(kind)).unwrap();
+        let mut machines = [false, true].map(|_| Machine::new(kind));
+        for m in &mut machines {
+            m.set_exec_region(ExecRegion::new(0, u32::MAX));
+            m.mem.write_bytes(CODE, code);
+            m.cpu.eip = CODE;
+            for (i, &v) in regs.iter().enumerate() {
+                m.cpu.set_gpr(i as u8, v);
+            }
+            m.cpu.eflags = eflags;
+        }
+        let esp = regs[usize::from(ESP)];
+        let mut probes = vec![esp.wrapping_sub(4), esp];
+        for op in special.srcs.iter().chain(&special.dsts) {
+            if let LOpnd::Mem(m) = op {
+                probes.insert(0, machines[0].addr_of(m));
+            }
+        }
+        let words: Vec<u32> = probes.iter().map(|_| word()).collect();
+        for m in &mut machines {
+            for (&a, &w) in probes.iter().zip(&words) {
+                m.mem.write_u32(a, w);
+            }
+            let touched = Some(ExecRegion::new(probes[0], probes[0].wrapping_add(1)));
+            match probe {
+                Probe::Guarded => m.set_guard_region(touched),
+                Probe::Watched => m.set_watch_region(touched),
+                Probe::Plain => {}
+            }
+        }
+        let [a, b] = &mut machines;
+        prime(a, false);
+        prime(b, true);
+        let exits = (a.run_steps(1), b.run_steps(1));
+        let (decoded, _) = decode_instr(code, CODE).unwrap();
+        let what = format!("{decoded} on {kind:?} from {regs:x?}, {probe:?}");
+        assert!(!matches!(special.shape, Shape::Generic), "{what}");
+        assert_eq!(exits.0, exits.1, "{what}");
+        assert_eq!(a.cpu, b.cpu, "{what}");
+        assert_eq!(a.counters, b.counters, "{what}");
+        assert_eq!(block_stats(a), block_stats(b), "{what}");
+        assert_eq!(a.decode_cache_stats().generic, 0, "{what}");
+        for &p in &probes {
+            for addr in (0..8).map(|k| p.wrapping_sub(4).wrapping_add(k)) {
+                assert_eq!(a.mem.read_u8(addr), b.mem.read_u8(addr), "{what}");
+            }
+        }
+        exits.0
+    }
+
     #[test]
     fn specialised_executors_agree_with_the_generic_interpreter() {
         // Every specialised shape, stepped once through `run_steps` on
@@ -3265,6 +3509,8 @@ mod tests {
         // must leave exactly the exit, state and counters the generic
         // interpreter leaves for the same decode: so each shape's cycles,
         // bound at decode, equal the generic count of its loads and stores.
+        const CODE: u32 = Image::CODE_BASE;
+        const STACK: u32 = 0x6000_1000;
         let r = Opnd::reg;
         let mem = |base, index: Option<Reg>, disp| {
             Opnd::Mem(MemRef {
@@ -3275,6 +3521,7 @@ mod tests {
                 size: OpSize::S32,
             })
         };
+        let wrapping = MemRef::base_index(Reg::Esi, Reg::Edi, 8, -8, OpSize::S32);
         let mut instrs = vec![
             create::mov(r(Reg::Eax), r(Reg::Ebx)),
             create::mov(r(Reg::Esp), r(Reg::Ecx)),
@@ -3285,16 +3532,34 @@ mod tests {
             create::mov(mem(Reg::Esp, None, 0), r(Reg::Esp)),
             create::push(r(Reg::Eax)),
             create::push(r(Reg::Esp)),
+            create::push(Opnd::imm32(0x1234_5678)),
+            create::push(Opnd::imm32(-1)),
             create::pop(r(Reg::Ecx)),
             create::pop(r(Reg::Esp)),
             create::cmp(r(Reg::Eax), r(Reg::Ebx)),
+            create::cmp(r(Reg::Ecx), Opnd::imm32(0x7F)),
+            create::cmp(r(Reg::Esi), Opnd::imm32(-0x8000_0000)),
             create::test(r(Reg::Ecx), r(Reg::Edx)),
             create::movzx(Reg::Eax, r(Reg::Bh)),
             create::movzx(Reg::Ecx, r(Reg::Al)),
             create::movzx(Reg::Edx, r(Reg::Bx)),
             create::inc(mem(Reg::Esi, None, 4)),
-            create::jmp(Target::Pc(Image::CODE_BASE + 0x100)),
-            create::call(Target::Pc(Image::CODE_BASE + 0x100)),
+            create::add(mem(Reg::Esi, None, 4), Opnd::imm32(1)),
+            create::add(mem(Reg::Esp, None, 0), Opnd::imm32(0x7FFF_FFFF)),
+            create::imul(Reg::Eax, r(Reg::Ebx)),
+            create::imul(Reg::Ecx, r(Reg::Ecx)),
+            create::shl(r(Reg::Eax), r(Reg::Cl)),
+            create::shl(r(Reg::Ecx), r(Reg::Cl)),
+            create::sar(r(Reg::Edx), r(Reg::Cl)),
+            create::cdq(),
+            create::idiv(r(Reg::Ebx)),
+            create::idiv(r(Reg::Edx)),
+            create::lea(Reg::Eax, wrapping),
+            create::lea(Reg::Esp, MemRef::base_disp(Reg::Esp, 8, OpSize::S32)),
+            create::jecxz(Target::Pc(CODE + 0x40)),
+            create::jmp(Target::Pc(CODE + 0x100)),
+            create::jmp_ind(mem(Reg::Ebx, Some(Reg::Esi), 8)),
+            create::call(Target::Pc(CODE + 0x100)),
             create::call_ind(r(Reg::Eax)),
             create::call_ind(r(Reg::Esp)),
             create::ret(),
@@ -3305,10 +3570,15 @@ mod tests {
             instrs.push(alu(r(Reg::Edi), Opnd::imm32(0x7FFF_FFFF)));
         }
         for cc in Cc::ALL {
-            instrs.push(create::jcc(cc, Target::Pc(Image::CODE_BASE + 0x100)));
+            instrs.push(create::jcc(cc, Target::Pc(CODE + 0x100)));
             instrs.push(create::setcc(cc, r(Reg::Ah)));
             instrs.push(create::setcc(cc, r(Reg::Dl)));
         }
+        let code = |instr: &Instr| {
+            let mut il = InstrList::new();
+            il.push_back(instr.clone());
+            encode_list(&il, CODE).unwrap().bytes
+        };
 
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -3318,71 +3588,105 @@ mod tests {
             state as u32
         };
         const EDGES: [u32; 6] = [0, 1, 0x7F, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF];
-        const CODE: u32 = Image::CODE_BASE;
-        for (instr, kind) in instrs
-            .iter()
-            .flat_map(|i| [CpuKind::Pentium4, CpuKind::Pentium3].map(|k| (i, k)))
-        {
-            let mut il = InstrList::new();
-            il.push_back(instr.clone());
-            let code = encode_list(&il, CODE).unwrap().bytes;
-            let (decoded, _) = decode_instr(&code, CODE).unwrap();
-            let special = lowered(&code, CODE, &CostModel::new(kind)).unwrap();
-            assert!(!matches!(special.shape, Shape::Generic), "{decoded}");
+        const PROBES: [Probe; 3] = [Probe::Plain, Probe::Guarded, Probe::Watched];
+        let kinds = [CpuKind::Pentium4, CpuKind::Pentium3];
+        for (instr, kind) in instrs.iter().flat_map(|i| kinds.map(|k| (i, k))) {
+            let code = code(instr);
             for trial in 0..48 {
-                let regs: Vec<u32> = (0..8)
-                    .map(|_| match next() % 3 {
-                        0 => EDGES[next() as usize % EDGES.len()],
-                        _ => next(),
-                    })
-                    .collect();
+                let regs = [(); 8].map(|()| match next() % 3 {
+                    0 => EDGES[next() as usize % EDGES.len()],
+                    _ => next(),
+                });
                 let eflags = next() & Eflags::ALL6.0;
-                let mut machines = [false, true].map(|_| Machine::new(kind));
-                for m in &mut machines {
-                    m.set_exec_region(ExecRegion::new(0, u32::MAX));
-                    m.mem.write_bytes(CODE, &code);
-                    m.cpu.eip = CODE;
-                    for (i, &v) in regs.iter().enumerate() {
-                        m.cpu.set_gpr(i as u8, v);
-                    }
-                    m.cpu.eflags = eflags;
-                }
-                // The bytes the instruction may touch: its memory operands
-                // and the stack slots on either side of esp.
-                let esp = regs[usize::from(ESP)];
-                let mut probes = vec![esp.wrapping_sub(4), esp];
-                for op in special.srcs.iter().chain(&special.dsts) {
-                    if let LOpnd::Mem(m) = op {
-                        probes.insert(0, machines[0].addr_of(m));
-                    }
-                }
-                let words: Vec<u32> = probes.iter().map(|_| next()).collect();
-                for m in &mut machines {
-                    for (&a, &w) in probes.iter().zip(&words) {
-                        m.mem.write_u32(a, w);
-                    }
-                    let touched = Some(ExecRegion::new(probes[0], probes[0].wrapping_add(1)));
-                    match trial % 3 {
-                        1 => m.set_guard_region(touched),
-                        2 => m.set_watch_region(touched),
-                        _ => {}
-                    }
-                }
-                let [a, b] = &mut machines;
-                prime(a, false);
-                prime(b, true);
-                let exits = (a.run_steps(1), b.run_steps(1));
-                let what = format!("{decoded} on {kind:?}, trial {trial}");
-                assert_eq!(exits.0, exits.1, "{what}");
-                assert_eq!(a.cpu, b.cpu, "{what}");
-                assert_eq!(a.counters, b.counters, "{what}");
-                assert_eq!(a.decode_cache_stats(), b.decode_cache_stats(), "{what}");
-                for &p in &probes {
-                    for addr in (0..8).map(|k| p.wrapping_sub(4).wrapping_add(k)) {
-                        assert_eq!(a.mem.read_u8(addr), b.mem.read_u8(addr), "{what}");
-                    }
-                }
+                step_both(&code, kind, regs, eflags, PROBES[trial % 3], &mut next);
             }
+        }
+
+        // Edges random registers rarely reach, stepped from the registers
+        // listed (the others 0x01010101), with the memory words around what
+        // they touch 0: each returns its exit on both processor models.
+        let edge = |instr: Instr, set: &[(Reg, u32)], probe| {
+            let mut regs = [0x0101_0101; 8];
+            for &(reg, v) in set {
+                regs[usize::from(reg.number())] = v;
+            }
+            let code = code(&instr);
+            let exits = kinds.map(|k| step_both(&code, k, regs, Eflags::ALL6.0, probe, &mut || 0));
+            assert_eq!(exits[0], exits[1], "{instr} from {set:x?}");
+            exits[0]
+        };
+        let (eax, ebx, ecx, edx) = (Reg::Eax, Reg::Ebx, Reg::Ecx, Reg::Edx);
+        let (plain, ran) = (Probe::Plain, CpuExit::FuelExhausted);
+        let kind = FaultKind::DivideError;
+        let divide_error = CpuExit::Fault {
+            kind,
+            pc: CODE,
+            addr: CODE,
+        };
+        for (set, exit) in [
+            (&[(edx, 0), (eax, 7), (ebx, 0)][..], divide_error),
+            (
+                &[(edx, 0x8000_0000), (eax, 0), (ebx, u32::MAX)],
+                divide_error,
+            ),
+            (
+                &[(edx, u32::MAX), (eax, 0x8000_0000), (ebx, u32::MAX)],
+                divide_error,
+            ),
+            (&[(edx, u32::MAX), (eax, 0x8000_0000), (ebx, 1)], ran),
+        ] {
+            assert_eq!(edge(create::idiv(r(ebx)), set, plain), exit, "{set:x?}");
+        }
+        let imul = create::imul(eax, r(ebx));
+        for (a, b) in [
+            (0x1_0000, 0x1_0000),
+            (u32::MAX, 0x8000_0000),
+            (u32::MAX, 0x7FFF_FFFF),
+        ] {
+            assert_eq!(edge(imul.clone(), &[(eax, a), (ebx, b)], plain), ran);
+        }
+        for count in [0, 1, 31, 32, 33] {
+            for shift in [create::shl, create::sar] {
+                let set = [(eax, 0xC000_0001), (ecx, 0xFF00 | count)];
+                assert_eq!(edge(shift(r(eax), r(Reg::Cl)), &set, plain), ran);
+            }
+        }
+        for v in [0x7FFF_FFFF, 0x8000_0000] {
+            assert_eq!(edge(create::cdq(), &[(eax, v), (edx, 5)], plain), ran);
+        }
+        let lea = create::lea(eax, wrapping);
+        assert_eq!(
+            edge(lea, &[(Reg::Esi, 0x10), (Reg::Edi, 0x2000_0001)], plain),
+            ran
+        );
+        for v in [0, 1] {
+            let jecxz = create::jecxz(Target::Pc(CODE + 0x40));
+            assert_eq!(edge(jecxz, &[(ecx, v)], plain), ran);
+        }
+        // The stack slot a push writes, and the word an `add` updates, under
+        // a guard and under a watch.
+        let set = [(Reg::Esp, STACK), (Reg::Esi, STACK)];
+        for (instr, addr) in [
+            (create::push(Opnd::imm32(0x1234_5678)), STACK - 4),
+            (
+                create::add(mem(Reg::Esi, None, 4), Opnd::imm32(1)),
+                STACK + 4,
+            ),
+        ] {
+            let kind = FaultKind::MemFault;
+            let guarded = CpuExit::Fault {
+                kind,
+                pc: CODE,
+                addr,
+            };
+            let watched = CpuExit::CodeWrite {
+                pc: CODE,
+                addr,
+                len: 4,
+            };
+            assert_eq!(edge(instr.clone(), &set, plain), ran);
+            assert_eq!(edge(instr.clone(), &set, Probe::Guarded), guarded);
+            assert_eq!(edge(instr, &set, Probe::Watched), watched);
         }
     }
 
@@ -3678,7 +3982,7 @@ mod tests {
         code.extend(repeated(add_eax_imm32, 30));
         let mut m = load(code);
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 3, 0, 71));
+        assert_eq!(block_stats(&m), stats(0, 3, 0, 71));
         let spans: Vec<_> = [0, 32, 32 + 113]
             .map(|off| m.dcache.get(Image::CODE_BASE + off).unwrap())
             .iter()
@@ -3698,20 +4002,20 @@ mod tests {
             assert_eq!(m.run_steps(1), CpuExit::FuelExhausted);
         }
         assert_eq!(m.run_steps(1), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 5, 0, 5));
+        assert_eq!(block_stats(&m), stats(0, 5, 0, 5));
         assert_eq!(m.dcache.arena.len(), 5);
         m.cpu.eip = Image::CODE_BASE;
         assert_eq!(m.run(), CpuExit::Halt);
         // One miss: the one-instruction block at CODE_BASE was copied to
         // the end and extended to all five instructions.
-        assert_eq!(m.decode_cache_stats(), stats(0, 6, 0, 9));
+        assert_eq!(block_stats(&m), stats(0, 6, 0, 9));
         assert_eq!(m.dcache.arena.len(), 10);
         let b = m.dcache.get(Image::CODE_BASE).unwrap();
         assert_eq!((b.start(), b.len(), b.span(), b.last()), (5, 5, 5, true));
         // The newest block grows in place.
         m.cpu.eip = Image::CODE_BASE + 1;
         assert_eq!(m.run(), CpuExit::Halt);
-        assert_eq!(m.decode_cache_stats(), stats(0, 7, 0, 12));
+        assert_eq!(block_stats(&m), stats(0, 7, 0, 12));
         let b = m.dcache.get(Image::CODE_BASE + 1).unwrap();
         assert_eq!((b.start(), b.len()), (10, 4));
         assert_eq!(m.dcache.arena.len(), 14);

@@ -7,7 +7,7 @@
 use rio_clients::ClientKind;
 use rio_core::{NullClient, Options, Rio};
 use rio_fuzz::scenario::{self, Exit, Expect, Faults, Run, Scenario};
-use rio_sim::CpuKind;
+use rio_sim::{CpuKind, Machine, Os, OsEvent};
 use rio_workloads::{compile, suite_scaled, Benchmark};
 
 /// Check one run of `b` against native execution: exit code, output,
@@ -117,6 +117,45 @@ fn decode_misses_do_not_grow_with_the_iteration_count() {
         assert!(
             two * 10 <= one * 16,
             "{name}: {two} decode misses at scale 2 against {one} at scale 1"
+        );
+    }
+}
+
+#[test]
+fn the_suite_rarely_runs_the_generic_interpreter() {
+    // Host-only but deterministic counts. Every instruction form the suite
+    // runs often has an executor of its own, natively and under the engine
+    // (with its own mangling and, under `combined`, the clients' rewrites),
+    // so fewer than 0.1% of the steps run the generic interpreter.
+    let mut steps = [(0, 0); 3];
+    let mut count = |i: usize, m: &Machine| {
+        steps[i].0 += m.decode_cache_stats().generic;
+        steps[i].1 += m.counters.instructions;
+    };
+    for b in suite_scaled(1) {
+        let image = compile(&b.source).unwrap();
+        let mut m = Machine::new(CpuKind::Pentium4);
+        m.load_image(&image);
+        let mut os = Os::new();
+        loop {
+            let exit = m.run();
+            match os.handle(&mut m, exit) {
+                Some(OsEvent::Exited(_)) => break,
+                Some(_) => {}
+                None => panic!("{}: {exit:?}", b.name),
+            }
+        }
+        count(0, &m);
+        for (i, client) in [(1, ClientKind::Null), (2, ClientKind::Combined)] {
+            let mut rio = Rio::new(&image, Options::full(), CpuKind::Pentium4, client.build());
+            rio.run();
+            count(i, &rio.core.machine);
+        }
+    }
+    for ((generic, instructions), run) in steps.into_iter().zip(["native", "null", "combined"]) {
+        assert!(
+            generic * 1000 < instructions,
+            "{run}: {generic} of {instructions} steps ran the generic interpreter"
         );
     }
 }
